@@ -32,10 +32,9 @@ never relies on the additivity assumption.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -137,27 +136,41 @@ class AdvisorResult:
         return self.cost_before - self.cost_after
 
 
-class IlpIndexAdvisor:
-    """The automatic index suggestion component."""
+@dataclass
+class Selection:
+    """What a ``select()`` hook hands back to the shared pipeline."""
+
+    # Chosen candidate positions, in the order the result lists them.
+    positions: list[int]
+    # Becomes AdvisorResult.solver_status / solver_nodes.
+    status: str
+    nodes: int = 0
+    candidates_pruned: int = 0
+    # Upkeep of the chosen indexes under the update model; added to
+    # the priced cost_after.
+    maintenance_cost: float = 0.0
+
+
+class IndexAdvisor:
+    """The advising pipeline, once: fold → bind → candidates → INUM
+    models → quarantine → evaluator → :meth:`select` → full-INUM
+    pricing → counters. Subclasses are their :meth:`select` — the
+    search strategy over one shared candidate pool and one pricing
+    path, which is what makes their results comparable.
+    """
 
     def __init__(
         self,
         catalog: Catalog,
         config: PlannerConfig | None = None,
-        backend: str = "builtin",
+        *,
         max_candidates_per_table: int = 40,
         max_index_width: int = 3,
         single_column_only: bool = False,
-        max_nodes: int = 20000,
         workers: int = 1,
         parallel_mode: str = "auto",
         cost_cache: CostCache | None = None,
-        solver_deadline: float | None = None,
         fault_injector: FaultInjector | None = None,
-        vectorize: bool | None = None,
-        compress: bool = False,
-        prune_dominated: bool | None = None,
-        bound_epsilon: float | None = None,
     ) -> None:
         """Args (performance knobs; the rest are search-space knobs):
 
@@ -169,103 +182,48 @@ class IlpIndexAdvisor:
         cost_cache: Share a :class:`CostCache` across advisors or
             repeated ``recommend`` calls; by default each call gets a
             fresh one.
-        solver_deadline: Wall-clock cap (seconds) on one ILP solve.
-            When the branch-and-bound search cannot produce an integer
-            incumbent inside the cap, the advisor falls back to greedy
-            selection over the same benefit matrix instead of raising.
         fault_injector: Resilience-test harness; see
             :mod:`repro.resilience`. ``None`` defers to ``REPRO_FAULTS``.
-        vectorize: Evaluate benefits and refinement through the
-            array-compiled :class:`WorkloadEvaluator` (bit-identical to
-            the scalar loops, roughly an order of magnitude faster).
-            ``None`` defers to ``REPRO_VECTORIZE`` (default on); the
-            scalar path stays reachable for differential testing.
-        compress: Scale mode (CoPhy). Every ``recommend`` call first
-            folds the workload onto canonical templates
-            (:func:`repro.advisor.compress.fold_workload`) so advisor
-            cost tracks query *shapes*, not raw statements. Because
-            *all* inputs go through the same fold, advising a raw
-            stream and advising its pre-compressed equivalent are
-            bit-identical. Also enables dominance pruning and bound
-            pruning unless those are overridden explicitly.
-        prune_dominated: Drop candidates pointwise-dominated by a
-            cheaper same-table candidate before building the ILP
-            (never changes the optimum; see
-            :func:`repro.advisor.candidates.prune_dominated`). ``None``
-            follows ``compress``.
-        bound_epsilon: Relative branch-and-bound fathoming slack; a
-            node is pruned when its LP bound cannot beat the incumbent
-            by more than ``bound_epsilon × |incumbent|``. ``None``
-            means ``1e-4`` in compress mode (give up at most 0.01% of
-            objective for a much smaller tree) and exact ``0.0``
-            otherwise.
         """
-        if vectorize is None:
-            vectorize = os.environ.get("REPRO_VECTORIZE", "1").lower() not in (
-                "0",
-                "false",
-                "off",
-            )
-        self._vectorize = vectorize
         self._catalog = catalog
         self._config = config or PlannerConfig()
-        self._backend = backend
         self._max_per_table = max_candidates_per_table
         self._max_width = max_index_width
         self._single_column_only = single_column_only
-        self._max_nodes = max_nodes
         self._workers = workers
         self._parallel_mode = parallel_mode
         self._cost_cache = cost_cache
-        self._solver_deadline = solver_deadline
         self._fault_injector = fault_injector
-        if bound_epsilon is not None and bound_epsilon < 0:
-            raise AdvisorError("bound_epsilon must be non-negative")
-        self._compress = compress
-        self._prune_dominated = prune_dominated
-        self._bound_epsilon = bound_epsilon
 
-    # ------------------------------------------------------------------
+    def select(
+        self,
+        workload: Workload,
+        candidates: list[CandidateIndex],
+        evaluator: WorkloadEvaluator,
+        budget_pages: int,
+        lap: Callable[[str], None],
+        degraded: list[DegradedResult],
+        **options,
+    ) -> Selection:
+        """Pick candidate positions within ``budget_pages``.
 
-    def recommend(
+        ``evaluator`` prices any position set of ``candidates`` for
+        ``workload`` (already stripped of quarantined queries).
+        ``lap(phase)`` charges the time since the previous lap to
+        ``phase_seconds[phase]``; ``options`` are whatever the
+        subclass's ``recommend`` passed to :meth:`_advise`.
+        """
+        raise NotImplementedError
+
+    def _advise(
         self,
         workload: Workload,
         budget_pages: int,
-        update_rates: dict[str, float] | None = None,
-        max_update_cost: float | None = None,
-        refine: bool = True,
+        *,
         candidates: list[CandidateIndex] | None = None,
-        compress: bool | None = None,
+        fold: bool = False,
+        **options,
     ) -> AdvisorResult:
-        """Suggest the optimal index set within ``budget_pages``.
-
-        Args:
-            update_rates: Weighted row updates per table name. When
-                given, index maintenance cost enters the objective (and
-                the reported cost_after), so write-hot tables get fewer
-                indexes.
-            max_update_cost: Optional cap on total maintenance cost —
-                the paper's user-supplied update-cost constraint.
-            candidates: Inject a pre-generated candidate pool instead
-                of enumerating one from this workload. The fleet tuner
-                uses this to price every per-cluster advise against one
-                shared pool, which keeps designs from different
-                replicas directly comparable (and guarantees each is a
-                subset of the pool the fleet evaluator was compiled
-                for). The selection still only picks what benefits
-                *this* workload within the budget.
-            compress: Per-call override of the constructor's scale-mode
-                knob (``None`` inherits it). When active, the workload
-                is folded onto canonical templates before anything else
-                — see the constructor docstring for the bit-identity
-                contract this provides.
-            refine: Run a local-search polish over the ILP solution
-                using *full* INUM configuration estimates. The ILP's
-                benefit matrix is additive per index (INUM makes it so
-                per relation), but cross-index interactions within one
-                query can still leave slack; drop/add/swap moves priced
-                with full estimates close it. Never worsens the result.
-        """
         if budget_pages <= 0:
             raise AdvisorError("storage budget must be positive")
         started = time.perf_counter()
@@ -278,19 +236,8 @@ class IlpIndexAdvisor:
             phases[phase] = phases.get(phase, 0.0) + (now - mark)
             mark = now
 
-        scale_mode = self._compress if compress is None else compress
-        prune = (
-            self._prune_dominated
-            if self._prune_dominated is not None
-            else scale_mode
-        )
-        epsilon = (
-            self._bound_epsilon
-            if self._bound_epsilon is not None
-            else (1e-4 if scale_mode else 0.0)
-        )
         queries_folded = 0
-        if scale_mode:
+        if fold:
             # Deferred import: compress pulls in the online monitor's
             # canonicalizer, whose package imports this module.
             from repro.advisor.compress import fold_workload
@@ -319,74 +266,17 @@ class IlpIndexAdvisor:
         )
         workload = self._surviving(workload, models, degraded)
         lap("model_build")
-        evaluator = (
-            WorkloadEvaluator(
-                [models[q.name] for q in workload],
-                [q.weight for q in workload],
-                [c.index for c in candidates],
-            )
-            if self._vectorize
-            else None
+        evaluator = WorkloadEvaluator(
+            [models[q.name] for q in workload],
+            [q.weight for q in workload],
+            [c.index for c in candidates],
         )
-        benefits = self._benefit_matrix(
-            workload, models, candidates, evaluator=evaluator
+        selection = self.select(
+            workload, candidates, evaluator, budget_pages, lap, degraded,
+            **options,
         )
-        maintenance = self._maintenance_costs(candidates, update_rates)
-        lap("benefit_matrix")
-
-        allowed: set[int] | None = None
-        candidates_pruned = 0
-        if prune and candidates:
-            savings = self._savings_array(workload, benefits, len(candidates))
-            kept = prune_dominated(
-                candidates,
-                savings,
-                [maintenance.get(p, 0.0) for p in range(len(candidates))],
-            )
-            allowed = set(kept)
-            candidates_pruned = len(candidates) - len(kept)
-            if candidates_pruned:
-                # Rebuild the benefit mapping without the pruned
-                # positions, preserving iteration order — that order
-                # fixes solver variable order downstream.
-                benefits = {
-                    key: value
-                    for key, value in benefits.items()
-                    if key[1] in allowed
-                }
-            lap("prune")
-
-        solver_fallback = False
-        try:
-            chosen = self._solve(
-                workload, candidates, benefits, budget_pages, maintenance,
-                max_update_cost,
-                aggregate_coupling=scale_mode,
-                bound_epsilon=epsilon,
-            )
-        except (SolverError, FaultInjected) as exc:
-            # Degradation ladder: an exhausted or crashed solver is
-            # replaced by greedy selection over the same benefit
-            # matrix. The refine pass below then polishes with full
-            # INUM estimates, so quality degrades gracefully.
-            degraded.append(
-                DegradedResult("solver.iterate", "ilp", "fallback", str(exc))
-            )
-            chosen = self._greedy_fallback(
-                candidates, benefits, budget_pages, maintenance,
-                max_update_cost,
-            )
-            solver_fallback = True
-        lap("solve")
-        if refine:
-            chosen = self._refine(
-                workload, models, candidates, chosen, budget_pages,
-                maintenance, max_update_cost, evaluator=evaluator,
-                allowed=allowed,
-            )
-        lap("refine")
         result = self._price_recommendation(
-            workload, models, candidates, chosen, budget_pages, maintenance
+            workload, models, candidates, selection, budget_pages
         )
         lap("apply_pricing")
         result.phase_seconds = phases
@@ -401,10 +291,7 @@ class IlpIndexAdvisor:
         result.cache_misses = cache.misses
         result.cache_stats = cache.stats()
         result.degraded = degraded
-        result.candidates_pruned = candidates_pruned
         result.queries_folded = queries_folded
-        if solver_fallback:
-            result.solver_status = "greedy-fallback"
         return result
 
     # ------------------------------------------------------------------
@@ -455,66 +342,265 @@ class IlpIndexAdvisor:
             update_rates=dict(workload.update_rates),
         )
 
-    def _benefit_matrix(
-        self,
+    @staticmethod
+    def _price_recommendation(
         workload: Workload,
         models: dict[str, InumModel],
         candidates: list[CandidateIndex],
-        evaluator: WorkloadEvaluator | None = None,
-    ) -> Mapping[tuple[str, int], float]:
-        """Weighted single-index benefits benefit[(query, cand_idx)].
+        selection: Selection,
+        budget_pages: int,
+    ) -> AdvisorResult:
+        """Re-price the selection with full INUM estimates per query."""
+        chosen_candidates = [candidates[p] for p in selection.positions]
+        config = tuple(c.index for c in chosen_candidates)
 
-        With an ``evaluator``, all (query × candidate) savings come out
-        of one singleton-configuration array evaluation; the returned
-        :class:`BenefitMatrix` iterates in exactly the order the scalar
-        loop populated its dict (bit-identity covers iteration order —
-        it fixes solver variable order and fallback accumulation).
-        """
-        if evaluator is not None:
-            base = evaluator.base_costs()
-            singles = evaluator.singleton_costs()
-            weights = [query.weight for query in workload]
-            savings = (base[:, None] - singles) * np.asarray(weights)[:, None]
-            return BenefitMatrix(
-                [query.name for query in workload], savings, _MIN_BENEFIT
-            )
-        benefits: dict[tuple[str, int], float] = {}
+        per_query: list[QueryBenefit] = []
+        cost_before = 0.0
+        cost_after = 0.0
         for query in workload:
             model = models[query.name]
-            base = model.base_cost
-            for position, candidate in enumerate(candidates):
-                # An index on a table the query never touches has
-                # benefit exactly 0 — skip the estimate outright.
-                if candidate.index.table_name not in model.tables:
-                    continue
-                with_index = model.estimate((candidate.index,))
-                saving = (base - with_index) * query.weight
-                if saving > _MIN_BENEFIT:
-                    benefits[(query.name, position)] = saving
-        return benefits
+            before = model.base_cost * query.weight
+            after_cost, detail = model.estimate_detail(config)
+            after = after_cost * query.weight
+            cost_before += before
+            cost_after += after
+            per_query.append(
+                QueryBenefit(
+                    name=query.name,
+                    cost_before=before,
+                    cost_after=after,
+                    indexes_used=sorted(
+                        {name for name in detail.values() if name is not None}
+                    ),
+                )
+            )
+
+        return AdvisorResult(
+            indexes=[c.index for c in chosen_candidates],
+            size_pages=sum(c.size_pages for c in chosen_candidates),
+            budget_pages=budget_pages,
+            cost_before=cost_before,
+            cost_after=cost_after + selection.maintenance_cost,
+            per_query=per_query,
+            candidates_considered=0,  # filled by _advise()
+            solver_nodes=selection.nodes,
+            solver_status=selection.status,
+            elapsed_seconds=0.0,
+            maintenance_cost=selection.maintenance_cost,
+            candidates_pruned=selection.candidates_pruned,
+        )
+
+
+class IlpIndexAdvisor(IndexAdvisor):
+    """The automatic index suggestion component."""
+
+    def __init__(
+        self,
+        catalog: Catalog,
+        config: PlannerConfig | None = None,
+        backend: str = "builtin",
+        max_nodes: int = 20000,
+        solver_deadline: float | None = None,
+        compress: bool = False,
+        prune_dominated: bool | None = None,
+        bound_epsilon: float | None = None,
+        **pipeline,
+    ) -> None:
+        """Args (``pipeline`` goes to :class:`IndexAdvisor`):
+
+        solver_deadline: Wall-clock cap (seconds) on one ILP solve.
+            When the branch-and-bound search cannot produce an integer
+            incumbent inside the cap, the advisor falls back to greedy
+            selection over the same benefit matrix instead of raising.
+        compress: Scale mode (CoPhy). Every ``recommend`` call first
+            folds the workload onto canonical templates
+            (:func:`repro.advisor.compress.fold_workload`) so advisor
+            cost tracks query *shapes*, not raw statements. Because
+            *all* inputs go through the same fold, advising a raw
+            stream and advising its pre-compressed equivalent are
+            bit-identical. Also enables dominance pruning and bound
+            pruning unless those are overridden explicitly.
+        prune_dominated: Drop candidates pointwise-dominated by a
+            cheaper same-table candidate before building the ILP
+            (never changes the optimum; see
+            :func:`repro.advisor.candidates.prune_dominated`). ``None``
+            follows ``compress``.
+        bound_epsilon: Relative branch-and-bound fathoming slack; a
+            node is pruned when its LP bound cannot beat the incumbent
+            by more than ``bound_epsilon × |incumbent|``. ``None``
+            means ``1e-4`` in compress mode (give up at most 0.01% of
+            objective for a much smaller tree) and exact ``0.0``
+            otherwise.
+        """
+        super().__init__(catalog, config, **pipeline)
+        self._backend = backend
+        self._max_nodes = max_nodes
+        self._solver_deadline = solver_deadline
+        if bound_epsilon is not None and bound_epsilon < 0:
+            raise AdvisorError("bound_epsilon must be non-negative")
+        self._compress = compress
+        self._prune_dominated = prune_dominated
+        self._bound_epsilon = bound_epsilon
+
+    def recommend(
+        self,
+        workload: Workload,
+        budget_pages: int,
+        update_rates: dict[str, float] | None = None,
+        max_update_cost: float | None = None,
+        refine: bool = True,
+        candidates: list[CandidateIndex] | None = None,
+        compress: bool | None = None,
+    ) -> AdvisorResult:
+        """Suggest the optimal index set within ``budget_pages``.
+
+        Args:
+            update_rates: Weighted row updates per table name. When
+                given, index maintenance cost enters the objective (and
+                the reported cost_after), so write-hot tables get fewer
+                indexes.
+            max_update_cost: Optional cap on total maintenance cost —
+                the paper's user-supplied update-cost constraint.
+            candidates: Inject a pre-generated candidate pool instead
+                of enumerating one from this workload. The fleet tuner
+                uses this to price every per-cluster advise against one
+                shared pool, which keeps designs from different
+                replicas directly comparable (and guarantees each is a
+                subset of the pool the fleet evaluator was compiled
+                for). The selection still only picks what benefits
+                *this* workload within the budget.
+            compress: Per-call override of the constructor's scale-mode
+                knob (``None`` inherits it). When active, the workload
+                is folded onto canonical templates before anything else
+                — see the constructor docstring for the bit-identity
+                contract this provides.
+            refine: Run a local-search polish over the ILP solution
+                using *full* INUM configuration estimates. The ILP's
+                benefit matrix is additive per index (INUM makes it so
+                per relation), but cross-index interactions within one
+                query can still leave slack; drop/add/swap moves priced
+                with full estimates close it. Never worsens the result.
+        """
+        scale_mode = self._compress if compress is None else compress
+        return self._advise(
+            workload,
+            budget_pages,
+            candidates=candidates,
+            fold=scale_mode,
+            update_rates=update_rates,
+            max_update_cost=max_update_cost,
+            refine=refine,
+            scale_mode=scale_mode,
+        )
+
+    def select(
+        self,
+        workload: Workload,
+        candidates: list[CandidateIndex],
+        evaluator: WorkloadEvaluator,
+        budget_pages: int,
+        lap: Callable[[str], None],
+        degraded: list[DegradedResult],
+        *,
+        update_rates: dict[str, float] | None,
+        max_update_cost: float | None,
+        refine: bool,
+        scale_mode: bool,
+    ) -> Selection:
+        """Benefit matrix → dominance pruning → ILP → refinement."""
+        prune = (
+            self._prune_dominated
+            if self._prune_dominated is not None
+            else scale_mode
+        )
+        epsilon = (
+            self._bound_epsilon
+            if self._bound_epsilon is not None
+            else (1e-4 if scale_mode else 0.0)
+        )
+        benefits = self._benefit_matrix(workload, evaluator)
+        maintenance = self._maintenance_costs(candidates, update_rates)
+        lap("benefit_matrix")
+
+        allowed: set[int] | None = None
+        candidates_pruned = 0
+        if prune and candidates:
+            # Sub-threshold savings clip to exactly 0, so pruning and
+            # the solve agree on what counts as benefit.
+            raw = benefits.array
+            kept = prune_dominated(
+                candidates,
+                np.where(raw > _MIN_BENEFIT, raw, 0.0),
+                [maintenance.get(p, 0.0) for p in range(len(candidates))],
+            )
+            allowed = set(kept)
+            candidates_pruned = len(candidates) - len(kept)
+            if candidates_pruned:
+                # Rebuild the benefit mapping without the pruned
+                # positions, preserving iteration order — that order
+                # fixes solver variable order downstream.
+                benefits = {
+                    key: value
+                    for key, value in benefits.items()
+                    if key[1] in allowed
+                }
+            lap("prune")
+
+        try:
+            selection = self._solve(
+                workload, candidates, benefits, budget_pages, maintenance,
+                max_update_cost,
+                aggregate_coupling=scale_mode,
+                bound_epsilon=epsilon,
+            )
+        except (SolverError, FaultInjected) as exc:
+            # Degradation ladder: an exhausted or crashed solver is
+            # replaced by greedy selection over the same benefit
+            # matrix. The refine pass below then polishes with full
+            # INUM estimates, so quality degrades gracefully.
+            degraded.append(
+                DegradedResult("solver.iterate", "ilp", "fallback", str(exc))
+            )
+            selection = Selection(
+                self._greedy_fallback(
+                    candidates, benefits, budget_pages, maintenance,
+                    max_update_cost,
+                ),
+                "greedy-fallback",
+            )
+        lap("solve")
+        if refine:
+            selection.positions = self._refine(
+                candidates, evaluator, selection.positions, budget_pages,
+                maintenance, max_update_cost, allowed=allowed,
+            )
+        lap("refine")
+        selection.candidates_pruned = candidates_pruned
+        selection.maintenance_cost = sum(
+            maintenance.get(p, 0.0) for p in selection.positions
+        )
+        return selection
 
     @staticmethod
-    def _savings_array(
-        workload: Workload,
-        benefits: Mapping[tuple[str, int], float],
-        n_candidates: int,
-    ) -> np.ndarray:
-        """Dense (queries × candidates) savings with sub-threshold
-        entries clipped to exactly 0.
+    def _benefit_matrix(
+        workload: Workload, evaluator: WorkloadEvaluator
+    ) -> BenefitMatrix:
+        """Weighted single-index benefits benefit[(query, cand_idx)].
 
-        Both benefit-matrix representations (the vectorized
-        :class:`BenefitMatrix` and the scalar dict) reduce to the same
-        clipped array, so dominance pruning makes identical decisions
-        on either path.
+        All (query × candidate) savings come out of one
+        singleton-configuration array evaluation. The mapping iterates
+        query-by-query in workload order, candidate positions
+        ascending — that order fixes solver variable order and
+        fallback accumulation, so it is part of the bit-identity
+        contract.
         """
-        if isinstance(benefits, BenefitMatrix):
-            raw = benefits.array
-            return np.where(raw > _MIN_BENEFIT, raw, 0.0)
-        rows = {query.name: i for i, query in enumerate(workload)}
-        dense = np.zeros((len(rows), n_candidates))
-        for (query_name, position), saving in benefits.items():
-            dense[rows[query_name], position] = saving
-        return dense
+        base = evaluator.base_costs()
+        singles = evaluator.singleton_costs()
+        weights = [query.weight for query in workload]
+        savings = (base[:, None] - singles) * np.asarray(weights)[:, None]
+        return BenefitMatrix(
+            [query.name for query in workload], savings, _MIN_BENEFIT
+        )
 
     def _maintenance_costs(
         self,
@@ -548,8 +634,9 @@ class IlpIndexAdvisor:
         max_update_cost: float | None,
         aggregate_coupling: bool = False,
         bound_epsilon: float = 0.0,
-    ) -> list[int]:
-        """Build and solve the ILP; returns chosen candidate positions.
+    ) -> Selection:
+        """Build and solve the ILP; returns the chosen positions with
+        the solver's status and node count.
 
         ``aggregate_coupling`` (scale mode) replaces the per-pair
         ``y_{q,i} <= x_i`` rows with one per-candidate row
@@ -561,9 +648,8 @@ class IlpIndexAdvisor:
         which ``bound_epsilon`` fathoming and the rounding-heuristic
         incumbent compensate for.
         """
-        self._last_solution = None
         if not benefits:
-            return []
+            return Selection([], "no-benefit")
 
         useful = sorted({position for (_q, position) in benefits})
         program = LinearProgram(name="index-selection")
@@ -638,14 +724,12 @@ class IlpIndexAdvisor:
             bound_epsilon=bound_epsilon,
         )
         solution = solver.solve(program)
-        self._last_solution = solution
-        if not solution.has_solution:
-            return []
-        return [
-            position
-            for position in useful
-            if solution.value(f"x_{position}") > 0.5
-        ]
+        chosen = (
+            [p for p in useful if solution.value(f"x_{p}") > 0.5]
+            if solution.has_solution
+            else []
+        )
+        return Selection(chosen, solution.status, solution.nodes_explored)
 
     @staticmethod
     def _greedy_fallback(
@@ -692,17 +776,15 @@ class IlpIndexAdvisor:
             upkeep += cost
         return sorted(chosen)
 
+    @staticmethod
     def _refine(
-        self,
-        workload: Workload,
-        models: dict[str, InumModel],
         candidates: list[CandidateIndex],
+        evaluator: WorkloadEvaluator,
         chosen: list[int],
         budget_pages: int,
         maintenance: dict[int, float],
         max_update_cost: float | None,
         max_rounds: int = 6,
-        evaluator: WorkloadEvaluator | None = None,
         allowed: set[int] | None = None,
     ) -> list[int]:
         """Hill-climb over full INUM estimates: drop, add, swap.
@@ -722,25 +804,18 @@ class IlpIndexAdvisor:
 
         # The climb re-prices configurations it has already seen (every
         # trial of the terminating round is a repeat); memoize on the
-        # position set. With an evaluator the pricing itself is one
-        # array evaluation per distinct configuration instead of one
-        # scalar estimate per (model, configuration).
+        # position set. The pricing itself is one array evaluation per
+        # distinct configuration.
         cost_memo: dict[frozenset[int], float] = {}
-        priced = [(models[q.name], q.weight) for q in workload]
 
         def total_cost(positions: list[int]) -> float:
             key = frozenset(positions)
             cached = cost_memo.get(key)
             if cached is not None:
                 return cached
-            if evaluator is not None:
-                cost = evaluator.workload_cost(positions)
-            else:
-                config = tuple(candidates[p].index for p in positions)
-                cost = sum(
-                    model.estimate(config) * weight for model, weight in priced
-                )
-            cost += sum(maintenance.get(p, 0.0) for p in positions)
+            cost = evaluator.workload_cost(positions) + sum(
+                maintenance.get(p, 0.0) for p in positions
+            )
             cost_memo[key] = cost
             return cost
 
@@ -761,11 +836,9 @@ class IlpIndexAdvisor:
             memoized. The sequential scan below then mostly hits the
             memo; after an accept changes ``current``, later trials
             miss and are priced individually — the accept/ordering
-            semantics (and every float) stay exactly the scalar
-            loop's.
+            semantics (and every float) stay exactly those of pricing
+            one trial at a time.
             """
-            if evaluator is None:
-                return
             evaluator.prime(
                 [[p for p in current if p != position] for position in current]
             )
@@ -825,54 +898,3 @@ class IlpIndexAdvisor:
             if not improved:
                 break
         return sorted(current)
-
-    def _price_recommendation(
-        self,
-        workload: Workload,
-        models: dict[str, InumModel],
-        candidates: list[CandidateIndex],
-        chosen: list[int],
-        budget_pages: int,
-        maintenance: dict[int, float] | None = None,
-    ) -> AdvisorResult:
-        chosen_candidates = [candidates[p] for p in chosen]
-        config = tuple(c.index for c in chosen_candidates)
-        maintenance_total = sum(
-            (maintenance or {}).get(p, 0.0) for p in chosen
-        )
-
-        per_query: list[QueryBenefit] = []
-        cost_before = 0.0
-        cost_after = 0.0
-        for query in workload:
-            model = models[query.name]
-            before = model.base_cost * query.weight
-            after_cost, detail = model.estimate_detail(config)
-            after = after_cost * query.weight
-            cost_before += before
-            cost_after += after
-            per_query.append(
-                QueryBenefit(
-                    name=query.name,
-                    cost_before=before,
-                    cost_after=after,
-                    indexes_used=sorted(
-                        {name for name in detail.values() if name is not None}
-                    ),
-                )
-            )
-
-        solution = getattr(self, "_last_solution", None)
-        return AdvisorResult(
-            indexes=[c.index for c in chosen_candidates],
-            size_pages=sum(c.size_pages for c in chosen_candidates),
-            budget_pages=budget_pages,
-            cost_before=cost_before,
-            cost_after=cost_after + maintenance_total,
-            per_query=per_query,
-            candidates_considered=0,  # filled by recommend()
-            solver_nodes=solution.nodes_explored if solution else 0,
-            solver_status=solution.status if solution else "no-benefit",
-            elapsed_seconds=0.0,
-            maintenance_cost=maintenance_total,
-        )

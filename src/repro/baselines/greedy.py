@@ -3,35 +3,32 @@
 Classic greedy heuristic pruning: start from the empty configuration
 and repeatedly add the candidate index with the largest marginal
 workload benefit (optionally per storage page) that still fits the
-budget; stop when nothing improves. Uses the *same* candidate set and
-INUM pricing as the ILP advisor, so experiment E6 isolates the search
-strategy — which is exactly the paper's argument: "these tools are,
-however, based on greedy heuristic pruning, which reduces their
-usefulness".
+budget; stop when nothing improves. It is the ILP advisor's pipeline
+with a different ``select()`` — the *same* candidate set and INUM
+pricing — so experiment E6 isolates the search strategy, which is
+exactly the paper's argument: "these tools are, however, based on
+greedy heuristic pruning, which reduces their usefulness".
 """
 
 from __future__ import annotations
 
-import os
-import time
+from typing import Callable
 
-from repro.advisor.candidates import CandidateIndex, generate_candidates
-from repro.advisor.ilp_advisor import AdvisorResult, QueryBenefit
+from repro.advisor.candidates import CandidateIndex
+from repro.advisor.ilp_advisor import (
+    _MIN_BENEFIT,
+    AdvisorResult,
+    IndexAdvisor,
+    Selection,
+)
 from repro.catalog.catalog import Catalog
-from repro.errors import AdvisorError
 from repro.inum.batch import WorkloadEvaluator
-from repro.inum.model import InumModel
 from repro.optimizer.config import PlannerConfig
-from repro.parallel.caches import CostCache
-from repro.parallel.engine import bind_workload, build_inum_models
 from repro.resilience.degrade import DegradedResult
-from repro.resilience.faults import FaultInjector
 from repro.workloads.workload import Workload
 
-_MIN_BENEFIT = 1e-6
 
-
-class GreedyIndexAdvisor:
+class GreedyIndexAdvisor(IndexAdvisor):
     """Greedy marginal-benefit index selection under a storage budget."""
 
     def __init__(
@@ -39,169 +36,38 @@ class GreedyIndexAdvisor:
         catalog: Catalog,
         config: PlannerConfig | None = None,
         per_page: bool = False,
-        max_candidates_per_table: int = 40,
-        max_index_width: int = 3,
-        single_column_only: bool = False,
-        workers: int = 1,
-        parallel_mode: str = "auto",
-        cost_cache: CostCache | None = None,
-        fault_injector: FaultInjector | None = None,
-        vectorize: bool | None = None,
+        **pipeline,
     ) -> None:
-        if vectorize is None:
-            vectorize = os.environ.get("REPRO_VECTORIZE", "1").lower() not in (
-                "0",
-                "false",
-                "off",
-            )
-        self._vectorize = vectorize
-        self._catalog = catalog
-        self._config = config or PlannerConfig()
+        super().__init__(catalog, config, **pipeline)
         self._per_page = per_page
-        self._max_per_table = max_candidates_per_table
-        self._max_width = max_index_width
-        self._single_column_only = single_column_only
-        self._workers = workers
-        self._parallel_mode = parallel_mode
-        self._cost_cache = cost_cache
-        self._fault_injector = fault_injector
 
     def recommend(self, workload: Workload, budget_pages: int) -> AdvisorResult:
-        if budget_pages <= 0:
-            raise AdvisorError("storage budget must be positive")
-        started = time.perf_counter()
+        return self._advise(workload, budget_pages)
 
-        cache = self._cost_cache if self._cost_cache is not None else CostCache()
-        bound = bind_workload(self._catalog, workload, cache)
-        candidates = generate_candidates(
-            self._catalog,
-            workload,
-            max_width=self._max_width,
-            max_per_table=self._max_per_table,
-            single_column_only=self._single_column_only,
-            bound=bound,
-            cost_cache=cache,
-        )
-        degraded: list[DegradedResult] = []
-        models: dict[str, InumModel] = build_inum_models(
-            self._catalog,
-            workload,
-            self._config,
-            workers=self._workers,
-            mode=self._parallel_mode,
-            cost_cache=cache,
-            bound=bound,
-            fault_injector=self._fault_injector,
-            degraded=degraded,
-        )
-        if not all(query.name in models for query in workload):
-            # Same quarantine contract as the ILP advisor: failing
-            # queries are dropped from this run, not fatal.
-            kept = [query for query in workload if query.name in models]
-            if not kept:
-                raise AdvisorError(
-                    "every workload query failed model construction: "
-                    + "; ".join(str(entry) for entry in degraded)
-                )
-            workload = Workload(
-                queries=kept,
-                name=workload.name,
-                update_rates=dict(workload.update_rates),
-            )
-
-        if self._vectorize:
-            chosen = self._search_vectorized(
-                workload, models, candidates, budget_pages
-            )
-        else:
-            chosen = self._search_scalar(
-                workload, models, candidates, budget_pages
-            )
-
-        result = self._price(workload, models, chosen, budget_pages)
-        result.elapsed_seconds = time.perf_counter() - started
-        result.candidates_considered = len(candidates)
-        result.inum_estimates = sum(m.stats.estimates_served for m in models.values())
-        result.optimizer_calls = sum(m.stats.optimizer_calls for m in models.values())
-        result.combinations_truncated = sum(
-            m.stats.combinations_truncated for m in models.values()
-        )
-        result.cache_hits = cache.hits
-        result.cache_misses = cache.misses
-        result.cache_stats = cache.stats()
-        result.degraded = degraded
-        return result
-
-    # ------------------------------------------------------------------
-
-    def _search_scalar(
+    def select(
         self,
         workload: Workload,
-        models: dict[str, InumModel],
         candidates: list[CandidateIndex],
+        evaluator: WorkloadEvaluator,
         budget_pages: int,
-    ) -> list[CandidateIndex]:
-        """The original per-candidate greedy loop (scalar fallback)."""
-        chosen: list[CandidateIndex] = []
-        remaining = list(candidates)
-        used_pages = 0
-        current_cost = self._workload_cost(workload, models, chosen)
-
-        while True:
-            best_candidate = None
-            best_score = 0.0
-            best_cost = current_cost
-            for candidate in remaining:
-                if used_pages + candidate.size_pages > budget_pages:
-                    continue
-                trial_cost = self._workload_cost(
-                    workload, models, chosen + [candidate]
-                )
-                saving = current_cost - trial_cost
-                if saving <= _MIN_BENEFIT:
-                    continue
-                score = saving / candidate.size_pages if self._per_page else saving
-                if score > best_score:
-                    best_score = score
-                    best_candidate = candidate
-                    best_cost = trial_cost
-            if best_candidate is None:
-                break
-            chosen.append(best_candidate)
-            remaining.remove(best_candidate)
-            used_pages += best_candidate.size_pages
-            current_cost = best_cost
-        return chosen
-
-    def _search_vectorized(
-        self,
-        workload: Workload,
-        models: dict[str, InumModel],
-        candidates: list[CandidateIndex],
-        budget_pages: int,
-    ) -> list[CandidateIndex]:
+        lap: Callable[[str], None],
+        degraded: list[DegradedResult],
+    ) -> Selection:
         """Greedy search with each round's trials as one array op.
 
         Every round prices all ``current + [candidate]`` extensions in
-        a single :meth:`WorkloadEvaluator.extension_costs` evaluation;
-        the selection scan then replays the scalar loop's comparisons
-        over those (bit-identical) floats, so the chosen sequence —
-        including tie-breaks, which fall to the earliest candidate —
-        matches the scalar search exactly.
+        a single :meth:`WorkloadEvaluator.extension_costs` evaluation
+        and scans them in candidate order, so ties fall to the earliest
+        candidate.
         """
-        evaluator = WorkloadEvaluator(
-            [models[q.name] for q in workload],
-            [q.weight for q in workload],
-            [c.index for c in candidates],
-        )
-        chosen_positions: list[int] = []
+        chosen: list[int] = []
         remaining = list(range(len(candidates)))
         used_pages = 0
-        current_cost = evaluator.workload_cost(chosen_positions)
+        current_cost = evaluator.workload_cost(chosen)
 
         while True:
             trials = evaluator.workload_totals(
-                evaluator.extension_costs(chosen_positions, remaining)
+                evaluator.extension_costs(chosen, remaining)
             )
             best_slot = None
             best_score = 0.0
@@ -222,59 +88,8 @@ class GreedyIndexAdvisor:
             if best_slot is None:
                 break
             position = remaining.pop(best_slot)
-            chosen_positions.append(position)
+            chosen.append(position)
             used_pages += candidates[position].size_pages
             current_cost = best_cost
-        return [candidates[p] for p in chosen_positions]
-
-    @staticmethod
-    def _workload_cost(
-        workload: Workload,
-        models: dict[str, InumModel],
-        chosen: list[CandidateIndex],
-    ) -> float:
-        config = tuple(c.index for c in chosen)
-        return sum(
-            models[q.name].estimate(config) * q.weight for q in workload
-        )
-
-    @staticmethod
-    def _price(
-        workload: Workload,
-        models: dict[str, InumModel],
-        chosen: list[CandidateIndex],
-        budget_pages: int,
-    ) -> AdvisorResult:
-        config = tuple(c.index for c in chosen)
-        per_query: list[QueryBenefit] = []
-        cost_before = 0.0
-        cost_after = 0.0
-        for query in workload:
-            model = models[query.name]
-            before = model.base_cost * query.weight
-            after_cost, detail = model.estimate_detail(config)
-            after = after_cost * query.weight
-            cost_before += before
-            cost_after += after
-            per_query.append(
-                QueryBenefit(
-                    name=query.name,
-                    cost_before=before,
-                    cost_after=after,
-                    indexes_used=sorted(
-                        {name for name in detail.values() if name is not None}
-                    ),
-                )
-            )
-        return AdvisorResult(
-            indexes=[c.index for c in chosen],
-            size_pages=sum(c.size_pages for c in chosen),
-            budget_pages=budget_pages,
-            cost_before=cost_before,
-            cost_after=cost_after,
-            per_query=per_query,
-            candidates_considered=0,
-            solver_nodes=0,
-            solver_status="greedy",
-            elapsed_seconds=0.0,
-        )
+        lap("solve")
+        return Selection(chosen, "greedy")

@@ -136,7 +136,7 @@ class DivergentTuner:
         cache_max_entries: Bound for the per-replica caches.
         advisor_knobs: Extra ``IlpIndexAdvisor`` keyword arguments
             applied to every per-cluster advisor (``backend=``,
-            ``solver_deadline=``, ``vectorize=``, ...).
+            ``solver_deadline=``, ...).
     """
 
     def __init__(

@@ -82,7 +82,10 @@ class DriftDetector:
         ``baseline`` is the distribution the last recommendation was
         computed for; ``current`` is the active window's.
         """
-        keys = set(baseline) | set(current)
+        # Summed in sorted order: set order follows the interpreter's
+        # str hash seed, and a shift landing exactly on the threshold
+        # must not fire or hold by the last ulp of the process it is in.
+        keys = sorted(set(baseline) | set(current))
         total_variation = 0.5 * sum(
             abs(current.get(k, 0.0) - baseline.get(k, 0.0)) for k in keys
         )

@@ -568,12 +568,11 @@ def _build_in_processes(
     process-level version of the retry-then-serialize ladder — after
     recording a ``serialized`` degradation.
 
-    Transport: with ``REPRO_SHM_TRANSPORT`` on (the default), the
-    (catalog, config) pair is pickled ONCE into a shared-memory
-    broadcast segment instead of once per task, and workers return
-    snapshots as shared-memory segments (numpy float buffers plus a
-    small pickled header) rather than pickling them back through the
-    result pipe. Either side of that transport can decline — broadcast
+    Transport: the (catalog, config) pair is pickled ONCE into a
+    shared-memory broadcast segment instead of once per task, and
+    workers return snapshots as shared-memory segments (numpy float
+    buffers plus a small pickled header) rather than pickling them
+    back through the result pipe. Either side of that transport can decline — broadcast
     unpicklable, segment allocation failing, a worker returning the
     plain-pickle tag — and the affected payload silently rides the
     original pickle path; recommendations are bit-identical either way.

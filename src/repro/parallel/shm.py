@@ -25,9 +25,9 @@ Two transports live here:
     bit-identically — and unlinks the segment immediately.
 
 Fallback ladder: every entry point returns ``None`` instead of raising
-when the transport cannot be used (``REPRO_SHM_TRANSPORT=0``,
-unpicklable payload, shared memory unavailable, malformed segment), and
-callers fall back to the plain pickle path. Correctness never depends
+when the transport cannot be used (unpicklable payload, shared memory
+unavailable, malformed segment), and callers fall back to the plain
+pickle path. Correctness never depends
 on shared memory; only copy count does.
 
 Lifecycle: segments owned by this process are tracked in a registry so
@@ -42,7 +42,6 @@ ownership here is explicit — the parent unlinks, always.
 
 from __future__ import annotations
 
-import os
 import pickle
 from dataclasses import dataclass
 from multiprocessing import shared_memory
@@ -57,15 +56,6 @@ _ACTIVE: dict[str, shared_memory.SharedMemory] = {}
 # Worker-side cache: broadcast segment name → decoded object. One
 # attach+unpickle per worker process, not per task.
 _BROADCAST_CACHE: dict[str, Any] = {}
-
-
-def transport_enabled() -> bool:
-    """Whether shared-memory transport is on (``REPRO_SHM_TRANSPORT``)."""
-    return os.environ.get("REPRO_SHM_TRANSPORT", "1").strip().lower() not in (
-        "0",
-        "false",
-        "off",
-    )
 
 
 def _untrack(segment: shared_memory.SharedMemory) -> None:
@@ -131,12 +121,9 @@ def broadcast(obj: Any) -> BroadcastHandle | None:
     """Publish ``obj`` in one shared segment (parent side).
 
     The segment stays owned by this process until :func:`release` /
-    :func:`release_all`. Returns ``None`` when the transport is off or
-    ``obj`` cannot be pickled/placed — callers then ship ``obj`` the
-    ordinary way.
+    :func:`release_all`. Returns ``None`` when ``obj`` cannot be
+    pickled/placed — callers then ship ``obj`` the ordinary way.
     """
-    if not transport_enabled():
-        return None
     try:
         blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
         segment = shared_memory.SharedMemory(create=True, size=max(1, len(blob)))
@@ -200,11 +187,9 @@ def encode_snapshot(snapshot: InumSnapshot) -> ShmSnapshotHandle | None:
     """Write ``snapshot`` into a fresh segment (worker side).
 
     Returns ``None`` — fall back to pickling the snapshot itself —
-    when the transport is off, the skeleton does not pickle, or shared
-    memory cannot be allocated.
+    when the skeleton does not pickle or shared memory cannot be
+    allocated.
     """
-    if not transport_enabled():
-        return None
     try:
         entries = snapshot.entries
         skeleton = [

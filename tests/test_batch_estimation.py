@@ -4,7 +4,8 @@ The contract under test is absolute: every cost the array evaluator
 produces — base costs, singleton benefit rows, arbitrary configuration
 costs, greedy extension totals, workload sums — must equal the scalar
 ``InumModel.estimate`` path to the last bit (``struct.pack`` equality,
-not ``pytest.approx``). The advisors' regression gates rely on it.
+not ``pytest.approx``). The advisors price through the evaluator only,
+so these checks are what ties their numbers to the reference.
 """
 
 from __future__ import annotations
@@ -65,6 +66,14 @@ def assert_same_bits(a: float, b: float) -> None:
     assert bits(a) == bits(b), f"{a!r} != {b!r} (bitwise)"
 
 
+def _scalar_workload_cost(workload, models, candidates, positions):
+    config = tuple(candidates[p].index for p in positions)
+    expected = 0.0
+    for query in workload:
+        expected += models[query.name].estimate(config) * query.weight
+    return expected
+
+
 # ----------------------------------------------------------------------
 # Property: estimate_batch ≡ looped estimate, bit for bit
 
@@ -115,11 +124,10 @@ def test_evaluator_workload_cost_matches_scalar_sum(compiled):
         positions = rng.sample(
             range(len(candidates)), rng.randint(0, min(6, len(candidates)))
         )
-        config = tuple(candidates[p].index for p in positions)
-        expected = 0.0
-        for query in workload:
-            expected += models[query.name].estimate(config) * query.weight
-        assert_same_bits(evaluator.workload_cost(positions), expected)
+        assert_same_bits(
+            evaluator.workload_cost(positions),
+            _scalar_workload_cost(workload, models, candidates, positions),
+        )
 
 
 def test_evaluator_extension_costs_match_scalar(compiled):
@@ -177,10 +185,9 @@ def test_evaluator_zero_candidates(compiled):
         [],
     )
     assert evaluator.singleton_costs().shape == (len(list(workload)), 0)
-    expected = 0.0
-    for query in workload:
-        expected += models[query.name].estimate(()) * query.weight
-    assert_same_bits(evaluator.workload_cost([]), expected)
+    assert_same_bits(
+        evaluator.workload_cost([]), _scalar_workload_cost(workload, models, [], [])
+    )
 
 
 def test_single_alias_query(sdss_db, sdss_wl):
@@ -236,64 +243,81 @@ def test_benefit_matrix_matches_scalar_dict(compiled):
 
 
 # ----------------------------------------------------------------------
-# Advisors: the scalar fallback stays reachable and identical
+# Priming: batch-filled memo entries are the floats an unprimed
+# evaluator (and the scalar sum) would produce
 
 
-def _signature(result):
-    return (
-        [(ix.table_name, ix.columns) for ix in result.indexes],
-        result.cost_before,
-        result.cost_after,
-        [(q.name, q.cost_before, q.cost_after) for q in result.per_query],
+def _assert_primed_exact(compiled, prime, configs):
+    workload, models, candidates, unprimed = compiled
+    primed = WorkloadEvaluator(
+        [models[q.name] for q in workload],
+        [q.weight for q in workload],
+        [c.index for c in candidates],
+    )
+    prime(primed)
+    assert primed.memo_size == len({frozenset(c) for c in configs})
+    for positions in configs:
+        cost = primed.workload_cost(positions)
+        assert_same_bits(
+            cost, _scalar_workload_cost(workload, models, candidates, positions)
+        )
+        assert_same_bits(cost, unprimed.workload_cost(positions))
+    # Every answer came out of the memo the priming call filled.
+    assert primed.memo_size == len({frozenset(c) for c in configs})
+
+
+def test_prime_matches_scalar_and_unprimed(compiled):
+    configs = [[], [4], [0, 3, 7], [7, 3, 0], [1, 2, 5, 8, 11]]
+    _assert_primed_exact(compiled, lambda ev: ev.prime(configs), configs)
+
+
+def test_prime_extensions_matches_scalar_and_unprimed(compiled):
+    *_, candidates, _ = compiled
+    current = [0, 3]
+    extras = [p for p in range(len(candidates)) if p not in current]
+    _assert_primed_exact(
+        compiled,
+        lambda ev: ev.prime_extensions(current, extras),
+        [current + [extra] for extra in extras],
     )
 
 
-def test_ilp_advisor_scalar_vs_vectorized(sdss_db, sdss_wl):
-    workload = sdss_wl.subset(8)
-    fast = IlpIndexAdvisor(sdss_db.catalog, vectorize=True).recommend(
-        workload, budget_pages=500
+def test_prime_swaps_matches_scalar_and_unprimed(compiled):
+    *_, candidates, _ = compiled
+    current = [0, 3, 6]
+    pairs = [
+        (out, incoming)
+        for out in current
+        for incoming in range(len(candidates))
+        if incoming not in current
+    ]
+    _assert_primed_exact(
+        compiled,
+        lambda ev: ev.prime_swaps(current, pairs),
+        [[p for p in current if p != out] + [incoming] for out, incoming in pairs],
     )
-    slow = IlpIndexAdvisor(sdss_db.catalog, vectorize=False).recommend(
-        workload, budget_pages=500
-    )
-    assert _signature(fast) == _signature(slow)
 
 
-def test_greedy_advisor_scalar_vs_vectorized(sdss_db, sdss_wl):
-    workload = sdss_wl.subset(8)
-    for per_page in (False, True):
-        fast = GreedyIndexAdvisor(
-            sdss_db.catalog, per_page=per_page, vectorize=True
-        ).recommend(workload, budget_pages=500)
-        slow = GreedyIndexAdvisor(
-            sdss_db.catalog, per_page=per_page, vectorize=False
-        ).recommend(workload, budget_pages=500)
-        assert _signature(fast) == _signature(slow)
+# ----------------------------------------------------------------------
+# Advisors: one pipeline, phases attributed
 
 
-def test_vectorize_env_knob(sdss_db, monkeypatch):
-    monkeypatch.setenv("REPRO_VECTORIZE", "0")
-    assert IlpIndexAdvisor(sdss_db.catalog)._vectorize is False
-    assert GreedyIndexAdvisor(sdss_db.catalog)._vectorize is False
-    monkeypatch.setenv("REPRO_VECTORIZE", "1")
-    assert IlpIndexAdvisor(sdss_db.catalog)._vectorize is True
-    # An explicit argument beats the environment.
-    monkeypatch.setenv("REPRO_VECTORIZE", "off")
-    assert IlpIndexAdvisor(sdss_db.catalog, vectorize=True)._vectorize is True
-
-
-def test_phase_seconds_surfaced(sdss_db, sdss_wl):
-    result = IlpIndexAdvisor(sdss_db.catalog).recommend(
+@pytest.mark.parametrize(
+    "advisor_class, select_phases",
+    [
+        (IlpIndexAdvisor, {"benefit_matrix", "solve", "refine"}),
+        (GreedyIndexAdvisor, {"solve"}),
+    ],
+)
+def test_phase_seconds_surfaced(sdss_db, sdss_wl, advisor_class, select_phases):
+    result = advisor_class(sdss_db.catalog).recommend(
         sdss_wl.subset(4), budget_pages=400
     )
     assert set(result.phase_seconds) == {
         "candidates",
         "model_build",
-        "benefit_matrix",
-        "solve",
-        "refine",
         "apply_pricing",
-    }
+    } | select_phases
     assert all(v >= 0.0 for v in result.phase_seconds.values())
 
 

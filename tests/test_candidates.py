@@ -196,12 +196,25 @@ class TestDominancePruning:
         with pytest.raises(AdvisorError):
             prune_dominated(cands, np.zeros((1, 1)), [0.0, 0.0])
 
-    def test_pruning_preserves_ilp_optimum_on_real_workload(self, db):
+    def test_pruning_preserves_ilp_optimum_on_real_workload(
+        self, db, monkeypatch
+    ):
         # End-to-end soundness: with pruning forced on (folding and
         # epsilon off), the ILP's optimal objective is unchanged — the
         # pruned program may pick a different *tie-equivalent* set, but
         # never a worse one.
         from repro.advisor.ilp_advisor import IlpIndexAdvisor
+        from repro.ilp.branch_bound import BranchAndBoundSolver
+
+        objectives = []
+        solve = BranchAndBoundSolver.solve
+
+        def recording_solve(self, program):
+            solution = solve(self, program)
+            objectives.append(solution.objective)
+            return solution
+
+        monkeypatch.setattr(BranchAndBoundSolver, "solve", recording_solve)
 
         wl = Workload.from_sql(
             [
@@ -211,13 +224,10 @@ class TestDominancePruning:
                 "group by city",
             ]
         )
-        adv_plain = IlpIndexAdvisor(db.catalog)
-        adv_plain.recommend(wl, 200, refine=False)
-        adv_pruned = IlpIndexAdvisor(
+        IlpIndexAdvisor(db.catalog).recommend(wl, 200, refine=False)
+        pruned = IlpIndexAdvisor(
             db.catalog, prune_dominated=True, bound_epsilon=0.0
-        )
-        pruned = adv_pruned.recommend(wl, 200, refine=False)
+        ).recommend(wl, 200, refine=False)
         assert pruned.candidates_pruned > 0
-        assert adv_pruned._last_solution.objective == pytest.approx(
-            adv_plain._last_solution.objective
-        )
+        plain_objective, pruned_objective = objectives
+        assert pruned_objective == pytest.approx(plain_objective)

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
 from types import SimpleNamespace
 
@@ -419,6 +422,30 @@ class TestDriftDetector:
         report = detector.compare({"a": 0.95, "b": 0.05}, {"a": 1.0})
         assert report.drifted
         assert report.vanished_templates == ("b",)
+
+    def test_at_threshold_decision_ignores_hash_seed(self):
+        """A 24/120 shift sits exactly on weight_threshold=0.2; summed
+        in str-hash order it fired under some seeds and held under
+        others."""
+        script = (
+            "from repro.online import DriftDetector\n"
+            "names = [f'select c{i} from t0 where c{i} = ?' for i in range(12)]\n"
+            "shift = (7, 6, 5, 3, 2, 1, -1, -2, -3, -5, -6, -7)\n"
+            "baseline = {n: 10 / 120 for n in names}\n"
+            "current = {n: (10 + d) / 120 for n, d in zip(names, shift)}\n"
+            "r = DriftDetector(weight_threshold=0.2).compare(baseline, current)\n"
+            "print(repr(r.total_variation), r.drifted)\n"
+        )
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONHASHSEED": str(seed),
+                     "PYTHONPATH": os.pathsep.join(sys.path)},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in range(4)
+        }
+        assert len(outputs) == 1, outputs
 
 
 # ----------------------------------------------------------------------

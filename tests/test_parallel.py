@@ -518,18 +518,6 @@ class TestSharedMemoryTransport:
         assert shm.encode_snapshot(snapshot) is None
         assert shm.active_segment_count() == 0
 
-    def test_transport_disabled_by_env(self, monkeypatch):
-        from repro.inum.model import InumSnapshot
-        from repro.parallel import shm
-
-        monkeypatch.setenv("REPRO_SHM_TRANSPORT", "0")
-        assert not shm.transport_enabled()
-        assert shm.broadcast({"x": 1}) is None
-        empty = InumSnapshot(
-            entries=(), optimizer_calls=0, combinations_truncated=0
-        )
-        assert shm.encode_snapshot(empty) is None
-
     def test_process_mode_bit_identical_and_leak_free(
         self, sdss_db, sdss_wl, monkeypatch
     ):
@@ -549,12 +537,23 @@ class TestSharedMemoryTransport:
     def test_process_mode_with_transport_off_still_identical(
         self, sdss_db, sdss_wl, monkeypatch
     ):
+        from repro.inum.model import InumSnapshot
+        from repro.parallel import shm
+
+        def unavailable(*args, **kwargs):
+            raise OSError("no shared memory on this host")
+
+        # The broadcast segment cannot be created, so the whole batch
+        # is handed to the plain-pickle worker.
+        monkeypatch.setattr(shm.shared_memory, "SharedMemory", unavailable)
+        assert shm.broadcast({"x": 1}) is None
+        empty = InumSnapshot(entries=(), optimizer_calls=0, combinations_truncated=0)
+        assert shm.encode_snapshot(empty) is None
         workload = sdss_wl.subset(4)
         serial = IlpIndexAdvisor(sdss_db.catalog, workers=1).recommend(
             workload, budget_pages=500
         )
         monkeypatch.setenv("REPRO_PARALLEL_MODE", "process")
-        monkeypatch.setenv("REPRO_SHM_TRANSPORT", "0")
         process = IlpIndexAdvisor(sdss_db.catalog, workers=2).recommend(
             workload, budget_pages=500
         )
