@@ -45,6 +45,7 @@ from repro.catalog.schema import Index, index_signature  # noqa: E402
 from repro.core.parinda import Parinda  # noqa: E402
 from repro.errors import FaultInjected  # noqa: E402
 from repro.resilience.faults import FaultInjector  # noqa: E402
+from repro.resilience.store import FileStateStore  # noqa: E402
 from repro.workloads.sdss import build_sdss_database  # noqa: E402
 
 N_REPLICAS = 2
@@ -91,6 +92,9 @@ def drifting_stream(n: int):
 
 
 def make_fleet(photo_rows, state_file=None, fault_injector=None, **knobs):
+    store = None
+    if state_file is not None:
+        store = FileStateStore(state_file, fault_injector=fault_injector)
     db = build_sdss_database(photo_rows=photo_rows, seed=SEED)
     parinda = Parinda(db)
     knobs.setdefault("window_size", 24)
@@ -101,7 +105,7 @@ def make_fleet(photo_rows, state_file=None, fault_injector=None, **knobs):
     return parinda.fleet_serve(
         n_replicas=N_REPLICAS,
         budget_bytes=4 << 20,
-        state_file=state_file,
+        state_store=store,
         fault_injector=fault_injector,
         **knobs,
     )

@@ -38,14 +38,16 @@ design. A journal that records a *different* unfinished run exits with
 :data:`EXIT_APPLY_CONFLICT` — resolve it (re-run or roll back) before
 applying something new.
 
-``--store`` (on ``tune`` and ``fleet``) swaps the local state file for
-a pluggable :class:`~repro.resilience.store.StateStore`: ``file:PATH``
-keeps today's checksummed files behind the interface, ``db:[PATH]``
-keeps state *inside the monitored database*, so a daemon restarted on
-a fresh host with zero local files resumes the same loop. The daemon
-acquires a fenced writer lease at startup; a superseded daemon (another
-one acquired after it) exits :data:`EXIT_STALE_LEASE` on its next
-write instead of corrupting the new owner's journal. Exit codes live
+All persistence goes through one
+:class:`~repro.resilience.store.StateStore`, built here at the edge.
+``--store SPEC`` (on ``tune`` and ``fleet --serve``) names it:
+``file:PATH`` keeps checksummed local files, ``db:[PATH]`` keeps state
+*inside the monitored database*, so a daemon restarted on a fresh host
+with zero local files resumes the same loop. The daemon acquires a
+fenced writer lease at startup; a superseded daemon (another one
+acquired after it) exits :data:`EXIT_STALE_LEASE` on its next write
+instead of corrupting the new owner's journal. ``--state FILE`` is
+``--store file:FILE`` without the lease. Exit codes live
 in :mod:`repro.exit_codes`, one module, pinned to the README table by
 a doc-drift test.
 """
@@ -80,8 +82,12 @@ from repro.exit_codes import (
 )
 from repro.optimizer.explain import explain
 from repro.resilience import faults
-from repro.resilience import state as resilience_state
-from repro.resilience.store import StateStore, store_from_spec
+from repro.resilience.store import (
+    FileStateStore,
+    StateStore,
+    store_from_spec,
+    torn_slot_paths,
+)
 from repro.storage.database import Database
 from repro.workloads.sdss import build_sdss_database, sdss_workload
 from repro.workloads.star import build_star_database, star_workload
@@ -113,24 +119,139 @@ def _load_database(spec: str) -> Database:
 
 
 def _build_store(args: argparse.Namespace, db: Database) -> StateStore | None:
-    """Resolve ``--store`` and acquire the fenced writer lease.
+    """Turn ``--state FILE`` / ``--store SPEC`` into the run's store.
 
-    Acquiring bumps the persisted epoch, so any daemon still holding
-    the previous lease is fenced out: its next store write raises
+    ``--state`` never acquires: single-writer, unfenced, no ``.lease``
+    sidecar. ``--store`` acquires the fenced writer lease, which bumps
+    the persisted epoch, so any daemon still holding the previous lease
+    is fenced out: its next store write raises
     :class:`~repro.errors.StaleLeaseError` and the process exits
     :data:`EXIT_STALE_LEASE` instead of clobbering this run's journal.
     """
-    spec = getattr(args, "store", None)
-    if not spec:
-        return None
+    if args.state_interval <= 0:
+        raise SystemExit("--state-interval must be positive")
+    if not args.store:
+        return FileStateStore(args.state) if args.state else None
+    if args.state or getattr(args, "journal", None):
+        raise SystemExit(
+            "--store replaces --state and --journal (the apply journal "
+            "lives in the store's 'apply' slot); pass one or the other"
+        )
     try:
-        store = store_from_spec(spec, database=db)
+        store = store_from_spec(args.store, database=db)
     except ReproError as exc:
         raise SystemExit(str(exc))
     owner = f"pid:{os.getpid()}"
     epoch = store.acquire(owner=owner)
     print(f"State store {store.describe()}: lease epoch {epoch} ({owner}).")
     return store
+
+
+def _resume_state(args: argparse.Namespace, store: StateStore | None) -> dict | None:
+    """The primary slot's saved state, or None for a cold start.
+
+    The read goes through the checksum envelope: a torn primary falls
+    back to the rotated ``.bak`` (with a warning), and when both copies
+    are gone the daemon warns and starts cold rather than dying on its
+    own state.
+    """
+    if store is None or not store.exists(""):
+        return None
+    try:
+        saved, source = store.read("")
+    except StateCorruptError as exc:
+        noun = "store" if args.store else "file"
+        _warn(f"state {noun} unrecoverable ({exc}); starting cold")
+        return None
+    if source == "backup":
+        _warn(
+            "state primary was corrupt; resumed from last-good "
+            f"checkpoint {torn_slot_paths(store)[1]}"
+        )
+    return saved
+
+
+def _checkpoint(store: StateStore | None, snapshot, position: int) -> None:
+    """Write ``snapshot(position)`` into the primary slot, best effort.
+
+    A failed save must never kill the loop — the in-memory state is
+    still healthy and the next interval retries — so disk errors and
+    injected ``state.write`` faults are reported as warnings. One
+    deliberate exception: :class:`~repro.errors.StaleLeaseError`
+    propagates, because a fenced-out daemon must die, not keep serving
+    while another daemon owns the journal.
+    """
+    if store is None:
+        return
+    state = snapshot(position)
+    try:
+        store.write("", state, fault_point="state.write")
+    except (OSError, FaultInjected) as exc:
+        _warn(
+            f"state checkpoint to {store.describe()} failed ({exc}); "
+            "continuing"
+        )
+
+
+def _drive_stream(
+    args: argparse.Namespace,
+    store: StateStore | None,
+    observe,
+    snapshot,
+    resume_position: int,
+    *,
+    periodic: bool,
+    settle=None,
+) -> tuple[int, str | None]:
+    """The ``tune`` / ``fleet --serve`` loop; returns (skipped, stream_lost).
+
+    Statements up to ``resume_position`` were observed by a previous
+    run and are skipped. ``snapshot(position)`` is checkpointed every
+    ``--state-interval`` statements when ``periodic``, and once more
+    after ``settle`` at the end. A stream that goes away mid-run
+    (``OSError``: file deleted under us, pipe closed, disk gone; or the
+    ``stream.read`` injection point) still gets that final flush and is
+    reported as ``stream_lost``, for :data:`EXIT_STREAM_LOST`. Any other
+    :class:`FaultInjected` (``rollout.journal``, ``journal.write``)
+    stands in for a crash and must kill the process like one.
+    """
+    position = skipped = 0
+    stream_lost: str | None = None
+    try:
+        for statement in iter_statements(args.stream):
+            # Checked before the position counter moves, so a checkpoint
+            # flushed after a loss never skips the lost statement on
+            # resume.
+            faults.check("stream.read", f"statement {position + 1}")
+            position += 1
+            if position <= resume_position:
+                continue
+            try:
+                observe(statement)
+            except (TokenizeError, CanonicalizeError) as exc:
+                # Not even a template: drop it. Statements that DO
+                # template but fail the parser or binder are quarantined
+                # by the monitor instead, so one bad shape cannot fail
+                # every future snapshot re-advise.
+                skipped += 1
+                _warn(f"skipped untemplatable statement: {exc}")
+            if periodic and position % args.state_interval == 0:
+                _checkpoint(store, snapshot, position)
+    except OSError as exc:
+        stream_lost = str(exc)
+    except FaultInjected as exc:
+        if exc.point != "stream.read":
+            raise
+        stream_lost = str(exc)
+    if stream_lost is not None:
+        _warn(
+            f"statement stream lost after {position} statement(s): "
+            f"{stream_lost}; flushing final checkpoint"
+        )
+    if settle is not None:
+        settle(stream_lost)
+    _checkpoint(store, snapshot, position)
+    return skipped, stream_lost
 
 
 def _load_workload(path: str | None, db_spec: str) -> Workload:
@@ -334,21 +455,19 @@ def _fleet_serve(args: argparse.Namespace) -> int:
     :class:`~repro.fleet.serve.FleetController`, which routes, watches
     drift, re-tunes, rolls designs out replica by replica through
     journaled applies, and rolls a sustained regression back
-    automatically. With ``--state`` the rollout is journaled: killing
-    the process at any point and re-running the same command resumes to
-    the same terminal fleet state. ``--store`` swaps the journal's home
-    for a pluggable state store (``db:`` keeps it inside the monitored
-    database, surviving host loss). ``--thaw`` acknowledges a frozen
-    fleet — it prints the regressed design for inspection, unfreezes,
-    and resumes re-tuning in-process; ``--release N`` puts a
-    quarantined replica back into rotation. Exits
-    :data:`EXIT_ROLLOUT_FROZEN` when the run ends frozen (a regression
-    rollback halted further rollouts), :data:`EXIT_STREAM_LOST` when
-    the stream went away mid-run, :data:`EXIT_STALE_LEASE` when a newer
-    daemon fenced this one off the store, 0 otherwise.
+    automatically. With ``--state`` or ``--store`` the rollout is
+    journaled: killing the process at any point and re-running the same
+    command resumes to the same terminal fleet state (``--store db:``
+    keeps the journal inside the monitored database, surviving host
+    loss). ``--thaw`` acknowledges a frozen fleet — it prints the
+    regressed design for inspection, unfreezes, and resumes re-tuning
+    in-process; ``--release N`` puts a quarantined replica back into
+    rotation. Exits :data:`EXIT_ROLLOUT_FROZEN` when the run ends frozen
+    (a regression rollback halted further rollouts),
+    :data:`EXIT_STREAM_LOST` when the stream went away mid-run,
+    :data:`EXIT_STALE_LEASE` when a newer daemon fenced this one off the
+    store, 0 otherwise.
     """
-    if args.state_interval <= 0:
-        raise SystemExit("--state-interval must be positive")
     db = _load_database(args.db)
     parinda = Parinda(db, cache_max_entries=args.cache_entries)
     store = _build_store(args, db)
@@ -362,7 +481,6 @@ def _fleet_serve(args: argparse.Namespace) -> int:
     controller = parinda.fleet_serve(
         args.replicas,
         budget_bytes=int(args.budget_mb * 1024 * 1024),
-        state_file=None if store is not None else args.state,
         state_store=store,
         window_size=args.window,
         check_interval=args.check_interval,
@@ -380,9 +498,8 @@ def _fleet_serve(args: argparse.Namespace) -> int:
     resume_position = 0
     if controller.resumed:
         resume_position = controller.position
-        source = store.describe() if store is not None else args.state
         print(
-            f"Resuming from {source}: position {resume_position}, "
+            f"Resuming from {store.describe()}: position {resume_position}, "
             f"phase {controller.phase}."
         )
         # Converge first (finish any interrupted rollout / rollback)
@@ -410,46 +527,14 @@ def _fleet_serve(args: argparse.Namespace) -> int:
         except ReproError as exc:
             _warn(f"release blocked: {exc}")
 
-    position = 0
-    skipped = 0
-    stream_lost: str | None = None
-    try:
-        for statement in iter_statements(args.stream):
-            # Same contract as ``tune``: checked before the position
-            # counter moves, so a resume never skips the lost statement.
-            faults.check("stream.read", f"statement {position + 1}")
-            position += 1
-            if position <= resume_position:
-                continue
-            try:
-                controller.observe(statement)
-            except (TokenizeError, CanonicalizeError) as exc:
-                skipped += 1
-                _warn(f"skipped untemplatable statement: {exc}")
-    except OSError as exc:
-        stream_lost = str(exc)
-    except FaultInjected as exc:
-        # Only the stream's own fault point means "input went away";
-        # anything deeper (rollout.journal, journal.write) stands in
-        # for a crash and must kill the process like one.
-        if exc.point != "stream.read":
-            raise
-        stream_lost = str(exc)
-    if stream_lost is not None:
-        _warn(
-            f"statement stream lost after {position} statement(s): "
-            f"{stream_lost}; flushing final checkpoint"
-        )
-    if store is not None:
-        try:
-            store.write("", controller.save_state())
-        except (OSError, FaultInjected) as exc:
-            _warn(f"state checkpoint to {store.describe()} failed ({exc})")
-    elif args.state:
-        try:
-            resilience_state.dump_state(args.state, controller.save_state())
-        except (OSError, FaultInjected) as exc:
-            _warn(f"state checkpoint to {args.state} failed ({exc})")
+    skipped, stream_lost = _drive_stream(
+        args,
+        store,
+        controller.observe,
+        lambda _position: controller.save_state(),
+        resume_position,
+        periodic=False,  # the controller checkpoints itself
+    )
 
     counts = controller.event_counts
     print(
@@ -476,56 +561,7 @@ def _fleet_serve(args: argparse.Namespace) -> int:
     return EXIT_STREAM_LOST if stream_lost is not None else 0
 
 
-def _save_tuner_state(path: str, tuner, position: int) -> bool:
-    """Checkpoint the tuner plus the stream read position.
-
-    ``drain=False`` keeps autosaves off the advisor's critical path in
-    background mode; a checkpoint in flight at save time is simply
-    re-detected as drift after a resume. The write goes through
-    :func:`repro.resilience.state.dump_state`: a checksummed envelope,
-    written atomically, with the previous good file rotated to ``.bak``
-    so even a torn write leaves a recoverable last-good checkpoint.
-
-    A failed save must never kill the tuning loop — the in-memory tuner
-    is still healthy and the next interval retries — so disk errors and
-    injected ``state.write`` faults are reported as warnings and the
-    function returns False instead of raising.
-    """
-    state = tuner.save_state(drain=False)
-    state["stream_position"] = position
-    try:
-        resilience_state.dump_state(path, state)
-    except (OSError, FaultInjected) as exc:
-        _warn(f"state checkpoint to {path} failed ({exc}); continuing")
-        return False
-    return True
-
-
-def _save_tuner_state_to(store: StateStore, tuner, position: int) -> bool:
-    """Checkpoint the tuner into a state store's primary slot.
-
-    Same degradation contract as :func:`_save_tuner_state` — transient
-    store errors and injected crash points warn and return False — with
-    one deliberate exception: :class:`~repro.errors.StaleLeaseError`
-    propagates, because a fenced-out daemon must die, not keep serving
-    while another daemon owns the journal.
-    """
-    try:
-        tuner.save_state_to(
-            store, drain=False, extra={"stream_position": position}
-        )
-    except (OSError, FaultInjected) as exc:
-        _warn(
-            f"state checkpoint to {store.describe()} failed ({exc}); "
-            "continuing"
-        )
-        return False
-    return True
-
-
 def cmd_tune(args: argparse.Namespace) -> int:
-    if args.state_interval <= 0:
-        raise SystemExit("--state-interval must be positive")
     if args.dry_run and not args.apply:
         raise SystemExit("--dry-run only makes sense with --apply")
     if args.rollback and (args.apply or args.dry_run):
@@ -533,17 +569,20 @@ def cmd_tune(args: argparse.Namespace) -> int:
     db = _load_database(args.db)
     parinda = Parinda(db, cache_max_entries=args.cache_entries)
     store = _build_store(args, db)
-    journal_path = args.journal or (
-        f"{args.state}.apply" if args.state else "repro-apply.json"
-    )
+    # The apply journal is slot "apply" of the state store (STATE.apply
+    # under --state); --journal, or no store at all, gives it a file of
+    # its own.
+    journal_store, journal_key = store, "apply"
+    if args.journal or store is None:
+        journal_store = FileStateStore(args.journal or "repro-apply.json")
+        journal_key = ""
 
     if args.rollback:
         # No streaming: restore the journaled pre-apply design and exit.
         try:
-            if store is not None:
-                report = parinda.rollback_design(store=store)
-            else:
-                report = parinda.rollback_design(journal_path)
+            report = parinda.rollback_design(
+                store=journal_store, journal_key=journal_key
+            )
         except ApplyConflictError as exc:
             _warn(f"rollback blocked: {exc}")
             return EXIT_APPLY_CONFLICT
@@ -569,50 +608,15 @@ def cmd_tune(args: argparse.Namespace) -> int:
     # A saved state also records how far into the stream it got, so a
     # restarted file-stream run skips what the previous run already
     # observed. Stdin is not replayable, so the position is ignored
-    # there — the caller feeds whatever is new. The read goes through
-    # the checksum envelope: a torn primary falls back to the rotated
-    # .bak, and when both are gone the daemon warns and starts cold
-    # rather than dying on its own state file.
+    # there — the caller feeds whatever is new.
+    saved = _resume_state(args, store)
     resume_position = 0
-    state_file = args.state
-    state_store = store
-    if store is not None:
-        # The store replaces the local state file entirely: the resume
-        # position comes out of the primary slot, and a slot both of
-        # whose underlying copies are torn degrades to a cold start the
-        # same way a torn file pair does.
-        state_file = None
-        if store.exists(""):
-            try:
-                saved, _source = store.read("")
-            except StateCorruptError as exc:
-                _warn(f"state store unrecoverable ({exc}); starting cold")
-                state_store = None
-            else:
-                if args.stream != "-":
-                    resume_position = int(saved.get("stream_position", 0))
-    elif args.state and resilience_state.has_state(args.state):
-        try:
-            saved, source = resilience_state.load_state(args.state)
-        except StateCorruptError as exc:
-            _warn(f"state file unrecoverable ({exc}); starting cold")
-            state_file = None
-        else:
-            if source == "backup":
-                _warn(
-                    "state primary was corrupt; resumed from last-good "
-                    f"checkpoint {resilience_state.backup_path(args.state)}"
-                )
-            if args.stream != "-":
-                resume_position = int(saved.get("stream_position", 0))
+    if saved is not None and args.stream != "-":
+        resume_position = int(saved.get("stream_position", 0))
 
-    skipped = 0
-    position = 0
-    stream_lost: str | None = None
     with parinda.online(
         budget_pages=max(1, int(args.budget_mb * 1024 * 1024) // 8192),
-        state_file=state_file,
-        state_store=state_store,
+        state_store=store if saved is not None else None,
         degrade_on_error=True,
         window_size=args.window,
         check_interval=args.check_interval,
@@ -624,58 +628,41 @@ def cmd_tune(args: argparse.Namespace) -> int:
         compress=args.compress,
     ) as tuner:
         if resume_position:
-            source = store.describe() if store is not None else args.state
             print(
-                f"Resuming from {source}: {tuner.monitor.observed} "
+                f"Resuming from {store.describe()}: {tuner.monitor.observed} "
                 f"statements already observed; skipping {resume_position} "
                 "stream statement(s)."
             )
-        try:
-            for statement in iter_statements(args.stream):
-                # Injection point for "the stream went away mid-run";
-                # real runs hit the OSError branch below instead (file
-                # deleted under us, pipe closed, disk gone). Checked
-                # before the position counter moves, so a checkpoint
-                # flushed after a loss never skips the lost statement
-                # on resume.
-                faults.check("stream.read", f"statement {position + 1}")
-                position += 1
-                if position <= resume_position:
-                    continue
-                try:
-                    tuner.observe(statement)
-                except (TokenizeError, CanonicalizeError) as exc:
-                    # Not even a template: drop it. Statements that DO
-                    # template but fail the parser or binder are
-                    # quarantined by the tuner instead, so one bad shape
-                    # cannot fail every future snapshot re-advise.
-                    skipped += 1
-                    _warn(f"skipped untemplatable statement: {exc}")
-                if position % args.state_interval == 0:
-                    if store is not None:
-                        _save_tuner_state_to(store, tuner, position)
-                    elif args.state:
-                        _save_tuner_state(args.state, tuner, position)
-        except (OSError, FaultInjected) as exc:
-            # The stream is gone; what was observed is still good.
-            # Flush a final checkpoint (below, after the drain) and
-            # exit with a distinct code so supervisors can tell this
-            # apart from a tuner crash.
-            stream_lost = str(exc)
-            _warn(
-                f"statement stream lost after {position} statement(s): "
-                f"{exc}; flushing final checkpoint"
-            )
-        if stream_lost is None and tuner.readvise_count == 0 and tuner.monitor.observed:
-            # Short streams can end inside the warmup window; still give
-            # the user an answer for what was seen.
-            tuner.readvise(reason="end of stream")
 
-    # The context manager has drained; persist the settled final state.
-    if store is not None:
-        _save_tuner_state_to(store, tuner, position)
-    elif args.state:
-        _save_tuner_state(args.state, tuner, position)
+        def snapshot(position: int) -> dict:
+            # drain=False keeps autosaves off the advisor's critical
+            # path in background mode; a checkpoint in flight at save
+            # time is simply re-detected as drift after a resume.
+            state = tuner.save_state(drain=False)
+            state["stream_position"] = position
+            return state
+
+        def settle(stream_lost: str | None) -> None:
+            if (
+                stream_lost is None
+                and tuner.readvise_count == 0
+                and tuner.monitor.observed
+            ):
+                # Short streams can end inside the warmup window; still
+                # give the user an answer for what was seen.
+                tuner.readvise(reason="end of stream")
+            # Drain, so the final checkpoint is the settled state.
+            tuner.close()
+
+        skipped, stream_lost = _drive_stream(
+            args,
+            store,
+            tuner.observe,
+            snapshot,
+            resume_position,
+            periodic=True,
+            settle=settle,
+        )
 
     counts = tuner.event_counts
     print(
@@ -715,7 +702,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
                 "re-run with --apply"
             )
         else:
-            code = _tune_apply(args, parinda, tuner, journal_path, store)
+            code = _tune_apply(args, parinda, tuner, journal_store, journal_key)
             if code != 0:
                 return code
     if args.verbose:
@@ -735,9 +722,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
     return EXIT_STREAM_LOST if stream_lost is not None else 0
 
 
-def _tune_apply(
-    args, parinda, tuner, journal_path: str, store: StateStore | None = None
-) -> int:
+def _tune_apply(args, parinda, tuner, store: StateStore, journal_key: str) -> int:
     """The ``tune --apply`` tail: materialize the standing design.
 
     Passes the tuner's full :class:`AdvisorResult` through when it
@@ -761,8 +746,8 @@ def _tune_apply(
             workload=tuner.monitor.snapshot() if args.validate else None,
             dry_run=args.dry_run,
             validate=args.validate,
-            journal_path=None if store is not None else journal_path,
             store=store,
+            journal_key=journal_key,
         )
     except ApplyConflictError as exc:
         _warn(f"apply blocked: {exc}")
@@ -779,11 +764,10 @@ def _tune_apply(
         for name in report.built:
             print(f"  CREATE INDEX {name};")
         return 0
-    journal_desc = store.describe("apply") if store is not None else journal_path
     print(
         f"Applied design{' (resumed)' if report.resumed else ''}: "
         f"built {len(report.built)}, dropped {len(report.dropped)}, "
-        f"skipped {len(report.skipped)}; journal {journal_desc} "
+        f"skipped {len(report.skipped)}; journal {store.describe(journal_key)} "
         f"{report.phase}."
     )
     for entry in report.validation:
@@ -887,11 +871,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="semicolon-separated SQL stream; '-' reads stdin")
     p.add_argument("--state", metavar="FILE",
                    help="resume from and periodically checkpoint the tuner "
-                        "state to this JSON file (survives restarts)")
+                        "state to this JSON file (survives restarts); "
+                        "--store file:FILE without the lease")
     p.add_argument("--state-interval", type=int, default=32,
                    help="statements between --state checkpoints")
     p.add_argument("--store", metavar="SPEC",
-                   help="pluggable state store replacing --state: "
+                   help="state store, instead of --state/--journal: "
                         "file:PATH (checksummed local files) or db:[PATH] "
                         "(state lives inside the monitored database and "
                         "survives host loss); acquires a fenced writer "
@@ -925,8 +910,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restore the journaled pre-apply design and exit "
                         "(no streaming)")
     p.add_argument("--journal", metavar="FILE",
-                   help="apply-journal path (default: STATE.apply, or "
-                        "repro-apply.json without --state)")
+                   help="apply-journal file (default: the state store's "
+                        "'apply' slot — STATE.apply under --state — or "
+                        "repro-apply.json with neither --state nor --store)")
     p.add_argument("--validate", action="store_true",
                    help="with --apply: re-plan the window against the "
                         "materialized design and report simulated-vs-"
@@ -965,9 +951,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "'-' reads stdin")
     p.add_argument("--state", metavar="FILE",
                    help="with --serve: journal rollout state here so a "
-                        "killed run resumes to the same terminal fleet")
+                        "killed run resumes to the same terminal fleet; "
+                        "--store file:FILE without the lease")
     p.add_argument("--store", metavar="SPEC",
-                   help="with --serve: pluggable state store replacing "
+                   help="with --serve: state store, instead of "
                         "--state: file:PATH or db:[PATH] (rollout journal "
                         "lives inside the monitored database and survives "
                         "host loss); acquires a fenced writer lease at "

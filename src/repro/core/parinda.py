@@ -21,7 +21,6 @@ from repro.optimizer.config import PlannerConfig
 from repro.optimizer.planner import Planner
 from repro.parallel.caches import CostCache
 from repro.partitioning.autopart import AutoPartAdvisor, PartitionAdvisorResult
-from repro.resilience import state as resilience_state
 from repro.resilience.apply import (
     ApplyExecutor,
     ApplyReport,
@@ -102,7 +101,6 @@ class Parinda:
         self,
         budget_pages: int | None = None,
         budget_bytes: int | None = None,
-        state_file: str | None = None,
         state_store: StateStore | None = None,
         **knobs,
     ) -> OnlineTuner:
@@ -120,22 +118,23 @@ class Parinda:
         tuner shares it (re-advises reuse everything suggest_* calls
         cached, and vice versa); an unbounded facade cache is unsafe
         for a long-lived loop, so the tuner then gets its own bounded
-        cache. ``state_file`` names a JSON file written by
-        ``OnlineTuner.save_state``; when it exists, the tuner resumes
-        from it (templates, window, baseline, standing design) instead
-        of starting cold — saving is the caller's job. ``state_store``
-        does the same through a
-        :class:`~repro.resilience.store.StateStore` slot ``""`` (and
-        wins over ``state_file``): with the database backend, the tuner
-        resumes on a host that has no local state files at all.
+        cache. When slot ``""`` of ``state_store`` (a
+        :class:`~repro.resilience.store.StateStore`) holds
+        ``OnlineTuner.save_state`` output, the tuner resumes from it
+        (templates, window, baseline, standing design) instead of
+        starting cold — saving is the caller's job
+        (``state_store.write("", tuner.save_state())``). With the
+        database backend, the tuner resumes on a host that has no
+        local state files at all.
         ``knobs`` pass through to :class:`OnlineTuner` (``window_size``,
         ``check_interval``, ``build_cost_per_page``, ``workers``,
         ``background``, ``listener``, ``compress`` for CoPhy scale
         mode on long streams, ...).
 
         ``auto_apply=True`` materializes every adopted design through
-        :meth:`apply_design` (journaled at ``apply_journal`` when set);
-        a callable is used as the applier directly. The tuner then
+        :meth:`apply_design` (journaled in slot ``"apply"`` of
+        ``state_store`` when one is given, in memory otherwise); a
+        callable is used as the applier directly. The tuner then
         advises against a *clone* of the catalog, frozen at session
         start: advising against the live catalog after materialization
         would zero the very benefits that justified the design and
@@ -149,13 +148,12 @@ class Parinda:
             knobs.setdefault("cost_cache", self._cost_cache)
         knobs.setdefault("fault_injector", self._fault_injector)
         auto_apply = knobs.pop("auto_apply", None)
-        apply_journal = knobs.pop("apply_journal", None)
         catalog = self._db.catalog
         if auto_apply:
             if not callable(auto_apply):
 
-                def auto_apply(design, _journal=apply_journal):
-                    return self.apply_design(design, journal_path=_journal)
+                def auto_apply(design):
+                    return self.apply_design(design, store=state_store)
 
             knobs["auto_apply"] = auto_apply
             catalog = self._db.catalog.clone()
@@ -165,15 +163,8 @@ class Parinda:
             budget_pages=budget_pages,
             **knobs,
         )
-        if state_store is not None:
-            if state_store.exists(""):
-                tuner.restore_state_from(state_store)
-        elif resilience_state.has_state(state_file):
-            # load_state verifies the checksum envelope and falls back
-            # to the rotated .bak when the primary is torn or missing;
-            # legacy bare-dict files load unverified.
-            state, _source = resilience_state.load_state(state_file)
-            tuner.restore_state(state)
+        if state_store is not None and state_store.exists(""):
+            tuner.restore_state(state_store.read("")[0])
         return tuner
 
     # ------------------------------------------------------------------
@@ -227,7 +218,6 @@ class Parinda:
         n_replicas: int,
         budget_pages: int | None = None,
         budget_bytes: int | None = None,
-        state_file: str | None = None,
         state_store: StateStore | None = None,
         **knobs,
     ) -> "FleetController":
@@ -238,8 +228,9 @@ class Parinda:
         this database; the rest are :meth:`Database.clone` views over
         the same rows)::
 
+            store = store_from_spec("file:fleet.state")
             fleet = parinda.fleet_serve(3, budget_bytes=16 << 20,
-                                        state_file="fleet.state")
+                                        state_store=store)
             for sql in statement_stream:
                 fleet.observe(sql)
             print(fleet.designs(), fleet.phase)
@@ -249,12 +240,11 @@ class Parinda:
         rolls new designs out one replica at a time through journaled
         applies, re-validates each replica against its live window, and
         rolls a sustained regression back automatically. With a
-        ``state_file`` the rollout is journaled so a killed process
-        resumes to the same terminal fleet state; a ``state_store``
-        (which wins over ``state_file``) swaps the journal's home — the
-        :class:`~repro.resilience.store.DatabaseStateStore` keeps it
-        inside the monitored database, surviving host loss, and a
-        fenced store rejects a superseded daemon's writes with
+        ``state_store`` the rollout is journaled so a killed process
+        resumes to the same terminal fleet state — the
+        :class:`~repro.resilience.store.DatabaseStateStore` keeps the
+        journal inside the monitored database, surviving host loss, and
+        a fenced store rejects a superseded daemon's writes with
         :class:`~repro.errors.StaleLeaseError`. The budget is **per
         replica**; ``knobs`` pass through to :class:`FleetController`
         (``window_size``, ``check_interval``, ``regression_windows``,
@@ -277,7 +267,6 @@ class Parinda:
             databases,
             self._config,
             budget_pages=budget_pages,
-            state_path=state_file,
             store=state_store,
             **knobs,
         )
@@ -405,7 +394,6 @@ class Parinda:
         workload: Workload | None = None,
         dry_run: bool = False,
         validate: bool = False,
-        journal_path: str | None = None,
         store: StateStore | None = None,
         journal_key: str = "apply",
         retry_steps: bool = True,
@@ -414,15 +402,13 @@ class Parinda:
 
         Unlike :meth:`create_indexes`, this computes a full
         :class:`~repro.resilience.apply.DesignDelta` — standing managed
-        indexes absent from ``result`` are *dropped* — and, when
-        ``journal_path`` is set, every step is preceded by a
-        checksummed intent-journal write so a killed process resumes
-        (re-run the same call) or rolls back (:meth:`rollback_design`)
-        cleanly. A ``store`` (which wins over ``journal_path``) puts
-        the journal in a pluggable
-        :class:`~repro.resilience.store.StateStore` slot
-        ``journal_key`` instead — with the database backend the intent
-        journal survives host loss, not just process loss.
+        indexes absent from ``result`` are *dropped* — and, when a
+        ``store`` (:class:`~repro.resilience.store.StateStore`) is
+        given, every step is preceded by a checksummed intent-journal
+        write into its slot ``journal_key``, so a killed process
+        resumes (re-run the same call) or rolls back
+        (:meth:`rollback_design`) cleanly. With the database backend
+        the intent journal survives host loss, not just process loss.
 
         ``result`` is an :class:`AdvisorResult` or a plain index
         sequence. ``dry_run`` reports the delta without touching
@@ -437,7 +423,6 @@ class Parinda:
         )
         executor = ApplyExecutor(
             self._db,
-            journal_path=None if store is not None else journal_path,
             store=store,
             journal_key=journal_key,
             fault_injector=self._fault_injector,
@@ -474,7 +459,6 @@ class Parinda:
 
     def rollback_design(
         self,
-        journal_path: str | None = None,
         *,
         store: StateStore | None = None,
         journal_key: str = "apply",
@@ -482,7 +466,6 @@ class Parinda:
         """Restore the pre-apply design recorded in the apply journal."""
         executor = ApplyExecutor(
             self._db,
-            journal_path=None if store is not None else journal_path,
             store=store,
             journal_key=journal_key,
             fault_injector=self._fault_injector,

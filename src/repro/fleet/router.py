@@ -303,21 +303,6 @@ class Router:
         router.routed = int(state["routed"])
         return router
 
-    def save_to(self, store, key: str = "router") -> None:
-        """Persist this router into one slot of a ``StateStore``.
-
-        ``store`` is any :class:`~repro.resilience.store.StateStore`;
-        the write carries the store's fencing token, so a stale daemon
-        cannot overwrite the router a failed-over one is serving with.
-        """
-        store.write(key, self.save())
-
-    @classmethod
-    def load_from(cls, store, key: str = "router") -> "Router":
-        """Rebuild a router from a ``StateStore`` slot (see :meth:`load`)."""
-        state, _source = store.read(key)
-        return cls.load(state)
-
     # ------------------------------------------------------------------
 
     @property

@@ -34,13 +34,12 @@ answer and guards it. The :class:`FleetController` closes the loop:
   it leaves serving rotation, the survivors absorb its load, and the
   rollout moves on instead of aborting the fleet.
 
-**Durability.** All rollout state flows through a pluggable
-:class:`~repro.resilience.store.StateStore`: a ``state_path`` is sugar
-for a :class:`~repro.resilience.store.FileStateStore` on that path
-(byte-compatible with pre-store envelopes), and a ``store`` argument
-can swap in the :class:`~repro.resilience.store.DatabaseStateStore`,
-which keeps the envelope and every per-replica apply journal *inside
-the monitored database* — a daemon restarted on a fresh host with zero
+**Durability.** All rollout state flows through the ``store`` argument,
+a :class:`~repro.resilience.store.StateStore`: a
+:class:`~repro.resilience.store.FileStateStore` keeps checksummed
+local files, a :class:`~repro.resilience.store.DatabaseStateStore`
+keeps the envelope and every per-replica apply journal *inside the
+monitored database* — a daemon restarted on a fresh host with zero
 local state files resumes the same serve loop. Every rollout step is
 journaled (through the ``rollout.journal`` fault point) *before* the
 step becomes observable, and the per-replica apply journals ride
@@ -92,7 +91,7 @@ from repro.resilience.apply import (
     index_to_dict,
 )
 from repro.resilience.faults import FaultInjector, resolve
-from repro.resilience.store import FileStateStore, StateStore
+from repro.resilience.store import StateStore
 from repro.storage.database import Database
 from repro.workloads.workload import Workload
 
@@ -154,12 +153,12 @@ class _ReplicaRuntime:
         replica_id: int,
         database: Database,
         monitor: WorkloadMonitor,
-        journal_key: str | None,
     ) -> None:
         self.replica_id = replica_id
         self.database = database
         self.monitor = monitor
-        self.journal_key = journal_key
+        #: This replica's apply-journal slot in the controller's store.
+        self.journal_key = f"r{replica_id}.apply"
         self.design: tuple[Index, ...] = ()
         self.status = "serving"
         self.detail = ""  # quarantine/rollback reason, for reporting
@@ -188,15 +187,10 @@ class FleetController:
         config: Planner configuration shared by routing-cost validation
             and re-tuning.
         budget_pages: Per-replica storage budget for re-tunes.
-        state_path: Rollout journal / resume envelope as a local file —
-            sugar for ``store=FileStateStore(state_path)``, byte-
-            compatible with envelopes written before the store existed.
-            ``None`` (with no ``store``) runs purely in memory (no
-            crash safety). Per-replica apply journals derive from it
-            (``STATE.rN.apply``).
-        store: A :class:`~repro.resilience.store.StateStore` holding
-            the envelope (slot ``""``) and the per-replica apply
-            journals (slots ``rN.apply``). Wins over ``state_path``.
+        store: The :class:`~repro.resilience.store.StateStore` holding
+            the rollout journal / resume envelope (slot ``""``) and the
+            per-replica apply journals (slots ``rN.apply``); ``None``
+            runs purely in memory (no crash safety).
             With a :class:`DatabaseStateStore` the whole serve loop
             survives host loss; with a fenced store a superseded
             daemon's writes raise
@@ -231,7 +225,6 @@ class FleetController:
         config: PlannerConfig | None = None,
         *,
         budget_pages: int,
-        state_path: str | None = None,
         store: StateStore | None = None,
         window_size: int = 64,
         check_interval: int = 32,
@@ -266,9 +259,6 @@ class FleetController:
         self.n_replicas = len(databases)
         self._config = config or PlannerConfig()
         self._budget_pages = int(budget_pages)
-        self._state_path = state_path
-        if store is None and state_path:
-            store = FileStateStore(state_path, fault_injector=fault_injector)
         self._store = store
         self.window_size = window_size
         self.check_interval = check_interval
@@ -294,7 +284,6 @@ class FleetController:
                 rid,
                 db,
                 WorkloadMonitor(window_size=window_size, decay=decay),
-                f"r{rid}.apply" if self._store is not None else None,
             )
             for rid, db in enumerate(databases)
         ]
@@ -346,11 +335,6 @@ class FleetController:
     @property
     def router(self) -> Router:
         return self._router
-
-    @property
-    def store(self) -> StateStore | None:
-        """The state store holding the envelope and apply journals."""
-        return self._store
 
     @property
     def regressed(self) -> dict | None:
@@ -718,10 +702,6 @@ class FleetController:
         return executor.apply(target, retry_steps=self._retry_steps)
 
     def _executor(self, runtime: _ReplicaRuntime) -> ApplyExecutor:
-        if runtime.journal_key is None:
-            return ApplyExecutor(
-                runtime.database, fault_injector=self._fault_injector
-            )
         return ApplyExecutor(
             runtime.database,
             fault_injector=self._fault_injector,
@@ -730,11 +710,7 @@ class FleetController:
         )
 
     def _journal_phase(self, runtime: _ReplicaRuntime) -> str | None:
-        if (
-            runtime.journal_key is None
-            or self._store is None
-            or not self._store.exists(runtime.journal_key)
-        ):
+        if self._store is None or not self._store.exists(runtime.journal_key):
             return None
         try:
             journal, _source = self._store.read(runtime.journal_key)
@@ -915,7 +891,7 @@ class FleetController:
             index_from_dict(d) for d in (runtime.probation or {}).get("old", [])
         )
         executor = self._executor(runtime)
-        if runtime.journal_key is not None and self._journal_phase(runtime):
+        if self._journal_phase(runtime):
             report = executor.rollback(retry_steps=self._retry_steps)
         else:
             # No journal (in-memory controller): restore by applying

@@ -381,15 +381,6 @@ class WorkloadEvaluator:
         return len(self._memo)
 
 
-def evaluator_for(
-    models: Sequence["InumModel"],
-    weights: Sequence[float],
-    pool: Sequence[Index],
-) -> WorkloadEvaluator:
-    """Convenience constructor mirroring the advisors' call shape."""
-    return WorkloadEvaluator(models, weights, pool)
-
-
 def pool_signature(pool: Sequence[Index]) -> tuple:
     """Hashable identity of a candidate pool (for evaluator caching)."""
     return tuple(index_signature(ix) for ix in pool)

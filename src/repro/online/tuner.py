@@ -745,41 +745,6 @@ class OnlineTuner:
                     self.event_counts[kind] = int(count)
             self._quarantine_announced = set(self.monitor.quarantined)
 
-    def save_state_to(
-        self,
-        store,
-        key: str = "",
-        *,
-        drain: bool = True,
-        extra: dict | None = None,
-        fault_point: str | None = "state.write",
-    ) -> dict:
-        """Checkpoint into one slot of a ``StateStore``; returns the state.
-
-        ``extra`` entries (the CLI adds ``stream_position``) are merged
-        into the saved dict. The write goes through the store's
-        ``store.write`` retry ladder and — on a fenced store — carries
-        the fencing token, so a superseded daemon's checkpoint raises
-        :class:`~repro.errors.StaleLeaseError` instead of clobbering
-        the new owner's.
-        """
-        state = self.save_state(drain=drain)
-        if extra:
-            state.update(extra)
-        store.write(key, state, fault_point=fault_point)
-        return state
-
-    def restore_state_from(self, store, key: str = "") -> dict:
-        """Resume from a ``StateStore`` slot; returns the loaded state.
-
-        See :meth:`restore_state` for the fresh-tuner requirement;
-        raises :class:`~repro.errors.StateCorruptError` when the slot
-        has no recoverable state.
-        """
-        state, _source = store.read(key)
-        self.restore_state(state)
-        return state
-
     # ------------------------------------------------------------------
     # Event log
 

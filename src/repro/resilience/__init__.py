@@ -12,12 +12,13 @@ the two halves of that safety layer:
 * :mod:`repro.resilience.degrade` — the structured
   :class:`DegradedResult` records advisors attach to their results
   when they shed work instead of aborting;
-* :mod:`repro.resilience.state` — checksummed state files with
-  last-good-checkpoint recovery for the durable tuner;
 * :mod:`repro.resilience.store` — the pluggable fenced
-  :class:`StateStore` (file or in-database backend) every durable
-  component writes through, with a writer lease whose stale holders
-  get :class:`StaleLeaseError` instead of clobbering the journal;
+  :class:`StateStore` (file or in-database backend), the one
+  persistence API every durable component writes through, with a
+  writer lease whose stale holders get :class:`StaleLeaseError`
+  instead of clobbering the journal;
+* :mod:`repro.resilience.state` — the envelope codec behind it:
+  checksummed files with last-good-checkpoint (``.bak``) recovery;
 * :mod:`repro.resilience.apply` — crash-safe design materialization:
   :class:`DesignDelta` diffs, the journaled :class:`ApplyExecutor`,
   and rollback to the journaled pre-apply design.

@@ -11,7 +11,7 @@ design an uninterrupted apply would have produced, or rolls back to
 the journaled pre-apply design.
 
 The journal reuses the ``repro-state-v1`` envelope from
-:mod:`repro.resilience.state` (checksum + rotated ``.bak`` + atomic
+:mod:`repro.resilience.store` (checksum + rotated ``.bak`` + atomic
 replace), written through the ``journal.write`` fault point so its
 write stream has a schedule independent of tuner checkpoints. Step
 statuses in the journal are *advisory*: on resume every step is
@@ -44,7 +44,7 @@ from repro.errors import (
     StateCorruptError,
 )
 from repro.resilience.degrade import DegradedResult
-from repro.resilience.store import FileStateStore, StateStore
+from repro.resilience.store import StateStore
 
 if TYPE_CHECKING:  # pragma: no cover - import-cycle firewall
     from repro.resilience.faults import FaultInjector
@@ -287,38 +287,29 @@ class ApplyExecutor:
 
     Args:
         database: The database to materialize against.
-        journal_path: Where the intent journal lives; ``None`` (with no
-            ``store``) disables journaling entirely (pure in-memory
-            applies — no crash safety, no rollback). A bare path is
-            sugar for a :class:`FileStateStore` on that path, byte-
-            compatible with journals written before the store existed.
         fault_injector: Explicit injector threaded into index builds
             and journal writes; ``None`` falls through to the ambient
             ``REPRO_FAULTS`` injector at each call site.
         managed_prefix: Name prefix marking indexes this executor owns.
-        store: A :class:`~repro.resilience.store.StateStore` to keep the
-            journal in instead of a local file — with the database
-            backend the intent journal survives host loss, and a fenced
-            store rejects writes from a superseded daemon.
+        store: The :class:`~repro.resilience.store.StateStore` holding
+            the intent journal; ``None`` disables journaling entirely
+            (pure in-memory applies — no crash safety, no rollback).
+            With the database backend the journal survives host loss,
+            and a fenced store rejects writes from a superseded daemon.
         journal_key: The slot the journal occupies inside ``store``.
     """
 
     def __init__(
         self,
         database: "Database",
-        journal_path: str | None = None,
         fault_injector: "FaultInjector | None" = None,
         managed_prefix: str = MANAGED_PREFIX,
         store: StateStore | None = None,
         journal_key: str = "",
     ) -> None:
         self._db = database
-        self._journal_path = journal_path
         self._fault_injector = fault_injector
         self._managed_prefix = managed_prefix
-        if store is None and journal_path is not None:
-            store = FileStateStore(journal_path, fault_injector=fault_injector)
-            journal_key = ""
         self._store = store
         self._journal_key = journal_key
         self._journal_desc = (

@@ -1,17 +1,17 @@
 """Pluggable, fenced state stores: survive host loss, not just process loss.
 
 Every durability guarantee in the stack — the tuner's checkpoints, the
-apply executor's intent journal, the fleet's rollout envelope — used to
-bottom out in one checksummed file on local disk. That survives a
-killed *process*; it does not survive a lost *host*. This module puts
-an interface in front of that file:
+apply executor's intent journal, the fleet's rollout envelope — goes
+through a :class:`StateStore`; this is the only persistence API, and
+stores are built only at the edge (the CLI, a test, a script). A
+checksummed file on local disk survives a killed *process*; it does
+not survive a lost *host*. Hence two backends:
 
-* :class:`FileStateStore` — today's behavior behind the interface. One
-  base path; slot ``""`` is the base file, slot ``K`` is ``base.K``.
-  Every slot is a checksummed ``repro-state-v1`` envelope written
-  through :mod:`repro.resilience.state`, so files it writes are
-  byte-identical to the ones the pre-store code wrote and old state
-  files load unchanged.
+* :class:`FileStateStore` — one base path; slot ``""`` is the base
+  file, slot ``K`` is ``base.K``. Every slot is a checksummed
+  ``repro-state-v1`` envelope (:mod:`repro.resilience.state` is the
+  codec), byte-identical to the ``--state``/``--journal`` files of
+  every earlier version, which load unchanged.
 * :class:`DatabaseStateStore` — state rows live *inside the monitored
   database* (AIM-style): slots are rows of a ``repro_state`` table in
   the :class:`~repro.storage.database.Database` being tuned, persisted
@@ -32,8 +32,8 @@ Fencing
     superseded epoch gets :class:`~repro.errors.StaleLeaseError`
     *before any slot is touched* — it cannot clobber the new owner's
     journal. A store that never acquired a lease on a path where no
-    lease record exists runs unfenced, which is exactly the legacy
-    single-writer behavior (and keeps old state directories loading).
+    lease record exists runs unfenced: the single-writer mode of
+    ``--state FILE``.
 
 Failure semantics
     * ``store.read`` / ``store.write`` / ``lease.acquire`` fault points
@@ -102,7 +102,6 @@ class StateStore:
         self.retries = max(0, int(retries))
         self.backoff = backoff
         self._epoch: int | None = None
-        self._owner: str | None = None
 
     # -- backend surface ------------------------------------------------
 
@@ -156,10 +155,6 @@ class StateStore:
         """The fencing token held by this instance (None = never acquired)."""
         return self._epoch
 
-    @property
-    def owner(self) -> str | None:
-        return self._owner
-
     def acquire(self, owner: str = "") -> int:
         """Take (or take over) the writer lease; returns the new epoch.
 
@@ -177,14 +172,13 @@ class StateStore:
 
         epoch = self._with_retry(attempt)
         self._epoch = int(epoch)  # type: ignore[arg-type]
-        self._owner = owner
         return self._epoch
 
     def check_lease(self) -> None:
         """Raise :class:`StaleLeaseError` if this writer has been fenced.
 
-        No lease record anywhere means unfenced legacy operation: any
-        writer is welcome. Once *someone* has acquired, only the
+        No lease record anywhere means unfenced operation: any writer
+        is welcome. Once *someone* has acquired, only the
         instance holding the current epoch may write.
         """
         record = self._read_lease()
@@ -259,7 +253,7 @@ class FileStateStore(StateStore):
     delegates to :func:`repro.resilience.state.dump_state` /
     :func:`~repro.resilience.state.load_state`. The lease lives in a
     sidecar ``base_path.lease`` file; absent that file the store is
-    unfenced (legacy single-writer mode).
+    unfenced (single-writer mode).
     """
 
     def __init__(
@@ -347,6 +341,7 @@ class DatabaseStateStore(StateStore):
             raise ReproError("DatabaseStateStore needs a non-empty dsn path")
         self.database = database
         self.dsn = dsn
+        self._from_backup = False
         self._attach()
 
     # -- plumbing -------------------------------------------------------
@@ -437,7 +432,7 @@ class DatabaseStateStore(StateStore):
             raise StateCorruptError(
                 f"no recoverable state for slot {key!r} in {self.describe()}"
             )
-        return row["state"], source
+        return row["state"], "backup" if self._from_backup else source
 
     def _rows_for_update(self) -> dict[str, dict]:
         """Current rows, or a fresh set when the dsn pair is unrecoverable.
@@ -447,15 +442,20 @@ class DatabaseStateStore(StateStore):
         torn pair held was already unrecoverable by definition.
         """
         try:
-            rows, _source = self._load_rows()
+            rows, source = self._load_rows()
         except StateCorruptError:
             return {}
+        # Re-persisting (a lease write, say) heals a torn primary from
+        # its .bak, but the slots still hold the backup's state until
+        # they are rewritten — reads keep saying so, like the file store.
+        self._from_backup |= source == "backup"
         return rows
 
     def _write_slot(self, key: str, state: dict, fault_point: str | None) -> None:
         rows = self._rows_for_update()
         rows[key] = {"epoch": self._epoch or 0, "state": state}
         self._persist(rows, fault_point)
+        self._from_backup = False
 
     def _exists_slot(self, key: str) -> bool:
         try:

@@ -8,6 +8,7 @@ import pytest
 
 from repro.catalog.datatypes import DOUBLE, INTEGER, SMALLINT, TEXT, varchar
 from repro.catalog.schema import make_table
+from repro.resilience import faults
 from repro.storage.database import Database
 from repro.workloads.star import build_star_database, star_workload
 
@@ -82,3 +83,46 @@ def people_db():
 def fresh_people_db():
     """A mutable copy for tests that create indexes / drop tables."""
     return make_people_db()
+
+
+# ----------------------------------------------------------------------
+# Driving the tune / fleet --serve commands in-process
+
+#: A ``tune`` run over :func:`sdss_stream_file` that adopts a design.
+TUNE_ARGS = [
+    "--db", "sdss:800", "tune",
+    "--budget-mb", "1.6", "--window", "9", "--check-interval", "3",
+    "--build-cost-per-page", "0.25",
+]
+#: A ``fleet --serve`` run over the same stream that rolls designs out.
+SERVE_ARGS = [
+    "--db", "sdss:800", "fleet", "--serve", "--replicas", "2",
+    "--budget-mb", "1.6", "--window", "16", "--check-interval", "8",
+]
+
+
+@pytest.fixture()
+def sdss_stream_file(tmp_path) -> str:
+    """A 120-statement, two-template SDSS stream file."""
+    lines = []
+    for i in range(60):
+        lines.append(f"SELECT ra, dec FROM photoobj WHERE ra < {i % 7 + 1}")
+        lines.append(f"SELECT z FROM specobj WHERE z > {i % 5}")
+    path = tmp_path / "stream.sql"
+    path.write_text(";\n".join(lines) + ";\n")
+    return str(path)
+
+
+def run_main(capsys, monkeypatch, argv, injected=""):
+    """``repro.cli.main(argv)`` under the ``REPRO_FAULTS`` schedule
+    ``injected``; returns (exit code, stdout, stderr)."""
+    from repro.cli import main
+
+    monkeypatch.setenv("REPRO_FAULTS", injected)
+    faults.reset_ambient()
+    try:
+        code = main(list(argv))
+    finally:
+        faults.reset_ambient()
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err

@@ -32,6 +32,7 @@ from repro.resilience.apply import (
 )
 from repro.resilience.faults import FAULT_POINT_DOCS, FAULT_POINTS, FaultInjector
 from repro.resilience.state import dump_state, load_state
+from repro.resilience.store import FileStateStore
 from repro.sql.binder import bind
 from repro.sql.parser import parse_select
 
@@ -73,6 +74,16 @@ def fresh_db():
     db.create_index(Index("idx_people_nickname", "people", ("nickname",)))
     db.create_index(Index("user_pets_weight", "pets", ("weight",)))
     return db
+
+
+def journaled(db, journal, injector=None):
+    """An executor journaling into a file store at ``journal``; one
+    injector drives both its builds and its journal writes."""
+    return ApplyExecutor(
+        db,
+        store=FileStateStore(journal, fault_injector=injector),
+        fault_injector=injector,
+    )
 
 
 def fingerprint(db):
@@ -132,7 +143,7 @@ class TestDesignDelta:
 
     def test_noop_after_apply(self, tmp_path):
         db = fresh_db()
-        ApplyExecutor(db, journal_path=str(tmp_path / "j.json")).apply(PROPOSED)
+        journaled(db, str(tmp_path / "j.json")).apply(PROPOSED)
         delta = DesignDelta.compute(db, PROPOSED)
         assert delta.is_noop
         assert not delta.target_signatures.symmetric_difference(
@@ -152,7 +163,7 @@ class TestApplyExecutor:
     def test_full_apply_commits_journal(self, tmp_path):
         db = fresh_db()
         journal = str(tmp_path / "apply.json")
-        report = ApplyExecutor(db, journal_path=journal).apply(PROPOSED)
+        report = journaled(db, journal).apply(PROPOSED)
         assert report.phase == "committed"
         assert report.built == EXPECTED_BUILDS
         assert report.dropped == ["idx_people_nickname"]
@@ -169,9 +180,9 @@ class TestApplyExecutor:
     def test_reapply_is_idempotent(self, tmp_path):
         db = fresh_db()
         journal = str(tmp_path / "apply.json")
-        ApplyExecutor(db, journal_path=journal).apply(PROPOSED)
+        journaled(db, journal).apply(PROPOSED)
         before = fingerprint(db)
-        report = ApplyExecutor(db, journal_path=journal).apply(PROPOSED)
+        report = journaled(db, journal).apply(PROPOSED)
         assert report.phase == "committed"
         assert not report.changed
         assert fingerprint(db) == before
@@ -180,7 +191,7 @@ class TestApplyExecutor:
         db = fresh_db()
         before = fingerprint(db)
         journal = tmp_path / "apply.json"
-        report = ApplyExecutor(db, journal_path=str(journal)).apply(
+        report = journaled(db, str(journal)).apply(
             PROPOSED, dry_run=True
         )
         assert report.dry_run
@@ -197,7 +208,7 @@ class TestApplyExecutor:
 
     def test_resume_without_journal_conflicts(self, tmp_path):
         db = fresh_db()
-        executor = ApplyExecutor(db, journal_path=str(tmp_path / "j.json"))
+        executor = journaled(db, str(tmp_path / "j.json"))
         with pytest.raises(ApplyConflictError, match="no apply journal"):
             executor.apply()
 
@@ -206,14 +217,14 @@ class TestApplyExecutor:
         journal = str(tmp_path / "apply.json")
         injector = FaultInjector.from_spec("index.build:1")
         with pytest.raises(FaultInjected):
-            ApplyExecutor(db, journal_path=journal, fault_injector=injector).apply(
+            journaled(db, journal, injector).apply(
                 PROPOSED, retry_steps=False
             )
         other = (Index("cand_1_pets_weight", "pets", ("weight",), hypothetical=True),)
         with pytest.raises(ApplyConflictError, match="different"):
-            ApplyExecutor(db, journal_path=journal).apply(other)
+            journaled(db, journal).apply(other)
         # The journaled run itself still resumes fine afterwards.
-        report = ApplyExecutor(db, journal_path=journal).apply(PROPOSED)
+        report = journaled(db, journal).apply(PROPOSED)
         assert report.phase == "committed"
         assert report.resumed
 
@@ -222,7 +233,7 @@ class TestApplyExecutor:
         # A catalog entry with no backing B-Tree: what a journal sees
         # after a cross-process resume of this in-memory engine.
         db.catalog.add_index(Index("idx_people_age", "people", ("age",)))
-        report = ApplyExecutor(db, journal_path=str(tmp_path / "j.json")).apply(
+        report = journaled(db, str(tmp_path / "j.json")).apply(
             PROPOSED
         )
         recovered = [d for d in report.degraded if d.action == "recovered"]
@@ -233,9 +244,9 @@ class TestApplyExecutor:
     def test_build_failure_is_retried_once(self, tmp_path):
         db = fresh_db()
         injector = FaultInjector.from_spec("index.build:2")
-        report = ApplyExecutor(
-            db, journal_path=str(tmp_path / "j.json"), fault_injector=injector
-        ).apply(PROPOSED)
+        report = journaled(db, str(tmp_path / "j.json"), injector).apply(
+            PROPOSED
+        )
         assert report.phase == "committed"
         retried = [d for d in report.degraded if d.action == "retried"]
         assert len(retried) == 1 and retried[0].point == "index.build"
@@ -249,9 +260,7 @@ class TestKillResume:
     def _clean_run(self, tmp_path):
         db = fresh_db()
         idle = FaultInjector()  # counts every check, never fires
-        ApplyExecutor(
-            db, journal_path=str(tmp_path / "clean.json"), fault_injector=idle
-        ).apply(PROPOSED)
+        journaled(db, str(tmp_path / "clean.json"), idle).apply(PROPOSED)
         return fingerprint(db), idle
 
     def test_kill_at_every_journal_write_converges(self, tmp_path):
@@ -263,10 +272,8 @@ class TestKillResume:
             journal = str(tmp_path / f"kill-w{k}.json")
             injector = FaultInjector.from_spec(f"journal.write:{k}")
             with pytest.raises(FaultInjected):
-                ApplyExecutor(
-                    db, journal_path=journal, fault_injector=injector
-                ).apply(PROPOSED, retry_steps=False)
-            report = ApplyExecutor(db, journal_path=journal).apply(PROPOSED)
+                journaled(db, journal, injector).apply(PROPOSED, retry_steps=False)
+            report = journaled(db, journal).apply(PROPOSED)
             assert report.phase == "committed", f"write {k}"
             assert fingerprint(db) == clean, f"write {k}"
 
@@ -279,10 +286,8 @@ class TestKillResume:
             journal = str(tmp_path / f"kill-b{k}.json")
             injector = FaultInjector.from_spec(f"index.build:{k}")
             with pytest.raises(FaultInjected):
-                ApplyExecutor(
-                    db, journal_path=journal, fault_injector=injector
-                ).apply(PROPOSED, retry_steps=False)
-            report = ApplyExecutor(db, journal_path=journal).apply(PROPOSED)
+                journaled(db, journal, injector).apply(PROPOSED, retry_steps=False)
+            report = journaled(db, journal).apply(PROPOSED)
             assert report.phase == "committed", f"build {k}"
             assert report.resumed, f"build {k}"
             assert fingerprint(db) == clean, f"build {k}"
@@ -295,12 +300,12 @@ class TestRollback:
         journal = str(tmp_path / "apply.json")
         injector = FaultInjector.from_spec("index.build:2")
         with pytest.raises(FaultInjected):
-            ApplyExecutor(db, journal_path=journal, fault_injector=injector).apply(
+            journaled(db, journal, injector).apply(
                 PROPOSED, retry_steps=False
             )
         # Partial: the drop and one build happened.
         assert not db.catalog.has_index("idx_people_nickname")
-        report = ApplyExecutor(db, journal_path=journal).rollback()
+        report = journaled(db, journal).rollback()
         assert report.phase == "rolled-back"
         assert "idx_people_nickname" in report.built
         assert fingerprint(db) == pre
@@ -309,17 +314,17 @@ class TestRollback:
         db = fresh_db()
         pre = fingerprint(db)
         journal = str(tmp_path / "apply.json")
-        ApplyExecutor(db, journal_path=journal).apply(PROPOSED)
-        ApplyExecutor(db, journal_path=journal).rollback()
+        journaled(db, journal).apply(PROPOSED)
+        journaled(db, journal).rollback()
         assert fingerprint(db) == pre
 
     def test_rollback_is_idempotent(self, tmp_path):
         db = fresh_db()
         journal = str(tmp_path / "apply.json")
-        ApplyExecutor(db, journal_path=journal).apply(PROPOSED)
-        ApplyExecutor(db, journal_path=journal).rollback()
+        journaled(db, journal).apply(PROPOSED)
+        journaled(db, journal).rollback()
         settled = fingerprint(db)
-        report = ApplyExecutor(db, journal_path=journal).rollback()
+        report = journaled(db, journal).rollback()
         assert report.phase == "rolled-back"
         assert not report.changed
         assert fingerprint(db) == settled
@@ -330,17 +335,17 @@ class TestRollback:
         db = fresh_db()
         pre = fingerprint(db)
         journal = str(tmp_path / "apply.json")
-        ApplyExecutor(db, journal_path=journal).apply(PROPOSED)
-        reapply = ApplyExecutor(db, journal_path=journal).apply(PROPOSED)
+        journaled(db, journal).apply(PROPOSED)
+        reapply = journaled(db, journal).apply(PROPOSED)
         assert not reapply.changed
-        report = ApplyExecutor(db, journal_path=journal).rollback()
+        report = journaled(db, journal).rollback()
         assert report.phase == "rolled-back"
         assert fingerprint(db) == pre
 
     def test_rollback_without_journal_conflicts(self, tmp_path):
         db = fresh_db()
         with pytest.raises(ApplyConflictError, match="nothing to roll back"):
-            ApplyExecutor(db, journal_path=str(tmp_path / "no.json")).rollback()
+            journaled(db, str(tmp_path / "no.json")).rollback()
         with pytest.raises(ApplyConflictError, match="journal path"):
             ApplyExecutor(db).rollback()
 
@@ -348,15 +353,13 @@ class TestRollback:
         db = fresh_db()
         pre = fingerprint(db)
         journal = str(tmp_path / "apply.json")
-        ApplyExecutor(db, journal_path=journal).apply(PROPOSED)
+        journaled(db, journal).apply(PROPOSED)
         injector = FaultInjector.from_spec("journal.write:3")
         with pytest.raises(FaultInjected):
-            ApplyExecutor(
-                db, journal_path=journal, fault_injector=injector
-            ).rollback(retry_steps=False)
+            journaled(db, journal, injector).rollback(retry_steps=False)
         with pytest.raises(ApplyConflictError, match="rollback is in progress"):
-            ApplyExecutor(db, journal_path=journal).apply(PROPOSED)
-        ApplyExecutor(db, journal_path=journal).rollback()
+            journaled(db, journal).apply(PROPOSED)
+        journaled(db, journal).rollback()
         assert fingerprint(db) == pre
 
 

@@ -1,11 +1,15 @@
 """CLI tests: the three scenario subcommands."""
 
+import json
+import os
 import re
 
 import pytest
 
 from repro import exit_codes
 from repro.cli import build_parser, main
+
+from tests.conftest import SERVE_ARGS, TUNE_ARGS, run_main
 
 
 def run_cli(capsys, *argv) -> str:
@@ -190,3 +194,131 @@ class TestExitCodes:
 
         for code, name in self._constants().items():
             assert getattr(cli, name) == code
+
+
+class TestOnePersistencePath:
+    """``--state FILE`` is ``--store file:FILE`` without the lease.
+
+    Both flags become one :class:`~repro.resilience.store.StateStore`
+    at the CLI edge, so they must leave the same documents behind,
+    print the same lines, and degrade the same way.
+    """
+
+    TUNE = TUNE_ARGS + ["--state-interval", "5"]
+
+    @staticmethod
+    def _twin_dirs(tmp_path):
+        for name in ("state", "store"):
+            (tmp_path / name).mkdir()
+        return tmp_path / "state", tmp_path / "store"
+
+    @staticmethod
+    def _same_documents(state_dir, store_dir, lease):
+        """Equal listings up to the lease; equal parsed envelopes."""
+        names = sorted(os.listdir(state_dir))
+        assert sorted(os.listdir(store_dir)) == sorted(names + [lease])
+        for name in names:
+            assert json.loads((state_dir / name).read_text()) == json.loads(
+                (store_dir / name).read_text()
+            ), name
+        return names
+
+    def test_tune_state_and_store_file_leave_the_same_documents(
+        self, capsys, monkeypatch, tmp_path, sdss_stream_file
+    ):
+        state_dir, store_dir = self._twin_dirs(tmp_path)
+        args = self.TUNE + ["--stream", sdss_stream_file, "--apply"]
+        code_a, out_a, _ = run_main(
+            capsys, monkeypatch, args + ["--state", str(state_dir / "S")]
+        )
+        code_b, out_b, _ = run_main(
+            capsys, monkeypatch, args + ["--store", f"file:{store_dir / 'S'}"]
+        )
+        assert code_a == code_b == 0
+        names = self._same_documents(state_dir, store_dir, "S.lease")
+        assert {"S", "S.apply"} <= set(names)
+        assert f"journal {state_dir / 'S'}.apply committed" in out_a
+        lines_b = [
+            line.replace(str(store_dir), str(state_dir))
+            for line in out_b.splitlines()
+            if not line.startswith("State store ")
+        ]
+        assert lines_b == out_a.splitlines()
+
+    def test_serve_state_and_store_file_leave_the_same_documents(
+        self, capsys, monkeypatch, tmp_path, sdss_stream_file
+    ):
+        state_dir, store_dir = self._twin_dirs(tmp_path)
+        args = SERVE_ARGS + ["--stream", sdss_stream_file]
+        code_a, out_a, _ = run_main(
+            capsys, monkeypatch, args + ["--state", str(state_dir / "F")]
+        )
+        code_b, out_b, _ = run_main(
+            capsys, monkeypatch, args + ["--store", f"file:{store_dir / 'F'}"]
+        )
+        assert code_a == code_b == 0
+        names = self._same_documents(state_dir, store_dir, "F.lease")
+        assert "F" in names
+        assert any(re.fullmatch(r"F\.r\d\.apply", name) for name in names)
+        assert [
+            line for line in out_b.splitlines()
+            if not line.startswith("State store ")
+        ] == out_a.splitlines()
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(TUNE_ARGS, "--state"), (TUNE_ARGS, "--journal"), (SERVE_ARGS, "--state")],
+        ids=["tune-state", "tune-journal", "serve-state"],
+    )
+    def test_store_excludes_state_and_journal(
+        self, tmp_path, sdss_stream_file, command, flag
+    ):
+        ignored = tmp_path / "ignored.json"
+        with pytest.raises(SystemExit, match="--store replaces"):
+            main(
+                command
+                + ["--stream", sdss_stream_file, "--store", f"file:{tmp_path / 'S'}"]
+                + [flag, str(ignored)]
+            )
+        assert not ignored.exists()
+
+    @pytest.mark.parametrize("spec", ["--state {}", "--store file:{}"])
+    def test_serve_final_flush_fault_warns_and_keeps_the_exit_code(
+        self, capsys, monkeypatch, tmp_path, sdss_stream_file, spec
+    ):
+        # An interval past the stream's end leaves the final flush as
+        # the run's only state.write.
+        args = SERVE_ARGS + ["--stream", sdss_stream_file, "--state-interval", "10000"]
+        clean, _, _ = run_main(capsys, monkeypatch, args)
+        code, out, err = run_main(
+            capsys, monkeypatch, args + spec.format(tmp_path / "F").split(),
+            injected="state.write:1",
+        )
+        assert code == clean == 0
+        assert f"state checkpoint to {tmp_path / 'F'} failed" in err
+        assert "Stream done: 120 statements" in out
+
+    @pytest.mark.parametrize(
+        "spec", ["--state {}", "--store file:{}", "--store db:{}"]
+    )
+    def test_tune_resume_from_backup_warns_for_every_spec(
+        self, capsys, monkeypatch, tmp_path, sdss_stream_file, spec
+    ):
+        args = (
+            self.TUNE
+            + ["--stream", sdss_stream_file]
+            + spec.format(tmp_path / "S").split()
+        )
+        code, out, err = run_main(capsys, monkeypatch, args)
+        assert code == 0 and "state primary was corrupt" not in err
+        design = out[out.index("Stream done"):]
+        (tmp_path / "S").write_text("{ torn mid-write")
+        code, out, err = run_main(capsys, monkeypatch, args)
+        assert code == 0
+        assert (
+            "state primary was corrupt; resumed from last-good checkpoint "
+            f"{tmp_path / 'S'}.bak"
+        ) in err
+        # The .bak is the periodic checkpoint at the last statement.
+        assert "skipping 120 stream statement(s)" in out
+        assert out[out.index("Stream done"):] == design

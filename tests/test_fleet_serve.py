@@ -32,6 +32,7 @@ from repro.online.monitor import WorkloadMonitor
 from repro.resilience import faults
 from repro.resilience import state as resilience_state
 from repro.resilience.faults import FaultInjector
+from repro.resilience.store import FileStateStore
 
 from tests.conftest import make_people_db
 
@@ -127,7 +128,12 @@ def make_controller(databases, state_path=None, **knobs):
     knobs.setdefault("regression_windows", 2)
     knobs.setdefault("probation_windows", 3)
     knobs.setdefault("max_rounds", 3)
-    return FleetController(databases, state_path=state_path, **knobs)
+    if state_path is not None:
+        # One injector drives the controller and its journal writes.
+        knobs["store"] = FileStateStore(
+            state_path, fault_injector=knobs.get("fault_injector")
+        )
+    return FleetController(databases, **knobs)
 
 
 # ----------------------------------------------------------------------

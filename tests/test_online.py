@@ -16,7 +16,9 @@ from repro.catalog.schema import Index, index_signature
 from repro.cli import main as cli_main
 from repro.core.parinda import Parinda
 from repro.errors import ReproError
+from repro.resilience.apply import MANAGED_PREFIX
 from repro.resilience.state import load_state
+from repro.resilience.store import FileStateStore
 from repro.online import (
     DriftDetector,
     OnlineTuner,
@@ -956,6 +958,81 @@ class TestFacadeAndCli:
         unbounded = Parinda(sdss_db)
         tuner2 = unbounded.online(budget_pages=BUDGET)
         assert tuner2.cache is not unbounded._cost_cache
+
+    def test_auto_apply_materializes_each_adopted_design(
+        self, sdss_db, sdss_wl, tmp_path
+    ):
+        db = sdss_db.clone()  # the applier builds real indexes
+        store = FileStateStore(str(tmp_path / "STATE"))
+
+        def materialized():
+            return {
+                index_signature(ix)
+                for ix in db.catalog.indexes()
+                if ix.name.startswith(MANAGED_PREFIX) and db.has_btree(ix.name)
+            }
+
+        with Parinda(db).online(
+            budget_pages=BUDGET,
+            window_size=9,
+            check_interval=3,
+            auto_apply=True,
+            state_store=store,
+        ) as tuner:
+            for sql in stream_of(sdss_wl, PRE, 4):
+                tuner.observe(sql)
+            assert tuner.event_counts["applied"] == 1
+            adopted = {index_signature(ix) for ix in tuner.design}
+            assert adopted and materialized() == adopted
+            # The tuner advises against a clone frozen before the apply;
+            # against the live catalog the materialized indexes would
+            # price at zero benefit and the same window would drop them.
+            for sql in stream_of(sdss_wl, PRE, 4, salt0=100):
+                tuner.observe(sql)
+            tuner.readvise(reason="same window")
+            assert tuner.event_counts["recommended"] == 1
+            assert tuner.event_counts["applied"] == 1
+            assert materialized() == adopted
+            # A drifted window is adopted and replaces what stands.
+            for sql in stream_of(sdss_wl, POST, 5, salt0=50):
+                tuner.observe(sql)
+            assert tuner.event_counts["applied"] > 1
+            assert materialized() == {
+                index_signature(ix) for ix in tuner.design
+            } != adopted
+        # The intent journal rides in the state store's "apply" slot;
+        # the primary slot is the caller's to checkpoint.
+        assert store.read("apply")[0]["phase"] == "committed"
+        assert not store.exists("")
+
+    def test_failing_auto_apply_degrades_and_keeps_tuning(
+        self, sdss_db, sdss_wl
+    ):
+        def applier(design):
+            raise ReproError("disk full")
+
+        with Parinda(sdss_db).online(
+            budget_pages=BUDGET,
+            window_size=9,
+            check_interval=3,
+            auto_apply=applier,
+            degrade_on_error=True,
+        ) as tuner:
+            for sql in stream_of(sdss_wl, PRE, 4):
+                tuner.observe(sql)
+            degraded = tuner.events_of("degraded")
+            assert len(degraded) == 1 and "disk full" in degraded[0].detail
+            assert tuner.event_counts["applied"] == 0
+            assert tuner.design  # adopted, just not materialized
+            for sql in stream_of(sdss_wl, POST, 5, salt0=50):
+                tuner.observe(sql)
+            assert tuner.event_counts["recommended"] > 1
+        with pytest.raises(ReproError, match="disk full"):
+            with Parinda(sdss_db).online(
+                budget_pages=BUDGET, window_size=9, auto_apply=applier
+            ) as strict:
+                for sql in stream_of(sdss_wl, PRE, 4):
+                    strict.observe(sql)
 
     def test_tune_subcommand(self, capsys, tmp_path, sdss_wl):
         path = tmp_path / "stream.sql"

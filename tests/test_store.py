@@ -45,7 +45,7 @@ from repro.resilience.store import (
     torn_slot_paths,
 )
 
-from tests.conftest import make_people_db
+from tests.conftest import SERVE_ARGS, TUNE_ARGS, make_people_db, run_main
 from tests.test_fleet_serve import (
     AGE_INDEX,
     HEIGHT_INDEX,
@@ -574,18 +574,20 @@ class TestHostLossConvergence:
 # Router and tuner checkpoints through a store
 
 
-class TestComponentStoreHelpers:
-    def test_router_save_to_load_from(self, tmp_path):
+class TestComponentsThroughStore:
+    """Components persist as ``store.write(key, x.save_state())``."""
+
+    def test_router_round_trips_through_a_slot(self, tmp_path):
         costs = {"t1": (10.0, 20.0), "t2": (20.0, 10.0)}
         router = Router(costs, 2)
         router.route("SELECT a FROM t WHERE x < 1", weight=2.0)
         store = FileStateStore(str(tmp_path / "STATE"))
-        router.save_to(store)
-        clone = Router.load_from(store)
+        store.write("router", router.save())
+        clone = Router.load(store.read("router")[0])
         assert clone.save() == router.save()
         assert store.exists("router")
 
-    def test_tuner_save_restore_via_store(self, tmp_path):
+    def test_tuner_round_trips_through_the_primary_slot(self, tmp_path):
         from repro.core.parinda import Parinda
 
         db = make_people_db(rows=120)
@@ -598,10 +600,7 @@ class TestComponentStoreHelpers:
                 tuner.observe(
                     f"SELECT person_id FROM people WHERE age < {1 + i % 5}"
                 )
-            saved = tuner.save_state_to(
-                store, extra={"stream_position": 12}
-            )
-        assert saved["stream_position"] == 12
+            store.write("", dict(tuner.save_state(), stream_position=12))
         assert store.read("")[0]["stream_position"] == 12
         resumed = parinda.online(budget_pages=256, state_store=store)
         assert resumed.monitor.observed == tuner.monitor.observed
@@ -691,3 +690,88 @@ class TestBothCopiesTorn:
         assert code == 0
         assert "state unrecoverable, starting cold" in out.err
         assert "Resuming" not in out.out
+
+
+# ----------------------------------------------------------------------
+# Files written through the old path entry points keep resuming
+
+
+class TestPathWrittenFilesStillResume:
+    """``--state``/``--journal`` files from before the store was the only
+    persistence API — one ``dump_state(path, state)`` each — resume to
+    the same design and position, and still grow no ``.lease``."""
+
+    @staticmethod
+    def _design(out):
+        return [
+            line for line in out.splitlines()
+            if line.startswith("Replica ") or "CREATE INDEX" in line
+        ]
+
+    @staticmethod
+    def _rewrite_with_dump_state(path):
+        """Replace ``path`` by what the pre-store writer wrote for the
+        same state: the bytes must not move."""
+        state, source = resilience_state.load_state(path)
+        survivor = path if source == "primary" else resilience_state.backup_path(path)
+        before = open(survivor, "rb").read()
+        for victim in (path, resilience_state.backup_path(path)):
+            if os.path.exists(victim):
+                os.remove(victim)
+        resilience_state.dump_state(path, state)
+        assert open(path, "rb").read() == before
+        return state
+
+    def test_tune_state_file(
+        self, tmp_path, capsys, monkeypatch, sdss_stream_file
+    ):
+        state = str(tmp_path / "S")
+        args = TUNE_ARGS + ["--stream", sdss_stream_file]
+        _, clean, _ = run_main(capsys, monkeypatch, args)
+        code, _, _ = run_main(
+            capsys, monkeypatch, args + ["--state", state],
+            injected="stream.read:61",
+        )
+        assert code == 3
+        assert self._rewrite_with_dump_state(state)["stream_position"] == 60
+        code, out, _ = run_main(capsys, monkeypatch, args + ["--state", state])
+        assert code == 0
+        assert "skipping 60 stream statement(s)" in out
+        assert self._design(out) == self._design(clean)
+        assert not os.path.exists(f"{state}.lease")
+
+    def test_apply_journal_file(
+        self, tmp_path, capsys, monkeypatch, sdss_stream_file
+    ):
+        journal = str(tmp_path / "J")
+        args = TUNE_ARGS + [
+            "--stream", sdss_stream_file, "--apply", "--journal", journal
+        ]
+        with pytest.raises(FaultInjected):
+            run_main(capsys, monkeypatch, args, injected="journal.write:3")
+        assert self._rewrite_with_dump_state(journal)["phase"] == "in-progress"
+        capsys.readouterr()
+        code, out, _ = run_main(capsys, monkeypatch, args)
+        assert code == 0
+        assert "Applied design (resumed)" in out
+        assert f"journal {journal} committed" in out
+        assert not os.path.exists(f"{journal}.lease")
+
+    def test_fleet_envelope_file(
+        self, tmp_path, capsys, monkeypatch, sdss_stream_file
+    ):
+        state = str(tmp_path / "F")
+        args = SERVE_ARGS + ["--stream", sdss_stream_file]
+        _, clean, _ = run_main(capsys, monkeypatch, args)
+        with pytest.raises(FaultInjected):
+            run_main(
+                capsys, monkeypatch, args + ["--state", state],
+                injected="rollout.journal:3",
+            )
+        position = self._rewrite_with_dump_state(state)["position"]
+        capsys.readouterr()
+        code, out, _ = run_main(capsys, monkeypatch, args + ["--state", state])
+        assert code == 0
+        assert f"Resuming from {state}: position {position}," in out
+        assert self._design(out) == self._design(clean)
+        assert not os.path.exists(f"{state}.lease")
