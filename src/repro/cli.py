@@ -393,6 +393,18 @@ def cmd_suggest_combined(args: argparse.Namespace) -> int:
 def cmd_fleet(args: argparse.Namespace) -> int:
     if args.serve:
         return _fleet_serve(args)
+    # A static tune never opens a store: running it anyway would tell
+    # the operator the fleet was thawed/released when nothing was touched.
+    serve_only = {
+        "--thaw": args.thaw,
+        "--release": args.release is not None,
+        "--state": args.state,
+        "--store": args.store,
+        "--stream": args.stream != "-",
+    }
+    ignored = [flag for flag, given in serve_only.items() if given]
+    if ignored:
+        raise SystemExit(f"{', '.join(ignored)} only make sense with --serve")
     db = _load_database(args.db)
     workload = _load_workload(args.workload, args.db)
     parinda = Parinda(db)
@@ -562,8 +574,8 @@ def _fleet_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
-    if args.dry_run and not args.apply:
-        raise SystemExit("--dry-run only makes sense with --apply")
+    if (args.dry_run or args.validate) and not args.apply:
+        raise SystemExit("--dry-run/--validate only make sense with --apply")
     if args.rollback and (args.apply or args.dry_run):
         raise SystemExit("--rollback excludes --apply/--dry-run")
     db = _load_database(args.db)

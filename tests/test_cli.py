@@ -117,6 +117,26 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fleet", "--thaw"],
+            ["fleet", "--release", "1"],
+            ["fleet", "--state", "{}"],
+            ["fleet", "--store", "file:{}"],
+            ["fleet", "--stream", "{}"],
+            ["tune", "--stream", "{}", "--validate"],
+        ],
+        ids=["thaw", "release", "state", "store", "stream", "tune-validate"],
+    )
+    def test_flag_without_its_mode_is_a_usage_error(self, tmp_path, argv):
+        # Ignoring the flag would run a plain tune and exit 0 without
+        # touching a store, so the operator believes it took effect.
+        target = tmp_path / "s"
+        with pytest.raises(SystemExit, match="only make sense with"):
+            main(["--db", "sdss:800"] + [a.format(target) for a in argv])
+        assert os.listdir(tmp_path) == []
+
     def test_workload_file(self, capsys, tmp_path):
         wl = tmp_path / "wl.sql"
         wl.write_text("select amount from sales where sold_on between 1 and 2;")

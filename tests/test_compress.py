@@ -14,6 +14,7 @@ from repro.advisor.compress import compress_statements, fold_workload
 from repro.advisor.ilp_advisor import IlpIndexAdvisor
 from repro.errors import AdvisorError
 from repro.resilience.faults import FaultInjector
+from repro.workloads.sdss import build_sdss_database, sdss_workload
 from repro.workloads.workload import Query, Workload
 
 from tests.conftest import make_people_db
@@ -191,6 +192,26 @@ class TestBitIdentity:
         r_expanded = self.recommend(db, expanded, rates)
         assert packed(r_compressed) == packed(r_expanded)
 
+    def test_advisor_input_tracks_shapes_not_statements(self, db):
+        # Ten times the statements: every weight and DML rate scales by
+        # exactly 10, and nothing the advisor builds (templates,
+        # candidate pool, per-query ILP blocks) grows with the stream.
+        stream = people_stream()
+        once = compress_statements(stream)
+        tenfold = compress_statements(stream * 10)
+        assert tenfold.statements_in == 10 * once.statements_in
+        assert tenfold.dml_statements == 10 * once.dml_statements
+        assert tenfold.templates == once.templates
+        assert [(q.name, q.sql, q.weight) for q in tenfold.workload] == [
+            (q.name, q.sql, 10 * q.weight) for q in once.workload
+        ]
+        r_once = self.recommend(db, once.workload, once.workload.update_rates)
+        r_tenfold = self.recommend(
+            db, tenfold.workload, tenfold.workload.update_rates
+        )
+        assert r_tenfold.candidates_considered == r_once.candidates_considered
+        assert len(r_tenfold.per_query) == len(r_once.per_query) == once.templates
+
     def test_bit_identity_survives_worker_faults(self, db):
         # A worker.task fault is retried (pure task), so the floats must
         # not move even when one side's model builds crash mid-batch.
@@ -234,6 +255,31 @@ class TestAdvisorKnobValidation:
     def test_negative_bound_epsilon_rejected(self, db):
         with pytest.raises(AdvisorError):
             IlpIndexAdvisor(db.catalog, bound_epsilon=-0.1)
+
+    def test_solver_deadline_degrades_to_greedy_or_changes_nothing(self):
+        catalog = build_sdss_database(photo_rows=2000, seed=42).catalog
+        budget = 400
+
+        def advise(deadline):
+            advisor = IlpIndexAdvisor(
+                catalog, compress=True, solver_deadline=deadline
+            )
+            return advisor.recommend(sdss_workload(), budget)
+
+        # A deadline that expires before the first node: no exception,
+        # one recorded fallback, a design that still fits the budget.
+        expired = advise(1e-9)
+        assert expired.solver_status == "greedy-fallback"
+        assert [
+            d.action for d in expired.degraded if d.point == "solver.iterate"
+        ] == ["fallback"]
+        assert expired.size_pages <= budget
+        # A deadline the solve never reaches must not move the result.
+        exact, roomy = advise(None), advise(20.0)
+        assert roomy.solver_status == exact.solver_status == "optimal"
+        assert roomy.solver_nodes == exact.solver_nodes
+        assert not any(d.point == "solver.iterate" for d in roomy.degraded)
+        assert packed(roomy) == packed(exact)
 
     def test_per_call_compress_override(self, db):
         stream = people_stream(rounds=6)
