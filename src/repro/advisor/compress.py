@@ -4,7 +4,7 @@ The ILP's size grows with queries × candidate sets, so a raw
 10k-statement stream is hopeless as direct advisor input even though it
 usually contains only a few dozen distinct query *shapes*. Compression
 folds the stream onto those shapes using the monitor's canonicalizer
-(:func:`repro.online.monitor.canonicalize_tokens`): one representative
+(:func:`repro.online.monitor.canonicalize`): one representative
 query per template (the first concrete statement observed), weighted by
 the template's occurrence count, with DML statements aggregated into
 per-table ``update_rates``.
@@ -41,7 +41,6 @@ from repro.errors import (
 from repro.online.monitor import (
     DML_KINDS,
     canonicalize,
-    canonicalize_tokens,
     classify_tokens,
     template_name,
 )
@@ -111,8 +110,7 @@ def compress_statements(
     for sql in statements:
         result.statements_in += 1
         try:
-            tokens = tokenize(sql)
-            fingerprint = canonicalize_tokens(tokens)
+            fingerprint = canonicalize(sql)
         except (TokenizeError, CanonicalizeError) as exc:
             result.skipped += 1
             result.skipped_reasons.setdefault(
@@ -121,7 +119,7 @@ def compress_statements(
             continue
         entry = entries.get(fingerprint)
         if entry is None:
-            kind, target_table = classify_tokens(tokens)
+            kind, target_table = classify_tokens(tokenize(sql))
             entry = _Entry(
                 sequence=len(entries) + 1,
                 sql=sql.strip().rstrip(";"),

@@ -58,6 +58,7 @@ import argparse
 import os
 import sys
 
+from repro.advisor.compress import compress_statements
 from repro.bench.reporting import ResultTable
 from repro.core.parinda import Parinda
 from repro.errors import (
@@ -293,7 +294,19 @@ def _per_query_table(title: str, entries) -> ResultTable:
 
 def cmd_suggest_indexes(args: argparse.Namespace) -> int:
     db = _load_database(args.db)
-    workload = _load_workload(args.workload, args.db)
+    folded = None
+    if args.compress and args.workload is not None:
+        # A statement file in scale mode is a raw stream: fold it the
+        # way `tune` reads one, so a statement that cannot be templated
+        # or parsed is counted and skipped instead of failing the run.
+        folded = compress_statements(
+            iter_statements(args.workload), name=args.workload
+        )
+        workload = folded.workload
+        for where, reason in folded.skipped_reasons.items():
+            _warn(f"skipped {where}: {reason}")
+    else:
+        workload = _load_workload(args.workload, args.db)
     parinda = Parinda(db)
     result = parinda.suggest_indexes(
         workload,
@@ -302,7 +315,22 @@ def cmd_suggest_indexes(args: argparse.Namespace) -> int:
         single_column_only=args.single_column,
         compress=args.compress,
     )
-    if args.compress and result.queries_folded:
+    if folded is not None:
+        # Writes are folded too, but this command advises reads only.
+        aside = "".join(
+            f", {count} {what}"
+            for what, count in (
+                ("DML not advised", folded.dml_statements),
+                ("skipped", folded.skipped),
+            )
+            if count
+        )
+        print(
+            f"Compressed {folded.statements_in} statements onto "
+            f"{folded.templates} templates{aside} "
+            f"({result.candidates_pruned} candidates pruned)."
+        )
+    elif args.compress and result.queries_folded:
         print(
             f"Compressed {len(workload)} statements onto "
             f"{len(workload) - result.queries_folded} templates "

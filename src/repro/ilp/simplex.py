@@ -91,7 +91,8 @@ class SimplexSolver:
         and bound threads its wall-clock deadline through here so one
         long LP cannot overrun the solver deadline unboundedly.
         """
-        a_rows, b_rhs, n = self._standardize(program)
+        a_rows, b_rhs, structural_cost = self._standardize(program)
+        n = program.objective.shape[0]
         m = len(b_rhs)
         if m == 0:
             # Unconstrained over a box: maximize by setting positive-cost
@@ -130,7 +131,7 @@ class SimplexSolver:
 
         # Phase 2: real objective over structural columns only.
         cost2 = np.zeros(total_structural + m + 1)
-        cost2[:total_structural] = self._structural_cost
+        cost2[:total_structural] = structural_cost
         self._set_objective_row(tableau, basis, cost2)
         status = self._iterate(
             tableau, basis, allow_columns=total_structural, stop=stop
@@ -147,56 +148,44 @@ class SimplexSolver:
         return SimplexResult(
             status=status,
             x=solution,
-            objective=float(self._structural_cost[:n] @ solution),
+            objective=float(structural_cost[:n] @ solution),
         )
 
     # ------------------------------------------------------------------
 
+    @staticmethod
     def _standardize(
-        self, program: CompiledProgram
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Equality rows with non-negative rhs; slacks appended as columns."""
+        program: CompiledProgram,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Equality rows with non-negative rhs; slacks appended as columns.
+
+        Returns (rows, rhs, objective padded with zeros for the slacks).
+        Row order: ``<=`` constraints, one ``x_j <= ub`` row per finite
+        upper bound, then ``=`` constraints; every row but the last kind
+        gets a slack column.
+        """
         n = program.objective.shape[0]
-        rows: list[np.ndarray] = []
-        rhs: list[float] = []
-        slack_signs: list[int] = []  # +1 for <=, 0 for =
+        bounded = np.flatnonzero(np.isfinite(program.upper_bounds))
+        num_ub = program.a_ub.shape[0]
+        num_slacks = num_ub + bounded.size
+        m = num_slacks + program.a_eq.shape[0]
 
-        a_ub, b_ub = program.a_ub, program.b_ub
-        for i in range(a_ub.shape[0]):
-            rows.append(a_ub[i].astype(float))
-            rhs.append(float(b_ub[i]))
-            slack_signs.append(1)
-        # Finite upper bounds become <= rows.
-        for j in range(n):
-            ub = program.upper_bounds[j]
-            if np.isfinite(ub):
-                row = np.zeros(n)
-                row[j] = 1.0
-                rows.append(row)
-                rhs.append(float(ub))
-                slack_signs.append(1)
-        a_eq, b_eq = program.a_eq, program.b_eq
-        for i in range(a_eq.shape[0]):
-            rows.append(a_eq[i].astype(float))
-            rhs.append(float(b_eq[i]))
-            slack_signs.append(0)
-
-        m = len(rows)
-        num_slacks = sum(1 for s in slack_signs if s != 0)
         full = np.zeros((m, n + num_slacks))
-        slack_col = n
-        for i, (row, sign) in enumerate(zip(rows, slack_signs)):
-            full[i, :n] = row
-            if sign:
-                full[i, slack_col] = 1.0
-                slack_col += 1
-            if rhs[i] < 0:
-                full[i] = -full[i]
-                rhs[i] = -rhs[i]
+        full[:num_ub, :n] = program.a_ub
+        full[np.arange(num_ub, num_slacks), bounded] = 1.0
+        full[num_slacks:, :n] = program.a_eq
+        slack_rows = np.arange(num_slacks)
+        full[slack_rows, n + slack_rows] = 1.0
+        rhs = np.concatenate(
+            [program.b_ub, program.upper_bounds[bounded], program.b_eq]
+        ).astype(float)
+        negative = rhs < 0
+        full[negative] = -full[negative]
+        rhs[negative] = -rhs[negative]
 
-        self._structural_cost = np.zeros(n + num_slacks)
-        self._structural_cost[:n] = program.objective
-        return full, np.array(rhs, dtype=float), n
+        structural_cost = np.zeros(n + num_slacks)
+        structural_cost[:n] = program.objective
+        return full, rhs, structural_cost
 
     @staticmethod
     def _set_objective_row(
@@ -232,7 +221,7 @@ class SimplexSolver:
                         entering = j
                         break
             else:
-                entering = int(np.argmin(reduced))
+                entering = int(reduced.argmin())
                 if reduced[entering] >= -self._tol:
                     entering = -1
             if entering < 0:
@@ -242,8 +231,9 @@ class SimplexSolver:
             positive = column > self._tol
             if not positive.any():
                 return "unbounded"
-            ratios = np.where(positive, tableau[:m, -1] / np.where(positive, column, 1.0), np.inf)
-            leaving = int(np.argmin(ratios))
+            ratios = np.full(m, np.inf)
+            np.divide(tableau[:m, -1], column, out=ratios, where=positive)
+            leaving = int(ratios.argmin())
             if use_bland:
                 best = ratios[leaving]
                 candidates = [
@@ -264,11 +254,18 @@ class SimplexSolver:
 
     @staticmethod
     def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
-        pivot_value = tableau[row, col]
-        tableau[row, :] /= pivot_value
-        for r in range(tableau.shape[0]):
-            if r != row and abs(tableau[r, col]) > 1e-13:
-                tableau[r, :] -= tableau[r, col] * tableau[row, :]
+        """Gauss-Jordan step on (row, col) as one rank-1 update.
+
+        Rows whose entry in the pivot column is already (numerically)
+        zero are left untouched, not updated with a zero multiple, so
+        every element sees the same IEEE operations as a row-by-row
+        elimination.
+        """
+        tableau[row, :] /= tableau[row, col]
+        column = tableau[:, col].copy()
+        column[row] = 0.0
+        rows = np.flatnonzero(np.abs(column) > 1e-13)
+        tableau[rows] -= column[rows, None] * tableau[row]
 
     def _pivot_artificials_out(
         self, tableau: np.ndarray, basis: list[int], total_structural: int

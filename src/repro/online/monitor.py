@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 from repro.errors import CanonicalizeError, ParseError, ReproError, SQLError
 from repro.sql.parser import parse_select
-from repro.sql.tokenizer import Token, TokenType, tokenize
+from repro.sql.tokenizer import Token, TokenType, strip_literals, tokenize
 from repro.workloads.workload import Query, Workload
 
 # Renormalize the decayed profile before per-observation weights can
@@ -92,14 +92,15 @@ def _collapse_placeholder_lists(parts: list[str]) -> list[str]:
 def canonicalize(sql: str) -> str:
     """The literal-stripped fingerprint of one SQL statement.
 
-    Tokenizes with the production tokenizer (so comments, case folding,
-    and quoting behave exactly as in the parser) and replaces every
-    number and string literal with ``?``; parenthesized all-literal
-    lists collapse to ``( ?+ )`` regardless of arity. Whitespace and
-    literal values never influence the result; identifiers and
-    structure always do.
+    Scanned by the production tokenizer's own pattern (so comments, case
+    folding, and quoting behave exactly as in the parser, and a
+    statement the tokenizer rejects is rejected here with the same
+    error) but without building tokens: every number and string literal
+    becomes ``?``; parenthesized all-literal lists collapse to
+    ``( ?+ )`` regardless of arity. Whitespace and literal values never
+    influence the result; identifiers and structure always do.
     """
-    return canonicalize_tokens(tokenize(sql))
+    return _fingerprint(strip_literals(sql))
 
 
 def canonicalize_tokens(tokens: list[Token]) -> str:
@@ -112,6 +113,10 @@ def canonicalize_tokens(tokens: list[Token]) -> str:
             parts.append("?")
         else:
             parts.append(token.value)
+    return _fingerprint(parts)
+
+
+def _fingerprint(parts: list[str]) -> str:
     # A trailing statement terminator is presentation, not shape.
     while parts and parts[-1] == ";":
         parts.pop()
@@ -229,11 +234,11 @@ class WorkloadMonitor:
 
     def observe(self, sql: str) -> QueryTemplate:
         """Ingest one statement; returns its template."""
-        tokens = tokenize(sql)
-        fingerprint = canonicalize_tokens(tokens)
+        fingerprint = canonicalize(sql)
         template = self._templates.get(fingerprint)
         if template is None:
-            kind, target_table = classify_tokens(tokens)
+            # Tokens are only needed to classify a new template.
+            kind, target_table = classify_tokens(tokenize(sql))
             sequence = len(self._templates) + 1
             template = QueryTemplate(
                 template_id=template_name(fingerprint, sequence),

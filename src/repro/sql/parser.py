@@ -133,7 +133,10 @@ class _Parser:
             if token.type is not TokenType.NUMBER:
                 raise ParseError(f"LIMIT expects a number, found {token.value!r}")
             self.advance()
-            limit = int(float(token.value))
+            try:
+                limit = int(float(token.value))
+            except OverflowError:  # "1e999" is a well-formed number
+                raise ParseError(f"LIMIT out of range: {token.value}") from None
 
         self.accept_punct(";")
         if self.current.type is not TokenType.EOF:

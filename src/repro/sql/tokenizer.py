@@ -1,14 +1,19 @@
-"""Hand-written SQL tokenizer.
+"""Regex SQL tokenizer.
 
-Produces a flat list of :class:`Token` objects. Keywords are
-case-insensitive; identifiers are lower-cased unless double-quoted,
-matching PostgreSQL's folding rules.
+One compiled pattern (:data:`_LEXEME`) scans a statement lexeme by
+lexeme and has two consumers: :func:`tokenize` builds the flat list of
+:class:`Token` objects the parser reads, and :func:`strip_literals`
+emits only the literal-stripped token values the workload canonicalizer
+fingerprints, without building tokens. Keywords are case-insensitive;
+identifiers are lower-cased unless double-quoted, matching PostgreSQL's
+folding rules.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from enum import Enum, auto
+from typing import NamedTuple
 
 from repro.errors import TokenizeError
 
@@ -64,8 +69,7 @@ class TokenType(Enum):
     EOF = auto()
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: TokenType
     value: str
     position: int
@@ -77,111 +81,111 @@ class Token:
         return f"Token({self.type.name}, {self.value!r})"
 
 
-_OPERATORS = ("<>", "<=", ">=", "!=", "=", "<", ">", "+", "-", "*", "/", "%", "||")
-_PUNCT = "(),.;"
+# Whitespace and comments. Every repeated group here and below has
+# disjoint alternatives, so a failed match (an unterminated 100 kB
+# string or comment) is abandoned in linear time.
+_SKIP = r"\s*(?:(?:--[^\n]*|/\*.*?\*/)\s*)*"
+_MANTISSA = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)"
+# An exponent marker with no digits after it ("1e", "2.5E-") is
+# trailing junk, not a number followed by an identifier.
+_MALFORMED = rf"{_MANTISSA}[eE](?![+-]?[0-9])"
+_NUMBER = rf"(?!{_MALFORMED}){_MANTISSA}(?:[eE][+-]?[0-9]+)?"
+# The closing quote is the first one that is not doubled.
+_STRING = r"'[^']*(?:''[^']*)*'(?!')"
+_QUOTED = r'"[^"]*"'
+_WORD = r"[^\W\d]\w*"
+_OPERATOR = r"<>|<=|>=|!=|\|\||[=<>+\-*%]|/(?!\*)"
+_PUNCT = r"[(),;]|\.(?![0-9])"
+
+# One lexeme plus the whitespace/comments after it (the text before the
+# first lexeme is skipped by _LEADING). Group 1 is the lexeme; it is
+# unset where no lexeme can start: an unterminated comment swallows the
+# rest of the text so a run of them is not rescanned, anything else
+# gives up one character.
+_LEXEME = re.compile(
+    rf"(?:({_WORD}|{_NUMBER}|{_STRING}|{_QUOTED}|{_OPERATOR}|{_PUNCT})"
+    rf"|/\*.*|\S){_SKIP}",
+    re.DOTALL,
+)
+_LEADING = re.compile(_SKIP, re.DOTALL)
+
+_DIGITS = frozenset("0123456789")
+# First characters of the lexemes strip_literals does not pass through
+# lower-cased: literals, quoted identifiers, "." (punctuation or the
+# start of a number) and the empty string of an unset group.
+_NOT_VERBATIM = _DIGITS | {"'", '"', ".", ""}
+
+
+def _scan_error(text: str, position: int) -> TokenizeError:
+    """Why no lexeme starts at ``position``."""
+    ch = text[position]
+    if ch == "'":
+        return TokenizeError("unterminated string literal", position)
+    if ch == '"':
+        return TokenizeError("unterminated quoted identifier", position)
+    if text.startswith("/*", position):
+        return TokenizeError("unterminated block comment", position)
+    if ch in _DIGITS or ch == ".":
+        return TokenizeError("malformed number", position)
+    return TokenizeError(f"unexpected character {ch!r}", position)
 
 
 def tokenize(text: str) -> list[Token]:
     """Tokenize ``text`` into a list ending with an EOF token."""
     tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("--", i):
-            end = text.find("\n", i)
-            i = n if end < 0 else end + 1
-            continue
-        if text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end < 0:
-                raise TokenizeError("unterminated block comment", i)
-            i = end + 2
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            i = _lex_number(text, i, tokens)
-            continue
-        if ch == "'":
-            i = _lex_string(text, i, tokens)
-            continue
-        if ch == '"':
-            i = _lex_quoted_ident(text, i, tokens)
-            continue
-        if ch.isalpha() or ch == "_":
-            i = _lex_word(text, i, tokens)
-            continue
-        matched_op = next((op for op in _OPERATORS if text.startswith(op, i)), None)
-        if matched_op is not None:
-            tokens.append(Token(TokenType.OPERATOR, matched_op, i))
-            i += len(matched_op)
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(TokenType.PUNCT, ch, i))
-            i += 1
-            continue
-        raise TokenizeError(f"unexpected character {ch!r}", i)
-    tokens.append(Token(TokenType.EOF, "", n))
+    append = tokens.append
+    for match in _LEXEME.finditer(text, _LEADING.match(text).end()):
+        lexeme = match[1]
+        position = match.start()
+        if lexeme is None:
+            raise _scan_error(text, position)
+        head = lexeme[0]
+        if head.isalpha() or head == "_":
+            word = lexeme.lower()
+            kind = TokenType.KEYWORD if word in KEYWORDS else TokenType.IDENT
+            append(Token(kind, word, position))
+        elif head in _DIGITS or (head == "." and len(lexeme) > 1):
+            append(Token(TokenType.NUMBER, lexeme, position))
+        elif head == "'":
+            value = lexeme[1:-1].replace("''", "'")
+            append(Token(TokenType.STRING, value, position))
+        elif head == '"':
+            append(Token(TokenType.IDENT, lexeme[1:-1], position))
+        elif head in "(),;.":
+            append(Token(TokenType.PUNCT, lexeme, position))
+        elif head.isalnum():
+            # \w also admits non-ASCII numerics ("²", "½"), which are
+            # neither digits of a number nor letters of a word.
+            raise TokenizeError(f"unexpected character {head!r}", position)
+        else:
+            append(Token(TokenType.OPERATOR, lexeme, position))
+    append(Token(TokenType.EOF, "", len(text)))
     return tokens
 
 
-def _lex_number(text: str, start: int, tokens: list[Token]) -> int:
-    i = start
-    n = len(text)
-    seen_dot = False
-    seen_exp = False
-    while i < n:
-        ch = text[i]
-        if ch.isdigit():
-            i += 1
-        elif ch == "." and not seen_dot and not seen_exp:
-            seen_dot = True
-            i += 1
-        elif ch in "eE" and not seen_exp and i > start:
-            seen_exp = True
-            i += 1
-            if i < n and text[i] in "+-":
-                i += 1
+def strip_literals(text: str) -> list[str]:
+    """The values of ``tokenize(text)`` short of EOF, with every NUMBER
+    and STRING value replaced by ``"?"``, without building the tokens.
+
+    Raises exactly when :func:`tokenize` raises, with the same error.
+    """
+    parts: list[str] = []
+    append = parts.append
+    lexemes = _LEXEME.findall(text, _LEADING.match(text).end())
+    for lexeme in lexemes:
+        head = lexeme[:1]
+        if head not in _NOT_VERBATIM:
+            append(lexeme.lower())
+        elif head == '"':
+            append(lexeme[1:-1])
+        elif lexeme == ".":
+            append(lexeme)
+        elif lexeme:
+            append("?")
         else:
             break
-    tokens.append(Token(TokenType.NUMBER, text[start:i], start))
-    return i
-
-
-def _lex_string(text: str, start: int, tokens: list[Token]) -> int:
-    i = start + 1
-    n = len(text)
-    chunks: list[str] = []
-    while i < n:
-        ch = text[i]
-        if ch == "'":
-            if i + 1 < n and text[i + 1] == "'":
-                chunks.append("'")
-                i += 2
-                continue
-            tokens.append(Token(TokenType.STRING, "".join(chunks), start))
-            return i + 1
-        chunks.append(ch)
-        i += 1
-    raise TokenizeError("unterminated string literal", start)
-
-
-def _lex_quoted_ident(text: str, start: int, tokens: list[Token]) -> int:
-    end = text.find('"', start + 1)
-    if end < 0:
-        raise TokenizeError("unterminated quoted identifier", start)
-    tokens.append(Token(TokenType.IDENT, text[start + 1 : end], start))
-    return end + 1
-
-
-def _lex_word(text: str, start: int, tokens: list[Token]) -> int:
-    i = start
-    n = len(text)
-    while i < n and (text[i].isalnum() or text[i] == "_"):
-        i += 1
-    word = text[start:i].lower()
-    token_type = TokenType.KEYWORD if word in KEYWORDS else TokenType.IDENT
-    tokens.append(Token(token_type, word, start))
-    return i
+    if len(parts) < len(lexemes) or not text.isascii():
+        # Something did not scan, or a word may start with a non-ASCII
+        # numeric: both are tokenize's errors to raise.
+        tokenize(text)
+    return parts

@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.catalog.datatypes import DOUBLE, INTEGER, SMALLINT, TEXT, varchar
 from repro.catalog.schema import make_table
 from repro.resilience import faults
 from repro.storage.database import Database
 from repro.workloads.star import build_star_database, star_workload
+
+# CI sets HYPOTHESIS_PROFILE=ci so that a failing property reproduces;
+# local runs keep drawing fresh examples.
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

@@ -147,6 +147,32 @@ class TestParser:
         )
         assert "Suggested" in out
 
+    def test_compress_workload_file_skips_bad_statements(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # In scale mode a statement file is read like a stream: what
+        # cannot be templated is reported and skipped, writes are set
+        # aside, and the rest is advised.
+        wl = tmp_path / "wl.sql"
+        wl.write_text(
+            "SELECT objid FROM photoobj WHERE ra < 1e;\n"
+            "SELECT objid FROM photoobj WHERE ra < 10;\n"
+            "UPDATE photoobj SET status = 1 WHERE objid = 7;\n"
+            "SELECT objid FROM photoobj WHERE ra < 20;\n"
+        )
+        code, out, err = run_main(
+            capsys, monkeypatch,
+            ["--db", "sdss:500", "suggest-indexes", "--compress",
+             "--workload", str(wl)],
+        )
+        assert code == 0
+        assert "skipped statement#1: malformed number" in err
+        assert (
+            "Compressed 4 statements onto 1 templates, 1 DML not advised, "
+            "1 skipped" in out
+        )
+        assert "CREATE INDEX ON photoobj" in out
+
 
 class TestSuggestCombined:
     def test_full_pipeline(self, capsys):

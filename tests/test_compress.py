@@ -13,7 +13,9 @@ import pytest
 from repro.advisor.compress import compress_statements, fold_workload
 from repro.advisor.ilp_advisor import IlpIndexAdvisor
 from repro.errors import AdvisorError
+from repro.online.monitor import render_statement
 from repro.resilience.faults import FaultInjector
+from repro.sql.tokenizer import Token, TokenType, tokenize
 from repro.workloads.sdss import build_sdss_database, sdss_workload
 from repro.workloads.workload import Query, Workload
 
@@ -113,6 +115,19 @@ class TestCompressStatements:
         assert res.templates == 1
         assert res.skipped == 1
         assert res.skipped_reasons
+
+    def test_malformed_number_skipped_not_fatal(self):
+        # Used to tokenize, then die with ValueError in the once-per-
+        # template parse.
+        res = compress_statements(
+            ["select age from people where age < 1e",
+             "select age from people where age < 10"]
+        )
+        assert res.skipped == 1
+        assert "malformed number" in res.skipped_reasons["statement#1"]
+        assert [q.sql for q in res.workload] == [
+            "select age from people where age < 10"
+        ]
 
     def test_unparseable_select_shape_held(self):
         # Templates fine, full parser rejects: counted skipped, advisable
@@ -293,3 +308,52 @@ class TestAdvisorKnobValidation:
         # template, so totals only agree approximately — the templates'
         # shapes (and thus the interesting index set) are identical.
         assert on.cost_before == pytest.approx(off.cost_before, rel=0.05)
+
+
+class TestSolverDifferential:
+    """The built-in MILP against HiGHS on the program scale mode emits
+    (aggregated coupling rows, maintenance in the objective, bound
+    pruning), where the built-in search takes more than one node."""
+
+    @staticmethod
+    def sdss_stream(cycles: int) -> list[str]:
+        """The 30 survey shapes ``cycles`` times over, float literals
+        nudged per cycle, one ``UPDATE photoobj`` per 11 statements."""
+        stream: list[str] = []
+        for cycle in range(cycles):
+            for query in sdss_workload():
+                tokens = [
+                    Token(t.type, repr(float(t.value) + cycle * 1e-6), t.position)
+                    if t.type is TokenType.NUMBER and "." in t.value
+                    else t
+                    for t in tokenize(query.sql)
+                ]
+                stream.append(render_statement(tokens))
+                if len(stream) % 11 == 0:
+                    stream.append(
+                        f"UPDATE photoobj SET status = {cycle % 3} "
+                        f"WHERE objid = {1000 + len(stream)}"
+                    )
+        return stream
+
+    def test_builtin_agrees_with_highs_on_a_folded_stream(self):
+        catalog = build_sdss_database(photo_rows=2000, seed=42).catalog
+        stream = self.sdss_stream(cycles=34)
+        folded = compress_statements(stream)
+        assert len(stream) >= 1000 and folded.templates == 30
+        assert folded.workload.update_rates["photoobj"] > 0
+        budget = 120
+
+        def advise(backend):
+            advisor = IlpIndexAdvisor(catalog, compress=True, backend=backend)
+            return advisor.recommend(
+                folded.workload, budget,
+                update_rates=folded.workload.update_rates,
+            )
+
+        builtin, highs = advise("builtin"), advise("scipy")
+        assert builtin.solver_status == highs.solver_status == "optimal"
+        assert builtin.solver_nodes > 1  # a real search, not a root-LP hit
+        assert builtin.maintenance_cost > 0
+        assert builtin.cost_after == pytest.approx(highs.cost_after, rel=1e-9)
+        assert builtin.size_pages <= budget and highs.size_pages <= budget

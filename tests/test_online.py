@@ -15,7 +15,7 @@ from repro.advisor.ilp_advisor import IlpIndexAdvisor
 from repro.catalog.schema import Index, index_signature
 from repro.cli import main as cli_main
 from repro.core.parinda import Parinda
-from repro.errors import ReproError
+from repro.errors import ReproError, TokenizeError
 from repro.resilience.apply import MANAGED_PREFIX
 from repro.resilience.state import load_state
 from repro.resilience.store import FileStateStore
@@ -157,6 +157,14 @@ class TestWorkloadMonitor:
         a_fp, b_fp = canonicalize(self.A), canonicalize(self.B)
         assert counts == {a_fp: 1, b_fp: 3}
         assert monitor.observed == 7
+
+    def test_malformed_number_is_untemplatable_not_a_crash(self):
+        monitor = WorkloadMonitor(window_size=4)
+        with pytest.raises(TokenizeError, match="malformed number"):
+            monitor.observe("SELECT ra FROM photoobj WHERE ra < 1e")
+        assert monitor.observed == 0 and not monitor.templates
+        monitor.observe(self.A)
+        assert [q.sql for q in monitor.snapshot()] == [self.A]
 
     def test_window_distribution_normalized(self):
         monitor = WorkloadMonitor(window_size=8)
@@ -1076,6 +1084,26 @@ class TestFacadeAndCli:
         captured = capsys.readouterr()
         assert "1 skipped" in captured.out
         assert "skipped untemplatable statement" in captured.err
+
+    def test_tune_skips_a_malformed_number_seen_first(self, capsys, tmp_path):
+        # The first statement of a template used to reach float("1e")
+        # in the quarantine parse and kill the daemon with ValueError.
+        path = tmp_path / "stream.sql"
+        path.write_text(
+            "SELECT objid FROM photoobj WHERE ra < 1e;\n"
+            + "".join(
+                f"SELECT objid FROM photoobj WHERE ra < {i}.5;\n"
+                for i in range(1, 7)
+            )
+        )
+        code = cli_main(
+            ["--db", "sdss:500", "tune", "--stream", str(path), "--window", "6"]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "1 skipped" in captured.out
+        assert "malformed number" in captured.err
+        assert "CREATE INDEX ON photoobj" in captured.out
 
     @staticmethod
     def _design_lines(text):

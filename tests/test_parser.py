@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ParseError
+from repro.errors import ParseError, TokenizeError
 from repro.sql.ast_nodes import (
     BetweenExpr,
     BinaryOp,
@@ -170,6 +170,7 @@ class TestErrors:
             "select a from",
             "select a from t where",
             "select a from t limit x",
+            "select a from t limit 1e999",
             "select a from t order by",
             "select a from t group a",
             "select a from t extra junk",
@@ -185,3 +186,17 @@ class TestErrors:
     def test_column_named_like_keyword_rejected(self):
         with pytest.raises(ParseError):
             parse_select("select select from t")
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "select a from t where a < 1e",
+            "select a from t where a < 2.5E-",
+            "select a from t limit 1e+",
+            "select a from t where a < ²",
+        ],
+    )
+    def test_malformed_number_is_a_tokenize_error(self, sql):
+        # Used to reach float()/int() and escape as a bare ValueError.
+        with pytest.raises(TokenizeError):
+            parse_select(sql)

@@ -4,14 +4,25 @@ Hypothesis builds random (but type-sane) SELECT statements directly as
 ASTs; printing and re-parsing must reproduce the identical tree, and
 tokenizing arbitrary printable text must either succeed or raise the
 library's own error type (never crash with something foreign).
+
+The regex tokenizer is also held to the character walker it replaced
+(``tests/reference_tokenizer.py``) token for token and error for error,
+and the canonicalizer's token-free scan to its token-based twin.
 """
 
+import re
 import string
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ReproError
+from repro.errors import CanonicalizeError, ReproError, TokenizeError
+from repro.online.monitor import (
+    canonicalize,
+    canonicalize_tokens,
+    render_statement,
+)
 from repro.sql.ast_nodes import (
     BetweenExpr,
     BinaryOp,
@@ -28,7 +39,11 @@ from repro.sql.ast_nodes import (
 )
 from repro.sql.parser import parse_select
 from repro.sql.printer import to_sql
-from repro.sql.tokenizer import tokenize
+from repro.sql.tokenizer import Token, TokenType, tokenize
+from repro.workloads.sdss import sdss_workload
+from repro.workloads.star import star_workload
+
+from tests.reference_tokenizer import reference_tokenize
 
 _ident = st.sampled_from(["alpha", "beta", "gamma", "delta", "val", "key"])
 _number = st.one_of(
@@ -154,3 +169,157 @@ def test_parser_total(text: str):
         parse_select(text)
     except ReproError:
         pass
+
+
+# ----------------------------------------------------------------------
+# Regex tokenizer vs. the character walker it replaced
+
+_WORDS = ["select", "FROM", "Where", "and", "in", "a", "t1", "_x", "Photo_Obj", "e"]
+_GOOD_NUMBERS = ["0", "42", "3.14", ".5", "1.", "1e6", "2.5E-3", "1.5.x"]
+_DANGLING_EXPONENTS = ["1e", "1e+", "2.5E-", ".5e"]
+_STRINGS = ["'hello'", "'it''s'", "''", "'"]
+_QUOTED = ['"PhotoObj"', '""', '"']
+_OPERATORS = ["<>", "<=", ">=", "!=", "=", "<", ">", "+", "-", "*", "/", "%", "||"]
+_REST = [
+    "(", ")", ",", ".", ";", " ", "\n", "\t",
+    "-- c\n", "--", "/* c */", "/**/", "/*", "*/", "@", "$", "!", "|", "?",
+]
+
+
+def _sql_text(fragments):
+    """Fragments glued with or without a space, so that lexemes also
+    meet edge to edge (``1e`` + ``6``, ``<`` + ``>``, ``'`` + ``'``)."""
+    return st.lists(
+        st.tuples(st.sampled_from(fragments), st.sampled_from(["", " "])),
+        max_size=12,
+    ).map(lambda pairs: "".join(f + gap for f, gap in pairs))
+
+
+_unquoted_sql = _sql_text(
+    _WORDS + _GOOD_NUMBERS + _DANGLING_EXPONENTS + _STRINGS + _OPERATORS + _REST
+)
+_any_text = st.one_of(
+    st.text(alphabet=string.printable, max_size=60),
+    # Dense in the characters whose neighbours decide the lexeme.
+    st.text(alphabet="'\"/*-\n 1eE.+a<>=|!;(", max_size=10),
+    _sql_text(
+        _WORDS + _GOOD_NUMBERS + _DANGLING_EXPONENTS + _STRINGS + _QUOTED
+        + _OPERATORS + _REST
+    ),
+)
+_NUMBER = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
+def _outcome(lexer, text):
+    """What ``lexer`` makes of ``text``, in a form both lexers share."""
+    try:
+        tokens = lexer(text)
+    except TokenizeError as exc:
+        return "error", str(exc), exc.position
+    return "tokens", [
+        (getattr(t.type, "name", t.type), t.value, t.position) for t in tokens
+    ]
+
+
+def _first_dangling_exponent(text, want):
+    """Position of the first NUMBER the old walker emitted that
+    ``float()`` rejects (``1e``, ``2.5E-``), or None. Such input is now
+    refused, on purpose, where that token starts."""
+    if want[0] == "error":
+        want = _outcome(reference_tokenize, text[: want[2]])
+    for kind, value, position in want[1]:
+        if kind == "NUMBER" and not _NUMBER.fullmatch(value):
+            return position
+    return None
+
+
+def _assert_matches_reference(text):
+    want = _outcome(reference_tokenize, text)
+    got = _outcome(tokenize, text)
+    dangling = _first_dangling_exponent(text, want)
+    if dangling is None:
+        assert got == want
+    else:
+        assert got == (
+            "error", f"malformed number (at offset {dangling})", dangling
+        )
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_any_text)
+def test_tokenizer_matches_reference(text: str):
+    _assert_matches_reference(text)
+
+
+@pytest.mark.parametrize(
+    "workload", [sdss_workload(), star_workload()], ids=["sdss", "star"]
+)
+def test_tokenizer_matches_reference_on_shipped_workloads(workload):
+    for query in workload:
+        _assert_matches_reference(query.sql)
+        assert canonicalize(query.sql) == canonicalize_tokens(tokenize(query.sql))
+
+
+def _fingerprint_outcome(fingerprint, text):
+    try:
+        return "fingerprint", fingerprint(text)
+    except (TokenizeError, CanonicalizeError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "position", None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_any_text)
+def test_canonicalize_equals_its_token_based_twin(text: str):
+    """Same fingerprint, or the same error with the same position."""
+    assert _fingerprint_outcome(canonicalize, text) == _fingerprint_outcome(
+        lambda sql: canonicalize_tokens(tokenize(sql)), text
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["é = 1", "x² = 'é'", "select\xa0a", "½", "x ½y", "a < ²", "a < ٣", "'é"],
+)
+def test_canonicalize_equals_its_twin_beyond_ascii(text: str):
+    # The word pattern is wider than str.isalpha() at the start of a word.
+    assert _fingerprint_outcome(canonicalize, text) == _fingerprint_outcome(
+        lambda sql: canonicalize_tokens(tokenize(sql)), text
+    )
+
+
+# A fingerprint drops the quotes of a quoted identifier, so reading one
+# back is only faithful for statements without any.
+@settings(max_examples=200, deadline=None)
+@given(text=_unquoted_sql)
+def test_canonicalize_is_idempotent(text: str):
+    """A fingerprint whose placeholders are read back as literals
+    fingerprints to itself."""
+    try:
+        fingerprint = canonicalize(text)
+    except (TokenizeError, CanonicalizeError):
+        return
+    literal = fingerprint.replace("?+", "0").replace("?", "0")
+    assert canonicalize(literal) == fingerprint
+
+
+_replacement_number = st.sampled_from(_GOOD_NUMBERS[:-1] + ["7", "1e-07", "180.0000217"])
+_replacement_string = st.text(alphabet=string.ascii_letters + " %_';-/*", max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_unquoted_sql, data=st.data())
+def test_template_is_stable_under_literal_perturbation(text: str, data):
+    """Changing only NUMBER/STRING values never changes the template."""
+    try:
+        tokens = tokenize(text)
+        fingerprint = canonicalize(text)
+    except (TokenizeError, CanonicalizeError):
+        return
+    perturbed = []
+    for token in tokens:
+        if token.type is TokenType.NUMBER:
+            token = Token(token.type, data.draw(_replacement_number), token.position)
+        elif token.type is TokenType.STRING:
+            token = Token(token.type, data.draw(_replacement_string), token.position)
+        perturbed.append(token)
+    assert canonicalize(render_statement(perturbed)) == fingerprint

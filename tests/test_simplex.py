@@ -176,3 +176,86 @@ class TestStopCallable:
         hooked = SimplexSolver().solve(compiled, stop=lambda: False)
         assert plain.status == hooked.status == "optimal"
         assert np.array_equal(plain.x, hooked.x)
+
+
+def _pivot_row_by_row(tableau: np.ndarray, row: int, col: int) -> None:
+    """The interpreted elimination loop ``_pivot`` replaced."""
+    tableau[row, :] /= tableau[row, col]
+    for r in range(tableau.shape[0]):
+        if r != row and abs(tableau[r, col]) > 1e-13:
+            tableau[r, :] -= tableau[r, col] * tableau[row, :]
+
+
+class TestPivotBitIdentity:
+    """The rank-1 update performs, element for element, the IEEE
+    operations of the row loop: equal bytes, not approximately equal."""
+
+    @staticmethod
+    def _tableaux():
+        rng = np.random.default_rng(20100322)
+        for case in range(40):
+            rows, cols = rng.integers(2, 30), rng.integers(2, 60)
+            tableau = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=(rows, cols))
+            kind = case % 4
+            if kind == 1:  # ~90 % zeros, like a real simplex tableau
+                tableau[rng.random(tableau.shape) < 0.9] = 0.0
+            row, col = rng.integers(rows), rng.integers(cols)
+            if kind == 2:  # pivot-column entries straddling the threshold
+                tableau[:, col] = rng.choice(
+                    [0.0, -0.0, 9e-14, -9e-14, 1e-13, 1.1e-13, -1.1e-13, 3.0],
+                    size=rows,
+                )
+            if kind == 3:  # nothing to eliminate
+                tableau[:, col] = 0.0
+            tableau[row, col] = rng.choice([-2.5, 0.3, 1.0, 7.0])
+            yield tableau, int(row), int(col)
+
+    def test_equal_bytes_on_random_tableaux(self):
+        for tableau, row, col in self._tableaux():
+            want = tableau.copy()
+            _pivot_row_by_row(want, row, col)
+            SimplexSolver._pivot(tableau, row, col)
+            assert tableau.tobytes() == want.tobytes()
+
+    def test_pivot_column_becomes_a_unit_vector(self):
+        tableau = np.array([[2.0, 1.0, 4.0], [1.0, 3.0, 6.0], [0.0, 5.0, 1.0]])
+        SimplexSolver._pivot(tableau, 0, 0)
+        assert tableau[:, 0].tolist() == [1.0, 0.0, 0.0]
+        assert tableau[1].tolist() == [0.0, 2.5, 4.0]
+        assert tableau[2].tolist() == [0.0, 5.0, 1.0]
+
+
+class TestReentrancy:
+    def test_interleaved_solves_on_one_instance(self):
+        # Branch and bound shares one solver across all its nodes, so a
+        # solve must leave nothing behind for the next one to read.
+        first = LinearProgram()
+        x = first.add_variable("x", upper_bound=4.0)
+        y = first.add_variable("y", upper_bound=3.0)
+        first.set_objective({x: 3, y: 2})
+        first.add_constraint({x: 1, y: 1}, Sense.LE, 5)
+        second = LinearProgram()
+        a = second.add_variable("a")
+        b = second.add_variable("b")
+        c = second.add_variable("c", upper_bound=1.0)
+        second.set_objective({a: 1, b: 1, c: 5})
+        second.add_constraint({a: 1, b: 2}, Sense.EQ, 4)
+        second.add_constraint({a: 1, c: 1}, Sense.GE, 1)
+        programs = [first.compile(), second.compile()]
+
+        shared = SimplexSolver()
+        seen_by_first = []
+
+        def solve_the_other_one() -> bool:
+            # Runs once per pivot of the outer solve, on the same solver.
+            seen_by_first.append(shared.solve(programs[1]))
+            return False
+
+        outer = shared.solve(programs[0], stop=solve_the_other_one)
+        assert seen_by_first
+        for got, program in [(outer, programs[0]), (seen_by_first[-1], programs[1])]:
+            want = SimplexSolver().solve(program)
+            assert got.status == want.status == "optimal"
+            assert got.x.tobytes() == want.x.tobytes()
+            assert got.objective == want.objective
+        assert set(vars(shared)) == {"_max_iterations", "_tol"}
