@@ -167,18 +167,11 @@ class IndexAdvisor:
         max_candidates_per_table: int = 40,
         max_index_width: int = 3,
         single_column_only: bool = False,
-        workers: int = 1,
-        parallel_mode: str = "auto",
         cost_cache: CostCache | None = None,
         fault_injector: FaultInjector | None = None,
     ) -> None:
-        """Args (performance knobs; the rest are search-space knobs):
+        """Args (the rest are search-space knobs):
 
-        workers: Pool width for per-query INUM model construction.
-            ``1`` (default) is strictly serial; any ``N`` produces
-            bit-identical recommendations — parallelism and the shared
-            caches only change timing and counters.
-        parallel_mode: ``"thread"``, ``"process"``, or ``"auto"``.
         cost_cache: Share a :class:`CostCache` across advisors or
             repeated ``recommend`` calls; by default each call gets a
             fresh one.
@@ -190,8 +183,6 @@ class IndexAdvisor:
         self._max_per_table = max_candidates_per_table
         self._max_width = max_index_width
         self._single_column_only = single_column_only
-        self._workers = workers
-        self._parallel_mode = parallel_mode
         self._cost_cache = cost_cache
         self._fault_injector = fault_injector
 
@@ -313,8 +304,6 @@ class IndexAdvisor:
             self._catalog,
             workload,
             self._config,
-            workers=self._workers,
-            mode=self._parallel_mode,
             cost_cache=cost_cache if cost_cache is not None else self._cost_cache,
             bound=bound,
             fault_injector=self._fault_injector,

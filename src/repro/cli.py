@@ -66,6 +66,7 @@ from repro.errors import (
     CanonicalizeError,
     FaultInjected,
     ReproError,
+    ResilienceError,
     StaleLeaseError,
     StateCorruptError,
     TokenizeError,
@@ -257,7 +258,10 @@ def _drive_stream(
 
 def _load_workload(path: str | None, db_spec: str) -> Workload:
     if path is not None:
-        return Workload.from_file(path)
+        try:
+            return Workload.from_file(path)
+        except OSError as exc:
+            raise SystemExit(f"error: {exc}")
     return sdss_workload() if db_spec.startswith("sdss") else star_workload()
 
 
@@ -442,7 +446,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         max_rounds=args.rounds,
         seed=args.seed,
         max_share=args.max_share,
-        workers=args.workers,
     )
     result = tuner.tune(workload)
     print(
@@ -532,7 +535,6 @@ def _fleet_serve(args: argparse.Namespace) -> int:
         max_share=args.max_share,
         max_rounds=args.rounds,
         seed=args.seed,
-        workers=args.workers,
         listener=listener,
     )
     resume_position = 0
@@ -662,7 +664,6 @@ def cmd_tune(args: argparse.Namespace) -> int:
         check_interval=args.check_interval,
         warmup=args.warmup,
         build_cost_per_page=args.build_cost_per_page,
-        workers=args.workers,
         background=args.background,
         listener=listener,
         compress=args.compress,
@@ -937,7 +938,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CoPhy scale mode: re-advise the full decayed "
                         "template profile with workload compression and "
                         "pruned ILP (for 10k+ statement streams)")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--cache-entries", type=int, default=4096,
                    help="per-section CostCache bound (LRU)")
     p.add_argument("--apply", action="store_true",
@@ -976,8 +976,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "one replica may serve (1.0 disables)")
     p.add_argument("--seed", type=int, default=0,
                    help="clustering seed (fixed seed => identical fleet)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="per-cluster advisor fan-out width")
     p.add_argument("--baseline", action="store_true",
                    help="also tune the uniform single-design baseline "
                         "and report the divergent saving")
@@ -1055,6 +1053,14 @@ def main(argv: list[str] | None = None) -> int:
         # supervisors do NOT blindly restart it against the same store.
         _warn(f"fenced off the state store: {exc}")
         return EXIT_STALE_LEASE
+    except ResilienceError:
+        # Injected faults, corrupt state and journal conflicts that got
+        # this far stand in for a crash and must look like one.
+        raise
+    except ReproError as exc:
+        # A user mistake (bad SQL, unknown column, out-of-range flag):
+        # one line and exit 1, not a stack trace.
+        raise SystemExit(f"error: {exc}")
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

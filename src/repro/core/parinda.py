@@ -127,9 +127,9 @@ class Parinda:
         database backend, the tuner resumes on a host that has no
         local state files at all.
         ``knobs`` pass through to :class:`OnlineTuner` (``window_size``,
-        ``check_interval``, ``build_cost_per_page``, ``workers``,
-        ``background``, ``listener``, ``compress`` for CoPhy scale
-        mode on long streams, ...).
+        ``check_interval``, ``build_cost_per_page``, ``background``,
+        ``listener``, ``compress`` for CoPhy scale mode on long
+        streams, ...).
 
         ``auto_apply=True`` materializes every adopted design through
         :meth:`apply_design` (journaled in slot ``"apply"`` of
@@ -193,7 +193,7 @@ class Parinda:
         private cache for its own advisor runs (bounded like the
         facade's when ``cache_max_entries`` was set). ``knobs`` pass
         through to :class:`DivergentTuner` (``max_rounds``, ``seed``,
-        ``max_share``, ``workers``, ``advisor_knobs``, ...).
+        ``max_share``, ``advisor_knobs``, ...).
         """
         from repro.fleet.tuner import DivergentTuner
 
@@ -279,7 +279,6 @@ class Parinda:
         workload: Workload,
         replication_limit: float = 0.25,
         tables: list[str] | None = None,
-        workers: int = 1,
     ) -> PartitionAdvisorResult:
         """Optimal vertical partitions for ``workload`` (AutoPart)."""
         advisor = AutoPartAdvisor(
@@ -287,7 +286,6 @@ class Parinda:
             self._config,
             replication_limit=replication_limit,
             tables=tables,
-            workers=workers,
             fault_injector=self._fault_injector,
         )
         return advisor.recommend(workload)
@@ -311,14 +309,9 @@ class Parinda:
         budget_pages: int | None = None,
         backend: str = "builtin",
         single_column_only: bool = False,
-        workers: int = 1,
-        parallel_mode: str = "auto",
         compress: bool = False,
     ) -> AdvisorResult:
         """Optimal index set within a storage budget (INUM + ILP).
-
-        ``workers=N`` fans per-query INUM model construction out over a
-        pool; the recommendation is bit-identical to ``workers=1``.
 
         ``compress=True`` enables CoPhy scale mode: the workload is
         folded onto canonical templates before advising (10k raw
@@ -335,8 +328,6 @@ class Parinda:
             self._config,
             backend=backend,
             single_column_only=single_column_only,
-            workers=workers,
-            parallel_mode=parallel_mode,
             cost_cache=self._cost_cache,
             fault_injector=self._fault_injector,
             compress=compress,

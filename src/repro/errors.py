@@ -13,9 +13,9 @@ Catch-at-boundary contract (the resilience layer)
       the advisor that owns the workload loop, which quarantines the
       query and records a
       :class:`~repro.resilience.degrade.DegradedResult`;
-    * :class:`WorkerCrashError` (real pool breakage or an injected
-      ``worker.task`` fault) is caught by the evaluation engine, which
-      retries the task once and then degrades to serial execution;
+    * :class:`WorkerCrashError` (the background worker's decision
+      thread died) is reported to the supervising ``on_crash`` callback
+      by the worker's watchdog, which restarts the thread;
     * :class:`SolverError` and a ``solver.iterate`` fault are caught by
       :class:`~repro.advisor.ilp_advisor.IlpIndexAdvisor`, which falls
       back to the greedy baseline selection;
@@ -174,4 +174,4 @@ class ApplyConflictError(ResilienceError):
 
 
 class WorkerCrashError(ResilienceError):
-    """A pool worker (process or simulated) died while running a task."""
+    """The background worker's thread died while work was pending."""

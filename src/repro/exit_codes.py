@@ -6,9 +6,9 @@ lives here with a one-line meaning, the CLI imports them instead of
 scattering literals, and a doc-drift test pins the README's exit-code
 table to :data:`EXIT_CODE_DOCS` — a new code cannot land undocumented.
 
-Codes 1 and 2 are deliberately not claimed: Python reserves 1 for an
-unhandled error (any uncaught :class:`~repro.errors.ReproError`
-message) and argparse exits 2 on usage errors.
+Codes 1 and 2 are deliberately not claimed: 1 is any other error (a
+user mistake reported as one ``error:`` line, or Python's own exit for
+an unhandled exception) and argparse exits 2 on usage errors.
 """
 
 from __future__ import annotations

@@ -3,12 +3,11 @@
 The fleet layer sits on top of every existing subsystem: it clusters a
 workload by index-utilization similarity (priced through the batched
 INUM evaluator), tunes one :class:`Replica` per cluster with the ILP
-advisor fanned over the parallel engine, and routes statements to
-whichever replica's design prices them cheapest. See
-:mod:`repro.fleet.tuner` for the cluster→tune→route loop and its
-convergence contract, and :mod:`repro.fleet.serve` for the closed
-serving loop that re-tunes on drift, rolls designs out replica by
-replica, and rolls a regressing replica back automatically.
+advisor, and routes statements to whichever replica's design prices
+them cheapest. See :mod:`repro.fleet.tuner` for the cluster→tune→route
+loop and its convergence contract, and :mod:`repro.fleet.serve` for
+the closed serving loop that re-tunes on drift, rolls designs out
+replica by replica, and rolls a regressing replica back automatically.
 """
 
 from repro.fleet.clusterer import WorkloadClusterer

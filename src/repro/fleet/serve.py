@@ -211,7 +211,7 @@ class FleetController:
             stays under the health gate before it is trusted.
         retry_steps: Passed to every executor apply/rollback; kill
             sweeps set False so injected faults abort deterministically.
-        max_share / max_rounds / seed / workers / advisor_knobs /
+        max_share / max_rounds / seed / advisor_knobs /
             cost_cache / cache_max_entries: forwarded to re-tunes
             (see :class:`DivergentTuner`).
         fault_injector: Explicit injector; ``None`` defers to the
@@ -239,7 +239,6 @@ class FleetController:
         max_share: float = 1.0,
         max_rounds: int = 4,
         seed: int = 0,
-        workers: int = 1,
         advisor_knobs: dict | None = None,
         cost_cache: CostCache | None = None,
         cache_max_entries: int | None = None,
@@ -272,7 +271,6 @@ class FleetController:
         self._max_share = max_share
         self._max_rounds = max_rounds
         self._seed = seed
-        self._workers = workers
         self._advisor_knobs = dict(advisor_knobs or {})
         self._cost_cache = cost_cache if cost_cache is not None else CostCache()
         self._cache_max_entries = cache_max_entries
@@ -510,7 +508,6 @@ class FleetController:
             max_rounds=self._max_rounds,
             seed=self._seed,
             max_share=self._max_share,
-            workers=self._workers,
             cost_cache=self._cost_cache,
             cache_max_entries=self._cache_max_entries,
             fault_injector=self._fault_injector,

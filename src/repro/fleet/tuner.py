@@ -12,14 +12,13 @@ space with the RITA-style alternating loop:
    one cluster per replica.
 2. **Tune** — run one :class:`~repro.advisor.ilp_advisor.IlpIndexAdvisor`
    per cluster against that replica's cloned catalog and private cost
-   cache, all clusters fanned over a
-   :class:`~repro.parallel.engine.EvaluationEngine`. Every advisor
-   prices against the *same* shared candidate pool (the advisor's
-   ``candidates=`` injection), so designs from different replicas are
-   directly comparable, and the full resilience ladder — per-query
-   quarantine, solver fallback, worker-crash retry→serialize — stays
-   intact per cluster: one failing replica advise degrades to its
-   previous design instead of aborting the fleet.
+   cache, one cluster after another. Every advisor prices against the
+   *same* shared candidate pool (the advisor's ``candidates=``
+   injection), so designs from different replicas are directly
+   comparable, and the resilience ladder — per-query quarantine,
+   solver fallback — stays intact per cluster: one failing replica
+   advise degrades to its previous design instead of aborting the
+   fleet.
 3. **Route** — re-price every template against every replica's new
    design in one batched evaluation and reassign each template to its
    cheapest replica (deterministic tie-break, optional load cap via
@@ -60,7 +59,7 @@ from repro.inum.batch import WorkloadEvaluator
 from repro.online.monitor import WorkloadMonitor, canonicalize
 from repro.optimizer.config import PlannerConfig
 from repro.parallel.caches import CostCache
-from repro.parallel.engine import EvaluationEngine, bind_workload
+from repro.parallel.engine import bind_workload
 from repro.resilience.degrade import DegradedResult
 from repro.resilience.faults import FaultInjector
 from repro.workloads.workload import Query, Workload
@@ -127,8 +126,6 @@ class DivergentTuner:
             whole run deterministic.
         max_share: Router load cap (fraction of routed weight one
             replica may serve); 1.0 disables balancing.
-        workers: Fan-out width for the per-cluster advisor runs (and
-            the advisors' own model builds run serially under it).
         cost_cache: Fleet-level shared cache for candidate sizing,
             binding, and the clustering evaluator's model builds; each
             replica additionally keeps its own cache for its advisor
@@ -149,8 +146,6 @@ class DivergentTuner:
         max_rounds: int = 8,
         seed: int = 0,
         max_share: float = 1.0,
-        workers: int = 1,
-        parallel_mode: str = "auto",
         cost_cache: CostCache | None = None,
         cache_max_entries: int | None = None,
         fault_injector: FaultInjector | None = None,
@@ -169,8 +164,6 @@ class DivergentTuner:
         self.max_rounds = max_rounds
         self.seed = seed
         self.max_share = max_share
-        self._workers = workers
-        self._parallel_mode = parallel_mode
         self._cache = cost_cache if cost_cache is not None else CostCache()
         self._cache_max_entries = cache_max_entries
         self._fault_injector = fault_injector
@@ -210,11 +203,6 @@ class DivergentTuner:
             for r in range(self.n_replicas)
         ]
 
-        engine = EvaluationEngine(
-            workers=self._workers,
-            mode=self._parallel_mode,
-            fault_injector=self._fault_injector,
-        )
         rounds: list[FleetRound] = []
         converged = False
         costs = np.zeros((len(workload), self.n_replicas))
@@ -223,7 +211,7 @@ class DivergentTuner:
             for qi, r in enumerate(assignment):
                 clusters[r].append(qi)
             designs_changed = self._tune_clusters(
-                workload, clusters, replicas, candidates, engine, degraded
+                workload, clusters, replicas, candidates, degraded
             )
             costs = evaluator.per_query_costs(
                 [
@@ -363,8 +351,6 @@ class DivergentTuner:
         advisor = IlpIndexAdvisor(
             self._catalog,
             self._config,
-            workers=self._workers,
-            parallel_mode=self._parallel_mode,
             cost_cache=self._cache,
             fault_injector=self._fault_injector,
             **self._advisor_knobs,
@@ -386,17 +372,15 @@ class DivergentTuner:
         clusters: list[list[int]],
         replicas: list[Replica],
         candidates: list[CandidateIndex],
-        engine: EvaluationEngine,
         degraded: list[DegradedResult],
     ) -> bool:
-        """One advisor run per non-empty cluster, fanned over the engine.
+        """One advisor run per non-empty cluster, in replica order.
 
         Returns True when any replica's design changed. A cluster whose
         advise fails outright keeps the replica's previous design (a
         stale-but-valid design beats an empty one on a live fleet) and
-        records a ``fallback`` degradation; the engine's own
-        ``worker.task`` retry→serialize ladder covers simulated pool
-        crashes. Either way the fleet round completes.
+        records a ``fallback`` degradation, so the fleet round
+        completes.
         """
         update_rates = dict(workload.update_rates) or None
 
@@ -437,12 +421,7 @@ class DivergentTuner:
                 ]
             return tuple(result.indexes), result, list(result.degraded)
 
-        outcomes = engine.map(
-            tune_one,
-            list(range(self.n_replicas)),
-            labels=[f"fleet replica {r}" for r in range(self.n_replicas)],
-        )
-        degraded.extend(engine.drain_degraded())
+        outcomes = [tune_one(r) for r in range(self.n_replicas)]
         changed = False
         for r, (design, result, records) in enumerate(outcomes):
             degraded.extend(records)

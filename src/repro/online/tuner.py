@@ -215,8 +215,6 @@ class OnlineTuner:
         check_interval: int = 32,
         warmup: int | None = None,
         build_cost_per_page: float = 4.0,
-        workers: int = 1,
-        parallel_mode: str = "auto",
         cost_cache: CostCache | None = None,
         cache_max_entries: int = 4096,
         listener: Callable[[TuningEvent], None] | None = None,
@@ -254,8 +252,6 @@ class OnlineTuner:
         self._advisor = IlpIndexAdvisor(
             catalog,
             self._config,
-            workers=workers,
-            parallel_mode=parallel_mode,
             cost_cache=self.cache,
             fault_injector=fault_injector,
             compress=self.compress,

@@ -1,4 +1,4 @@
-"""Parallel workload evaluation: shared cost caches and model fan-out.
+"""Workload evaluation support: shared cost caches and model builds.
 
 The advisor stack prices a workload by building one INUM model per
 query and then evaluating thousands of configurations against those
@@ -10,11 +10,9 @@ package provides:
 * :class:`~repro.parallel.caches.CostCache` — a thread-safe,
   catalog-versioned memoization layer shared across queries and
   advisors, with per-section hit/miss counters.
-* :class:`~repro.parallel.engine.EvaluationEngine` and
-  :func:`~repro.parallel.engine.build_inum_models` — serial-by-default
-  fan-out of per-query INUM cache construction over thread or process
-  pools. ``workers=1`` (the default) is strictly serial;
-  ``workers=N`` is an opt-in that produces bit-identical results.
+* :func:`~repro.parallel.engine.build_inum_models` — one INUM model
+  per query, built in-process in workload order and rehydrated from
+  the cache's snapshots when the same query was modeled before.
 * :class:`~repro.parallel.engine.BackgroundWorker` — a single daemon
   thread draining a bounded, oldest-evicting hand-off queue in strict
   submission order; the online tuner's non-blocking observe path rides
@@ -24,7 +22,6 @@ package provides:
 from repro.parallel.caches import CostCache, SectionCounters
 from repro.parallel.engine import (
     BackgroundWorker,
-    EvaluationEngine,
     build_inum_models,
 )
 
@@ -32,6 +29,5 @@ __all__ = [
     "BackgroundWorker",
     "CostCache",
     "SectionCounters",
-    "EvaluationEngine",
     "build_inum_models",
 ]

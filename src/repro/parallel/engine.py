@@ -1,233 +1,40 @@
-"""The parallel workload-evaluation engine.
+"""In-process evaluation helpers: model builds and the background hand-off.
 
-Per-query INUM cache construction is embarrassingly parallel: each
-model issues its own optimizer calls against a read-only catalog. The
-engine fans those builds out over a thread pool (cheap, shares the
-:class:`~repro.parallel.caches.CostCache`) or a process pool (true
-parallelism on multi-core machines; models come back as picklable
-snapshots and are rehydrated in the parent).
+:func:`build_inum_models` builds one INUM model per workload query,
+serially, on the calling thread, in workload order. Every build is a
+pure function of (catalog, query, config), so a warm
+:class:`~repro.parallel.caches.CostCache` rehydrates models
+bit-identically from their snapshots instead of rebuilding them. There
+is no pool: the build is pure Python under the GIL, so threads never
+overlapped it, and a process pool cost 60-180 ms of start-up and
+transport per batch against ~3 ms of work per template (DESIGN.md,
+"Performance architecture").
 
-Determinism guarantee: ``workers=1`` (the default) runs strictly
-serially. ``workers=N`` must — and does — produce bit-identical
-results: every model build is a pure function of (catalog, query,
-config), results are collected in workload order, and shared-cache
-values are pure functions of their keys. The only observable
-differences are timing and cache hit/miss counters.
+:class:`BackgroundWorker` is not a pool either: it takes work *off* the
+caller's latency path (one daemon thread, bounded FIFO) rather than
+making it faster.
 
-Failure isolation: with a :class:`~repro.resilience.FaultInjector`
-attached (explicitly or via ``REPRO_FAULTS``), the ``worker.task``
-fault point fires at *dispatch time on the caller's thread*, in input
-order — never inside a pooled function — so which task "crashes" is a
-pure function of the schedule, not of thread timing. A crashed task is
-retried once; a second consecutive crash abandons the pool and the
-remaining tasks run serially (recorded on :attr:`EvaluationEngine.
-degraded`). Because every task is a pure function, both ladders keep
-results bit-identical to the fault-free run. A genuinely broken
-process pool degrades the same way: the batch is re-run on threads and
-the crash is recorded.
+Failure isolation: a query whose model build fails — a real
+:class:`~repro.errors.ReproError` or an injected ``inum.build`` fault —
+is quarantined, never fatal to the batch.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
 import threading
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Iterable, Sequence, TypeVar
+from typing import Any, Callable
 
 from repro.catalog.catalog import Catalog
 from repro.errors import FaultInjected, ReproError, WorkerCrashError
 from repro.inum.model import InumModel, InumSnapshot
 from repro.optimizer.config import PlannerConfig
-from repro.parallel import shm
 from repro.parallel.caches import CostCache
 from repro.resilience import faults
 from repro.resilience.degrade import DegradedResult
 from repro.resilience.faults import FaultInjector
-from repro.sql.binder import BoundQuery, bind
-from repro.sql.parser import parse_select
+from repro.sql.binder import BoundQuery
 from repro.workloads.workload import Workload
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-# Below this many tasks a pool's startup cost outweighs any overlap.
-_MIN_TASKS_FOR_POOL = 2
-
-
-class EvaluationEngine:
-    """Deterministic fan-out of independent evaluation tasks.
-
-    Args:
-        workers: Pool width. ``1`` (default) means strictly serial
-            execution on the calling thread.
-        mode: ``"thread"``, ``"process"``, or ``"auto"``. Auto picks
-            processes only when the machine has enough cores for them
-            to pay off (>2), threads on a dual-core machine, and plain
-            serial execution on a single core — where any pool is pure
-            overhead and results are identical by construction. Process
-            mode requires picklable payloads and falls back to threads
-            when pickling fails. The ``REPRO_PARALLEL_MODE`` environment
-            variable (``serial``/``thread``/``process``) overrides the
-            auto heuristic — CI uses it to force the process-pool
-            snapshot transport path on any machine; an explicit ``mode``
-            argument still wins over the environment.
-    """
-
-    def __init__(
-        self,
-        workers: int = 1,
-        mode: str = "auto",
-        fault_injector: FaultInjector | None = None,
-    ) -> None:
-        if mode not in ("auto", "thread", "process"):
-            raise ReproError(f"unknown parallel mode {mode!r}")
-        self.workers = max(1, int(workers))
-        self.mode = mode
-        self._faults = fault_injector
-        #: DegradedResult records from fault-tolerant map() calls.
-        self.degraded: list[DegradedResult] = []
-
-    def resolve_mode(self) -> str:
-        if self.mode != "auto":
-            return self.mode
-        forced = os.environ.get("REPRO_PARALLEL_MODE", "").strip().lower()
-        if forced in ("serial", "thread", "process"):
-            return forced
-        cores = os.cpu_count() or 1
-        if cores > 2:
-            return "process"
-        return "thread" if cores == 2 else "serial"
-
-    def close(self) -> None:
-        """Release transport resources (shared-memory segments).
-
-        The process-pool build path normally unlinks its segments as it
-        decodes them; close() sweeps anything that survived an abnormal
-        path (a worker that died mid-handoff, an exception between
-        encode and decode). Idempotent, and safe to call on engines
-        that never touched shared memory.
-        """
-        shm.release_all()
-
-    def __enter__(self) -> "EvaluationEngine":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def drain_degraded(self) -> list[DegradedResult]:
-        """Return and clear the accumulated degradation records.
-
-        ``degraded`` accumulates across :meth:`map` calls, which is
-        right for one-shot advisors but double-counts for round-based
-        callers (the fleet tuner reuses one engine across tuning
-        rounds). Draining hands each record to exactly one consumer.
-        """
-        records = self.degraded
-        self.degraded = []
-        return records
-
-    def map(
-        self,
-        fn: Callable[[T], R],
-        items: Sequence[T],
-        labels: Sequence[str] | None = None,
-    ) -> list[R]:
-        """``[fn(x) for x in items]`` with optional thread fan-out.
-
-        Results are returned in input order regardless of completion
-        order. Closures are allowed (this path never pickles), so this
-        is the workhorse for in-process parallelism; use
-        :func:`build_inum_models` for the process-pool path.
-
-        When a fault injector is in effect the ``worker.task`` point is
-        checked once per item, at dispatch time in input order;
-        ``labels`` names the items in degradation records. With no
-        injector this is byte-for-byte the plain map.
-        """
-        items = list(items)
-        serial = (
-            self.workers == 1
-            or len(items) < _MIN_TASKS_FOR_POOL
-            or self.resolve_mode() == "serial"
-        )
-        injector = faults.resolve(self._faults)
-        if injector is not None:
-            return self._map_with_faults(fn, items, labels, injector, serial)
-        if serial:
-            return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=min(self.workers, len(items))) as pool:
-            return list(pool.map(fn, items))
-
-    def _map_with_faults(
-        self,
-        fn: Callable[[T], R],
-        items: list[T],
-        labels: Sequence[str] | None,
-        injector: FaultInjector,
-        serial: bool,
-    ) -> list[R]:
-        """Dispatch with per-task crash simulation and recovery.
-
-        One fired ``worker.task`` check means the pooled task crashed:
-        it is retried (one more check). A second consecutive crash on
-        the same task abandons the pool — the remaining tasks run
-        serially with no further checks, like an engine that has lost
-        its executor. All of this happens on the caller's thread before
-        any task runs, so fault placement is schedule-deterministic.
-        """
-        names = (
-            [str(label) for label in labels]
-            if labels is not None
-            else [f"task {i}" for i in range(len(items))]
-        )
-        dispatched: list[int] = []
-        leftover: list[int] = []
-        pool_alive = True
-        for idx in range(len(items)):
-            if not pool_alive:
-                leftover.append(idx)
-                continue
-            try:
-                injector.check("worker.task", names[idx])
-            except FaultInjected as exc:
-                self.degraded.append(
-                    DegradedResult("worker.task", names[idx], "retried", str(exc))
-                )
-                try:
-                    injector.check("worker.task", names[idx])
-                except FaultInjected:
-                    crash = WorkerCrashError(
-                        f"worker task {names[idx]!r} crashed twice; "
-                        "running remaining tasks serially"
-                    )
-                    self.degraded.append(
-                        DegradedResult(
-                            "worker.task", names[idx], "serialized", str(crash)
-                        )
-                    )
-                    pool_alive = False
-                    leftover.append(idx)
-                    continue
-            dispatched.append(idx)
-
-        results: list[R] = [None] * len(items)  # type: ignore[list-item]
-        if serial or len(dispatched) < _MIN_TASKS_FOR_POOL:
-            for idx in dispatched:
-                results[idx] = fn(items[idx])
-        else:
-            with ThreadPoolExecutor(
-                max_workers=min(self.workers, len(dispatched))
-            ) as pool:
-                mapped = pool.map(fn, (items[idx] for idx in dispatched))
-                for idx, value in zip(dispatched, mapped):
-                    results[idx] = value
-        for idx in leftover:
-            results[idx] = fn(items[idx])
-        return results
 
 
 # ----------------------------------------------------------------------
@@ -237,11 +44,11 @@ class EvaluationEngine:
 class BackgroundWorker:
     """One daemon thread draining a bounded FIFO of hand-off items.
 
-    The counterpart to the pools above for work that must happen *off*
-    the caller's latency path rather than *faster*: the caller submits
-    an item and keeps going; the worker invokes ``handler(item)`` for
-    each item strictly in submission order (single thread, so handler
-    state needs no internal ordering logic).
+    For work that must happen *off* the caller's latency path rather
+    than *faster*: the caller submits an item and keeps going; the
+    worker invokes ``handler(item)`` for each item strictly in
+    submission order (single thread, so handler state needs no
+    internal ordering logic).
 
     Overflow policy — ``submit`` **never blocks**. When the queue is
     full the *oldest pending* item is evicted to make room and
@@ -388,7 +195,7 @@ class BackgroundWorker:
 
 
 # ----------------------------------------------------------------------
-# INUM model fan-out
+# INUM model builds
 
 
 def build_inum_models(
@@ -396,20 +203,17 @@ def build_inum_models(
     workload: Workload,
     config: PlannerConfig | None = None,
     *,
-    workers: int = 1,
-    mode: str = "auto",
     max_combinations: int = 32,
     cost_cache: CostCache | None = None,
     bound: dict[str, BoundQuery] | None = None,
     fault_injector: FaultInjector | None = None,
     degraded: list[DegradedResult] | None = None,
 ) -> dict[str, InumModel]:
-    """One INUM model per workload query, built serially or in parallel.
+    """One INUM model per workload query, built in workload order.
 
     Queries are bound up front (through the shared ``cost_cache`` when
     given) and models are returned keyed by query name, in workload
-    order. ``workers=1`` is the serial reference path; any ``workers``
-    value yields bit-identical models.
+    order.
 
     Per-query failure isolation: a query whose model build raises a
     :class:`~repro.errors.ReproError` (including an injected
@@ -467,8 +271,7 @@ def build_inum_models(
     names = [query.name for query in workload]
 
     # Injected inum.build faults are checked up front, in workload
-    # order on the calling thread, so the quarantined query is a pure
-    # function of the schedule even when builds run pooled.
+    # order, so their records precede those of builds that really fail.
     quarantined: set[str] = set()
     for name in names:
         try:
@@ -489,47 +292,8 @@ def build_inum_models(
                 DegradedResult("inum.build", name, "quarantined", str(exc))
             )
             return None
-    engine = EvaluationEngine(
-        workers=workers, mode=mode, fault_injector=fault_injector
-    )
-    resolved = engine.resolve_mode()
-    faulted = faults.resolve(fault_injector) is not None
-    all_snapshots_cached = cost_cache is not None and all(
-        cost_cache.contains(
-            "inum",
-            (catalog.cache_key, config_fp, sql_of[name], max_combinations),
-        )
-        for name in names
-    )
-    if (
-        engine.workers == 1
-        or len(names) < _MIN_TASKS_FOR_POOL
-        or resolved == "serial"
-        or all_snapshots_cached  # rehydration only: pools are overhead
-    ):
-        serial_engine = EvaluationEngine(
-            workers=1, fault_injector=fault_injector
-        )
-        built = serial_engine.map(build_guarded, names, labels=names)
-        sink.extend(serial_engine.degraded)
-        return {
-            name: model for name, model in zip(names, built) if model is not None
-        }
 
-    if resolved == "process" and not faulted:
-        # Injected faults fire parent-side at dispatch; with a harness
-        # attached the in-process paths below carry the same batch so
-        # fault placement stays schedule-deterministic.
-        models = _build_in_processes(
-            catalog, workload, config, engine.workers, max_combinations,
-            bound, cost_cache, sink,
-        )
-        if models is not None:
-            return models
-        # Unpicklable payload or broken pool: threads still work.
-
-    built = engine.map(build_guarded, names, labels=names)
-    sink.extend(engine.degraded)
+    built = [build_guarded(name) for name in names]
     return {name: model for name, model in zip(names, built) if model is not None}
 
 
@@ -546,123 +310,3 @@ def bind_workload(
         else:
             out[query.name] = query.bind(catalog)
     return out
-
-
-def _build_in_processes(
-    catalog: Catalog,
-    workload: Workload,
-    config: PlannerConfig,
-    workers: int,
-    max_combinations: int,
-    bound: dict[str, BoundQuery],
-    cost_cache: CostCache | None,
-    degraded: list[DegradedResult] | None = None,
-) -> dict[str, InumModel] | None:
-    """Build snapshots in worker processes; None when not picklable.
-
-    Workers rebuild the full model and ship back only the plan-cache
-    snapshot; the parent rehydrates an estimation-ready model around
-    its own bound query. Worker-side cache counters are not propagated.
-    A broken pool (a worker process died) also returns None — the
-    caller re-runs the whole batch on threads, which is the coarse
-    process-level version of the retry-then-serialize ladder — after
-    recording a ``serialized`` degradation.
-
-    Transport: the (catalog, config) pair is pickled ONCE into a
-    shared-memory broadcast segment instead of once per task, and
-    workers return snapshots as shared-memory segments (numpy float
-    buffers plus a small pickled header) rather than pickling them
-    back through the result pipe. Either side of that transport can decline — broadcast
-    unpicklable, segment allocation failing, a worker returning the
-    plain-pickle tag — and the affected payload silently rides the
-    original pickle path; recommendations are bit-identical either way.
-    """
-    names = [query.name for query in workload]
-    handle = shm.broadcast((catalog, config))
-    if handle is not None:
-        worker_fn = _shm_snapshot_worker
-        payloads: list[tuple] = [
-            (handle, query.sql, max_combinations) for query in workload
-        ]
-    else:
-        worker_fn = _snapshot_worker
-        payloads = [
-            (catalog, query.sql, config, max_combinations) for query in workload
-        ]
-        try:
-            pickle.dumps(payloads[0])
-        except Exception:
-            return None
-    try:
-        with ProcessPoolExecutor(max_workers=min(workers, len(names))) as pool:
-            results = list(pool.map(worker_fn, payloads))
-    except BrokenProcessPool as exc:
-        if degraded is not None:
-            degraded.append(
-                DegradedResult(
-                    "worker.task",
-                    "process-pool",
-                    "serialized",
-                    f"process pool broke ({exc}); rebuilding batch in-process",
-                )
-            )
-        return None
-    except (OSError, pickle.PicklingError):
-        return None
-    finally:
-        if handle is not None:
-            shm.release(handle.segment)
-    snapshots = [
-        shm.decode_snapshot(payload) if tag == "shm" else payload
-        for tag, payload in results
-    ]
-    if cost_cache is not None:
-        # Future builds against this catalog version rehydrate for free.
-        config_fp = cost_cache.fingerprint(config)
-        for query, snapshot in zip(workload, snapshots):
-            cost_cache.inum_snapshot(
-                catalog, config_fp, query.sql, max_combinations,
-                lambda snap=snapshot: snap,
-            )
-    models: dict[str, InumModel] = {}
-    for name, snapshot in zip(names, snapshots):
-        models[name] = InumModel.from_snapshot(
-            catalog,
-            bound[name],
-            config,
-            snapshot=snapshot,
-            max_combinations=max_combinations,
-            cost_cache=cost_cache,
-        )
-    return models
-
-
-def _snapshot_worker(
-    payload: tuple[Catalog, str, PlannerConfig, int]
-) -> tuple[str, InumSnapshot]:
-    """Process-pool entry point: build one model, return its snapshot."""
-    catalog, sql, config, max_combinations = payload
-    query = bind(catalog, parse_select(sql))
-    model = InumModel(catalog, query, config, max_combinations=max_combinations)
-    return ("pickle", model.snapshot())
-
-
-def _shm_snapshot_worker(
-    payload: tuple["shm.BroadcastHandle", str, int]
-) -> tuple[str, object]:
-    """Shared-memory process-pool entry point.
-
-    Reads (catalog, config) from the broadcast segment (attached and
-    unpickled once per worker process), builds the model, and hands the
-    snapshot back as a segment when the codec accepts it — otherwise
-    tags it for the plain pickle path.
-    """
-    handle, sql, max_combinations = payload
-    catalog, config = shm.read_broadcast(handle)
-    query = bind(catalog, parse_select(sql))
-    model = InumModel(catalog, query, config, max_combinations=max_combinations)
-    snapshot = model.snapshot()
-    encoded = shm.encode_snapshot(snapshot)
-    if encoded is not None:
-        return ("shm", encoded)
-    return ("pickle", snapshot)

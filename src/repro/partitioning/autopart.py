@@ -28,7 +28,6 @@ shells are shared objects), and what-if costs. ``shells_shared`` /
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -39,7 +38,6 @@ from repro.catalog.sizing import BLOCK_SIZE, column_width
 from repro.errors import AdvisorError, ReproError
 from repro.optimizer.config import PlannerConfig
 from repro.optimizer.planner import Planner
-from repro.parallel.engine import EvaluationEngine
 from repro.resilience import faults
 from repro.resilience.degrade import DegradedResult
 from repro.resilience.faults import FaultInjector
@@ -117,8 +115,6 @@ class AutoPartAdvisor:
         max_iterations: int = 10,
         tables: list[str] | None = None,
         candidates_per_iteration: int = 24,
-        workers: int = 1,
-        parallel_mode: str = "auto",
         fault_injector: FaultInjector | None = None,
     ) -> None:
         """Args:
@@ -128,10 +124,6 @@ class AutoPartAdvisor:
             "maximum space taken by replicated columns" constraint.
         tables: Restrict partitioning to these tables (default: every
             table the workload references).
-        workers: Pool width for candidate-layout what-if pricing within
-            one selection step. ``1`` (default) is strictly serial; any
-            ``N`` yields the identical layout — candidates are priced
-            independently and the winner is picked in candidate order.
         """
         if replication_limit < 0:
             raise AdvisorError("replication limit must be non-negative")
@@ -142,9 +134,6 @@ class AutoPartAdvisor:
         self._only_tables = set(tables) if tables is not None else None
         self._candidates_per_iteration = candidates_per_iteration
         self._faults = fault_injector
-        self._engine = EvaluationEngine(
-            workers=workers, mode=parallel_mode, fault_injector=fault_injector
-        )
 
     # ------------------------------------------------------------------
 
@@ -179,7 +168,6 @@ class AutoPartAdvisor:
         self._rebind_cache: dict[tuple, tuple] = {}
         self._shells_shared = 0
         self._rebinds_shared = 0
-        self._cache_lock = threading.Lock()
         # Per-query failure isolation: a query that cannot be bound or
         # priced is quarantined for the rest of this run — dropped from
         # every cost total and from per_query — instead of aborting.
@@ -229,17 +217,16 @@ class AutoPartAdvisor:
         result.evaluations = self._evaluations
         result.shells_shared = self._shells_shared
         result.rebinds_shared = self._rebinds_shared
-        result.degraded = list(self._degraded) + list(self._engine.degraded)
+        result.degraded = list(self._degraded)
         return result
 
     def _quarantine(self, name: str, exc: BaseException) -> None:
-        with self._cache_lock:
-            if name in self._failed:
-                return
-            self._failed.add(name)
-            self._degraded.append(
-                DegradedResult("optimizer.plan", name, "quarantined", str(exc))
-            )
+        if name in self._failed:
+            return
+        self._failed.add(name)
+        self._degraded.append(
+            DegradedResult("optimizer.plan", name, "quarantined", str(exc))
+        )
 
     # ------------------------------------------------------------------
     # Fragment generation / selection
@@ -274,12 +261,7 @@ class AutoPartAdvisor:
                 continue
             trials.append(trial)
 
-        # Candidate layouts are priced independently (fanned out when
-        # workers > 1); the winner is then picked serially in candidate
-        # order, so the chosen layout never depends on worker count.
-        costs = self._engine.map(
-            lambda trial: self._workload_cost(workload, trial), trials
-        )
+        costs = [self._workload_cost(workload, trial) for trial in trials]
         best: tuple[_Layout, float] | None = None
         for trial, cost in zip(trials, costs):
             if cost < current_cost - _MIN_IMPROVEMENT and (
@@ -384,22 +366,18 @@ class AutoPartAdvisor:
             if query.name in self._failed:
                 continue  # quarantined: contributes nothing, everywhere
             signature = layout.signature(self._query_tables[query.name])
-            with self._cache_lock:
-                cached = self._cost_cache.get((query.name, signature))
+            cached = self._cost_cache.get((query.name, signature))
             if cached is not None:
                 total += cached * query.weight
                 continue
-            # Costs are pure functions of (query, layout signature): a
-            # racing duplicate computation outside the lock is benign.
             try:
                 faults.check("optimizer.plan", query.name, self._faults)
                 cost = self._query_cost(query, session, rewriter, signature)
             except ReproError as exc:
                 self._quarantine(query.name, exc)
                 continue
-            with self._cache_lock:
-                self._cost_cache[(query.name, signature)] = cost
-                self._evaluations += 1
+            self._cost_cache[(query.name, signature)] = cost
+            self._evaluations += 1
             total += cost * query.weight
         return total
 
@@ -434,18 +412,15 @@ class AutoPartAdvisor:
         what lets rebound queries transfer between sessions.
         """
         key = (table_name, physical, fragment_name)
-        with self._cache_lock:
-            entry = self._shell_cache.get(key)
-            if entry is not None:
-                self._shells_shared += 1
-                return entry
+        entry = self._shell_cache.get(key)
+        if entry is not None:
+            self._shells_shared += 1
+            return entry
         parent = self._catalog.table(table_name)
         parent_stats = self._catalog.statistics(table_name)
         shell = make_partition_shell(parent, physical, fragment_name)
         stats = derive_partition_stats(parent, parent_stats, shell)
-        with self._cache_lock:
-            # A racing duplicate build is benign; keep the first.
-            entry = self._shell_cache.setdefault(key, (shell, stats))
+        entry = self._shell_cache[key] = (shell, stats)
         return entry
 
     def _rewritten_for(
@@ -464,15 +439,13 @@ class AutoPartAdvisor:
         during the search instead of re-rewriting the final layout).
         """
         key = (query.name, signature)
-        with self._cache_lock:
-            entry = self._rebind_cache.get(key)
-            if entry is not None:
-                self._rebinds_shared += 1
-                return entry
+        entry = self._rebind_cache.get(key)
+        if entry is not None:
+            self._rebinds_shared += 1
+            return entry
         rewritten = rewriter.rewrite(self._bound[query.name])
         rebound = bind(session.catalog, rewritten)
-        with self._cache_lock:
-            entry = self._rebind_cache.setdefault(key, (rewritten, rebound))
+        entry = self._rebind_cache[key] = (rewritten, rebound)
         return entry
 
     def _query_cost(

@@ -1,7 +1,7 @@
 """Fault-injection harness and graceful-degradation primitives.
 
 An always-on advisor needs failure isolation more than raw speed: one
-failing query, one crashed pool worker, one torn state write must not
+failing query, one failed solve, one torn state write must not
 take down a whole advise — let alone the daemon. This package holds
 the two halves of that safety layer:
 

@@ -1,8 +1,8 @@
 """Structured degradation records.
 
 When a component survives a failure by shedding work — quarantining a
-query, retrying a crashed worker task, abandoning a pool, falling back
-to the greedy solver, recovering state from a backup — it records one
+query, retrying a failed apply step, falling back to the greedy
+solver, recovering state from a backup — it records one
 :class:`DegradedResult` instead of (or in addition to) a log line.
 Advisor results carry the list on their ``degraded`` field, so callers
 and tests can assert exactly what was lost, and the CLI can surface it
@@ -15,14 +15,12 @@ from dataclasses import dataclass
 
 # The closed set of degradation actions, from mildest to most lossy:
 #   retried     — the work unit was re-run and succeeded; nothing lost.
-#   serialized  — a pool was abandoned; remaining tasks ran serially.
 #   recovered   — state was restored from the last-good checkpoint.
 #   fallback    — a component was replaced by its degraded twin
 #                 (ILP solver -> greedy selection).
 #   quarantined — the work unit was dropped from this run's results.
 DEGRADE_ACTIONS = (
     "retried",
-    "serialized",
     "recovered",
     "fallback",
     "quarantined",
@@ -35,7 +33,7 @@ class DegradedResult:
 
     Attributes:
         point: The fault point or boundary the failure surfaced at
-            (``inum.build``, ``worker.task``, ``solver.iterate``, ...).
+            (``inum.build``, ``solver.iterate``, ``fleet.advise``, ...).
         subject: What degraded — a query name, file path, or component.
         action: One of :data:`DEGRADE_ACTIONS`.
         detail: Human-readable cause (usually the stringified error).

@@ -29,9 +29,9 @@ Activation
 Schedule spec
     ``;``-separated ``point:arg`` entries::
 
-        REPRO_FAULTS="worker.task:3;state.write:2"   # 3rd task, 2nd write
-        REPRO_FAULTS="worker.task:3,7"               # 3rd and 7th task
-        REPRO_FAULTS="worker.task:%50"               # every 50th task
+        REPRO_FAULTS="inum.build:3;state.write:2"    # 3rd build, 2nd write
+        REPRO_FAULTS="inum.build:3,7"                # 3rd and 7th build
+        REPRO_FAULTS="inum.build:%50"                # every 50th build
         REPRO_FAULTS="solver.iterate:p0.01"          # 1% of nodes, seeded
         REPRO_FAULTS="stream.read:*"                 # every invocation
 
@@ -55,7 +55,6 @@ from repro.errors import FaultInjected, ResilienceError
 FAULT_POINT_DOCS: dict[str, str] = {
     "optimizer.plan": "one what-if plan inside AutoPart's pricing loop",
     "inum.build": "one per-query INUM model construction",
-    "worker.task": "one evaluation-engine task (pool or serial)",
     "solver.iterate": "one branch-and-bound node expansion",
     "state.write": "one checksummed tuner state-file write",
     "stream.read": "one statement read off the tune stream",

@@ -8,6 +8,7 @@ import pytest
 
 from repro import exit_codes
 from repro.cli import build_parser, main
+from repro.errors import FaultInjected
 
 from tests.conftest import SERVE_ARGS, TUNE_ARGS, run_main
 
@@ -172,6 +173,55 @@ class TestParser:
             "1 skipped" in out
         )
         assert "CREATE INDEX ON photoobj" in out
+
+
+class TestUserMistakes:
+    """A user mistake is one ``error:`` line and exit 1, never a
+    traceback; a fault that stands in for a crash still looks like one."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["suggest-indexes", "--workload", "{missing}"], "No such file"),
+            (["suggest-indexes", "--workload", "{bad_sql}"], "unknown column 'nope'"),
+            (["evaluate", "--index", "photoobj:nope"], "has no column 'nope'"),
+            (["tune", "--stream", "{stream}", "--window", "0"], "window_size"),
+            (["tune", "--stream", "{stream}", "--check-interval", "0"], "check_interval"),
+            (["tune", "--stream", "{stream}", "--cache-entries", "0"], "max_entries"),
+            (["fleet", "--replicas", "0"], "n_replicas"),
+        ],
+        ids=[
+            "missing-workload", "unknown-column", "unknown-index-column",
+            "window", "check-interval", "cache-entries", "replicas",
+        ],
+    )
+    def test_one_error_line_and_exit_1(
+        self, tmp_path, sdss_stream_file, argv, message
+    ):
+        bad_sql = tmp_path / "bad.sql"
+        bad_sql.write_text("SELECT nope FROM photoobj;")
+        paths = {
+            "missing": tmp_path / "nonexistent.sql",
+            "bad_sql": bad_sql,
+            "stream": sdss_stream_file,
+        }
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--db", "sdss:500"] + [a.format(**paths) for a in argv])
+        # SystemExit(str): Python prints the string to stderr, exits 1.
+        line = exit_info.value.code
+        assert isinstance(line, str) and line.startswith("error: ")
+        assert message in line and "\n" not in line
+
+    def test_injected_crash_still_propagates(
+        self, capsys, monkeypatch, tmp_path, sdss_stream_file
+    ):
+        args = TUNE_ARGS + [
+            "--stream", sdss_stream_file,
+            "--state", str(tmp_path / "state.json"), "--apply",
+        ]
+        with pytest.raises(FaultInjected) as crash:
+            run_main(capsys, monkeypatch, args, injected="journal.write:1")
+        assert crash.value.point == "journal.write"
 
 
 class TestSuggestCombined:

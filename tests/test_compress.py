@@ -14,7 +14,6 @@ from repro.advisor.compress import compress_statements, fold_workload
 from repro.advisor.ilp_advisor import IlpIndexAdvisor
 from repro.errors import AdvisorError
 from repro.online.monitor import render_statement
-from repro.resilience.faults import FaultInjector
 from repro.sql.tokenizer import Token, TokenType, tokenize
 from repro.workloads.sdss import build_sdss_database, sdss_workload
 from repro.workloads.workload import Query, Workload
@@ -182,8 +181,8 @@ class TestBitIdentity:
 
     BUDGET = 200
 
-    def recommend(self, db, workload, rates, **knobs):
-        advisor = IlpIndexAdvisor(db.catalog, compress=True, **knobs)
+    def recommend(self, db, workload, rates):
+        advisor = IlpIndexAdvisor(db.catalog, compress=True)
         return advisor.recommend(
             workload, self.BUDGET, update_rates=rates or None
         )
@@ -226,24 +225,6 @@ class TestBitIdentity:
         )
         assert r_tenfold.candidates_considered == r_once.candidates_considered
         assert len(r_tenfold.per_query) == len(r_once.per_query) == once.templates
-
-    def test_bit_identity_survives_worker_faults(self, db):
-        # A worker.task fault is retried (pure task), so the floats must
-        # not move even when one side's model builds crash mid-batch.
-        stream = people_stream()
-        cres = compress_statements(stream)
-        expanded, rates = expand(stream)
-        clean = self.recommend(db, cres.workload, rates)
-        faulty = self.recommend(
-            db,
-            expanded,
-            rates,
-            workers=2,
-            parallel_mode="thread",
-            fault_injector=FaultInjector.from_spec("worker.task:1,3"),
-        )
-        assert packed(clean) == packed(faulty)
-        assert any(d.point == "worker.task" for d in faulty.degraded)
 
     def test_scale_mode_result_is_sane(self, db):
         stream = people_stream()

@@ -64,6 +64,19 @@ def stream_of(workload, names, rounds, salt0=0):
     ]
 
 
+def outputs_under_hash_seeds(script: str) -> set[str]:
+    """The distinct stdouts of ``script`` under PYTHONHASHSEED 0..3."""
+    return {
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONHASHSEED": str(seed),
+                 "PYTHONPATH": os.pathsep.join(sys.path)},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in range(4)
+    }
+
+
 # ----------------------------------------------------------------------
 # Canonicalization
 
@@ -446,15 +459,28 @@ class TestDriftDetector:
             "r = DriftDetector(weight_threshold=0.2).compare(baseline, current)\n"
             "print(repr(r.total_variation), r.drifted)\n"
         )
-        outputs = {
-            subprocess.run(
-                [sys.executable, "-c", script],
-                env={**os.environ, "PYTHONHASHSEED": str(seed),
-                     "PYTHONPATH": os.pathsep.join(sys.path)},
-                capture_output=True, text=True, check=True,
-            ).stdout
-            for seed in range(4)
-        }
+        outputs = outputs_under_hash_seeds(script)
+        assert len(outputs) == 1, outputs
+
+    def test_tuner_decisions_ignore_hash_seed(self):
+        """Four query mixes, each held long enough to drift, re-advise
+        and hold: event counts and the final design are the same under
+        every str-hash order."""
+        script = (
+            "from repro.online import OnlineTuner\n"
+            "from repro.workloads.sdss import build_sdss_database, sdss_workload\n"
+            "db = build_sdss_database(photo_rows=1000, seed=42)\n"
+            "sqls = [q.sql.strip() for q in sdss_workload()]\n"
+            "tuner = OnlineTuner(db.catalog, budget_pages=200, window_size=24,\n"
+            "                    check_interval=8, build_cost_per_page=0.25)\n"
+            "for lo in (0, 8, 16, 4):\n"
+            "    tuner.run(sqls[lo:lo + 8] * 4)\n"
+            "assert tuner.event_counts['drifted'] > 3\n"
+            "assert tuner.event_counts['held'] and tuner.design\n"
+            "print(sorted(tuner.event_counts.items()))\n"
+            "print([(ix.table_name, ix.columns) for ix in tuner.design])\n"
+        )
+        outputs = outputs_under_hash_seeds(script)
         assert len(outputs) == 1, outputs
 
 

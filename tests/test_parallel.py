@@ -1,9 +1,8 @@
-"""The parallel evaluation engine: determinism, caches, invalidation.
+"""The evaluation support package: caches, invalidation, hand-off.
 
-The contract under test: ``workers=N`` produces bit-identical results
-to the serial ``workers=1`` path — same index sets, same costs, same
-per-query benefits — and the shared caches / incremental invalidation
-only change timings and counters, never outcomes.
+The contract under test: the shared caches / incremental invalidation
+only change timings and counters, never outcomes — same index sets,
+same costs, same per-query benefits.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import pytest
 
 from repro.advisor.ilp_advisor import IlpIndexAdvisor
-from repro.baselines.greedy import GreedyIndexAdvisor
 from repro.catalog.schema import Index
 from repro.core.parinda import Parinda
 from repro.errors import ReproError
@@ -19,7 +17,6 @@ from repro.inum.model import InumModel
 from repro.parallel import (
     BackgroundWorker,
     CostCache,
-    EvaluationEngine,
     build_inum_models,
 )
 from repro.whatif.session import WhatIfSession
@@ -47,67 +44,7 @@ def _result_signature(result):
 
 
 # ----------------------------------------------------------------------
-# Determinism: workers=N is bit-identical to workers=1
-
-
-def test_ilp_advisor_parallel_identical_sdss(sdss_db, sdss_wl):
-    workload = sdss_wl.subset(8)
-    serial = IlpIndexAdvisor(sdss_db.catalog, workers=1).recommend(
-        workload, budget_pages=500
-    )
-    parallel = IlpIndexAdvisor(sdss_db.catalog, workers=4).recommend(
-        workload, budget_pages=500
-    )
-    assert _result_signature(serial) == _result_signature(parallel)
-
-
-def test_ilp_advisor_parallel_identical_star(star_db, star_wl):
-    serial = IlpIndexAdvisor(star_db.catalog, workers=1).recommend(
-        star_wl, budget_pages=400
-    )
-    parallel = IlpIndexAdvisor(star_db.catalog, workers=4).recommend(
-        star_wl, budget_pages=400
-    )
-    assert _result_signature(serial) == _result_signature(parallel)
-
-
-def test_greedy_advisor_parallel_identical(star_db, star_wl):
-    serial = GreedyIndexAdvisor(star_db.catalog, workers=1).recommend(
-        star_wl, budget_pages=400
-    )
-    parallel = GreedyIndexAdvisor(star_db.catalog, workers=4).recommend(
-        star_wl, budget_pages=400
-    )
-    assert _result_signature(serial) == _result_signature(parallel)
-
-
-def test_parinda_suggest_indexes_workers(sdss_db, sdss_wl):
-    workload = sdss_wl.subset(6)
-    serial = Parinda(sdss_db).suggest_indexes(
-        workload, budget_pages=400, workers=1
-    )
-    parallel = Parinda(sdss_db).suggest_indexes(
-        workload, budget_pages=400, workers=4
-    )
-    assert _result_signature(serial) == _result_signature(parallel)
-
-
-def test_build_inum_models_parallel_identical(sdss_db, sdss_wl):
-    workload = sdss_wl.subset(10)
-    catalog = sdss_db.catalog
-    serial = build_inum_models(catalog, workload, workers=1)
-    parallel = build_inum_models(
-        catalog, workload, workers=4, cost_cache=CostCache()
-    )
-    probe = Index(
-        name="probe", table_name="photoobj", columns=("ra", "dec"),
-        hypothetical=True,
-    )
-    assert list(serial) == list(parallel)  # same queries, same order
-    for name in serial:
-        assert serial[name].base_cost == parallel[name].base_cost
-        assert serial[name].estimate([probe]) == parallel[name].estimate([probe])
-        assert len(serial[name].entries) == len(parallel[name].entries)
+# Snapshots: the cache's rehydration format
 
 
 def test_snapshot_roundtrip(sdss_db, sdss_wl):
@@ -121,16 +58,6 @@ def test_snapshot_roundtrip(sdss_db, sdss_wl):
     assert clone.base_cost == model.base_cost
     assert clone.estimate([probe]) == model.estimate([probe])
     assert clone.stats.optimizer_calls == model.stats.optimizer_calls
-
-
-def test_engine_rejects_unknown_mode():
-    with pytest.raises(ReproError):
-        EvaluationEngine(workers=2, mode="fibers")
-
-
-def test_engine_map_preserves_order():
-    engine = EvaluationEngine(workers=4, mode="thread")
-    assert engine.map(lambda x: x * x, range(20)) == [x * x for x in range(20)]
 
 
 # ----------------------------------------------------------------------
@@ -189,7 +116,7 @@ def test_inum_snapshot_cache_rehydrates(sdss_db, sdss_wl):
 
 
 def test_advisor_result_surfaces_counters(sdss_db, sdss_wl):
-    result = IlpIndexAdvisor(sdss_db.catalog, workers=2).recommend(
+    result = IlpIndexAdvisor(sdss_db.catalog).recommend(
         sdss_wl.subset(6), budget_pages=400
     )
     assert result.cache_hits > 0
@@ -280,34 +207,7 @@ def test_parinda_workload_cost_cached(sdss_db, sdss_wl):
 
 
 # ----------------------------------------------------------------------
-# Forced parallel mode (CI knob) and bounded-cache behavior
-
-
-def test_env_var_overrides_auto_mode(monkeypatch):
-    engine = EvaluationEngine(workers=4, mode="auto")
-    for forced in ("serial", "thread", "process"):
-        monkeypatch.setenv("REPRO_PARALLEL_MODE", forced)
-        assert engine.resolve_mode() == forced
-    monkeypatch.setenv("REPRO_PARALLEL_MODE", "bogus")
-    assert engine.resolve_mode() in ("serial", "thread", "process")
-    # An explicit mode always wins over the environment.
-    monkeypatch.setenv("REPRO_PARALLEL_MODE", "serial")
-    assert EvaluationEngine(workers=4, mode="thread").resolve_mode() == "thread"
-
-
-def test_forced_mode_keeps_recommendations_identical(
-    monkeypatch, sdss_db, sdss_wl
-):
-    workload = sdss_wl.subset(4)
-    baseline = IlpIndexAdvisor(sdss_db.catalog, workers=1).recommend(
-        workload, budget_pages=300
-    )
-    for forced in ("serial", "thread", "process"):
-        monkeypatch.setenv("REPRO_PARALLEL_MODE", forced)
-        result = IlpIndexAdvisor(
-            sdss_db.catalog, workers=2, parallel_mode="auto"
-        ).recommend(workload, budget_pages=300)
-        assert _result_signature(result) == _result_signature(baseline)
+# Bounded-cache behavior
 
 
 def test_cost_cache_bound_lru_eviction():
@@ -439,135 +339,3 @@ class TestBackgroundWorker:
     def test_bad_parameters_rejected(self):
         with pytest.raises(ReproError):
             BackgroundWorker(lambda item: None, max_pending=0)
-
-
-# ----------------------------------------------------------------------
-# Shared-memory snapshot transport
-
-
-class TestSharedMemoryTransport:
-    """The shm fast path: bit-identity, no leaks, graceful fallbacks."""
-
-    def test_broadcast_roundtrip_and_release(self):
-        from repro.parallel import shm
-
-        payload = {"rows": list(range(100)), "name": "broadcast"}
-        handle = shm.broadcast(payload)
-        assert handle is not None
-        assert shm.active_segment_count() == 1
-        assert shm.read_broadcast(handle) == payload
-        shm.release(handle.segment)
-        assert shm.active_segment_count() == 0
-        shm.release(handle.segment)  # idempotent
-
-    def test_snapshot_codec_bit_identical(self, sdss_db, sdss_wl):
-        from repro.parallel import shm
-
-        catalog = sdss_db.catalog
-        for name in ("q01_box_search", "q15_spec_redshift_join"):
-            query = sdss_wl.query(name).bind(catalog)
-            snapshot = InumModel(catalog, query).snapshot()
-            handle = shm.encode_snapshot(snapshot)
-            assert handle is not None
-            decoded = shm.decode_snapshot(handle)
-            assert len(decoded.entries) == len(snapshot.entries)
-            for ours, theirs in zip(snapshot.entries, decoded.entries):
-                assert ours.order_vector == theirs.order_vector
-                assert ours.internal_cost == theirs.internal_cost
-                assert ours.loops == theirs.loops
-                assert ours.nestloop_enabled == theirs.nestloop_enabled
-            assert decoded.optimizer_calls == snapshot.optimizer_calls
-        assert shm.active_segment_count() == 0
-
-    def test_snapshot_codec_empty_and_odd_shapes(self):
-        from repro.inum.model import InumSnapshot
-        from repro.parallel import shm
-
-        empty = InumSnapshot(
-            entries=(), optimizer_calls=3, combinations_truncated=1
-        )
-        handle = shm.encode_snapshot(empty)
-        assert handle is not None
-        decoded = shm.decode_snapshot(handle)
-        assert decoded.entries == ()
-        assert decoded.optimizer_calls == 3
-        assert decoded.combinations_truncated == 1
-        assert shm.active_segment_count() == 0
-
-    def test_unpicklable_snapshot_falls_back_to_none(self):
-        from repro.inum.model import CacheEntry, InumSnapshot
-        from repro.parallel import shm
-
-        class Unpicklable:
-            def __reduce__(self):
-                raise TypeError("no pickling here")
-
-        snapshot = InumSnapshot(
-            entries=(
-                CacheEntry(
-                    order_vector=(("t", None),),
-                    nestloop_enabled=True,
-                    internal_cost=1.0,
-                    loops=(("t", 1.0),),
-                    plan=Unpicklable(),
-                ),
-            ),
-            optimizer_calls=1,
-            combinations_truncated=0,
-        )
-        assert shm.encode_snapshot(snapshot) is None
-        assert shm.active_segment_count() == 0
-
-    def test_process_mode_bit_identical_and_leak_free(
-        self, sdss_db, sdss_wl, monkeypatch
-    ):
-        from repro.parallel import shm
-
-        workload = sdss_wl.subset(6)
-        serial = IlpIndexAdvisor(sdss_db.catalog, workers=1).recommend(
-            workload, budget_pages=500
-        )
-        monkeypatch.setenv("REPRO_PARALLEL_MODE", "process")
-        process = IlpIndexAdvisor(sdss_db.catalog, workers=2).recommend(
-            workload, budget_pages=500
-        )
-        assert _result_signature(serial) == _result_signature(process)
-        assert shm.active_segment_count() == 0
-
-    def test_process_mode_with_transport_off_still_identical(
-        self, sdss_db, sdss_wl, monkeypatch
-    ):
-        from repro.inum.model import InumSnapshot
-        from repro.parallel import shm
-
-        def unavailable(*args, **kwargs):
-            raise OSError("no shared memory on this host")
-
-        # The broadcast segment cannot be created, so the whole batch
-        # is handed to the plain-pickle worker.
-        monkeypatch.setattr(shm.shared_memory, "SharedMemory", unavailable)
-        assert shm.broadcast({"x": 1}) is None
-        empty = InumSnapshot(entries=(), optimizer_calls=0, combinations_truncated=0)
-        assert shm.encode_snapshot(empty) is None
-        workload = sdss_wl.subset(4)
-        serial = IlpIndexAdvisor(sdss_db.catalog, workers=1).recommend(
-            workload, budget_pages=500
-        )
-        monkeypatch.setenv("REPRO_PARALLEL_MODE", "process")
-        process = IlpIndexAdvisor(sdss_db.catalog, workers=2).recommend(
-            workload, budget_pages=500
-        )
-        assert _result_signature(serial) == _result_signature(process)
-
-    def test_engine_close_releases_segments(self, sdss_db, sdss_wl):
-        from repro.parallel import shm
-
-        handle = shm.broadcast({"orphan": True})
-        assert handle is not None and shm.active_segment_count() == 1
-        with EvaluationEngine(workers=2, mode="thread"):
-            models = build_inum_models(
-                sdss_db.catalog, sdss_wl.subset(2), workers=2, mode="thread"
-            )
-            assert len(models) == 2
-        # close() swept the orphaned broadcast too.
-        assert shm.active_segment_count() == 0

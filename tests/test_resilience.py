@@ -29,7 +29,7 @@ from repro.ilp.branch_bound import BranchAndBoundSolver, solve_milp
 from repro.ilp.model import LinearProgram, Sense
 from repro.ilp.simplex import SimplexResult, SimplexSolver
 from repro.online.tuner import OnlineTuner
-from repro.parallel.engine import BackgroundWorker, EvaluationEngine
+from repro.parallel.engine import BackgroundWorker
 from repro.partitioning.autopart import AutoPartAdvisor
 from repro.resilience import (
     FaultInjector,
@@ -99,14 +99,14 @@ class TestFaultSpec:
         return fired
 
     def test_exact_count_fires_once(self):
-        injector = FaultInjector.from_spec("worker.task:3")
-        assert self.fire_pattern(injector, "worker.task") == [3]
-        assert injector.checks("worker.task") == 40
-        assert injector.fired("worker.task") == 1
+        injector = FaultInjector.from_spec("inum.build:3")
+        assert self.fire_pattern(injector, "inum.build") == [3]
+        assert injector.checks("inum.build") == 40
+        assert injector.fired("inum.build") == 1
 
     def test_count_list(self):
-        injector = FaultInjector.from_spec("worker.task:3,7,9")
-        assert self.fire_pattern(injector, "worker.task") == [3, 7, 9]
+        injector = FaultInjector.from_spec("inum.build:3,7,9")
+        assert self.fire_pattern(injector, "inum.build") == [3, 7, 9]
 
     def test_every_nth(self):
         injector = FaultInjector.from_spec("inum.build:%10")
@@ -124,10 +124,10 @@ class TestFaultSpec:
         assert pattern == self.fire_pattern(b, "solver.iterate", n=200)
 
     def test_points_are_independent(self):
-        injector = FaultInjector.from_spec("worker.task:1;state.write:2")
+        injector = FaultInjector.from_spec("inum.build:1;state.write:2")
         injector.check("state.write")  # count 1: silent
         with pytest.raises(FaultInjected):
-            injector.check("worker.task")
+            injector.check("inum.build")
         with pytest.raises(FaultInjected) as excinfo:
             injector.check("state.write", "the-file")
         assert excinfo.value.point == "state.write"
@@ -145,13 +145,13 @@ class TestFaultSpec:
         "spec",
         [
             "bogus.point:1",
-            "worker.task",
-            "worker.task:",
-            "worker.task:%0",
-            "worker.task:p1.5",
-            "worker.task:abc",
-            "worker.task:0",
-            "worker.task:1;worker.task:2",
+            "inum.build",
+            "inum.build:",
+            "inum.build:%0",
+            "inum.build:p1.5",
+            "inum.build:abc",
+            "inum.build:0",
+            "inum.build:1;inum.build:2",
         ],
     )
     def test_bad_specs_rejected(self, spec):
@@ -165,31 +165,31 @@ class TestFaultSpec:
     def test_from_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
         assert FaultInjector.from_env() is None
-        monkeypatch.setenv("REPRO_FAULTS", "worker.task:2")
+        monkeypatch.setenv("REPRO_FAULTS", "inum.build:2")
         monkeypatch.setenv("REPRO_FAULTS_SEED", "7")
         injector = FaultInjector.from_env()
         assert injector is not None and injector.seed == 7
 
     def test_ambient_cached_until_spec_changes(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "worker.task:2")
+        monkeypatch.setenv("REPRO_FAULTS", "inum.build:2")
         first = faults.ambient()
         assert first is faults.ambient()  # cached: counters accumulate
-        monkeypatch.setenv("REPRO_FAULTS", "worker.task:3")
+        monkeypatch.setenv("REPRO_FAULTS", "inum.build:3")
         assert faults.ambient() is not first
         monkeypatch.delenv("REPRO_FAULTS")
         assert faults.ambient() is None
 
     def test_explicit_injector_wins_over_ambient(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "worker.task:*")
+        monkeypatch.setenv("REPRO_FAULTS", "inum.build:*")
         explicit = FaultInjector()  # idle
-        faults.check("worker.task", injector=explicit)  # no fire
-        assert explicit.checks("worker.task") == 1
+        faults.check("inum.build", injector=explicit)  # no fire
+        assert explicit.checks("inum.build") == 1
         with pytest.raises(FaultInjected):
-            faults.check("worker.task")  # ambient
+            faults.check("inum.build")  # ambient
 
     def test_module_check_is_noop_without_injector(self, monkeypatch):
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        faults.check("worker.task")  # must not raise
+        faults.check("inum.build")  # must not raise
 
 
 # ----------------------------------------------------------------------
@@ -281,58 +281,10 @@ class TestStateFiles:
 
 
 # ----------------------------------------------------------------------
-# The evaluation engine and background worker
+# The background worker
 
 
 class TestEngineFaults:
-    def test_single_crash_is_retried_transparently(self):
-        injector = FaultInjector.from_spec("worker.task:2")
-        engine = EvaluationEngine(workers=4, mode="thread", fault_injector=injector)
-        items = list(range(8))
-        assert engine.map(lambda x: x * x, items) == [x * x for x in items]
-        assert [d.action for d in engine.degraded] == ["retried"]
-        assert engine.degraded[0].point == "worker.task"
-
-    def test_double_crash_serializes_remainder(self):
-        # Checks 2 and 3 both land on item index 1: crash, retry-crash.
-        injector = FaultInjector.from_spec("worker.task:2,3")
-        engine = EvaluationEngine(workers=4, mode="thread", fault_injector=injector)
-        items = list(range(6))
-        assert engine.map(
-            lambda x: x + 10, items, labels=[f"q{x}" for x in items]
-        ) == [x + 10 for x in items]
-        assert [d.action for d in engine.degraded] == ["retried", "serialized"]
-        assert engine.degraded[1].subject == "q1"
-        assert "serially" in engine.degraded[1].detail
-        # After the pool is declared dead no further checks happen.
-        assert injector.checks("worker.task") == 3
-
-    def test_serial_mode_checks_fire_too(self):
-        injector = FaultInjector.from_spec("worker.task:1")
-        engine = EvaluationEngine(workers=1, fault_injector=injector)
-        assert engine.map(str, [7, 8]) == ["7", "8"]
-        assert [d.action for d in engine.degraded] == ["retried"]
-
-    def test_drain_degraded_returns_and_clears(self):
-        injector = FaultInjector.from_spec("worker.task:1")
-        engine = EvaluationEngine(workers=1, fault_injector=injector)
-        assert engine.map(str, [1, 2]) == ["1", "2"]
-        drained = engine.drain_degraded()
-        assert [d.action for d in drained] == ["retried"]
-        assert engine.degraded == []
-        # A second drain with no new faults yields nothing.
-        assert engine.drain_degraded() == []
-
-    def test_idle_injector_changes_nothing(self):
-        idle = EvaluationEngine(workers=4, mode="thread",
-                                fault_injector=FaultInjector())
-        plain = EvaluationEngine(workers=4, mode="thread")
-        items = list(range(10))
-        assert idle.map(lambda x: x - 1, items) == plain.map(
-            lambda x: x - 1, items
-        )
-        assert idle.degraded == []
-
     def test_background_worker_supervised_keeps_draining(self):
         crashes = []
         done = []
@@ -515,17 +467,6 @@ class TestAdvisorDegradation:
         assert result.size_pages <= 200
         assert result.cost_after <= result.cost_before
 
-    def test_worker_crash_is_transparent(self, db, clean):
-        injector = FaultInjector.from_spec("worker.task:2")
-        result = IlpIndexAdvisor(
-            db.catalog,
-            workers=2,
-            parallel_mode="thread",
-            fault_injector=injector,
-        ).recommend(WL, budget_pages=200)
-        assert recommendation_key(result) == recommendation_key(clean)
-        assert [d.action for d in result.degraded] == ["retried"]
-
     def test_greedy_baseline_quarantines_too(self, db):
         injector = FaultInjector.from_spec("inum.build:1")
         result = GreedyIndexAdvisor(
@@ -676,10 +617,9 @@ class TestTuneCommandResilience:
     ):
         assert cli_main(self.base_args(stream_file)) == 0
         reference = capsys.readouterr().out
-        # One worker crash (retried) and one torn state write, on the
-        # ambient CI schedule; the adopted design and the whole summary
-        # must be unchanged.
-        monkeypatch.setenv("REPRO_FAULTS", "worker.task:2;state.write:2")
+        # One torn state write, on the ambient CI schedule; the adopted
+        # design and the whole summary must be unchanged.
+        monkeypatch.setenv("REPRO_FAULTS", "state.write:2")
         state = tmp_path / "state.json"
         code = cli_main(
             self.base_args(stream_file)
