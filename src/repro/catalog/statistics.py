@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Any, Sequence
 
 from repro.catalog.datatypes import DataType, to_comparable
@@ -87,6 +88,12 @@ class ColumnStats:
     @property
     def mcv_total_freq(self) -> float:
         return float(sum(self.mcv_freqs))
+
+    @cached_property
+    def histogram_comparables(self) -> tuple[Any, ...]:
+        """The histogram bounds as totally-ordered comparables, computed
+        once per object: what inequality estimation bisects into."""
+        return tuple(to_comparable(bound) for bound in self.histogram)
 
     def scaled(self, row_factor: float) -> "ColumnStats":
         """Statistics for a derived table with ``row_factor`` times the rows.

@@ -21,7 +21,7 @@ from repro.optimizer.planner import Planner
 from repro.optimizer.plans import Plan, plan_signature
 from repro.partitioning.fragments import fragment_with_pk
 from repro.partitioning.rewrite import PartitionRewriter
-from repro.sql.binder import bind
+from repro.sql.binder import BoundQuery, bind
 from repro.sql.printer import to_sql
 from repro.storage.database import Database
 from repro.whatif.session import WhatIfSession
@@ -80,13 +80,14 @@ class InteractiveDesigner:
         self._db = database
         self._session = WhatIfSession(database.catalog)
         self._schemes: dict[str, PartitionScheme] = {}
-        # Baseline plans depend only on the real catalog; target-side
-        # bindings depend on the session catalog. Both are keyed by the
-        # owning catalog's version so they never serve stale state, and
-        # the session's own fingerprinted plan cache does the rest —
-        # evaluate() after add_whatif_index replans only the queries
-        # that touch the indexed table.
-        self._baseline_plans: dict[tuple, Plan] = {}
+        # Baselines (the query bound against the real catalog, and its
+        # plan there) depend only on the real catalog, so they outlive
+        # reset(); target-side bindings depend on the session catalog.
+        # Both are keyed by the owning catalog's version so they never
+        # serve stale state, and the session's own fingerprinted plan
+        # cache does the rest — evaluate() after add_whatif_index replans
+        # only the queries that touch the indexed table.
+        self._baselines: dict[tuple, tuple[BoundQuery, Plan]] = {}
         self._bound_targets: dict[tuple, tuple] = {}
 
     @property
@@ -97,7 +98,6 @@ class InteractiveDesigner:
         """Drop every what-if feature created so far."""
         self._session = WhatIfSession(self._db.catalog)
         self._schemes = {}
-        self._baseline_plans = {}
         self._bound_targets = {}
 
     # ------------------------------------------------------------------
@@ -153,19 +153,20 @@ class InteractiveDesigner:
         cost_before = 0.0
         cost_after = 0.0
         for query in workload:
-            base_key = (self._db.catalog.cache_key, query.name)
-            base_plan = self._baseline_plans.get(base_key)
-            if base_plan is None:
+            # By SQL, not name: baselines outlive reset(), and the next
+            # workload may reuse a name for another statement.
+            base_key = (self._db.catalog.cache_key, query.sql)
+            base = self._baselines.get(base_key)
+            if base is None:
                 bound = query.bind(self._db.catalog)
-                base_plan = baseline.plan(bound)
-                self._baseline_plans[base_key] = base_plan
+                base = self._baselines[base_key] = (bound, baseline.plan(bound))
+            bound, base_plan = base
             before = base_plan.total_cost * query.weight
             # Partition-scheme changes add shell tables to the session
             # catalog (version bump), so the catalog key covers them.
             target_key = (self._session.catalog.cache_key, query.name)
             entry = self._bound_targets.get(target_key)
             if entry is None:
-                bound = query.bind(self._db.catalog)
                 if rewriter is not None:
                     rewritten = rewriter.rewrite(bound)
                     sql = to_sql(rewritten)

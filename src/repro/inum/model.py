@@ -334,41 +334,28 @@ class InumModel:
         # Reuse the prepared state (classification, selectivities, row
         # estimates are index-independent); swap in the synthetic
         # indexes that deliver this combination's orders.
-        base_rels: dict[str, BaseRel] = {}
-        for alias, rel in self._prepared.base_rels.items():
-            extra = []
-            for index in synth.get(rel.table_name, []):
-                extra.append(
-                    IndexInfo(
-                        definition=index,
-                        leaf_pages=self._index_pages(rel.info, index),
-                        height=1,
-                        index_tuples=rel.info.row_count,
-                    )
+        def synthetic_info(rel: BaseRel) -> RelationInfo:
+            extra = [
+                IndexInfo(
+                    definition=index,
+                    leaf_pages=self._index_pages(rel.info, index),
+                    height=1,
+                    index_tuples=rel.info.row_count,
                 )
-            if extra:
-                info = rel.info
-                base_rels[alias] = BaseRel(
-                    alias=rel.alias,
-                    info=RelationInfo(
-                        table=info.table,
-                        row_count=info.row_count,
-                        page_count=info.page_count,
-                        indexes=tuple(extra),
-                        column_stats=info.column_stats,
-                    ),
-                    restrictions=rel.restrictions,
-                    required_columns=rel.required_columns,
-                    rows=rel.rows,
-                    width=rel.width,
-                )
-            else:
-                base_rels[alias] = rel
-        prepared = PreparedQuery(
-            base_rels=base_rels,
-            restrictions=self._prepared.restrictions,
-            join_clauses=self._prepared.join_clauses,
-        )
+                for index in synth.get(rel.table_name, [])
+            ]
+            if not extra:
+                return rel.info
+            info = rel.info
+            return RelationInfo(
+                table=info.table,
+                row_count=info.row_count,
+                page_count=info.page_count,
+                indexes=tuple(extra),
+                column_stats=info.column_stats,
+            )
+
+        prepared = self._prepared.with_relation_info(synthetic_info)
 
         config = self._stripped.with_flags(enable_nestloop=nestloop)
         try:

@@ -151,10 +151,13 @@ class JoinSearch:
     def _make_relset(self, key: frozenset[str]) -> RelSet:
         rows = 1.0
         width = 0
-        for alias in key:
-            rel = self._base_rels[alias]
-            rows *= rel.rows
-            width += rel.width
+        # FROM order, not set order: float products do not associate, and
+        # a set of aliases iterates by string hash — the estimate must not
+        # move with the hash seed or with how the relations are named.
+        for alias, rel in self._base_rels.items():
+            if alias in key:
+                rows *= rel.rows
+                width += rel.width
         for clause in self._join_clauses:
             if clause.rels <= key and len(clause.rels) > 1:
                 rows *= self._join_clause_selectivity(clause)

@@ -9,7 +9,8 @@ what makes what-if simulation transparent to the planner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 from repro.catalog.catalog import Catalog
 from repro.optimizer.clauses import ClassifiedClause, classify_all
@@ -49,6 +50,28 @@ class PreparedQuery:
     restrictions: dict[str, list[ClassifiedClause]]
     join_clauses: list[ClassifiedClause]
 
+    def with_relation_info(
+        self, info_for: Callable[[BaseRel], RelationInfo]
+    ) -> "PreparedQuery":
+        """This state with each relation's physical design swapped.
+
+        Classification, restriction selectivities, rows and width depend
+        on the table and its statistics, not on the available indexes or
+        the enable_* flags, so a caller re-planning one query under
+        another design (INUM's synthetic index lists, a what-if session's
+        hypothetical indexes) replaces only ``BaseRel.info`` — which must
+        describe the same table and statistics.
+        """
+        base_rels = {}
+        for alias, rel in self.base_rels.items():
+            info = info_for(rel)
+            base_rels[alias] = rel if info is rel.info else replace(rel, info=info)
+        return PreparedQuery(
+            base_rels=base_rels,
+            restrictions=self.restrictions,
+            join_clauses=self.join_clauses,
+        )
+
 
 class Planner:
     """Cost-based planner over one catalog."""
@@ -64,6 +87,12 @@ class Planner:
     @property
     def catalog(self) -> Catalog:
         return self._catalog
+
+    def relation_info(self, table_name: str) -> RelationInfo:
+        """The physical design of ``table_name`` as this planner's
+        configuration reports it (real catalog, or a what-if hook)."""
+        config = self._config
+        return config.relation_info_hook(config, self._catalog, table_name)
 
     def prepare(self, query: BoundQuery) -> "PreparedQuery":
         """Classify quals and build per-relation planner state.
@@ -89,13 +118,10 @@ class Planner:
 
         base_rels: dict[str, BaseRel] = {}
         for entry in query.rels:
-            info: RelationInfo = config.relation_info_hook(
-                config, self._catalog, entry.table.name
-            )
             base_rels[entry.alias] = build_base_rel(
                 config,
                 entry.alias,
-                info,
+                self.relation_info(entry.table.name),
                 restrictions[entry.alias],
                 query.required_columns[entry.alias],
             )
@@ -105,16 +131,20 @@ class Planner:
             join_clauses=join_clauses,
         )
 
-    def plan(self, query: BoundQuery) -> Plan:
-        return self.plan_prepared(query, self.prepare(query))
+    def plan(self, query: BoundQuery, prepared: PreparedQuery | None = None) -> Plan:
+        """Plan ``query``; ``prepared`` is its state from an earlier
+        :meth:`prepare`, re-pointed at this planner's design with
+        :meth:`PreparedQuery.with_relation_info`."""
+        if prepared is None:
+            prepared = self.prepare(query)
+        return self.plan_prepared(query, prepared)
 
     def plan_prepared(self, query: BoundQuery, prepared: PreparedQuery) -> Plan:
         """Plan ``query`` from an existing :class:`PreparedQuery`.
 
-        Classification and restriction selectivities do not depend on
-        the available indexes or the enable_* flags, so INUM reuses one
-        prepared state across all of its per-combination optimizer
-        calls, swapping only the synthetic index lists in ``base_rels``.
+        INUM reuses one prepared state across all of its per-combination
+        optimizer calls and a what-if session across the replans of one
+        query, swapping only ``BaseRel.info``.
         """
         config = self._config
         base_rels = prepared.base_rels

@@ -10,6 +10,7 @@ Kleene combinations for AND/OR/NOT. Join selectivity follows
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any
 
 from repro.catalog.datatypes import numeric_fraction, to_comparable
@@ -193,38 +194,39 @@ def _histogram_fraction(stats: ColumnStats, op: str, value: Any) -> float:
             return 0.0
         return DEFAULT_INEQ_SEL
 
-    below = _fraction_below(hist, value, inclusive=(op == "<="))
-    if op in ("<", "<="):
-        return below
-    below_excl = _fraction_below(hist, value, inclusive=(op != ">="))
-    return clamp(1.0 - below_excl) if op == ">" else clamp(1.0 - below_excl)
+    # "<" and ">=" split the population strictly below the value, "<="
+    # and ">" at-or-below it; the ">" pair takes the complement.
+    below = _fraction_below(stats, value, inclusive=op in ("<=", ">"))
+    return below if op in ("<", "<=") else clamp(1.0 - below)
 
 
-def _fraction_below(hist: tuple[Any, ...], value: Any, inclusive: bool) -> float:
+def _fraction_below(stats: ColumnStats, value: Any, inclusive: bool) -> float:
     """Fraction of the histogram population strictly below ``value``
-    (or ``<=`` when inclusive)."""
+    (or ``<=`` when inclusive).
+
+    Bisects the comparable bounds ``stats`` keeps; the linear scan this
+    replaced lives on as the oracle in ``tests/reference_selectivity.py``.
+    """
+    hist = stats.histogram
+    bounds = stats.histogram_comparables
     bins = len(hist) - 1
     comparable = to_comparable(value)
     try:
-        if comparable <= to_comparable(hist[0]):
-            if inclusive and comparable == to_comparable(hist[0]):
+        if comparable <= bounds[0]:
+            if inclusive and comparable == bounds[0]:
                 return 1.0 / (2.0 * bins)  # half of the first bin's edge mass
             return 0.0
-        if comparable >= to_comparable(hist[-1]):
+        if comparable >= bounds[-1]:
             return 1.0
+        # The first bin whose upper bound reaches the value.
+        i = bisect_left(bounds, comparable) - 1
+        in_bin = i >= 0 and bounds[i] <= comparable <= bounds[i + 1]
     except TypeError:
         return DEFAULT_INEQ_SEL
-    # Find the bin containing value.
-    for i in range(bins):
-        low, high = hist[i], hist[i + 1]
-        try:
-            in_bin = to_comparable(low) <= comparable <= to_comparable(high)
-        except TypeError:
-            return DEFAULT_INEQ_SEL
-        if in_bin:
-            frac_in_bin = numeric_fraction(value, low, high)
-            return clamp((i + frac_in_bin) / bins)
-    return DEFAULT_INEQ_SEL
+    if not in_bin:  # unordered value (NaN): no bin holds it
+        return DEFAULT_INEQ_SEL
+    frac_in_bin = numeric_fraction(value, hist[i], hist[i + 1])
+    return clamp((i + frac_in_bin) / bins)
 
 
 def _between_selectivity(rel: RelationInfo, expr: BetweenExpr) -> float:

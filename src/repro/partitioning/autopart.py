@@ -15,15 +15,24 @@ PARINDA §3.3:
 4. Iterate until no candidate improves the workload; suggest the final
    layout with per-query benefits and the rewritten workload.
 
-Prepared-state sharing: candidate layouts within (and across) composite
-steps overlap almost entirely — one trial changes one table's fragments
-and leaves everything else alone. One ``recommend`` call therefore
-shares three things across its trial sessions instead of rebuilding
-them per trial: fragment *shells* and their derived statistics (keyed
-by the physical fragment), rewritten-and-rebound query forms (keyed by
-the query and its layout signature, valid across sessions because the
-shells are shared objects), and what-if costs. ``shells_shared`` /
-``rebinds_shared`` on the result report how often reuse hit.
+Pricing each distinct rewritten query once: candidate layouts within
+(and across) composite steps overlap almost entirely — one trial
+changes one table's fragments and leaves everything else alone — and a
+query only ever reads the few fragments that cover its columns. The
+what-if cost of a query under a layout is therefore memoised by the
+query's *footprint* (``PartitionRewriter.footprint``): per relation, the
+physical fragments the rewrite joins in its place. A trial that merges
+two fragments a query never reads leaves that query's footprint, and so
+its cost, where it was; on the 10-query SDSS run 2 350 (query, trial)
+pairs hold about 400 footprints. Fragment names and aliases carry the
+fragment's *position* in the layout and the footprint does not, so the
+memo rests on the planner's cost being position-invariant — pinned, for
+every pair the search visits, by ``TestFootprintPricing`` in
+``tests/test_autopart.py``. A trial's ``WhatIfSession`` is built only
+when some footprint in it is unpriced, from fragment shells and derived
+statistics shared across sessions (keyed by the physical fragment and
+its name). On the result, ``rebinds_shared`` counts footprint hits,
+``evaluations`` planner pricings and ``shells_shared`` shell reuse.
 """
 
 from __future__ import annotations
@@ -48,7 +57,7 @@ from repro.partitioning.fragments import (
     fragment_with_pk,
 )
 from repro.partitioning.rewrite import PartitionRewriter
-from repro.sql.binder import bind
+from repro.sql.binder import BoundQuery, bind
 from repro.sql.printer import to_sql
 from repro.whatif.session import WhatIfSession
 from repro.whatif.tables import derive_partition_stats, make_partition_shell
@@ -67,11 +76,11 @@ class PartitionAdvisorResult:
     per_query: list[QueryBenefit]
     rewritten_sql: dict[str, str]
     iterations: int
-    evaluations: int
+    evaluations: int  # planner pricings: footprints nobody had priced
     elapsed_seconds: float
     replication_limit: float
     shells_shared: int = 0
-    rebinds_shared: int = 0
+    rebinds_shared: int = 0  # footprint hits: pricings the memo answered
     # Graceful-degradation records (quarantined queries); quarantined
     # queries are excluded from per_query and all cost totals.
     degraded: list[DegradedResult] = field(default_factory=list)
@@ -96,12 +105,6 @@ class _Layout:
 
     def copy(self) -> "_Layout":
         return _Layout(fragments={t: list(f) for t, f in self.fragments.items()})
-
-    def signature(self, tables: frozenset[str]) -> tuple:
-        return tuple(
-            (t, tuple(sorted(self.fragments.get(t, ()))))
-            for t in sorted(tables)
-        )
 
 
 class AutoPartAdvisor:
@@ -139,7 +142,34 @@ class AutoPartAdvisor:
 
     def recommend(self, workload: Workload) -> PartitionAdvisorResult:
         started = time.perf_counter()
-        usage = attribute_usage(self._catalog, workload)
+        self._evaluations = 0
+        # The one cost memo: (query name, footprint) -> what-if cost.
+        self._cost_cache: dict[tuple, float] = {}
+        self._footprint_hits = 0
+        # Fragment shells + derived stats, shared by every trial session.
+        self._shell_cache: dict[tuple, tuple] = {}
+        self._shells_shared = 0
+        # Per-query failure isolation: a query that cannot be bound or
+        # priced is quarantined for the rest of this run — dropped from
+        # every cost total and from per_query — instead of aborting.
+        self._failed: set[str] = set()
+        self._degraded: list[DegradedResult] = []
+        # Bind each query once; usage analysis and every layout
+        # evaluation start from the same bound form (rewrites re-bind
+        # against the shell catalog).
+        self._bound = {}
+        for query in workload:
+            try:
+                self._bound[query.name] = query.bind(self._catalog)
+            except ReproError as exc:
+                self._quarantine(query.name, exc)
+        if not self._bound:
+            raise AdvisorError(
+                "every workload query failed binding: "
+                + "; ".join(str(entry) for entry in self._degraded)
+            )
+
+        usage = attribute_usage(self._bound)
         tables = sorted(
             t
             for t in usage
@@ -159,34 +189,6 @@ class AutoPartAdvisor:
             frags = atomic_fragments(table, usage[table_name])
             atomics[table_name] = frags
             layout.fragments[table_name] = list(frags)
-
-        self._evaluations = 0
-        self._cost_cache: dict[tuple, float] = {}
-        # Prepared state shared across every trial session of this call:
-        # fragment shells + derived stats, and rewritten+rebound queries.
-        self._shell_cache: dict[tuple, tuple] = {}
-        self._rebind_cache: dict[tuple, tuple] = {}
-        self._shells_shared = 0
-        self._rebinds_shared = 0
-        # Per-query failure isolation: a query that cannot be bound or
-        # priced is quarantined for the rest of this run — dropped from
-        # every cost total and from per_query — instead of aborting.
-        self._failed: set[str] = set()
-        self._degraded: list[DegradedResult] = []
-        # Bind each query once; every layout evaluation starts from the
-        # same bound form (rewrites re-bind against the shell catalog).
-        self._bound = {}
-        for query in workload:
-            try:
-                self._bound[query.name] = query.bind(self._catalog)
-            except ReproError as exc:
-                self._quarantine(query.name, exc)
-        if not self._bound:
-            raise AdvisorError(
-                "every workload query failed binding: "
-                + "; ".join(str(entry) for entry in self._degraded)
-            )
-        self._query_tables = self._tables_per_query(workload)
 
         cost_before = self._workload_cost(workload, _Layout())
         # The paper's algorithm starts from the atomic layout and grows
@@ -216,7 +218,7 @@ class AutoPartAdvisor:
         result.elapsed_seconds = time.perf_counter() - started
         result.evaluations = self._evaluations
         result.shells_shared = self._shells_shared
-        result.rebinds_shared = self._rebinds_shared
+        result.rebinds_shared = self._footprint_hits
         result.degraded = list(self._degraded)
         return result
 
@@ -350,56 +352,56 @@ class AutoPartAdvisor:
     # ------------------------------------------------------------------
     # Pricing
 
-    def _tables_per_query(self, workload: Workload) -> dict[str, frozenset[str]]:
-        out = {}
-        for query in workload:
-            if query.name not in self._bound:
-                continue
-            bound = self._bound[query.name]
-            out[query.name] = frozenset(e.table.name for e in bound.rels)
-        return out
-
-    def _workload_cost(self, workload: Workload, layout: _Layout) -> float:
-        session, rewriter = self._session_for(layout)
-        total = 0.0
-        for query in workload:
-            if query.name in self._failed:
-                continue  # quarantined: contributes nothing, everywhere
-            signature = layout.signature(self._query_tables[query.name])
-            cached = self._cost_cache.get((query.name, signature))
-            if cached is not None:
-                total += cached * query.weight
-                continue
-            try:
-                faults.check("optimizer.plan", query.name, self._faults)
-                cost = self._query_cost(query, session, rewriter, signature)
-            except ReproError as exc:
-                self._quarantine(query.name, exc)
-                continue
-            self._cost_cache[(query.name, signature)] = cost
-            self._evaluations += 1
-            total += cost * query.weight
-        return total
-
-    def _session_for(
-        self, layout: _Layout
-    ) -> tuple[WhatIfSession, PartitionRewriter | None]:
-        session = WhatIfSession(self._catalog, self._config)
+    def _schemes_for(self, layout: _Layout) -> dict[str, PartitionScheme]:
         schemes: dict[str, PartitionScheme] = {}
         for table_name, fragments in layout.fragments.items():
             if not fragments:
                 continue
             table = self._catalog.table(table_name)
-            physical = tuple(fragment_with_pk(table, f) for f in fragments)
-            scheme = PartitionScheme(table_name=table_name, fragments=physical)
-            schemes[table_name] = scheme
-            for position in range(len(physical)):
+            schemes[table_name] = PartitionScheme(
+                table_name=table_name,
+                fragments=tuple(fragment_with_pk(table, f) for f in fragments),
+            )
+        return schemes
+
+    def _workload_cost(self, workload: Workload, layout: _Layout) -> float:
+        schemes = self._schemes_for(layout)
+        rewriter = PartitionRewriter(schemes)
+        # Built on the first footprint nobody has priced; a layout whose
+        # footprints are all known never gets a session.
+        session: WhatIfSession | None = None
+        total = 0.0
+        for query in workload:
+            if query.name in self._failed:
+                continue  # quarantined: contributes nothing, everywhere
+            bound = self._bound[query.name]
+            try:
+                key = (query.name, rewriter.footprint(bound))
+                cost = self._cost_cache.get(key)
+                if cost is None:
+                    faults.check("optimizer.plan", query.name, self._faults)
+                    if schemes and session is None:
+                        session = self._session_for(schemes)
+                    cost = self._query_cost(bound, rewriter, session)
+                    self._cost_cache[key] = cost
+                    self._evaluations += 1
+                else:
+                    self._footprint_hits += 1
+            except ReproError as exc:
+                self._quarantine(query.name, exc)
+                continue
+            total += cost * query.weight
+        return total
+
+    def _session_for(self, schemes: dict[str, PartitionScheme]) -> WhatIfSession:
+        session = WhatIfSession(self._catalog, self._config)
+        for table_name, scheme in schemes.items():
+            for position, physical in enumerate(scheme.fragments):
                 shell, stats = self._shell_for(
-                    table_name, physical[position], scheme.fragment_name(position)
+                    table_name, physical, scheme.fragment_name(position)
                 )
                 session.add_table(shell, stats)
-        rewriter = PartitionRewriter(schemes) if schemes else None
-        return session, rewriter
+        return session
 
     def _shell_for(
         self, table_name: str, physical: tuple[str, ...], fragment_name: str
@@ -407,9 +409,8 @@ class AutoPartAdvisor:
         """One shell table + derived statistics per distinct fragment.
 
         Trial layouts overlap almost entirely, so the same fragment is
-        registered in many sessions; building the shell and deriving its
-        statistics once makes the shell *objects* shared — which is also
-        what lets rebound queries transfer between sessions.
+        registered in many sessions; its shell is built and its
+        statistics derived once.
         """
         key = (table_name, physical, fragment_name)
         entry = self._shell_cache.get(key)
@@ -423,42 +424,15 @@ class AutoPartAdvisor:
         entry = self._shell_cache[key] = (shell, stats)
         return entry
 
-    def _rewritten_for(
-        self,
-        query,
-        signature: tuple,
-        session: WhatIfSession,
-        rewriter: PartitionRewriter,
-    ) -> tuple:
-        """The rewritten AST + rebound form of ``query`` under a layout.
-
-        Keyed by the layout signature restricted to the query's tables:
-        any trial session registering the same fragments for those
-        tables serves the identical shell objects, so one rebound query
-        is valid in all of them (``_finalize`` reuses the forms priced
-        during the search instead of re-rewriting the final layout).
-        """
-        key = (query.name, signature)
-        entry = self._rebind_cache.get(key)
-        if entry is not None:
-            self._rebinds_shared += 1
-            return entry
-        rewritten = rewriter.rewrite(self._bound[query.name])
-        rebound = bind(session.catalog, rewritten)
-        entry = self._rebind_cache[key] = (rewritten, rebound)
-        return entry
-
     def _query_cost(
         self,
-        query,
-        session: WhatIfSession,
-        rewriter: PartitionRewriter | None,
-        signature: tuple,
+        bound: BoundQuery,
+        rewriter: PartitionRewriter,
+        session: WhatIfSession | None,
     ) -> float:
-        bound = self._bound[query.name]
-        if rewriter is None:
+        if session is None:  # nothing is partitioned
             return Planner(self._catalog, self._config).plan(bound).total_cost
-        _, rebound = self._rewritten_for(query, signature, session, rewriter)
+        rebound = bind(session.catalog, rewriter.rewrite(bound))
         return session.planner().plan(rebound).total_cost
 
     # ------------------------------------------------------------------
@@ -471,21 +445,17 @@ class AutoPartAdvisor:
         cost_after: float,
         iterations: int,
     ) -> PartitionAdvisorResult:
-        session, rewriter = self._session_for(layout)
-        schemes: dict[str, PartitionScheme] = {}
-        for table_name, fragments in layout.fragments.items():
-            if not fragments:
-                continue
-            table = self._catalog.table(table_name)
-            schemes[table_name] = PartitionScheme(
-                table_name=table_name,
-                fragments=tuple(fragment_with_pk(table, f) for f in fragments),
-            )
+        """Per-query benefits and the rewritten workload of ``layout``.
 
+        The search priced every surviving query under both the
+        unpartitioned design and ``layout``, so the costs are memo reads;
+        the SQL is rendered from ``layout``'s own fragment names.
+        """
+        schemes = self._schemes_for(layout)
+        rewriter = PartitionRewriter(schemes)
+        unpartitioned = PartitionRewriter({})
         per_query: list[QueryBenefit] = []
         rewritten_sql: dict[str, str] = {}
-        baseline_planner = Planner(self._catalog, self._config)
-        empty = _Layout()
         for query in workload:
             if query.name in self._failed:
                 # Quarantined: untouched by the recommendation; the
@@ -493,29 +463,17 @@ class AutoPartAdvisor:
                 rewritten_sql[query.name] = query.sql.strip()
                 continue
             bound = self._bound[query.name]
-            tables = self._query_tables[query.name]
-            base_cost = self._cost_cache.get(
-                (query.name, empty.signature(tables))
-            )
-            if base_cost is None:
-                base_cost = baseline_planner.plan(bound).total_cost
-            before = base_cost * query.weight
-            if rewriter is None:
+            base_key = (query.name, unpartitioned.footprint(bound))
+            before = self._cost_cache[base_key] * query.weight
+            if not schemes:
                 after = before
                 rewritten_sql[query.name] = query.sql.strip()
                 used: list[str] = []
             else:
-                # The final layout was priced during the search; both the
-                # rewritten form and its cost come from the shared caches.
-                signature = layout.signature(tables)
-                rewritten, rebound = self._rewritten_for(
-                    query, signature, session, rewriter
-                )
+                rewritten = rewriter.rewrite(bound)
                 rewritten_sql[query.name] = to_sql(rewritten)
-                cost = self._cost_cache.get((query.name, signature))
-                if cost is None:
-                    cost = session.planner().plan(rebound).total_cost
-                after = cost * query.weight
+                key = (query.name, rewriter.footprint(bound))
+                after = self._cost_cache[key] * query.weight
                 used = sorted({t.name for t in rewritten.tables if "__frag" in t.name})
             per_query.append(
                 QueryBenefit(

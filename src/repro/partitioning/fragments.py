@@ -2,26 +2,25 @@
 
 from __future__ import annotations
 
-from repro.catalog.catalog import Catalog
 from repro.catalog.schema import Table
-from repro.workloads.workload import Workload
+from repro.sql.binder import BoundQuery
 
 
 def attribute_usage(
-    catalog: Catalog, workload: Workload
+    bound: dict[str, BoundQuery],
 ) -> dict[str, dict[str, frozenset[str]]]:
     """``usage[table][column] = frozenset of query names touching it``.
 
-    Built from bound queries so alias resolution and star expansion are
-    already done; multiple aliases of the same table merge.
+    Takes bound queries by name, so alias resolution and star expansion
+    are already done (and a query that does not bind is the caller's to
+    set aside); multiple aliases of the same table merge.
     """
     usage: dict[str, dict[str, set[str]]] = {}
-    for query in workload:
-        bound = query.bind(catalog)
-        for entry in bound.rels:
+    for name, query in bound.items():
+        for entry in query.rels:
             table_usage = usage.setdefault(entry.table.name, {})
-            for column in bound.required_columns[entry.alias]:
-                table_usage.setdefault(column, set()).add(query.name)
+            for column in query.required_columns[entry.alias]:
+                table_usage.setdefault(column, set()).add(name)
     return {
         table: {col: frozenset(queries) for col, queries in cols.items()}
         for table, cols in usage.items()

@@ -54,6 +54,30 @@ class PartitionRewriter:
 
     # ------------------------------------------------------------------
 
+    def footprint(self, query: BoundQuery) -> tuple:
+        """What ``query`` reads of the schemes: per relation, in FROM
+        order, the physical fragments :meth:`rewrite` joins in its
+        place (``None`` for an unpartitioned relation).
+
+        Fragment *positions* are left out on purpose: two scheme sets
+        with equal footprints rewrite ``query`` to the same statement up
+        to fragment numbering, so the planner prices both alike.
+        """
+        parts: list[tuple | None] = []
+        for entry in query.rels:
+            scheme = self._schemes.get(entry.table.name)
+            if scheme is None:
+                parts.append(None)
+                continue
+            needed = query.required_columns[entry.alias]
+            parts.append(
+                tuple(
+                    scheme.fragments[position]
+                    for position in _covering(scheme, entry.table, needed)
+                )
+            )
+        return tuple(parts)
+
     def rewrite(self, query: BoundQuery) -> SelectStmt:
         """The rewritten (unbound) statement for ``query``."""
         stmt = query.statement
@@ -107,8 +131,7 @@ class PartitionRewriter:
             raise AdvisorError(
                 f"cannot rewrite over partitions of {table.name!r}: no primary key"
             )
-        needed_columns = set(needed) if needed else set(table.primary_key)
-        positions = scheme.covering_fragments(needed_columns)
+        positions = _covering(scheme, table, needed)
 
         fragment_aliases: list[str] = []
         for position in positions:
@@ -131,3 +154,12 @@ class PartitionRewriter:
                         ColumnRef(column=key_column, table=other),
                     )
                 )
+
+
+def _covering(
+    scheme: PartitionScheme, table: Table, needed: frozenset[str]
+) -> list[int]:
+    """Positions of the fragments read for ``needed`` columns of
+    ``table`` (a relation no column of which is needed still has to
+    produce its rows: it reads the primary key)."""
+    return scheme.covering_fragments(set(needed) if needed else set(table.primary_key))

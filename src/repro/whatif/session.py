@@ -12,7 +12,11 @@ epoch, and a per-table epoch bumped whenever a hypothetical index on
 that table is added or dropped. Adding an index on ``specobj`` therefore
 replans only the queries that reference ``specobj``; every other
 cached plan keeps serving hits. Bound queries are likewise cached per
-catalog version, so interactive loops re-parse nothing.
+catalog version, so interactive loops re-parse nothing. A query that
+does have to be replanned at an unchanged catalog version keeps its
+prepared planner state (clause classification, selectivities, row and
+width estimates — none of which an index or a join flag can move) and
+only has its relations' physical design re-read through the hook.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from repro.catalog.sizing import estimate_index_pages
 from repro.catalog.statistics import RelationStatistics
 from repro.errors import WhatIfError
 from repro.optimizer.config import IndexInfo, PlannerConfig, RelationInfo
-from repro.optimizer.planner import Planner
+from repro.optimizer.planner import Planner, PreparedQuery
 from repro.optimizer.plans import Plan, indexes_used
 from repro.sql.binder import BoundQuery, bind
 from repro.sql.parser import parse_select
@@ -58,7 +62,9 @@ class WhatIfSession:
         self._table_epochs: dict[str, int] = {}
         self._flags_epoch = 0
         self._bound_cache: dict[tuple, BoundQuery] = {}
-        self._plan_cache: dict[object, tuple[BoundQuery, tuple, Plan]] = {}
+        self._plan_cache: dict[
+            object, tuple[BoundQuery, tuple, Plan, PreparedQuery]
+        ] = {}
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
 
@@ -236,17 +242,25 @@ class WhatIfSession:
             # reused while the entry is alive; identity check below.
             key = id(query)
         fingerprint = self.design_fingerprint(query)
+        cached_fp = cached_prepared = None
         entry = self._plan_cache.get(key)
-        if entry is not None:
-            cached_query, cached_fp, cached_plan = entry
-            if cached_fp == fingerprint and (
-                isinstance(key, str) or cached_query is query
-            ):
+        if entry is not None and (isinstance(key, str) or entry[0] is query):
+            _, cached_fp, cached_plan, cached_prepared = entry
+            if cached_fp == fingerprint:
                 self.plan_cache_hits += 1
                 return cached_plan
         self.plan_cache_misses += 1
-        plan = self.planner().plan(query)
-        self._plan_cache[key] = (query, fingerprint, plan)
+        planner = self.planner()
+        if cached_fp is not None and cached_fp[0] == fingerprint[0]:
+            # Same catalog version, so the same tables and statistics:
+            # only indexes or flags moved since this query was prepared.
+            prepared = cached_prepared.with_relation_info(
+                lambda rel: planner.relation_info(rel.table_name)
+            )
+        else:
+            prepared = planner.prepare(query)
+        plan = planner.plan(query, prepared)
+        self._plan_cache[key] = (query, fingerprint, plan, prepared)
         return plan
 
     def cost(self, query: BoundQuery | str) -> float:

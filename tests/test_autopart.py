@@ -5,10 +5,17 @@ import random
 import pytest
 
 from repro.catalog.datatypes import DOUBLE, INTEGER
-from repro.catalog.schema import make_table
+from repro.catalog.schema import PartitionScheme, make_table
 from repro.errors import AdvisorError
+from repro.optimizer.planner import Planner
 from repro.partitioning.autopart import AutoPartAdvisor
+from repro.partitioning.fragments import fragment_with_pk
+from repro.partitioning.rewrite import PartitionRewriter
+from repro.sql.binder import bind
+from repro.sql.printer import to_sql
 from repro.storage.database import Database
+from repro.whatif.session import WhatIfSession
+from repro.workloads.sdss import build_sdss_database, sdss_workload
 from repro.workloads.workload import Query, Workload
 
 
@@ -128,18 +135,107 @@ class TestFallback:
         assert result.cost_after <= result.cost_before * 1.0001
 
 
-class TestPreparedStateSharing:
-    """Shells, statistics, and rebound queries are built once per
-    distinct fragment / (query, layout) pair, then shared across every
-    trial session of one recommend() call."""
+def fresh_cost(catalog, schemes, bound) -> float:
+    """``Planner.plan`` on ``bound`` freshly rewritten and rebound under
+    ``schemes``: new shells, new session, nothing of the advisor's."""
+    if not schemes:
+        return Planner(catalog).plan(bound).total_cost
+    session = WhatIfSession(catalog)
+    for table, scheme in schemes.items():
+        for position, columns in enumerate(scheme.fragments):
+            session.add_partition_table(table, columns, scheme.fragment_name(position))
+    rebound = bind(session.catalog, PartitionRewriter(schemes).rewrite(bound))
+    return session.planner().plan(rebound).total_cost
 
-    def test_sharing_counters_populated(self, result):
-        assert result.shells_shared > 0
-        assert result.rebinds_shared > 0
 
-    def test_final_layout_reuses_trial_state(self, result):
-        # Finalization re-renders every query of the final layout; all
-        # of those forms were already built while pricing trials, so
-        # each rewritten query contributes at least one shared rebind.
-        assert result.schemes  # every query's table is partitioned
-        assert result.rebinds_shared >= len(result.per_query)
+def recommend_checking_every_pricing(catalog, workload, **options):
+    """Run the search; after each layout it prices, require every
+    query's memoised cost to equal its fresh cost under that layout."""
+    advisor = AutoPartAdvisor(catalog, **options)
+    price = advisor._workload_cost
+    bound = {query.name: query.bind(catalog) for query in workload}
+    visited = []
+
+    def price_and_check(workload, layout):
+        total = price(workload, layout)
+        schemes = {
+            name: PartitionScheme(
+                name,
+                tuple(fragment_with_pk(catalog.table(name), f) for f in fragments),
+            )
+            for name, fragments in layout.fragments.items()
+            if fragments
+        }
+        footprints = PartitionRewriter(schemes)
+        for name, query in bound.items():
+            memoised = advisor._cost_cache[(name, footprints.footprint(query))]
+            assert memoised == fresh_cost(catalog, schemes, query), (name, schemes)
+        visited.append(layout)
+        return total
+
+    advisor._workload_cost = price_and_check
+    return advisor.recommend(workload), visited
+
+
+class TestFootprintPricing:
+    """The one cost memo is keyed by what a query reads of a layout (its
+    footprint), not by the layout: a (query, layout) pair the search
+    visits is priced by the planner only if no earlier layout gave the
+    query the same fragments to read. Fragment names and aliases carry
+    the fragment's position and the footprint does not, so what is
+    pinned here is that the planner's cost does not either."""
+
+    def test_memo_equals_fresh_planning_on_wide(self, db):
+        result, visited = recommend_checking_every_pricing(
+            db.catalog, WORKLOAD, replication_limit=0.25, max_iterations=6
+        )
+        assert len(visited) > 2 and result.schemes
+        assert result.evaluations < len(visited) * len(WORKLOAD)
+        assert result.evaluations + result.rebinds_shared == len(visited) * len(WORKLOAD)
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_memo_equals_fresh_planning_on_sdss(self, seed):
+        sdss = build_sdss_database(photo_rows=1500, seed=seed)
+        survey = sdss_workload()
+        workload = Workload(
+            name="joins",
+            queries=[
+                survey.query(name)
+                for name in (
+                    "q01_box_search", "q06_red_galaxies", "q15_spec_redshift_join",
+                    "q19_spec_photo_offset", "q24_merger_candidates",
+                    "q26_field_objects", "q29_spec_field_quality",
+                )
+            ],
+        )
+        result, visited = recommend_checking_every_pricing(sdss.catalog, workload)
+        assert len(result.schemes) > 1  # joins across partitioned tables
+        assert result.evaluations < len(visited) * len(workload) / 2
+
+    def test_cost_ignores_fragment_positions(self, db):
+        """The same two fragments at positions 0, 1 and at 9, 10, where
+        the aliases sort the other way round (``__f10`` < ``__f9``)."""
+        table = db.catalog.table("wide")
+        read = [("id", "c00", "c01"), ("id", "c05", "c06")]
+        singles = [("id", f"c{i:02d}") for i in range(7, 16)]
+        rest = [
+            fragment_with_pk(table, tuple(
+                c for c in table.column_names
+                if c not in {"c00", "c01", "c05", "c06"}
+                and c not in {f"c{i:02d}" for i in range(7, 16)}
+            ))
+        ]
+        low = {"wide": PartitionScheme("wide", tuple(read + singles + rest))}
+        high = {"wide": PartitionScheme("wide", tuple(singles + read + rest))}
+        for sql in (
+            "select c00, c05, c06 from wide where c05 > 95",
+            "select a.c00, b.c06 from wide a, wide b "
+            "where a.id = b.id and a.c01 < 5 and b.c05 > 95",
+        ):
+            bound = Query("q", sql).bind(db.catalog)
+            assert (
+                PartitionRewriter(low).footprint(bound)
+                == PartitionRewriter(high).footprint(bound)
+            )
+            assert "wide__frag10" in to_sql(PartitionRewriter(high).rewrite(bound))
+            assert fresh_cost(db.catalog, low, bound) == fresh_cost(db.catalog, high, bound)

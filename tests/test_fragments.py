@@ -28,7 +28,7 @@ class TestAttributeUsage:
                 Query("qb", "select age, city from people"),
             ]
         )
-        usage = attribute_usage(db.catalog, workload)
+        usage = attribute_usage({q.name: q.bind(db.catalog) for q in workload})
         people = usage["people"]
         assert people["age"] == frozenset({"qa", "qb"})
         assert people["height"] == frozenset({"qa"})
@@ -42,7 +42,7 @@ class TestAttributeUsage:
                               "where a.person_id = b.person_id and b.height > 1"),
             ]
         )
-        usage = attribute_usage(db.catalog, workload)
+        usage = attribute_usage({q.name: q.bind(db.catalog) for q in workload})
         assert usage["people"]["age"] == frozenset({"self"})
         assert usage["people"]["height"] == frozenset({"self"})
 

@@ -514,6 +514,17 @@ class TestAutoPartDegradation:
         assert name not in [benefit.name for benefit in result.per_query]
         assert result.schemes
 
+    def test_unbindable_query_quarantined(self, wide_db):
+        bad = Query("bad", "select nosuchcol from wide where c00 < 5")
+        workload = Workload(queries=[*WIDE_WL.queries, bad], name="with-bad")
+        result = AutoPartAdvisor(wide_db.catalog, max_iterations=4).recommend(workload)
+        assert [(d.subject, d.action) for d in result.degraded] == [("bad", "quarantined")]
+        assert result.rewritten_sql["bad"] == bad.sql
+        assert [benefit.name for benefit in result.per_query] == [
+            q.name for q in WIDE_WL
+        ]
+        assert all("wide__frag" in result.rewritten_sql[q.name] for q in WIDE_WL)
+
 
 # ----------------------------------------------------------------------
 # The online tuner

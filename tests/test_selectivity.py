@@ -3,11 +3,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.catalog.datatypes import INTEGER, DOUBLE, varchar
+from repro.catalog.datatypes import INTEGER, DOUBLE, to_comparable, varchar
 from repro.catalog.schema import make_table
+from repro.catalog.statistics import ColumnStats
 from repro.optimizer.config import PlannerConfig, default_relation_info
 from repro.optimizer.selectivity import (
+    _histogram_fraction,
     clamp,
     equijoin_selectivity,
     eq_selectivity,
@@ -19,6 +23,8 @@ from repro.optimizer.selectivity import (
 from repro.sql.binder import bind
 from repro.sql.parser import parse_select
 from repro.storage.database import Database
+
+from tests.reference_selectivity import reference_fraction_below
 
 
 def build_db(rows: int = 10_000, seed: int = 1) -> Database:
@@ -118,6 +124,50 @@ class TestInequalitiesAndRanges:
         stats = rel.stats_for("uniform")
         assert ineq_selectivity(stats, "<", -5.0) <= 1e-4
         assert ineq_selectivity(stats, "<", 500.0) >= 0.999
+
+
+# Histogram bounds come sorted out of ANALYZE, all of one domain; the
+# probed value is whatever the query's literal was — of that domain
+# (a bound itself, between bounds, out of range) or of another one.
+_DOMAINS = [
+    st.integers(-50, 50),
+    st.floats(-1e6, 1e6),
+    st.integers(-50, 50) | st.floats(-50, 50),  # bigint bounds, double literal
+    st.dates(),
+    st.datetimes(),
+    st.booleans(),
+    st.text(alphabet="abcz", max_size=4),
+]
+_ANY_VALUE = st.one_of(*_DOMAINS, st.floats(allow_nan=True))
+
+
+@st.composite
+def _histogram_and_value(draw):
+    domain = draw(st.sampled_from(_DOMAINS))
+    bounds = sorted(draw(st.lists(domain, min_size=2, max_size=12)), key=to_comparable)
+    if draw(st.booleans()):  # duplicate bounds: a run of equal values
+        bounds = sorted(bounds + bounds[:3], key=to_comparable)
+    value = draw(st.sampled_from(bounds) | domain | _ANY_VALUE)
+    return tuple(bounds), value
+
+
+class TestHistogramLookupMatchesLinearScan:
+    """The bisected lookup against the linear scan it replaced: the same
+    bin, interpolation and fallbacks, bit for bit, for all four
+    operators (``<`` / ``<=`` are the lookup itself, ``>`` / ``>=`` its
+    complement at the other inclusiveness)."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(case=_histogram_and_value())
+    def test_equal_on_generated_histograms(self, case):
+        hist, value = case
+        stats = ColumnStats(histogram=hist)
+        strictly = reference_fraction_below(hist, value, inclusive=False)
+        at_or_below = reference_fraction_below(hist, value, inclusive=True)
+        assert _histogram_fraction(stats, "<", value) == strictly
+        assert _histogram_fraction(stats, "<=", value) == at_or_below
+        assert _histogram_fraction(stats, ">", value) == clamp(1.0 - at_or_below)
+        assert _histogram_fraction(stats, ">=", value) == clamp(1.0 - strictly)
 
 
 class TestOtherPredicates:
