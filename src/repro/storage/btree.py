@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
+
+import numpy as np
 
 from repro.catalog.schema import Index, Table
 from repro.catalog.sizing import (
@@ -27,50 +28,50 @@ from repro.resilience import faults
 from repro.storage.heap import HeapFile
 
 
-class _KeyPart:
-    """Wrapper making heterogeneous/None key parts totally ordered.
+def _rank(value: Any) -> tuple[int, Any]:
+    """One key part in index order: values, then NaN, then NULL.
 
-    SQL NULLs sort last (PostgreSQL's default NULLS LAST for ASC).
+    PostgreSQL's float order under the default NULLS LAST. NaN and NULL
+    carry a constant, so rows tied on them fall through to the next key
+    column and then to row-id order.
     """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Any) -> None:
-        self.value = value
-
-    def __lt__(self, other: object) -> bool:
-        if isinstance(other, _InfinityPart):
-            return True
-        if not isinstance(other, _KeyPart):
-            return NotImplemented  # type: ignore[return-value]
-        if self.value is None:
-            return False
-        if other.value is None:
-            return True
-        return self.value < other.value
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _KeyPart) and self.value == other.value
-
-    def __le__(self, other: "_KeyPart") -> bool:
-        return self == other or self < other
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"_KeyPart({self.value!r})"
+    if value is None:
+        return (2, 0)
+    if value != value:
+        return (1, 0)
+    return (0, value)
 
 
-def _wrap_key(values: tuple[Any, ...]) -> tuple[_KeyPart, ...]:
-    return tuple(_KeyPart(v) for v in values)
+def _numeric_arrays(columns: Sequence[Sequence[Any]]) -> list[np.ndarray] | None:
+    """Every column as a numpy array, or None when one would lose data.
 
-
-@dataclass(frozen=True)
-class _LeafEntry:
-    key: tuple[_KeyPart, ...]
-    row_id: int
+    A NULL or a string disqualifies the key before anything is copied.
+    Ints and bools are exact in an integer array; a float array is exact
+    only when every value was a float already (an int beyond 2**53 would
+    round, one beyond 64 bits comes back as an object).
+    """
+    arrays = []
+    for column in columns:
+        types = set(map(type, column))
+        if not types <= {bool, int, float}:
+            return None
+        array = np.asarray(column)
+        if array.dtype.kind not in "biu" and types - {float}:
+            return None
+        arrays.append(array)
+    return arrays
 
 
 class BTreeIndex:
-    """A bulk-loaded B-Tree over one or more columns of a heap file."""
+    """A bulk-loaded B-Tree over one or more columns of a heap file.
+
+    Stored as parallel arrays in key order: the row ids and one list
+    per key column. Which sort builds them is decided by the column
+    data alone (``build_path`` records it): one stable ``np.lexsort``
+    when the key is NULL-free and numeric, otherwise a stable sort on
+    ``_rank``-decorated tuples. Both order NaN after every number and
+    NULL after NaN, with ties in row-id order.
+    """
 
     def __init__(
         self,
@@ -85,7 +86,6 @@ class BTreeIndex:
                 f"cannot materialize hypothetical index {definition.name!r}"
             )
         self.definition = definition
-        self._table = table
         self._fillfactor = fillfactor
 
         # Storage-layer fault surface: the build slot itself, then one
@@ -95,40 +95,56 @@ class BTreeIndex:
         faults.check("index.build", definition.name, fault_injector)
         columns = []
         for name in definition.columns:
-            faults.check(
-                "page.read", f"{table.name}.{name}", fault_injector
-            )
+            faults.check("page.read", f"{table.name}.{name}", fault_injector)
             columns.append(heap.column(name))
-        entries = [
-            _LeafEntry(key=_wrap_key(tuple(col[i] for col in columns)), row_id=i)
-            for i in range(heap.row_count)
-        ]
-        entries.sort(key=lambda e: e.key)
-        self._entries = entries
-        self._keys = [e.key for e in entries]
+        rows = heap.row_count
 
-        self._entry_width = self._compute_entry_width(table, definition, heap)
-        self._leaf_page_count = self._compute_leaf_pages(len(entries))
-        self._height = self._compute_height(len(entries))
+        # Per position, the first key column holding a NULL; None when no
+        # key has one (always so on the numpy path) and scans skip the test.
+        self._null_depth: list[int] | None = None
+        arrays = _numeric_arrays(columns)
+        if arrays is not None:
+            self.build_path = "numpy"
+            order = np.lexsort(arrays[::-1])  # the primary key goes last
+            self._row_ids: list[int] = order.tolist()
+            self._columns = [array[order].tolist() for array in arrays]
+        else:
+            self.build_path = "tuples"
+            keys = list(zip(*(map(_rank, column) for column in columns)))
+            self._row_ids = sorted(range(rows), key=keys.__getitem__)
+            self._columns = [[col[i] for i in self._row_ids] for col in columns]
+            for depth in reversed(range(len(columns))):
+                if None in self._columns[depth]:
+                    deeper = self._null_depth or [len(columns)] * rows
+                    self._null_depth = [
+                        depth if value is None else other
+                        for value, other in zip(self._columns[depth], deeper)
+                    ]
+
+        self._entry_width = self._compute_entry_width(table, definition, columns)
+        self._leaf_page_count = self._compute_leaf_pages(rows)
+        self._height = self._compute_height(rows)
+        self._entries_per_page = max(1, math.ceil(rows / self._leaf_page_count))
 
     # ------------------------------------------------------------------
     # Page accounting
 
     @staticmethod
-    def _compute_entry_width(table: Table, definition: Index, heap: HeapFile) -> int:
+    def _compute_entry_width(
+        table: Table, definition: Index, columns: Sequence[Sequence[Any]]
+    ) -> int:
         widths_and_aligns: list[tuple[int, int]] = []
-        for name in definition.columns:
+        for name, column in zip(definition.columns, columns):
             dtype = table.column(name).dtype
             if dtype.typlen is not None:
                 avg = dtype.typlen
             else:
-                values = [v for v in heap.column(name) if v is not None]
-                if values:
-                    avg = max(
-                        1, round(sum(dtype.value_width(v) for v in values) / len(values))
-                    )
-                else:
-                    avg = dtype.default_width
+                total = count = 0
+                for value in column:
+                    if value is not None:
+                        total += dtype.value_width(value)
+                        count += 1
+                avg = max(1, round(total / count)) if count else dtype.default_width
             widths_and_aligns.append((avg, dtype.typalign))
         return aligned_row_width(widths_and_aligns, INDEX_ROW_OVERHEAD)
 
@@ -161,7 +177,7 @@ class BTreeIndex:
 
     @property
     def entry_count(self) -> int:
-        return len(self._entries)
+        return len(self._row_ids)
 
     @property
     def size_bytes(self) -> int:
@@ -169,10 +185,9 @@ class BTreeIndex:
 
     def leaf_page_of_position(self, position: int) -> int:
         """Which leaf page holds the entry at sorted ``position``."""
-        if not self._entries:
+        if not self._row_ids:
             return 0
-        per_page = max(1, math.ceil(len(self._entries) / self._leaf_page_count))
-        return position // per_page
+        return position // self._entries_per_page
 
     # ------------------------------------------------------------------
     # Search
@@ -188,68 +203,51 @@ class BTreeIndex:
 
         Bounds are prefixes of the key (shorter tuples match any suffix).
         ``None`` bounds are open. NULL key entries never match a bounded
-        range (SQL comparisons with NULL are unknown).
+        range (SQL comparisons with NULL are unknown), and NaN sorts
+        above every finite upper bound.
         """
-        start = 0
+        start, end = 0, len(self._row_ids)
+        bound_len = 0
         if low is not None:
-            wrapped = _wrap_key(low)
-            if low_inclusive:
-                start = bisect.bisect_left(self._keys, wrapped)
-            else:
-                start = bisect.bisect_right(self._keys, self._pad_high(wrapped))
-
-        end = len(self._entries)
+            first, past = self._equal_range(low)
+            start = first if low_inclusive else past
+            bound_len = len(low)
         if high is not None:
-            wrapped = _wrap_key(high)
-            if high_inclusive:
-                end = bisect.bisect_right(self._keys, self._pad_high(wrapped))
-            else:
-                end = bisect.bisect_left(self._keys, wrapped)
+            first, past = self._equal_range(high)
+            end = past if high_inclusive else first
+            bound_len = max(bound_len, len(high))
 
+        row_ids, per_page = self._row_ids, self._entries_per_page
+        null_depth = self._null_depth
         for position in range(start, end):
-            entry = self._entries[position]
-            if self._key_has_null(entry.key, low, high):
+            if null_depth is not None and null_depth[position] < bound_len:
                 continue
-            yield entry.row_id, self.leaf_page_of_position(position)
+            yield row_ids[position], position // per_page
 
     def scan_all(self) -> Iterator[tuple[int, int]]:
-        """Full index scan in key order (NULL keys last)."""
-        for position, entry in enumerate(self._entries):
-            yield entry.row_id, self.leaf_page_of_position(position)
+        """Full index scan in key order (NaN keys, then NULL keys, last)."""
+        per_page = self._entries_per_page
+        for position, row_id in enumerate(self._row_ids):
+            yield row_id, position // per_page
 
-    @staticmethod
-    def _key_has_null(
-        key: tuple[_KeyPart, ...],
-        low: tuple[Any, ...] | None,
-        high: tuple[Any, ...] | None,
-    ) -> bool:
-        bound_len = max(
-            len(low) if low is not None else 0, len(high) if high is not None else 0
-        )
-        return any(part.value is None for part in key[:bound_len])
+    def _equal_range(self, prefix: tuple[Any, ...]) -> tuple[int, int]:
+        """Positions ``[first, past)`` of the keys that start with ``prefix``.
 
-    @staticmethod
-    def _pad_high(key: tuple[_KeyPart, ...]) -> tuple:
-        """Extend a prefix bound so bisect treats it as +inf in the suffix."""
-        return key + (_InfinityPart(),)
+        Column by column: inside the run that matched the earlier parts
+        the next key column is sorted, so two bisects narrow it. Keys
+        before ``first`` sort below the prefix and keys from ``past`` on
+        above it whatever their suffix, which is what a prefix bound
+        padded with -inf / +inf would find.
+        """
+        first, past = 0, len(self._row_ids)
+        for column, value in zip(self._columns, prefix):
+            part = _rank(value)
+            first = bisect.bisect_left(column, part, first, past, key=_rank)
+            past = bisect.bisect_right(column, part, first, past, key=_rank)
+        return first, past
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"BTreeIndex({self.definition.name!r}, entries={self.entry_count}, "
             f"leaves={self.leaf_page_count})"
         )
-
-
-class _InfinityPart:
-    """Sorts after every _KeyPart, including NULL."""
-
-    __slots__ = ()
-
-    def __lt__(self, other: object) -> bool:
-        return False
-
-    def __gt__(self, other: object) -> bool:
-        return True
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _InfinityPart)

@@ -5,18 +5,33 @@ cartesian product of the FROM relations, filters with the expression
 evaluator, then applies grouping, HAVING, projection, DISTINCT,
 ORDER BY, and LIMIT by direct definition. Slow but obviously correct on
 the small test databases.
+
+Below it, :class:`ReferenceBTree`: the storage engine's B-Tree as it
+was built before the columnar sort, the oracle for ``test_btree.py``.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
-from typing import Any
+import math
+from dataclasses import dataclass
+from typing import Any, Iterator
 
+from repro.catalog.schema import Index, Table
+from repro.catalog.sizing import (
+    BLOCK_SIZE,
+    BTREE_LEAF_FILLFACTOR,
+    INDEX_ROW_OVERHEAD,
+    PAGE_HEADER_SIZE,
+    aligned_row_width,
+)
 from repro.executor.aggregates import AggregateAccumulator
 from repro.sql.ast_nodes import FuncCall
 from repro.sql.binder import BoundQuery
 from repro.sql.expressions import evaluate, is_true
 from repro.storage.database import Database
+from repro.storage.heap import HeapFile
 
 
 def run_reference(db: Database, query: BoundQuery) -> list[tuple]:
@@ -171,3 +186,212 @@ def rows_equal(actual: list[tuple], expected: list[tuple], ordered: bool) -> boo
     if ordered:
         return a == b
     return sorted(a) == sorted(b)
+
+
+# ----------------------------------------------------------------------
+# The wrapper-object B-Tree, kept as the columnar build's oracle.
+#
+# Moved here verbatim from ``repro.storage.btree`` when the production
+# build became one columnar sort: a ``_KeyPart`` per key column per row,
+# a ``_LeafEntry`` per row, Python-level ``__lt__``/``__eq__`` under
+# ``list.sort`` and ``bisect``. ``test_btree.py`` checks that the two
+# agree on order, page accounting and range search (NaN apart: this
+# order is not total over NaN, which is the bug the rewrite fixed).
+
+
+class _KeyPart:
+    """Wrapper making heterogeneous/None key parts totally ordered.
+
+    SQL NULLs sort last (PostgreSQL's default NULLS LAST for ASC).
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: Any) -> None:
+        self.value = value
+
+    def __lt__(self, other: object) -> bool:
+        if isinstance(other, _InfinityPart):
+            return True
+        if not isinstance(other, _KeyPart):
+            return NotImplemented  # type: ignore[return-value]
+        if self.value is None:
+            return False
+        if other.value is None:
+            return True
+        return self.value < other.value
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _KeyPart) and self.value == other.value
+
+    def __le__(self, other: "_KeyPart") -> bool:
+        return self == other or self < other
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"_KeyPart({self.value!r})"
+
+
+def _wrap_key(values: tuple[Any, ...]) -> tuple[_KeyPart, ...]:
+    return tuple(_KeyPart(v) for v in values)
+
+
+@dataclass(frozen=True)
+class _LeafEntry:
+    key: tuple[_KeyPart, ...]
+    row_id: int
+
+
+class _InfinityPart:
+    """Sorts after every _KeyPart, including NULL."""
+
+    __slots__ = ()
+
+    def __lt__(self, other: object) -> bool:
+        return False
+
+    def __gt__(self, other: object) -> bool:
+        return True
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _InfinityPart)
+
+
+class ReferenceBTree:
+    """The pre-columnar ``BTreeIndex``, minus its fault checks."""
+
+    def __init__(
+        self,
+        definition: Index,
+        table: Table,
+        heap: HeapFile,
+        fillfactor: float = BTREE_LEAF_FILLFACTOR,
+    ) -> None:
+        self.definition = definition
+        self._fillfactor = fillfactor
+
+        columns = [heap.column(name) for name in definition.columns]
+        entries = [
+            _LeafEntry(key=_wrap_key(tuple(col[i] for col in columns)), row_id=i)
+            for i in range(heap.row_count)
+        ]
+        entries.sort(key=lambda e: e.key)
+        self._entries = entries
+        self._keys = [e.key for e in entries]
+
+        self._entry_width = self._compute_entry_width(table, definition, heap)
+        self._leaf_page_count = self._compute_leaf_pages(len(entries))
+        self._height = self._compute_height(len(entries))
+
+    # ------------------------------------------------------------------
+    # Page accounting
+
+    @staticmethod
+    def _compute_entry_width(table: Table, definition: Index, heap: HeapFile) -> int:
+        widths_and_aligns: list[tuple[int, int]] = []
+        for name in definition.columns:
+            dtype = table.column(name).dtype
+            if dtype.typlen is not None:
+                avg = dtype.typlen
+            else:
+                values = [v for v in heap.column(name) if v is not None]
+                if values:
+                    avg = max(
+                        1, round(sum(dtype.value_width(v) for v in values) / len(values))
+                    )
+                else:
+                    avg = dtype.default_width
+            widths_and_aligns.append((avg, dtype.typalign))
+        return aligned_row_width(widths_and_aligns, INDEX_ROW_OVERHEAD)
+
+    def _compute_leaf_pages(self, entry_count: int) -> int:
+        if entry_count == 0:
+            return 1
+        usable = (BLOCK_SIZE - PAGE_HEADER_SIZE) * self._fillfactor
+        per_page = max(1, int(usable // self._entry_width))
+        return max(1, math.ceil(entry_count / per_page))
+
+    def _compute_height(self, entry_count: int) -> int:
+        """Tree height above the leaf level (0 when a single leaf)."""
+        if entry_count == 0:
+            return 0
+        fanout = max(2, (BLOCK_SIZE - PAGE_HEADER_SIZE) // max(8, self._entry_width))
+        pages = self._leaf_page_count
+        height = 0
+        while pages > 1:
+            pages = math.ceil(pages / fanout)
+            height += 1
+        return height
+
+    @property
+    def leaf_page_count(self) -> int:
+        return self._leaf_page_count
+
+    @property
+    def height(self) -> int:
+        return self._height
+
+    def leaf_page_of_position(self, position: int) -> int:
+        """Which leaf page holds the entry at sorted ``position``."""
+        if not self._entries:
+            return 0
+        per_page = max(1, math.ceil(len(self._entries) / self._leaf_page_count))
+        return position // per_page
+
+    # ------------------------------------------------------------------
+    # Search
+
+    def search_range(
+        self,
+        low: tuple[Any, ...] | None,
+        high: tuple[Any, ...] | None,
+        low_inclusive: bool = True,
+        high_inclusive: bool = True,
+    ) -> Iterator[tuple[int, int]]:
+        """Yield ``(row_id, leaf_page)`` for keys in [low, high], key order.
+
+        Bounds are prefixes of the key (shorter tuples match any suffix).
+        ``None`` bounds are open. NULL key entries never match a bounded
+        range (SQL comparisons with NULL are unknown).
+        """
+        start = 0
+        if low is not None:
+            wrapped = _wrap_key(low)
+            if low_inclusive:
+                start = bisect.bisect_left(self._keys, wrapped)
+            else:
+                start = bisect.bisect_right(self._keys, self._pad_high(wrapped))
+
+        end = len(self._entries)
+        if high is not None:
+            wrapped = _wrap_key(high)
+            if high_inclusive:
+                end = bisect.bisect_right(self._keys, self._pad_high(wrapped))
+            else:
+                end = bisect.bisect_left(self._keys, wrapped)
+
+        for position in range(start, end):
+            entry = self._entries[position]
+            if self._key_has_null(entry.key, low, high):
+                continue
+            yield entry.row_id, self.leaf_page_of_position(position)
+
+    def scan_all(self) -> Iterator[tuple[int, int]]:
+        """Full index scan in key order (NULL keys last)."""
+        for position, entry in enumerate(self._entries):
+            yield entry.row_id, self.leaf_page_of_position(position)
+
+    @staticmethod
+    def _key_has_null(
+        key: tuple[_KeyPart, ...],
+        low: tuple[Any, ...] | None,
+        high: tuple[Any, ...] | None,
+    ) -> bool:
+        bound_len = max(
+            len(low) if low is not None else 0, len(high) if high is not None else 0
+        )
+        return any(part.value is None for part in key[:bound_len])
+
+    @staticmethod
+    def _pad_high(key: tuple[_KeyPart, ...]) -> tuple:
+        """Extend a prefix bound so bisect treats it as +inf in the suffix."""
+        return key + (_InfinityPart(),)

@@ -364,6 +364,18 @@ class TestRollback:
 
 
 class TestStorageFaultPoints:
+    @staticmethod
+    def _build_checks(db, columns):
+        """Which sort built people(columns), and the fault checks it made.
+
+        Schedules such as ``index.build:%3`` and the ledger's kill points
+        number checks, so the count per build is part of the contract.
+        """
+        idle = FaultInjector()
+        btree = db.create_index(Index("probe", "people", columns), idle)
+        db.drop_index("probe")
+        return btree.build_path, idle.checks("index.build"), idle.checks("page.read")
+
     def test_index_build_fault_leaves_catalog_untouched(self):
         db = fresh_db()
         version = db.catalog.version
@@ -377,6 +389,11 @@ class TestStorageFaultPoints:
         assert not db.catalog.has_index("idx_people_age")
         assert not db.has_btree("idx_people_age")
         assert db.catalog.version == version
+        assert (injector.checks("index.build"), injector.checks("page.read")) == (1, 0)
+        # A finished build: one index.build check, then one page.read
+        # per key column, whichever sort the column data selected.
+        assert self._build_checks(db, ("age", "height")) == ("numpy", 1, 2)
+        assert self._build_checks(db, ("city", "nickname", "age")) == ("tuples", 1, 3)
 
     def test_page_read_fault_aborts_index_build(self):
         db = fresh_db()
@@ -388,6 +405,7 @@ class TestStorageFaultPoints:
             )
         assert excinfo.value.point == "page.read"
         assert not db.catalog.has_index("idx_people_age")
+        assert (injector.checks("index.build"), injector.checks("page.read")) == (1, 1)
 
     def test_page_read_fault_fires_in_executor_scan(self):
         db = fresh_db()
