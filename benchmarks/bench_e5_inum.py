@@ -2,8 +2,9 @@
 minutes instead of days" (§3.4).
 
 Two series: (a) throughput — configurations priced per second by INUM
-vs. by full re-optimization, plus the projected time for one million
-evaluations; (b) accuracy — INUM's estimate vs. the optimizer's answer
+(one ``estimate_batch`` call over all of them, the way the advisors
+price) vs. by full re-optimization, plus the projected time for one
+million evaluations; (b) accuracy — INUM's estimate vs. the optimizer's answer
 over random configurations (INUM's guarantee is a close upper
 approximation; in this substrate it is near-exact).
 """
@@ -49,7 +50,7 @@ def test_e5_inum_throughput_and_accuracy(sdss_db, workload, benchmark):
             configs = _random_configs(relevant, rng, NUM_CONFIGS)
 
             start = time.perf_counter()
-            estimates = [model.estimate(cfg) for cfg in configs]
+            estimates = model.estimate_batch(configs)
             inum_seconds = time.perf_counter() - start
 
             start = time.perf_counter()

@@ -267,13 +267,12 @@ class IndexAdvisor:
             **options,
         )
         result = self._price_recommendation(
-            workload, models, candidates, selection, budget_pages
+            workload, evaluator, candidates, selection, budget_pages
         )
         lap("apply_pricing")
         result.phase_seconds = phases
         result.elapsed_seconds = time.perf_counter() - started
         result.candidates_considered = len(candidates)
-        result.inum_estimates = sum(m.stats.estimates_served for m in models.values())
         result.optimizer_calls = sum(m.stats.optimizer_calls for m in models.values())
         result.combinations_truncated = sum(
             m.stats.combinations_truncated for m in models.values()
@@ -334,22 +333,23 @@ class IndexAdvisor:
     @staticmethod
     def _price_recommendation(
         workload: Workload,
-        models: dict[str, InumModel],
+        evaluator: WorkloadEvaluator,
         candidates: list[CandidateIndex],
         selection: Selection,
         budget_pages: int,
     ) -> AdvisorResult:
         """Re-price the selection with full INUM estimates per query."""
         chosen_candidates = [candidates[p] for p in selection.positions]
-        config = tuple(c.index for c in chosen_candidates)
+        before_costs = evaluator.base_costs().tolist()
+        after_costs, serving = evaluator.serving_indexes(selection.positions)
 
         per_query: list[QueryBenefit] = []
         cost_before = 0.0
         cost_after = 0.0
-        for query in workload:
-            model = models[query.name]
-            before = model.base_cost * query.weight
-            after_cost, detail = model.estimate_detail(config)
+        for query, before_cost, after_cost, detail in zip(
+            workload, before_costs, after_costs.tolist(), serving
+        ):
+            before = before_cost * query.weight
             after = after_cost * query.weight
             cost_before += before
             cost_after += after
@@ -375,6 +375,8 @@ class IndexAdvisor:
             solver_nodes=selection.nodes,
             solver_status=selection.status,
             elapsed_seconds=0.0,
+            # One before and one after estimate per surviving query.
+            inum_estimates=2 * len(per_query),
             maintenance_cost=selection.maintenance_cost,
             candidates_pruned=selection.candidates_pruned,
         )

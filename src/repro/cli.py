@@ -55,6 +55,7 @@ a doc-drift test.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -109,6 +110,19 @@ def _warn_truncation(result) -> None:
             "(max_combinations cap); INUM estimates may over-approximate "
             "for the affected queries"
         )
+
+
+def _budget_mb(text: str) -> float:
+    """argparse ``type=`` of every ``--budget-mb``: finite and above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number of megabytes above zero, got {text!r}"
+        )
+    return value
 
 
 def _load_database(spec: str) -> Database:
@@ -657,7 +671,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
         resume_position = int(saved.get("stream_position", 0))
 
     with parinda.online(
-        budget_pages=max(1, int(args.budget_mb * 1024 * 1024) // 8192),
+        budget_bytes=int(args.budget_mb * 1024 * 1024),
         state_store=store if saved is not None else None,
         degrade_on_error=True,
         window_size=args.window,
@@ -875,7 +889,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suggest-indexes", help="scenario 3: automatic indexes")
     p.add_argument("--workload", help="semicolon-separated SQL file")
-    p.add_argument("--budget-mb", type=float, default=16.0)
+    p.add_argument("--budget-mb", type=_budget_mb, default=16.0)
     p.add_argument("--backend", choices=["builtin", "scipy"], default="builtin")
     p.add_argument("--single-column", action="store_true",
                    help="COLT-style single-column candidates only")
@@ -901,7 +915,7 @@ def build_parser() -> argparse.ArgumentParser:
         "suggest-combined", help="full pipeline: partitions, then indexes"
     )
     p.add_argument("--workload", help="semicolon-separated SQL file")
-    p.add_argument("--budget-mb", type=float, default=16.0)
+    p.add_argument("--budget-mb", type=_budget_mb, default=16.0)
     p.add_argument("--replication", type=float, default=0.25)
     p.set_defaults(func=cmd_suggest_combined)
 
@@ -925,7 +939,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--background", action="store_true",
                    help="run drift checks and re-advising on a background "
                         "thread so observation never blocks")
-    p.add_argument("--budget-mb", type=float, default=16.0)
+    p.add_argument("--budget-mb", type=_budget_mb, default=16.0)
     p.add_argument("--window", type=int, default=128,
                    help="sliding-window size (statements)")
     p.add_argument("--check-interval", type=int, default=32,
@@ -969,7 +983,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, default=8, metavar="R",
                    help="cluster→tune→route iteration cap")
     p.add_argument("--workload", help="semicolon-separated SQL file")
-    p.add_argument("--budget-mb", type=float, default=16.0,
+    p.add_argument("--budget-mb", type=_budget_mb, default=16.0,
                    help="per-replica storage budget")
     p.add_argument("--max-share", type=float, default=1.0,
                    help="load-balance cap: max fraction of routed weight "

@@ -16,6 +16,7 @@ from repro.baselines.greedy import GreedyIndexAdvisor
 from repro.catalog.schema import Index, index_signature
 from repro.catalog.sizing import BLOCK_SIZE
 from repro.core.interactive import InteractiveDesigner
+from repro.errors import AdvisorError
 from repro.online.tuner import OnlineTuner
 from repro.optimizer.config import PlannerConfig
 from repro.optimizer.planner import Planner
@@ -31,6 +32,17 @@ from repro.resilience.faults import FaultInjector
 from repro.resilience.store import StateStore
 from repro.storage.database import Database
 from repro.workloads.workload import Query, Workload
+
+
+def _budget_pages(budget_pages: int | None, budget_bytes: int | None) -> int:
+    """The storage budget in pages, from whichever spelling was given."""
+    if budget_pages is not None:
+        return budget_pages
+    if budget_bytes is None:
+        raise ValueError("provide budget_bytes or budget_pages")
+    if budget_bytes <= 0:
+        raise AdvisorError("storage budget must be positive")
+    return max(1, budget_bytes // BLOCK_SIZE)  # a sub-page budget is one page
 
 
 @dataclass
@@ -140,10 +152,6 @@ class Parinda:
         would zero the very benefits that justified the design and
         oscillate between adopting and dropping it.
         """
-        if budget_pages is None:
-            if budget_bytes is None:
-                raise ValueError("provide budget_bytes or budget_pages")
-            budget_pages = max(1, budget_bytes // BLOCK_SIZE)
         if self._cache_bounded:
             knobs.setdefault("cost_cache", self._cost_cache)
         knobs.setdefault("fault_injector", self._fault_injector)
@@ -160,7 +168,7 @@ class Parinda:
         tuner = OnlineTuner(
             catalog,
             self._config,
-            budget_pages=budget_pages,
+            budget_pages=_budget_pages(budget_pages, budget_bytes),
             **knobs,
         )
         if state_store is not None and state_store.exists(""):
@@ -197,10 +205,6 @@ class Parinda:
         """
         from repro.fleet.tuner import DivergentTuner
 
-        if budget_pages is None:
-            if budget_bytes is None:
-                raise ValueError("provide budget_bytes or budget_pages")
-            budget_pages = max(1, budget_bytes // BLOCK_SIZE)
         knobs.setdefault("fault_injector", self._fault_injector)
         knobs.setdefault("cost_cache", self._cost_cache)
         if self._cache_bounded:
@@ -209,7 +213,7 @@ class Parinda:
             self._db.catalog,
             self._config,
             n_replicas=n_replicas,
-            budget_pages=budget_pages,
+            budget_pages=_budget_pages(budget_pages, budget_bytes),
             **knobs,
         )
 
@@ -252,10 +256,6 @@ class Parinda:
         """
         from repro.fleet.serve import FleetController
 
-        if budget_pages is None:
-            if budget_bytes is None:
-                raise ValueError("provide budget_bytes or budget_pages")
-            budget_pages = max(1, budget_bytes // BLOCK_SIZE)
         knobs.setdefault("fault_injector", self._fault_injector)
         knobs.setdefault("cost_cache", self._cost_cache)
         if self._cache_bounded:
@@ -266,7 +266,7 @@ class Parinda:
         return FleetController(
             databases,
             self._config,
-            budget_pages=budget_pages,
+            budget_pages=_budget_pages(budget_pages, budget_bytes),
             store=state_store,
             **knobs,
         )
@@ -319,10 +319,6 @@ class Parinda:
         with dominance and bound pruning. Advising a raw stream and its
         pre-compressed equivalent then produce bit-identical results.
         """
-        if budget_pages is None:
-            if budget_bytes is None:
-                raise ValueError("provide budget_bytes or budget_pages")
-            budget_pages = max(1, budget_bytes // BLOCK_SIZE)
         advisor = IlpIndexAdvisor(
             self._db.catalog,
             self._config,
@@ -332,7 +328,7 @@ class Parinda:
             fault_injector=self._fault_injector,
             compress=compress,
         )
-        return advisor.recommend(workload, budget_pages)
+        return advisor.recommend(workload, _budget_pages(budget_pages, budget_bytes))
 
     def suggest_indexes_greedy(
         self, workload: Workload, budget_pages: int, **kwargs

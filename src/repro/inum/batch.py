@@ -1,17 +1,13 @@
-"""Vectorized INUM estimation over whole candidate pools.
+"""INUM estimation: plan-cache entries × a configuration → a cost.
 
-The scalar :meth:`~repro.inum.model.InumModel.estimate` walks Python
-loops twice per configuration — once over the configuration's indexes
-to find each relation's best access cost, once over the cached plan
-entries to pick the cheapest usable one. The advisors call it tens of
-thousands of times per ``recommend`` (the benefit matrix prices every
+This is the one place a cost is computed from an
+:class:`~repro.inum.model.InumModel`'s cached plans and a
+configuration's access costs. The advisors price tens of thousands of
+configurations per ``recommend`` (the benefit matrix prices every
 (query, candidate) pair; the refinement hill-climb re-prices hundreds
-of trial configurations against every model), which makes those loops
-the system's innermost hot path.
-
-This module compiles the *whole workload's* models into flat numpy
-arrays once per candidate pool and evaluates configurations as array
-reductions:
+of trial configurations against every model), so the *whole workload's*
+models are compiled into flat numpy arrays once per candidate pool and
+configurations are evaluated as array reductions:
 
 ``slots``
     Every (model, alias) pair is one slot. A slot owns a sequential-
@@ -32,13 +28,19 @@ reductions:
     ``V``. Evaluating a configuration is a gather plus an
     alias-by-alias multiply-accumulate plus a per-model segmented min.
 
-Bit-identity is a hard contract, not an aspiration: the accumulation
-runs alias-by-alias in the same order as the scalar loop (one
-elementwise FMA-free multiply-add per alias, never a pairwise
-``sum``), the workload total accumulates query-by-query in workload
-order, and padding contributes exactly ``0.0 * 0.0``. Every cost this
-module produces equals the scalar path's to the last bit, which is
-what lets the advisors keep their recommendation-diff regression gate.
+Float order is a hard contract: the accumulation runs alias-by-alias
+in each entry's order-vector order (one elementwise FMA-free
+multiply-add per alias, never a pairwise ``sum``), the workload total
+accumulates query-by-query in workload order, and padding contributes
+exactly ``0.0 * 0.0``. ``tests/reference.py`` holds the plain
+per-entry loop these arrays replay; every cost here equals it to the
+last bit, which is what lets the advisors keep their
+recommendation-diff regression gate.
+
+Ties are first-minimum throughout: the sequential scan serves a
+relation unless an index is strictly cheaper, among equally cheap
+indexes the first in configuration order serves, and among equally
+cheap cache entries the first built wins.
 """
 
 from __future__ import annotations
@@ -92,6 +94,7 @@ class WorkloadEvaluator:
         row_internal: list[float] = []
         row_loops: list[list[float]] = []
         row_vidx: list[list[int]] = []
+        row_aliases: list[list[str]] = []
         model_row_start: list[int] = []
         model_row_count: list[int] = []
 
@@ -152,12 +155,15 @@ class WorkloadEvaluator:
                 row_internal.append(entry.internal_cost)
                 row_loops.append(loops_row)
                 row_vidx.append(vidx_row)
+                row_aliases.append([alias for alias, _ in entry.order_vector])
             model_row_count.append(len(entries))
 
         self._n_models = len(models)
         self._base = np.array(base_parts, dtype=np.float64)
         length = len(base_parts)
-        self._pc = np.full((length, n_pool), np.inf, dtype=np.float64)
+        # One column past the pool stays all-inf: the padding position
+        # of ragged configuration batches.
+        self._pc = np.full((length, n_pool + 1), np.inf, dtype=np.float64)
         for l, row in enumerate(pc_rows):
             for p, cost in row.items():
                 self._pc[l, p] = cost
@@ -166,6 +172,7 @@ class WorkloadEvaluator:
         amax = max((len(r) for r in row_loops), default=1)
         self._amax = max(1, amax)
         self._internal = np.array(row_internal, dtype=np.float64)
+        self._row_aliases = row_aliases
         self._loops = np.zeros((n_rows, self._amax), dtype=np.float64)
         # Padding gathers V[0] == 0.0 with loop count 0.0: the
         # accumulation sees exactly +0.0 for the ragged tail.
@@ -191,19 +198,22 @@ class WorkloadEvaluator:
             return self._base
         return np.minimum(self._base, self._pc[:, positions].min(axis=1))
 
-    def _matrix_costs(self, vectors: np.ndarray) -> np.ndarray:
-        """Per-model costs for access vectors ``(L, C)`` → ``(M, C)``."""
-        n_configs = vectors.shape[1]
+    def _row_totals(self, vectors: np.ndarray) -> np.ndarray:
+        """Per-entry totals for access vectors ``(L, C)`` → ``(R, C)``."""
         gathered = vectors[self._vidx]  # (R, Amax, C)
         totals = np.broadcast_to(
-            self._internal[:, None], (self._internal.shape[0], n_configs)
+            self._internal[:, None], (self._internal.shape[0], vectors.shape[1])
         ).copy()
         for j in range(self._amax):
             totals += self._loops[:, j, None] * gathered[:, j, :]
-        costs = np.full((self._n_models, n_configs), np.inf)
+        return totals
+
+    def _matrix_costs(self, vectors: np.ndarray) -> np.ndarray:
+        """Per-model costs for access vectors ``(L, C)`` → ``(M, C)``."""
+        costs = np.full((self._n_models, vectors.shape[1]), np.inf)
         if self._nonempty_starts.size:
             costs[self._nonempty_models] = np.minimum.reduceat(
-                totals, self._nonempty_starts, axis=0
+                self._row_totals(vectors), self._nonempty_starts, axis=0
             )
         return costs
 
@@ -213,10 +223,53 @@ class WorkloadEvaluator:
         """Cost matrix ``(M, C)`` for arbitrary position-set configs."""
         if not configs:
             return np.zeros((self._n_models, 0))
-        vectors = np.stack(
-            [self._access_vector(positions) for positions in configs], axis=1
+        padded = np.full(
+            (max(1, *map(len, configs)), len(configs)), len(self._pool)
         )
+        for c, positions in enumerate(configs):
+            padded[: len(positions), c] = positions
+        vectors = np.repeat(self._base[:, None], len(configs), axis=1)
+        for columns in padded:  # k-th index of every configuration at once
+            np.minimum(vectors, self._pc[:, columns], out=vectors)
         return self._matrix_costs(vectors)
+
+    def serving_indexes(
+        self, positions: Sequence[int]
+    ) -> tuple[np.ndarray, list[dict[str, str | None]]]:
+        """One configuration's per-model costs and who serves each relation.
+
+        ``costs[m]`` is the ``per_query_costs`` column for ``positions``;
+        ``serving[m]`` maps every alias of model ``m``'s winning cache
+        entry to the name of the pool index that serves it (``None`` =
+        sequential scan), under the module's first-minimum tie rule. A
+        model with no usable entry costs ``inf`` and has an empty map.
+        """
+        # The all-inf padding column makes the empty configuration and a
+        # position no index can serve the same case: nothing beats base.
+        columns = np.append(np.asarray(positions, dtype=np.int64), len(self._pool))
+        offered = self._pc[:, columns]
+        cheapest = offered.min(axis=1)
+        server = np.where(
+            cheapest < self._base, columns[offered.argmin(axis=1)], -1
+        )
+        vector = np.minimum(self._base, cheapest)
+        totals = self._row_totals(vector[:, None])[:, 0]
+        costs = np.full(self._n_models, np.inf)
+        serving: list[dict[str, str | None]] = [{} for _ in costs]
+        starts = self._nonempty_starts.tolist()
+        for m, start, end in zip(
+            self._nonempty_models.tolist(), starts, starts[1:] + [len(totals)]
+        ):
+            row = start + int(totals[start:end].argmin())
+            costs[m] = totals[row]
+            if costs[m] < np.inf:
+                serving[m] = {
+                    alias: None if p < 0 else self._pool[p].name
+                    for alias, p in zip(
+                        self._row_aliases[row], server[self._vidx[row]].tolist()
+                    )
+                }
+        return costs, serving
 
     def base_costs(self) -> np.ndarray:
         """Per-model cost of the empty configuration ``(M,)``."""
@@ -226,7 +279,7 @@ class WorkloadEvaluator:
         """Cost matrix ``(M, P)`` of every one-index configuration."""
         if not self._pool:
             return np.zeros((self._n_models, 0))
-        vectors = np.minimum(self._base[:, None], self._pc)
+        vectors = np.minimum(self._base[:, None], self._pc[:, :-1])
         return self._matrix_costs(vectors)
 
     def utilization_fractions(self) -> np.ndarray:

@@ -18,12 +18,13 @@ Cache construction
     synthetic index lists swapped (``Planner.plan_prepared``).
 
 Estimation
-    ``estimate(config)`` computes, per relation, the best access cost
-    achievable with the configuration's indexes (analytically, using the
-    same ``cost_index_scan`` the optimizer uses) and takes the minimum
-    over cache entries whose order requirements the configuration can
-    satisfy. No optimizer call is made. Repeated estimates of the same
-    configuration are served from a memo.
+    The model is the plan cache plus per-relation access costs
+    (``_access_info``: analytic, the same ``cost_index_scan`` the
+    optimizer uses). Combining the two into a cost — per relation the
+    best access the configuration offers, then the minimum over cache
+    entries whose order requirements it can satisfy, no optimizer call —
+    is :class:`~repro.inum.batch.WorkloadEvaluator`'s job alone;
+    ``estimate`` / ``estimate_batch`` are conveniences over it.
 
 Sharing
     When a :class:`~repro.parallel.caches.CostCache` is supplied,
@@ -96,9 +97,6 @@ class InumStatistics:
     # product exceeded max_combinations — nonzero means the model's
     # fidelity is degraded and estimates may over-approximate.
     combinations_truncated: int = 0
-    # Estimation-level memo: repeated estimate() calls for the same
-    # configuration are served without re-scanning cache entries.
-    estimate_cache_hits: int = 0
     # Per-relation access-cost lookups (local to this model).
     access_cache_hits: int = 0
     access_cache_misses: int = 0
@@ -106,11 +104,13 @@ class InumStatistics:
 
 @dataclass(frozen=True)
 class InumSnapshot:
-    """The picklable core of a built model (process-pool transport).
+    """The optimizer-call results of a built model, for re-advise reuse.
 
-    Everything else a model holds (prepared state, access caches) is
-    derived cheaply from (catalog, query, config) in the parent; only
-    the optimizer-call results are worth shipping.
+    This is what the ``inum`` section of
+    :class:`~repro.parallel.caches.CostCache` stores per (catalog
+    version, config, SQL). Everything else a model holds (prepared
+    state, access caches) is derived cheaply from (catalog, query,
+    config), so only the plan cache is worth keeping.
     """
 
     entries: tuple[CacheEntry, ...]
@@ -152,7 +152,7 @@ class InumModel:
         max_combinations: int = 32,
         cost_cache: "CostCache | None" = None,
     ) -> "InumModel":
-        """Rehydrate a model from a snapshot built in another process.
+        """Rehydrate a model from a snapshot of an earlier build.
 
         Skips every optimizer call; the resulting model estimates
         bit-identically to the one the snapshot was taken from.
@@ -194,20 +194,8 @@ class InumModel:
         for alias, rel in self._prepared.base_rels.items():
             self._seq_costs[alias] = self._seq_cost(rel)
         self._orders = self._interesting_orders()
-        self._tables = frozenset(entry.table.name for entry in query.rels)
         self._entries: list[CacheEntry] = []
         self._access_cache: dict[tuple[str, tuple[str, ...]], _AccessInfo] = {}
-        self._estimate_cache: dict[tuple, tuple[float, dict[str, str | None]]] = {}
-        # id()-keyed front for the estimate memo: advisors re-estimate
-        # configurations built from a fixed candidate pool, so the tuple
-        # of object ids is a cheap stable key (objects are pinned below
-        # so an id can never be recycled while the model lives).
-        self._fast_estimates: dict[tuple[int, ...], tuple[float, dict[str, str | None]]] = {}
-        self._pinned_indexes: dict[int, Index] = {}
-        # Per-entry (internal, ((alias, order, loops), ...)) rows,
-        # compiled lazily on first estimate (entries may come from a
-        # snapshot after __init__).
-        self._compiled: list[tuple[float, tuple[tuple[str, str | None, float], ...]]] | None = None
         self._rel_keys: dict[str, tuple] = (
             {a: self._rel_signature(r) for a, r in self._prepared.base_rels.items()}
             if cost_cache is not None
@@ -456,81 +444,10 @@ class InumModel:
     # ------------------------------------------------------------------
     # Estimation
 
-    def estimate(self, config_indexes: list[Index] | tuple[Index, ...] = ()) -> float:
+    def estimate(self, config_indexes: Sequence[Index] = ()) -> float:
         """INUM cost of the query under ``config_indexes`` (no optimizer
-        call)."""
-        cost, _detail = self.estimate_detail(config_indexes)
-        return cost
-
-    def estimate_detail(
-        self, config_indexes: list[Index] | tuple[Index, ...] = ()
-    ) -> tuple[float, dict[str, str | None]]:
-        """INUM cost plus which configuration index serves each relation
-        (None = sequential scan) in the winning cache entry."""
-        self.stats.estimates_served += 1
-        fast_key = tuple(map(id, config_indexes))
-        cached = self._fast_estimates.get(fast_key)
-        if cached is not None:
-            self.stats.estimate_cache_hits += 1
-            cost, detail = cached
-            return cost, dict(detail)
-        for index in config_indexes:
-            self._pinned_indexes[id(index)] = index
-
-        # Indexes on tables this query never references cannot change
-        # the estimate; dropping them up front also folds all such
-        # configurations onto one memo entry.
-        relevant = [
-            ix for ix in config_indexes if ix.table_name in self._tables
-        ]
-        memo_key = tuple(sorted(index_signature(ix) for ix in relevant))
-        cached = self._estimate_cache.get(memo_key)
-        if cached is not None:
-            self.stats.estimate_cache_hits += 1
-            self._fast_estimates[fast_key] = cached
-            cost, detail = cached
-            return cost, dict(detail)
-
-        per_alias_best, per_alias_ordered = self._best_access(relevant)
-
-        if self._compiled is None:
-            self._compiled = [
-                (
-                    entry.internal_cost,
-                    tuple(
-                        (alias, order, entry.loops_of(alias))
-                        for alias, order in entry.order_vector
-                    ),
-                )
-                for entry in self._entries
-            ]
-
-        inf = float("inf")
-        best = inf
-        best_detail: dict[str, str | None] = {}
-        for internal, steps in self._compiled:
-            total = internal
-            usable = True
-            detail: dict[str, str | None] = {}
-            for alias, order, loops in steps:
-                if order is None:
-                    access, chosen = per_alias_best[alias]
-                else:
-                    access, chosen = per_alias_ordered.get(
-                        (alias, order), (inf, None)
-                    )
-                    if access == inf:
-                        usable = False
-                        break
-                detail[alias] = chosen
-                total += loops * access
-            if usable and total < best:
-                best = total
-                best_detail = detail
-        result = (best, best_detail)
-        self._estimate_cache[memo_key] = result
-        self._fast_estimates[fast_key] = result
-        return best, dict(best_detail)
+        call): ``estimate_batch([config_indexes])[0]``."""
+        return float(self.estimate_batch([config_indexes])[0])
 
     def estimate_batch(
         self, configs: Sequence[Sequence[Index]]
@@ -541,10 +458,8 @@ class InumModel:
         across ``configs`` into the flat array layout of
         :class:`~repro.inum.batch.WorkloadEvaluator` and evaluates every
         configuration as a gather + multiply-accumulate + segmented
-        min. Each element is bit-identical to the scalar
-        :meth:`estimate` of the same configuration — the arrays replay
-        the exact float operation sequence, so the two paths are
-        interchangeable anywhere recommendations are diffed.
+        min. Indexes on tables the query never references cannot
+        change an element.
         """
         from repro.inum.batch import WorkloadEvaluator
 
@@ -563,39 +478,7 @@ class InumModel:
             position_sets.append(positions)
         self.stats.estimates_served += len(position_sets)
         evaluator = WorkloadEvaluator([self], [1.0], pool)
-        if not position_sets:
-            return np.zeros(0)
         return evaluator.per_query_costs(position_sets)[0]
-
-    def _best_access(
-        self, config_indexes
-    ) -> tuple[
-        dict[str, tuple[float, str | None]],
-        dict[tuple[str, str], tuple[float, str | None]],
-    ]:
-        by_table: dict[str, list[Index]] = {}
-        for index in config_indexes:
-            by_table.setdefault(index.table_name, []).append(index)
-
-        best: dict[str, tuple[float, str | None]] = {}
-        ordered: dict[tuple[str, str], tuple[float, str | None]] = {}
-        access_cache = self._access_cache
-        for entry in self._query.rels:
-            alias = entry.alias
-            best[alias] = (self._seq_costs[alias], None)
-            for index in by_table.get(entry.table.name, []):
-                info = access_cache.get((alias, index.columns))
-                if info is not None:
-                    self.stats.access_cache_hits += 1
-                else:
-                    info = self._access_info(alias, index)
-                if info.cost < best[alias][0]:
-                    best[alias] = (info.cost, index.name)
-                for order_col in info.provides:
-                    key = (alias, order_col)
-                    if info.cost < ordered.get(key, (float("inf"), None))[0]:
-                        ordered[key] = (info.cost, index.name)
-        return best, ordered
 
     def optimizer_cost(self, config_indexes=()) -> float:
         """Ground truth: full optimizer call with the configuration
@@ -634,7 +517,7 @@ class InumModel:
         return plan.total_cost
 
     def snapshot(self) -> InumSnapshot:
-        """The picklable core of this model (see :class:`InumSnapshot`)."""
+        """This model's plan cache (see :class:`InumSnapshot`)."""
         return InumSnapshot(
             entries=tuple(self._entries),
             optimizer_calls=self.stats.optimizer_calls,
@@ -648,12 +531,6 @@ class InumModel:
     @property
     def query(self) -> BoundQuery:
         return self._query
-
-    @property
-    def tables(self) -> frozenset[str]:
-        """Table names the query references; indexes elsewhere are
-        invisible to this model's estimates."""
-        return self._tables
 
     @property
     def base_cost(self) -> float:

@@ -78,6 +78,7 @@ from repro.advisor.ilp_advisor import AdvisorResult, IlpIndexAdvisor
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import Index, index_signature
 from repro.errors import ReproError
+from repro.inum.batch import WorkloadEvaluator
 from repro.online.drift import DriftDetector, DriftReport
 from repro.online.monitor import QueryTemplate, WorkloadMonitor
 from repro.optimizer.config import PlannerConfig
@@ -562,11 +563,16 @@ class OnlineTuner:
         models = self._advisor.build_models(workload, cost_cache=self.cache)
         standing = tuple(self.design)
         proposed = tuple(result.indexes)
-        cost_standing = sum(
-            models[q.name].estimate(standing) * q.weight for q in workload
+        evaluator = WorkloadEvaluator(
+            [models[q.name] for q in workload],
+            [q.weight for q in workload],
+            standing + proposed,
+        )
+        cost_standing = evaluator.workload_cost(
+            range(len(standing))
         ) + self._maintenance(standing, workload.update_rates)
-        cost_proposed = sum(
-            models[q.name].estimate(proposed) * q.weight for q in workload
+        cost_proposed = evaluator.workload_cost(
+            range(len(standing), len(standing) + len(proposed))
         ) + self._maintenance(proposed, workload.update_rates)
         benefit = cost_standing - cost_proposed
 

@@ -89,9 +89,11 @@ class CostCache:
     """A thread-safe memoization layer shared across per-query models.
 
     One instance is typically created per advisor ``recommend()`` call
-    (or handed in by the caller to share across calls); the same
-    instance may be read and written concurrently by worker threads
-    building INUM models.
+    (or handed in by the caller to share across calls, which is what
+    makes a re-advise cheap: its models rehydrate from the ``inum``
+    section). Model builds run on one thread; the lock is for the
+    online tuner's background worker, which re-advises on its own
+    thread while the cache's owner may use it from the foreground.
 
     Args:
         max_entries: Per-section entry cap. ``None`` (default) means

@@ -8,6 +8,10 @@ the small test databases.
 
 Below it, :class:`ReferenceBTree`: the storage engine's B-Tree as it
 was built before the columnar sort, the oracle for ``test_btree.py``.
+
+Last, :func:`inum_estimate_detail`: the plain per-entry INUM loop that
+was ``InumModel.estimate_detail`` before the array evaluator became
+the only pricing path, the oracle for ``test_batch_estimation.py``.
 """
 
 from __future__ import annotations
@@ -395,3 +399,57 @@ class ReferenceBTree:
     def _pad_high(key: tuple[_KeyPart, ...]) -> tuple:
         """Extend a prefix bound so bisect treats it as +inf in the suffix."""
         return key + (_InfinityPart(),)
+
+
+# ----------------------------------------------------------------------
+# The scalar INUM estimator
+
+
+def inum_estimate_detail(model, config_indexes=()):
+    """INUM cost of ``model``'s query under ``config_indexes`` plus which
+    configuration index serves each relation (None = sequential scan) in
+    the winning cache entry — one Python loop over the configuration,
+    one over the cache entries, no arrays and no memo."""
+    inf = float("inf")
+    by_table: dict = {}
+    for index in config_indexes:
+        by_table.setdefault(index.table_name, []).append(index)
+
+    best: dict = {}
+    ordered: dict = {}
+    for rel in model.query.rels:
+        alias = rel.alias
+        best[alias] = (model._seq_costs[alias], None)
+        for index in by_table.get(rel.table.name, []):
+            info = model._access_info(alias, index)
+            if info.cost < best[alias][0]:
+                best[alias] = (info.cost, index.name)
+            for order_col in info.provides:
+                key = (alias, order_col)
+                if info.cost < ordered.get(key, (inf, None))[0]:
+                    ordered[key] = (info.cost, index.name)
+
+    best_cost = inf
+    best_detail: dict = {}
+    for entry in model.entries:
+        total = entry.internal_cost
+        usable = True
+        detail: dict = {}
+        for alias, order in entry.order_vector:
+            if order is None:
+                access, chosen = best[alias]
+            else:
+                access, chosen = ordered.get((alias, order), (inf, None))
+                if access == inf:
+                    usable = False
+                    break
+            detail[alias] = chosen
+            total += entry.loops_of(alias) * access
+        if usable and total < best_cost:
+            best_cost = total
+            best_detail = detail
+    return best_cost, best_detail
+
+
+def inum_estimate(model, config_indexes=()) -> float:
+    return inum_estimate_detail(model, config_indexes)[0]

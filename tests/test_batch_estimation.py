@@ -1,11 +1,13 @@
-"""The vectorized estimation core: bit-identity with the scalar path.
+"""The estimation core: bit-identity with the scalar reference loop.
 
 The contract under test is absolute: every cost the array evaluator
 produces — base costs, singleton benefit rows, arbitrary configuration
-costs, greedy extension totals, workload sums — must equal the scalar
-``InumModel.estimate`` path to the last bit (``struct.pack`` equality,
-not ``pytest.approx``). The advisors price through the evaluator only,
-so these checks are what ties their numbers to the reference.
+costs, greedy extension totals, workload sums — must equal the plain
+per-entry loop in ``tests/reference.py`` to the last bit
+(``struct.pack`` equality, not ``pytest.approx``), and the serving-index
+detail must name the same indexes. Everything in ``src/`` prices
+through the evaluator only, so these checks are what ties its numbers
+to the reference.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ from repro.catalog.sizing import (
     index_row_widths_batch,
 )
 from repro.inum.batch import WorkloadEvaluator, pool_signature
-from repro.inum.model import InumModel
+from repro.inum.model import InumModel, InumSnapshot
 from repro.workloads.sdss import build_sdss_database, sdss_workload
+from tests.reference import inum_estimate, inum_estimate_detail
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +73,7 @@ def _scalar_workload_cost(workload, models, candidates, positions):
     config = tuple(candidates[p].index for p in positions)
     expected = 0.0
     for query in workload:
-        expected += models[query.name].estimate(config) * query.weight
+        expected += inum_estimate(models[query.name], config) * query.weight
     return expected
 
 
@@ -91,7 +94,7 @@ def test_estimate_batch_matches_scalar_on_random_configs(compiled):
         batch = model.estimate_batch(configs)
         assert batch.shape == (len(configs),)
         for j, config in enumerate(configs):
-            assert_same_bits(batch[j], model.estimate(tuple(config)))
+            assert_same_bits(batch[j], inum_estimate(model, tuple(config)))
 
 
 def test_estimate_batch_dedupes_repeated_indexes(compiled):
@@ -100,7 +103,7 @@ def test_estimate_batch_dedupes_repeated_indexes(compiled):
     index = candidates[0].index
     doubled = model.estimate_batch([[index, index], [index]])
     assert_same_bits(doubled[0], doubled[1])
-    assert_same_bits(doubled[0], model.estimate((index,)))
+    assert_same_bits(doubled[0], inum_estimate(model, (index,)))
 
 
 def test_evaluator_base_and_singletons_match_scalar(compiled):
@@ -110,10 +113,10 @@ def test_evaluator_base_and_singletons_match_scalar(compiled):
     assert singles.shape == (len(list(workload)), len(candidates))
     for m, query in enumerate(workload):
         model = models[query.name]
-        assert_same_bits(base[m], model.estimate(()))
+        assert_same_bits(base[m], inum_estimate(model))
         for p, candidate in enumerate(candidates):
             assert_same_bits(
-                singles[m, p], model.estimate((candidate.index,))
+                singles[m, p], inum_estimate(model, (candidate.index,))
             )
 
 
@@ -141,7 +144,103 @@ def test_evaluator_extension_costs_match_scalar(compiled):
             config = tuple(
                 candidates[p].index for p in current + [extra]
             )
-            assert_same_bits(matrix[m, j], model.estimate(config))
+            assert_same_bits(matrix[m, j], inum_estimate(model, config))
+
+
+# ----------------------------------------------------------------------
+# Property: serving-index detail ≡ the reference loop's
+
+
+def _assert_serving_matches_reference(models, pool, positions):
+    evaluator = WorkloadEvaluator(models, [1.0] * len(models), pool)
+    costs, serving = evaluator.serving_indexes(positions)
+    config = [pool[p] for p in positions]
+    for m, model in enumerate(models):
+        cost, detail = inum_estimate_detail(model, config)
+        assert_same_bits(costs[m], cost)
+        assert serving[m] == detail
+    return costs, serving
+
+
+def test_serving_indexes_match_reference_on_random_positions(compiled):
+    workload, models, candidates, evaluator = compiled
+    rng = random.Random(22)
+    pool = [c.index for c in candidates]
+    ordered = [models[q.name] for q in workload]
+    used = set()
+    for _ in range(40):
+        positions = rng.sample(range(len(pool)), rng.randint(0, min(8, len(pool))))
+        costs, serving = _assert_serving_matches_reference(ordered, pool, positions)
+        for m in range(len(ordered)):
+            assert_same_bits(costs[m], evaluator.per_query_costs([positions])[m, 0])
+        used.update(name for detail in serving for name in detail.values())
+    # The sample exercises both outcomes, not just sequential scans.
+    assert None in used and len(used) > 1
+
+
+def test_serving_indexes_model_without_usable_entry(compiled):
+    workload, models, candidates, _ = compiled
+    pool = [c.index for c in candidates]
+    catalog = models[next(iter(workload)).name]._catalog
+    for query in workload:
+        built = models[query.name]
+        snapshot = built.snapshot()
+        ordered_only = tuple(
+            e for e in snapshot.entries if any(o for _, o in e.order_vector)
+        )
+        for entries in ((), ordered_only):
+            hollow = InumModel.from_snapshot(
+                catalog,
+                built.query,
+                snapshot=InumSnapshot(entries, 0, 0),
+            )
+            # No index delivers an order, so ordered-only entries are
+            # all unusable; beside a healthy model to cover row offsets.
+            costs, serving = _assert_serving_matches_reference(
+                [hollow, built], pool, []
+            )
+            assert costs[0] == float("inf") and serving[0] == {}
+            assert costs[1] < float("inf") and serving[1]
+
+
+def test_serving_indexes_equal_cost_first_in_configuration_wins(sdss_db, sdss_wl):
+    catalog = sdss_db.catalog
+    query = sdss_wl.query("q01_box_search")
+    model = InumModel(catalog, query.bind(catalog))
+    candidates = generate_candidates(catalog, type(sdss_wl)([query]))
+    evaluator = WorkloadEvaluator([model], [1.0], [c.index for c in candidates])
+    serving = evaluator.serving_indexes(range(len(candidates)))[1][0]
+    (winner,) = [c.index for c in candidates if c.index.name in serving.values()]
+    twin = _index_for(winner.table_name, winner.columns)
+    assert twin.name != winner.name
+    for pool in ([winner, twin], [twin, winner]):
+        for positions in ([0, 1], [1, 0]):
+            _, serving = _assert_serving_matches_reference([model], pool, positions)
+            assert set(serving[0].values()) == {pool[positions[0]].name}
+
+
+def test_final_pricing_matches_reference(sdss_db, sdss_wl):
+    """What ``recommend`` reports per query is the reference loop's
+    answer for the recommended configuration, to the last bit."""
+    advisor = IlpIndexAdvisor(sdss_db.catalog)
+    result = advisor.recommend(sdss_wl, budget_pages=2000)
+    models = advisor.build_models(sdss_wl)
+    cost_before = cost_after = 0.0
+    assert [b.name for b in result.per_query] == [q.name for q in sdss_wl]
+    for query, priced in zip(sdss_wl, result.per_query):
+        model = models[query.name]
+        after, detail = inum_estimate_detail(model, result.indexes)
+        assert_same_bits(priced.cost_before, inum_estimate(model) * query.weight)
+        assert_same_bits(priced.cost_after, after * query.weight)
+        assert priced.indexes_used == sorted(
+            {name for name in detail.values() if name is not None}
+        )
+        cost_before += priced.cost_before
+        cost_after += priced.cost_after
+    assert_same_bits(result.cost_before, cost_before)
+    assert_same_bits(result.cost_after, cost_after)
+    assert any(b.indexes_used for b in result.per_query)
+    assert result.inum_estimates == 2 * len(result.per_query)
 
 
 def test_workload_cost_is_memoized(compiled):
@@ -202,7 +301,7 @@ def test_single_alias_query(sdss_db, sdss_wl):
     ]
     batch = model.estimate_batch(configs)
     for j, config in enumerate(configs):
-        assert_same_bits(batch[j], model.estimate(tuple(config)))
+        assert_same_bits(batch[j], inum_estimate(model, tuple(config)))
 
 
 def test_pool_signature_orders_and_distinguishes(compiled):
@@ -229,7 +328,7 @@ def test_benefit_matrix_matches_scalar_dict(compiled):
         model = models[query.name]
         for p, candidate in enumerate(candidates):
             saving = (
-                model.base_cost - model.estimate((candidate.index,))
+                inum_estimate(model) - inum_estimate(model, (candidate.index,))
             ) * query.weight
             if saving > 1e-6:
                 scalar[(query.name, p)] = saving

@@ -118,6 +118,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-3", "lots"])
+    @pytest.mark.parametrize(
+        "command", ["suggest-indexes", "suggest-combined", "tune", "fleet"]
+    )
+    def test_budget_mb_must_be_finite_and_positive(self, capsys, command, value):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--db", "star:2000", command, "--budget-mb", value])
+        assert exit_info.value.code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines[-1].startswith(f"repro {command}: error: argument --budget-mb:")
+        assert "Traceback" not in "".join(lines)
+
     @pytest.mark.parametrize(
         "argv",
         [

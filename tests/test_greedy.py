@@ -11,6 +11,7 @@ from repro.workloads.sdss import build_sdss_database, sdss_workload
 from repro.workloads.workload import Query, Workload
 
 from tests.conftest import make_people_db
+from tests.reference import inum_estimate
 
 
 @pytest.fixture(scope="module")
@@ -66,12 +67,12 @@ class TestGreedy:
 
 
 def oracle_greedy(workload, models, candidates, budget_pages, per_page):
-    """The per-candidate greedy loop over scalar ``InumModel.estimate``:
-    the reference the advisor's array-priced scan must reproduce."""
+    """The per-candidate greedy loop over the scalar reference
+    estimator: what the advisor's array-priced scan must reproduce."""
 
     def workload_cost(chosen):
         config = tuple(c.index for c in chosen)
-        return sum(models[q.name].estimate(config) * q.weight for q in workload)
+        return sum(inum_estimate(models[q.name], config) * q.weight for q in workload)
 
     chosen, remaining, used_pages = [], list(candidates), 0
     current_cost = workload_cost(chosen)

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.catalog.schema import Index
+from repro.inum.batch import WorkloadEvaluator
 from repro.inum.model import InumModel
 from repro.sql.binder import bind
 from repro.sql.parser import parse_select
@@ -115,11 +116,13 @@ class TestDetail:
         model = model_for(
             db, "select age from people where person_id = 7"
         )
-        cost, detail = model.estimate_detail((CANDIDATES[1],))
-        assert cost < model.base_cost
+        evaluator = WorkloadEvaluator([model], [1.0], [CANDIDATES[1]])
+        costs, (detail,) = evaluator.serving_indexes([0])
+        assert costs[0] < model.base_cost
         assert detail.get("people") == "c_pid"
 
     def test_detail_none_for_seqscan(self, db):
         model = model_for(db, "select count(*) from people")
-        _cost, detail = model.estimate_detail(())
-        assert detail.get("people") is None
+        evaluator = WorkloadEvaluator([model], [1.0], [])
+        _costs, (detail,) = evaluator.serving_indexes([])
+        assert detail == {"people": None}

@@ -16,6 +16,7 @@ from repro.catalog.schema import Index, index_signature
 from repro.cli import main as cli_main
 from repro.core.parinda import Parinda
 from repro.errors import ReproError, TokenizeError
+from repro.inum.model import CacheEntry
 from repro.resilience.apply import MANAGED_PREFIX
 from repro.resilience.state import load_state
 from repro.resilience.store import FileStateStore
@@ -510,6 +511,16 @@ class TestOnlineTuner:
         )
         assert tuner.event_counts["drifted"] >= 1
         assert tuner.readvise_count >= 2
+        # Pinned from the scalar-priced parent: the standing-vs-proposed
+        # comparison adopts the same designs with the same arithmetic.
+        assert [(e.sequence, e.detail) for e in tuner.events_of("recommended")] == [
+            (9, "benefit 296 > build 7 (29 new pages)"),
+            (21, "benefit 24 > build 3 (12 new pages)"),
+            (27, "drop-only switch, no builds needed"),
+        ]
+        assert [(e.sequence, e.detail) for e in tuner.events_of("held")] == [
+            (24, "design unchanged")
+        ]
 
         # Bit-identical to the batch advisor on the same window snapshot.
         final = tuner.readvise(reason="test")
@@ -551,7 +562,9 @@ class TestOnlineTuner:
         tuner = self.make_tuner(sdss_db, build_cost_per_page=1e9)
         tuner.run(stream_of(sdss_wl, PRE, 3))
         assert tuner.readvise_count == 1
-        assert tuner.event_counts["held"] == 1
+        assert [e.detail for e in tuner.events_of("held")] == [
+            "benefit 296 <= build 29000000000 (29 new pages)"
+        ]
         assert tuner.event_counts["recommended"] == 0
         assert tuner.design == []  # proposal recorded, nothing adopted
         assert tuner.last_result is not None
@@ -620,13 +633,22 @@ IX_B = Index(
 
 
 class _StubModel:
-    def __init__(self, savings):
-        self._savings = savings  # index signature -> per-execution saving
+    """What ``WorkloadEvaluator`` reads of a model: one relation, one
+    cache entry, a sequential scan at 100 and "its" index at 95."""
 
-    def estimate(self, indexes):
-        return 100.0 - sum(
-            self._savings.get(index_signature(ix), 0.0) for ix in indexes
-        )
+    def __init__(self, index):
+        rel = SimpleNamespace(table=SimpleNamespace(name=index.table_name))
+        self._query = SimpleNamespace(aliases=["t"], rel=lambda alias: rel)
+        self._orders = {}
+        self._seq_costs = {"t": 100.0}
+        self._entries = [
+            CacheEntry((("t", None),), True, 0.0, (("t", 1.0),), plan=None)
+        ]
+        self._signature = index_signature(index)
+
+    def _access_info(self, alias, index):
+        mine = index_signature(index) == self._signature
+        return SimpleNamespace(cost=95.0 if mine else 100.0, provides=frozenset())
 
 
 class _StubAdvisor:
@@ -645,9 +667,7 @@ class _StubAdvisor:
 
     def build_models(self, workload, cost_cache=None, **kwargs):
         return {
-            q.name: _StubModel(
-                {index_signature(IX_B if "specobj" in q.sql else IX_A): 5.0}
-            )
+            q.name: _StubModel(IX_B if "specobj" in q.sql else IX_A)
             for q in workload
         }
 

@@ -64,22 +64,6 @@ def test_snapshot_roundtrip(sdss_db, sdss_wl):
 # Cache counters
 
 
-def test_estimate_memo_hits_increase(sdss_db, sdss_wl):
-    catalog = sdss_db.catalog
-    query = sdss_wl.query("q01_box_search").bind(catalog)
-    model = InumModel(catalog, query)
-    probe = Index(
-        name="probe", table_name="photoobj", columns=("ra",), hypothetical=True
-    )
-    first = model.estimate([probe])
-    hits_before = model.stats.estimate_cache_hits
-    second = model.estimate([probe])
-    third = model.estimate([probe])
-    assert first == second == third
-    assert model.stats.estimate_cache_hits >= hits_before + 2
-    assert model.stats.estimates_served >= 3
-
-
 def test_cost_cache_hits_across_models(sdss_db, sdss_wl):
     catalog = sdss_db.catalog
     cache = CostCache()

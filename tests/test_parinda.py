@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.parinda import Parinda
+from repro.errors import AdvisorError
 from repro.workloads.star import build_star_database, star_workload
 
 
@@ -42,6 +43,21 @@ class TestScenario3Indexes:
     def test_budget_required(self, parinda, workload):
         with pytest.raises(ValueError):
             parinda.suggest_indexes(workload)
+
+    @pytest.mark.parametrize("budget_bytes", [0, -4096])
+    def test_non_positive_byte_budget_rejected_not_clamped(
+        self, parinda, workload, budget_bytes
+    ):
+        for call in (
+            lambda: parinda.suggest_indexes(workload, budget_bytes=budget_bytes),
+            lambda: parinda.online(budget_bytes=budget_bytes),
+            lambda: parinda.fleet(2, budget_bytes=budget_bytes),
+            lambda: parinda.fleet_serve(2, budget_bytes=budget_bytes),
+        ):
+            with pytest.raises(AdvisorError, match="budget must be positive"):
+                call()
+        # A positive sub-page budget still rounds up to one page.
+        assert parinda.suggest_indexes(workload, budget_bytes=100).budget_pages == 1
 
     def test_create_indexes_materializes(self, parinda, workload):
         result = parinda.suggest_indexes(workload, budget_pages=100)
