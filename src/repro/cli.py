@@ -125,13 +125,37 @@ def _budget_mb(text: str) -> float:
     return value
 
 
+def _non_negative(text: str) -> float:
+    """argparse ``type=`` of ``--replication``, ``--build-cost-per-page``
+    and ``--tolerance``: finite and at least zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, zero or above, got {text!r}"
+        )
+    return value
+
+
 def _load_database(spec: str) -> Database:
     name, _, scale = spec.partition(":")
+    if name not in ("sdss", "star"):
+        raise SystemExit(f"unknown --db {spec!r}; use sdss[:rows] or star[:rows]")
+    rows = None
+    if scale:
+        try:
+            rows = int(scale)
+        except ValueError:
+            rows = -1
+        if rows < 0:
+            raise SystemExit(
+                f"bad --db {spec!r}; rows must be a whole number, zero or above"
+            )
     if name == "sdss":
-        return build_sdss_database(photo_rows=int(scale) if scale else 10_000)
-    if name == "star":
-        return build_star_database(fact_rows=int(scale) if scale else 8_000)
-    raise SystemExit(f"unknown --db {spec!r}; use sdss[:rows] or star[:rows]")
+        return build_sdss_database(photo_rows=10_000 if rows is None else rows)
+    return build_star_database(fact_rows=8_000 if rows is None else rows)
 
 
 def _build_store(args: argparse.Namespace, db: Database) -> StateStore | None:
@@ -903,7 +927,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suggest-partitions", help="scenario 2: AutoPart")
     p.add_argument("--workload", help="semicolon-separated SQL file")
-    p.add_argument("--replication", type=float, default=0.25,
+    p.add_argument("--replication", type=_non_negative, default=0.25,
                    help="replicated-column space limit (fraction of table)")
     p.add_argument("--save-rewritten", metavar="FILE",
                    help="write the rewritten workload to FILE")
@@ -916,7 +940,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--workload", help="semicolon-separated SQL file")
     p.add_argument("--budget-mb", type=_budget_mb, default=16.0)
-    p.add_argument("--replication", type=float, default=0.25)
+    p.add_argument("--replication", type=_non_negative, default=0.25)
     p.set_defaults(func=cmd_suggest_combined)
 
     p = sub.add_parser(
@@ -946,7 +970,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="statements between drift checks")
     p.add_argument("--warmup", type=int, default=None,
                    help="statements before the first advise (default: window)")
-    p.add_argument("--build-cost-per-page", type=float, default=4.0,
+    p.add_argument("--build-cost-per-page", type=_non_negative, default=4.0,
                    help="hysteresis: per-page cost charged to new indexes")
     p.add_argument("--compress", action="store_true",
                    help="CoPhy scale mode: re-advise the full decayed "
@@ -1029,7 +1053,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regression-windows", type=int, default=2,
                    help="consecutive regressing windows that trigger "
                         "automatic rollback of a replica")
-    p.add_argument("--tolerance", type=float, default=0.1,
+    p.add_argument("--tolerance", type=_non_negative, default=0.1,
                    help="relative window-cost slack before a validation "
                         "counts as regressing")
     p.add_argument("--probation", type=int, default=4,

@@ -201,7 +201,7 @@ class Parinda:
         private cache for its own advisor runs (bounded like the
         facade's when ``cache_max_entries`` was set). ``knobs`` pass
         through to :class:`DivergentTuner` (``max_rounds``, ``seed``,
-        ``max_share``, ``advisor_knobs``, ...).
+        ``max_share``, ...).
         """
         from repro.fleet.tuner import DivergentTuner
 

@@ -12,8 +12,8 @@ in photo–spec joins.
 
 The per-replica :class:`~repro.parallel.caches.CostCache` matters for
 round-over-round cost: catalog clones get fresh cache tokens, so a
-replica's bound queries, Equation-1 sizes, and INUM plan-cache
-snapshots persist across tuning rounds (a query that stays routed to
+replica's bound queries, Equation-1 sizes, and INUM models
+persist across tuning rounds (a query that stays routed to
 the same replica re-advises warm) without ever colliding with another
 replica's entries.
 """

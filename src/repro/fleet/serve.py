@@ -65,6 +65,7 @@ counting neither for nor against the probation).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -100,6 +101,10 @@ FLEET_STATE_VERSION = 1
 
 # Cost-comparison slack for the health gate; plan costs are float sums.
 _EPS = 1e-9
+
+# Ring size of the retained event log (OnlineTuner's default): the
+# daemon runs indefinitely, event_counts keeps the exact totals.
+_MAX_EVENTS = 10_000
 
 #: Every event kind the controller can emit, in rough lifecycle order.
 FLEET_EVENT_KINDS = (
@@ -211,8 +216,8 @@ class FleetController:
             stays under the health gate before it is trusted.
         retry_steps: Passed to every executor apply/rollback; kill
             sweeps set False so injected faults abort deterministically.
-        max_share / max_rounds / seed / advisor_knobs /
-            cost_cache / cache_max_entries: forwarded to re-tunes
+        max_share / max_rounds / seed / cost_cache /
+            cache_max_entries: forwarded to re-tunes
             (see :class:`DivergentTuner`).
         fault_injector: Explicit injector; ``None`` defers to the
             ambient ``REPRO_FAULTS`` injector at each fault point.
@@ -239,7 +244,6 @@ class FleetController:
         max_share: float = 1.0,
         max_rounds: int = 4,
         seed: int = 0,
-        advisor_knobs: dict | None = None,
         cost_cache: CostCache | None = None,
         cache_max_entries: int | None = None,
         fault_injector: FaultInjector | None = None,
@@ -271,7 +275,6 @@ class FleetController:
         self._max_share = max_share
         self._max_rounds = max_rounds
         self._seed = seed
-        self._advisor_knobs = dict(advisor_knobs or {})
         self._cost_cache = cost_cache if cost_cache is not None else CostCache()
         self._cache_max_entries = cache_max_entries
         self._fault_injector = fault_injector
@@ -306,7 +309,7 @@ class FleetController:
         self._regressed: dict | None = None
         self._retunes = 0
         self._validation_catalogs: dict[frozenset, object] = {}
-        self.events: list[FleetEvent] = []
+        self._events: deque[FleetEvent] = deque(maxlen=_MAX_EVENTS)
         self.event_counts: dict[str, int] = {k: 0 for k in FLEET_EVENT_KINDS}
         self.resumed = False
         self._pending_resume = False
@@ -333,6 +336,12 @@ class FleetController:
     @property
     def router(self) -> Router:
         return self._router
+
+    @property
+    def events(self) -> list[FleetEvent]:
+        """The retained event log (most recent 10 000; exact per-kind
+        totals are in :attr:`event_counts`)."""
+        return list(self._events)
 
     @property
     def regressed(self) -> dict | None:
@@ -397,7 +406,7 @@ class FleetController:
             replica_id=replica_id,
             detail=detail,
         )
-        self.events.append(event)
+        self._events.append(event)
         self.event_counts[kind] = self.event_counts.get(kind, 0) + 1
         if self._listener is not None:
             self._listener(event)
@@ -511,7 +520,6 @@ class FleetController:
             cost_cache=self._cost_cache,
             cache_max_entries=self._cache_max_entries,
             fault_injector=self._fault_injector,
-            advisor_knobs=self._advisor_knobs or None,
         )
         try:
             result = tuner.tune(merged)

@@ -131,9 +131,6 @@ class DivergentTuner:
             replica additionally keeps its own cache for its advisor
             runs. Defaults to a fresh unbounded cache.
         cache_max_entries: Bound for the per-replica caches.
-        advisor_knobs: Extra ``IlpIndexAdvisor`` keyword arguments
-            applied to every per-cluster advisor (``backend=``,
-            ``solver_deadline=``, ...).
     """
 
     def __init__(
@@ -149,7 +146,6 @@ class DivergentTuner:
         cost_cache: CostCache | None = None,
         cache_max_entries: int | None = None,
         fault_injector: FaultInjector | None = None,
-        advisor_knobs: dict | None = None,
     ) -> None:
         if n_replicas <= 0:
             raise ReproError("n_replicas must be positive")
@@ -167,7 +163,6 @@ class DivergentTuner:
         self._cache = cost_cache if cost_cache is not None else CostCache()
         self._cache_max_entries = cache_max_entries
         self._fault_injector = fault_injector
-        self._advisor_knobs = dict(advisor_knobs or {})
 
     # ------------------------------------------------------------------
 
@@ -287,7 +282,6 @@ class DivergentTuner:
             self._config,
             cost_cache=self._cache,
             fault_injector=self._fault_injector,
-            **self._advisor_knobs,
         )
         result = advisor.recommend(
             workload,
@@ -353,7 +347,6 @@ class DivergentTuner:
             self._config,
             cost_cache=self._cache,
             fault_injector=self._fault_injector,
-            **self._advisor_knobs,
         )
         models = advisor.build_models(
             workload, bound=bound, cost_cache=self._cache, degraded=degraded
@@ -400,7 +393,6 @@ class DivergentTuner:
                 self._config,
                 cost_cache=replicas[r].cost_cache,
                 fault_injector=self._fault_injector,
-                **self._advisor_knobs,
             )
             try:
                 result = advisor.recommend(

@@ -101,25 +101,10 @@ class WorkloadEvaluator:
         for m, model in enumerate(models):
             aliases = sorted(model._query.aliases)
             slot_of: dict[str, int] = {}
-            vocab_of: dict[str, list[str]] = {}
             entries = model._entries
 
-            # Order vocabulary per alias: the model's interesting
-            # orders, extended by any order an entry mentions (entries
-            # rehydrated from snapshots carry their own vectors).
-            extra: dict[str, list[str]] = {a: [] for a in aliases}
-            for entry in entries:
-                for alias, order in entry.order_vector:
-                    if (
-                        order is not None
-                        and order not in model._orders.get(alias, [])
-                        and order not in extra[alias]
-                    ):
-                        extra[alias].append(order)
-
             for alias in aliases:
-                vocab = list(model._orders.get(alias, [])) + extra[alias]
-                vocab_of[alias] = vocab
+                vocab = model._orders[alias]
                 slot_of[alias] = len(offsets)
                 slot_meta.append((m, alias))
                 offsets.append(len(base_parts))
@@ -150,7 +135,7 @@ class WorkloadEvaluator:
                         vidx_row.append(off)
                     else:
                         vidx_row.append(
-                            off + 1 + vocab_of[alias].index(order)
+                            off + 1 + model._orders[alias].index(order)
                         )
                 row_internal.append(entry.internal_cost)
                 row_loops.append(loops_row)

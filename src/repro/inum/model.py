@@ -32,11 +32,22 @@ Sharing
     access costs are shared across every model built against the same
     catalog — the quantities are pure functions of (catalog version,
     restriction signature, index signature), so sharing is lossless.
+    The cache's ``inum`` section keeps the built model itself, so a
+    re-advise on an unchanged catalog gets this very object back.
+
+Lifetime
+    A model's observable state — plan cache, sequential-scan costs,
+    interesting orders — is fixed once ``__init__`` returns. Only the
+    per-(alias, index) access memo grows afterwards (and the
+    ``estimates_served`` tally), every value a pure function of its
+    key, which is what makes one object safe to hand to every advisor
+    that shares the cache (one advising thread per cache).
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -61,6 +72,11 @@ from repro.sql.binder import BoundQuery
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine → model)
     from repro.parallel.caches import CostCache
+
+
+# Interesting-order combinations optimized per query unless a caller
+# caps the model lower (or higher) itself.
+MAX_COMBINATIONS = 32
 
 
 @dataclass(frozen=True)
@@ -97,25 +113,6 @@ class InumStatistics:
     # product exceeded max_combinations — nonzero means the model's
     # fidelity is degraded and estimates may over-approximate.
     combinations_truncated: int = 0
-    # Per-relation access-cost lookups (local to this model).
-    access_cache_hits: int = 0
-    access_cache_misses: int = 0
-
-
-@dataclass(frozen=True)
-class InumSnapshot:
-    """The optimizer-call results of a built model, for re-advise reuse.
-
-    This is what the ``inum`` section of
-    :class:`~repro.parallel.caches.CostCache` stores per (catalog
-    version, config, SQL). Everything else a model holds (prepared
-    state, access caches) is derived cheaply from (catalog, query,
-    config), so only the plan cache is worth keeping.
-    """
-
-    entries: tuple[CacheEntry, ...]
-    optimizer_calls: int
-    combinations_truncated: int
 
 
 @dataclass(frozen=True)
@@ -135,43 +132,8 @@ class InumModel:
         catalog: Catalog,
         query: BoundQuery,
         config: PlannerConfig | None = None,
-        max_combinations: int = 32,
+        max_combinations: int = MAX_COMBINATIONS,
         cost_cache: "CostCache | None" = None,
-    ) -> None:
-        self._init_common(catalog, query, config, max_combinations, cost_cache)
-        self._build_cache()
-
-    @classmethod
-    def from_snapshot(
-        cls,
-        catalog: Catalog,
-        query: BoundQuery,
-        config: PlannerConfig | None = None,
-        *,
-        snapshot: InumSnapshot,
-        max_combinations: int = 32,
-        cost_cache: "CostCache | None" = None,
-    ) -> "InumModel":
-        """Rehydrate a model from a snapshot of an earlier build.
-
-        Skips every optimizer call; the resulting model estimates
-        bit-identically to the one the snapshot was taken from.
-        """
-        model = cls.__new__(cls)
-        model._init_common(catalog, query, config, max_combinations, cost_cache)
-        model._entries = list(snapshot.entries)
-        model.stats.optimizer_calls = snapshot.optimizer_calls
-        model.stats.combinations_truncated = snapshot.combinations_truncated
-        model.stats.cache_entries = len(model._entries)
-        return model
-
-    def _init_common(
-        self,
-        catalog: Catalog,
-        query: BoundQuery,
-        config: PlannerConfig | None,
-        max_combinations: int,
-        cost_cache: "CostCache | None",
     ) -> None:
         self._catalog = catalog
         self._query = query
@@ -181,7 +143,14 @@ class InumModel:
         # design INUM should see.
         self._config = base.with_flags(enable_parameterized_paths=False)
         self._max_combinations = max_combinations
-        self._cost_cache = cost_cache
+        # Weak, because the cache's ``inum`` section stores this model:
+        # a strong back-reference would turn every CostCache — and the
+        # catalogs, plans and prepared state it reaches — into cyclic
+        # garbage that only the collector frees. Never hold the cache
+        # (or anything that holds it) strongly from a model.
+        self._cost_cache_ref = (
+            weakref.ref(cost_cache) if cost_cache is not None else None
+        )
         self._config_fp = (
             cost_cache.fingerprint(self._config) if cost_cache is not None else None
         )
@@ -201,6 +170,14 @@ class InumModel:
             if cost_cache is not None
             else {}
         )
+        self._build_cache()
+
+    @property
+    def _cost_cache(self) -> "CostCache | None":
+        """The shared cache, or ``None`` without one (or once its owner
+        dropped it — costs are then computed directly, same values)."""
+        ref = self._cost_cache_ref
+        return ref() if ref is not None else None
 
     # ------------------------------------------------------------------
     # Cache construction
@@ -221,9 +198,10 @@ class InumModel:
         return config.with_hook(hook)
 
     def _seq_cost(self, rel: BaseRel) -> float:
-        if self._cost_cache is None:
+        cache = self._cost_cache
+        if cache is None:
             return seqscan_path(self._config, rel).total_cost
-        return self._cost_cache.seq_cost(
+        return cache.seq_cost(
             self._catalog,
             self._config_fp,
             rel.table_name,
@@ -246,11 +224,12 @@ class InumModel:
         )
 
     def _index_pages(self, info: RelationInfo, index: Index) -> int:
-        if self._cost_cache is None:
+        cache = self._cost_cache
+        if cache is None:
             return estimate_index_pages(
                 info.table, index, info.row_count, info.column_stats
             )
-        return self._cost_cache.index_pages(
+        return cache.index_pages(
             self._catalog, info.table, index, info.row_count, info.column_stats
         )
 
@@ -373,13 +352,12 @@ class InumModel:
         key = (alias, index.columns)
         cached = self._access_cache.get(key)
         if cached is not None:
-            self.stats.access_cache_hits += 1
             return cached
-        self.stats.access_cache_misses += 1
 
-        if self._cost_cache is not None:
+        cache = self._cost_cache
+        if cache is not None:
             shared_key = (self._rel_keys[alias], index_signature(index))
-            result = self._cost_cache.access_info(
+            result = cache.access_info(
                 shared_key,
                 lambda: self._compute_access_info(alias, index),
                 catalog_key=self._catalog.cache_key,
@@ -515,14 +493,6 @@ class InumModel:
         config = stripped.with_hook(hook)
         plan = Planner(self._catalog, config).plan(self._query)
         return plan.total_cost
-
-    def snapshot(self) -> InumSnapshot:
-        """This model's plan cache (see :class:`InumSnapshot`)."""
-        return InumSnapshot(
-            entries=tuple(self._entries),
-            optimizer_calls=self.stats.optimizer_calls,
-            combinations_truncated=self.stats.combinations_truncated,
-        )
 
     @property
     def entries(self) -> list[CacheEntry]:

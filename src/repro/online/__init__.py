@@ -16,8 +16,8 @@ a live statement stream:
   standing recommendation was computed for (all thresholds inclusive).
 * :class:`~repro.online.tuner.OnlineTuner` — the daemon loop: on drift,
   re-run the ILP advisor through the shared
-  :class:`~repro.parallel.caches.CostCache` (warm re-advises rehydrate
-  INUM snapshots and make no raw optimizer calls), apply a build-cost
+  :class:`~repro.parallel.caches.CostCache` (warm re-advises reuse the
+  cached INUM models and make no raw optimizer calls), apply a build-cost
   hysteresis, and log typed :class:`~repro.online.tuner.TuningEvent`\\ s.
   With ``background=True`` the drift/advise work runs on a worker
   thread behind a bounded, coalescing checkpoint queue, so

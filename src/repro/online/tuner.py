@@ -6,8 +6,8 @@ statements the :class:`~repro.online.drift.DriftDetector` compares the
 active window against the distribution the standing recommendation was
 computed for; on drift the batch :class:`IlpIndexAdvisor` re-runs over
 the window snapshot **through the shared CostCache**, so steady-state
-re-advising rehydrates INUM models from cached snapshots and performs
-no raw optimizer calls for templates it has already modeled. Observed
+re-advising gets back the INUM models the cache already holds and
+performs no raw optimizer calls for templates it has already modeled. Observed
 INSERT/UPDATE/DELETE statements become per-table ``update_rates`` on
 every snapshot, so a write-heavy shift changes the recommendation too.
 

@@ -13,9 +13,11 @@ package provides:
   catalog-versioned memoization layer shared across queries, advisors
   and re-advises, with per-section hit/miss counters.
 * :func:`~repro.parallel.engine.build_inum_models` — one INUM model
-  per query, built in-process on the calling thread in workload order,
-  and rehydrated from the cache's ``inum`` section when the same query
-  was modeled before.
+  per query, built in-process on the calling thread in workload order;
+  the cache's ``inum`` section keeps the model, so a query modeled
+  before comes back as the same object. (A cached model holds its
+  cache weakly: a strong back-reference would make every cache cyclic
+  garbage.)
 * :class:`~repro.parallel.engine.BackgroundWorker` — a single daemon
   thread draining a bounded, oldest-evicting hand-off queue in strict
   submission order; the online tuner's non-blocking observe path rides

@@ -25,12 +25,20 @@ Sections:
     Bound queries keyed by SQL text; binding only depends on the
     catalog schema.
 ``inum``
-    Whole INUM plan-cache snapshots keyed by (catalog version, config
-    fingerprint, SQL, combination cap). A hit rebuilds an
-    estimation-ready model without a single optimizer call — this is
-    what makes repeated ``recommend`` / what-if rounds against an
-    unchanged catalog cheap, and models rehydrated from a snapshot
-    estimate bit-identically to freshly built ones.
+    Built :class:`~repro.inum.model.InumModel` objects keyed by
+    (catalog version, config fingerprint, SQL, combination cap). The
+    model is cached, not a copy of it: a hit *is* the estimation-ready
+    model — no optimizer call, no re-preparation, its access memo
+    already warm — which is what makes repeated ``recommend`` rounds
+    against an unchanged catalog cheap. A model's observable state is
+    fixed after construction (only its access memo grows, values pure
+    functions of the key), so every holder of the object prices
+    bit-identically to a fresh build. **A cached value must not own
+    this cache**: a model that kept a strong ``cost_cache`` reference
+    would close a cycle through this section and every per-call
+    ``CostCache`` — with the catalogs and plans it reaches — would
+    wait for the garbage collector instead of being freed by refcount
+    (``InumModel`` holds its cache weakly for exactly this reason).
 
 Bounding
     By default sections grow without limit, which is fine for one-shot
@@ -90,9 +98,10 @@ class CostCache:
 
     One instance is typically created per advisor ``recommend()`` call
     (or handed in by the caller to share across calls, which is what
-    makes a re-advise cheap: its models rehydrate from the ``inum``
-    section). Model builds run on one thread; the lock is for the
-    online tuner's background worker, which re-advises on its own
+    makes a re-advise cheap: the ``inum`` section hands back the models
+    the previous call built). One thread at a time advises against a
+    cache — its models are shared objects, not copies; the lock is for
+    the online tuner's background worker, which re-advises on its own
     thread while the cache's owner may use it from the foreground.
 
     Args:
@@ -334,7 +343,7 @@ class CostCache:
             catalog_key=catalog.cache_key,
         )
 
-    def inum_snapshot(
+    def inum_model(
         self,
         catalog: Catalog,
         config_fp: tuple,
@@ -342,11 +351,12 @@ class CostCache:
         max_combinations: int,
         compute: Callable[[], Any],
     ) -> Any:
-        """Memoized INUM plan-cache snapshot for one query.
+        """The built INUM model for one query, constructed on a miss.
 
-        The snapshot is a pure function of (catalog version, planner
-        config, SQL, combination cap): every optimizer call it embeds
-        is. A hit turns model construction into rehydration.
+        A model is a pure function of (catalog version, planner config,
+        SQL, combination cap): every optimizer call it embeds is. A hit
+        returns the very object an earlier call built; it must hold no
+        strong reference back to this cache (see the module docstring).
         """
         key = (catalog.cache_key, config_fp, sql, max_combinations)
         return self.lookup(

@@ -1,14 +1,14 @@
 """In-process evaluation helpers: model builds and the background hand-off.
 
-:func:`build_inum_models` builds one INUM model per workload query,
+:func:`build_inum_models` obtains one INUM model per workload query,
 serially, on the calling thread, in workload order. Every build is a
-pure function of (catalog, query, config), so a warm
-:class:`~repro.parallel.caches.CostCache` rehydrates models
-bit-identically from their snapshots instead of rebuilding them. There
-is no pool: the build is pure Python under the GIL, so threads never
-overlapped it, and a process pool cost 60-180 ms of start-up and
-transport per batch against ~3 ms of work per template (DESIGN.md,
-"Performance architecture").
+pure function of (catalog, query, config) and a built model's
+observable state never changes, so a warm
+:class:`~repro.parallel.caches.CostCache` hands back the model it
+already holds instead of building another. There is no pool: the build
+is pure Python under the GIL, so threads never overlapped it, and a
+process pool cost 60-180 ms of start-up and transport per batch against
+~3 ms of work per template (DESIGN.md, "Performance architecture").
 
 :class:`BackgroundWorker` is not a pool either: it takes work *off* the
 caller's latency path (one daemon thread, bounded FIFO) rather than
@@ -27,7 +27,7 @@ from typing import Any, Callable
 
 from repro.catalog.catalog import Catalog
 from repro.errors import FaultInjected, ReproError, WorkerCrashError
-from repro.inum.model import InumModel, InumSnapshot
+from repro.inum.model import MAX_COMBINATIONS, InumModel
 from repro.optimizer.config import PlannerConfig
 from repro.parallel.caches import CostCache
 from repro.resilience import faults
@@ -203,17 +203,19 @@ def build_inum_models(
     workload: Workload,
     config: PlannerConfig | None = None,
     *,
-    max_combinations: int = 32,
     cost_cache: CostCache | None = None,
     bound: dict[str, BoundQuery] | None = None,
     fault_injector: FaultInjector | None = None,
     degraded: list[DegradedResult] | None = None,
 ) -> dict[str, InumModel]:
-    """One INUM model per workload query, built in workload order.
+    """One INUM model per workload query, in workload order.
 
     Queries are bound up front (through the shared ``cost_cache`` when
     given) and models are returned keyed by query name, in workload
-    order.
+    order. With a ``cost_cache`` every model comes out of its ``inum``
+    section: a query modelled before on this catalog version and config
+    returns the *same object* (no optimizer call, access memo already
+    warm), anything else is built once and kept there.
 
     Per-query failure isolation: a query whose model build raises a
     :class:`~repro.errors.ReproError` (including an injected
@@ -226,54 +228,12 @@ def build_inum_models(
     sink = degraded if degraded is not None else []
     if bound is None:
         bound = bind_workload(catalog, workload, cost_cache)
-    sql_of = {query.name: query.sql for query in workload}
     config_fp = cost_cache.fingerprint(config) if cost_cache is not None else None
-
-    def build(name: str) -> InumModel:
-        if cost_cache is None:
-            return InumModel(
-                catalog,
-                bound[name],
-                config,
-                max_combinations=max_combinations,
-                cost_cache=cost_cache,
-            )
-        # Serve the whole plan cache from the shared cache when this
-        # (catalog version, config, SQL) was modeled before: rehydration
-        # estimates bit-identically and costs zero optimizer calls.
-        built: list[InumModel] = []
-
-        def compute() -> InumSnapshot:
-            model = InumModel(
-                catalog,
-                bound[name],
-                config,
-                max_combinations=max_combinations,
-                cost_cache=cost_cache,
-            )
-            built.append(model)
-            return model.snapshot()
-
-        snapshot = cost_cache.inum_snapshot(
-            catalog, config_fp, sql_of[name], max_combinations, compute
-        )
-        if built:
-            return built[0]
-        return InumModel.from_snapshot(
-            catalog,
-            bound[name],
-            config,
-            snapshot=snapshot,
-            max_combinations=max_combinations,
-            cost_cache=cost_cache,
-        )
-
-    names = [query.name for query in workload]
 
     # Injected inum.build faults are checked up front, in workload
     # order, so their records precede those of builds that really fail.
     quarantined: set[str] = set()
-    for name in names:
+    for name in (query.name for query in workload):
         try:
             faults.check("inum.build", name, fault_injector)
         except FaultInjected as exc:
@@ -282,19 +242,27 @@ def build_inum_models(
             )
             quarantined.add(name)
 
-    def build_guarded(name: str) -> InumModel | None:
+    models: dict[str, InumModel] = {}
+    for query in workload:
+        name = query.name
         if name in quarantined:
-            return None
+            continue
+
+        def build() -> InumModel:  # called before the next iteration
+            return InumModel(catalog, bound[name], config, cost_cache=cost_cache)
+
         try:
-            return build(name)
+            if cost_cache is None:
+                models[name] = build()
+            else:
+                models[name] = cost_cache.inum_model(
+                    catalog, config_fp, query.sql, MAX_COMBINATIONS, build
+                )
         except ReproError as exc:
             sink.append(
                 DegradedResult("inum.build", name, "quarantined", str(exc))
             )
-            return None
-
-    built = [build_guarded(name) for name in names]
-    return {name: model for name, model in zip(names, built) if model is not None}
+    return models
 
 
 def bind_workload(

@@ -12,6 +12,7 @@ to the reference.
 
 from __future__ import annotations
 
+import copy
 import random
 import struct
 
@@ -29,7 +30,7 @@ from repro.catalog.sizing import (
     index_row_widths_batch,
 )
 from repro.inum.batch import WorkloadEvaluator, pool_signature
-from repro.inum.model import InumModel, InumSnapshot
+from repro.inum.model import InumModel
 from repro.workloads.sdss import build_sdss_database, sdss_workload
 from tests.reference import inum_estimate, inum_estimate_detail
 
@@ -178,22 +179,22 @@ def test_serving_indexes_match_reference_on_random_positions(compiled):
     assert None in used and len(used) > 1
 
 
+def _with_entries(model, entries):
+    hollow = copy.copy(model)
+    hollow._entries = list(entries)
+    return hollow
+
+
 def test_serving_indexes_model_without_usable_entry(compiled):
     workload, models, candidates, _ = compiled
     pool = [c.index for c in candidates]
-    catalog = models[next(iter(workload)).name]._catalog
     for query in workload:
         built = models[query.name]
-        snapshot = built.snapshot()
-        ordered_only = tuple(
-            e for e in snapshot.entries if any(o for _, o in e.order_vector)
-        )
-        for entries in ((), ordered_only):
-            hollow = InumModel.from_snapshot(
-                catalog,
-                built.query,
-                snapshot=InumSnapshot(entries, 0, 0),
-            )
+        ordered_only = [
+            e for e in built.entries if any(o for _, o in e.order_vector)
+        ]
+        for entries in ([], ordered_only):
+            hollow = _with_entries(built, entries)
             # No index delivers an order, so ordered-only entries are
             # all unusable; beside a healthy model to cover row offsets.
             costs, serving = _assert_serving_matches_reference(

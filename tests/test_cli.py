@@ -130,6 +130,49 @@ class TestParser:
         assert lines[-1].startswith(f"repro {command}: error: argument --budget-mb:")
         assert "Traceback" not in "".join(lines)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "some"])
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("suggest-partitions", "--replication"),
+            ("suggest-combined", "--replication"),
+            ("tune", "--build-cost-per-page"),
+            ("fleet", "--tolerance"),
+        ],
+    )
+    def test_float_flags_must_be_finite_and_non_negative(
+        self, capsys, command, flag, value
+    ):
+        # nan passes every ``< 0`` check downstream: it held all tuner
+        # proposals forever and switched the fleet health gate off.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--db", "star:2000", command, flag, value])
+        assert exit_info.value.code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines[-1].startswith(f"repro {command}: error: argument {flag}:")
+        assert "Traceback" not in "".join(lines)
+
+    def test_float_flags_accept_zero(self):
+        args = build_parser().parse_args(["fleet", "--serve", "--tolerance", "0"])
+        assert args.tolerance == 0.0
+
+    @pytest.mark.parametrize("spec", ["sdss:abc", "sdss:-5", "star:1.5", "star:-1"])
+    def test_db_scale_must_be_a_whole_number(self, spec):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--db", spec, "explain", "--sql", "SELECT 1 FROM t"])
+        # One line through SystemExit, like the unknown-database branch.
+        message = exit_info.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert repr(spec) in message and "whole number" in message
+
+    def test_db_scale_zero_still_loads(self, capsys):
+        out = run_cli(
+            capsys,
+            "--db", "sdss:0",
+            "explain", "--sql", "SELECT ra FROM photoobj WHERE ra < 1",
+        )
+        assert "Seq Scan on photoobj" in out
+
     @pytest.mark.parametrize(
         "argv",
         [

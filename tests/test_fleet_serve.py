@@ -423,6 +423,18 @@ class InvariantListener:
 
 
 class TestClosedLoop:
+    def test_event_log_is_a_bounded_ring_with_exact_counts(self):
+        listener = InvariantListener()
+        controller = make_controller(fleet_databases(1), listener=listener)
+        for i in range(10_003):
+            controller._emit("degraded", detail=str(i))
+        # A daemon's log keeps the newest 10 000; the totals stay exact.
+        assert isinstance(controller.events, list)
+        assert len(controller.events) == 10_000
+        assert controller.events == listener.events[-10_000:]
+        assert controller.events[0].detail == "3"
+        assert controller.event_counts["degraded"] == 10_003
+
     def test_drift_triggers_retune_and_rolling_rollout(self):
         listener = InvariantListener()
         controller = make_controller(

@@ -505,12 +505,34 @@ class TestOnlineTuner:
         assert tuner.last_drift is not None and not tuner.last_drift.drifted
 
     def test_shift_is_detected_and_design_converges(self, sdss_db, sdss_wl):
-        tuner = self.make_tuner(sdss_db)
+        # (SQL advised, cumulative inum misses) per re-advise; inline
+        # mode, so the window at emit time is the window advised.
+        advised = []
+
+        def on_event(event):
+            if event.kind == "re-advised":
+                advised.append(
+                    (
+                        {q.sql for q in tuner.monitor.snapshot()},
+                        event.result.cache_stats["inum"]["misses"],
+                    )
+                )
+
+        tuner = self.make_tuner(sdss_db, listener=on_event)
         tuner.run(
             stream_of(sdss_wl, PRE, 6) + stream_of(sdss_wl, POST, 8, salt0=100)
         )
         assert tuner.event_counts["drifted"] >= 1
         assert tuner.readvise_count >= 2
+        # The cache keeps the models: a re-advise (and its hysteresis
+        # pass) builds one only for SQL no earlier re-advise modelled.
+        assert len(advised) == tuner.readvise_count
+        seen, built = set(), 0
+        for sqls, misses in advised:
+            assert misses - built == len(sqls - seen)
+            seen |= sqls
+            built = misses
+        assert built == len(seen) == tuner.cache.counters["inum"].misses
         # Pinned from the scalar-priced parent: the standing-vs-proposed
         # comparison adopts the same designs with the same arithmetic.
         assert [(e.sequence, e.detail) for e in tuner.events_of("recommended")] == [
@@ -552,9 +574,9 @@ class TestOnlineTuner:
         assert misses_before == len(PRE)
         tuner.readvise(reason="warm")
         tuner.readvise(reason="warm again")
-        # Same templates, same catalog version: every INUM model is
-        # rehydrated from its cached snapshot — zero new builds, hence
-        # zero raw optimizer calls.
+        # Same templates, same catalog version: every INUM model comes
+        # back from the cache — zero new builds, hence zero raw
+        # optimizer calls.
         assert tuner.cache.counters["inum"].misses == misses_before
         assert tuner.cache.counters["inum"].hits >= 2 * len(PRE)
 
@@ -639,7 +661,7 @@ class _StubModel:
     def __init__(self, index):
         rel = SimpleNamespace(table=SimpleNamespace(name=index.table_name))
         self._query = SimpleNamespace(aliases=["t"], rel=lambda alias: rel)
-        self._orders = {}
+        self._orders = {"t": []}
         self._seq_costs = {"t": 100.0}
         self._entries = [
             CacheEntry((("t", None),), True, 0.0, (("t", 1.0),), plan=None)

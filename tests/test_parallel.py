@@ -7,6 +7,9 @@ same costs, same per-query benefits.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.advisor.ilp_advisor import IlpIndexAdvisor
@@ -44,23 +47,6 @@ def _result_signature(result):
 
 
 # ----------------------------------------------------------------------
-# Snapshots: the cache's rehydration format
-
-
-def test_snapshot_roundtrip(sdss_db, sdss_wl):
-    catalog = sdss_db.catalog
-    query = sdss_wl.query("q01_box_search").bind(catalog)
-    model = InumModel(catalog, query)
-    clone = InumModel.from_snapshot(catalog, query, snapshot=model.snapshot())
-    probe = Index(
-        name="probe", table_name="photoobj", columns=("ra",), hypothetical=True
-    )
-    assert clone.base_cost == model.base_cost
-    assert clone.estimate([probe]) == model.estimate([probe])
-    assert clone.stats.optimizer_calls == model.stats.optimizer_calls
-
-
-# ----------------------------------------------------------------------
 # Cache counters
 
 
@@ -76,27 +62,88 @@ def test_cost_cache_hits_across_models(sdss_db, sdss_wl):
     build_inum_models(catalog, sdss_wl.subset(8), cost_cache=cache)
     assert cache.misses == misses_before  # every key already present
     assert cache.stats()["index_pages"]["hit_rate"] >= 0.5
-    # The rebuild was served wholesale from the snapshot section.
+    # The rebuild was served wholesale from the model section.
     assert cache.counters["inum"].hits > 0
 
 
-def test_inum_snapshot_cache_rehydrates(sdss_db, sdss_wl):
+_PROBE = Index(
+    name="probe", table_name="photoobj", columns=("ra", "dec"), hypothetical=True
+)
+
+
+def _estimates(models):
+    return {
+        name: (model.estimate(), model.estimate([_PROBE]))
+        for name, model in models.items()
+    }
+
+
+def test_inum_cache_returns_the_same_models(sdss_db, sdss_wl):
     catalog = sdss_db.catalog
+    workload = sdss_wl.subset(8)
     cache = CostCache()
-    probe = Index(
-        name="probe", table_name="photoobj", columns=("ra", "dec"),
-        hypothetical=True,
-    )
-    first = build_inum_models(catalog, sdss_wl.subset(8), cost_cache=cache)
-    calls_before = sum(m.stats.optimizer_calls for m in first.values())
-    assert calls_before > 0
-    second = build_inum_models(catalog, sdss_wl.subset(8), cost_cache=cache)
-    # Rehydrated from the shared snapshot section: the plan caches were
-    # not rebuilt, yet estimates are bit-identical.
+    first = build_inum_models(catalog, workload, cost_cache=cache)
+    calls = sum(m.stats.optimizer_calls for m in first.values())
+    assert calls > 0
+    misses = cache.misses
+    second = build_inum_models(catalog, workload, cost_cache=cache)
+    # A hit is the model: same objects, nothing rebuilt, nothing re-asked.
+    assert list(second) == list(first)
+    assert all(second[name] is first[name] for name in first)
     assert cache.counters["inum"].hits == len(second)
-    for name, model in second.items():
-        assert model.estimate() == first[name].estimate()
-        assert model.estimate([probe]) == first[name].estimate([probe])
+    assert cache.misses == misses
+    assert sum(m.stats.optimizer_calls for m in second.values()) == calls
+    expected = _estimates(first)
+
+    # DDL bumps the catalog version: the old models can never be served
+    # again, and the new ones price bit-identically (a real index is
+    # hidden from INUM, so the estimates are those of the first build).
+    catalog.add_index(Index(name="tmp_inum", table_name="specobj", columns=("z",)))
+    try:
+        rebuilt = build_inum_models(catalog, workload, cost_cache=cache)
+        assert all(rebuilt[name] is not first[name] for name in first)
+        assert cache.counters["inum"].misses == 2 * len(first)
+        assert _estimates(rebuilt) == expected
+    finally:
+        catalog.drop_index("tmp_inum")
+
+
+def test_inum_cache_eviction_rebuilds_identically(sdss_db, sdss_wl):
+    catalog = sdss_db.catalog
+    workload = sdss_wl.subset(4)
+    cache = CostCache(max_entries=1)
+    first = build_inum_models(catalog, workload, cost_cache=cache)
+    expected = _estimates(first)
+    second = build_inum_models(catalog, workload, cost_cache=cache)
+    # One slot, four queries: each model was evicted before its turn
+    # came round again.
+    assert cache.counters["inum"].evictions > 0
+    assert all(second[name] is not first[name] for name in first)
+    assert _estimates(second) == expected
+    assert _estimates(build_inum_models(catalog, workload)) == expected
+
+
+def test_cached_models_do_not_keep_their_cache_alive(sdss_db, sdss_wl):
+    """The cache stores the models; a model that stored the cache back
+    would make every per-call CostCache cyclic garbage (peak RSS of a
+    long-lived fleet process is where that shows)."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        cache = CostCache()
+        models = build_inum_models(
+            sdss_db.catalog, sdss_wl.subset(4), cost_cache=cache
+        )
+        assert cache.section_size("inum") == len(models) > 0
+        cache_ref = weakref.ref(cache)
+        model_ref = weakref.ref(next(iter(models.values())))
+        del cache, models
+        # Freed by refcount alone — the collector is off.
+        assert cache_ref() is None
+        assert model_ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_advisor_result_surfaces_counters(sdss_db, sdss_wl):
