@@ -139,6 +139,25 @@ def _non_negative(text: str) -> float:
     return value
 
 
+def _whole(low: int):
+    """argparse ``type=`` of the integer flags: a whole number >= ``low``
+    (1 for ``--replicas``, ``--window``, ``--check-interval`` and
+    ``--state-interval``; 0 for ``--warmup`` and ``--probation``)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected a whole number, {low} or above, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
 def _load_database(spec: str) -> Database:
     name, _, scale = spec.partition(":")
     if name not in ("sdss", "star"):
@@ -168,8 +187,6 @@ def _build_store(args: argparse.Namespace, db: Database) -> StateStore | None:
     :class:`~repro.errors.StaleLeaseError` and the process exits
     :data:`EXIT_STALE_LEASE` instead of clobbering this run's journal.
     """
-    if args.state_interval <= 0:
-        raise SystemExit("--state-interval must be positive")
     if not args.store:
         return FileStateStore(args.state) if args.state else None
     if args.state or getattr(args, "journal", None):
@@ -952,7 +969,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="resume from and periodically checkpoint the tuner "
                         "state to this JSON file (survives restarts); "
                         "--store file:FILE without the lease")
-    p.add_argument("--state-interval", type=int, default=32,
+    p.add_argument("--state-interval", type=_whole(1), default=32,
                    help="statements between --state checkpoints")
     p.add_argument("--store", metavar="SPEC",
                    help="state store, instead of --state/--journal: "
@@ -964,11 +981,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run drift checks and re-advising on a background "
                         "thread so observation never blocks")
     p.add_argument("--budget-mb", type=_budget_mb, default=16.0)
-    p.add_argument("--window", type=int, default=128,
+    p.add_argument("--window", type=_whole(1), default=128,
                    help="sliding-window size (statements)")
-    p.add_argument("--check-interval", type=int, default=32,
+    p.add_argument("--check-interval", type=_whole(1), default=32,
                    help="statements between drift checks")
-    p.add_argument("--warmup", type=int, default=None,
+    p.add_argument("--warmup", type=_whole(0), default=None,
                    help="statements before the first advise (default: window)")
     p.add_argument("--build-cost-per-page", type=_non_negative, default=4.0,
                    help="hysteresis: per-page cost charged to new indexes")
@@ -1002,7 +1019,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "fleet", help="scenario 5: divergent designs for a replicated fleet"
     )
-    p.add_argument("--replicas", type=int, default=3, metavar="N",
+    p.add_argument("--replicas", type=_whole(1), default=3, metavar="N",
                    help="fleet width (one design per replica)")
     p.add_argument("--rounds", type=int, default=8, metavar="R",
                    help="cluster→tune→route iteration cap")
@@ -1042,13 +1059,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--release", type=int, default=None, metavar="R",
                    help="with --serve: release quarantined replica R back "
                         "into serving rotation before streaming")
-    p.add_argument("--state-interval", type=int, default=64,
+    p.add_argument("--state-interval", type=_whole(1), default=64,
                    help="statements between steady-state checkpoints")
-    p.add_argument("--window", type=int, default=64,
+    p.add_argument("--window", type=_whole(1), default=64,
                    help="per-replica monitor window (statements)")
-    p.add_argument("--check-interval", type=int, default=32,
+    p.add_argument("--check-interval", type=_whole(1), default=32,
                    help="statements between drift/validation checks")
-    p.add_argument("--warmup", type=int, default=None,
+    p.add_argument("--warmup", type=_whole(0), default=None,
                    help="statements before the first tune (default: window)")
     p.add_argument("--regression-windows", type=int, default=2,
                    help="consecutive regressing windows that trigger "
@@ -1056,7 +1073,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=_non_negative, default=0.1,
                    help="relative window-cost slack before a validation "
                         "counts as regressing")
-    p.add_argument("--probation", type=int, default=4,
+    p.add_argument("--probation", type=_whole(0), default=4,
                    help="validation windows a fresh design stays under "
                         "the health gate")
     p.add_argument("--cache-entries", type=int, default=4096,

@@ -256,6 +256,10 @@ class Parinda:
         """
         from repro.fleet.serve import FleetController
 
+        if n_replicas < 1:
+            raise AdvisorError(
+                f"a fleet needs at least one replica, got {n_replicas}"
+            )
         knobs.setdefault("fault_injector", self._fault_injector)
         knobs.setdefault("cost_cache", self._cost_cache)
         if self._cache_bounded:

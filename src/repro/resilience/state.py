@@ -15,9 +15,17 @@ a checksummed envelope and keeps the previous checkpoint as a rotated
 
 Writes are atomic (temp file + ``os.replace``) and rotate the current
 primary to ``.bak`` first, so a kill at any instant leaves at least one
-loadable checkpoint behind. Files written by older versions (a bare
-state dict with no envelope) still load — they simply have no checksum
-to verify.
+loadable checkpoint behind; a temp write that fails (``ENOSPC``,
+``EIO``) removes its temp file before the error propagates. Files
+written by older versions (a bare state dict with no envelope) still
+load — they simply have no checksum to verify.
+
+The canonical text of the state (sorted keys, compact separators) is
+both the checksum input and the envelope's ``state`` body, so a write
+serialises the state once. The loader parses the file and
+re-canonicalises the state to verify it, which is why envelopes in the
+earlier spaced layout keep loading here and these files load in
+earlier versions.
 
 The ``state.write`` fault point fires *before* the atomic dance and
 emulates the failure the envelope exists to catch: a torn write that
@@ -27,6 +35,7 @@ checksum detection and ``.bak`` recovery end to end.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -38,8 +47,12 @@ from repro.resilience.faults import FaultInjector
 STATE_FORMAT = "repro-state-v1"
 
 
-def _checksum(state: dict) -> str:
-    canonical = json.dumps(state, sort_keys=True, separators=(",", ":"))
+def canonical_json(value: object) -> str:
+    """The canonical text of ``value``: sorted keys, compact separators."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _checksum(canonical: str) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
@@ -67,8 +80,24 @@ def dump_state(
     state store guards its writes with ``store.write`` before it gets
     here).
     """
-    text = json.dumps(
-        {"format": STATE_FORMAT, "sha256": _checksum(state), "state": state}
+    dump_canonical(path, canonical_json(state), fault_injector, fault_point)
+
+
+def dump_canonical(
+    path: str,
+    canonical: str,
+    fault_injector: FaultInjector | None = None,
+    fault_point: str | None = "state.write",
+) -> str:
+    """:func:`dump_state` for a state already in canonical text.
+
+    ``canonical`` must be :func:`canonical_json` of the state dict;
+    returns the file text written, so a caller that keeps it can tell
+    its own last write from anyone else's bytes.
+    """
+    text = (
+        f'{{"format": "{STATE_FORMAT}", "sha256": "{_checksum(canonical)}", '
+        f'"state": {canonical}}}'
     )
     try:
         if fault_point is not None:
@@ -80,11 +109,19 @@ def dump_state(
             handle.write(text[: max(1, len(text) // 3)])
         raise
     tmp = path + ".tmp"
-    with open(tmp, "w") as handle:
-        handle.write(text)
-    if os.path.exists(path):
-        os.replace(path, backup_path(path))
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as handle:
+            handle.write(text)
+        if os.path.exists(path):
+            os.replace(path, backup_path(path))
+        os.replace(tmp, path)
+    except BaseException:
+        # A failed write must not leave a stray temp file beside the
+        # primary/.bak pair (host-loss resume accepts nothing else).
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+    return text
 
 
 def _read_verified(path: str) -> dict:
@@ -106,7 +143,7 @@ def _read_verified(path: str) -> dict:
     state = data.get("state")
     if not isinstance(state, dict):
         raise StateCorruptError(f"state file {path} envelope has no state")
-    if _checksum(state) != data.get("sha256"):
+    if _checksum(canonical_json(state)) != data.get("sha256"):
         raise StateCorruptError(
             f"state file {path} fails its checksum (torn write?)"
         )

@@ -10,8 +10,8 @@ not survive a lost *host*. Hence two backends:
 * :class:`FileStateStore` — one base path; slot ``""`` is the base
   file, slot ``K`` is ``base.K``. Every slot is a checksummed
   ``repro-state-v1`` envelope (:mod:`repro.resilience.state` is the
-  codec), byte-identical to the ``--state``/``--journal`` files of
-  every earlier version, which load unchanged.
+  codec), loadable by and from every earlier version's
+  ``--state``/``--journal`` files.
 * :class:`DatabaseStateStore` — state rows live *inside the monitored
   database* (AIM-style): slots are rows of a ``repro_state`` table in
   the :class:`~repro.storage.database.Database` being tuned, persisted
@@ -64,7 +64,14 @@ from repro.errors import (
 )
 from repro.resilience import faults
 from repro.resilience.faults import FaultInjector
-from repro.resilience.state import backup_path, dump_state, has_state, load_state
+from repro.resilience.state import (
+    backup_path,
+    canonical_json,
+    dump_canonical,
+    dump_state,
+    has_state,
+    load_state,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids storage import
     from repro.storage.database import Database
@@ -115,6 +122,12 @@ class StateStore:
         raise NotImplementedError
 
     def _read_lease(self) -> dict | None:
+        """The persisted lease record, re-read from durable bytes.
+
+        :meth:`write` and :meth:`acquire` read the lease first in every
+        attempt, then write; a backend may update exactly the state
+        this read loaded, so the fencing read is the update's read.
+        """
         raise NotImplementedError
 
     def _write_lease(self, record: dict) -> None:
@@ -249,8 +262,9 @@ class FileStateStore(StateStore):
     Slot ``""`` maps to ``base_path`` itself and slot ``K`` to
     ``base_path.K`` — which makes the fleet's per-replica journal slots
     (``r0.apply``...) land on exactly the paths the pre-store code
-    used, and the files byte-identical, because all envelope I/O
-    delegates to :func:`repro.resilience.state.dump_state` /
+    used, and the files loadable by and from every earlier version,
+    because all envelope I/O delegates to
+    :func:`repro.resilience.state.dump_state` /
     :func:`~repro.resilience.state.load_state`. The lease lives in a
     sidecar ``base_path.lease`` file; absent that file the store is
     unfenced (single-writer mode).
@@ -321,9 +335,16 @@ class DatabaseStateStore(StateStore):
     deliberately skips re-ANALYZE so journal writes never thrash the
     planner's catalog-versioned caches.
 
-    Reads always go back to the dsn, so two store instances attached to
-    the same dsn observe each other's writes — that is what makes the
-    fencing check meaningful across a failover.
+    Every access re-reads the dsn bytes, so two store instances
+    attached to the same dsn observe each other's writes — that is what
+    makes the fencing check meaningful across a failover. An instance
+    keeps the text it last persisted and, per slot, the epoch and
+    canonical state text it was built from: when the dsn still holds
+    exactly those bytes the slots are reused as they are (no parse, no
+    checksum pass, and a write serialises only the slot it writes);
+    any other bytes — another writer, a tear, a ``.bak`` fallback, a
+    fresh attach — go through the verified
+    :func:`~repro.resilience.state.load_state` ladder.
     """
 
     def __init__(
@@ -342,6 +363,13 @@ class DatabaseStateStore(StateStore):
         self.database = database
         self.dsn = dsn
         self._from_backup = False
+        # The dsn text this instance last persisted and the slots it was
+        # joined from: {key: (epoch, canonical state text)}.
+        self._persisted: str | None = None
+        self._slots: dict[str, tuple[int, str]] = {}
+        # The row set the current attempt's lease read loaded; the
+        # write that follows it in the same attempt updates exactly it.
+        self._loaded: dict[str, tuple[int, str]] | None = None
         self._attach()
 
     # -- plumbing -------------------------------------------------------
@@ -375,8 +403,20 @@ class DatabaseStateStore(StateStore):
         if rows:
             self._mirror(rows)
 
-    def _load_rows(self) -> tuple[dict[str, dict], str]:
-        """The durable row set from the dsn; empty when none exists."""
+    def _load_rows(self) -> tuple[dict[str, tuple[int, str]], str]:
+        """The durable row set as ``{key: (epoch, canonical state text)}``.
+
+        Empty when no dsn exists. The dsn bytes are read on every call;
+        only when they are not this instance's own last write are they
+        parsed and verified.
+        """
+        try:
+            with open(self.dsn) as handle:
+                text = handle.read()
+        except OSError:
+            text = None  # missing or unreadable: the ladder decides
+        if text is not None and text == self._persisted:
+            return self._slots, "primary"
         if not has_state(self.dsn):
             return {}, "primary"
         document, source = load_state(self.dsn)
@@ -386,36 +426,46 @@ class DatabaseStateStore(StateStore):
                 f"state store {self.dsn} has no row set (format "
                 f"{document.get('format')!r})"
             )
-        return rows, source
+        return {
+            key: (int(row.get("epoch", 0)), canonical_json(row.get("state")))
+            for key, row in rows.items()
+        }, source
 
-    def _persist(self, rows: dict[str, dict], fault_point: str | None) -> None:
+    def _persist(
+        self, rows: dict[str, tuple[int, str]], fault_point: str | None
+    ) -> None:
         """Write the row set durably, then refresh the in-DB mirror.
 
-        Order matters: the dsn (the durable commit point) goes first
-        under the caller's crash fault point; a write that "crashes"
-        there leaves the mirror stale, which the next attach heals from
-        the dsn's ``.bak`` ladder — the same torn-write story as every
-        other envelope in the stack.
+        The document's canonical text is joined from the sorted slot
+        texts — exactly ``canonical_json({"format", "rows"})`` of the
+        parsed row set, so the checksum is the one every loader
+        recomputes. Order matters: the dsn (the durable commit point)
+        goes first under the caller's crash fault point; a write that
+        "crashes" there leaves the mirror stale, which the next attach
+        heals from the dsn's ``.bak`` ladder — the same torn-write story
+        as every other envelope in the stack.
         """
-        dump_state(
+        body = ",".join(
+            f'{json.dumps(key)}:{{"epoch":{epoch},"state":{text}}}'
+            for key, (epoch, text) in sorted(rows.items())
+        )
+        self._persisted = dump_canonical(
             self.dsn,
-            {"format": STORE_FORMAT, "rows": rows},
+            f'{{"format":"{STORE_FORMAT}","rows":{{{body}}}}}',
             fault_injector=self._fault_injector,
             fault_point=fault_point,
         )
+        self._slots = rows
         self._mirror(rows)
 
-    def _mirror(self, rows: dict[str, dict]) -> None:
+    def _mirror(self, rows: dict[str, tuple[int, str]]) -> None:
         keys = sorted(rows)
         self.database.replace_rows(
             STORE_TABLE,
             {
                 "skey": keys,
-                "epoch": [int(rows[k].get("epoch", 0)) for k in keys],
-                "payload": [
-                    json.dumps(rows[k].get("state"), sort_keys=True)
-                    for k in keys
-                ],
+                "epoch": [rows[k][0] for k in keys],
+                "payload": [rows[k][1] for k in keys],
             },
         )
 
@@ -428,13 +478,14 @@ class DatabaseStateStore(StateStore):
     def _read_slot(self, key: str) -> tuple[dict, str]:
         rows, source = self._load_rows()
         row = rows.get(key)
-        if row is None or not isinstance(row.get("state"), dict):
+        # A dict state is the only one whose canonical text opens a brace.
+        if row is None or not row[1].startswith("{"):
             raise StateCorruptError(
                 f"no recoverable state for slot {key!r} in {self.describe()}"
             )
-        return row["state"], "backup" if self._from_backup else source
+        return json.loads(row[1]), "backup" if self._from_backup else source
 
-    def _rows_for_update(self) -> dict[str, dict]:
+    def _rows_for_update(self) -> dict[str, tuple[int, str]]:
         """Current rows, or a fresh set when the dsn pair is unrecoverable.
 
         A write over a torn dsn heals it the way :func:`dump_state`
@@ -451,10 +502,18 @@ class DatabaseStateStore(StateStore):
         self._from_backup |= source == "backup"
         return rows
 
-    def _write_slot(self, key: str, state: dict, fault_point: str | None) -> None:
-        rows = self._rows_for_update()
-        rows[key] = {"epoch": self._epoch or 0, "state": state}
+    def _update(
+        self, key: str, epoch: int, state: dict, fault_point: str | None
+    ) -> None:
+        """Persist the row set this attempt's lease read loaded, with
+        ``key`` set to ``state`` — the only slot serialised."""
+        loaded, self._loaded = self._loaded, None
+        rows = dict(self._rows_for_update() if loaded is None else loaded)
+        rows[key] = (epoch, canonical_json(state))
         self._persist(rows, fault_point)
+
+    def _write_slot(self, key: str, state: dict, fault_point: str | None) -> None:
+        self._update(key, self._epoch or 0, state, fault_point)
         self._from_backup = False
 
     def _exists_slot(self, key: str) -> bool:
@@ -463,22 +522,20 @@ class DatabaseStateStore(StateStore):
         except StateCorruptError:
             return False
         row = rows.get(key)
-        return row is not None and isinstance(row.get("state"), dict)
+        return row is not None and row[1].startswith("{")
 
     def _read_lease(self) -> dict | None:
         # An unrecoverable dsn pair holds no recoverable lease either;
         # treating it as unfenced matches the file backend losing its
         # sidecar .lease file with the rest of the host.
-        rows = self._rows_for_update()
-        record = rows.get(LEASE_KEY)
-        if record is None:
+        self._loaded = self._rows_for_update()
+        row = self._loaded.get(LEASE_KEY)
+        if row is None:
             return None
-        return record.get("state") or {}
+        return json.loads(row[1]) or {}
 
     def _write_lease(self, record: dict) -> None:
-        rows = self._rows_for_update()
-        rows[LEASE_KEY] = {"epoch": int(record.get("epoch", 0)), "state": record}
-        self._persist(rows, None)
+        self._update(LEASE_KEY, int(record.get("epoch", 0)), record, None)
 
 
 def store_from_spec(

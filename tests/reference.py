@@ -9,16 +9,24 @@ the small test databases.
 Below it, :class:`ReferenceBTree`: the storage engine's B-Tree as it
 was built before the columnar sort, the oracle for ``test_btree.py``.
 
-Last, :func:`inum_estimate_detail`: the plain per-entry INUM loop that
+Then :func:`inum_estimate_detail`: the plain per-entry INUM loop that
 was ``InumModel.estimate_detail`` before the array evaluator became
 the only pricing path, the oracle for ``test_batch_estimation.py``.
+
+Last, :func:`legacy_dump_state` / :func:`legacy_load_verified`: the
+``repro-state-v1`` envelope as it was written and verified before the
+canonical text became the envelope body, the oracle for
+``test_store.py``.
 """
 
 from __future__ import annotations
 
 import bisect
+import hashlib
 import itertools
+import json
 import math
+import os
 from dataclasses import dataclass
 from typing import Any, Iterator
 
@@ -453,3 +461,36 @@ def inum_estimate_detail(model, config_indexes=()):
 
 def inum_estimate(model, config_indexes=()) -> float:
     return inum_estimate_detail(model, config_indexes)[0]
+
+
+# ----------------------------------------------------------------------
+# The state-file envelope before the canonical text was its body
+
+
+def _legacy_sha(state: dict) -> str:
+    canonical = json.dumps(state, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def legacy_dump_state(path: str, state: dict) -> None:
+    """Write ``state`` the way the earlier writer did: the envelope as a
+    spaced ``json.dumps``, the previous primary rotated to ``.bak``."""
+    text = json.dumps(
+        {"format": "repro-state-v1", "sha256": _legacy_sha(state), "state": state}
+    )
+    with open(path + ".tmp", "w") as handle:
+        handle.write(text)
+    if os.path.exists(path):
+        os.replace(path, path + ".bak")
+    os.replace(path + ".tmp", path)
+
+
+def legacy_load_verified(path: str) -> dict:
+    """One envelope file -> its state, checked the way every earlier
+    loader checked it: ``json.load``, then the sha256 of the
+    re-canonicalised state must equal the recorded one."""
+    with open(path) as handle:
+        data = json.load(handle)
+    assert data["format"] == "repro-state-v1", path
+    assert _legacy_sha(data["state"]) == data["sha256"], f"{path} fails its checksum"
+    return data["state"]

@@ -152,6 +152,42 @@ class TestParser:
         assert lines[-1].startswith(f"repro {command}: error: argument {flag}:")
         assert "Traceback" not in "".join(lines)
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("fleet", "--replicas", "0"),
+            ("fleet", "--replicas", "-1"),
+            ("fleet", "--replicas", "two"),
+            ("tune", "--window", "0"),
+            ("fleet", "--window", "0"),
+            ("tune", "--check-interval", "0"),
+            ("fleet", "--check-interval", "0"),
+            ("tune", "--state-interval", "0"),
+            ("fleet", "--state-interval", "0"),
+            ("tune", "--warmup", "-3"),
+            ("fleet", "--warmup", "-3"),
+            ("fleet", "--probation", "-1"),
+        ],
+    )
+    def test_int_flags_in_range(self, capsys, command, flag, value):
+        # --replicas 0 used to serve one replica and exit 0; a negative
+        # --warmup/--probation was taken silently.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--db", "star:2000", command, flag, value])
+        assert exit_info.value.code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines[-1].startswith(f"repro {command}: error: argument {flag}:")
+        assert "Traceback" not in "".join(lines)
+
+    def test_int_flags_accept_their_floor(self):
+        args = build_parser().parse_args(
+            ["fleet", "--serve", "--replicas", "1", "--state-interval", "1",
+             "--warmup", "0", "--probation", "0"]
+        )
+        assert (args.replicas, args.state_interval, args.warmup, args.probation) == (
+            1, 1, 0, 0
+        )
+
     def test_float_flags_accept_zero(self):
         args = build_parser().parse_args(["fleet", "--serve", "--tolerance", "0"])
         assert args.tolerance == 0.0
@@ -240,14 +276,11 @@ class TestUserMistakes:
             (["suggest-indexes", "--workload", "{missing}"], "No such file"),
             (["suggest-indexes", "--workload", "{bad_sql}"], "unknown column 'nope'"),
             (["evaluate", "--index", "photoobj:nope"], "has no column 'nope'"),
-            (["tune", "--stream", "{stream}", "--window", "0"], "window_size"),
-            (["tune", "--stream", "{stream}", "--check-interval", "0"], "check_interval"),
             (["tune", "--stream", "{stream}", "--cache-entries", "0"], "max_entries"),
-            (["fleet", "--replicas", "0"], "n_replicas"),
         ],
         ids=[
             "missing-workload", "unknown-column", "unknown-index-column",
-            "window", "check-interval", "cache-entries", "replicas",
+            "cache-entries",
         ],
     )
     def test_one_error_line_and_exit_1(

@@ -59,6 +59,12 @@ class TestScenario3Indexes:
         # A positive sub-page budget still rounds up to one page.
         assert parinda.suggest_indexes(workload, budget_bytes=100).budget_pages == 1
 
+    @pytest.mark.parametrize("n_replicas", [0, -1])
+    def test_fleet_serve_needs_a_replica(self, parinda, n_replicas):
+        # A non-positive width used to become one replica silently.
+        with pytest.raises(AdvisorError, match="at least one replica"):
+            parinda.fleet_serve(n_replicas, budget_pages=64)
+
     def test_create_indexes_materializes(self, parinda, workload):
         result = parinda.suggest_indexes(workload, budget_pages=100)
         created = parinda.create_indexes(result)

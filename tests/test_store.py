@@ -2,9 +2,10 @@
 
 Acceptance pinned here:
 
-* both backends round-trip keyed slots, and the file backend stays
-  byte-identical to the pre-store ``dump_state``/``load_state`` files
-  (old state directories keep loading, new ones load with old code);
+* both backends round-trip keyed slots, and the file backend writes
+  exactly the ``dump_state`` files, loadable by and from every earlier
+  version (old state directories keep loading, new ones load with old
+  code);
 * fencing — a writer holding a superseded lease epoch gets
   ``StaleLeaseError`` *before any slot is touched* and cannot corrupt
   the new owner's journal;
@@ -19,10 +20,14 @@ Acceptance pinned here:
 
 from __future__ import annotations
 
+import copy
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     FaultInjected,
@@ -33,6 +38,7 @@ from repro.errors import (
 from repro.fleet.router import Router
 from repro.resilience import faults
 from repro.resilience import state as resilience_state
+from repro.resilience import store as store_module
 from repro.resilience.apply import ApplyExecutor
 from repro.resilience.faults import FAULT_POINT_DOCS, FaultInjector
 from repro.resilience.store import (
@@ -44,8 +50,10 @@ from repro.resilience.store import (
     store_from_spec,
     torn_slot_paths,
 )
+from repro.storage.database import Database
 
 from tests.conftest import SERVE_ARGS, TUNE_ARGS, make_people_db, run_main
+from tests.reference import legacy_dump_state, legacy_load_verified
 from tests.test_fleet_serve import (
     AGE_INDEX,
     HEIGHT_INDEX,
@@ -775,3 +783,363 @@ class TestPathWrittenFilesStillResume:
         assert f"Resuming from {state}: position {position}," in out
         assert self._design(out) == self._design(clean)
         assert not os.path.exists(f"{state}.lease")
+
+
+# ----------------------------------------------------------------------
+# The write path: one read of the dsn, one serialised slot. A random
+# schedule against a model, files checked by the earlier loader, the
+# earlier spaced layout still loading, and a count pin on the work.
+
+
+MISSING, TORN = "missing", "torn"
+
+
+class _DurableFile:
+    """Model of one primary/.bak pair."""
+
+    def __init__(self) -> None:
+        self.primary: object = MISSING
+        self.backup: object = MISSING
+
+    def write(self, value) -> None:
+        if self.primary is not MISSING:
+            self.backup = self.primary
+        self.primary = copy.deepcopy(value)
+
+    def load(self):
+        """The ladder's value, or None when nothing verifies."""
+        for value in (self.primary, self.backup):
+            if value not in (MISSING, TORN):
+                return value
+        return None
+
+    def exists(self) -> bool:
+        return self.primary is not MISSING or self.backup is not MISSING
+
+
+class _StoreModel:
+    """What two store instances on one backing should observe.
+
+    ``shared``: every slot (and the lease) is a row of one dsn document
+    (the db backend); otherwise each slot, and the lease, is its own
+    file (the file backend).
+    """
+
+    def __init__(self, shared: bool) -> None:
+        self.shared = shared
+        self.files: dict[str, _DurableFile] = {}
+        self.held: list[int | None] = [None, None]
+
+    def file(self, key: str) -> _DurableFile:
+        return self.files.setdefault("dsn" if self.shared else key, _DurableFile())
+
+    def get(self, key: str) -> tuple[bool, object]:
+        """(readable, state) for ``key``."""
+        value = self.file(key).load()
+        if self.shared:
+            value = None if value is None else value.get(key)
+        return value is not None, value
+
+    def exists(self, key: str) -> bool:
+        return self.get(key)[0] if self.shared else self.file(key).exists()
+
+    def put(self, key: str, state: dict) -> None:
+        if self.shared:
+            state = {**(self.file(key).load() or {}), key: state}
+        self.file(key).write(state)
+
+    def stale(self, who: int) -> bool:
+        lease = self.get(LEASE_KEY)[1]
+        return lease is not None and self.held[who] != lease["epoch"]
+
+    def acquire(self, who: int, owner: str) -> int:
+        lease = self.get(LEASE_KEY)[1]
+        epoch = lease["epoch"] + 1 if lease is not None else 1
+        self.put(LEASE_KEY, {"epoch": epoch, "owner": owner})
+        self.held[who] = epoch
+        return epoch
+
+
+def _path_for(store, key: str) -> str:
+    if isinstance(store, DatabaseStateStore):
+        return store.dsn
+    return store.lease_path if key == LEASE_KEY else store.path_for(key)
+
+
+def _snapshot(directory: str) -> dict[str, bytes]:
+    return {
+        name: open(os.path.join(directory, name), "rb").read()
+        for name in sorted(os.listdir(directory))
+    }
+
+
+def _foreign_write(store, key: str, state: dict) -> None:
+    """Another program writes ``key`` in the earlier spaced layout."""
+    if not isinstance(store, DatabaseStateStore):
+        legacy_dump_state(store.path_for(key), state)
+        return
+    try:
+        document, _source = resilience_state.load_state(store.dsn)
+        rows = document["rows"]
+    except StateCorruptError:
+        rows = {}
+    rows[key] = {"epoch": 0, "state": state}
+    legacy_dump_state(store.dsn, {"format": "repro-store-v1", "rows": rows})
+
+
+_KEYS = st.sampled_from(["", "apply", "r0.apply"])
+_WHO = st.integers(0, 1)
+_STATES = st.dictionaries(
+    st.text(max_size=4),
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.text(max_size=6),
+        st.lists(st.integers(), max_size=3),
+    ),
+    max_size=4,
+)
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), _WHO, _KEYS, _STATES),
+        st.tuples(st.just("read"), _WHO, _KEYS),
+        st.tuples(st.just("exists"), _WHO, _KEYS),
+        st.tuples(st.just("acquire"), _WHO),
+        st.tuples(st.just("tear"), _KEYS),
+        st.tuples(st.just("foreign"), _KEYS, _STATES),
+    ),
+    max_size=20,
+)
+
+
+def _run_schedule(steps, shared: bool, directory: str) -> None:
+    if shared:
+        dsn = os.path.join(directory, "dbstate.json")
+        databases = [Database(), Database()]
+        stores = [DatabaseStateStore(db, dsn, backoff=0.0) for db in databases]
+    else:
+        base = os.path.join(directory, "STATE")
+        stores = [FileStateStore(base, backoff=0.0) for _ in range(2)]
+    model = _StoreModel(shared)
+    for step in steps:
+        kind = step[0]
+        if kind == "write":
+            _, who, key, state = step
+            if model.stale(who):
+                before = _snapshot(directory)
+                with pytest.raises(StaleLeaseError):
+                    stores[who].write(key, state)
+                assert _snapshot(directory) == before
+                continue
+            stores[who].write(key, state)
+            model.put(key, state)
+            if shared:
+                mirror = databases[who].relation(STORE_TABLE).heap
+                assert {
+                    skey: json.loads(payload)
+                    for skey, payload in zip(
+                        mirror.column("skey"), mirror.column("payload")
+                    )
+                } == model.file(key).load()
+        elif kind == "read":
+            _, who, key = step
+            readable, state = model.get(key)
+            if readable:
+                assert stores[who].read(key)[0] == state
+            else:
+                with pytest.raises(StateCorruptError):
+                    stores[who].read(key)
+        elif kind == "exists":
+            _, who, key = step
+            assert stores[who].exists(key) == model.exists(key)
+        elif kind == "acquire":
+            _, who = step
+            assert stores[who].acquire(owner=f"s{who}") == model.acquire(
+                who, f"s{who}"
+            )
+        elif kind == "tear":
+            _, key = step
+            _tear(torn_slot_paths(stores[0], key)[0])
+            model.file(key).primary = TORN
+        else:
+            _, key, state = step
+            _foreign_write(stores[0], key, state)
+            model.put(key, state)
+        # Every envelope on disk verifies under the earlier loader and
+        # holds what the model says.
+        for key in ("", "apply", "r0.apply", LEASE_KEY):
+            durable = model.file(key)
+            primary = _path_for(stores[0], key)
+            for path, value in (
+                (primary, durable.primary),
+                (resilience_state.backup_path(primary), durable.backup),
+            ):
+                if value in (MISSING, TORN):
+                    continue
+                state = legacy_load_verified(path)
+                if shared:
+                    state = {k: row["state"] for k, row in state["rows"].items()}
+                assert state == value
+        assert not any(name.endswith(".tmp") for name in os.listdir(directory))
+
+
+class TestWritePath:
+    @settings(max_examples=60, deadline=None)
+    @given(steps=_STEPS)
+    def test_schedule_matches_the_model_on_both_backends(self, steps):
+        for shared in (True, False):
+            with tempfile.TemporaryDirectory() as directory:
+                _run_schedule(steps, shared, directory)
+
+    # The envelopes every earlier version wrote: json.dumps' spaced
+    # layout around the same canonical-text checksum.
+    LEGACY_FILE = (
+        '{"format": "repro-state-v1", "sha256": '
+        '"f96c96870ce59d270db9f43248672a4eeb55364935606a463d58dec44700819f", '
+        '"state": {"version": 1, "payload": "alpha"}}'
+    )
+    LEGACY_DSN = (
+        '{"format": "repro-state-v1", "sha256": '
+        '"ba93cf015a2476dd74adedca46fe88b0532954876ccfb18d1eedd8eecde84d9c", '
+        '"state": {"format": "repro-store-v1", "rows": {"": {"epoch": 1, '
+        '"state": {"version": 1, "payload": "alpha"}}, "__lease__": '
+        '{"epoch": 1, "state": {"epoch": 1, "owner": "old"}}}}}'
+    )
+
+    def test_earlier_spaced_layout_still_loads(self, tmp_path):
+        path = tmp_path / "STATE"
+        path.write_text(self.LEGACY_FILE)
+        assert FileStateStore(str(path)).read("") == (STATE_A, "primary")
+        dsn = tmp_path / "dbstate.json"
+        dsn.write_text(self.LEGACY_DSN)
+        store = DatabaseStateStore(make_people_db(rows=60), str(dsn))
+        assert store.read("") == (STATE_A, "primary")
+        with pytest.raises(StaleLeaseError, match="'old'"):
+            store.write("", STATE_B)
+        assert store.acquire(owner="new") == 2
+        store.write("apply", STATE_B)
+        rows = legacy_load_verified(str(dsn))["rows"]
+        assert rows[""]["state"] == STATE_A and rows["apply"]["state"] == STATE_B
+
+    def test_body_is_the_canonical_text(self, tmp_path):
+        path = str(tmp_path / "STATE")
+        FileStateStore(path).write("", STATE_A)
+        canonical = json.dumps(STATE_A, sort_keys=True, separators=(",", ":"))
+        assert open(path).read().endswith(f'"state": {canonical}}}')
+
+    @staticmethod
+    def _count(monkeypatch) -> dict:
+        """Count row-set loads, JSON parses and canonicalisations."""
+        calls = {"load_state": 0, "parsed": [], "canonical": 0}
+
+        def counting(name, real):
+            def wrapper(arg, *args, **kwargs):
+                if name == "parsed":
+                    calls[name].append(arg)
+                else:
+                    calls[name] += 1
+                return real(arg, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            store_module, "load_state", counting("load_state", store_module.load_state)
+        )
+        canonical = counting("canonical", resilience_state.canonical_json)
+        monkeypatch.setattr(store_module, "canonical_json", canonical)
+        monkeypatch.setattr(resilience_state, "canonical_json", canonical)
+        # json.load goes through json.loads, so this sees file parses too.
+        monkeypatch.setattr(json, "loads", counting("parsed", json.loads))
+        return calls
+
+    def _owned_store(self, tmp_path):
+        store = _db_store(tmp_path)
+        store.acquire(owner="a")
+        store.write("", {"rows": list(range(400))})
+        store.write("apply", STATE_A)
+        return store
+
+    def test_write_on_own_dsn_serialises_one_slot(self, tmp_path, monkeypatch):
+        store = self._owned_store(tmp_path)
+        calls = self._count(monkeypatch)
+        store.write("r0.apply", STATE_B)
+        assert calls["load_state"] == 0
+        assert calls["canonical"] == 1
+        # The one parse is the lease slot's record, never the row set.
+        assert calls["parsed"] == ['{"epoch":1,"owner":"a"}']
+        assert store.read("r0.apply")[0] == STATE_B
+        assert calls["parsed"][1:] == [
+            json.dumps(STATE_B, sort_keys=True, separators=(",", ":"))
+        ]
+        assert calls["load_state"] == 0
+
+    def test_foreign_takeover_is_seen_by_the_next_write(
+        self, tmp_path, monkeypatch
+    ):
+        store = self._owned_store(tmp_path)
+        DatabaseStateStore(make_people_db(rows=60), store.dsn).acquire(owner="b")
+        before = _snapshot(str(tmp_path))
+        calls = self._count(monkeypatch)
+        with pytest.raises(StaleLeaseError, match="'b'"):
+            store.write("", STATE_B)
+        assert calls["load_state"] == 1
+        assert _snapshot(str(tmp_path)) == before
+
+    @pytest.mark.parametrize("disturbance", ["torn-write", "foreign", "bak"])
+    def test_disturbed_dsn_takes_the_verified_path(
+        self, tmp_path, monkeypatch, disturbance
+    ):
+        injector = FaultInjector.from_spec("journal.write:1")
+        store = _db_store(tmp_path, fault_injector=injector)
+        store.acquire(owner="a")
+        store.write("", STATE_A)
+        store.write("", STATE_A)  # the .bak holds the slot too
+        if disturbance == "torn-write":
+            with pytest.raises(FaultInjected):
+                store.write("", STATE_B, fault_point="journal.write")
+        elif disturbance == "foreign":
+            _foreign_write(store, "apply", STATE_B)
+        else:
+            os.remove(store.dsn)
+        calls = self._count(monkeypatch)
+        store.write("r0.apply", STATE_B)
+        # One verified load per attempt, and its lease (epoch 1, held)
+        # admitted the write.
+        assert calls["load_state"] == 1
+        assert store.read("")[0] == STATE_A
+        assert store.read("r0.apply")[0] == STATE_B
+        assert calls["load_state"] == 1
+        assert legacy_load_verified(store.dsn)["rows"][LEASE_KEY]["state"] == {
+            "epoch": 1, "owner": "a"
+        }
+
+    def test_failed_temp_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "state.json")
+        resilience_state.dump_state(path, STATE_A)
+        resilience_state.dump_state(path, STATE_B)
+
+        class Full:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, text):
+                self.handle.write(text[:7])
+                raise OSError(28, "No space left on device")
+
+        def full_disk_open(file, mode="r", *args, **kwargs):
+            handle = open(file, mode, *args, **kwargs)
+            return Full(handle) if str(file).endswith(".tmp") else handle
+
+        monkeypatch.setattr(resilience_state, "open", full_disk_open, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            resilience_state.dump_state(path, {"gen": 3})
+        assert sorted(os.listdir(tmp_path)) == ["state.json", "state.json.bak"]
+        assert resilience_state.load_state(path) == (STATE_B, "primary")
