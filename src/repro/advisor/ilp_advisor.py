@@ -389,7 +389,6 @@ class IlpIndexAdvisor(IndexAdvisor):
         self,
         catalog: Catalog,
         config: PlannerConfig | None = None,
-        backend: str = "builtin",
         max_nodes: int = 20000,
         solver_deadline: float | None = None,
         compress: bool = False,
@@ -424,7 +423,6 @@ class IlpIndexAdvisor(IndexAdvisor):
             otherwise.
         """
         super().__init__(catalog, config, **pipeline)
-        self._backend = backend
         self._max_nodes = max_nodes
         self._solver_deadline = solver_deadline
         if bound_epsilon is not None and bound_epsilon < 0:
@@ -709,7 +707,6 @@ class IlpIndexAdvisor(IndexAdvisor):
 
         solver = BranchAndBoundSolver(
             max_nodes=self._max_nodes,
-            backend=self._backend,
             deadline_seconds=self._solver_deadline,
             fault_injector=self._fault_injector,
             bound_epsilon=bound_epsilon,

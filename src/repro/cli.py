@@ -141,8 +141,9 @@ def _non_negative(text: str) -> float:
 
 def _whole(low: int):
     """argparse ``type=`` of the integer flags: a whole number >= ``low``
-    (1 for ``--replicas``, ``--window``, ``--check-interval`` and
-    ``--state-interval``; 0 for ``--warmup`` and ``--probation``)."""
+    (1 for ``--replicas``, ``--rounds``, ``--window``,
+    ``--check-interval``, ``--state-interval``, ``--regression-windows``
+    and ``--cache-entries``; 0 for ``--warmup`` and ``--probation``)."""
 
     def parse(text: str) -> int:
         try:
@@ -370,7 +371,6 @@ def cmd_suggest_indexes(args: argparse.Namespace) -> int:
     result = parinda.suggest_indexes(
         workload,
         budget_bytes=int(args.budget_mb * 1024 * 1024),
-        backend=args.backend,
         single_column_only=args.single_column,
         compress=args.compress,
     )
@@ -931,7 +931,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suggest-indexes", help="scenario 3: automatic indexes")
     p.add_argument("--workload", help="semicolon-separated SQL file")
     p.add_argument("--budget-mb", type=_budget_mb, default=16.0)
-    p.add_argument("--backend", choices=["builtin", "scipy"], default="builtin")
     p.add_argument("--single-column", action="store_true",
                    help="COLT-style single-column candidates only")
     p.add_argument("--compress", action="store_true",
@@ -993,7 +992,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CoPhy scale mode: re-advise the full decayed "
                         "template profile with workload compression and "
                         "pruned ILP (for 10k+ statement streams)")
-    p.add_argument("--cache-entries", type=int, default=4096,
+    p.add_argument("--cache-entries", type=_whole(1), default=4096,
                    help="per-section CostCache bound (LRU)")
     p.add_argument("--apply", action="store_true",
                    help="materialize the final standing design through the "
@@ -1021,7 +1020,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--replicas", type=_whole(1), default=3, metavar="N",
                    help="fleet width (one design per replica)")
-    p.add_argument("--rounds", type=int, default=8, metavar="R",
+    p.add_argument("--rounds", type=_whole(1), default=8, metavar="R",
                    help="cluster→tune→route iteration cap")
     p.add_argument("--workload", help="semicolon-separated SQL file")
     p.add_argument("--budget-mb", type=_budget_mb, default=16.0,
@@ -1067,7 +1066,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="statements between drift/validation checks")
     p.add_argument("--warmup", type=_whole(0), default=None,
                    help="statements before the first tune (default: window)")
-    p.add_argument("--regression-windows", type=int, default=2,
+    p.add_argument("--regression-windows", type=_whole(1), default=2,
                    help="consecutive regressing windows that trigger "
                         "automatic rollback of a replica")
     p.add_argument("--tolerance", type=_non_negative, default=0.1,
@@ -1076,7 +1075,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probation", type=_whole(0), default=4,
                    help="validation windows a fresh design stays under "
                         "the health gate")
-    p.add_argument("--cache-entries", type=int, default=4096,
+    p.add_argument("--cache-entries", type=_whole(1), default=4096,
                    help="per-section CostCache bound (LRU)")
     p.add_argument("-v", "--verbose", action="store_true",
                    help="list the templates each replica serves")

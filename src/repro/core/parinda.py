@@ -90,7 +90,6 @@ class Parinda:
         # bound queries, Equation-1 sizes, and scan costs carry over
         # between suggest_* calls as long as the catalog version holds.
         self._cost_cache = CostCache(max_entries=cache_max_entries)
-        self._cache_max_entries = cache_max_entries
         self._cache_bounded = cache_max_entries is not None
         self._planner = Planner(self._db.catalog, self._config)
         self._plan_cost_cache: dict[tuple, float] = {}
@@ -187,28 +186,26 @@ class Parinda:
     ) -> "DivergentTuner":
         """A divergent-design tuner over an ``n_replicas``-wide fleet.
 
-        Returns a :class:`~repro.fleet.tuner.DivergentTuner` whose
-        replicas are forked from this database's catalog::
+        Returns a :class:`~repro.fleet.tuner.DivergentTuner` that
+        advises every replica on this database's catalog::
 
             fleet = parinda.fleet(n_replicas=3, budget_bytes=16 << 20)
             result = fleet.tune(workload)          # or a WorkloadMonitor
             replica_id = result.router.route(sql)
 
         The budget is **per replica** (hardware-identical replicas each
-        get the same storage). The tuner shares this facade's cost
-        cache for candidate sizing and model builds — suggest_* calls
-        and fleet rounds warm each other — while each replica keeps a
-        private cache for its own advisor runs (bounded like the
-        facade's when ``cache_max_entries`` was set). ``knobs`` pass
-        through to :class:`DivergentTuner` (``max_rounds``, ``seed``,
+        get the same storage). The tuner runs every advise — the
+        clustering step and each replica's cluster — on this facade's
+        cost cache, bounded by its ``cache_max_entries``: suggest_*
+        calls and fleet rounds warm each other, and a template is
+        modelled once, not once per replica. ``knobs`` pass through to
+        :class:`DivergentTuner` (``max_rounds``, ``seed``,
         ``max_share``, ...).
         """
         from repro.fleet.tuner import DivergentTuner
 
         knobs.setdefault("fault_injector", self._fault_injector)
         knobs.setdefault("cost_cache", self._cost_cache)
-        if self._cache_bounded:
-            knobs.setdefault("cache_max_entries", self._cache_max_entries)
         return DivergentTuner(
             self._db.catalog,
             self._config,
@@ -250,7 +247,10 @@ class Parinda:
         journal inside the monitored database, surviving host loss, and
         a fenced store rejects a superseded daemon's writes with
         :class:`~repro.errors.StaleLeaseError`. The budget is **per
-        replica**; ``knobs`` pass through to :class:`FleetController`
+        replica**. Every re-tune advises on this facade's cost cache
+        (bounded by its ``cache_max_entries``) through one tuner the
+        controller builds up front, so a bad tuning knob raises here.
+        ``knobs`` pass through to :class:`FleetController`
         (``window_size``, ``check_interval``, ``regression_windows``,
         ``listener``, ...).
         """
@@ -262,8 +262,6 @@ class Parinda:
             )
         knobs.setdefault("fault_injector", self._fault_injector)
         knobs.setdefault("cost_cache", self._cost_cache)
-        if self._cache_bounded:
-            knobs.setdefault("cache_max_entries", self._cache_max_entries)
         databases = [self._db] + [
             self._db.clone() for _ in range(n_replicas - 1)
         ]
@@ -311,7 +309,6 @@ class Parinda:
         workload: Workload,
         budget_bytes: int | None = None,
         budget_pages: int | None = None,
-        backend: str = "builtin",
         single_column_only: bool = False,
         compress: bool = False,
     ) -> AdvisorResult:
@@ -326,7 +323,6 @@ class Parinda:
         advisor = IlpIndexAdvisor(
             self._db.catalog,
             self._config,
-            backend=backend,
             single_column_only=single_column_only,
             cost_cache=self._cost_cache,
             fault_injector=self._fault_injector,

@@ -13,11 +13,13 @@ answer and guards it. The :class:`FleetController` closes the loop:
   distribution is compared against the baseline of the last tune;
   each serving replica's local window is checked the same way. Either
   scope drifting triggers a re-tune.
-* **Re-tune** — a fresh :class:`~repro.fleet.tuner.DivergentTuner`
-  runs against the *pristine* advising catalog (frozen at construction,
-  managed indexes stripped — advising against materialized designs
-  would zero the very benefits that justified them) on the merged
-  monitor, producing new per-replica designs and a new router.
+* **Re-tune** — the controller's one
+  :class:`~repro.fleet.tuner.DivergentTuner`, built at construction
+  over the *pristine* advising catalog (frozen then, managed indexes
+  stripped — advising against materialized designs would zero the
+  very benefits that justified them) and the controller's cost cache,
+  tunes the merged monitor into new per-replica designs and a new
+  router.
 * **Roll out** — designs land **replica by replica** through the
   journaled :class:`~repro.resilience.apply.ApplyExecutor`. The
   invariant, proven by test: at most one replica is in transition at
@@ -80,6 +82,7 @@ from repro.errors import (
     TokenizeError,
 )
 from repro.fleet.router import Router
+from repro.fleet.tuner import DivergentTuner
 from repro.online.drift import DriftDetector
 from repro.online.monitor import WorkloadMonitor
 from repro.optimizer.config import PlannerConfig
@@ -216,9 +219,9 @@ class FleetController:
             stays under the health gate before it is trusted.
         retry_steps: Passed to every executor apply/rollback; kill
             sweeps set False so injected faults abort deterministically.
-        max_share / max_rounds / seed / cost_cache /
-            cache_max_entries: forwarded to re-tunes
-            (see :class:`DivergentTuner`).
+        max_share / max_rounds / seed / cost_cache: forwarded to the
+            re-tuning :class:`DivergentTuner`, which is built here, so
+            an invalid value raises at construction.
         fault_injector: Explicit injector; ``None`` defers to the
             ambient ``REPRO_FAULTS`` injector at each fault point.
         listener: Callback receiving every :class:`FleetEvent`.
@@ -245,7 +248,6 @@ class FleetController:
         max_rounds: int = 4,
         seed: int = 0,
         cost_cache: CostCache | None = None,
-        cache_max_entries: int | None = None,
         fault_injector: FaultInjector | None = None,
         listener: Callable[[FleetEvent], None] | None = None,
     ) -> None:
@@ -261,7 +263,6 @@ class FleetController:
             raise ReproError("regression_tolerance must be non-negative")
         self.n_replicas = len(databases)
         self._config = config or PlannerConfig()
-        self._budget_pages = int(budget_pages)
         self._store = store
         self.window_size = window_size
         self.check_interval = check_interval
@@ -272,11 +273,7 @@ class FleetController:
         self.regression_tolerance = regression_tolerance
         self.probation_windows = probation_windows
         self._retry_steps = retry_steps
-        self._max_share = max_share
-        self._max_rounds = max_rounds
-        self._seed = seed
         self._cost_cache = cost_cache if cost_cache is not None else CostCache()
-        self._cache_max_entries = cache_max_entries
         self._fault_injector = fault_injector
         self._listener = listener
 
@@ -301,6 +298,17 @@ class FleetController:
             if ix.name.startswith(MANAGED_PREFIX) and not ix.hypothetical
         ]:
             self._advise_catalog.drop_index(name)
+        self._tuner = DivergentTuner(
+            self._advise_catalog,
+            self._config,
+            n_replicas=self.n_replicas,
+            budget_pages=int(budget_pages),
+            max_rounds=max_rounds,
+            seed=seed,
+            max_share=max_share,
+            cost_cache=self._cost_cache,
+            fault_injector=fault_injector,
+        )
         self._router = Router({}, self.n_replicas, max_share=max_share)
         self._baseline: dict[str, float] | None = None
         self._position = 0
@@ -507,27 +515,15 @@ class FleetController:
     # Re-tuning
 
     def _retune(self, merged: WorkloadMonitor):
-        from repro.fleet.tuner import DivergentTuner
-
-        tuner = DivergentTuner(
-            self._advise_catalog,
-            self._config,
-            n_replicas=self.n_replicas,
-            budget_pages=self._budget_pages,
-            max_rounds=self._max_rounds,
-            seed=self._seed,
-            max_share=self._max_share,
-            cost_cache=self._cost_cache,
-            cache_max_entries=self._cache_max_entries,
-            fault_injector=self._fault_injector,
-        )
         try:
-            result = tuner.tune(merged)
+            result = self._tuner.tune(merged)
         except FaultInjected:
             raise
         except ReproError as exc:
             self._emit("degraded", detail=f"re-tune failed: {exc}")
             return None
+        for record in result.degraded:
+            self._emit("degraded", detail=str(record))
         self._retunes += 1
         self._baseline = merged.window_distribution()
         self._emit(
@@ -689,22 +685,29 @@ class FleetController:
                 "replica.apply",
                 f"replica {runtime.replica_id} position {self._position}",
             )
+        return self._converge(runtime).apply(
+            target, retry_steps=self._retry_steps
+        )
+
+    def _converge(self, runtime: _ReplicaRuntime) -> ApplyExecutor:
+        """The replica's executor, with its apply journal settled.
+
+        A journal left mid-rollback (killed while rolling a regressed
+        design back) finishes rolling back — ApplyExecutor refuses to
+        mix it with a new apply on purpose. A journal left mid-apply
+        finishes its recorded intent: a torn journal write can
+        resurface a stale earlier intent from the .bak rotation, and
+        converging it first (already-satisfied steps fast-forward)
+        before the caller plans against the observed state is correct
+        for both the stale and the genuinely-interrupted case.
+        """
         executor = self._executor(runtime)
-        # A journal left mid-rollback (killed while rolling a regressed
-        # design back) must finish rolling back before a new apply can
-        # target it; ApplyExecutor refuses the mix on purpose.
         journal_phase = self._journal_phase(runtime)
         if journal_phase == "rollback-in-progress":
             executor.rollback(retry_steps=self._retry_steps)
         elif journal_phase == "in-progress":
-            # Finish whatever intent the journal records before planning
-            # the new target. A torn journal write can resurface a stale
-            # earlier intent from the .bak rotation; converging it first
-            # (already-satisfied steps fast-forward) and then planning
-            # the real target against the observed state is correct for
-            # both the stale and the genuinely-interrupted case.
             executor.apply(retry_steps=self._retry_steps)
-        return executor.apply(target, retry_steps=self._retry_steps)
+        return executor
 
     def _executor(self, runtime: _ReplicaRuntime) -> ApplyExecutor:
         return ApplyExecutor(
@@ -971,12 +974,7 @@ class FleetController:
             raise ReproError(
                 f"replica {replica_id} is {runtime.status}, not quarantined"
             )
-        executor = self._executor(runtime)
-        journal_phase = self._journal_phase(runtime)
-        if journal_phase == "rollback-in-progress":
-            executor.rollback(retry_steps=self._retry_steps)
-        elif journal_phase == "in-progress":
-            executor.apply(retry_steps=self._retry_steps)
+        executor = self._converge(runtime)
         if not executor.plan(runtime.design).is_noop:
             executor.apply(tuple(runtime.design), retry_steps=self._retry_steps)
         runtime.status = "serving"
@@ -1119,12 +1117,7 @@ class FleetController:
                 continue
             if runtime.replica_id == in_transition or not runtime.design:
                 continue
-            executor = self._executor(runtime)
-            journal_phase = self._journal_phase(runtime)
-            if journal_phase == "rollback-in-progress":
-                executor.rollback(retry_steps=self._retry_steps)
-            elif journal_phase == "in-progress":
-                executor.apply(retry_steps=self._retry_steps)
+            executor = self._converge(runtime)
             if not executor.plan(runtime.design).is_noop:
                 report = executor.apply(
                     tuple(runtime.design), retry_steps=self._retry_steps

@@ -10,15 +10,16 @@ space with the RITA-style alternating loop:
    feature vector (:class:`~repro.fleet.clusterer.WorkloadClusterer`,
    priced through the batched INUM evaluator) and k-partition them,
    one cluster per replica.
-2. **Tune** — run one :class:`~repro.advisor.ilp_advisor.IlpIndexAdvisor`
-   per cluster against that replica's cloned catalog and private cost
-   cache, one cluster after another. Every advisor prices against the
+2. **Tune** — advise each cluster in turn through the tuner's one
+   :class:`~repro.advisor.ilp_advisor.IlpIndexAdvisor`, on the primary
+   catalog and the fleet cost cache. Every cluster prices against the
    *same* shared candidate pool (the advisor's ``candidates=``
    injection), so designs from different replicas are directly
-   comparable, and the resilience ladder — per-query quarantine,
-   solver fallback — stays intact per cluster: one failing replica
-   advise degrades to its previous design instead of aborting the
-   fleet.
+   comparable, and its bound queries and INUM models are the ones the
+   clustering step already built. The resilience ladder — per-query
+   quarantine, solver fallback — stays intact per cluster: one failing
+   replica advise degrades to its previous design instead of aborting
+   the fleet.
 3. **Route** — re-price every template against every replica's new
    design in one batched evaluation and reassign each template to its
    cheapest replica (deterministic tie-break, optional load cap via
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -53,7 +55,6 @@ from repro.catalog.catalog import Catalog
 from repro.catalog.schema import Index, index_signature
 from repro.errors import AdvisorError, ReproError
 from repro.fleet.clusterer import WorkloadClusterer
-from repro.fleet.replica import Replica
 from repro.fleet.router import Router
 from repro.inum.batch import WorkloadEvaluator
 from repro.online.monitor import WorkloadMonitor, canonicalize
@@ -63,6 +64,38 @@ from repro.parallel.engine import bind_workload
 from repro.resilience.degrade import DegradedResult
 from repro.resilience.faults import FaultInjector
 from repro.workloads.workload import Query, Workload
+
+
+@dataclass
+class Replica:
+    """A fleet member as the tuner sees it: an id and a standing design.
+
+    Replicas share the primary catalog and the fleet cost cache; what
+    makes them *diverge* is only the design each one adopts.
+    """
+
+    replica_id: int
+    design: tuple[Index, ...] = ()
+    #: The AdvisorResult behind the current design (None until the
+    #: first adopt, or when the design was inherited unchanged).
+    result: AdvisorResult | None = field(default=None, repr=False)
+    #: Tuning rounds in which this replica re-advised.
+    tuned_rounds: int = 0
+
+    def adopt(
+        self, design: Iterable[Index], result: AdvisorResult | None = None
+    ) -> None:
+        """Install a standing design (kept in a deterministic order)."""
+        self.design = tuple(
+            sorted(design, key=lambda ix: (ix.table_name, ix.columns))
+        )
+        self.result = result
+        self.tuned_rounds += 1
+
+    @property
+    def design_signatures(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
+        """Order-stable (table, columns) signatures of the design."""
+        return tuple(index_signature(ix) for ix in self.design)
 
 
 @dataclass(frozen=True)
@@ -116,8 +149,14 @@ class UniformBaseline:
 class DivergentTuner:
     """Tune an N-replica fleet to a divergent, routed design.
 
+    Every advise the tuner runs — the clustering step's model build,
+    each per-cluster ``recommend`` and :meth:`uniform_baseline` — goes
+    through one :class:`IlpIndexAdvisor` on ``catalog`` and the fleet
+    ``cost_cache``, so a template is bound and modelled once per
+    catalog version, not once per replica per round.
+
     Args:
-        catalog: The primary catalog replicas are forked from.
+        catalog: The primary catalog every replica is advised on.
         n_replicas: Fleet width (clusters, replicas, router columns).
         budget_pages: Per-replica storage budget — every replica gets
             the same budget, as hardware-identical replicas do.
@@ -126,11 +165,9 @@ class DivergentTuner:
             whole run deterministic.
         max_share: Router load cap (fraction of routed weight one
             replica may serve); 1.0 disables balancing.
-        cost_cache: Fleet-level shared cache for candidate sizing,
-            binding, and the clustering evaluator's model builds; each
-            replica additionally keeps its own cache for its advisor
-            runs. Defaults to a fresh unbounded cache.
-        cache_max_entries: Bound for the per-replica caches.
+        cost_cache: The fleet cache for candidate sizing, binding and
+            INUM models, shared by every advise. Defaults to a fresh
+            unbounded cache.
     """
 
     def __init__(
@@ -144,7 +181,6 @@ class DivergentTuner:
         seed: int = 0,
         max_share: float = 1.0,
         cost_cache: CostCache | None = None,
-        cache_max_entries: int | None = None,
         fault_injector: FaultInjector | None = None,
     ) -> None:
         if n_replicas <= 0:
@@ -154,15 +190,18 @@ class DivergentTuner:
         if max_rounds <= 0:
             raise ReproError("max_rounds must be positive")
         self._catalog = catalog
-        self._config = config or PlannerConfig()
         self.n_replicas = n_replicas
         self.budget_pages = budget_pages
         self.max_rounds = max_rounds
         self.seed = seed
         self.max_share = max_share
         self._cache = cost_cache if cost_cache is not None else CostCache()
-        self._cache_max_entries = cache_max_entries
-        self._fault_injector = fault_injector
+        self._advisor = IlpIndexAdvisor(
+            catalog,
+            config,
+            cost_cache=self._cache,
+            fault_injector=fault_injector,
+        )
 
     # ------------------------------------------------------------------
 
@@ -193,10 +232,7 @@ class DivergentTuner:
         assignment = clusterer.cluster(
             evaluator.utilization_fractions(), weights
         )
-        replicas = [
-            Replica.fork(r, self._catalog, self._cache_max_entries)
-            for r in range(self.n_replicas)
-        ]
+        replicas = [Replica(r) for r in range(self.n_replicas)]
 
         rounds: list[FleetRound] = []
         converged = False
@@ -277,13 +313,7 @@ class DivergentTuner:
         workload = self._coerce_workload(workload)
         degraded: list[DegradedResult] = []
         candidates, evaluator, workload = self._prepare(workload, degraded)
-        advisor = IlpIndexAdvisor(
-            self._catalog,
-            self._config,
-            cost_cache=self._cache,
-            fault_injector=self._fault_injector,
-        )
-        result = advisor.recommend(
+        result = self._advisor.recommend(
             workload,
             self.budget_pages,
             update_rates=dict(workload.update_rates) or None,
@@ -342,14 +372,8 @@ class DivergentTuner:
         candidates = generate_candidates(
             self._catalog, workload, bound=bound, cost_cache=self._cache
         )
-        advisor = IlpIndexAdvisor(
-            self._catalog,
-            self._config,
-            cost_cache=self._cache,
-            fault_injector=self._fault_injector,
-        )
-        models = advisor.build_models(
-            workload, bound=bound, cost_cache=self._cache, degraded=degraded
+        models = self._advisor.build_models(
+            workload, bound=bound, degraded=degraded
         )
         workload = IlpIndexAdvisor._surviving(workload, models, degraded)
         evaluator = WorkloadEvaluator(
@@ -376,52 +400,39 @@ class DivergentTuner:
         completes.
         """
         update_rates = dict(workload.update_rates) or None
-
-        def tune_one(
-            r: int,
-        ) -> tuple[tuple[Index, ...] | None, AdvisorResult | None, list]:
-            queries = clusters[r]
-            if not queries:
-                return (), None, []
-            sub = Workload(
-                queries=[workload.queries[qi] for qi in queries],
-                name=f"{workload.name}/replica{r}",
-                update_rates=dict(workload.update_rates),
-            )
-            advisor = IlpIndexAdvisor(
-                replicas[r].catalog,
-                self._config,
-                cost_cache=replicas[r].cost_cache,
-                fault_injector=self._fault_injector,
-            )
-            try:
-                result = advisor.recommend(
-                    sub,
-                    self.budget_pages,
-                    update_rates=update_rates,
-                    candidates=candidates,
-                )
-            except ReproError as exc:
-                return None, None, [
-                    DegradedResult(
-                        "fleet.advise",
-                        f"replica {r}",
-                        "fallback",
-                        f"cluster advise failed ({exc}); keeping the "
-                        "previous design",
-                    )
-                ]
-            return tuple(result.indexes), result, list(result.degraded)
-
-        outcomes = [tune_one(r) for r in range(self.n_replicas)]
         changed = False
-        for r, (design, result, records) in enumerate(outcomes):
-            degraded.extend(records)
-            if design is None:  # failed advise: previous design stands
-                continue
-            before = replicas[r].design_signatures
-            replicas[r].adopt(design, result)
-            if replicas[r].design_signatures != before:
+        for replica, queries in zip(replicas, clusters):
+            design: tuple[Index, ...] = ()
+            result: AdvisorResult | None = None
+            if queries:
+                sub = Workload(
+                    queries=[workload.queries[qi] for qi in queries],
+                    name=f"{workload.name}/replica{replica.replica_id}",
+                    update_rates=dict(workload.update_rates),
+                )
+                try:
+                    result = self._advisor.recommend(
+                        sub,
+                        self.budget_pages,
+                        update_rates=update_rates,
+                        candidates=candidates,
+                    )
+                except ReproError as exc:
+                    degraded.append(
+                        DegradedResult(
+                            "fleet.advise",
+                            f"replica {replica.replica_id}",
+                            "fallback",
+                            f"cluster advise failed ({exc}); keeping the "
+                            "previous design",
+                        )
+                    )
+                    continue  # the previous design stands
+                design = tuple(result.indexes)
+                degraded.extend(result.degraded)
+            before = replica.design_signatures
+            replica.adopt(design, result)
+            if replica.design_signatures != before:
                 changed = True
         return changed
 

@@ -3,8 +3,8 @@
 The paper solves index selection "using standard off-the-shelf
 combinatorial solvers"; this package is that solver, built from scratch:
 a dense two-phase simplex for LP relaxations and a best-first
-branch-and-bound for mixed binary programs, plus an optional
-``scipy.optimize.milp`` (HiGHS) backend for cross-checking.
+branch-and-bound for mixed binary programs. The test suite checks both
+against scipy (``linprog`` and HiGHS through ``milp``).
 """
 
 from repro.ilp.model import Constraint, LinearProgram, Sense, Variable

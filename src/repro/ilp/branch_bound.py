@@ -3,9 +3,8 @@
 Nodes are subproblems with some integer variables fixed; the priority
 queue explores the best LP bound first, an LP-rounding heuristic seeds
 the incumbent, and subtrees whose bound cannot beat the incumbent are
-pruned. Exact for the binary programs the index advisor emits.
-An optional ``scipy`` backend (HiGHS via ``scipy.optimize.milp``) can be
-selected for cross-validation.
+pruned. Exact for the binary programs the index advisor emits; the
+test suite checks it against HiGHS (``scipy.optimize.milp``).
 
 Bounded-time harness: the solver is built to come back with its best
 integer incumbent rather than an opaque error whenever the search is
@@ -55,7 +54,6 @@ class BranchAndBoundSolver:
         self,
         max_nodes: int = 50000,
         gap_tolerance: float = 1e-6,
-        backend: str = "builtin",
         deadline_seconds: float | None = None,
         fault_injector: FaultInjector | None = None,
         bound_epsilon: float = 0.0,
@@ -68,15 +66,12 @@ class BranchAndBoundSolver:
         positive epsilon to trade a bounded sliver of objective for a
         much smaller search tree on large workloads.
         """
-        if backend not in ("builtin", "scipy"):
-            raise SolverError(f"unknown MILP backend {backend!r}")
         if deadline_seconds is not None and deadline_seconds <= 0:
             raise SolverError("deadline_seconds must be positive")
         if bound_epsilon < 0:
             raise SolverError("bound_epsilon must be non-negative")
         self._max_nodes = max_nodes
         self._gap_tolerance = gap_tolerance
-        self._backend = backend
         self._deadline = deadline_seconds
         self._faults = fault_injector
         self._bound_epsilon = bound_epsilon
@@ -93,15 +88,6 @@ class BranchAndBoundSolver:
 
     def solve(self, program: LinearProgram) -> MilpSolution:
         compiled = program.compile()
-        if self._backend == "scipy":
-            return self._solve_scipy(program, compiled)
-        return self._solve_builtin(program, compiled)
-
-    # ------------------------------------------------------------------
-
-    def _solve_builtin(
-        self, program: LinearProgram, compiled: CompiledProgram
-    ) -> MilpSolution:
         counter = itertools.count()
         root = _Node(priority=-math.inf, sequence=next(counter), fixed={})
         heap: list[_Node] = [root]
@@ -292,49 +278,7 @@ class BranchAndBoundSolver:
             return floored
         return None
 
-    # ------------------------------------------------------------------
 
-    def _solve_scipy(
-        self, program: LinearProgram, compiled: CompiledProgram
-    ) -> MilpSolution:
-        try:
-            from scipy.optimize import LinearConstraint, milp
-        except ImportError as exc:  # pragma: no cover - scipy is installed here
-            raise SolverError("scipy backend requested but scipy missing") from exc
-
-        n = compiled.objective.shape[0]
-        constraints = []
-        if compiled.a_ub.size:
-            constraints.append(
-                LinearConstraint(compiled.a_ub, -np.inf, compiled.b_ub)
-            )
-        if compiled.a_eq.size:
-            constraints.append(
-                LinearConstraint(compiled.a_eq, compiled.b_eq, compiled.b_eq)
-            )
-        from scipy.optimize import Bounds
-
-        ub = np.where(np.isfinite(compiled.upper_bounds), compiled.upper_bounds, np.inf)
-        result = milp(
-            c=-compiled.objective,  # scipy minimizes
-            constraints=constraints,
-            integrality=compiled.integer_mask.astype(int),
-            bounds=Bounds(np.zeros(n), ub),
-        )
-        if not result.success:
-            return MilpSolution(status="infeasible", objective=None)
-        return MilpSolution(
-            status="optimal",
-            objective=float(-result.fun),
-            values={
-                var.name: float(result.x[var.index]) for var in program.variables
-            },
-            nodes_explored=0,
-        )
-
-
-def solve_milp(
-    program: LinearProgram, backend: str = "builtin", max_nodes: int = 50000
-) -> MilpSolution:
+def solve_milp(program: LinearProgram, max_nodes: int = 50000) -> MilpSolution:
     """Convenience wrapper: solve ``program`` and return its solution."""
-    return BranchAndBoundSolver(max_nodes=max_nodes, backend=backend).solve(program)
+    return BranchAndBoundSolver(max_nodes=max_nodes).solve(program)

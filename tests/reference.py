@@ -13,10 +13,15 @@ Then :func:`inum_estimate_detail`: the plain per-entry INUM loop that
 was ``InumModel.estimate_detail`` before the array evaluator became
 the only pricing path, the oracle for ``test_batch_estimation.py``.
 
-Last, :func:`legacy_dump_state` / :func:`legacy_load_verified`: the
+Then :func:`legacy_dump_state` / :func:`legacy_load_verified`: the
 ``repro-state-v1`` envelope as it was written and verified before the
 canonical text became the envelope body, the oracle for
 ``test_store.py``.
+
+Last, :func:`highs_solve`: HiGHS through ``scipy.optimize.milp``, the
+oracle the built-in branch and bound is checked against, and
+:class:`HighsSolver`, which stands in for ``BranchAndBoundSolver`` to
+run a whole advise on it.
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ from repro.catalog.sizing import (
     aligned_row_width,
 )
 from repro.executor.aggregates import AggregateAccumulator
+from repro.ilp.model import LinearProgram
+from repro.ilp.solution import MilpSolution
 from repro.sql.ast_nodes import FuncCall
 from repro.sql.binder import BoundQuery
 from repro.sql.expressions import evaluate, is_true
@@ -494,3 +501,53 @@ def legacy_load_verified(path: str) -> dict:
     assert data["format"] == "repro-state-v1", path
     assert _legacy_sha(data["state"]) == data["sha256"], f"{path} fails its checksum"
     return data["state"]
+
+
+# ----------------------------------------------------------------------
+# The HiGHS MILP oracle
+
+
+def highs_solve(program: LinearProgram) -> MilpSolution:
+    """Solve ``program`` (a maximization) with HiGHS; the status is
+    ``optimal`` or ``infeasible`` and no node count is reported."""
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    compiled = program.compile()
+    n = compiled.objective.shape[0]
+    constraints = []
+    if compiled.a_ub.size:
+        constraints.append(LinearConstraint(compiled.a_ub, -np.inf, compiled.b_ub))
+    if compiled.a_eq.size:
+        constraints.append(
+            LinearConstraint(compiled.a_eq, compiled.b_eq, compiled.b_eq)
+        )
+    upper = np.where(
+        np.isfinite(compiled.upper_bounds), compiled.upper_bounds, np.inf
+    )
+    result = milp(
+        c=-compiled.objective,  # scipy minimizes
+        constraints=constraints,
+        integrality=compiled.integer_mask.astype(int),
+        bounds=Bounds(np.zeros(n), upper),
+    )
+    if not result.success:
+        return MilpSolution(status="infeasible", objective=None)
+    return MilpSolution(
+        status="optimal",
+        objective=float(-result.fun),
+        values={var.name: float(result.x[var.index]) for var in program.variables},
+        nodes_explored=0,
+    )
+
+
+class HighsSolver:
+    """``BranchAndBoundSolver``'s stand-in: takes (and ignores) its
+    keywords and solves every program with :func:`highs_solve`."""
+
+    def __init__(self, **_options) -> None:
+        pass
+
+    @staticmethod
+    def solve(program: LinearProgram) -> MilpSolution:
+        return highs_solve(program)

@@ -10,6 +10,7 @@ import struct
 
 import pytest
 
+from repro.advisor import ilp_advisor
 from repro.advisor.compress import compress_statements, fold_workload
 from repro.advisor.ilp_advisor import IlpIndexAdvisor
 from repro.errors import AdvisorError
@@ -19,6 +20,7 @@ from repro.workloads.sdss import build_sdss_database, sdss_workload
 from repro.workloads.workload import Query, Workload
 
 from tests.conftest import make_people_db
+from tests.reference import HighsSolver
 
 
 @pytest.fixture(scope="module")
@@ -317,7 +319,7 @@ class TestSolverDifferential:
                     )
         return stream
 
-    def test_builtin_agrees_with_highs_on_a_folded_stream(self):
+    def test_builtin_agrees_with_highs_on_a_folded_stream(self, monkeypatch):
         catalog = build_sdss_database(photo_rows=2000, seed=42).catalog
         stream = self.sdss_stream(cycles=34)
         folded = compress_statements(stream)
@@ -325,14 +327,16 @@ class TestSolverDifferential:
         assert folded.workload.update_rates["photoobj"] > 0
         budget = 120
 
-        def advise(backend):
-            advisor = IlpIndexAdvisor(catalog, compress=True, backend=backend)
+        def advise():
+            advisor = IlpIndexAdvisor(catalog, compress=True)
             return advisor.recommend(
                 folded.workload, budget,
                 update_rates=folded.workload.update_rates,
             )
 
-        builtin, highs = advise("builtin"), advise("scipy")
+        builtin = advise()
+        monkeypatch.setattr(ilp_advisor, "BranchAndBoundSolver", HighsSolver)
+        highs = advise()
         assert builtin.solver_status == highs.solver_status == "optimal"
         assert builtin.solver_nodes > 1  # a real search, not a root-LP hit
         assert builtin.maintenance_cost > 0

@@ -1,5 +1,9 @@
 """Fleet tests: clustering, replicas, routing, and divergent tuning.
 
+A tune runs every advise on the primary catalog and the fleet cache;
+an oracle re-advises each final cluster cold on a cloned catalog and a
+fresh cache and must get the same result to the last bit.
+
 The Router checks are property tests (seeded random cost tables and
 weight streams): every priced statement lands on a minimum-cost
 eligible replica, ties are deterministic across runs, and the
@@ -14,6 +18,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.advisor.candidates import generate_candidates
 from repro.advisor.ilp_advisor import IlpIndexAdvisor
 from repro.catalog.schema import Index
 from repro.cli import main as cli_main
@@ -21,12 +26,15 @@ from repro.core.parinda import Parinda
 from repro.errors import AdvisorError, ReproError
 from repro.fleet import (
     DivergentTuner,
+    FleetController,
     Replica,
     Router,
     WorkloadClusterer,
 )
 from repro.inum.batch import WorkloadEvaluator
 from repro.online.monitor import WorkloadMonitor, canonicalize
+from repro.parallel import engine
+from repro.parallel.caches import CostCache
 from repro.parallel.engine import bind_workload
 from repro.resilience.faults import FaultInjector
 from repro.workloads.sdss import build_sdss_database, sdss_workload
@@ -150,16 +158,8 @@ class TestUtilizationFractions:
 
 
 class TestReplica:
-    def test_fork_is_isolated(self, sdss_db):
-        primary = sdss_db.catalog
-        replica = Replica.fork(1, primary, cache_max_entries=64)
-        assert replica.catalog is not primary
-        assert replica.catalog.cache_key != primary.cache_key
-        assert replica.design == ()
-        assert replica.cost_cache is not None
-
     def test_adopt_orders_design(self):
-        replica = Replica(0, catalog=None)
+        replica = Replica(0)
         zz = Index(name="i1", table_name="zz", columns=("a",))
         aa = Index(name="i2", table_name="aa", columns=("b",))
         replica.adopt([zz, aa])
@@ -361,6 +361,65 @@ class TestDivergentTuner:
             DivergentTuner(
                 sdss_db.catalog, n_replicas=2, budget_pages=10, max_rounds=0
             )
+
+    def test_controller_rejects_bad_tuning_knobs_at_construction(self, sdss_db):
+        # The controller builds its tuner up front: a bad knob fails
+        # here, not at the first re-tune in the middle of a stream.
+        with pytest.raises(ReproError, match="max_rounds"):
+            FleetController([sdss_db], budget_pages=10, max_rounds=0)
+
+
+class TestOneAdvisingContext:
+    def test_cluster_results_equal_a_cold_advise(
+        self, sdss_db, sdss_wl, fleet_result
+    ):
+        catalog = sdss_db.catalog
+        pool = generate_candidates(
+            catalog, sdss_wl, bound=bind_workload(catalog, sdss_wl)
+        )
+        assert fleet_result.converged
+        assert fleet_result.candidates_considered == len(pool)
+        rates = dict(sdss_wl.update_rates)
+        advised = 0
+        for replica in fleet_result.replicas:
+            # Converged: the last round tuned exactly the final clusters.
+            cluster = [
+                query for query in sdss_wl
+                if fleet_result.assignment[query.name] == replica.replica_id
+            ]
+            if not cluster:
+                assert replica.result is None
+                continue
+            cold = IlpIndexAdvisor(
+                catalog.clone(), cost_cache=CostCache()
+            ).recommend(
+                Workload(queries=cluster, name="cold", update_rates=rates),
+                BUDGET_PAGES,
+                update_rates=rates or None,
+                candidates=pool,
+            )
+            assert replica.result.indexes == cold.indexes
+            assert replica.result.cost_after == cold.cost_after
+            assert replica.result.per_query == cold.per_query
+            advised += 1
+        assert advised >= 2
+
+    def test_each_template_is_modelled_once_per_tune(
+        self, sdss_db, sdss_wl, monkeypatch
+    ):
+        built = []
+        model_class = engine.InumModel
+
+        def counting(catalog, bound, *args, **kwargs):
+            built.append(id(bound))
+            return model_class(catalog, bound, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "InumModel", counting)
+        result = DivergentTuner(
+            sdss_db.catalog, n_replicas=3, budget_pages=BUDGET_PAGES, seed=0
+        ).tune(sdss_wl)
+        assert len(result.rounds) >= 2  # every round re-advises every cluster
+        assert len(built) == len(set(built)) == len(result.assignment)
 
 
 # ----------------------------------------------------------------------

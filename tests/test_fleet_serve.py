@@ -617,6 +617,27 @@ class TestFaultPoints:
             for rt in controller.replicas
         )
 
+    def test_retune_degradations_become_events(self):
+        # A re-tune that quarantines a template reports it, as the
+        # static fleet command does, instead of dropping the record.
+        controller = make_controller(
+            fleet_databases(2),
+            warmup=16,
+            fault_injector=FaultInjector.from_spec("inum.build:%4"),
+        )
+        for sql in drifting_stream(96):
+            controller.observe(sql)
+        assert controller.event_counts["degraded"] > 0
+        templates = [
+            t.template_id for t in controller.merged_monitor().templates.values()
+        ]
+        named = [
+            event.detail for event in controller.events
+            if event.kind == "degraded"
+            and any(f"inum.build[{name}]" in event.detail for name in templates)
+        ]
+        assert named
+
     def test_rollout_journal_fault_propagates_like_a_crash(self, tmp_path):
         controller = make_controller(
             fleet_databases(2),

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from repro.advisor import ilp_advisor
 from repro.advisor.candidates import generate_candidates
 from repro.advisor.ilp_advisor import IlpIndexAdvisor
 from repro.errors import AdvisorError
@@ -11,6 +12,7 @@ from repro.inum.model import InumModel
 from repro.workloads.workload import Query, Workload
 
 from tests.conftest import make_people_db
+from tests.reference import HighsSolver
 
 
 @pytest.fixture(scope="module")
@@ -72,11 +74,10 @@ class TestRecommendation:
         for entry in result.per_query:
             assert set(entry.indexes_used) <= names
 
-    def test_scipy_backend_agrees(self, db):
+    def test_scipy_backend_agrees(self, db, monkeypatch):
         builtin = IlpIndexAdvisor(db.catalog).recommend(WL, budget_pages=150)
-        scipy_res = IlpIndexAdvisor(db.catalog, backend="scipy").recommend(
-            WL, budget_pages=150
-        )
+        monkeypatch.setattr(ilp_advisor, "BranchAndBoundSolver", HighsSolver)
+        scipy_res = IlpIndexAdvisor(db.catalog).recommend(WL, budget_pages=150)
         assert builtin.cost_after == pytest.approx(scipy_res.cost_after, rel=1e-6)
 
     def test_weights_shift_the_choice(self, db):
