@@ -139,11 +139,25 @@ def _non_negative(text: str) -> float:
     return value
 
 
+def _share(text: str) -> float:
+    """argparse ``type=`` of ``--max-share``: a fraction in (0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"expected a fraction above 0 and at most 1, got {text!r}"
+        )
+    return value
+
+
 def _whole(low: int):
     """argparse ``type=`` of the integer flags: a whole number >= ``low``
     (1 for ``--replicas``, ``--rounds``, ``--window``,
     ``--check-interval``, ``--state-interval``, ``--regression-windows``
-    and ``--cache-entries``; 0 for ``--warmup`` and ``--probation``)."""
+    and ``--cache-entries``; 0 for ``--warmup``, ``--probation`` and
+    ``--release``)."""
 
     def parse(text: str) -> int:
         try:
@@ -711,7 +725,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
     if saved is not None and args.stream != "-":
         resume_position = int(saved.get("stream_position", 0))
 
-    with parinda.online(
+    tuner = parinda.online(
         budget_bytes=int(args.budget_mb * 1024 * 1024),
         state_store=store if saved is not None else None,
         degrade_on_error=True,
@@ -719,46 +733,40 @@ def cmd_tune(args: argparse.Namespace) -> int:
         check_interval=args.check_interval,
         warmup=args.warmup,
         build_cost_per_page=args.build_cost_per_page,
-        background=args.background,
         listener=listener,
         compress=args.compress,
-    ) as tuner:
-        if resume_position:
-            print(
-                f"Resuming from {store.describe()}: {tuner.monitor.observed} "
-                f"statements already observed; skipping {resume_position} "
-                "stream statement(s)."
-            )
-
-        def snapshot(position: int) -> dict:
-            # drain=False keeps autosaves off the advisor's critical
-            # path in background mode; a checkpoint in flight at save
-            # time is simply re-detected as drift after a resume.
-            state = tuner.save_state(drain=False)
-            state["stream_position"] = position
-            return state
-
-        def settle(stream_lost: str | None) -> None:
-            if (
-                stream_lost is None
-                and tuner.readvise_count == 0
-                and tuner.monitor.observed
-            ):
-                # Short streams can end inside the warmup window; still
-                # give the user an answer for what was seen.
-                tuner.readvise(reason="end of stream")
-            # Drain, so the final checkpoint is the settled state.
-            tuner.close()
-
-        skipped, stream_lost = _drive_stream(
-            args,
-            store,
-            tuner.observe,
-            snapshot,
-            resume_position,
-            periodic=True,
-            settle=settle,
+    )
+    if resume_position:
+        print(
+            f"Resuming from {store.describe()}: {tuner.monitor.observed} "
+            f"statements already observed; skipping {resume_position} "
+            "stream statement(s)."
         )
+
+    def snapshot(position: int) -> dict:
+        state = tuner.save_state()
+        state["stream_position"] = position
+        return state
+
+    def settle(stream_lost: str | None) -> None:
+        if (
+            stream_lost is None
+            and tuner.readvise_count == 0
+            and tuner.monitor.observed
+        ):
+            # Short streams can end inside the warmup window; still
+            # give the user an answer for what was seen.
+            tuner.readvise(reason="end of stream")
+
+    skipped, stream_lost = _drive_stream(
+        args,
+        store,
+        tuner.observe,
+        snapshot,
+        resume_position,
+        periodic=True,
+        settle=settle,
+    )
 
     counts = tuner.event_counts
     print(
@@ -773,11 +781,6 @@ def cmd_tune(args: argparse.Namespace) -> int:
         + (
             f", {counts['degraded']} degraded"
             if counts.get("degraded")
-            else ""
-        )
-        + (
-            f", {tuner.coalesced} checkpoint(s) coalesced"
-            if tuner.coalesced
             else ""
         )
         + f"; {counts['drifted']} drift(s), {counts['re-advised']} "
@@ -976,9 +979,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(state lives inside the monitored database and "
                         "survives host loss); acquires a fenced writer "
                         "lease at startup")
-    p.add_argument("--background", action="store_true",
-                   help="run drift checks and re-advising on a background "
-                        "thread so observation never blocks")
     p.add_argument("--budget-mb", type=_budget_mb, default=16.0)
     p.add_argument("--window", type=_whole(1), default=128,
                    help="sliding-window size (statements)")
@@ -1025,7 +1025,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workload", help="semicolon-separated SQL file")
     p.add_argument("--budget-mb", type=_budget_mb, default=16.0,
                    help="per-replica storage budget")
-    p.add_argument("--max-share", type=float, default=1.0,
+    p.add_argument("--max-share", type=_share, default=1.0,
                    help="load-balance cap: max fraction of routed weight "
                         "one replica may serve (1.0 disables)")
     p.add_argument("--seed", type=int, default=0,
@@ -1055,7 +1055,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --serve: acknowledge a frozen fleet — print "
                         "the regressed design, unfreeze, and resume "
                         "re-tuning in-process")
-    p.add_argument("--release", type=int, default=None, metavar="R",
+    p.add_argument("--release", type=_whole(0), default=None, metavar="R",
                    help="with --serve: release quarantined replica R back "
                         "into serving rotation before streaming")
     p.add_argument("--state-interval", type=_whole(1), default=64,

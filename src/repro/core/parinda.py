@@ -117,13 +117,14 @@ class Parinda:
     ) -> OnlineTuner:
         """An online tuning session over this database's catalog.
 
-        Returns an :class:`~repro.online.tuner.OnlineTuner` usable as a
-        context manager (``__exit__`` drains any background work)::
+        Returns an :class:`~repro.online.tuner.OnlineTuner`; every
+        ``observe()`` runs its boundary's drift check and re-advise
+        before it returns::
 
-            with parinda.online(budget_bytes=16 << 20) as tuner:
-                for sql in statement_stream:
-                    tuner.observe(sql)
-                print(tuner.design)
+            tuner = parinda.online(budget_bytes=16 << 20)
+            for sql in statement_stream:
+                tuner.observe(sql)
+            print(tuner.design)
 
         When this facade's cache was constructed with a bound, the
         tuner shares it (re-advises reuse everything suggest_* calls
@@ -138,8 +139,7 @@ class Parinda:
         database backend, the tuner resumes on a host that has no
         local state files at all.
         ``knobs`` pass through to :class:`OnlineTuner` (``window_size``,
-        ``check_interval``, ``build_cost_per_page``, ``background``,
-        ``listener``, ``compress`` for CoPhy scale mode on long
+        ``check_interval``, ``build_cost_per_page``, ``listener``, ``compress`` for CoPhy scale mode on long
         streams, ...).
 
         ``auto_apply=True`` materializes every adopted design through

@@ -13,9 +13,6 @@ Catch-at-boundary contract (the resilience layer)
       the advisor that owns the workload loop, which quarantines the
       query and records a
       :class:`~repro.resilience.degrade.DegradedResult`;
-    * :class:`WorkerCrashError` (the background worker's decision
-      thread died) is reported to the supervising ``on_crash`` callback
-      by the worker's watchdog, which restarts the thread;
     * :class:`SolverError` and a ``solver.iterate`` fault are caught by
       :class:`~repro.advisor.ilp_advisor.IlpIndexAdvisor`, which falls
       back to the greedy baseline selection;
@@ -171,7 +168,3 @@ class ApplyConflictError(ResilienceError):
     this to its own exit code so supervisors can tell "operator must
     resolve the journal" apart from a crash.
     """
-
-
-class WorkerCrashError(ResilienceError):
-    """The background worker's thread died while work was pending."""

@@ -19,14 +19,12 @@ a live statement stream:
   :class:`~repro.parallel.caches.CostCache` (warm re-advises reuse the
   cached INUM models and make no raw optimizer calls), apply a build-cost
   hysteresis, and log typed :class:`~repro.online.tuner.TuningEvent`\\ s.
-  With ``background=True`` the drift/advise work runs on a worker
-  thread behind a bounded, coalescing checkpoint queue, so
-  ``observe()`` never blocks; a drained background tuner is
-  bit-identical to the synchronous one. ``save_state`` /
-  ``restore_state`` make the loop durable across restarts.
+  The drift check and any re-advise run inside ``observe()``, on the
+  caller's thread. ``save_state`` / ``restore_state`` make the loop
+  durable across restarts.
 
 Entry points: ``Parinda.online(...)`` on the facade, and
-``python -m repro tune --stream FILE [--state FILE] [--background]``
+``python -m repro tune --stream FILE [--state FILE]``
 on the CLI.
 """
 

@@ -11,21 +11,11 @@ performs no raw optimizer calls for templates it has already modeled. Observed
 INSERT/UPDATE/DELETE statements become per-table ``update_rates`` on
 every snapshot, so a write-heavy shift changes the recommendation too.
 
-Two execution modes share one code path. The loop is factored around
-**checkpoints**: at each boundary (warmup, or ``check_interval``
-statements past the last check) ``observe()`` captures the window
-snapshot and distribution and hands them to the decision core — inline
-by default, or on a single background worker thread
-(``background=True``) with a bounded hand-off queue so ``observe()``
-never blocks on an advisor run. Checkpoints are processed strictly in
-order, and every decision is a pure function of the checkpoint plus
-the in-order tuner state, so a drained background tuner is
-**bit-identical** to the synchronous one on the same stream. When the
-queue overflows (advises slower than checkpoints arrive), the *oldest
-pending* checkpoint is coalesced away — the newest one carries a
-fresher window, and the baseline only moves on adoption, so a real
-drift is re-detected at the next boundary; :attr:`coalesced` counts
-these, and bit-identity is exact whenever it stays zero.
+The loop is factored around **checkpoints**: at each boundary (warmup,
+or ``check_interval`` statements past the last check) ``observe()``
+captures the window snapshot and distribution and runs the drift check
+and any re-advise on them before it returns, so every decision is a
+pure function of the checkpoint plus the in-order tuner state.
 
 Hysteresis: a new design is only *adopted* ("recommended") when its
 projected per-window benefit over the standing design (scan costs plus
@@ -61,15 +51,11 @@ Resilience: one failed re-advise never stops the loop. A
 fault) is converted into a ``degraded`` event and the checkpoint is
 dropped — the standing design stays in force and, because the baseline
 does not move, the same shift re-registers as drift at the next
-boundary, which is the retry. A crashed background decision thread is
-restarted by the :class:`BackgroundWorker` watchdog and surfaces as a
-``degraded`` event too (crash counts live on
-:attr:`OnlineTuner.worker_crashes`).
+boundary, which is the retry.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -83,7 +69,7 @@ from repro.online.drift import DriftDetector, DriftReport
 from repro.online.monitor import QueryTemplate, WorkloadMonitor
 from repro.optimizer.config import PlannerConfig
 from repro.parallel.caches import CostCache
-from repro.parallel.engine import BackgroundWorker
+from repro.resilience.apply import index_from_dict, index_to_dict
 from repro.resilience.faults import FaultInjector
 from repro.workloads.workload import Workload
 
@@ -119,9 +105,8 @@ class _Checkpoint:
     """A decision point captured on the observe path.
 
     Everything the decision core needs is frozen here at the boundary
-    statement — the window snapshot and distribution at that exact
-    sequence — so processing the checkpoint later (on the background
-    worker) sees the same inputs a synchronous tuner saw inline.
+    statement: the window snapshot and distribution at that exact
+    sequence.
     """
 
     kind: str  # "warmup" | "check" | "forced"
@@ -133,10 +118,6 @@ class _Checkpoint:
 
 class OnlineTuner:
     """Continuous index tuning over a statement stream.
-
-    Usable as a context manager (``with parinda.online(...) as tuner:``);
-    ``__exit__`` calls :meth:`close`, which drains any background work
-    so the standing design reflects the whole stream.
 
     Args:
         catalog: The catalog to advise against (never mutated).
@@ -157,20 +138,10 @@ class OnlineTuner:
         cache_max_entries: Bound for the private cache when
             ``cost_cache`` is not supplied.
         listener: Optional callback invoked with every
-            :class:`TuningEvent` as it is emitted. In background mode
-            advise-path events fire on the worker thread; the callback
-            must not call back into the tuner. Exceptions propagate to
-            the observe() caller (or to :meth:`drain` in background
-            mode).
+            :class:`TuningEvent` as it is emitted. Exceptions propagate
+            to the observe() caller.
         max_events: Ring-buffer size of the retained event log
             (counters in :attr:`event_counts` are never truncated).
-        background: Run drift evaluation and re-advising on a single
-            daemon thread so ``observe()`` never blocks on an advisor
-            run. Checkpoints are processed strictly in order;
-            :meth:`drain` flushes them.
-        max_pending: Bound of the background hand-off queue; overflow
-            coalesces the oldest pending checkpoint (counted in
-            :attr:`coalesced`).
         fault_injector: Resilience-test harness threaded through to the
             advisor stack (see :mod:`repro.resilience`). ``None`` defers
             to the ``REPRO_FAULTS`` environment variable.
@@ -178,11 +149,8 @@ class OnlineTuner:
             :class:`~repro.errors.ReproError` escaping one re-advise is
             absorbed as a ``degraded`` event (standing design kept,
             baseline unchanged so the drift re-registers — the natural
-            retry), and the background decision thread is supervised:
-            crashes are counted, reported as ``degraded`` events, and
-            the thread is restarted. When False (default), errors
-            propagate to the caller / :meth:`drain` — the library
-            contract tests and synchronous callers rely on.
+            retry). When False (default), errors propagate to the
+            caller — the library contract tests rely on.
         auto_apply: Callable invoked with the adopted design (a list of
             :class:`Index`) right after every adoption, expected to
             materialize it — ``Parinda.online(auto_apply=True)`` wires
@@ -220,8 +188,6 @@ class OnlineTuner:
         cache_max_entries: int = 4096,
         listener: Callable[[TuningEvent], None] | None = None,
         max_events: int = 10000,
-        background: bool = False,
-        max_pending: int = 32,
         fault_injector: FaultInjector | None = None,
         degrade_on_error: bool = False,
         auto_apply: Callable[[list[Index]], object] | None = None,
@@ -248,7 +214,6 @@ class OnlineTuner:
             if cost_cache is not None
             else CostCache(max_entries=cache_max_entries)
         )
-        self._faults = fault_injector
         self.compress = bool(compress)
         self._advisor = IlpIndexAdvisor(
             catalog,
@@ -260,9 +225,6 @@ class OnlineTuner:
         self._listener = listener
         self._events: deque[TuningEvent] = deque(maxlen=max_events)
         self.event_counts: dict[str, int] = {k: 0 for k in EVENT_KINDS}
-        # Guards all state the decision core mutates; RLock because the
-        # core emits events (listener callbacks) while holding it.
-        self._lock = threading.RLock()
         # The distribution the standing recommendation was computed for
         # (None until the first advise) and the design in force.
         self._baseline: dict[str, float] | None = None
@@ -273,71 +235,15 @@ class OnlineTuner:
         self.last_result: AdvisorResult | None = None
         self.last_drift: DriftReport | None = None
         self.readvise_count = 0
-        self.coalesced = 0
-        self.background = background
         self.degrade_on_error = bool(degrade_on_error)
         self._auto_apply = auto_apply
-        self._worker: BackgroundWorker | None = None
-        if background:
-            self._worker = BackgroundWorker(
-                self._process_checkpoint,
-                max_pending=max_pending,
-                name="repro-online-tuner",
-                on_crash=self._on_worker_crash if degrade_on_error else None,
-            )
-
-    @property
-    def worker_crashes(self) -> int:
-        """Background decision-thread crashes absorbed by the watchdog."""
-        return self._worker.crashes if self._worker is not None else 0
-
-    def _on_worker_crash(self, exc: BaseException) -> None:
-        worker = self._worker
-        count = worker.crashes if worker is not None else 0
-        self._emit(
-            "degraded",
-            self.monitor.observed,
-            f"background worker crash #{count} absorbed ({exc}); "
-            "worker supervised, standing design kept",
-        )
-
-    # ------------------------------------------------------------------
-    # Context-manager / daemon protocol
-
-    def __enter__(self) -> "OnlineTuner":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-        return None
-
-    def drain(self) -> None:
-        """Block until every pending checkpoint has been processed.
-
-        Re-raises the first error the background worker hit (advisor
-        failures surface here instead of vanishing on a daemon thread).
-        No-op in synchronous mode.
-        """
-        if self._worker is not None:
-            self._worker.drain()
-
-    def close(self) -> None:
-        """Drain and stop the background worker; idempotent.
-
-        After closing, the tuner keeps working synchronously — further
-        ``observe()`` calls process checkpoints inline.
-        """
-        worker, self._worker = self._worker, None
-        if worker is not None:
-            worker.close()
 
     # ------------------------------------------------------------------
     # The loop
 
     def observe(self, sql: str) -> QueryTemplate:
-        """Ingest one statement; never blocks on an advisor run when
-        ``background=True`` (drift checks and re-advising then happen
-        on the worker, strictly in boundary order)."""
+        """Ingest one statement; at a boundary, run the drift check and
+        any re-advise before returning."""
         template = self.monitor.observe(sql)
         sequence = self.monitor.observed
         self._emit("observed", sequence, template.template_id)
@@ -363,23 +269,20 @@ class OnlineTuner:
             self._last_check = sequence
             checkpoint = self._capture("check", sequence)
         if checkpoint is not None:
-            self._dispatch(checkpoint)
+            self._process_checkpoint(checkpoint)
         return template
 
     def run(self, statements: Iterable[str]) -> AdvisorResult | None:
-        """Feed a whole stream (draining any background work at the
-        end); returns the last advisor result."""
+        """Feed a whole stream; returns the last advisor result."""
         for sql in statements:
             self.observe(sql)
-        self.drain()
         return self.last_result
 
     def readvise(self, reason: str = "forced") -> AdvisorResult | None:
         """Re-run the batch advisor over the current window snapshot.
 
         Normally driven by :meth:`observe` on warmup/drift; public so
-        callers (and tests) can force a re-advise. Drains pending
-        background work first, then advises synchronously. Emits
+        callers (and tests) can force a re-advise. Emits
         ``re-advised`` followed by ``recommended`` (design adopted) or
         ``held`` (projected benefit below the build-cost threshold).
         Returns None when the window holds no advisable SELECT
@@ -387,7 +290,6 @@ class OnlineTuner:
         """
         if not self.monitor.observed:
             raise ReproError("nothing observed yet; stream statements first")
-        self.drain()
         sequence = self.monitor.observed
         self._warmed = True
         self._last_check = sequence
@@ -395,7 +297,7 @@ class OnlineTuner:
         return self._process_checkpoint(checkpoint)
 
     # ------------------------------------------------------------------
-    # Checkpoints: captured on the observe path, processed in order
+    # Checkpoints: captured and processed on the observe path
 
     def _capture(
         self, kind: str, sequence: int, reason: str = ""
@@ -417,23 +319,9 @@ class OnlineTuner:
             reason=reason,
         )
 
-    def _dispatch(self, checkpoint: _Checkpoint) -> None:
-        if self._worker is None:
-            self._process_checkpoint(checkpoint)
-        elif not self._worker.submit(checkpoint):
-            with self._lock:
-                self.coalesced += 1
-
     def _process_checkpoint(
         self, checkpoint: _Checkpoint
     ) -> AdvisorResult | None:
-        # Decision state (baseline, design, counters) has exactly ONE
-        # writer — this method, running inline or on the single worker
-        # thread, strictly in checkpoint order — so the processing path
-        # deliberately does not hold ``self._lock`` across the advisor
-        # run: observe()'s event emission and a non-draining
-        # save_state() must never wait out a whole advise. The lock
-        # guards only the event log and the save/restore snapshots.
         if checkpoint.kind == "check":
             report = self.detector.compare(
                 self._baseline or {}, checkpoint.distribution
@@ -463,7 +351,7 @@ class OnlineTuner:
             return None
 
     # ------------------------------------------------------------------
-    # The advise step (single-writer: inline or worker, never both)
+    # The advise step
 
     def _advise(
         self, checkpoint: _Checkpoint, reason: str
@@ -477,17 +365,15 @@ class OnlineTuner:
             )
             # Nothing to compute a design for; acknowledge the mix so a
             # DML-only window does not re-trigger drift every interval.
-            with self._lock:
-                self._baseline = dict(checkpoint.distribution)
+            self._baseline = dict(checkpoint.distribution)
             return None
         result = self._advisor.recommend(
             workload,
             self.budget_pages,
             update_rates=workload.update_rates or None,
         )
-        with self._lock:
-            self.readvise_count += 1
-            self.last_result = result
+        self.readvise_count += 1
+        self.last_result = result
         self._emit(
             "re-advised",
             checkpoint.sequence,
@@ -502,8 +388,7 @@ class OnlineTuner:
         # a build-cost hold, so a gradually worsening shift keeps
         # registering as drift until adopted.
         if outcome != "held" or self._baseline is None:
-            with self._lock:
-                self._baseline = dict(checkpoint.distribution)
+            self._baseline = dict(checkpoint.distribution)
         return result
 
     def _advisable(self, checkpoint: _Checkpoint) -> Workload:
@@ -587,8 +472,7 @@ class OnlineTuner:
         # free; adopt it as long as it does not cost anything.
         free_switch = build_pages == 0 and benefit >= 0
         if benefit > build_cost or free_switch:
-            with self._lock:
-                self.design = list(result.indexes)
+            self.design = list(result.indexes)
             self._emit(
                 "recommended",
                 sequence,
@@ -667,42 +551,26 @@ class OnlineTuner:
     # ------------------------------------------------------------------
     # Durability
 
-    def save_state(self, drain: bool = True) -> dict:
+    def save_state(self) -> dict:
         """The tuner's resumable state as a versioned, JSON-able dict.
 
         Covers everything a restarted daemon needs to continue exactly
         where this one stopped: the monitor (templates, window, decayed
         profile), the baseline the standing design was computed for,
-        the standing design itself, and the loop counters. ``drain``
-        flushes background work first for a fully settled snapshot;
-        pass ``drain=False`` for a non-blocking periodic autosave (a
-        checkpoint lost in flight is re-detected as drift on resume).
+        the standing design itself, and the loop counters.
         """
-        if drain:
-            self.drain()
-        with self._lock:
-            return {
-                "version": TUNER_STATE_VERSION,
-                "monitor": self.monitor.save(),
-                "baseline": dict(self._baseline)
-                if self._baseline is not None
-                else None,
-                "warmed": self._warmed,
-                "last_check": self._last_check,
-                "design": [
-                    {
-                        "name": ix.name,
-                        "table_name": ix.table_name,
-                        "columns": list(ix.columns),
-                        "unique": ix.unique,
-                        "hypothetical": ix.hypothetical,
-                    }
-                    for ix in self.design
-                ],
-                "readvise_count": self.readvise_count,
-                "coalesced": self.coalesced,
-                "event_counts": dict(self.event_counts),
-            }
+        return {
+            "version": TUNER_STATE_VERSION,
+            "monitor": self.monitor.save(),
+            "baseline": dict(self._baseline)
+            if self._baseline is not None
+            else None,
+            "warmed": self._warmed,
+            "last_check": self._last_check,
+            "design": [index_to_dict(ix) for ix in self.design],
+            "readvise_count": self.readvise_count,
+            "event_counts": dict(self.event_counts),
+        }
 
     def restore_state(self, state: dict) -> None:
         """Resume from :meth:`save_state` output.
@@ -711,7 +579,8 @@ class OnlineTuner:
         monitor's saved geometry (window size, decay) wins over the
         constructor's. The retained event *log* starts empty — the
         counters carry over — and ``last_result``/``last_drift`` are
-        None until the next advise/check.
+        None until the next advise/check. Keys this version does not
+        write (an older state's ``coalesced``) are ignored.
         """
         version = state.get("version")
         if version != TUNER_STATE_VERSION:
@@ -719,33 +588,22 @@ class OnlineTuner:
                 f"unsupported tuner state version {version!r} "
                 f"(expected {TUNER_STATE_VERSION})"
             )
-        with self._lock:
-            if self.monitor.observed:
-                raise ReproError(
-                    "restore_state requires a fresh tuner "
-                    f"({self.monitor.observed} statements already observed)"
-                )
-            self.monitor = WorkloadMonitor.load(state["monitor"])
-            baseline = state.get("baseline")
-            self._baseline = dict(baseline) if baseline is not None else None
-            self._warmed = bool(state.get("warmed"))
-            self._last_check = int(state.get("last_check", 0))
-            self.design = [
-                Index(
-                    name=entry["name"],
-                    table_name=entry["table_name"],
-                    columns=tuple(entry["columns"]),
-                    unique=bool(entry.get("unique")),
-                    hypothetical=bool(entry.get("hypothetical")),
-                )
-                for entry in state.get("design", ())
-            ]
-            self.readvise_count = int(state.get("readvise_count", 0))
-            self.coalesced = int(state.get("coalesced", 0))
-            for kind, count in state.get("event_counts", {}).items():
-                if kind in self.event_counts:
-                    self.event_counts[kind] = int(count)
-            self._quarantine_announced = set(self.monitor.quarantined)
+        if self.monitor.observed:
+            raise ReproError(
+                "restore_state requires a fresh tuner "
+                f"({self.monitor.observed} statements already observed)"
+            )
+        self.monitor = WorkloadMonitor.load(state["monitor"])
+        baseline = state.get("baseline")
+        self._baseline = dict(baseline) if baseline is not None else None
+        self._warmed = bool(state.get("warmed"))
+        self._last_check = int(state.get("last_check", 0))
+        self.design = [index_from_dict(d) for d in state.get("design", ())]
+        self.readvise_count = int(state.get("readvise_count", 0))
+        for kind, count in state.get("event_counts", {}).items():
+            if kind in self.event_counts:
+                self.event_counts[kind] = int(count)
+        self._quarantine_announced = set(self.monitor.quarantined)
 
     # ------------------------------------------------------------------
     # Event log
@@ -760,17 +618,15 @@ class OnlineTuner:
         event = TuningEvent(
             kind=kind, sequence=sequence, detail=detail, result=result
         )
-        with self._lock:
-            self.event_counts[kind] += 1
-            self._events.append(event)
-            if self._listener is not None:
-                self._listener(event)
+        self.event_counts[kind] += 1
+        self._events.append(event)
+        if self._listener is not None:
+            self._listener(event)
 
     @property
     def events(self) -> list[TuningEvent]:
         """The retained event log (most recent ``max_events``)."""
-        with self._lock:
-            return list(self._events)
+        return list(self._events)
 
     def events_of(self, kind: str) -> list[TuningEvent]:
         if kind not in EVENT_KINDS:

@@ -18,20 +18,12 @@ package provides:
   before comes back as the same object. (A cached model holds its
   cache weakly: a strong back-reference would make every cache cyclic
   garbage.)
-* :class:`~repro.parallel.engine.BackgroundWorker` — a single daemon
-  thread draining a bounded, oldest-evicting hand-off queue in strict
-  submission order; the online tuner's non-blocking observe path rides
-  on it.
 """
 
 from repro.parallel.caches import CostCache, SectionCounters
-from repro.parallel.engine import (
-    BackgroundWorker,
-    build_inum_models,
-)
+from repro.parallel.engine import build_inum_models
 
 __all__ = [
-    "BackgroundWorker",
     "CostCache",
     "SectionCounters",
     "build_inum_models",

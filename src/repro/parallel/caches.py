@@ -100,9 +100,9 @@ class CostCache:
     (or handed in by the caller to share across calls, which is what
     makes a re-advise cheap: the ``inum`` section hands back the models
     the previous call built). One thread at a time advises against a
-    cache — its models are shared objects, not copies; the lock is for
-    the online tuner's background worker, which re-advises on its own
-    thread while the cache's owner may use it from the foreground.
+    cache — its models are shared objects, not copies. Nothing in this
+    package starts a thread; the lock is there because the cache is a
+    public type a caller may share across threads of its own.
 
     Args:
         max_entries: Per-section entry cap. ``None`` (default) means

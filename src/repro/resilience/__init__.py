@@ -34,7 +34,6 @@ from repro.errors import (
     ResilienceError,
     StaleLeaseError,
     StateCorruptError,
-    WorkerCrashError,
 )
 from repro.resilience.degrade import DEGRADE_ACTIONS, DegradedResult
 from repro.resilience.faults import (
@@ -91,7 +90,6 @@ __all__ = [
     "StateCorruptError",
     "StateStore",
     "ValidationEntry",
-    "WorkerCrashError",
     "ambient",
     "backup_path",
     "check",

@@ -66,7 +66,8 @@ APPLY_PHASES = (
 MANAGED_PREFIX = "idx_"
 
 
-def _index_to_dict(index: Index) -> dict:
+def index_to_dict(index: Index) -> dict:
+    """An index's wire format, shared by every journal and state file."""
     return {
         "name": index.name,
         "table_name": index.table_name,
@@ -76,7 +77,8 @@ def _index_to_dict(index: Index) -> dict:
     }
 
 
-def _index_from_dict(data: dict) -> Index:
+def index_from_dict(data: dict) -> Index:
+    """Inverse of :func:`index_to_dict`."""
     return Index(
         name=data["name"],
         table_name=data["table_name"],
@@ -84,13 +86,6 @@ def _index_from_dict(data: dict) -> Index:
         unique=bool(data.get("unique", False)),
         hypothetical=bool(data.get("hypothetical", False)),
     )
-
-
-# Public aliases: the fleet rollout journal (repro.fleet.serve)
-# serializes designs with exactly the shape the apply journal uses, so
-# one pair of helpers defines the wire format for both.
-index_to_dict = _index_to_dict
-index_from_dict = _index_from_dict
 
 
 def materialized_name(
@@ -224,8 +219,8 @@ class DesignDelta:
 
     def payload(self) -> dict:
         return {
-            "drops": [_index_to_dict(ix) for ix in self.drops],
-            "builds": [_index_to_dict(ix) for ix in self.builds],
+            "drops": [index_to_dict(ix) for ix in self.drops],
+            "builds": [index_to_dict(ix) for ix in self.builds],
         }
 
     @classmethod
@@ -233,10 +228,10 @@ class DesignDelta:
         delta = journal.get("delta") or {}
         return cls(
             standing=tuple(
-                _index_from_dict(d) for d in journal.get("standing", [])
+                index_from_dict(d) for d in journal.get("standing", [])
             ),
-            drops=tuple(_index_from_dict(d) for d in delta.get("drops", [])),
-            builds=tuple(_index_from_dict(d) for d in delta.get("builds", [])),
+            drops=tuple(index_from_dict(d) for d in delta.get("drops", [])),
+            builds=tuple(index_from_dict(d) for d in delta.get("builds", [])),
         )
 
 
@@ -349,10 +344,10 @@ class ApplyExecutor:
         return {
             "version": JOURNAL_VERSION,
             "phase": phase,
-            "standing": [_index_to_dict(ix) for ix in delta.standing],
+            "standing": [index_to_dict(ix) for ix in delta.standing],
             "delta": delta.payload(),
             "steps": [
-                {"op": op, "index": _index_to_dict(ix), "status": "pending"}
+                {"op": op, "index": index_to_dict(ix), "status": "pending"}
                 for op, ix in delta.steps
             ],
         }
@@ -606,7 +601,7 @@ class ApplyExecutor:
             report.phase = "rolled-back"
             return report
 
-        standing = [_index_from_dict(d) for d in journal.get("standing", [])]
+        standing = [index_from_dict(d) for d in journal.get("standing", [])]
         standing_sigs = {index_signature(ix) for ix in standing}
         current = [
             ix
@@ -633,7 +628,7 @@ class ApplyExecutor:
         journal["phase"] = "rollback-in-progress"
         journal["delta"] = reverse.payload()
         journal["steps"] = [
-            {"op": op, "index": _index_to_dict(ix), "status": "pending"}
+            {"op": op, "index": index_to_dict(ix), "status": "pending"}
             for op, ix in reverse.steps
         ]
         self._write_journal(journal)

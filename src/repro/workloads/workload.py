@@ -122,20 +122,39 @@ def iter_statements(source: str | IO[str] | Iterable[str] | None) -> Iterator[st
     """Yield semicolon-separated SQL statements from ``source``.
 
     ``source`` may be a file path, ``"-"`` or ``None`` for stdin, an
-    open text stream, or any iterable of text chunks. Statements are
-    stripped; empty ones are dropped. Comments (``--``, ``/* */``) pass
-    through untouched — the tokenizer skips them. This is the single
-    statement reader shared by ``Workload.from_file``, the CLI's
-    ``tune --stream``, and the replay harness.
+    open text stream, or any iterable of text chunks. Files and streams
+    are read line by line, so each statement is yielded as soon as its
+    ``;`` arrives: a live stream (``tail -f log | ... --stream -``) is
+    observed while it is still open. Statements are stripped; empty
+    ones are dropped. Comments (``--``, ``/* */``) pass through
+    untouched — the tokenizer skips them. This is the single statement
+    reader shared by ``Workload.from_file``, the CLI's ``tune
+    --stream``, and the replay harness.
     """
     if source is None or source == "-":
-        text = sys.stdin.read()
+        yield from _split_statements(sys.stdin)
     elif isinstance(source, str):
         with open(source) as handle:
-            text = handle.read()
+            yield from _split_statements(handle)
     else:
-        text = "".join(source)
-    for statement in text.split(";"):
-        statement = statement.strip()
-        if statement:
-            yield statement
+        yield from _split_statements(source)
+
+
+def _split_statements(chunks: Iterable[str]) -> Iterator[str]:
+    """``"".join(chunks).split(";")``, stripped and non-empty, yielded
+    as each ``;`` arrives."""
+    tail: list[str] = []  # text since the last ";"
+    for chunk in chunks:
+        pieces = chunk.split(";")
+        if len(pieces) > 1:
+            tail.append(pieces[0])
+            pieces[0] = "".join(tail)
+            tail = []
+            for statement in pieces[:-1]:
+                statement = statement.strip()
+                if statement:
+                    yield statement
+        tail.append(pieces[-1])
+    statement = "".join(tail).strip()
+    if statement:
+        yield statement

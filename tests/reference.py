@@ -18,10 +18,14 @@ Then :func:`legacy_dump_state` / :func:`legacy_load_verified`: the
 canonical text became the envelope body, the oracle for
 ``test_store.py``.
 
-Last, :func:`highs_solve`: HiGHS through ``scipy.optimize.milp``, the
+Then :func:`highs_solve`: HiGHS through ``scipy.optimize.milp``, the
 oracle the built-in branch and bound is checked against, and
 :class:`HighsSolver`, which stands in for ``BranchAndBoundSolver`` to
 run a whole advise on it.
+
+Last, :func:`read_statements`: the statement reader as it was before
+``iter_statements`` streamed, reading its whole source before the first
+statement, the oracle for ``test_workloads.py``.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import itertools
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import Any, Iterator
 
@@ -551,3 +556,15 @@ class HighsSolver:
     @staticmethod
     def solve(program: LinearProgram) -> MilpSolution:
         return highs_solve(program)
+
+
+def read_statements(source) -> list[str]:
+    """Every statement of ``source``, read to its end first, then split."""
+    if source is None or source == "-":
+        text = sys.stdin.read()
+    elif isinstance(source, str):
+        with open(source) as handle:
+            text = handle.read()
+    else:
+        text = "".join(source)
+    return [s.strip() for s in text.split(";") if s.strip()]

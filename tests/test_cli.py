@@ -173,11 +173,14 @@ class TestParser:
             ("fleet", "--regression-windows", "0"),
             ("tune", "--cache-entries", "0"),
             ("fleet", "--cache-entries", "0"),
+            ("fleet", "--release", "-1"),
+            ("fleet", "--release", "one"),
         ],
     )
     def test_int_flags_in_range(self, capsys, command, flag, value):
         # --replicas 0 used to serve one replica and exit 0; a negative
-        # --warmup/--probation was taken silently.
+        # --warmup/--probation was taken silently; --release -1 warned
+        # and exited 0.
         with pytest.raises(SystemExit) as exit_info:
             main(["--db", "star:2000", command, flag, value])
         assert exit_info.value.code == 2
@@ -193,6 +196,23 @@ class TestParser:
         assert (args.replicas, args.state_interval, args.warmup, args.probation) == (
             1, 1, 0, 0
         )
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "2", "half"])
+    def test_max_share_must_be_a_fraction(self, capsys, value):
+        # Checked only once the database was built, and exited 1.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--db", "star:2000", "fleet", "--max-share", value])
+        assert exit_info.value.code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert lines[-1].startswith("repro fleet: error: argument --max-share:")
+
+    def test_max_share_and_release_accept_their_range(self):
+        args = build_parser().parse_args(
+            ["fleet", "--serve", "--max-share", "1", "--release", "0"]
+        )
+        assert (args.max_share, args.release) == (1.0, 0)
+        args = build_parser().parse_args(["fleet", "--max-share", "0.34"])
+        assert args.max_share == 0.34
 
     def test_float_flags_accept_zero(self):
         args = build_parser().parse_args(["fleet", "--serve", "--tolerance", "0"])

@@ -6,7 +6,7 @@ import json
 import os
 import subprocess
 import sys
-import time
+import threading
 from types import SimpleNamespace
 
 import pytest
@@ -619,12 +619,6 @@ class TestOnlineTuner:
         readvised = tuner.events_of("re-advised")
         assert readvised and readvised[0].result is tuner.last_result
 
-    def test_context_manager_form(self, sdss_db, sdss_wl):
-        with self.make_tuner(sdss_db) as tuner:
-            for sql in stream_of(sdss_wl, PRE, 3):
-                tuner.observe(sql)
-        assert tuner.readvise_count == 1
-
     def test_parameter_validation(self, sdss_db):
         with pytest.raises(ReproError):
             OnlineTuner(sdss_db.catalog, budget_pages=0)
@@ -900,6 +894,68 @@ class TestDurability:
         ]
         assert resumed.readvise_count == uninterrupted.readvise_count
 
+    def test_state_with_a_coalesced_count_restores(self, sdss_db):
+        # Written by a tuner that still had a background mode: the
+        # restored tuner ignores "coalesced" and saves everything else
+        # back unchanged.
+        ra = "select ra from photoobj where ra < ?"
+        z = "select z from specobj where z < ?"
+        state = {
+            "baseline": {ra: 0.6666666666666666, z: 0.3333333333333333},
+            "coalesced": 3,
+            "design": [
+                {
+                    "columns": ["ra"],
+                    "hypothetical": True,
+                    "name": "cand_1_photoobj_ra",
+                    "table_name": "photoobj",
+                    "unique": False,
+                }
+            ],
+            "event_counts": {
+                "applied": 0, "degraded": 0, "drifted": 0, "held": 0,
+                "observed": 3, "quarantined": 0, "re-advised": 1,
+                "recommended": 1,
+            },
+            "last_check": 3,
+            "monitor": {
+                "decay": 0.5,
+                "observed": 3,
+                "profile": {ra: 3.0, z: 4.0},
+                "profile_weight": 8.0,
+                "templates": [
+                    {
+                        "example_sql": "SELECT ra FROM photoobj WHERE ra < 1.5",
+                        "fingerprint": ra,
+                        "kind": "select",
+                        "quarantine_reason": "",
+                        "quarantined": False,
+                        "sequence": 1,
+                        "target_table": None,
+                    },
+                    {
+                        "example_sql": "SELECT z FROM specobj WHERE z < 1.5",
+                        "fingerprint": z,
+                        "kind": "select",
+                        "quarantine_reason": "",
+                        "quarantined": False,
+                        "sequence": 2,
+                        "target_table": None,
+                    },
+                ],
+                "version": 1,
+                "window": [ra, ra, z],
+                "window_size": 3,
+            },
+            "readvise_count": 1,
+            "version": 1,
+            "warmed": True,
+        }
+        tuner = self.make_tuner(sdss_db)
+        tuner.restore_state(json.loads(json.dumps(state)))
+        expected = {k: v for k, v in state.items() if k != "coalesced"}
+        assert tuner.save_state() == expected
+
     def test_restore_rejects_bad_states(self, sdss_db):
         tuner = self.make_tuner(sdss_db)
         with pytest.raises(ReproError):
@@ -911,106 +967,6 @@ class TestDurability:
         used.observe(A_SQL)
         with pytest.raises(ReproError):
             used.restore_state(state)  # not a fresh tuner
-
-
-# ----------------------------------------------------------------------
-# Background (daemon) mode
-
-
-class TestBackgroundMode:
-    def make_tuner(self, db, **kwargs):
-        kwargs.setdefault("budget_pages", BUDGET)
-        kwargs.setdefault("window_size", 9)
-        kwargs.setdefault("check_interval", 3)
-        kwargs.setdefault("build_cost_per_page", 0.25)
-        return OnlineTuner(db.catalog, **kwargs)
-
-    def test_drained_background_is_bit_identical_to_sync(
-        self, sdss_db, sdss_wl
-    ):
-        stream = stream_of(sdss_wl, PRE, 6) + stream_of(
-            sdss_wl, POST, 8, salt0=100
-        )
-        sync = self.make_tuner(sdss_db)
-        sync.run(stream)
-        with self.make_tuner(
-            sdss_db, background=True, max_pending=256
-        ) as bg:
-            for sql in stream:
-                bg.observe(sql)
-            bg.drain()
-            assert bg.coalesced == 0
-            # Same checkpoints, processed in the same order: the entire
-            # resumable state — monitor, baseline, design, counters —
-            # is bit-identical to the synchronous run.
-            assert bg.save_state() == sync.save_state()
-        assert [index_signature(ix) for ix in bg.design] == [
-            index_signature(ix) for ix in sync.design
-        ]
-
-    def test_overloaded_queue_coalesces_and_converges(
-        self, sdss_db, sdss_wl
-    ):
-        stream = stream_of(sdss_wl, PRE, 3) + stream_of(
-            sdss_wl, POST, 4, salt0=100
-        )
-        bg = self.make_tuner(
-            sdss_db,
-            background=True,
-            max_pending=1,
-            window_size=6,
-            check_interval=1,
-            warmup=6,
-        )
-        real = bg._advisor.recommend
-
-        def slow(*args, **kwargs):
-            time.sleep(0.02)  # one advise outlasts many observes
-            return real(*args, **kwargs)
-
-        bg._advisor.recommend = slow
-        for sql in stream:
-            bg.observe(sql)
-        bg.drain()
-        assert bg.coalesced > 0
-        # Overflow drops the OLDEST pending checkpoint, so the advises
-        # that did run saw the freshest windows and the tuner still
-        # converges: a forced re-advise agrees with a synchronous tuner
-        # fed the identical stream.
-        sync = self.make_tuner(
-            sdss_db, window_size=6, check_interval=1, warmup=6
-        )
-        sync.run(stream)
-        assert bg.readvise(reason="final").indexes == (
-            sync.readvise(reason="final").indexes
-        )
-        bg.close()
-
-    def test_background_errors_surface_on_drain(self, sdss_db, sdss_wl):
-        bg = self.make_tuner(sdss_db, background=True, warmup=3)
-
-        def boom(*args, **kwargs):
-            raise ReproError("advisor exploded")
-
-        bg._advisor.recommend = boom
-        for sql in stream_of(sdss_wl, PRE, 1):
-            bg.observe(sql)
-        with pytest.raises(ReproError, match="advisor exploded"):
-            bg.drain()
-        bg.close()
-
-    def test_close_falls_back_to_synchronous(self, sdss_db, sdss_wl):
-        bg = self.make_tuner(sdss_db, background=True)
-        stream = stream_of(sdss_wl, PRE, 3)
-        for sql in stream:
-            bg.observe(sql)
-        bg.close()
-        bg.close()  # idempotent
-        assert bg.readvise_count >= 1  # close() drained the warmup advise
-        # A closed tuner keeps working, now inline.
-        for sql in stream_of(sdss_wl, PRE, 3, salt0=50):
-            bg.observe(sql)
-        assert bg.readvise(reason="after close") is not None
 
 
 # ----------------------------------------------------------------------
@@ -1048,34 +1004,34 @@ class TestFacadeAndCli:
                 if ix.name.startswith(MANAGED_PREFIX) and db.has_btree(ix.name)
             }
 
-        with Parinda(db).online(
+        tuner = Parinda(db).online(
             budget_pages=BUDGET,
             window_size=9,
             check_interval=3,
             auto_apply=True,
             state_store=store,
-        ) as tuner:
-            for sql in stream_of(sdss_wl, PRE, 4):
-                tuner.observe(sql)
-            assert tuner.event_counts["applied"] == 1
-            adopted = {index_signature(ix) for ix in tuner.design}
-            assert adopted and materialized() == adopted
-            # The tuner advises against a clone frozen before the apply;
-            # against the live catalog the materialized indexes would
-            # price at zero benefit and the same window would drop them.
-            for sql in stream_of(sdss_wl, PRE, 4, salt0=100):
-                tuner.observe(sql)
-            tuner.readvise(reason="same window")
-            assert tuner.event_counts["recommended"] == 1
-            assert tuner.event_counts["applied"] == 1
-            assert materialized() == adopted
-            # A drifted window is adopted and replaces what stands.
-            for sql in stream_of(sdss_wl, POST, 5, salt0=50):
-                tuner.observe(sql)
-            assert tuner.event_counts["applied"] > 1
-            assert materialized() == {
-                index_signature(ix) for ix in tuner.design
-            } != adopted
+        )
+        for sql in stream_of(sdss_wl, PRE, 4):
+            tuner.observe(sql)
+        assert tuner.event_counts["applied"] == 1
+        adopted = {index_signature(ix) for ix in tuner.design}
+        assert adopted and materialized() == adopted
+        # The tuner advises against a clone frozen before the apply;
+        # against the live catalog the materialized indexes would
+        # price at zero benefit and the same window would drop them.
+        for sql in stream_of(sdss_wl, PRE, 4, salt0=100):
+            tuner.observe(sql)
+        tuner.readvise(reason="same window")
+        assert tuner.event_counts["recommended"] == 1
+        assert tuner.event_counts["applied"] == 1
+        assert materialized() == adopted
+        # A drifted window is adopted and replaces what stands.
+        for sql in stream_of(sdss_wl, POST, 5, salt0=50):
+            tuner.observe(sql)
+        assert tuner.event_counts["applied"] > 1
+        assert materialized() == {
+            index_signature(ix) for ix in tuner.design
+        } != adopted
         # The intent journal rides in the state store's "apply" slot;
         # the primary slot is the caller's to checkpoint.
         assert store.read("apply")[0]["phase"] == "committed"
@@ -1087,28 +1043,28 @@ class TestFacadeAndCli:
         def applier(design):
             raise ReproError("disk full")
 
-        with Parinda(sdss_db).online(
+        tuner = Parinda(sdss_db).online(
             budget_pages=BUDGET,
             window_size=9,
             check_interval=3,
             auto_apply=applier,
             degrade_on_error=True,
-        ) as tuner:
-            for sql in stream_of(sdss_wl, PRE, 4):
-                tuner.observe(sql)
-            degraded = tuner.events_of("degraded")
-            assert len(degraded) == 1 and "disk full" in degraded[0].detail
-            assert tuner.event_counts["applied"] == 0
-            assert tuner.design  # adopted, just not materialized
-            for sql in stream_of(sdss_wl, POST, 5, salt0=50):
-                tuner.observe(sql)
-            assert tuner.event_counts["recommended"] > 1
+        )
+        for sql in stream_of(sdss_wl, PRE, 4):
+            tuner.observe(sql)
+        degraded = tuner.events_of("degraded")
+        assert len(degraded) == 1 and "disk full" in degraded[0].detail
+        assert tuner.event_counts["applied"] == 0
+        assert tuner.design  # adopted, just not materialized
+        for sql in stream_of(sdss_wl, POST, 5, salt0=50):
+            tuner.observe(sql)
+        assert tuner.event_counts["recommended"] > 1
+        strict = Parinda(sdss_db).online(
+            budget_pages=BUDGET, window_size=9, auto_apply=applier
+        )
         with pytest.raises(ReproError, match="disk full"):
-            with Parinda(sdss_db).online(
-                budget_pages=BUDGET, window_size=9, auto_apply=applier
-            ) as strict:
-                for sql in stream_of(sdss_wl, PRE, 4):
-                    strict.observe(sql)
+            for sql in stream_of(sdss_wl, PRE, 4):
+                strict.observe(sql)
 
     def test_tune_subcommand(self, capsys, tmp_path, sdss_wl):
         path = tmp_path / "stream.sql"
@@ -1227,27 +1183,59 @@ class TestFacadeAndCli:
         assert "skipping 14" in out
         assert self._design_lines(out) == reference
 
-    def test_tune_background_matches_sync(self, capsys, tmp_path, sdss_wl):
+
+class TestNoThreads:
+    """No run starts a thread: the tuner decides inline, on the caller's
+    thread, which is why it holds no lock."""
+
+    def _stream_file(self, tmp_path, sdss_wl):
+        path = tmp_path / "stream.sql"
         statements = stream_of(sdss_wl, PRE, 4) + stream_of(
             sdss_wl, POST, 5, salt0=50
         )
-        path = tmp_path / "stream.sql"
         path.write_text(";\n".join(statements) + ";\n")
-        base = [
-            "--db", "sdss:800",
-            "tune",
-            "--stream", str(path),
-            "--budget-mb", "1.6",
-            "--window", "9",
-            "--check-interval", "3",
+        return str(path)
+
+    def _tune_cli(self, tmp_path, sdss_db, sdss_wl):
+        assert cli_main([
+            "--db", "sdss:800", "tune",
+            "--stream", self._stream_file(tmp_path, sdss_wl),
+            "--state", str(tmp_path / "state.json"),
+            "--budget-mb", "1.6", "--window", "9", "--check-interval", "3",
             "--build-cost-per-page", "0.25",
-        ]
-        assert cli_main(base) == 0
-        reference = self._design_lines(capsys.readouterr().out)
-        assert cli_main(base + ["--background"]) == 0
-        out = capsys.readouterr().out
-        assert "Stream done" in out
-        assert self._design_lines(out) == reference
+        ]) == 0
+
+    def _online_auto_apply(self, tmp_path, sdss_db, sdss_wl):
+        tuner = Parinda(sdss_db.clone()).online(
+            budget_pages=BUDGET, window_size=9, check_interval=3,
+            auto_apply=True,
+        )
+        tuner.run(
+            stream_of(sdss_wl, PRE, 4) + stream_of(sdss_wl, POST, 5, salt0=50)
+        )
+        assert tuner.event_counts["applied"] >= 1
+
+    def _fleet_serve_cli(self, tmp_path, sdss_db, sdss_wl):
+        assert cli_main([
+            "--db", "sdss:800", "fleet", "--serve", "--replicas", "2",
+            "--stream", self._stream_file(tmp_path, sdss_wl),
+            "--state", str(tmp_path / "fleet.json"),
+            "--budget-mb", "4", "--window", "9", "--check-interval", "3",
+            "--warmup", "9",
+        ]) == 0
+
+    @pytest.mark.parametrize(
+        "run", ["_tune_cli", "_online_auto_apply", "_fleet_serve_cli"]
+    )
+    def test_run_leaves_the_thread_set_unchanged(
+        self, capsys, monkeypatch, tmp_path, sdss_db, sdss_wl, run
+    ):
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", started.append)
+        before = threading.enumerate()
+        getattr(self, run)(tmp_path, sdss_db, sdss_wl)
+        assert threading.enumerate() == before
+        assert started == []
 
 
 # ----------------------------------------------------------------------
@@ -1349,10 +1337,10 @@ class TestCompressedTuning:
 
     def test_compress_knob_reaches_facade(self, sdss_db, sdss_wl):
         parinda = Parinda(sdss_db)
-        with parinda.online(
+        tuner = parinda.online(
             budget_pages=BUDGET, window_size=9, compress=True
-        ) as tuner:
-            assert tuner.compress is True
-            for sql in stream_of(sdss_wl, PRE, 4):
-                tuner.observe(sql)
-            assert tuner.design is not None
+        )
+        assert tuner.compress is True
+        for sql in stream_of(sdss_wl, PRE, 4):
+            tuner.observe(sql)
+        assert tuner.design is not None

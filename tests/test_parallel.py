@@ -1,4 +1,4 @@
-"""The evaluation support package: caches, invalidation, hand-off.
+"""The evaluation support package: caches, invalidation, model builds.
 
 The contract under test: the shared caches / incremental invalidation
 only change timings and counters, never outcomes — same index sets,
@@ -17,11 +17,7 @@ from repro.catalog.schema import Index
 from repro.core.parinda import Parinda
 from repro.errors import ReproError
 from repro.inum.model import InumModel
-from repro.parallel import (
-    BackgroundWorker,
-    CostCache,
-    build_inum_models,
-)
+from repro.parallel import CostCache, build_inum_models
 from repro.whatif.session import WhatIfSession
 from repro.workloads.sdss import build_sdss_database, sdss_workload
 
@@ -306,67 +302,3 @@ def test_bounded_cache_advisor_identical(sdss_db, sdss_wl):
     stats = tight.stats()
     assert all(entry["peak_size"] <= 8 for entry in stats.values())
     assert sum(entry["evictions"] for entry in stats.values()) > 0
-
-
-# ----------------------------------------------------------------------
-# BackgroundWorker: the online tuner's non-blocking hand-off
-
-
-class TestBackgroundWorker:
-    def test_processes_in_submission_order(self):
-        seen = []
-        worker = BackgroundWorker(seen.append, max_pending=64)
-        assert all(worker.submit(i) for i in range(20))
-        worker.drain()
-        assert seen == list(range(20))
-        assert worker.evicted == 0
-        assert worker.pending == 0
-        worker.close()
-
-    def test_overflow_evicts_the_oldest_pending_item(self):
-        import threading
-
-        started, release = threading.Event(), threading.Event()
-        seen = []
-
-        def handler(item):
-            if item == "a":
-                started.set()
-                assert release.wait(5)
-            seen.append(item)
-
-        worker = BackgroundWorker(handler, max_pending=2)
-        assert worker.submit("a")
-        assert started.wait(5)  # "a" is in flight, not evictable
-        assert worker.submit("b")
-        assert worker.submit("c")
-        assert not worker.submit("d")  # full: "b" (oldest) coalesced away
-        assert worker.evicted == 1
-        release.set()
-        worker.drain()
-        assert seen == ["a", "c", "d"]
-        worker.close()
-
-    def test_handler_errors_surface_on_the_caller(self):
-        def boom(item):
-            raise ValueError(f"bad item {item}")
-
-        worker = BackgroundWorker(boom)
-        worker.submit(1)
-        with pytest.raises(ValueError, match="bad item 1"):
-            worker.drain()
-        worker.close()  # error already consumed: clean shutdown
-
-    def test_close_is_idempotent_and_final(self):
-        seen = []
-        worker = BackgroundWorker(seen.append)
-        worker.submit(1)
-        worker.close()
-        worker.close()
-        assert seen == [1]  # close drains before stopping
-        with pytest.raises(ReproError):
-            worker.submit(2)
-
-    def test_bad_parameters_rejected(self):
-        with pytest.raises(ReproError):
-            BackgroundWorker(lambda item: None, max_pending=0)

@@ -9,7 +9,6 @@ produces the documented behavior instead of an abort.
 
 from __future__ import annotations
 
-import threading
 
 import pytest
 
@@ -23,13 +22,11 @@ from repro.errors import (
     ResilienceError,
     SolverError,
     StateCorruptError,
-    WorkerCrashError,
 )
 from repro.ilp.branch_bound import BranchAndBoundSolver, solve_milp
 from repro.ilp.model import LinearProgram, Sense
 from repro.ilp.simplex import SimplexResult, SimplexSolver
 from repro.online.tuner import OnlineTuner
-from repro.parallel.engine import BackgroundWorker
 from repro.partitioning.autopart import AutoPartAdvisor
 from repro.resilience import (
     FaultInjector,
@@ -281,56 +278,6 @@ class TestStateFiles:
 
 
 # ----------------------------------------------------------------------
-# The background worker
-
-
-class TestEngineFaults:
-    def test_background_worker_supervised_keeps_draining(self):
-        crashes = []
-        done = []
-
-        def handler(item):
-            if item == "boom":
-                raise RuntimeError("handler exploded")
-            done.append(item)
-
-        worker = BackgroundWorker(handler, on_crash=crashes.append)
-        worker.submit("a")
-        worker.submit("boom")
-        worker.submit("b")
-        worker.drain()  # must not raise: supervised
-        assert done == ["a", "b"]
-        assert worker.crashes == 1
-        assert "exploded" in str(crashes[0])
-        worker.close()
-
-    def test_background_worker_default_reraises(self):
-        worker = BackgroundWorker(lambda item: 1 / 0)
-        worker.submit("x")
-        with pytest.raises(ZeroDivisionError):
-            worker.drain()
-        worker.close()
-
-    def test_watchdog_restarts_dead_thread(self):
-        crashes = []
-        done = []
-        worker = BackgroundWorker(done.append, on_crash=crashes.append)
-        worker.drain()
-        # Kill the decision thread out from under the worker, the way a
-        # harness (or interpreter teardown race) would.
-        dead = threading.Thread(target=lambda: None)
-        dead.start()
-        dead.join()
-        worker._thread = dead
-        worker.submit("after-death")
-        worker.drain()
-        assert done == ["after-death"]
-        assert worker.crashes == 1
-        assert isinstance(crashes[0], WorkerCrashError)
-        worker.close()
-
-
-# ----------------------------------------------------------------------
 # The solvers under limits
 
 
@@ -572,25 +519,9 @@ class TestTunerDegradation:
         result = tuner.readvise(reason="healed")
         assert result is not None
 
-    def test_supervised_worker_absorbs_crash(self, db):
-        tuner = self.make_tuner(db, background=True, degrade_on_error=True)
-        with tuner:
-            for sql in self.STREAM[:-1]:
-                tuner.observe(sql)
-            tuner._advisor.recommend = _raise_runtime
-            tuner.observe(self.STREAM[-1])  # checkpoint -> worker crash
-            tuner.drain()  # must not raise: supervised
-            assert tuner.worker_crashes == 1
-            assert tuner.event_counts["degraded"] == 1
-        assert tuner.worker_crashes == 0  # worker released on close
-
 
 def _boom(*args, **kwargs):
     raise ReproError("advisor exploded")
-
-
-def _raise_runtime(*args, **kwargs):
-    raise RuntimeError("non-repro crash")
 
 
 # ----------------------------------------------------------------------

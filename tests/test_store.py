@@ -601,14 +601,12 @@ class TestComponentsThroughStore:
         db = make_people_db(rows=120)
         store = FileStateStore(str(tmp_path / "STATE"))
         parinda = Parinda(db, cache_max_entries=64)
-        with parinda.online(
+        tuner = parinda.online(
             budget_pages=256, window_size=8, check_interval=4
-        ) as tuner:
-            for i in range(12):
-                tuner.observe(
-                    f"SELECT person_id FROM people WHERE age < {1 + i % 5}"
-                )
-            store.write("", dict(tuner.save_state(), stream_position=12))
+        )
+        for i in range(12):
+            tuner.observe(f"SELECT person_id FROM people WHERE age < {1 + i % 5}")
+        store.write("", dict(tuner.save_state(), stream_position=12))
         assert store.read("")[0]["stream_position"] == 12
         resumed = parinda.online(budget_pages=256, state_store=store)
         assert resumed.monitor.observed == tuner.monitor.observed

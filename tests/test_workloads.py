@@ -1,6 +1,12 @@
 """Workload container, SDSS/star builders, and the query generator."""
 
+import os
+import queue
+import threading
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ReproError
 from repro.executor.executor import execute
@@ -9,7 +15,8 @@ from repro.sql.binder import bind
 from repro.sql.parser import parse_select
 from repro.workloads.generator import random_workload
 from repro.workloads.sdss import build_sdss_database, sdss_workload
-from repro.workloads.workload import Query, Workload
+from repro.workloads.workload import Query, Workload, iter_statements
+from tests.reference import read_statements
 
 
 class TestWorkloadContainer:
@@ -44,6 +51,44 @@ class TestWorkloadContainer:
         wl = Workload.from_file(str(path))
         assert len(wl) == 2
         assert wl.queries[1].sql.endswith("select b from u")
+
+
+# Text over a small alphabet that hits every splitting edge: empty and
+# whitespace-only statements, ";;", leading/trailing ";" and newlines.
+_SQL_TEXT = st.text(alphabet="ab ;\n\t-", max_size=60)
+
+
+class TestIterStatements:
+    @given(text=_SQL_TEXT, cuts=st.lists(st.integers(0, 60), max_size=8))
+    def test_any_chunking_yields_the_whole_text_split(self, text, cuts):
+        bounds = sorted({0, len(text), *(min(c, len(text)) for c in cuts)})
+        chunks = [text[a:b] for a, b in zip(bounds, bounds[1:])]
+        assert list(iter_statements(chunks)) == read_statements([text])
+
+    @given(text=_SQL_TEXT)
+    def test_file_reads_like_the_oracle(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("stream") / "s.sql"
+        path.write_text(text)
+        assert list(iter_statements(str(path))) == read_statements(str(path))
+
+    def test_open_pipe_yields_before_eof(self):
+        # The writer stays open: a reader that waits for EOF never
+        # returns the first statement.
+        read_fd, write_fd = os.pipe()
+        reader = os.fdopen(read_fd)
+        os.write(write_fd, b"select a from t;\nselect b from u;\n")
+        statements = iter_statements(reader)
+        got: queue.Queue = queue.Queue()
+        helper = threading.Thread(
+            target=lambda: got.put(next(statements)), daemon=True
+        )
+        helper.start()
+        try:
+            assert got.get(timeout=2) == "select a from t"
+        finally:
+            os.close(write_fd)
+            helper.join(timeout=2)
+            reader.close()
 
 
 @pytest.fixture(scope="module")
