@@ -1,11 +1,21 @@
 """System-R dynamic-programming join enumeration.
 
-Enumerates join orders level-by-level over connected subsets of the join
-graph (falling back to cartesian products only when the graph is
-disconnected), considering nested-loop (including parameterized inner
-index scans), hash, and merge joins. The workloads here join a handful
-of relations, so exhaustive DP is cheap — this is the "no greedy
-pruning" spirit of the paper applied to join search.
+Enumerates join orders level-by-level, considering nested-loop
+(including parameterized inner index scans), hash, and merge joins. The
+workloads here join a handful of relations, so exhaustive DP is cheap —
+this is the "no greedy pruning" spirit of the paper applied to join
+search.
+
+When the join clauses connect every relation, the DP builds connected
+subsets only, each from splits into two connected halves that a clause
+joins (PostgreSQL's ``join_search_one_level``): every connected set has
+such a split, so no plan free of cartesian products is lost. A
+disconnected join graph instead retries, at every level, each subset no
+connected split produced, allowing cartesian products.
+
+Each join is priced before it is built: a plan node (and the ``Sort``
+under a merge join's input) is created only when :meth:`RelSet.keeps`
+says :meth:`RelSet.consider` would keep it.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from repro.optimizer.clauses import ClassifiedClause
-from repro.optimizer.config import PlannerConfig, RelationInfo
+from repro.optimizer.config import PlannerConfig
 from repro.optimizer.cost import (
     clamp_rows,
     cost_hashjoin,
@@ -53,6 +63,10 @@ class RelSet:
     output order — classic interesting-order bookkeeping, so an ordered
     (slightly costlier) plan survives to enable sort-free merge joins,
     sorted aggregation, or a sort-free ORDER BY higher up.
+
+    :meth:`keeps` answers from a cost and an order alone whether
+    :meth:`consider` would keep a plan, so the join search builds only
+    the plans that survive; ties keep the plan considered first.
     """
 
     aliases: frozenset[str]
@@ -62,6 +76,15 @@ class RelSet:
     by_order: dict[tuple, Plan] = field(default_factory=dict)
     # Parameterized plans (base rels only): plans requiring outer rels.
     parameterized: list[IndexScan] = field(default_factory=list)
+
+    def keeps(self, total_cost: float, out_order: tuple) -> bool:
+        """Would :meth:`consider` keep a plan of this cost and order?"""
+        if self.cheapest is None or total_cost < self.cheapest.total_cost:
+            return True
+        if not out_order:
+            return False
+        existing = self.by_order.get(out_order)
+        return existing is None or total_cost < existing.total_cost
 
     def consider(self, plan: Plan) -> None:
         if self.cheapest is None or plan.total_cost < self.cheapest.total_cost:
@@ -108,6 +131,11 @@ class JoinSearch:
             if entry.cheapest is None:
                 raise PlannerError(f"no access path for relation {alias!r}")
             self._table[key] = entry
+        # Alias -> aliases some join clause also references.
+        self._neighbours: dict[str, set[str]] = {alias: set() for alias in base_rels}
+        for clause in join_clauses:
+            for alias in clause.rels:
+                self._neighbours.setdefault(alias, set()).update(clause.rels - {alias})
 
     # ------------------------------------------------------------------
 
@@ -118,33 +146,54 @@ class JoinSearch:
         if n == 1:
             return self._table[frozenset(aliases)]
 
+        connected = self._is_connected(frozenset(aliases))
         for level in range(2, n + 1):
             for subset in itertools.combinations(aliases, level):
                 subset_key = frozenset(subset)
-                entry = self._make_relset(subset_key)
-                for left_key, right_key in self._splits(subset_key):
-                    self._consider_join(entry, left_key, right_key)
-                if entry.cheapest is not None:
-                    self._table[subset_key] = entry
-            # When the join graph is disconnected no subset at this level
-            # may have produced a plan through connected splits; retry
-            # allowing cartesian products.
-            missing = [
-                frozenset(s)
-                for s in itertools.combinations(aliases, level)
-                if frozenset(s) not in self._table
-            ]
-            for subset_key in missing:
-                entry = self._make_relset(subset_key)
-                for left_key, right_key in self._splits(subset_key, allow_cartesian=True):
-                    self._consider_join(entry, left_key, right_key)
-                if entry.cheapest is not None:
-                    self._table[subset_key] = entry
+                # A connected set always splits into two connected halves
+                # that a clause joins, so in a connected graph the others
+                # are never needed (PostgreSQL's join_search_one_level).
+                if connected and not self._is_connected(subset_key):
+                    continue
+                self._build(subset_key, allow_cartesian=False)
+            if connected:
+                continue
+            # A disconnected graph: retry every subset no connected split
+            # produced, allowing cartesian products.
+            for subset in itertools.combinations(aliases, level):
+                subset_key = frozenset(subset)
+                if subset_key not in self._table:
+                    self._build(subset_key, allow_cartesian=True)
 
         final = self._table.get(frozenset(aliases))
         if final is None or final.cheapest is None:
             raise PlannerError("join search failed to produce a complete plan")
         return final
+
+    def _build(self, key: frozenset[str], allow_cartesian: bool) -> None:
+        """Enter ``key`` in the table when some split of it joins."""
+        entry = None
+        lefts: set[frozenset[str]] = set()
+        for left_key, right_key in self._splits(key, allow_cartesian):
+            if entry is None:
+                entry = self._make_relset(key)
+            self._consider_join(entry, left_key, right_key, right_key not in lefts)
+            lefts.add(left_key)
+        if entry is not None:
+            self._table[key] = entry
+
+    def _is_connected(self, key: frozenset[str]) -> bool:
+        """True when the join clauses link every alias of ``key``."""
+        start = min(key)
+        reached = {start}
+        frontier = [start]
+        while frontier:
+            alias = frontier.pop()
+            for other in self._neighbours[alias]:
+                if other in key and other not in reached:
+                    reached.add(other)
+                    frontier.append(other)
+        return len(reached) == len(key)
 
     # ------------------------------------------------------------------
 
@@ -196,8 +245,20 @@ class JoinSearch:
     # ------------------------------------------------------------------
 
     def _consider_join(
-        self, entry: RelSet, left_key: frozenset[str], right_key: frozenset[str]
+        self,
+        entry: RelSet,
+        left_key: frozenset[str],
+        right_key: frozenset[str],
+        first_way: bool,
     ) -> None:
+        """Join ``left_key`` and ``right_key`` into ``entry``.
+
+        Nested loops and hash joins are tried with either side outer, so
+        the mirror split (``first_way`` false: ``right_key`` was already
+        joined as the left side) would only re-price the same plans,
+        which ``consider`` rejects as no cheaper; it adds the merge join
+        with this left side outer.
+        """
         left = self._table[left_key]
         right = self._table[right_key]
         connecting = [
@@ -211,11 +272,28 @@ class JoinSearch:
         quals = tuple(c.expr for c in connecting)
         equi_pairs = self._equi_pairs(connecting, left_key, right_key)
         join_rows = entry.rows
+        left_plans = left.candidates()
+        right_plans = right.candidates()
 
-        self._consider_nestloop(entry, left, right, quals, join_rows)
+        if first_way:
+            self._consider_nestloop(
+                entry, left, right, left_plans, right_plans, quals, join_rows
+            )
+            if equi_pairs:
+                self._consider_hashjoin(
+                    entry,
+                    left,
+                    right,
+                    left_plans,
+                    right_plans,
+                    quals,
+                    equi_pairs,
+                    join_rows,
+                )
         if equi_pairs:
-            self._consider_hashjoin(entry, left, right, quals, equi_pairs, join_rows)
-            self._consider_mergejoin(entry, left, right, quals, equi_pairs, join_rows)
+            self._consider_mergejoin(
+                entry, left_plans, right_plans, quals, equi_pairs, join_rows
+            )
 
     @staticmethod
     def _equi_pairs(
@@ -241,86 +319,100 @@ class JoinSearch:
         entry: RelSet,
         left: RelSet,
         right: RelSet,
+        left_plans: list[Plan],
+        right_plans: list[Plan],
         quals: tuple,
         join_rows: float,
     ) -> None:
         config = self._config
-        for outer, inner in ((left, right), (right, left)):
-            for outer_plan in outer.candidates():
+        qual_ops = max(1, len(quals))
+        for outer, inner, outer_plans in (
+            (left, right, left_plans),
+            (right, left, right_plans),
+        ):
+            inner_plan = inner.cheapest
+            for outer_plan in outer_plans:
+                outer_costs = (
+                    outer_plan.startup_cost,
+                    outer_plan.total_cost,
+                    outer_plan.rows,
+                )
+                order = outer_plan.out_order
                 # Plain inner (rescanned materialization-free).
-                inner_plan = inner.cheapest
                 if inner_plan is not None:
                     startup, total = cost_nestloop(
                         config,
-                        (
-                            outer_plan.startup_cost,
-                            outer_plan.total_cost,
-                            outer_plan.rows,
-                        ),
+                        outer_costs,
                         inner_total=inner_plan.total_cost,
                         inner_rescan=inner_plan.total_cost,
                         join_rows=join_rows,
-                        qual_ops=max(1, len(quals)) * 1,
+                        qual_ops=qual_ops,
                     )
-                    entry.consider(
-                        NestLoop(
-                            startup_cost=startup,
-                            total_cost=total,
-                            rows=join_rows,
-                            width=entry.width,
-                            out_order=outer_plan.out_order,
-                            outer=outer_plan,
-                            inner=inner_plan,
-                            join_quals=quals,
+                    if entry.keeps(total, order):
+                        entry.consider(
+                            NestLoop(
+                                startup_cost=startup,
+                                total_cost=total,
+                                rows=join_rows,
+                                width=entry.width,
+                                out_order=order,
+                                outer=outer_plan,
+                                inner=inner_plan,
+                                join_quals=quals,
+                            )
                         )
-                    )
                 # Parameterized inner index scans.
                 for param in inner.parameterized:
                     if not param.param_rels <= outer.aliases:
                         continue
                     startup, total = cost_nestloop(
                         config,
-                        (
-                            outer_plan.startup_cost,
-                            outer_plan.total_cost,
-                            outer_plan.rows,
-                        ),
+                        outer_costs,
                         inner_total=param.total_cost,
                         inner_rescan=param.rescan_cost,
                         join_rows=join_rows,
                         qual_ops=0,  # join clause enforced by the index itself
                     )
-                    entry.consider(
-                        NestLoop(
-                            startup_cost=startup,
-                            total_cost=total,
-                            rows=join_rows,
-                            width=entry.width,
-                            out_order=outer_plan.out_order,
-                            outer=outer_plan,
-                            inner=param,
-                            join_quals=quals,
+                    if entry.keeps(total, order):
+                        entry.consider(
+                            NestLoop(
+                                startup_cost=startup,
+                                total_cost=total,
+                                rows=join_rows,
+                                width=entry.width,
+                                out_order=order,
+                                outer=outer_plan,
+                                inner=param,
+                                join_quals=quals,
+                            )
                         )
-                    )
 
     def _consider_hashjoin(
         self,
         entry: RelSet,
         left: RelSet,
         right: RelSet,
+        left_plans: list[Plan],
+        right_plans: list[Plan],
         quals: tuple,
         equi_pairs: list[tuple[ColumnRef, ColumnRef]],
         join_rows: float,
     ) -> None:
         config = self._config
-        for outer, inner, pairs in (
-            (left, right, equi_pairs),
-            (right, left, [(b, a) for a, b in equi_pairs]),
+        for outer_plans, inner, pairs in (
+            (left_plans, right, equi_pairs),
+            (right_plans, left, [(b, a) for a, b in equi_pairs]),
         ):
             inner_plan = inner.cheapest
             if inner_plan is None:
                 continue
-            for outer_plan in outer.candidates():
+            inner_costs = (
+                inner_plan.startup_cost,
+                inner_plan.total_cost,
+                inner_plan.rows,
+                inner_plan.width,
+            )
+            for outer_plan in outer_plans:
                 startup, total = cost_hashjoin(
                     config,
                     (
@@ -329,34 +421,30 @@ class JoinSearch:
                         outer_plan.rows,
                         outer_plan.width,
                     ),
-                    (
-                        inner_plan.startup_cost,
-                        inner_plan.total_cost,
-                        inner_plan.rows,
-                        inner_plan.width,
-                    ),
+                    inner_costs,
                     join_rows=join_rows,
                     num_hash_keys=len(pairs),
                 )
-                entry.consider(
-                    HashJoin(
-                        startup_cost=startup,
-                        total_cost=total,
-                        rows=join_rows,
-                        width=entry.width,
-                        out_order=outer_plan.out_order,
-                        outer=outer_plan,
-                        inner=inner_plan,
-                        join_quals=quals,
-                        hash_keys=tuple(pairs),
+                if entry.keeps(total, outer_plan.out_order):
+                    entry.consider(
+                        HashJoin(
+                            startup_cost=startup,
+                            total_cost=total,
+                            rows=join_rows,
+                            width=entry.width,
+                            out_order=outer_plan.out_order,
+                            outer=outer_plan,
+                            inner=inner_plan,
+                            join_quals=quals,
+                            hash_keys=tuple(pairs),
+                        )
                     )
-                )
 
     def _consider_mergejoin(
         self,
         entry: RelSet,
-        left: RelSet,
-        right: RelSet,
+        left_plans: list[Plan],
+        right_plans: list[Plan],
         quals: tuple,
         equi_pairs: list[tuple[ColumnRef, ColumnRef]],
         join_rows: float,
@@ -364,48 +452,61 @@ class JoinSearch:
         config = self._config
         outer_keys = [a for a, _ in equi_pairs]
         inner_keys = [b for _, b in equi_pairs]
-        for outer_plan in left.candidates():
-            for inner_plan in right.candidates():
-                sorted_outer = self._sorted_plan(outer_plan, outer_keys)
-                sorted_inner = self._sorted_plan(inner_plan, inner_keys)
+        # Each side's sort is priced once per split, not once per pair.
+        outer_sides = [self._sort_price(p, outer_keys) for p in left_plans]
+        inner_sides = [self._sort_price(p, inner_keys) for p in right_plans]
+        for outer_plan, outer_startup, outer_total, outer_order in outer_sides:
+            for inner_plan, inner_startup, inner_total, _ in inner_sides:
                 startup, total = cost_mergejoin(
                     config,
-                    (
-                        sorted_outer.startup_cost,
-                        sorted_outer.total_cost,
-                        sorted_outer.rows,
-                    ),
-                    (
-                        sorted_inner.startup_cost,
-                        sorted_inner.total_cost,
-                        sorted_inner.rows,
-                    ),
+                    (outer_startup, outer_total, outer_plan.rows),
+                    (inner_startup, inner_total, inner_plan.rows),
                     join_rows=join_rows,
                     num_merge_keys=len(equi_pairs),
                 )
+                if not entry.keeps(total, outer_order):
+                    continue
                 entry.consider(
                     MergeJoin(
                         startup_cost=startup,
                         total_cost=total,
                         rows=join_rows,
                         width=entry.width,
-                        out_order=sorted_outer.out_order,
-                        outer=sorted_outer,
-                        inner=sorted_inner,
+                        out_order=outer_order,
+                        outer=self._sorted_plan(
+                            outer_plan, outer_keys, outer_startup, outer_total
+                        ),
+                        inner=self._sorted_plan(
+                            inner_plan, inner_keys, inner_startup, inner_total
+                        ),
                         join_quals=quals,
                         merge_keys=tuple(equi_pairs),
                     )
                 )
 
-    def _sorted_plan(self, plan: Plan, keys: list[ColumnRef]) -> Plan:
-        """Sort ``plan`` by ``keys`` — or return it as-is when its output
-        order already satisfies them (the interesting-order payoff)."""
+    def _sort_price(
+        self, plan: Plan, keys: list[ColumnRef]
+    ) -> tuple[Plan, float, float, tuple]:
+        """``(plan, startup, total, out_order)`` of ``plan`` sorted by
+        ``keys`` — its own costs and order when its output order already
+        satisfies them (the interesting-order payoff)."""
         required = tuple((k.table, k.column) for k in keys)
         if order_satisfies(plan.out_order, required):
-            return plan
+            return plan, plan.startup_cost, plan.total_cost, plan.out_order
         startup, total = cost_sort(
             self._config, plan.startup_cost, plan.total_cost, plan.rows, plan.width
         )
+        return plan, startup, total, required
+
+    @staticmethod
+    def _sorted_plan(
+        plan: Plan, keys: list[ColumnRef], startup: float, total: float
+    ) -> Plan:
+        """The node :meth:`_sort_price` priced: ``plan`` itself, or a
+        ``Sort`` over it costing ``startup``/``total``."""
+        required = tuple((k.table, k.column) for k in keys)
+        if order_satisfies(plan.out_order, required):
+            return plan
         return Sort(
             startup_cost=startup,
             total_cost=total,

@@ -163,8 +163,9 @@ def index_paths(config: PlannerConfig, rel: BaseRel) -> list[IndexScan]:
         index_sel = match.index_selectivity if match is not None else 1.0
         qual_ops = match.qual_ops if match is not None else 0
 
+        matched_set = set(matched)
         filter_clauses = tuple(
-            c.expr for c in rel.restrictions if c not in set(matched)
+            c.expr for c in rel.restrictions if c not in matched_set
         )
         heap_sel = index_sel
         correlation = (
@@ -300,10 +301,13 @@ def _parameterized_path_for_index(
         return None
 
     index_sel = clamp(selectivity)
+    matched_set = set(matched_local)
     filter_clauses = tuple(
-        c.expr for c in rel.restrictions if c not in set(matched_local)
+        c.expr for c in rel.restrictions if c not in matched_set
     )
-    correlation = _leading_correlation(rel.info, index)
+    correlation = (
+        _leading_correlation(rel.info, index) if config.use_correlation else 0.0
+    )
     index_only = rel.required_columns <= set(index.columns)
     startup, total = cost_index_scan(
         config,
@@ -334,7 +338,6 @@ def _parameterized_path_for_index(
     # Rows produced per rescan: local restrictions that were *not* part
     # of the index match still filter.
     residual_sel = 1.0
-    matched_set = set(matched_local)
     for clause in rel.restrictions:
         if clause not in matched_set:
             residual_sel *= restriction_selectivity(rel.info, clause.expr)

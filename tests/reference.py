@@ -23,6 +23,11 @@ oracle the built-in branch and bound is checked against, and
 :class:`HighsSolver`, which stands in for ``BranchAndBoundSolver`` to
 run a whole advise on it.
 
+Then :class:`ReferenceJoinSearch`: the join DP as it was before it
+built connected subsets only and priced each join before building its
+node, the oracle for ``test_joinsearch.py``; :func:`reference_plan`
+plans a query with it in the join search's place.
+
 Last, :func:`read_statements`: the statement reader as it was before
 ``iter_statements`` streamed, reading its whole source before the first
 statement, the oracle for ``test_workloads.py``.
@@ -39,6 +44,7 @@ import os
 import sys
 from dataclasses import dataclass
 from typing import Any, Iterator
+from unittest import mock
 
 from repro.catalog.schema import Index, Table
 from repro.catalog.sizing import (
@@ -49,9 +55,26 @@ from repro.catalog.sizing import (
     aligned_row_width,
 )
 from repro.executor.aggregates import AggregateAccumulator
+from repro.errors import PlannerError
 from repro.ilp.model import LinearProgram
 from repro.ilp.solution import MilpSolution
-from repro.sql.ast_nodes import FuncCall
+from repro.optimizer.clauses import ClassifiedClause
+from repro.optimizer.config import PlannerConfig
+from repro.optimizer.cost import (
+    clamp_rows,
+    cost_hashjoin,
+    cost_mergejoin,
+    cost_nestloop,
+    cost_sort,
+)
+from repro.optimizer.joinsearch import RelSet, order_satisfies
+from repro.optimizer.paths import BaseRel
+from repro.optimizer.plans import HashJoin, IndexScan, MergeJoin, NestLoop, Plan, Sort
+from repro.optimizer.selectivity import (
+    equijoin_selectivity,
+    generic_join_selectivity,
+)
+from repro.sql.ast_nodes import ColumnRef, FuncCall, SortItem
 from repro.sql.binder import BoundQuery
 from repro.sql.expressions import evaluate, is_true
 from repro.storage.database import Database
@@ -556,6 +579,354 @@ class HighsSolver:
     @staticmethod
     def solve(program: LinearProgram) -> MilpSolution:
         return highs_solve(program)
+
+
+# ----------------------------------------------------------------------
+# The join search before connected subsets and price-first joins
+
+
+class ReferenceJoinSearch:
+    """``JoinSearch`` as it was before it built connected subsets only and
+    priced joins before building them: a plan node for every considered
+    join, and at every level a cartesian retry of each subset with no
+    connected split. ``RelSet`` keeps what it always kept."""
+
+    def __init__(
+        self,
+        config: PlannerConfig,
+        base_rels: dict[str, BaseRel],
+        base_plans: dict[str, list[Plan]],
+        param_plans: dict[str, list[IndexScan]],
+        join_clauses: list[ClassifiedClause],
+    ) -> None:
+        self._config = config
+        self._base_rels = base_rels
+        self._join_clauses = join_clauses
+        self._table: dict[frozenset[str], RelSet] = {}
+
+        for alias, rel in base_rels.items():
+            key = frozenset([alias])
+            entry = RelSet(aliases=key, rows=rel.rows, width=rel.width)
+            for plan in base_plans[alias]:
+                entry.consider(plan)
+            entry.parameterized = list(param_plans.get(alias, []))
+            if entry.cheapest is None:
+                raise PlannerError(f"no access path for relation {alias!r}")
+            self._table[key] = entry
+
+    # ------------------------------------------------------------------
+
+    def run(self) -> RelSet:
+        """Run the DP; returns the final RelSet (cheapest + ordered plans)."""
+        aliases = sorted(self._base_rels)
+        n = len(aliases)
+        if n == 1:
+            return self._table[frozenset(aliases)]
+
+        for level in range(2, n + 1):
+            for subset in itertools.combinations(aliases, level):
+                subset_key = frozenset(subset)
+                entry = self._make_relset(subset_key)
+                for left_key, right_key in self._splits(subset_key):
+                    self._consider_join(entry, left_key, right_key)
+                if entry.cheapest is not None:
+                    self._table[subset_key] = entry
+            # When the join graph is disconnected no subset at this level
+            # may have produced a plan through connected splits; retry
+            # allowing cartesian products.
+            missing = [
+                frozenset(s)
+                for s in itertools.combinations(aliases, level)
+                if frozenset(s) not in self._table
+            ]
+            for subset_key in missing:
+                entry = self._make_relset(subset_key)
+                for left_key, right_key in self._splits(subset_key, allow_cartesian=True):
+                    self._consider_join(entry, left_key, right_key)
+                if entry.cheapest is not None:
+                    self._table[subset_key] = entry
+
+        final = self._table.get(frozenset(aliases))
+        if final is None or final.cheapest is None:
+            raise PlannerError("join search failed to produce a complete plan")
+        return final
+
+    # ------------------------------------------------------------------
+
+    def _make_relset(self, key: frozenset[str]) -> RelSet:
+        rows = 1.0
+        width = 0
+        # FROM order, not set order: float products do not associate, and
+        # a set of aliases iterates by string hash — the estimate must not
+        # move with the hash seed or with how the relations are named.
+        for alias, rel in self._base_rels.items():
+            if alias in key:
+                rows *= rel.rows
+                width += rel.width
+        for clause in self._join_clauses:
+            if clause.rels <= key and len(clause.rels) > 1:
+                rows *= self._join_clause_selectivity(clause)
+        return RelSet(aliases=key, rows=clamp_rows(rows), width=width)
+
+    def _join_clause_selectivity(self, clause: ClassifiedClause) -> float:
+        if clause.equi_join is not None:
+            (alias_a, col_a), (alias_b, col_b) = clause.equi_join
+            return equijoin_selectivity(
+                self._base_rels[alias_a].info,
+                col_a,
+                self._base_rels[alias_b].info,
+                col_b,
+            )
+        return generic_join_selectivity(clause.expr)
+
+    def _splits(self, key: frozenset[str], allow_cartesian: bool = False):
+        """Yield (left, right) partitions of ``key`` present in the table."""
+        members = sorted(key)
+        for r in range(1, len(members)):
+            for left in itertools.combinations(members, r):
+                left_key = frozenset(left)
+                right_key = key - left_key
+                if left_key not in self._table or right_key not in self._table:
+                    continue
+                if not allow_cartesian and not self._connected(left_key, right_key):
+                    continue
+                yield left_key, right_key
+
+    def _connected(self, left: frozenset[str], right: frozenset[str]) -> bool:
+        for clause in self._join_clauses:
+            if len(clause.rels) > 1 and clause.rels & left and clause.rels & right:
+                return True
+        return False
+
+    # ------------------------------------------------------------------
+
+    def _consider_join(
+        self, entry: RelSet, left_key: frozenset[str], right_key: frozenset[str]
+    ) -> None:
+        left = self._table[left_key]
+        right = self._table[right_key]
+        connecting = [
+            c
+            for c in self._join_clauses
+            if len(c.rels) > 1
+            and c.rels <= entry.aliases
+            and c.rels & left_key
+            and c.rels & right_key
+        ]
+        quals = tuple(c.expr for c in connecting)
+        equi_pairs = self._equi_pairs(connecting, left_key, right_key)
+        join_rows = entry.rows
+
+        self._consider_nestloop(entry, left, right, quals, join_rows)
+        if equi_pairs:
+            self._consider_hashjoin(entry, left, right, quals, equi_pairs, join_rows)
+            self._consider_mergejoin(entry, left, right, quals, equi_pairs, join_rows)
+
+    @staticmethod
+    def _equi_pairs(
+        connecting: list[ClassifiedClause],
+        left_key: frozenset[str],
+        right_key: frozenset[str],
+    ) -> list[tuple[ColumnRef, ColumnRef]]:
+        pairs = []
+        for clause in connecting:
+            if clause.equi_join is None:
+                continue
+            (alias_a, col_a), (alias_b, col_b) = clause.equi_join
+            ref_a = ColumnRef(column=col_a, table=alias_a)
+            ref_b = ColumnRef(column=col_b, table=alias_b)
+            if alias_a in left_key:
+                pairs.append((ref_a, ref_b))
+            else:
+                pairs.append((ref_b, ref_a))
+        return pairs
+
+    def _consider_nestloop(
+        self,
+        entry: RelSet,
+        left: RelSet,
+        right: RelSet,
+        quals: tuple,
+        join_rows: float,
+    ) -> None:
+        config = self._config
+        for outer, inner in ((left, right), (right, left)):
+            for outer_plan in outer.candidates():
+                # Plain inner (rescanned materialization-free).
+                inner_plan = inner.cheapest
+                if inner_plan is not None:
+                    startup, total = cost_nestloop(
+                        config,
+                        (
+                            outer_plan.startup_cost,
+                            outer_plan.total_cost,
+                            outer_plan.rows,
+                        ),
+                        inner_total=inner_plan.total_cost,
+                        inner_rescan=inner_plan.total_cost,
+                        join_rows=join_rows,
+                        qual_ops=max(1, len(quals)) * 1,
+                    )
+                    entry.consider(
+                        NestLoop(
+                            startup_cost=startup,
+                            total_cost=total,
+                            rows=join_rows,
+                            width=entry.width,
+                            out_order=outer_plan.out_order,
+                            outer=outer_plan,
+                            inner=inner_plan,
+                            join_quals=quals,
+                        )
+                    )
+                # Parameterized inner index scans.
+                for param in inner.parameterized:
+                    if not param.param_rels <= outer.aliases:
+                        continue
+                    startup, total = cost_nestloop(
+                        config,
+                        (
+                            outer_plan.startup_cost,
+                            outer_plan.total_cost,
+                            outer_plan.rows,
+                        ),
+                        inner_total=param.total_cost,
+                        inner_rescan=param.rescan_cost,
+                        join_rows=join_rows,
+                        qual_ops=0,  # join clause enforced by the index itself
+                    )
+                    entry.consider(
+                        NestLoop(
+                            startup_cost=startup,
+                            total_cost=total,
+                            rows=join_rows,
+                            width=entry.width,
+                            out_order=outer_plan.out_order,
+                            outer=outer_plan,
+                            inner=param,
+                            join_quals=quals,
+                        )
+                    )
+
+    def _consider_hashjoin(
+        self,
+        entry: RelSet,
+        left: RelSet,
+        right: RelSet,
+        quals: tuple,
+        equi_pairs: list[tuple[ColumnRef, ColumnRef]],
+        join_rows: float,
+    ) -> None:
+        config = self._config
+        for outer, inner, pairs in (
+            (left, right, equi_pairs),
+            (right, left, [(b, a) for a, b in equi_pairs]),
+        ):
+            inner_plan = inner.cheapest
+            if inner_plan is None:
+                continue
+            for outer_plan in outer.candidates():
+                startup, total = cost_hashjoin(
+                    config,
+                    (
+                        outer_plan.startup_cost,
+                        outer_plan.total_cost,
+                        outer_plan.rows,
+                        outer_plan.width,
+                    ),
+                    (
+                        inner_plan.startup_cost,
+                        inner_plan.total_cost,
+                        inner_plan.rows,
+                        inner_plan.width,
+                    ),
+                    join_rows=join_rows,
+                    num_hash_keys=len(pairs),
+                )
+                entry.consider(
+                    HashJoin(
+                        startup_cost=startup,
+                        total_cost=total,
+                        rows=join_rows,
+                        width=entry.width,
+                        out_order=outer_plan.out_order,
+                        outer=outer_plan,
+                        inner=inner_plan,
+                        join_quals=quals,
+                        hash_keys=tuple(pairs),
+                    )
+                )
+
+    def _consider_mergejoin(
+        self,
+        entry: RelSet,
+        left: RelSet,
+        right: RelSet,
+        quals: tuple,
+        equi_pairs: list[tuple[ColumnRef, ColumnRef]],
+        join_rows: float,
+    ) -> None:
+        config = self._config
+        outer_keys = [a for a, _ in equi_pairs]
+        inner_keys = [b for _, b in equi_pairs]
+        for outer_plan in left.candidates():
+            for inner_plan in right.candidates():
+                sorted_outer = self._sorted_plan(outer_plan, outer_keys)
+                sorted_inner = self._sorted_plan(inner_plan, inner_keys)
+                startup, total = cost_mergejoin(
+                    config,
+                    (
+                        sorted_outer.startup_cost,
+                        sorted_outer.total_cost,
+                        sorted_outer.rows,
+                    ),
+                    (
+                        sorted_inner.startup_cost,
+                        sorted_inner.total_cost,
+                        sorted_inner.rows,
+                    ),
+                    join_rows=join_rows,
+                    num_merge_keys=len(equi_pairs),
+                )
+                entry.consider(
+                    MergeJoin(
+                        startup_cost=startup,
+                        total_cost=total,
+                        rows=join_rows,
+                        width=entry.width,
+                        out_order=sorted_outer.out_order,
+                        outer=sorted_outer,
+                        inner=sorted_inner,
+                        join_quals=quals,
+                        merge_keys=tuple(equi_pairs),
+                    )
+                )
+
+    def _sorted_plan(self, plan: Plan, keys: list[ColumnRef]) -> Plan:
+        """Sort ``plan`` by ``keys`` — or return it as-is when its output
+        order already satisfies them (the interesting-order payoff)."""
+        required = tuple((k.table, k.column) for k in keys)
+        if order_satisfies(plan.out_order, required):
+            return plan
+        startup, total = cost_sort(
+            self._config, plan.startup_cost, plan.total_cost, plan.rows, plan.width
+        )
+        return Sort(
+            startup_cost=startup,
+            total_cost=total,
+            rows=plan.rows,
+            width=plan.width,
+            out_order=required,
+            child=plan,
+            sort_keys=tuple(SortItem(expr=k) for k in keys),
+        )
+
+
+def reference_plan(planner, query):
+    """``planner``'s plan for ``query`` with :class:`ReferenceJoinSearch`
+    standing in for the join search."""
+    with mock.patch("repro.optimizer.planner.JoinSearch", ReferenceJoinSearch):
+        return planner.plan(query)
 
 
 def read_statements(source) -> list[str]:

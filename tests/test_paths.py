@@ -1,5 +1,7 @@
 """Access-path generation unit tests."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.catalog.schema import Index
@@ -151,3 +153,27 @@ class TestParameterizedPaths:
         )
         path = parameterized_index_paths(CONFIG, rel, joins)[0]
         assert path.rescan_cost <= path.total_cost
+
+    def test_use_correlation_off_prices_at_zero_correlation(self, db):
+        rel, joins, info = prepare(
+            db,
+            "select q.weight from people p, pets q where p.person_id = q.owner_id",
+            alias="q",
+        )
+
+        def with_correlation(value):
+            stats = replace(info.stats_for("owner_id"), correlation=value)
+            columns = {**info.column_stats, "owner_id": stats}
+            return replace(rel, info=replace(info, column_stats=columns))
+
+        correlated, flat = with_correlation(0.9), with_correlation(0.0)
+        off = PlannerConfig(use_correlation=False)
+        [path] = parameterized_index_paths(off, correlated, joins)
+        [expected] = parameterized_index_paths(CONFIG, flat, joins)
+        assert (path.total_cost, path.rescan_cost) == (
+            expected.total_cost,
+            expected.rescan_cost,
+        )
+        # ...and the correlation does move the price when it is used.
+        [used] = parameterized_index_paths(CONFIG, correlated, joins)
+        assert used.total_cost != path.total_cost

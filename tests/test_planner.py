@@ -13,6 +13,7 @@ from repro.optimizer.plans import (
     Aggregate,
     HashJoin,
     IndexScan,
+    Join,
     Limit,
     NestLoop,
     Project,
@@ -24,6 +25,8 @@ from repro.optimizer.plans import (
 from repro.sql.binder import bind
 from repro.sql.parser import parse_select
 from repro.storage.database import Database
+
+from tests.reference import reference_plan
 
 
 def build_db(rows: int = 20_000, seed: int = 5) -> Database:
@@ -174,6 +177,20 @@ class TestJoins:
             db, "select s.v from small s, big b where b.id = 3 and s.sid = 4"
         )
         assert len(scan_nodes(plan)) == 2
+        # No clause touches c: the graph is disconnected, so the search
+        # falls back to a cartesian product, as the reference DP does.
+        query = bind(
+            db.catalog,
+            parse_select(
+                "select s.v from small s, big b, big c "
+                "where s.big_id = b.id and c.id = 7"
+            ),
+        )
+        planner = Planner(db.catalog)
+        plan = planner.plan(query)
+        assert len(scan_nodes(plan)) == 3
+        assert any(isinstance(n, Join) and not n.join_quals for n in plan.walk())
+        assert plan == reference_plan(planner, query)
 
     def test_indexes_used_helper(self, db):
         plan = plan_sql(db, "select random_col from big where id = 42")
