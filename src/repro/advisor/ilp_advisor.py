@@ -777,9 +777,11 @@ class IlpIndexAdvisor(IndexAdvisor):
     ) -> list[int]:
         """Hill-climb over full INUM estimates: drop, add, swap.
 
-        Moves are accepted only when the full-estimate workload cost
-        (plus maintenance) strictly improves and the storage/update
-        budgets stay satisfied, so the result dominates the ILP seed.
+        Adds and swaps are accepted only when the full-estimate workload
+        cost (plus maintenance) strictly improves, drops when it does not
+        rise, and always with the storage/update budgets satisfied, so
+        the result dominates the ILP seed and keeps no index whose
+        removal costs nothing.
         ``allowed`` (scale mode) restricts add/swap moves to candidate
         positions that survived dominance pruning; ``None`` considers
         every candidate, which is the exact pre-scale behaviour.
@@ -853,13 +855,16 @@ class IlpIndexAdvisor(IndexAdvisor):
         for _ in range(max_rounds):
             improved = False
             prefetch(current)
-            # Drops: an index whose interactions made it redundant.
+            # Drops: an index whose interactions made it redundant. A
+            # drop that leaves the cost where it was is taken too (no
+            # dead indexes, whichever optimal vertex the ILP landed
+            # on), but only a strict gain buys another round.
             for position in list(current):
                 trial = [p for p in current if p != position]
                 cost = total_cost(trial)
-                if cost < current_cost - 1e-9:
+                if cost <= current_cost:
+                    improved = improved or cost < current_cost - 1e-9
                     current, current_cost = trial, cost
-                    improved = True
             # Adds and same-table swaps.
             for position in pool:
                 if position in current:

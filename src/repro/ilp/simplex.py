@@ -2,9 +2,13 @@
 
 Solves ``maximize c @ x`` subject to ``A_ub x <= b_ub``, ``A_eq x = b_eq``,
 ``0 <= x <= ub`` — the LP relaxations the branch-and-bound solver needs.
-Phase 1 drives artificial variables out of the basis; phase 2 optimizes
-the real objective with Dantzig pricing, switching to Bland's rule when
-degeneracy stalls progress (anti-cycling).
+The start is a crash basis: every ``<=`` and upper-bound row with a
+non-negative rhs starts with its own slack basic, and only the other
+rows (equalities, rows negated for a negative rhs) get an artificial.
+Phase 1 drives those artificials out of the basis and is skipped when
+there are none, which is every program the index advisor emits. Phase 2
+optimizes the real objective with Dantzig pricing, switching to Bland's
+rule when degeneracy stalls progress (anti-cycling).
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ class SimplexResult:
     tableau still holds a *feasible* (just not proven-optimal) basic
     solution, so ``x`` and ``objective`` are populated — branch and
     bound uses them to seed a rounding heuristic instead of abandoning
-    the node empty-handed. A phase-1 cut yields no feasible point and
-    leaves ``x`` None.
+    the node empty-handed. A phase-1 cut (possible only when some row
+    needed an artificial) yields no feasible point and leaves ``x`` None.
     """
 
     # "optimal" | "infeasible" | "unbounded" | "iteration_limit" | "deadline"
@@ -72,7 +76,8 @@ def fix_variables(
 
 
 class SimplexSolver:
-    """Two-phase dense simplex for maximization problems."""
+    """Two-phase dense simplex for maximization problems, started from
+    the slack basis."""
 
     def __init__(self, max_iterations: int = 50000, tol: float = _TOL) -> None:
         self._max_iterations = max_iterations
@@ -87,11 +92,14 @@ class SimplexSolver:
 
         When ``stop()`` returns True the solve is abandoned with status
         ``"deadline"``: mid-phase-2 that still yields a feasible point
-        (like ``iteration_limit``), mid-phase-1 it yields none. Branch
+        (like ``iteration_limit``), mid-phase-1 it yields none; a program
+        whose rows all start on their slacks has no phase 1. Branch
         and bound threads its wall-clock deadline through here so one
         long LP cannot overrun the solver deadline unboundedly.
         """
-        a_rows, b_rhs, structural_cost = self._standardize(program)
+        a_rows, b_rhs, structural_cost, needs_artificial = self._standardize(
+            program
+        )
         n = program.objective.shape[0]
         m = len(b_rhs)
         if m == 0:
@@ -109,28 +117,33 @@ class SimplexSolver:
             )
 
         total_structural = a_rows.shape[1]
-        # Tableau columns: structural (incl. slacks) + artificials + rhs.
-        tableau = np.zeros((m + 1, total_structural + m + 1))
+        # Crash basis: each row's own slack where it is +1, an
+        # artificial elsewhere. Tableau columns: structural (incl.
+        # slacks) + artificials + rhs.
+        k = needs_artificial.size
+        width = total_structural + k
+        tableau = np.zeros((m + 1, width + 1))
         tableau[:m, :total_structural] = a_rows
-        tableau[:m, total_structural : total_structural + m] = np.eye(m)
+        tableau[needs_artificial, np.arange(total_structural, width)] = 1.0
         tableau[:m, -1] = b_rhs
-        basis = list(range(total_structural, total_structural + m))
+        basis = n + np.arange(m)
+        basis[needs_artificial] = np.arange(total_structural, width)
+        basis = basis.tolist()
 
-        # Phase 1: minimize sum of artificials == maximize -(sum).
-        cost1 = np.zeros(total_structural + m + 1)
-        cost1[total_structural : total_structural + m] = -1.0
-        self._set_objective_row(tableau, basis, cost1)
-        status = self._iterate(
-            tableau, basis, allow_columns=total_structural + m, stop=stop
-        )
-        if status != "optimal":
-            return SimplexResult(status=status, x=None, objective=None)
-        if tableau[-1, -1] < -1e-7:
-            return SimplexResult(status="infeasible", x=None, objective=None)
-        self._pivot_artificials_out(tableau, basis, total_structural)
+        if k:
+            # Phase 1: minimize sum of artificials == maximize -(sum).
+            cost1 = np.zeros(width + 1)
+            cost1[total_structural:width] = -1.0
+            self._set_objective_row(tableau, basis, cost1)
+            status = self._iterate(tableau, basis, allow_columns=width, stop=stop)
+            if status != "optimal":
+                return SimplexResult(status=status, x=None, objective=None)
+            if tableau[-1, -1] < -1e-7:
+                return SimplexResult(status="infeasible", x=None, objective=None)
+            self._pivot_artificials_out(tableau, basis, total_structural)
 
         # Phase 2: real objective over structural columns only.
-        cost2 = np.zeros(total_structural + m + 1)
+        cost2 = np.zeros(width + 1)
         cost2[:total_structural] = structural_cost
         self._set_objective_row(tableau, basis, cost2)
         status = self._iterate(
@@ -141,7 +154,7 @@ class SimplexSolver:
 
         # Every phase-2 basis is primal-feasible, so even a solve cut
         # off by the iteration limit yields a usable point.
-        x = np.zeros(total_structural + m)
+        x = np.zeros(width)
         for row, var in enumerate(basis):
             x[var] = tableau[row, -1]
         solution = x[:n]
@@ -156,13 +169,15 @@ class SimplexSolver:
     @staticmethod
     def _standardize(
         program: CompiledProgram,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Equality rows with non-negative rhs; slacks appended as columns.
 
-        Returns (rows, rhs, objective padded with zeros for the slacks).
-        Row order: ``<=`` constraints, one ``x_j <= ub`` row per finite
-        upper bound, then ``=`` constraints; every row but the last kind
-        gets a slack column.
+        Returns (rows, rhs, objective padded with zeros for the slacks,
+        the rows that need an artificial). Row order: ``<=``
+        constraints, one ``x_j <= ub`` row per finite upper bound, then
+        ``=`` constraints; every row but the last kind gets a slack
+        column. A row needs an artificial when it has no slack (``=``)
+        or was negated for a negative rhs, which flips its slack to -1.
         """
         n = program.objective.shape[0]
         bounded = np.flatnonzero(np.isfinite(program.upper_bounds))
@@ -182,10 +197,12 @@ class SimplexSolver:
         negative = rhs < 0
         full[negative] = -full[negative]
         rhs[negative] = -rhs[negative]
+        needs_artificial = negative.copy()
+        needs_artificial[num_slacks:] = True
 
         structural_cost = np.zeros(n + num_slacks)
         structural_cost[:n] = program.objective
-        return full, rhs, structural_cost
+        return full, rhs, structural_cost, np.flatnonzero(needs_artificial)
 
     @staticmethod
     def _set_objective_row(

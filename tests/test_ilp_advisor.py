@@ -6,18 +6,29 @@ import pytest
 
 from repro.advisor import ilp_advisor
 from repro.advisor.candidates import generate_candidates
+from repro.advisor.compress import compress_statements
 from repro.advisor.ilp_advisor import IlpIndexAdvisor
 from repro.errors import AdvisorError
+from repro.ilp.branch_bound import BranchAndBoundSolver
+from repro.inum.batch import WorkloadEvaluator
 from repro.inum.model import InumModel
+from repro.parallel.caches import CostCache
+from repro.workloads.sdss import build_sdss_database, sdss_workload
 from repro.workloads.workload import Query, Workload
 
+from tests import test_compress
 from tests.conftest import make_people_db
-from tests.reference import HighsSolver
+from tests.reference import HighsSolver, highs_solve
 
 
 @pytest.fixture(scope="module")
 def db():
     return make_people_db(rows=3000, seed=29)
+
+
+@pytest.fixture(scope="module")
+def sdss_db():
+    return build_sdss_database(photo_rows=2000, seed=42)
 
 
 WL = Workload(
@@ -165,3 +176,86 @@ class TestRefinement:
             assert workload_cost(reduced) >= full - 1e-9, (
                 f"{dropped.name} is redundant and should have been dropped"
             )
+
+    def test_no_dead_index_on_sdss(self, sdss_db):
+        """Where the ILP has several optimal vertices, the refine pass
+        keeps none that carries an index nothing uses: removing any one
+        recommended index raises the INUM workload cost."""
+        workload = sdss_workload()
+        advisor = IlpIndexAdvisor(sdss_db.catalog)
+        result = advisor.recommend(workload, budget_pages=500)
+        # The same cost the tie-blind design reached with 25 indexes,
+        # 9 of which it could drop for nothing.
+        assert result.cost_after == 1257.6538527823536
+        assert len(result.indexes) == 16
+        models = advisor.build_models(workload)
+        evaluator = WorkloadEvaluator(
+            [models[q.name] for q in workload],
+            [q.weight for q in workload],
+            result.indexes,
+        )
+        chosen = range(len(result.indexes))
+        full = evaluator.workload_cost(chosen)
+        for dropped in chosen:
+            reduced = [p for p in chosen if p != dropped]
+            assert evaluator.workload_cost(reduced) > full, (
+                f"{result.indexes[dropped].name} serves no query"
+            )
+
+
+class TestBuiltinMatchesHighs:
+    """Every program ``IlpIndexAdvisor._solve`` builds, solved again by
+    HiGHS: the same status, and the same objective to the solver's gap
+    tolerance, or to ``bound_epsilon`` of it where scale mode fathoms
+    by that slack."""
+
+    @pytest.fixture()
+    def solved(self, monkeypatch):
+        """(program, bound_epsilon, built-in solution) per solve."""
+        captured = []
+
+        class Recording(BranchAndBoundSolver):
+            def __init__(self, **options):
+                super().__init__(**options)
+                self.epsilon = options.get("bound_epsilon", 0.0)
+
+            def solve(self, program):
+                solution = super().solve(program)
+                captured.append((program, self.epsilon, solution))
+                return solution
+
+        monkeypatch.setattr(ilp_advisor, "BranchAndBoundSolver", Recording)
+        return captured
+
+    @staticmethod
+    def assert_agree(solved, count):
+        assert len(solved) == count
+        for program, epsilon, ours in solved:
+            theirs = highs_solve(program)
+            assert ours.status == theirs.status == "optimal"
+            slack = max(1e-6, epsilon * abs(theirs.objective))
+            assert abs(ours.objective - theirs.objective) <= slack
+
+    def test_sdss_queries_per_pair_coupling(self, sdss_db, solved):
+        IlpIndexAdvisor(sdss_db.catalog).recommend(sdss_workload(), 500)
+        self.assert_agree(solved, 1)
+
+    def test_folded_stream_in_scale_mode(self, sdss_db, solved):
+        folded = compress_statements(
+            test_compress.TestSolverDifferential.sdss_stream(cycles=4)
+        )
+        result = IlpIndexAdvisor(sdss_db.catalog, compress=True).recommend(
+            folded.workload, 120, update_rates=folded.workload.update_rates
+        )
+        assert result.solver_nodes > 1
+        assert solved[0][1] == 1e-4
+        self.assert_agree(solved, 1)
+
+    def test_update_rate_sweep_with_a_cap(self, sdss_db, solved):
+        cache = CostCache()
+        for rate in (0.0, 1.0, 5.0, 25.0, 125.0, 625.0):
+            IlpIndexAdvisor(sdss_db.catalog, cost_cache=cache).recommend(
+                sdss_workload(), 600,
+                update_rates={"photoobj": rate}, max_update_cost=40.0,
+            )
+        self.assert_agree(solved, 6)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from repro.ilp.model import LinearProgram, Sense
@@ -72,9 +74,63 @@ class TestTextbookCases:
         assert result.x[0] == pytest.approx(2.0)
 
 
+_HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+
+
+@st.composite
+def mixed_lps(draw):
+    """``<=`` rows of either rhs sign, ``>=`` and ``=`` rows, finite and
+    infinite upper bounds: phase 1 runs whenever a row the slack start
+    cannot cover (all but ``<=`` with rhs >= 0) is drawn."""
+    n = draw(st.integers(1, 5))
+    coefficient = st.integers(-4, 5).map(float)
+    lp = LinearProgram()
+    variables = [
+        lp.add_variable(
+            f"x{i}",
+            upper_bound=draw(st.one_of(st.none(), st.integers(1, 10).map(float))),
+        )
+        for i in range(n)
+    ]
+    lp.set_objective({v: draw(coefficient) for v in variables})
+    for _ in range(draw(st.integers(1, 5))):
+        sense = draw(st.sampled_from([Sense.LE, Sense.GE, Sense.EQ]))
+        row = {v: draw(coefficient) for v in variables}
+        lp.add_constraint(row, sense, float(draw(st.integers(-10, 20))))
+    return lp
+
+
+def _linprog(compiled):
+    """HiGHS on the same compiled program (it minimizes)."""
+    return linprog(
+        -compiled.objective,
+        A_ub=compiled.a_ub if compiled.a_ub.size else None,
+        b_ub=compiled.b_ub if compiled.a_ub.size else None,
+        A_eq=compiled.a_eq if compiled.a_eq.size else None,
+        b_eq=compiled.b_eq if compiled.a_eq.size else None,
+        bounds=[
+            (0, ub if np.isfinite(ub) else None) for ub in compiled.upper_bounds
+        ],
+        method="highs",
+    )
+
+
 class TestAgainstScipy:
+    @given(mixed_lps())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_highs_on_mixed_rows(self, lp):
+        compiled = lp.compile()
+        ours = SimplexSolver().solve(compiled)
+        theirs = _linprog(compiled)
+        assert ours.status == _HIGHS_STATUS[theirs.status]
+        if ours.is_optimal:
+            assert ours.objective == pytest.approx(-theirs.fun, abs=1e-6)
+            assert check_feasible(compiled, ours.x)
+
     @pytest.mark.parametrize("seed", range(12))
     def test_random_lps(self, seed):
+        # All rows <= with rhs > 0: the slack start, phase 2 only -- the
+        # shape of every program the index advisor emits.
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 7))
         m = int(rng.integers(1, 6))
@@ -97,6 +153,68 @@ class TestAgainstScipy:
         assert ours.is_optimal == scipy_result.success
         if ours.is_optimal:
             assert ours.objective == pytest.approx(-scipy_result.fun, abs=1e-6)
+
+
+class TestSlackStart:
+    """Rows whose own slack is feasible start basic on it: phase 1 runs
+    only over the rows that need an artificial."""
+
+    @staticmethod
+    def phase_pivots(monkeypatch, compiled):
+        """Solve ``compiled``; return [phase-1 pivots, phase-2 pivots]."""
+        structural = (
+            compiled.objective.shape[0]
+            + compiled.a_ub.shape[0]
+            + int(np.isfinite(compiled.upper_bounds).sum())
+        )
+        pivots = [0, 0]
+        phase = [1]
+        real_iterate = SimplexSolver._iterate
+        real_pivot = SimplexSolver._pivot
+
+        def iterate(self, tableau, basis, allow_columns, stop=None):
+            # Phase 1 also prices the artificial columns.
+            phase[0] = 0 if allow_columns > structural else 1
+            return real_iterate(self, tableau, basis, allow_columns, stop)
+
+        def pivot(tableau, row, col):
+            pivots[phase[0]] += 1
+            real_pivot(tableau, row, col)
+
+        monkeypatch.setattr(SimplexSolver, "_iterate", iterate)
+        monkeypatch.setattr(SimplexSolver, "_pivot", staticmethod(pivot))
+        result = SimplexSolver().solve(compiled)
+        assert result.is_optimal
+        return pivots
+
+    @staticmethod
+    def index_selection_lp(ge_row: bool = False):
+        """The advisor's shape: binaries, ``y <= x`` couplings, a
+        budget row; all ``<=`` with rhs >= 0."""
+        lp = LinearProgram()
+        x1, x2 = lp.add_binary("x1"), lp.add_binary("x2")
+        ys = [lp.add_binary(f"y{i}") for i in range(3)]
+        lp.set_objective({ys[0]: 5.0, ys[1]: 4.0, ys[2]: 3.0})
+        lp.add_constraint({ys[0]: 1.0, x1: -1.0}, Sense.LE, 0.0)
+        lp.add_constraint({ys[1]: 1.0, x2: -1.0}, Sense.LE, 0.0)
+        lp.add_constraint({ys[2]: 1.0, x1: -1.0}, Sense.LE, 0.0)
+        lp.add_constraint({x1: 3.0, x2: 2.0}, Sense.LE, 4.0)
+        if ge_row:
+            lp.add_constraint({x2: 1.0}, Sense.GE, 0.5)
+        return lp.compile()
+
+    def test_all_le_program_has_no_phase_1_pivots(self, monkeypatch):
+        phase1, phase2 = self.phase_pivots(monkeypatch, self.index_selection_lp())
+        assert phase1 == 0
+        assert phase2 > 0
+
+    def test_ge_row_runs_phase_1(self, monkeypatch):
+        # The counter sees phase 1 when there is one, so the zero
+        # above is not vacuous.
+        phase1, _ = self.phase_pivots(
+            monkeypatch, self.index_selection_lp(ge_row=True)
+        )
+        assert phase1 > 0
 
 
 class TestFixVariables:
@@ -125,7 +243,7 @@ class TestStopCallable:
     """The per-pivot ``stop`` hook: deterministic sweep over every poll
     index of a full solve."""
 
-    def program(self):
+    def program(self, ge_row: bool = False):
         lp = LinearProgram()
         a = lp.add_variable("a", objective=3.0)
         b = lp.add_variable("b", objective=5.0)
@@ -133,10 +251,14 @@ class TestStopCallable:
         lp.add_constraint({a: 2.0, b: 3.0}, Sense.LE, 8.0)
         lp.add_constraint({b: 2.0, c: 5.0}, Sense.LE, 10.0)
         lp.add_constraint({a: 3.0, b: 2.0, c: 4.0}, Sense.LE, 15.0)
+        if ge_row:
+            # No slack start for this row: it needs an artificial.
+            lp.add_constraint({a: 1.0, c: 1.0}, Sense.GE, 3.0)
         return lp.compile()
 
-    def test_sweep_every_poll_index(self):
-        compiled = self.program()
+    @staticmethod
+    def sweep(compiled):
+        """The full solve, then one solve cut at each of its polls."""
         polls = 0
 
         def count():
@@ -148,7 +270,7 @@ class TestStopCallable:
         assert full.status == "optimal"
         assert polls >= 3
 
-        saw_point = saw_empty = False
+        cuts = []
         for fire_at in range(1, polls + 1):
             calls = 0
 
@@ -162,13 +284,22 @@ class TestStopCallable:
             # status is always "deadline"; a phase-2 cut still carries a
             # feasible point, a phase-1 cut carries none.
             assert result.status == "deadline"
-            if result.x is None:
-                saw_empty = True
-            else:
-                saw_point = True
+            if result.x is not None:
                 assert check_feasible(compiled, result.x)
                 assert result.objective <= full.objective + 1e-9
-        assert saw_empty and saw_point
+            cuts.append(result)
+        return cuts
+
+    def test_sweep_every_poll_index(self):
+        # All rows start on their slacks: no phase 1, so every cut
+        # carries a feasible point.
+        cuts = self.sweep(self.program())
+        assert all(cut.x is not None for cut in cuts)
+
+    def test_sweep_with_a_ge_row_cuts_phase_1(self):
+        cuts = self.sweep(self.program(ge_row=True))
+        assert any(cut.x is None for cut in cuts)
+        assert any(cut.x is not None for cut in cuts)
 
     def test_none_stop_matches_default(self):
         compiled = self.program()
