@@ -135,14 +135,22 @@ def align_up(offset: int, alignment: int) -> int:
     return (offset + alignment - 1) // alignment * alignment
 
 
+_NAIVE_EPOCH = datetime.datetime(1970, 1, 1)
+_UTC_EPOCH = _NAIVE_EPOCH.replace(tzinfo=datetime.timezone.utc)
+
+
 def to_comparable(value: Any) -> Any:
     """Map a Python value to a totally-ordered comparable for histograms.
 
     Dates and timestamps become ordinal numbers so numeric interpolation
-    works; strings stay strings (interpolated positionally).
+    works; strings stay strings (interpolated positionally). A naive
+    timestamp is seconds since a naive epoch, defined for every year and
+    independent of the local time zone (``datetime.timestamp`` is
+    neither); an aware one is seconds since the UTC epoch.
     """
     if isinstance(value, datetime.datetime):
-        return value.timestamp()
+        epoch = _NAIVE_EPOCH if value.tzinfo is None else _UTC_EPOCH
+        return (value - epoch).total_seconds()
     if isinstance(value, datetime.date):
         return value.toordinal()
     if isinstance(value, bool):

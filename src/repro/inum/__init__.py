@@ -2,8 +2,9 @@
 
 Reproduces Papadomanolakis, Dash & Ailamaki (VLDB 2007): cache a small
 number of optimizer plans per query — one per combination of
-"interesting orders" delivered to each relation, times the nested-loop
-on/off toggle — then estimate the cost of *any* index configuration as
+"interesting orders" delivered to each relation, with nested loops
+enabled and, where a nested loop survives, disabled — then estimate the
+cost of *any* index configuration as
 ``internal_cost + Σ access_cost(chosen index per relation)`` without
 calling the optimizer again. The ILP index advisor issues millions of
 configuration evaluations; INUM turns each into a handful of dictionary

@@ -3,7 +3,7 @@
 Cache construction
     For every combination of interesting orders (one per relation, or
     none) and for nested-loop enabled/disabled — the paper's What-If
-    Join component — the query is optimized once against *synthetic*
+    Join component — the query is optimized against *synthetic*
     hypothetical indexes that deliver exactly those orders, with real
     indexes hidden and parameterized paths disabled so each scan runs
     exactly once per loop. The plan cost then decomposes exactly::
@@ -11,6 +11,16 @@ Cache construction
         total = internal + Σ_rel loops(rel) × access_cost(rel)
 
     and ``internal`` (join/sort/aggregate work) is cached.
+
+    The nested-loops-off pass runs only when the nested-loops-on join
+    search ends with a ``NestLoop`` in some relation set, as its
+    cheapest plan or a per-order best. Otherwise it would return the
+    very same plan (:meth:`JoinSearch.keeps_nestloop` gives the proof),
+    so the pair keeps one entry. An off entry equal to its on twin in
+    internal cost and loops is dropped as well. A later exact duplicate
+    moves neither a minimum nor a first-minimum arg-min, so no estimate
+    changes. ``tests/reference.py`` builds the cache the long way, both
+    passes for every combination, as the oracle.
 
     Classification and restriction selectivities do not depend on the
     available indexes, so the query is prepared once and each
@@ -20,7 +30,9 @@ Cache construction
 Estimation
     The model is the plan cache plus per-relation access costs
     (``_access_info``: analytic, the same ``cost_index_scan`` the
-    optimizer uses). Combining the two into a cost — per relation the
+    optimizer uses; ``inf`` without sizing the index when
+    :func:`~repro.optimizer.paths.index_usable` says no plain index
+    scan exists). Combining the two into a cost — per relation the
     best access the configuration offers, then the minimum over cache
     entries whose order requirements it can satisfy, no optimizer call —
     is :class:`~repro.inum.batch.WorkloadEvaluator`'s job alone;
@@ -49,7 +61,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -62,7 +74,7 @@ from repro.optimizer.cost import clamp_rows
 from repro.optimizer.paths import (
     BaseRel,
     index_paths,
-    match_index,
+    index_usable,
     seqscan_path,
 )
 from repro.optimizer.planner import Planner, PreparedQuery
@@ -121,7 +133,11 @@ class _AccessInfo:
 
     cost: float
     provides: frozenset[str]  # order columns this access delivers
-    rows: float
+
+
+# An index with no plain path for the relation serves no order at no
+# finite cost.
+_UNUSABLE = _AccessInfo(cost=float("inf"), provides=frozenset())
 
 
 class InumModel:
@@ -275,15 +291,39 @@ class InumModel:
 
     def _build_cache(self) -> None:
         for order_vector in self._combinations():
+            prepared = self._prepared.with_relation_info(
+                self._synthetic_info(order_vector)
+            )
             for nestloop in (True, False):
-                entry = self._optimize_atomic(order_vector, nestloop)
-                if entry is not None:
+                config = self._stripped.with_flags(enable_nestloop=nestloop)
+                try:
+                    plan, search = Planner(self._catalog, config).plan_search(
+                        self._query, prepared
+                    )
+                except PlannerError:
+                    # Whether a plan exists does not depend on the flag.
+                    break
+                self.stats.optimizer_calls += 1
+                entry = _decompose(order_vector, nestloop, plan)
+                # An off entry equal to its on twin prices nothing new.
+                twin = self._entries[-1] if not nestloop else None
+                if twin is None or (entry.internal_cost, entry.loops) != (
+                    twin.internal_cost,
+                    twin.loops,
+                ):
                     self._entries.append(entry)
+                if not (nestloop and search.keeps_nestloop()):
+                    # No nested loop survived: the disabled pass would
+                    # plan exactly this (JoinSearch.keeps_nestloop).
+                    break
         self.stats.cache_entries = len(self._entries)
 
-    def _optimize_atomic(
-        self, order_vector: tuple[tuple[str, str | None], ...], nestloop: bool
-    ) -> CacheEntry | None:
+    def _synthetic_info(
+        self, order_vector: tuple[tuple[str, str | None], ...]
+    ) -> Callable[[BaseRel], RelationInfo]:
+        """``with_relation_info``'s mapping for one combination: each
+        relation offered the synthetic single-column indexes that deliver
+        its order, and no other index."""
         synth: dict[str, list[Index]] = {}
         for alias, column in order_vector:
             if column is None:
@@ -298,9 +338,6 @@ class InumModel:
                 )
             )
 
-        # Reuse the prepared state (classification, selectivities, row
-        # estimates are index-independent); swap in the synthetic
-        # indexes that deliver this combination's orders.
         def synthetic_info(rel: BaseRel) -> RelationInfo:
             extra = [
                 IndexInfo(
@@ -322,28 +359,7 @@ class InumModel:
                 column_stats=info.column_stats,
             )
 
-        prepared = self._prepared.with_relation_info(synthetic_info)
-
-        config = self._stripped.with_flags(enable_nestloop=nestloop)
-        try:
-            plan = Planner(self._catalog, config).plan_prepared(
-                self._query, prepared
-            )
-        except PlannerError:
-            return None
-        self.stats.optimizer_calls += 1
-
-        scan_costs, loops = _decompose(plan)
-        internal = plan.total_cost
-        for alias, (cost, loop) in scan_costs.items():
-            internal -= cost * loop
-        return CacheEntry(
-            order_vector=order_vector,
-            nestloop_enabled=nestloop,
-            internal_cost=internal,
-            loops=tuple(sorted((a, l) for a, (_c, l) in scan_costs.items())),
-            plan=plan,
-        )
+        return synthetic_info
 
     # ------------------------------------------------------------------
     # Access costs
@@ -355,7 +371,11 @@ class InumModel:
             return cached
 
         cache = self._cost_cache
-        if cache is not None:
+        if not index_usable(self._prepared.base_rels[alias], index.columns):
+            # No plain index path: the cell stays at the inf it starts
+            # with, so neither sizing nor the shared cache is consulted.
+            result = _UNUSABLE
+        elif cache is not None:
             shared_key = (self._rel_keys[alias], index_signature(index))
             result = cache.access_info(
                 shared_key,
@@ -392,14 +412,9 @@ class InumModel:
             rows=rel.rows,
             width=rel.width,
         )
-        paths = index_paths(self._config, shadow_rel)
-        if paths:
-            cost = min(p.total_cost for p in paths)
-        else:
-            cost = float("inf")
-
+        [path] = index_paths(self._config, shadow_rel)  # usable: one path
         provides = self._orders_provided(rel, index_info)
-        return _AccessInfo(cost=cost, provides=provides, rows=rel.rows)
+        return _AccessInfo(cost=path.total_cost, provides=provides)
 
     def _orders_provided(self, rel: BaseRel, index: IndexInfo) -> frozenset[str]:
         """Order columns this index can deliver for this query: a column
@@ -508,8 +523,11 @@ class InumModel:
         return self.estimate(())
 
 
-def _decompose(plan: Plan) -> tuple[dict[str, tuple[float, float]], dict[str, float]]:
-    """Per-alias (scan cost, loop count) decomposition of a plan.
+def _decompose(
+    order_vector: tuple[tuple[str, str | None], ...], nestloop: bool, plan: Plan
+) -> CacheEntry:
+    """``plan`` as a cache entry: its internal cost and per-alias loop
+    counts.
 
     The inner side of a nested loop executes once per outer row; loop
     multipliers compound down the tree.
@@ -528,5 +546,13 @@ def _decompose(plan: Plan) -> tuple[dict[str, tuple[float, float]], dict[str, fl
             walk(child, multiplier)
 
     walk(plan, 1.0)
-    loops = {alias: loop for alias, (_cost, loop) in scans.items()}
-    return scans, loops
+    internal = plan.total_cost
+    for cost, loop in scans.values():
+        internal -= cost * loop
+    return CacheEntry(
+        order_vector=order_vector,
+        nestloop_enabled=nestloop,
+        internal_cost=internal,
+        loops=tuple(sorted((a, l) for a, (_c, l) in scans.items())),
+        plan=plan,
+    )

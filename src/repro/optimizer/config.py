@@ -2,8 +2,8 @@
 
 The cost constants are PostgreSQL's defaults (``costsize.c``). The
 ``enable_*`` flags reproduce PostgreSQL's planner GUCs — PARINDA's
-What-If Join component drives ``enable_nestloop`` to make INUM's two
-cached plans (nested-loop on / off). ``relation_info_hook`` reproduces
+What-If Join component drives ``enable_nestloop`` to make INUM's
+nested-loop on / off plan pairs. ``relation_info_hook`` reproduces
 the optimizer hooks the paper adds: a function the planner calls to
 learn a relation's physical design (row/page counts and available
 indexes), which the what-if layer overrides to inject hypothetical

@@ -16,6 +16,11 @@ connected split produced, allowing cartesian products.
 Each join is priced before it is built: a plan node (and the ``Sort``
 under a merge join's input) is created only when :meth:`RelSet.keeps`
 says :meth:`RelSet.consider` would keep it.
+
+Disabling nested loops only adds ``disable_cost`` to each nested loop's
+total, so a search with them enabled whose sets end holding no
+``NestLoop`` (:meth:`JoinSearch.keeps_nestloop` is false) is exactly the
+search with them disabled: see that method for the proof.
 """
 
 from __future__ import annotations
@@ -169,6 +174,30 @@ class JoinSearch:
         if final is None or final.cheapest is None:
             raise PlannerError("join search failed to produce a complete plan")
         return final
+
+    def keeps_nestloop(self) -> bool:
+        """True when some set of the finished search holds a ``NestLoop``,
+        as its cheapest plan or as a per-order best.
+
+        When false for a search run with nested loops enabled, the same
+        search with them disabled ends with the very same plans. Every
+        slot of a :class:`RelSet` ends holding the first minimum among
+        the plans offered to it. By induction over the levels, the
+        disabled search offers every set the same non-nested-loop plans
+        in the same sequence, and the same nested loops at
+        ``+ disable_cost`` (never cheaper in floating point). A slot
+        whose first minimum is not a nested loop keeps it: a nested loop
+        offered before it was strictly dearer, one offered after it no
+        cheaper. A slot's order key enters ``by_order`` at the first
+        plan offered in that order, whatever its cost, so the key order
+        is the same too. Only INUM asks, so :meth:`run` pays nothing for
+        it.
+        """
+        return any(
+            isinstance(plan, NestLoop)
+            for entry in self._table.values()
+            for plan in entry.candidates()
+        )
 
     def _build(self, key: frozenset[str], allow_cartesian: bool) -> None:
         """Enter ``key`` in the table when some split of it joins."""

@@ -151,14 +151,27 @@ def _index_clause_selectivity(info: RelationInfo, clause: IndexClause) -> float:
     return ineq_selectivity(stats, clause.op, clause.values[0])
 
 
+def index_usable(rel: BaseRel, columns: tuple[str, ...]) -> bool:
+    """True when a plain index scan on key ``columns`` serves ``rel``:
+    some restriction is an index clause on the leading key column (so
+    :func:`match_index` matches), or the key covers every column the
+    query reads (an index-only scan)."""
+    leading = columns[0]
+    return rel.required_columns <= set(columns) or any(
+        c.index_clause is not None and c.index_clause.column == leading
+        for c in rel.restrictions
+    )
+
+
 def index_paths(config: PlannerConfig, rel: BaseRel) -> list[IndexScan]:
-    """All useful plain (unparameterized) index scans for ``rel``."""
+    """All useful plain (unparameterized) index scans for ``rel``: one
+    per index :func:`index_usable` accepts."""
     paths: list[IndexScan] = []
     for index in rel.info.indexes:
+        if not index_usable(rel, index.columns):
+            continue
         match = match_index(index, rel)
         index_only_possible = rel.required_columns <= set(index.columns)
-        if match is None and not index_only_possible:
-            continue
         matched = match.matched if match is not None else ()
         index_sel = match.index_selectivity if match is not None else 1.0
         qual_ops = match.qual_ops if match is not None else 0

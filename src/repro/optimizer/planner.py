@@ -142,9 +142,22 @@ class Planner:
     def plan_prepared(self, query: BoundQuery, prepared: PreparedQuery) -> Plan:
         """Plan ``query`` from an existing :class:`PreparedQuery`.
 
-        INUM reuses one prepared state across all of its per-combination
-        optimizer calls and a what-if session across the replans of one
-        query, swapping only ``BaseRel.info``.
+        A what-if session reuses one prepared state across the replans
+        of one query, swapping only ``BaseRel.info``.
+        """
+        return self.plan_search(query, prepared)[0]
+
+    def plan_search(
+        self, query: BoundQuery, prepared: PreparedQuery
+    ) -> tuple[Plan, JoinSearch]:
+        """:meth:`plan_prepared`, also returning the finished join search.
+
+        INUM plans every interesting-order combination this way and asks
+        the search whether a nested loop survived
+        (:meth:`JoinSearch.keeps_nestloop`) before it plans the
+        combination again with nested loops disabled. Nothing above the
+        join search reads ``enable_nestloop``, so the same search means
+        the same plan.
         """
         config = self._config
         base_rels = prepared.base_rels
@@ -175,7 +188,7 @@ class Planner:
             if best is None or finished.total_cost < best.total_cost:
                 best = finished
         assert best is not None  # relset always has a cheapest plan
-        return best
+        return best, search
 
     # ------------------------------------------------------------------
 

@@ -13,6 +13,11 @@ Then :func:`inum_estimate_detail`: the plain per-entry INUM loop that
 was ``InumModel.estimate_detail`` before the array evaluator became
 the only pricing path, the oracle for ``test_batch_estimation.py``.
 
+Then :func:`inum_reference_entries`: ``InumModel``'s plan cache built as
+it was before the nested-loops-off pass ran only when a nested loop
+survived, both passes for every interesting-order combination, the
+oracle for ``test_inum.py``.
+
 Then :func:`legacy_dump_state` / :func:`legacy_load_verified`: the
 ``repro-state-v1`` envelope as it was written and verified before the
 canonical text became the envelope body, the oracle for
@@ -496,6 +501,60 @@ def inum_estimate_detail(model, config_indexes=()):
 
 def inum_estimate(model, config_indexes=()) -> float:
     return inum_estimate_detail(model, config_indexes)[0]
+
+
+def inum_reference_entries(model) -> list:
+    """``model``'s cache entries built the long way: every interesting-
+    order combination planned with nested loops enabled and again with
+    them disabled, each plan decomposed into a :class:`CacheEntry`."""
+    from repro.inum.model import CacheEntry
+    from repro.optimizer.cost import clamp_rows
+    from repro.optimizer.planner import Planner
+    from repro.optimizer.plans import Scan
+
+    def decompose(plan):
+        scans = {}
+
+        def walk(node, multiplier):
+            if isinstance(node, Scan):
+                scans[node.alias] = (node.total_cost, multiplier)
+            elif isinstance(node, NestLoop):
+                walk(node.outer, multiplier)
+                walk(node.inner, multiplier * clamp_rows(node.outer.rows))
+            else:
+                for child in node.children():
+                    walk(child, multiplier)
+
+        walk(plan, 1.0)
+        return scans
+
+    entries = []
+    for order_vector in model._combinations():
+        prepared = model._prepared.with_relation_info(
+            model._synthetic_info(order_vector)
+        )
+        for nestloop in (True, False):
+            config = model._stripped.with_flags(enable_nestloop=nestloop)
+            try:
+                plan = Planner(model._catalog, config).plan_prepared(
+                    model.query, prepared
+                )
+            except PlannerError:
+                continue
+            scans = decompose(plan)
+            internal = plan.total_cost
+            for cost, loop in scans.values():
+                internal -= cost * loop
+            entries.append(
+                CacheEntry(
+                    order_vector=order_vector,
+                    nestloop_enabled=nestloop,
+                    internal_cost=internal,
+                    loops=tuple(sorted((a, l) for a, (_c, l) in scans.items())),
+                    plan=plan,
+                )
+            )
+    return entries
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Unit tests for the type system: widths, alignment, interpolation."""
 
+import datetime
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +17,7 @@ from repro.catalog.datatypes import (
     align_up,
     char,
     numeric_fraction,
+    to_comparable,
     type_from_name,
     varchar,
 )
@@ -147,3 +151,38 @@ class TestNumericFraction:
 
     def test_incomparable_defaults_to_half(self):
         assert numeric_fraction("abc", 0, 10) == 0.5
+
+
+class TestToComparable:
+    def test_timestamp_range_ends(self):
+        # datetime.timestamp() raises on year 1 east of UTC.
+        assert to_comparable(datetime.datetime.min) == -62135596800.0
+        assert to_comparable(datetime.datetime.max) == 253402300799.999999
+        assert to_comparable(datetime.datetime(1970, 1, 1)) == 0.0
+
+    def test_independent_of_local_time_zone(self, monkeypatch):
+        value = datetime.datetime(2009, 3, 14, 15, 9, 26)
+        seen = set()
+        for zone in ("UTC", "Asia/Kolkata", "America/Los_Angeles"):
+            monkeypatch.setenv("TZ", zone)
+            time.tzset()
+            seen.add(to_comparable(value))
+        monkeypatch.undo()
+        time.tzset()
+        assert seen == {1237043366.0}
+
+    def test_aware_timestamp_is_utc_seconds(self):
+        utc = datetime.datetime(2009, 3, 14, 15, 9, 26, tzinfo=datetime.timezone.utc)
+        east = utc.astimezone(datetime.timezone(datetime.timedelta(hours=5)))
+        assert to_comparable(east) == to_comparable(utc) == utc.timestamp()
+
+    @given(st.datetimes(), st.datetimes())
+    def test_preserves_timestamp_order(self, a, b):
+        if a <= b:
+            assert to_comparable(a) <= to_comparable(b)
+        else:
+            assert to_comparable(a) >= to_comparable(b)
+
+    @given(st.dates(), st.dates())
+    def test_preserves_date_order(self, a, b):
+        assert (a < b) == (to_comparable(a) < to_comparable(b))

@@ -199,9 +199,10 @@ FLAGS = (
 
 
 @st.composite
-def join_queries(draw):
+def join_queries(draw, ops=("=", "=", "=", "<")):
     """(sql, connected, what-if indexes, off flags) over 1-5 SDSS relations
-    joined as a chain, a star, a cycle, or a disconnected graph."""
+    joined as a chain, a star, a cycle, or a disconnected graph, each
+    join clause's operator drawn from ``ops``."""
     n = draw(st.sampled_from((4, 3, 5, 2, 1)))
     tables = [draw(st.sampled_from(sorted(JOIN_KEYS))) for _ in range(n)]
     shape = draw(st.sampled_from(
@@ -219,7 +220,7 @@ def join_queries(draw):
     for i, j in edges:
         left = draw(st.sampled_from(JOIN_KEYS[tables[i]]))
         right = draw(st.sampled_from(JOIN_KEYS[tables[j]]))
-        op = draw(st.sampled_from(("=", "=", "=", "<")))
+        op = draw(st.sampled_from(ops))
         quals.append(f"t{i}.{left} {op} t{j}.{right}")
     for i, table in enumerate(tables):
         for pattern in draw(st.sets(st.sampled_from(RESTRICTIONS[table]), max_size=2)):

@@ -16,9 +16,11 @@ from repro.advisor.ilp_advisor import IlpIndexAdvisor
 from repro.catalog.schema import Index
 from repro.core.parinda import Parinda
 from repro.errors import ReproError
+from repro.inum.batch import WorkloadEvaluator
 from repro.inum.model import InumModel
 from repro.parallel import CostCache, build_inum_models
 from repro.whatif.session import WhatIfSession
+from repro.workloads.workload import Query, Workload
 from repro.workloads.sdss import build_sdss_database, sdss_workload
 
 
@@ -46,20 +48,45 @@ def _result_signature(result):
 # Cache counters
 
 
-def test_cost_cache_hits_across_models(sdss_db, sdss_wl):
+# Two queries whose photoobj relation has one signature (same
+# restrictions, same columns read) and whose join needs the same orders.
+_SHARED = Workload(
+    queries=[
+        Query(
+            name=f"shared_{i}",
+            sql="SELECT p.objid, s.z FROM photoobj p, specobj s "
+            "WHERE p.specobjid = s.specobjid AND p.ra < 120" + extra,
+        )
+        for i, extra in enumerate(("", " AND s.z > 0.1"))
+    ],
+    name="shared",
+)
+
+
+def test_cost_cache_hits_across_models(sdss_db):
     catalog = sdss_db.catalog
     cache = CostCache()
-    build_inum_models(catalog, sdss_wl.subset(8), cost_cache=cache)
+    models = build_inum_models(catalog, _SHARED, cost_cache=cache)
     assert cache.hits > 0
-    counters = cache.counters
-    assert counters["index_pages"].hits > 0
+    # The second model sizes the first's synthetic order indexes.
+    assert cache.counters["index_pages"].hits > 0
     # Repeating the same build is almost all hits.
     misses_before = cache.misses
-    build_inum_models(catalog, sdss_wl.subset(8), cost_cache=cache)
+    build_inum_models(catalog, _SHARED, cost_cache=cache)
     assert cache.misses == misses_before  # every key already present
     assert cache.stats()["index_pages"]["hit_rate"] >= 0.5
     # The rebuild was served wholesale from the model section.
     assert cache.counters["inum"].hits > 0
+    # Every photoobj access cost the first model computes, the second
+    # reads from the cache; unusable indexes never reach it.
+    pool = [
+        Index("p_ra", "photoobj", ("ra",), hypothetical=True),
+        Index("p_spec_ra", "photoobj", ("specobjid", "ra"), hypothetical=True),
+        Index("p_dec", "photoobj", ("dec",), hypothetical=True),
+    ]
+    WorkloadEvaluator(list(models.values()), [1.0, 1.0], pool)
+    access = cache.counters["access"]
+    assert (access.misses, access.hits) == (1, 1)
 
 
 _PROBE = Index(

@@ -3,13 +3,16 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.catalog.schema import Index
 from repro.optimizer.clauses import classify_all
-from repro.optimizer.config import PlannerConfig, default_relation_info
+from repro.optimizer.config import IndexInfo, PlannerConfig, default_relation_info
 from repro.optimizer.paths import (
     build_base_rel,
     index_paths,
+    index_usable,
     match_index,
     parameterized_index_paths,
     seqscan_path,
@@ -123,6 +126,47 @@ class TestIndexPaths:
         scan = seqscan_path(CONFIG, rel)
         assert scan.rows == rel.rows
         assert len(scan.filter_quals) == 2
+
+
+PEOPLE_COLUMNS = ("person_id", "age", "height", "city", "nickname")
+PEOPLE_RESTRICTIONS = (
+    "age > 50", "age = 30", "age between 20 and 30", "age in (1, 2, 3)",
+    "city = 'oslo'", "city like 'o%'", "height < 170", "person_id = 7",
+    "nickname is null", "age + 1 > 3", "age = 1 or city = 'lima'",
+)
+
+
+class TestIndexUsable:
+    """``index_usable`` is exactly the old rule of ``index_paths``: a
+    restriction matches a key prefix, or the key covers the query."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        restrictions=st.sets(st.sampled_from(PEOPLE_RESTRICTIONS), max_size=3),
+        targets=st.sets(st.sampled_from(PEOPLE_COLUMNS), max_size=3),
+        key=st.lists(
+            st.sampled_from(PEOPLE_COLUMNS), min_size=1, max_size=3, unique=True
+        ),
+    )
+    def test_path_iff_usable(self, db, restrictions, targets, key):
+        select = ", ".join(sorted(targets)) or "count(*)"
+        sql = f"select {select} from people"
+        if restrictions:
+            sql += " where " + " and ".join(sorted(restrictions))
+        rel, _j, info = prepare(db, sql)
+        index = IndexInfo(
+            definition=Index("probe", "people", tuple(key), hypothetical=True),
+            leaf_pages=10,
+            height=1,
+            index_tuples=info.row_count,
+        )
+        rel = replace(rel, info=replace(info, indexes=(index,)))
+        usable = index_usable(rel, index.columns)
+        assert usable == (
+            match_index(index, rel) is not None
+            or rel.required_columns <= set(key)
+        )
+        assert len(index_paths(CONFIG, rel)) == int(usable)
 
 
 class TestParameterizedPaths:
