@@ -55,7 +55,6 @@ from repro.optimizer.config import PlannerConfig
 from repro.parallel.caches import CostCache
 from repro.parallel.engine import bind_workload, build_inum_models
 from repro.resilience.degrade import DegradedResult
-from repro.resilience.faults import FaultInjector
 from repro.sql.binder import BoundQuery
 from repro.workloads.workload import Workload
 
@@ -168,15 +167,12 @@ class IndexAdvisor:
         max_index_width: int = 3,
         single_column_only: bool = False,
         cost_cache: CostCache | None = None,
-        fault_injector: FaultInjector | None = None,
     ) -> None:
         """Args (the rest are search-space knobs):
 
         cost_cache: Share a :class:`CostCache` across advisors or
             repeated ``recommend`` calls; by default each call gets a
             fresh one.
-        fault_injector: Resilience-test harness; see
-            :mod:`repro.resilience`. ``None`` defers to ``REPRO_FAULTS``.
         """
         self._catalog = catalog
         self._config = config or PlannerConfig()
@@ -184,7 +180,6 @@ class IndexAdvisor:
         self._max_width = max_index_width
         self._single_column_only = single_column_only
         self._cost_cache = cost_cache
-        self._fault_injector = fault_injector
 
     def select(
         self,
@@ -305,7 +300,6 @@ class IndexAdvisor:
             self._config,
             cost_cache=cost_cache if cost_cache is not None else self._cost_cache,
             bound=bound,
-            fault_injector=self._fault_injector,
             degraded=degraded,
         )
 
@@ -708,7 +702,6 @@ class IlpIndexAdvisor(IndexAdvisor):
         solver = BranchAndBoundSolver(
             max_nodes=self._max_nodes,
             deadline_seconds=self._solver_deadline,
-            fault_injector=self._fault_injector,
             bound_epsilon=bound_epsilon,
         )
         solution = solver.solve(program)

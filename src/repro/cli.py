@@ -112,6 +112,14 @@ def _warn_truncation(result) -> None:
         )
 
 
+def _warn_degraded(result) -> None:
+    """Every degraded-fidelity warning of one advisor result: truncated
+    INUM combinations, then each quarantine/fallback record."""
+    _warn_truncation(result)
+    for record in result.degraded:
+        _warn(str(record))
+
+
 def _budget_mb(text: str) -> float:
     """argparse ``type=`` of every ``--budget-mb``: finite and above zero."""
     try:
@@ -423,7 +431,7 @@ def cmd_suggest_indexes(args: argparse.Namespace) -> int:
     for index in result.indexes:
         print(f"  CREATE INDEX ON {index.table_name} "
               f"({', '.join(index.columns)});")
-    _warn_truncation(result)
+    _warn_degraded(result)
     if args.verbose:
         _per_query_table("Per-query benefit", result.per_query).emit()
     if args.create:
@@ -451,6 +459,7 @@ def cmd_suggest_partitions(args: argparse.Namespace) -> int:
         print(f"Partitions for {table_name}:")
         for position, fragment in enumerate(scheme.fragments):
             print(f"  {scheme.fragment_name(position)}: ({', '.join(fragment)})")
+    _warn_degraded(result)
     if args.verbose:
         _per_query_table("Per-query benefit", result.per_query).emit()
     if args.save_rewritten:
@@ -487,7 +496,8 @@ def cmd_suggest_combined(args: argparse.Namespace) -> int:
         f"Combined workload cost {result.cost_before:,.0f} -> "
         f"{result.cost_after:,.0f} ({result.speedup:.2f}x)."
     )
-    _warn_truncation(result.indexes)
+    _warn_degraded(result.partitions)
+    _warn_degraded(result.indexes)
     return 0
 
 
@@ -543,8 +553,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         for index in replica.design:
             print(f"  CREATE INDEX ON {index.table_name} "
                   f"({', '.join(index.columns)});")
-    for record in result.degraded:
-        _warn(str(record))
+    _warn_degraded(result)
     if args.baseline:
         baseline = tuner.uniform_baseline(workload)
         delta = (

@@ -28,7 +28,6 @@ from repro.resilience.apply import (
     ValidationEntry,
     materialized_name,
 )
-from repro.resilience.faults import FaultInjector
 from repro.resilience.store import StateStore
 from repro.storage.database import Database
 from repro.workloads.workload import Query, Workload
@@ -69,7 +68,6 @@ class Parinda:
         database: Database,
         config: PlannerConfig | None = None,
         cache_max_entries: int | None = None,
-        fault_injector: FaultInjector | None = None,
     ) -> None:
         """Args:
         cache_max_entries: Per-section bound on the facade's shared
@@ -77,15 +75,9 @@ class Parinda:
             first). ``None`` keeps it unbounded — fine for one-shot
             scripts, not for a long-lived process; :meth:`online`
             defaults it to a bound when unset.
-        fault_injector: Resilience-test harness threaded through to
-            every advisor and tuning session created by this facade
-            (see :mod:`repro.resilience`). ``None`` defers to the
-            ``REPRO_FAULTS`` environment variable; an idle injector
-            changes nothing observable.
         """
         self._db = database
         self._config = config or PlannerConfig()
-        self._fault_injector = fault_injector
         # Shared across every advisor call made through this facade:
         # bound queries, Equation-1 sizes, and scan costs carry over
         # between suggest_* calls as long as the catalog version holds.
@@ -153,7 +145,6 @@ class Parinda:
         """
         if self._cache_bounded:
             knobs.setdefault("cost_cache", self._cost_cache)
-        knobs.setdefault("fault_injector", self._fault_injector)
         auto_apply = knobs.pop("auto_apply", None)
         catalog = self._db.catalog
         if auto_apply:
@@ -204,7 +195,6 @@ class Parinda:
         """
         from repro.fleet.tuner import DivergentTuner
 
-        knobs.setdefault("fault_injector", self._fault_injector)
         knobs.setdefault("cost_cache", self._cost_cache)
         return DivergentTuner(
             self._db.catalog,
@@ -260,7 +250,6 @@ class Parinda:
             raise AdvisorError(
                 f"a fleet needs at least one replica, got {n_replicas}"
             )
-        knobs.setdefault("fault_injector", self._fault_injector)
         knobs.setdefault("cost_cache", self._cost_cache)
         databases = [self._db] + [
             self._db.clone() for _ in range(n_replicas - 1)
@@ -288,7 +277,6 @@ class Parinda:
             self._config,
             replication_limit=replication_limit,
             tables=tables,
-            fault_injector=self._fault_injector,
         )
         return advisor.recommend(workload)
 
@@ -325,7 +313,6 @@ class Parinda:
             self._config,
             single_column_only=single_column_only,
             cost_cache=self._cost_cache,
-            fault_injector=self._fault_injector,
             compress=compress,
         )
         return advisor.recommend(workload, _budget_pages(budget_pages, budget_bytes))
@@ -334,7 +321,6 @@ class Parinda:
         self, workload: Workload, budget_pages: int, **kwargs
     ) -> AdvisorResult:
         """The greedy baseline, for comparisons (experiment E6)."""
-        kwargs.setdefault("fault_injector", self._fault_injector)
         advisor = GreedyIndexAdvisor(self._db.catalog, self._config, **kwargs)
         return advisor.recommend(workload, budget_pages)
 
@@ -365,9 +351,7 @@ class Parinda:
                 created.append(existing)
                 continue
             name = materialized_name(index, taken=self._db.catalog.index_names)
-            self._db.create_index(
-                index.as_real(name=name), fault_injector=self._fault_injector
-            )
+            self._db.create_index(index.as_real(name=name))
             created.append(name)
         return created
 
@@ -408,12 +392,7 @@ class Parinda:
         indexes = (
             result.indexes if isinstance(result, AdvisorResult) else tuple(result)
         )
-        executor = ApplyExecutor(
-            self._db,
-            store=store,
-            journal_key=journal_key,
-            fault_injector=self._fault_injector,
-        )
+        executor = ApplyExecutor(self._db, store=store, journal_key=journal_key)
         report = executor.apply(
             indexes, dry_run=dry_run, retry_steps=retry_steps
         )
@@ -451,12 +430,7 @@ class Parinda:
         journal_key: str = "apply",
     ) -> ApplyReport:
         """Restore the pre-apply design recorded in the apply journal."""
-        executor = ApplyExecutor(
-            self._db,
-            store=store,
-            journal_key=journal_key,
-            fault_injector=self._fault_injector,
-        )
+        executor = ApplyExecutor(self._db, store=store, journal_key=journal_key)
         return executor.rollback()
 
     # ------------------------------------------------------------------
@@ -504,9 +478,7 @@ class Parinda:
             ],
             name=f"{workload.name}-partitioned",
         )
-        advisor = IlpIndexAdvisor(
-            session.catalog, self._config, fault_injector=self._fault_injector
-        )
+        advisor = IlpIndexAdvisor(session.catalog, self._config)
         indexes = advisor.recommend(rewritten, budget_pages=budget_pages)
         return CombinedResult(
             partitions=partitions,

@@ -72,11 +72,11 @@ class _PageCache:
 class ExecutionStats:
     """I/O and row counters accumulated during one execution.
 
-    ``fault_injector`` is the already-resolved injector for this
-    execution (``execute`` resolves explicit-vs-ambient once up front);
-    when set, every heap page *fault* — an access the page cache does
-    not absorb — passes through the ``page.read`` fault point, the
-    storage failure surface of real scans.
+    ``injector`` is the injector active for this execution (``execute``
+    reads :func:`repro.resilience.faults.current` once up front); when
+    set, every heap page *fault* — an access the page cache does not
+    absorb — passes through the ``page.read`` fault point, the storage
+    failure surface of real scans.
     """
 
     heap_pages_read: int = 0
@@ -85,12 +85,12 @@ class ExecutionStats:
     rows_output: int = 0
     index_probes: int = 0
     cache: _PageCache = field(default_factory=_PageCache)
-    fault_injector: Any = None
+    injector: Any = None
 
     def read_heap_page(self, table: str, page: int) -> None:
         if self.cache.access(("heap", table, page)):
-            if self.fault_injector is not None:
-                self.fault_injector.check("page.read", f"{table}:{page}")
+            if self.injector is not None:
+                self.injector.check("page.read", f"{table}:{page}")
             self.heap_pages_read += 1
 
     def read_index_page(self, index: str, page: int) -> None:
@@ -137,17 +137,14 @@ class ExecutionResult:
         return [row[idx] for row in self.rows]
 
 
-def execute(
-    db: Database, plan: Plan, fault_injector: Any = None
-) -> ExecutionResult:
+def execute(db: Database, plan: Plan) -> ExecutionResult:
     """Run ``plan`` against ``db`` and collect its output rows.
 
-    ``fault_injector`` (explicit, else the ambient ``REPRO_FAULTS``
-    one) is resolved once here and carried on the stats object, so the
-    per-page hot path pays a plain attribute check when no injector is
-    active.
+    The active fault injector is read once here and carried on the
+    stats object, so the per-page hot path pays a plain attribute
+    check when no injector is active.
     """
-    stats = ExecutionStats(fault_injector=faults.resolve(fault_injector))
+    stats = ExecutionStats(injector=faults.current())
     rows = list(_run(db, plan, stats))
     output = _output_items(plan)
     if output is None:

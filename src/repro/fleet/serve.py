@@ -94,7 +94,8 @@ from repro.resilience.apply import (
     index_from_dict,
     index_to_dict,
 )
-from repro.resilience.faults import FaultInjector, resolve
+from repro.resilience import faults
+from repro.resilience.faults import FaultInjector
 from repro.resilience.store import StateStore
 from repro.storage.database import Database
 from repro.workloads.workload import Workload
@@ -222,8 +223,11 @@ class FleetController:
         max_share / max_rounds / seed / cost_cache: forwarded to the
             re-tuning :class:`DivergentTuner`, which is built here, so
             an invalid value raises at construction.
-        fault_injector: Explicit injector; ``None`` defers to the
-            ambient ``REPRO_FAULTS`` injector at each fault point.
+        fault_injector: The injector active around every
+            ``observe``/``rollout``/``resume``/``thaw``/``release``
+            call, journal writes included
+            (:func:`repro.resilience.faults.injecting`); ``None``
+            leaves the caller's scope in force.
         listener: Callback receiving every :class:`FleetEvent`.
     """
 
@@ -274,7 +278,7 @@ class FleetController:
         self.probation_windows = probation_windows
         self._retry_steps = retry_steps
         self._cost_cache = cost_cache if cost_cache is not None else CostCache()
-        self._fault_injector = fault_injector
+        self._faults = fault_injector
         self._listener = listener
 
         self._replicas = [
@@ -307,7 +311,6 @@ class FleetController:
             seed=seed,
             max_share=max_share,
             cost_cache=self._cost_cache,
-            fault_injector=fault_injector,
         )
         self._router = Router({}, self.n_replicas, max_share=max_share)
         self._baseline: dict[str, float] | None = None
@@ -423,6 +426,7 @@ class FleetController:
     # ------------------------------------------------------------------
     # Serving loop
 
+    @faults.scoped
     def observe(self, sql: str, weight: float = 1.0) -> int:
         """Route one statement into the fleet; returns the replica id.
 
@@ -539,6 +543,7 @@ class FleetController:
     # ------------------------------------------------------------------
     # Rollout
 
+    @faults.scoped
     def rollout(
         self,
         designs: Sequence[Sequence[Index]],
@@ -679,12 +684,10 @@ class FleetController:
             self._journal_state()
 
     def _apply_replica(self, runtime: _ReplicaRuntime, target) -> object:
-        injector = resolve(self._fault_injector)
-        if injector is not None:
-            injector.check(
-                "replica.apply",
-                f"replica {runtime.replica_id} position {self._position}",
-            )
+        faults.check(
+            "replica.apply",
+            f"replica {runtime.replica_id} position {self._position}",
+        )
         return self._converge(runtime).apply(
             target, retry_steps=self._retry_steps
         )
@@ -711,10 +714,7 @@ class FleetController:
 
     def _executor(self, runtime: _ReplicaRuntime) -> ApplyExecutor:
         return ApplyExecutor(
-            runtime.database,
-            fault_injector=self._fault_injector,
-            store=self._store,
-            journal_key=runtime.journal_key,
+            runtime.database, store=self._store, journal_key=runtime.journal_key
         )
 
     def _journal_phase(self, runtime: _ReplicaRuntime) -> str | None:
@@ -764,13 +764,11 @@ class FleetController:
         """One health-gate window: ``clean`` | ``regressed`` |
         ``confirmed`` | ``skipped``."""
         probation = runtime.probation
-        injector = resolve(self._fault_injector)
         try:
-            if injector is not None:
-                injector.check(
-                    "validate.window",
-                    f"replica {runtime.replica_id} position {self._position}",
-                )
+            faults.check(
+                "validate.window",
+                f"replica {runtime.replica_id} position {self._position}",
+            )
             window = runtime.monitor.snapshot()
             if not len(window):
                 self._emit(
@@ -915,6 +913,7 @@ class FleetController:
     # ------------------------------------------------------------------
     # Operator controls
 
+    @faults.scoped
     def thaw(self) -> dict | None:
         """Acknowledge a confirmed regression; resume drift-driven tuning.
 
@@ -950,6 +949,7 @@ class FleetController:
         self._journal_state()
         return dict(info) if info else None
 
+    @faults.scoped
     def release(self, replica_id: int) -> None:
         """Release one quarantined replica back into serving rotation.
 
@@ -1088,6 +1088,7 @@ class FleetController:
     # ------------------------------------------------------------------
     # Resume
 
+    @faults.scoped
     def resume(self) -> None:
         """Converge a restored controller back to a settled fleet.
 

@@ -62,7 +62,6 @@ from repro.optimizer.config import PlannerConfig
 from repro.parallel.caches import CostCache
 from repro.parallel.engine import bind_workload
 from repro.resilience.degrade import DegradedResult
-from repro.resilience.faults import FaultInjector
 from repro.workloads.workload import Query, Workload
 
 
@@ -133,10 +132,6 @@ class FleetResult:
     def designs(self) -> list[tuple[Index, ...]]:
         return [replica.design for replica in self.replicas]
 
-    @property
-    def total_indexes(self) -> int:
-        return sum(len(replica.design) for replica in self.replicas)
-
 
 @dataclass
 class UniformBaseline:
@@ -181,7 +176,6 @@ class DivergentTuner:
         seed: int = 0,
         max_share: float = 1.0,
         cost_cache: CostCache | None = None,
-        fault_injector: FaultInjector | None = None,
     ) -> None:
         if n_replicas <= 0:
             raise ReproError("n_replicas must be positive")
@@ -196,12 +190,7 @@ class DivergentTuner:
         self.seed = seed
         self.max_share = max_share
         self._cache = cost_cache if cost_cache is not None else CostCache()
-        self._advisor = IlpIndexAdvisor(
-            catalog,
-            config,
-            cost_cache=self._cache,
-            fault_injector=fault_injector,
-        )
+        self._advisor = IlpIndexAdvisor(catalog, config, cost_cache=self._cache)
 
     # ------------------------------------------------------------------
 

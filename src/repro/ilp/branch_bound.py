@@ -31,7 +31,6 @@ from repro.ilp.model import CompiledProgram, LinearProgram
 from repro.ilp.simplex import SimplexSolver, check_feasible, fix_variables
 from repro.ilp.solution import MilpSolution
 from repro.resilience import faults
-from repro.resilience.faults import FaultInjector
 
 _INT_TOL = 1e-6
 
@@ -55,7 +54,6 @@ class BranchAndBoundSolver:
         max_nodes: int = 50000,
         gap_tolerance: float = 1e-6,
         deadline_seconds: float | None = None,
-        fault_injector: FaultInjector | None = None,
         bound_epsilon: float = 0.0,
     ) -> None:
         """``bound_epsilon`` is the CoPhy-style relative fathoming slack:
@@ -73,7 +71,6 @@ class BranchAndBoundSolver:
         self._max_nodes = max_nodes
         self._gap_tolerance = gap_tolerance
         self._deadline = deadline_seconds
-        self._faults = fault_injector
         self._bound_epsilon = bound_epsilon
         self._simplex = SimplexSolver()
 
@@ -113,7 +110,7 @@ class BranchAndBoundSolver:
             if node_bound <= self._fathom_threshold(best_objective):
                 continue  # cannot improve
             nodes += 1
-            faults.check("solver.iterate", f"node {nodes}", self._faults)
+            faults.check("solver.iterate", f"node {nodes}")
 
             reduced, offset, keep = fix_variables(compiled, node.fixed)
             # Only thread the stop callable when a deadline is armed, so

@@ -154,18 +154,6 @@ class LinearProgram:
         """Structural non-zeros across all constraint rows."""
         return sum(len(c.coefficients) for c in self._constraints)
 
-    def density(self) -> float:
-        """Fraction of the constraint matrix that is non-zero.
-
-        Scale diagnostics: the advisor's aggregated-coupling mode exists
-        to keep this (and the row count) from growing with the product
-        of queries and candidates.
-        """
-        cells = len(self._constraints) * len(self._variables)
-        if cells == 0:
-            return 0.0
-        return self.nnz / cells
-
     def objective_value(self, solution: np.ndarray) -> float:
         return float(
             sum(coeff * solution[idx] for idx, coeff in self._objective.items())

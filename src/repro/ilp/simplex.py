@@ -303,11 +303,6 @@ class SimplexSolver:
         # limiting allow_columns.
 
 
-def solve_lp(program: CompiledProgram) -> SimplexResult:
-    """One-shot LP solve used by tests and the branch-and-bound driver."""
-    return SimplexSolver().solve(program)
-
-
 def check_feasible(
     program: CompiledProgram, x: np.ndarray, tol: float = 1e-6
 ) -> bool:

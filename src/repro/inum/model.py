@@ -101,12 +101,6 @@ class CacheEntry:
     loops: tuple[tuple[str, float], ...]  # (alias, scan executions)
     plan: Plan
 
-    def order_of(self, alias: str) -> str | None:
-        for a, col in self.order_vector:
-            if a == alias:
-                return col
-        return None
-
     def loops_of(self, alias: str) -> float:
         for a, value in self.loops:
             if a == alias:

@@ -70,7 +70,6 @@ from repro.online.monitor import QueryTemplate, WorkloadMonitor
 from repro.optimizer.config import PlannerConfig
 from repro.parallel.caches import CostCache
 from repro.resilience.apply import index_from_dict, index_to_dict
-from repro.resilience.faults import FaultInjector
 from repro.workloads.workload import Workload
 
 EVENT_KINDS = (
@@ -142,9 +141,6 @@ class OnlineTuner:
             to the observe() caller.
         max_events: Ring-buffer size of the retained event log
             (counters in :attr:`event_counts` are never truncated).
-        fault_injector: Resilience-test harness threaded through to the
-            advisor stack (see :mod:`repro.resilience`). ``None`` defers
-            to the ``REPRO_FAULTS`` environment variable.
         degrade_on_error: Daemon posture. When True, a
             :class:`~repro.errors.ReproError` escaping one re-advise is
             absorbed as a ``degraded`` event (standing design kept,
@@ -188,7 +184,6 @@ class OnlineTuner:
         cache_max_entries: int = 4096,
         listener: Callable[[TuningEvent], None] | None = None,
         max_events: int = 10000,
-        fault_injector: FaultInjector | None = None,
         degrade_on_error: bool = False,
         auto_apply: Callable[[list[Index]], object] | None = None,
         compress: bool = False,
@@ -219,7 +214,6 @@ class OnlineTuner:
             catalog,
             self._config,
             cost_cache=self.cache,
-            fault_injector=fault_injector,
             compress=self.compress,
         )
         self._listener = listener

@@ -20,7 +20,6 @@ from repro.sql.ast_nodes import (
     ColumnRef,
     Expr,
     InExpr,
-    IsNullExpr,
     LikeExpr,
     Literal,
     referenced_tables,
@@ -197,15 +196,3 @@ def prefix_upper_bound(prefix: str) -> str:
             return "".join(chars)
         chars.pop()
     return "￿"
-
-
-def is_null_rejecting(expr: Expr) -> bool:
-    """True when the clause can never accept a NULL column value."""
-    return not isinstance(expr, IsNullExpr) or expr.negated
-
-
-def isnull_clause_column(expr: Expr) -> str | None:
-    """Column of a bare ``col IS [NOT] NULL`` clause, else None."""
-    if isinstance(expr, IsNullExpr) and isinstance(expr.expr, ColumnRef):
-        return expr.expr.column
-    return None

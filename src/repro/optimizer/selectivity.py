@@ -79,14 +79,6 @@ def restriction_selectivity(rel: RelationInfo, expr: Expr) -> float:
     return 0.5
 
 
-def conjunction_selectivity(rel: RelationInfo, clauses: list[Expr]) -> float:
-    """Independence-assumption product over a conjunct list."""
-    sel = 1.0
-    for clause in clauses:
-        sel *= restriction_selectivity(rel, clause)
-    return clamp(sel)
-
-
 # ----------------------------------------------------------------------
 # Leaf estimators
 

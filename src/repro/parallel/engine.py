@@ -24,7 +24,6 @@ from repro.optimizer.config import PlannerConfig
 from repro.parallel.caches import CostCache
 from repro.resilience import faults
 from repro.resilience.degrade import DegradedResult
-from repro.resilience.faults import FaultInjector
 from repro.sql.binder import BoundQuery
 from repro.workloads.workload import Workload
 
@@ -40,7 +39,6 @@ def build_inum_models(
     *,
     cost_cache: CostCache | None = None,
     bound: dict[str, BoundQuery] | None = None,
-    fault_injector: FaultInjector | None = None,
     degraded: list[DegradedResult] | None = None,
 ) -> dict[str, InumModel]:
     """One INUM model per workload query, in workload order.
@@ -70,7 +68,7 @@ def build_inum_models(
     quarantined: set[str] = set()
     for name in (query.name for query in workload):
         try:
-            faults.check("inum.build", name, fault_injector)
+            faults.check("inum.build", name)
         except FaultInjected as exc:
             sink.append(
                 DegradedResult("inum.build", name, "quarantined", str(exc))

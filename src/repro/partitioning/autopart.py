@@ -49,7 +49,6 @@ from repro.optimizer.config import PlannerConfig
 from repro.optimizer.planner import Planner
 from repro.resilience import faults
 from repro.resilience.degrade import DegradedResult
-from repro.resilience.faults import FaultInjector
 from repro.partitioning.fragments import (
     atomic_fragments,
     attribute_usage,
@@ -118,7 +117,6 @@ class AutoPartAdvisor:
         max_iterations: int = 10,
         tables: list[str] | None = None,
         candidates_per_iteration: int = 24,
-        fault_injector: FaultInjector | None = None,
     ) -> None:
         """Args:
         replication_limit: Extra storage allowed for replicated
@@ -136,7 +134,6 @@ class AutoPartAdvisor:
         self._max_iterations = max_iterations
         self._only_tables = set(tables) if tables is not None else None
         self._candidates_per_iteration = candidates_per_iteration
-        self._faults = fault_injector
 
     # ------------------------------------------------------------------
 
@@ -379,7 +376,7 @@ class AutoPartAdvisor:
                 key = (query.name, rewriter.footprint(bound))
                 cost = self._cost_cache.get(key)
                 if cost is None:
-                    faults.check("optimizer.plan", query.name, self._faults)
+                    faults.check("optimizer.plan", query.name)
                     if schemes and session is None:
                         session = self._session_for(schemes)
                     cost = self._query_cost(bound, rewriter, session)

@@ -6,9 +6,9 @@ take down a whole advise — let alone the daemon. This package holds
 the two halves of that safety layer:
 
 * :mod:`repro.resilience.faults` — a deterministic, seeded
-  :class:`FaultInjector` with named fault points, activated explicitly
-  (``Parinda(fault_injector=...)``) or ambiently (``REPRO_FAULTS``),
-  so CI can replay exact failure schedules;
+  :class:`FaultInjector` with named fault points, activated for a
+  block (``with injecting(injector):``) or ambiently
+  (``REPRO_FAULTS``), so CI can replay exact failure schedules;
 * :mod:`repro.resilience.degrade` — the structured
   :class:`DegradedResult` records advisors attach to their results
   when they shed work instead of aborting;
@@ -42,8 +42,9 @@ from repro.resilience.faults import (
     FaultInjector,
     ambient,
     check,
+    current,
+    injecting,
     reset_ambient,
-    resolve,
 )
 from repro.resilience.state import (
     STATE_FORMAT,
@@ -93,12 +94,13 @@ __all__ = [
     "ambient",
     "backup_path",
     "check",
+    "current",
     "dump_state",
     "has_state",
+    "injecting",
     "load_state",
     "materialized_name",
     "reset_ambient",
-    "resolve",
     "store_from_spec",
     "torn_slot_paths",
 ]

@@ -47,7 +47,6 @@ from repro.resilience.degrade import DegradedResult
 from repro.resilience.store import StateStore
 
 if TYPE_CHECKING:  # pragma: no cover - import-cycle firewall
-    from repro.resilience.faults import FaultInjector
     from repro.storage.database import Database
 
 JOURNAL_VERSION = 1
@@ -280,11 +279,13 @@ class ApplyReport:
 class ApplyExecutor:
     """Journaled, resumable executor for :class:`DesignDelta` steps.
 
+    Index builds (``index.build``, ``page.read``) and journal writes
+    (``journal.write``) check the active injector: the caller's
+    :func:`~repro.resilience.faults.injecting` scope, or the store's
+    own injector around its writes.
+
     Args:
         database: The database to materialize against.
-        fault_injector: Explicit injector threaded into index builds
-            and journal writes; ``None`` falls through to the ambient
-            ``REPRO_FAULTS`` injector at each call site.
         managed_prefix: Name prefix marking indexes this executor owns.
         store: The :class:`~repro.resilience.store.StateStore` holding
             the intent journal; ``None`` disables journaling entirely
@@ -297,13 +298,11 @@ class ApplyExecutor:
     def __init__(
         self,
         database: "Database",
-        fault_injector: "FaultInjector | None" = None,
         managed_prefix: str = MANAGED_PREFIX,
         store: StateStore | None = None,
         journal_key: str = "",
     ) -> None:
         self._db = database
-        self._fault_injector = fault_injector
         self._managed_prefix = managed_prefix
         self._store = store
         self._journal_key = journal_key
@@ -398,9 +397,7 @@ class ApplyExecutor:
             return
         self._discard_half_built(index, report)
         try:
-            self._db.create_index(
-                index.as_real(), fault_injector=self._fault_injector
-            )
+            self._db.create_index(index.as_real())
         except (FaultInjected, ExecutorError) as exc:
             if not retry_steps:
                 raise
@@ -416,9 +413,7 @@ class ApplyExecutor:
                 )
             )
             self._discard_half_built(index, report)
-            self._db.create_index(
-                index.as_real(), fault_injector=self._fault_injector
-            )
+            self._db.create_index(index.as_real())
         report.built.append(index.name)
 
     def _run_steps(

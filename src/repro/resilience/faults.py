@@ -9,29 +9,38 @@ point -> one-line description); :data:`FAULT_POINTS`, the unknown-point
 error message, and the doc-drift tests in ``tests/test_apply.py`` are
 all derived from it, so a new point cannot land without its docs.
 
-With no injector active every check is a no-op (and, when ``injector``
-is None and no ambient injector is installed, not even a counter
+With no injector active every check is a no-op (not even a counter
 increment), so a fault-free run is bit-identical to one that never
 imported this module. An **idle** injector (empty schedule) counts
 invocations but never fires — useful for asserting a pipeline's fault
 surface without perturbing it.
 
 Activation
-    * explicitly: ``Parinda(db, fault_injector=FaultInjector(...))`` —
-      the facade threads the injector through every component it
-      builds;
+    Every fault point asks :func:`current` for the active injector;
+    there is no per-component ``fault_injector`` argument to thread.
+
+    * in a scope: ``with injecting(FaultInjector(...)):`` activates an
+      injector for everything run inside the block, on this thread
+      (one :class:`contextvars.ContextVar`). Scopes nest: the
+      innermost wins, leaving a scope restores the enclosing one, and
+      ``injecting(None)`` inherits the enclosing scope. The owners of
+      durable writes — ``FleetController`` and the state stores — are
+      the only classes that still take a ``fault_injector`` keyword;
+      each enters its scope around its own public calls, so the
+      injector reaches every check those calls make, journal writes
+      included;
     * ambiently: the ``REPRO_FAULTS`` environment variable holds a
       schedule spec (see :meth:`FaultInjector.from_spec`) and
       ``REPRO_FAULTS_SEED`` the seed; CI uses this to replay exact
-      failure schedules against unmodified commands. An explicit
-      injector always wins over the ambient one at its call sites.
+      failure schedules against unmodified commands. The ambient
+      injector applies only where no scope is active.
 
 Schedule spec
     ``;``-separated ``point:arg`` entries::
 
         REPRO_FAULTS="inum.build:3;state.write:2"    # 3rd build, 2nd write
         REPRO_FAULTS="inum.build:3,7"                # 3rd and 7th build
-        REPRO_FAULTS="inum.build:%50"                # every 50th build
+        REPRO_FAULTS="inum.build:%5"                 # every 5th build
         REPRO_FAULTS="solver.iterate:p0.01"          # 1% of nodes, seeded
         REPRO_FAULTS="stream.read:*"                 # every invocation
 
@@ -43,9 +52,12 @@ Schedule spec
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 import threading
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 from repro.errors import FaultInjected, ResilienceError
 
@@ -248,17 +260,11 @@ def ambient() -> FaultInjector | None:
     re-parsed only when the environment variable changes (tests).
     """
     global _ambient, _ambient_spec
-    spec = os.environ.get("REPRO_FAULTS", "").strip() or None
+    spec = os.environ.get("REPRO_FAULTS", "").strip()
     with _ambient_lock:
         if spec != _ambient_spec:
             _ambient_spec = spec
-            _ambient = (
-                FaultInjector.from_spec(
-                    spec, seed=int(os.environ.get("REPRO_FAULTS_SEED", "0"))
-                )
-                if spec
-                else None
-            )
+            _ambient = FaultInjector.from_env()
         return _ambient
 
 
@@ -270,15 +276,52 @@ def reset_ambient() -> None:
         _ambient_spec = None
 
 
-def resolve(injector: FaultInjector | None) -> FaultInjector | None:
-    """The effective injector: the explicit one, else the ambient one."""
+# ----------------------------------------------------------------------
+# Scoped injector: the one activation path every fault point reads.
+
+_scope: ContextVar[FaultInjector | None] = ContextVar(
+    "repro_faults", default=None
+)
+
+
+@contextmanager
+def injecting(injector: FaultInjector | None):
+    """Activate ``injector`` for the block; ``None`` inherits the scope."""
+    if injector is None:
+        yield
+        return
+    token = _scope.set(injector)
+    try:
+        yield
+    finally:
+        _scope.reset(token)
+
+
+def scoped(method):
+    """Run an owner's public ``method`` inside ``injecting(self._faults)``.
+
+    Entered once per call, never per fault point; an owner holding no
+    injector calls straight through.
+    """
+
+    @functools.wraps(method)
+    def wrapper(self, *args, **kwargs):
+        if self._faults is None:
+            return method(self, *args, **kwargs)
+        with injecting(self._faults):
+            return method(self, *args, **kwargs)
+
+    return wrapper
+
+
+def current() -> FaultInjector | None:
+    """The innermost scope's injector, else the ambient one, else None."""
+    injector = _scope.get()
     return injector if injector is not None else ambient()
 
 
-def check(
-    point: str, detail: str = "", injector: FaultInjector | None = None
-) -> None:
-    """Fault-point check through the effective injector; no-op when none."""
-    effective = resolve(injector)
-    if effective is not None:
-        effective.check(point, detail)
+def check(point: str, detail: str = "") -> None:
+    """Fault-point check through :func:`current`; no-op when none."""
+    injector = current()
+    if injector is not None:
+        injector.check(point, detail)

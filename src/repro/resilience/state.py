@@ -42,7 +42,6 @@ import os
 
 from repro.errors import FaultInjected, StateCorruptError
 from repro.resilience import faults
-from repro.resilience.faults import FaultInjector
 
 STATE_FORMAT = "repro-state-v1"
 
@@ -64,7 +63,6 @@ def backup_path(path: str) -> str:
 def dump_state(
     path: str,
     state: dict,
-    fault_injector: FaultInjector | None = None,
     fault_point: str | None = "state.write",
 ) -> None:
     """Atomically write ``state`` to ``path`` inside a checksummed envelope.
@@ -80,13 +78,12 @@ def dump_state(
     state store guards its writes with ``store.write`` before it gets
     here).
     """
-    dump_canonical(path, canonical_json(state), fault_injector, fault_point)
+    dump_canonical(path, canonical_json(state), fault_point)
 
 
 def dump_canonical(
     path: str,
     canonical: str,
-    fault_injector: FaultInjector | None = None,
     fault_point: str | None = "state.write",
 ) -> str:
     """:func:`dump_state` for a state already in canonical text.
@@ -101,7 +98,7 @@ def dump_canonical(
     )
     try:
         if fault_point is not None:
-            faults.check(fault_point, path, fault_injector)
+            faults.check(fault_point, path)
     except FaultInjected:
         # Emulate the torn write this envelope exists to survive: the
         # primary is clobbered with a prefix, the .bak stays good.

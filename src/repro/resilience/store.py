@@ -97,6 +97,11 @@ class StateStore:
     (``"apply"``, ``"r0.apply"``, ...). Subclasses implement the raw
     slot and lease I/O; this base class owns retry, fault points, and
     fencing so both backends behave identically under failure.
+
+    ``fault_injector`` is the active injector around every
+    :meth:`read`, :meth:`write` and :meth:`acquire`
+    (:func:`repro.resilience.faults.injecting`); ``None`` leaves the
+    caller's scope in force.
     """
 
     def __init__(
@@ -105,7 +110,7 @@ class StateStore:
         retries: int = 2,
         backoff: float = 0.005,
     ) -> None:
-        self._fault_injector = fault_injector
+        self._faults = fault_injector
         self.retries = max(0, int(retries))
         self.backoff = backoff
         self._epoch: int | None = None
@@ -168,6 +173,7 @@ class StateStore:
         """The fencing token held by this instance (None = never acquired)."""
         return self._epoch
 
+    @faults.scoped
     def acquire(self, owner: str = "") -> int:
         """Take (or take over) the writer lease; returns the new epoch.
 
@@ -177,7 +183,7 @@ class StateStore:
         """
 
         def attempt() -> int:
-            faults.check("lease.acquire", self.describe(), self._fault_injector)
+            faults.check("lease.acquire", self.describe())
             current = self._read_lease()
             epoch = int(current.get("epoch", 0)) + 1 if current else 1
             self._write_lease({"epoch": epoch, "owner": owner})
@@ -210,6 +216,7 @@ class StateStore:
 
     # -- slot API -------------------------------------------------------
 
+    @faults.scoped
     def read(self, key: str = "") -> tuple[dict, str]:
         """Load one slot; returns ``(state, source)``.
 
@@ -221,13 +228,12 @@ class StateStore:
         """
 
         def attempt() -> tuple[dict, str]:
-            faults.check(
-                "store.read", self.describe(key), self._fault_injector
-            )
+            faults.check("store.read", self.describe(key))
             return self._read_slot(key)
 
         return self._with_retry(attempt)  # type: ignore[return-value]
 
+    @faults.scoped
     def write(
         self, key: str, state: dict, fault_point: str | None = None
     ) -> None:
@@ -243,9 +249,7 @@ class StateStore:
         """
 
         def attempt() -> None:
-            faults.check(
-                "store.write", self.describe(key), self._fault_injector
-            )
+            faults.check("store.write", self.describe(key))
             self.check_lease()
             self._write_slot(key, state, fault_point)
 
@@ -299,12 +303,7 @@ class FileStateStore(StateStore):
         return load_state(self.path_for(key))
 
     def _write_slot(self, key: str, state: dict, fault_point: str | None) -> None:
-        dump_state(
-            self.path_for(key),
-            state,
-            fault_injector=self._fault_injector,
-            fault_point=fault_point,
-        )
+        dump_state(self.path_for(key), state, fault_point=fault_point)
 
     def _exists_slot(self, key: str) -> bool:
         return has_state(self.path_for(key))
@@ -452,7 +451,6 @@ class DatabaseStateStore(StateStore):
         self._persisted = dump_canonical(
             self.dsn,
             f'{{"format":"{STORE_FORMAT}","rows":{{{body}}}}}',
-            fault_injector=self._fault_injector,
             fault_point=fault_point,
         )
         self._slots = rows

@@ -206,11 +206,6 @@ def conjoin(exprs: list[Expr]) -> Expr | None:
     return result
 
 
-def referenced_columns(expr: Expr) -> list[ColumnRef]:
-    """All column references in ``expr``, in walk order."""
-    return [node for node in expr.walk() if isinstance(node, ColumnRef)]
-
-
 def referenced_tables(expr: Expr) -> set[str]:
     """All table qualifiers mentioned in ``expr`` (bound queries only)."""
     names: set[str] = set()

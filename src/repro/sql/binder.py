@@ -261,8 +261,3 @@ def column_dtype(query: BoundQuery, ref: ColumnRef) -> DataType:
         raise BindError(f"column reference {ref} was never bound")
     entry = query.rel(ref.table)
     return entry.table.column(ref.column).dtype
-
-
-def transform_bound_expr(expr: Expr, fn) -> Expr:
-    """Re-export of :func:`transform_expr` for callers of this module."""
-    return transform_expr(expr, fn)

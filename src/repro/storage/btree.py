@@ -79,7 +79,6 @@ class BTreeIndex:
         table: Table,
         heap: HeapFile,
         fillfactor: float = BTREE_LEAF_FILLFACTOR,
-        fault_injector=None,
     ) -> None:
         if definition.hypothetical:
             raise ExecutorError(
@@ -92,10 +91,10 @@ class BTreeIndex:
         # page.read per key column pulled off the heap. With no injector
         # active both checks are no-ops; an injected fault aborts the
         # build before anything is published (see Database.create_index).
-        faults.check("index.build", definition.name, fault_injector)
+        faults.check("index.build", definition.name)
         columns = []
         for name in definition.columns:
-            faults.check("page.read", f"{table.name}.{name}", fault_injector)
+            faults.check("page.read", f"{table.name}.{name}")
             columns.append(heap.column(name))
         rows = heap.row_count
 
@@ -178,10 +177,6 @@ class BTreeIndex:
     @property
     def entry_count(self) -> int:
         return len(self._row_ids)
-
-    @property
-    def size_bytes(self) -> int:
-        return self._leaf_page_count * BLOCK_SIZE
 
     def leaf_page_of_position(self, position: int) -> int:
         """Which leaf page holds the entry at sorted ``position``."""

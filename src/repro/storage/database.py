@@ -70,9 +70,7 @@ class Database:
         ]:
             del self._btrees[index_name]
 
-    def create_index(
-        self, index: Index, fault_injector=None
-    ) -> BTreeIndex:
+    def create_index(self, index: Index) -> BTreeIndex:
         """Materialize a real B-Tree for ``index`` and register it.
 
         Returns the built tree; building takes time proportional to
@@ -90,9 +88,7 @@ class Database:
             index = index.as_real()
         self.catalog.check_new_index(index)
         relation = self.relation(index.table_name)
-        btree = BTreeIndex(
-            index, relation.table, relation.heap, fault_injector=fault_injector
-        )
+        btree = BTreeIndex(index, relation.table, relation.heap)
         # Publish: nothing above mutated shared state, so the two
         # registrations below are the only visible effect.
         self.catalog.add_index(index)

@@ -82,9 +82,6 @@ class Workload:
             update_rates=dict(self.update_rates),
         )
 
-    def bind_all(self, catalog: Catalog) -> list[BoundQuery]:
-        return [q.bind(catalog) for q in self.queries]
-
     def compress(self, name: str | None = None) -> "Workload":
         """Fold duplicate-template queries into weighted representatives.
 

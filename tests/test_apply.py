@@ -17,6 +17,7 @@ import pytest
 
 from repro.catalog.schema import Index
 from repro.cli import EXIT_APPLY_CONFLICT, main as cli_main
+from repro.core.parinda import Parinda
 from repro.errors import (
     ApplyConflictError,
     FaultInjected,
@@ -76,14 +77,10 @@ def fresh_db():
     return db
 
 
-def journaled(db, journal, injector=None):
-    """An executor journaling into a file store at ``journal``; one
-    injector drives both its builds and its journal writes."""
-    return ApplyExecutor(
-        db,
-        store=FileStateStore(journal, fault_injector=injector),
-        fault_injector=injector,
-    )
+def journaled(db, journal):
+    """An executor journaling into a file store at ``journal``; the
+    scope's injector drives both its builds and its journal writes."""
+    return ApplyExecutor(db, store=FileStateStore(journal))
 
 
 def fingerprint(db):
@@ -216,10 +213,8 @@ class TestApplyExecutor:
         db = fresh_db()
         journal = str(tmp_path / "apply.json")
         injector = FaultInjector.from_spec("index.build:1")
-        with pytest.raises(FaultInjected):
-            journaled(db, journal, injector).apply(
-                PROPOSED, retry_steps=False
-            )
+        with faults.injecting(injector), pytest.raises(FaultInjected):
+            journaled(db, journal).apply(PROPOSED, retry_steps=False)
         other = (Index("cand_1_pets_weight", "pets", ("weight",), hypothetical=True),)
         with pytest.raises(ApplyConflictError, match="different"):
             journaled(db, journal).apply(other)
@@ -244,9 +239,8 @@ class TestApplyExecutor:
     def test_build_failure_is_retried_once(self, tmp_path):
         db = fresh_db()
         injector = FaultInjector.from_spec("index.build:2")
-        report = journaled(db, str(tmp_path / "j.json"), injector).apply(
-            PROPOSED
-        )
+        with faults.injecting(injector):
+            report = journaled(db, str(tmp_path / "j.json")).apply(PROPOSED)
         assert report.phase == "committed"
         retried = [d for d in report.degraded if d.action == "retried"]
         assert len(retried) == 1 and retried[0].point == "index.build"
@@ -260,7 +254,8 @@ class TestKillResume:
     def _clean_run(self, tmp_path):
         db = fresh_db()
         idle = FaultInjector()  # counts every check, never fires
-        journaled(db, str(tmp_path / "clean.json"), idle).apply(PROPOSED)
+        with faults.injecting(idle):
+            journaled(db, str(tmp_path / "clean.json")).apply(PROPOSED)
         return fingerprint(db), idle
 
     def test_kill_at_every_journal_write_converges(self, tmp_path):
@@ -271,8 +266,8 @@ class TestKillResume:
             db = fresh_db()
             journal = str(tmp_path / f"kill-w{k}.json")
             injector = FaultInjector.from_spec(f"journal.write:{k}")
-            with pytest.raises(FaultInjected):
-                journaled(db, journal, injector).apply(PROPOSED, retry_steps=False)
+            with faults.injecting(injector), pytest.raises(FaultInjected):
+                journaled(db, journal).apply(PROPOSED, retry_steps=False)
             report = journaled(db, journal).apply(PROPOSED)
             assert report.phase == "committed", f"write {k}"
             assert fingerprint(db) == clean, f"write {k}"
@@ -285,12 +280,24 @@ class TestKillResume:
             db = fresh_db()
             journal = str(tmp_path / f"kill-b{k}.json")
             injector = FaultInjector.from_spec(f"index.build:{k}")
-            with pytest.raises(FaultInjected):
-                journaled(db, journal, injector).apply(PROPOSED, retry_steps=False)
+            with faults.injecting(injector), pytest.raises(FaultInjected):
+                journaled(db, journal).apply(PROPOSED, retry_steps=False)
             report = journaled(db, journal).apply(PROPOSED)
             assert report.phase == "committed", f"build {k}"
             assert report.resumed, f"build {k}"
             assert fingerprint(db) == clean, f"build {k}"
+
+    def test_scope_reaches_journal_writes_of_a_plain_store(self, tmp_path):
+        # The store holds no injector of its own: the caller's scope
+        # still reaches the first journal write, before any build.
+        db = fresh_db()
+        store = FileStateStore(str(tmp_path / "apply.json"))
+        injector = FaultInjector.from_spec("journal.write:1")
+        with faults.injecting(injector), pytest.raises(FaultInjected) as excinfo:
+            Parinda(db).apply_design(PROPOSED, store=store)
+        assert excinfo.value.point == "journal.write"
+        assert injector.fired("journal.write") == 1
+        assert not any(db.has_btree(name) for name in EXPECTED_BUILDS)
 
 
 class TestRollback:
@@ -299,10 +306,8 @@ class TestRollback:
         pre = fingerprint(db)
         journal = str(tmp_path / "apply.json")
         injector = FaultInjector.from_spec("index.build:2")
-        with pytest.raises(FaultInjected):
-            journaled(db, journal, injector).apply(
-                PROPOSED, retry_steps=False
-            )
+        with faults.injecting(injector), pytest.raises(FaultInjected):
+            journaled(db, journal).apply(PROPOSED, retry_steps=False)
         # Partial: the drop and one build happened.
         assert not db.catalog.has_index("idx_people_nickname")
         report = journaled(db, journal).rollback()
@@ -355,8 +360,8 @@ class TestRollback:
         journal = str(tmp_path / "apply.json")
         journaled(db, journal).apply(PROPOSED)
         injector = FaultInjector.from_spec("journal.write:3")
-        with pytest.raises(FaultInjected):
-            journaled(db, journal, injector).rollback(retry_steps=False)
+        with faults.injecting(injector), pytest.raises(FaultInjected):
+            journaled(db, journal).rollback(retry_steps=False)
         with pytest.raises(ApplyConflictError, match="rollback is in progress"):
             journaled(db, journal).apply(PROPOSED)
         journaled(db, journal).rollback()
@@ -372,7 +377,8 @@ class TestStorageFaultPoints:
         number checks, so the count per build is part of the contract.
         """
         idle = FaultInjector()
-        btree = db.create_index(Index("probe", "people", columns), idle)
+        with faults.injecting(idle):
+            btree = db.create_index(Index("probe", "people", columns))
         db.drop_index("probe")
         return btree.build_path, idle.checks("index.build"), idle.checks("page.read")
 
@@ -380,11 +386,8 @@ class TestStorageFaultPoints:
         db = fresh_db()
         version = db.catalog.version
         injector = FaultInjector.from_spec("index.build:1")
-        with pytest.raises(FaultInjected):
-            db.create_index(
-                Index("idx_people_age", "people", ("age",)),
-                fault_injector=injector,
-            )
+        with faults.injecting(injector), pytest.raises(FaultInjected):
+            db.create_index(Index("idx_people_age", "people", ("age",)))
         # Atomic build-then-publish: nothing was registered anywhere.
         assert not db.catalog.has_index("idx_people_age")
         assert not db.has_btree("idx_people_age")
@@ -398,11 +401,8 @@ class TestStorageFaultPoints:
     def test_page_read_fault_aborts_index_build(self):
         db = fresh_db()
         injector = FaultInjector.from_spec("page.read:1")
-        with pytest.raises(FaultInjected) as excinfo:
-            db.create_index(
-                Index("idx_people_age", "people", ("age",)),
-                fault_injector=injector,
-            )
+        with faults.injecting(injector), pytest.raises(FaultInjected) as excinfo:
+            db.create_index(Index("idx_people_age", "people", ("age",)))
         assert excinfo.value.point == "page.read"
         assert not db.catalog.has_index("idx_people_age")
         assert (injector.checks("index.build"), injector.checks("page.read")) == (1, 1)
@@ -416,22 +416,18 @@ class TestStorageFaultPoints:
         plan = Planner(db.catalog).plan(query)
         assert execute(db, plan).rows  # fault-free run works
         injector = FaultInjector.from_spec("page.read:1")
-        with pytest.raises(FaultInjected) as excinfo:
-            execute(db, plan, fault_injector=injector)
+        with faults.injecting(injector), pytest.raises(FaultInjected) as excinfo:
+            execute(db, plan)
         assert excinfo.value.point == "page.read"
 
     def test_journal_write_schedule_is_independent_of_state_write(self, tmp_path):
         injector = FaultInjector.from_spec("journal.write:1")
         path = str(tmp_path / "s.json")
         # state.write traffic never consumes the journal.write schedule.
-        dump_state(path, {"gen": 1}, fault_injector=injector)
-        with pytest.raises(FaultInjected):
-            dump_state(
-                path,
-                {"gen": 2},
-                fault_injector=injector,
-                fault_point="journal.write",
-            )
+        with faults.injecting(injector):
+            dump_state(path, {"gen": 1})
+            with pytest.raises(FaultInjected):
+                dump_state(path, {"gen": 2}, fault_point="journal.write")
         assert injector.fired("journal.write") == 1
         assert injector.fired("state.write") == 0
 

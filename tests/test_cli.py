@@ -52,6 +52,24 @@ class TestSuggestIndexes:
         )
         assert "Materialized" in out
 
+    @pytest.mark.parametrize("command", ["suggest-indexes", "suggest-combined"])
+    def test_quarantined_queries_are_warned(self, capsys, monkeypatch, command):
+        code, out, err = run_main(
+            capsys,
+            monkeypatch,
+            ["--db", "sdss:800", command, "--budget-mb", "1.6"],
+            injected="inum.build:%5",
+        )
+        assert code == 0
+        assert "CREATE INDEX ON" in out
+        warned = [
+            line for line in err.splitlines()
+            if line.startswith("warning: inum.build[")
+        ]
+        # Every 5th of the 30 survey queries is quarantined, each named.
+        assert len(warned) == 6
+        assert all("quarantined" in line for line in warned)
+
 
 class TestSuggestPartitions:
     def test_basic(self, capsys):
@@ -60,6 +78,21 @@ class TestSuggestPartitions:
         )
         assert "AutoPart" in out
         assert "Workload cost" in out
+
+    def test_quarantined_query_is_warned(self, capsys, monkeypatch):
+        code, out, err = run_main(
+            capsys,
+            monkeypatch,
+            ["--db", "sdss:800", "suggest-partitions"],
+            injected="optimizer.plan:1",
+        )
+        assert code == 0
+        assert "Workload cost" in out
+        warned = [
+            line for line in err.splitlines()
+            if line.startswith("warning: optimizer.plan[")
+        ]
+        assert len(warned) == 1 and "quarantined" in warned[0]
 
     def test_save_rewritten(self, capsys, tmp_path):
         target = tmp_path / "rewritten.sql"

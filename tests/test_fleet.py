@@ -36,6 +36,7 @@ from repro.online.monitor import WorkloadMonitor, canonicalize
 from repro.parallel import engine
 from repro.parallel.caches import CostCache
 from repro.parallel.engine import bind_workload
+from repro.resilience import faults
 from repro.resilience.faults import FaultInjector
 from repro.workloads.sdss import build_sdss_database, sdss_workload
 from repro.workloads.workload import Query, Workload
@@ -472,14 +473,11 @@ class TestFleetFaults:
     def test_inum_faults_quarantine_within_clusters(self, sdss_db, sdss_wl):
         # Periodic model-build crashes: queries are quarantined (in the
         # fleet embedding and inside cluster advises), never an abort.
-        injector = FaultInjector.from_spec("inum.build:%9")
-        result = DivergentTuner(
-            sdss_db.catalog,
-            n_replicas=3,
-            budget_pages=BUDGET_PAGES,
-            seed=0,
-            fault_injector=injector,
-        ).tune(sdss_wl)
+        tuner = DivergentTuner(
+            sdss_db.catalog, n_replicas=3, budget_pages=BUDGET_PAGES, seed=0
+        )
+        with faults.injecting(FaultInjector.from_spec("inum.build:%9")):
+            result = tuner.tune(sdss_wl)
         assert result.converged
         assert any(
             record.action == "quarantined" for record in result.degraded

@@ -129,10 +129,7 @@ def make_controller(databases, state_path=None, **knobs):
     knobs.setdefault("probation_windows", 3)
     knobs.setdefault("max_rounds", 3)
     if state_path is not None:
-        # One injector drives the controller and its journal writes.
-        knobs["store"] = FileStateStore(
-            state_path, fault_injector=knobs.get("fault_injector")
-        )
+        knobs["store"] = FileStateStore(state_path)
     return FleetController(databases, **knobs)
 
 
@@ -573,13 +570,13 @@ class TestFaultPoints:
             databases,
             state_path=str(tmp_path / "fleet.state"),
             warmup=10_000,
-            fault_injector=FaultInjector.from_spec("replica.apply:1"),
             listener=listener,
         )
         listener.controller = controller
         for sql in stable_stream(24):
             controller.observe(sql)
-        controller.rollout([(AGE_INDEX,)] * 3)
+        with faults.injecting(FaultInjector.from_spec("replica.apply:1")):
+            controller.rollout([(AGE_INDEX,)] * 3)
         assert controller.phase == "serving"  # the fleet survived
         counts = controller.event_counts
         assert counts["quarantined"] == 1
@@ -599,13 +596,13 @@ class TestFaultPoints:
             fleet_databases(2),
             state_path=str(tmp_path / "fleet.state"),
             warmup=10_000,
-            fault_injector=FaultInjector.from_spec("validate.window:*"),
         )
-        for sql in stable_stream(24):
-            controller.observe(sql)
-        controller.rollout([(AGE_INDEX,)] * 2)
-        for sql in stable_stream(64):
-            controller.observe(sql)
+        with faults.injecting(FaultInjector.from_spec("validate.window:*")):
+            for sql in stable_stream(24):
+                controller.observe(sql)
+            controller.rollout([(AGE_INDEX,)] * 2)
+            for sql in stable_stream(64):
+                controller.observe(sql)
         counts = controller.event_counts
         assert counts["degraded"] > 0
         assert counts["regressed"] == 0
@@ -620,13 +617,10 @@ class TestFaultPoints:
     def test_retune_degradations_become_events(self):
         # A re-tune that quarantines a template reports it, as the
         # static fleet command does, instead of dropping the record.
-        controller = make_controller(
-            fleet_databases(2),
-            warmup=16,
-            fault_injector=FaultInjector.from_spec("inum.build:%4"),
-        )
-        for sql in drifting_stream(96):
-            controller.observe(sql)
+        controller = make_controller(fleet_databases(2), warmup=16)
+        with faults.injecting(FaultInjector.from_spec("inum.build:%4")):
+            for sql in drifting_stream(96):
+                controller.observe(sql)
         assert controller.event_counts["degraded"] > 0
         templates = [
             t.template_id for t in controller.merged_monitor().templates.values()
@@ -649,6 +643,23 @@ class TestFaultPoints:
             controller.observe(sql)
         with pytest.raises(FaultInjected):
             controller.rollout([(AGE_INDEX,)] * 2)
+
+    def test_controller_injector_reaches_journal_writes(self, tmp_path):
+        # The store holds no injector of its own: the controller's
+        # scope still covers every journal write it drives.
+        injector = FaultInjector.from_spec("rollout.journal:1")
+        controller = make_controller(
+            fleet_databases(2),
+            store=FileStateStore(str(tmp_path / "fleet.state")),
+            warmup=10_000,
+            fault_injector=injector,
+        )
+        for sql in stable_stream(16):
+            controller.observe(sql)
+        with pytest.raises(FaultInjected) as excinfo:
+            controller.rollout([(AGE_INDEX,)] * 2)
+        assert excinfo.value.point == "rollout.journal"
+        assert injector.fired("rollout.journal") == 1
 
 
 # ----------------------------------------------------------------------
@@ -865,11 +876,11 @@ class TestThawAndRelease:
             fleet_databases(3),
             state_path=str(tmp_path / "fleet.state"),
             warmup=10_000,
-            fault_injector=FaultInjector.from_spec("replica.apply:1"),
         )
         for sql in stable_stream(24):
             controller.observe(sql)
-        controller.rollout([(AGE_INDEX,)] * 3)
+        with faults.injecting(FaultInjector.from_spec("replica.apply:1")):
+            controller.rollout([(AGE_INDEX,)] * 3)
         assert controller.replicas[0].status == "quarantined"
         assert controller.router.excluded == frozenset({0})
         controller.release(0)

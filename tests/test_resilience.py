@@ -178,15 +178,29 @@ class TestFaultSpec:
 
     def test_explicit_injector_wins_over_ambient(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "inum.build:*")
-        explicit = FaultInjector()  # idle
-        faults.check("inum.build", injector=explicit)  # no fire
-        assert explicit.checks("inum.build") == 1
+        outer, inner = FaultInjector(), FaultInjector()  # idle
+        with faults.injecting(outer):
+            faults.check("inum.build")  # no fire
+            with faults.injecting(inner):  # the innermost scope wins
+                faults.check("inum.build")
+                with faults.injecting(None):  # inherits the enclosing one
+                    assert faults.current() is inner
+                    faults.check("inum.build")
+            assert faults.current() is outer  # leaving restores the outer
+            faults.check("inum.build")
+        assert outer.checks("inum.build") == 2
+        assert inner.checks("inum.build") == 2
+        # The ambient injector applies only with no scope active.
+        assert faults.current() is faults.ambient()
         with pytest.raises(FaultInjected):
-            faults.check("inum.build")  # ambient
+            faults.check("inum.build")
 
     def test_module_check_is_noop_without_injector(self, monkeypatch):
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
         faults.check("inum.build")  # must not raise
+        with faults.injecting(None):
+            assert faults.current() is None
+            faults.check("inum.build")
 
 
 # ----------------------------------------------------------------------
@@ -213,8 +227,8 @@ class TestStateFiles:
         dump_state(path, {"gen": 1})
         dump_state(path, {"gen": 2})
         injector = FaultInjector.from_spec("state.write:1")
-        with pytest.raises(FaultInjected):
-            dump_state(path, {"gen": 3}, fault_injector=injector)
+        with faults.injecting(injector), pytest.raises(FaultInjected):
+            dump_state(path, {"gen": 3})
         # The primary is now a truncated prefix; the ladder falls back.
         state, source = load_state(path)
         assert source == "backup"
@@ -362,9 +376,8 @@ class TestSolverLimits:
     def test_solver_iterate_fault_propagates(self):
         lp, _ = self.big_program()
         injector = FaultInjector.from_spec("solver.iterate:1")
-        solver = BranchAndBoundSolver(fault_injector=injector)
-        with pytest.raises(FaultInjected):
-            solver.solve(lp)
+        with faults.injecting(injector), pytest.raises(FaultInjected):
+            BranchAndBoundSolver().solve(lp)
 
 
 # ----------------------------------------------------------------------
@@ -377,17 +390,14 @@ class TestAdvisorDegradation:
         return IlpIndexAdvisor(db.catalog).recommend(WL, budget_pages=200)
 
     def test_idle_injector_bit_identical(self, db, clean):
-        idle = IlpIndexAdvisor(
-            db.catalog, fault_injector=FaultInjector()
-        ).recommend(WL, budget_pages=200)
+        with faults.injecting(FaultInjector()):
+            idle = IlpIndexAdvisor(db.catalog).recommend(WL, budget_pages=200)
         assert recommendation_key(idle) == recommendation_key(clean)
         assert idle.degraded == []
 
     def test_inum_fault_quarantines_one_query(self, db, clean):
-        injector = FaultInjector.from_spec("inum.build:1")
-        result = IlpIndexAdvisor(
-            db.catalog, fault_injector=injector
-        ).recommend(WL, budget_pages=200)
+        with faults.injecting(FaultInjector.from_spec("inum.build:1")):
+            result = IlpIndexAdvisor(db.catalog).recommend(WL, budget_pages=200)
         quarantined = [d for d in result.degraded if d.point == "inum.build"]
         assert [d.subject for d in quarantined] == ["point"]
         assert all(d.action == "quarantined" for d in quarantined)
@@ -398,16 +408,14 @@ class TestAdvisorDegradation:
 
     def test_every_query_quarantined_is_fatal(self, db):
         injector = FaultInjector.from_spec("inum.build:1,2,3,4")
-        with pytest.raises(AdvisorError, match="every workload query"):
-            IlpIndexAdvisor(db.catalog, fault_injector=injector).recommend(
-                WL, budget_pages=200
-            )
+        with faults.injecting(injector), pytest.raises(
+            AdvisorError, match="every workload query"
+        ):
+            IlpIndexAdvisor(db.catalog).recommend(WL, budget_pages=200)
 
     def test_solver_fault_falls_back_to_greedy(self, db):
-        injector = FaultInjector.from_spec("solver.iterate:1")
-        result = IlpIndexAdvisor(
-            db.catalog, fault_injector=injector
-        ).recommend(WL, budget_pages=200)
+        with faults.injecting(FaultInjector.from_spec("solver.iterate:1")):
+            result = IlpIndexAdvisor(db.catalog).recommend(WL, budget_pages=200)
         assert result.solver_status == "greedy-fallback"
         fallbacks = [d for d in result.degraded if d.action == "fallback"]
         assert len(fallbacks) == 1 and fallbacks[0].point == "solver.iterate"
@@ -415,10 +423,10 @@ class TestAdvisorDegradation:
         assert result.cost_after <= result.cost_before
 
     def test_greedy_baseline_quarantines_too(self, db):
-        injector = FaultInjector.from_spec("inum.build:1")
-        result = GreedyIndexAdvisor(
-            db.catalog, fault_injector=injector
-        ).recommend(WL, budget_pages=200)
+        with faults.injecting(FaultInjector.from_spec("inum.build:1")):
+            result = GreedyIndexAdvisor(db.catalog).recommend(
+                WL, budget_pages=200
+            )
         assert [d.subject for d in result.degraded] == ["point"]
         assert "point" not in [benefit.name for benefit in result.per_query]
 
@@ -436,9 +444,10 @@ class TestAutoPartDegradation:
         clean = AutoPartAdvisor(
             wide_db.catalog, max_iterations=4
         ).recommend(WIDE_WL)
-        idle = AutoPartAdvisor(
-            wide_db.catalog, max_iterations=4, fault_injector=FaultInjector()
-        ).recommend(WIDE_WL)
+        with faults.injecting(FaultInjector()):
+            idle = AutoPartAdvisor(
+                wide_db.catalog, max_iterations=4
+            ).recommend(WIDE_WL)
         assert {t: s.fragments for t, s in idle.schemes.items()} == {
             t: s.fragments for t, s in clean.schemes.items()
         }
@@ -446,10 +455,10 @@ class TestAutoPartDegradation:
         assert idle.degraded == []
 
     def test_plan_fault_quarantines_query(self, wide_db):
-        injector = FaultInjector.from_spec("optimizer.plan:1")
-        result = AutoPartAdvisor(
-            wide_db.catalog, max_iterations=4, fault_injector=injector
-        ).recommend(WIDE_WL)
+        with faults.injecting(FaultInjector.from_spec("optimizer.plan:1")):
+            result = AutoPartAdvisor(
+                wide_db.catalog, max_iterations=4
+            ).recommend(WIDE_WL)
         plan_faults = [d for d in result.degraded if d.point == "optimizer.plan"]
         assert len(plan_faults) == 1
         name = plan_faults[0].subject

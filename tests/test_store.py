@@ -431,12 +431,12 @@ class TestApplyJournalViaStore:
     def test_kill_at_journal_write_resumes_via_fresh_store(self, tmp_path):
         dsn = str(tmp_path / "dbstate.json")
         db = make_people_db(rows=120)
+        store = DatabaseStateStore(db, dsn)
         injector = FaultInjector.from_spec("journal.write:1")
-        store = DatabaseStateStore(db, dsn, fault_injector=injector)
-        with pytest.raises(FaultInjected):
-            ApplyExecutor(
-                db, store=store, journal_key="apply", fault_injector=injector
-            ).apply(self._design())
+        with faults.injecting(injector), pytest.raises(FaultInjected):
+            ApplyExecutor(db, store=store, journal_key="apply").apply(
+                self._design()
+            )
         # Same database, new process: a fresh store instance attached
         # to the same dsn picks the journal up and finishes the apply.
         resumed_store = DatabaseStateStore(db, dsn)
@@ -481,9 +481,7 @@ class TestHostLossConvergence:
     STREAM = drifting_stream(96)
 
     def _drive(self, databases, dsn, injector=None):
-        store = DatabaseStateStore(
-            databases[0], dsn, fault_injector=injector
-        )
+        store = DatabaseStateStore(databases[0], dsn)
         controller = make_controller(
             databases,
             store=store,
