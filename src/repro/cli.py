@@ -21,13 +21,20 @@ combinations, recommendations held back by hysteresis, degraded
 re-advises) are surfaced as ``warning:`` lines on stderr, not buried
 in result objects.
 
-``tune`` is the durable daemon entry point, so it runs with the full
-degradation ladder on: state files are checksummed with last-good
-``.bak`` recovery, a failed re-advise logs and continues, and a stream
-that disappears mid-run (the file deleted, a pipe closed) flushes one
-final checkpoint and exits with the distinct code
-:data:`EXIT_STREAM_LOST` so supervisors can tell "input went away"
-from "the tuner crashed".
+``tune`` and ``fleet --serve`` are the durable daemons, and this module
+is only their edge. Each daemon (:class:`~repro.online.tuner.OnlineTuner`,
+:class:`~repro.fleet.serve.FleetController`) owns its state: it resumes
+from the store at construction (a torn primary falls back to the
+``.bak``, two torn copies start cold), checkpoints every
+``--state-interval`` statements, and flushes on ``checkpoint()``; its
+store notices reach the CLI as ``store`` events and print as the same
+``warning:`` lines for both commands. Both run through one stream
+driver with one resume rule: a file stream skips the statements the
+saved cursor already covers, stdin skips none. A failed re-advise logs
+and continues, and a stream that disappears mid-run (the file deleted,
+a pipe closed) flushes one final checkpoint and exits with the
+distinct code :data:`EXIT_STREAM_LOST` so supervisors can tell "input
+went away" from "the daemon crashed".
 
 ``tune --apply`` materializes the final standing design through the
 journaled :class:`~repro.resilience.apply.ApplyExecutor`: an intent
@@ -69,7 +76,6 @@ from repro.errors import (
     ReproError,
     ResilienceError,
     StaleLeaseError,
-    StateCorruptError,
     TokenizeError,
 )
 
@@ -85,12 +91,7 @@ from repro.exit_codes import (
 )
 from repro.optimizer.explain import explain
 from repro.resilience import faults
-from repro.resilience.store import (
-    FileStateStore,
-    StateStore,
-    store_from_spec,
-    torn_slot_paths,
-)
+from repro.resilience.store import FileStateStore, StateStore, store_from_spec
 from repro.storage.database import Database
 from repro.workloads.sdss import build_sdss_database, sdss_workload
 from repro.workloads.star import build_star_database, star_workload
@@ -120,65 +121,42 @@ def _warn_degraded(result) -> None:
         _warn(str(record))
 
 
-def _budget_mb(text: str) -> float:
-    """argparse ``type=`` of every ``--budget-mb``: finite and above zero."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(
-            f"expected a finite number of megabytes above zero, got {text!r}"
-        )
-    return value
+def _checked(parse, in_range, expected: str):
+    """An argparse ``type=``: ``parse`` the text, then ``in_range`` it;
+    either failing is one ``expected {expected}, got '...'`` error."""
+
+    def check(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not in_range(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return check
 
 
-def _non_negative(text: str) -> float:
-    """argparse ``type=`` of ``--replication``, ``--build-cost-per-page``
-    and ``--tolerance``: finite and at least zero."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(
-            f"expected a finite number, zero or above, got {text!r}"
-        )
-    return value
-
-
-def _share(text: str) -> float:
-    """argparse ``type=`` of ``--max-share``: a fraction in (0, 1]."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError(
-            f"expected a fraction above 0 and at most 1, got {text!r}"
-        )
-    return value
+#: Every ``--budget-mb``: finite and above zero.
+_budget_mb = _checked(
+    float,
+    lambda v: math.isfinite(v) and v > 0,
+    "a finite number of megabytes above zero",
+)
+#: ``--replication``, ``--build-cost-per-page``, ``--tolerance``.
+_non_negative = _checked(
+    float, lambda v: math.isfinite(v) and v >= 0, "a finite number, zero or above"
+)
+#: ``--max-share``: a fraction in (0, 1].
+_share = _checked(
+    float, lambda v: 0.0 < v <= 1.0, "a fraction above 0 and at most 1"
+)
 
 
 def _whole(low: int):
-    """argparse ``type=`` of the integer flags: a whole number >= ``low``
-    (1 for ``--replicas``, ``--rounds``, ``--window``,
-    ``--check-interval``, ``--state-interval``, ``--regression-windows``
-    and ``--cache-entries``; 0 for ``--warmup``, ``--probation`` and
-    ``--release``)."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(
-                f"expected a whole number, {low} or above, got {text!r}"
-            )
-        return value
-
-    return parse
+    """The integer flags: a whole number >= ``low`` (1 for the counts and
+    intervals; 0 for ``--warmup``, ``--probation`` and ``--release``)."""
+    return _checked(int, lambda v: v >= low, f"a whole number, {low} or above")
 
 
 def _load_database(spec: str) -> Database:
@@ -227,74 +205,31 @@ def _build_store(args: argparse.Namespace, db: Database) -> StateStore | None:
     return store
 
 
-def _resume_state(args: argparse.Namespace, store: StateStore | None) -> dict | None:
-    """The primary slot's saved state, or None for a cold start.
-
-    The read goes through the checksum envelope: a torn primary falls
-    back to the rotated ``.bak`` (with a warning), and when both copies
-    are gone the daemon warns and starts cold rather than dying on its
-    own state.
-    """
-    if store is None or not store.exists(""):
-        return None
-    try:
-        saved, source = store.read("")
-    except StateCorruptError as exc:
-        noun = "store" if args.store else "file"
-        _warn(f"state {noun} unrecoverable ({exc}); starting cold")
-        return None
-    if source == "backup":
-        _warn(
-            "state primary was corrupt; resumed from last-good "
-            f"checkpoint {torn_slot_paths(store)[1]}"
-        )
-    return saved
+def _print_design(indexes) -> None:
+    for index in indexes:
+        print(f"  CREATE INDEX ON {index.table_name} ({', '.join(index.columns)});")
 
 
-def _checkpoint(store: StateStore | None, snapshot, position: int) -> None:
-    """Write ``snapshot(position)`` into the primary slot, best effort.
-
-    A failed save must never kill the loop — the in-memory state is
-    still healthy and the next interval retries — so disk errors and
-    injected ``state.write`` faults are reported as warnings. One
-    deliberate exception: :class:`~repro.errors.StaleLeaseError`
-    propagates, because a fenced-out daemon must die, not keep serving
-    while another daemon owns the journal.
-    """
-    if store is None:
-        return
-    state = snapshot(position)
-    try:
-        store.write("", state, fault_point="state.write")
-    except (OSError, FaultInjected) as exc:
-        _warn(
-            f"state checkpoint to {store.describe()} failed ({exc}); "
-            "continuing"
-        )
+def _skip_count(args: argparse.Namespace, daemon) -> int:
+    """The one resume rule: a file stream skips the ``daemon.position``
+    statements a previous run observed; stdin is not replayable, so it
+    skips none — the caller feeds whatever is new."""
+    return daemon.position if args.stream != "-" else 0
 
 
-def _drive_stream(
-    args: argparse.Namespace,
-    store: StateStore | None,
-    observe,
-    snapshot,
-    resume_position: int,
-    *,
-    periodic: bool,
-    settle=None,
-) -> tuple[int, str | None]:
+def _drive_stream(args: argparse.Namespace, daemon) -> tuple[int, str | None]:
     """The ``tune`` / ``fleet --serve`` loop; returns (skipped, stream_lost).
 
-    Statements up to ``resume_position`` were observed by a previous
-    run and are skipped. ``snapshot(position)`` is checkpointed every
-    ``--state-interval`` statements when ``periodic``, and once more
-    after ``settle`` at the end. A stream that goes away mid-run
-    (``OSError``: file deleted under us, pipe closed, disk gone; or the
-    ``stream.read`` injection point) still gets that final flush and is
+    Feeds ``args.stream`` to ``daemon.observe`` past
+    :func:`_skip_count`; the daemon checkpoints itself, and the caller
+    settles and flushes ``daemon.checkpoint()`` afterwards. A stream
+    that goes away mid-run (``OSError``: file deleted under us, pipe
+    closed, disk gone; or the ``stream.read`` injection point) is
     reported as ``stream_lost``, for :data:`EXIT_STREAM_LOST`. Any other
     :class:`FaultInjected` (``rollout.journal``, ``journal.write``)
     stands in for a crash and must kill the process like one.
     """
+    resume_position = _skip_count(args, daemon)
     position = skipped = 0
     stream_lost: str | None = None
     try:
@@ -307,7 +242,7 @@ def _drive_stream(
             if position <= resume_position:
                 continue
             try:
-                observe(statement)
+                daemon.observe(statement)
             except (TokenizeError, CanonicalizeError) as exc:
                 # Not even a template: drop it. Statements that DO
                 # template but fail the parser or binder are quarantined
@@ -315,8 +250,6 @@ def _drive_stream(
                 # every future snapshot re-advise.
                 skipped += 1
                 _warn(f"skipped untemplatable statement: {exc}")
-            if periodic and position % args.state_interval == 0:
-                _checkpoint(store, snapshot, position)
     except OSError as exc:
         stream_lost = str(exc)
     except FaultInjected as exc:
@@ -328,9 +261,6 @@ def _drive_stream(
             f"statement stream lost after {position} statement(s): "
             f"{stream_lost}; flushing final checkpoint"
         )
-    if settle is not None:
-        settle(stream_lost)
-    _checkpoint(store, snapshot, position)
     return skipped, stream_lost
 
 
@@ -428,9 +358,7 @@ def cmd_suggest_indexes(args: argparse.Namespace) -> int:
         f"{result.cost_before:,.0f} -> {result.cost_after:,.0f} "
         f"({result.speedup:.2f}x)."
     )
-    for index in result.indexes:
-        print(f"  CREATE INDEX ON {index.table_name} "
-              f"({', '.join(index.columns)});")
+    _print_design(result.indexes)
     _warn_degraded(result)
     if args.verbose:
         _per_query_table("Per-query benefit", result.per_query).emit()
@@ -489,9 +417,7 @@ def cmd_suggest_combined(args: argparse.Namespace) -> int:
         f"Indexes on the partitioned design: {len(result.indexes.indexes)} "
         f"({result.indexes.size_pages}/{budget_pages} pages)."
     )
-    for index in result.indexes.indexes:
-        print(f"  CREATE INDEX ON {index.table_name} "
-              f"({', '.join(index.columns)});")
+    _print_design(result.indexes.indexes)
     print(
         f"Combined workload cost {result.cost_before:,.0f} -> "
         f"{result.cost_after:,.0f} ({result.speedup:.2f}x)."
@@ -550,9 +476,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             f"serves {len(served)} template(s)"
             + (f" ({', '.join(served)})" if served and args.verbose else "")
         )
-        for index in replica.design:
-            print(f"  CREATE INDEX ON {index.table_name} "
-                  f"({', '.join(index.columns)});")
+        _print_design(replica.design)
     _warn_degraded(result)
     if args.baseline:
         baseline = tuner.uniform_baseline(workload)
@@ -594,10 +518,12 @@ def _fleet_serve(args: argparse.Namespace) -> int:
     store = _build_store(args, db)
 
     def listener(event) -> None:
-        if event.kind in ("quarantined", "degraded", "regressed", "frozen"):
+        if event.kind == "store":
+            _warn(event.detail)
+        elif event.kind in ("quarantined", "degraded", "regressed", "frozen"):
             _warn(str(event))
-            return
-        print(event)
+        else:
+            print(event)
 
     controller = parinda.fleet_serve(
         args.replicas,
@@ -615,11 +541,9 @@ def _fleet_serve(args: argparse.Namespace) -> int:
         seed=args.seed,
         listener=listener,
     )
-    resume_position = 0
     if controller.resumed:
-        resume_position = controller.position
         print(
-            f"Resuming from {store.describe()}: position {resume_position}, "
+            f"Resuming from {store.describe()}: position {controller.position}, "
             f"phase {controller.phase}."
         )
         # Converge first (finish any interrupted rollout / rollback)
@@ -647,14 +571,8 @@ def _fleet_serve(args: argparse.Namespace) -> int:
         except ReproError as exc:
             _warn(f"release blocked: {exc}")
 
-    skipped, stream_lost = _drive_stream(
-        args,
-        store,
-        controller.observe,
-        lambda _position: controller.save_state(),
-        resume_position,
-        periodic=False,  # the controller checkpoints itself
-    )
+    skipped, stream_lost = _drive_stream(args, controller)
+    controller.checkpoint()
 
     counts = controller.event_counts
     print(
@@ -673,9 +591,7 @@ def _fleet_serve(args: argparse.Namespace) -> int:
             f"Replica {runtime.replica_id} [{status}{detail}]: "
             f"{len(runtime.design)} index(es)"
         )
-        for index in runtime.design:
-            print(f"  CREATE INDEX ON {index.table_name} "
-                  f"({', '.join(index.columns)});")
+        _print_design(runtime.design)
     if controller.frozen:
         return EXIT_ROLLOUT_FROZEN
     return EXIT_STREAM_LOST if stream_lost is not None else 0
@@ -717,6 +633,9 @@ def cmd_tune(args: argparse.Namespace) -> int:
     def listener(event) -> None:
         if event.kind == "observed":
             return
+        if event.kind == "store":
+            _warn(event.detail)
+            return
         if event.kind in ("held", "quarantined", "degraded"):
             label = "recommendation held" if event.kind == "held" else event.kind
             _warn(f"[{event.sequence}] {label}: {event.detail}")
@@ -725,18 +644,10 @@ def cmd_tune(args: argparse.Namespace) -> int:
         if event.kind == "re-advised" and event.result is not None:
             _warn_truncation(event.result)
 
-    # A saved state also records how far into the stream it got, so a
-    # restarted file-stream run skips what the previous run already
-    # observed. Stdin is not replayable, so the position is ignored
-    # there — the caller feeds whatever is new.
-    saved = _resume_state(args, store)
-    resume_position = 0
-    if saved is not None and args.stream != "-":
-        resume_position = int(saved.get("stream_position", 0))
-
     tuner = parinda.online(
         budget_bytes=int(args.budget_mb * 1024 * 1024),
-        state_store=store if saved is not None else None,
+        state_store=store,
+        state_interval=args.state_interval,
         degrade_on_error=True,
         window_size=args.window,
         check_interval=args.check_interval,
@@ -745,37 +656,19 @@ def cmd_tune(args: argparse.Namespace) -> int:
         listener=listener,
         compress=args.compress,
     )
-    if resume_position:
+    if _skip_count(args, tuner):
         print(
             f"Resuming from {store.describe()}: {tuner.monitor.observed} "
-            f"statements already observed; skipping {resume_position} "
+            f"statements already observed; skipping {tuner.position} "
             "stream statement(s)."
         )
 
-    def snapshot(position: int) -> dict:
-        state = tuner.save_state()
-        state["stream_position"] = position
-        return state
-
-    def settle(stream_lost: str | None) -> None:
-        if (
-            stream_lost is None
-            and tuner.readvise_count == 0
-            and tuner.monitor.observed
-        ):
-            # Short streams can end inside the warmup window; still
-            # give the user an answer for what was seen.
-            tuner.readvise(reason="end of stream")
-
-    skipped, stream_lost = _drive_stream(
-        args,
-        store,
-        tuner.observe,
-        snapshot,
-        resume_position,
-        periodic=True,
-        settle=settle,
-    )
+    skipped, stream_lost = _drive_stream(args, tuner)
+    if stream_lost is None and tuner.readvise_count == 0 and tuner.monitor.observed:
+        # Short streams can end inside the warmup window; still give
+        # the user an answer for what was seen.
+        tuner.readvise(reason="end of stream")
+    tuner.checkpoint()
 
     counts = tuner.event_counts
     print(
@@ -798,9 +691,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
     )
     if tuner.design:
         print(f"Standing design ({len(tuner.design)} indexes):")
-        for index in tuner.design:
-            print(f"  CREATE INDEX ON {index.table_name} "
-                  f"({', '.join(index.columns)});")
+        _print_design(tuner.design)
     else:
         print("Standing design: no indexes adopted.")
     if args.apply:
@@ -928,6 +819,45 @@ def cmd_explain(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 
+def _daemon_flags() -> argparse.ArgumentParser:
+    """The flag block ``tune`` and ``fleet --serve`` share.
+
+    Built fresh per command: argparse shares a parent's actions with
+    every child, so one instance would let one command's
+    ``set_defaults`` (``--window``, ``--state-interval``) overwrite the
+    other's.
+    """
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--stream", default="-", metavar="FILE",
+                   help="semicolon-separated SQL stream; '-' reads stdin "
+                        "(fleet: with --serve)")
+    p.add_argument("--state", metavar="FILE",
+                   help="resume from and checkpoint the daemon state to this "
+                        "file, so a killed run resumes where it stopped; "
+                        "--store file:FILE without the lease")
+    p.add_argument("--store", metavar="SPEC",
+                   help="state store, instead of --state (and tune's "
+                        "--journal): file:PATH (checksummed local files) or "
+                        "db:[PATH] (state lives inside the monitored "
+                        "database and survives host loss); acquires a "
+                        "fenced writer lease at startup")
+    p.add_argument("--state-interval", type=_whole(1),
+                   help="statements between periodic state checkpoints "
+                        "(default: %(default)s)")
+    p.add_argument("--window", type=_whole(1),
+                   help="monitor window in statements, per replica under "
+                        "fleet (default: %(default)s)")
+    p.add_argument("--check-interval", type=_whole(1), default=32,
+                   help="statements between drift checks (and fleet "
+                        "health-gate validations)")
+    p.add_argument("--warmup", type=_whole(0), default=None,
+                   help="statements before the first advise or fleet tune "
+                        "(default: --window)")
+    p.add_argument("--cache-entries", type=_whole(1), default=4096,
+                   help="per-section CostCache bound (LRU)")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -972,37 +902,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_suggest_combined)
 
     p = sub.add_parser(
-        "tune", help="scenario 4: online tuning over a statement stream"
+        "tune", parents=[_daemon_flags()],
+        help="scenario 4: online tuning over a statement stream",
     )
-    p.add_argument("--stream", default="-", metavar="FILE",
-                   help="semicolon-separated SQL stream; '-' reads stdin")
-    p.add_argument("--state", metavar="FILE",
-                   help="resume from and periodically checkpoint the tuner "
-                        "state to this JSON file (survives restarts); "
-                        "--store file:FILE without the lease")
-    p.add_argument("--state-interval", type=_whole(1), default=32,
-                   help="statements between --state checkpoints")
-    p.add_argument("--store", metavar="SPEC",
-                   help="state store, instead of --state/--journal: "
-                        "file:PATH (checksummed local files) or db:[PATH] "
-                        "(state lives inside the monitored database and "
-                        "survives host loss); acquires a fenced writer "
-                        "lease at startup")
+    p.set_defaults(window=128, state_interval=32)
     p.add_argument("--budget-mb", type=_budget_mb, default=16.0)
-    p.add_argument("--window", type=_whole(1), default=128,
-                   help="sliding-window size (statements)")
-    p.add_argument("--check-interval", type=_whole(1), default=32,
-                   help="statements between drift checks")
-    p.add_argument("--warmup", type=_whole(0), default=None,
-                   help="statements before the first advise (default: window)")
     p.add_argument("--build-cost-per-page", type=_non_negative, default=4.0,
                    help="hysteresis: per-page cost charged to new indexes")
     p.add_argument("--compress", action="store_true",
                    help="CoPhy scale mode: re-advise the full decayed "
                         "template profile with workload compression and "
                         "pruned ILP (for 10k+ statement streams)")
-    p.add_argument("--cache-entries", type=_whole(1), default=4096,
-                   help="per-section CostCache bound (LRU)")
     p.add_argument("--apply", action="store_true",
                    help="materialize the final standing design through the "
                         "crash-safe apply journal")
@@ -1025,8 +935,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser(
-        "fleet", help="scenario 5: divergent designs for a replicated fleet"
+        "fleet", parents=[_daemon_flags()],
+        help="scenario 5: divergent designs for a replicated fleet",
     )
+    p.set_defaults(window=64, state_interval=64)
     p.add_argument("--replicas", type=_whole(1), default=3, metavar="N",
                    help="fleet width (one design per replica)")
     p.add_argument("--rounds", type=_whole(1), default=8, metavar="R",
@@ -1047,19 +959,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "re-tune on drift, roll designs out replica by "
                         "replica with journaled applies, auto-rollback "
                         "sustained regressions")
-    p.add_argument("--stream", default="-", metavar="FILE",
-                   help="with --serve: semicolon-separated SQL stream; "
-                        "'-' reads stdin")
-    p.add_argument("--state", metavar="FILE",
-                   help="with --serve: journal rollout state here so a "
-                        "killed run resumes to the same terminal fleet; "
-                        "--store file:FILE without the lease")
-    p.add_argument("--store", metavar="SPEC",
-                   help="with --serve: state store, instead of "
-                        "--state: file:PATH or db:[PATH] (rollout journal "
-                        "lives inside the monitored database and survives "
-                        "host loss); acquires a fenced writer lease at "
-                        "startup")
     p.add_argument("--thaw", action="store_true",
                    help="with --serve: acknowledge a frozen fleet — print "
                         "the regressed design, unfreeze, and resume "
@@ -1067,14 +966,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--release", type=_whole(0), default=None, metavar="R",
                    help="with --serve: release quarantined replica R back "
                         "into serving rotation before streaming")
-    p.add_argument("--state-interval", type=_whole(1), default=64,
-                   help="statements between steady-state checkpoints")
-    p.add_argument("--window", type=_whole(1), default=64,
-                   help="per-replica monitor window (statements)")
-    p.add_argument("--check-interval", type=_whole(1), default=32,
-                   help="statements between drift/validation checks")
-    p.add_argument("--warmup", type=_whole(0), default=None,
-                   help="statements before the first tune (default: window)")
     p.add_argument("--regression-windows", type=_whole(1), default=2,
                    help="consecutive regressing windows that trigger "
                         "automatic rollback of a replica")
@@ -1084,8 +975,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probation", type=_whole(0), default=4,
                    help="validation windows a fresh design stays under "
                         "the health gate")
-    p.add_argument("--cache-entries", type=_whole(1), default=4096,
-                   help="per-section CostCache bound (LRU)")
     p.add_argument("-v", "--verbose", action="store_true",
                    help="list the templates each replica serves")
     p.set_defaults(func=cmd_fleet)

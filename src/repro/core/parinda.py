@@ -122,16 +122,17 @@ class Parinda:
         tuner shares it (re-advises reuse everything suggest_* calls
         cached, and vice versa); an unbounded facade cache is unsafe
         for a long-lived loop, so the tuner then gets its own bounded
-        cache. When slot ``""`` of ``state_store`` (a
-        :class:`~repro.resilience.store.StateStore`) holds
-        ``OnlineTuner.save_state`` output, the tuner resumes from it
-        (templates, window, baseline, standing design) instead of
-        starting cold — saving is the caller's job
-        (``state_store.write("", tuner.save_state())``). With the
-        database backend, the tuner resumes on a host that has no
-        local state files at all.
+        cache. ``state_store`` (a
+        :class:`~repro.resilience.store.StateStore`) is handed to the
+        tuner, which owns its slot ``""`` as the fleet controller owns
+        its own: it resumes from it (templates, window, baseline,
+        standing design, stream cursor) instead of starting cold,
+        checkpoints it every ``state_interval`` statements, and flushes
+        it on ``tuner.checkpoint()``. With the database backend, the
+        tuner resumes on a host that has no local state files at all.
         ``knobs`` pass through to :class:`OnlineTuner` (``window_size``,
-        ``check_interval``, ``build_cost_per_page``, ``listener``, ``compress`` for CoPhy scale mode on long
+        ``check_interval``, ``build_cost_per_page``, ``state_interval``,
+        ``listener``, ``compress`` for CoPhy scale mode on long
         streams, ...).
 
         ``auto_apply=True`` materializes every adopted design through
@@ -155,15 +156,13 @@ class Parinda:
 
             knobs["auto_apply"] = auto_apply
             catalog = self._db.catalog.clone()
-        tuner = OnlineTuner(
+        return OnlineTuner(
             catalog,
             self._config,
             budget_pages=_budget_pages(budget_pages, budget_bytes),
+            store=state_store,
             **knobs,
         )
-        if state_store is not None and state_store.exists(""):
-            tuner.restore_state(state_store.read("")[0])
-        return tuner
 
     # ------------------------------------------------------------------
     # Scenario 5: divergent-design tuning for a replicated fleet

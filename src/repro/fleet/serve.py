@@ -37,7 +37,10 @@ answer and guards it. The :class:`FleetController` closes the loop:
   rollout moves on instead of aborting the fleet.
 
 **Durability.** All rollout state flows through the ``store`` argument,
-a :class:`~repro.resilience.store.StateStore`: a
+a :class:`~repro.resilience.store.StateStore` whose primary slot the
+controller owns, as the online tuner owns its own: it resumes from it
+at construction, checkpoints it every ``state_interval`` statements,
+and flushes it on :meth:`FleetController.checkpoint`. A
 :class:`~repro.resilience.store.FileStateStore` keeps checksummed
 local files, a :class:`~repro.resilience.store.DatabaseStateStore`
 keeps the envelope and every per-replica apply journal *inside the
@@ -96,7 +99,7 @@ from repro.resilience.apply import (
 )
 from repro.resilience import faults
 from repro.resilience.faults import FaultInjector
-from repro.resilience.store import StateStore
+from repro.resilience.store import StateStore, read_resume, write_checkpoint
 from repro.storage.database import Database
 from repro.workloads.workload import Workload
 
@@ -126,6 +129,7 @@ FLEET_EVENT_KINDS = (
     "frozen",
     "quarantined",
     "degraded",
+    "store",
     "resumed",
     "thawed",
     "released",
@@ -322,24 +326,15 @@ class FleetController:
         self._validation_catalogs: dict[frozenset, object] = {}
         self._events: deque[FleetEvent] = deque(maxlen=_MAX_EVENTS)
         self.event_counts: dict[str, int] = {k: 0 for k in FLEET_EVENT_KINDS}
-        self.resumed = False
-        self._pending_resume = False
-        if self._store is not None and self._store.exists(""):
-            try:
-                state, _source = self._store.read("")
-            except StateCorruptError as exc:
-                # Only the first-ever write can tear both candidates
-                # (no .bak exists yet), and it happens before anything
-                # is materialized — starting cold replays the stream
-                # to the same terminal state.
-                self._emit(
-                    "degraded",
-                    detail=f"state unrecoverable, starting cold: {exc}",
-                )
-            else:
-                self._restore(state)
-                self.resumed = True
-                self._pending_resume = True
+        # Only the first-ever write can tear both candidates (no .bak
+        # exists yet), and it happens before anything is materialized,
+        # so a cold start replays the stream to the same terminal state.
+        state, notice = read_resume(self._store)
+        self.resumed = self._pending_resume = state is not None
+        if state is not None:
+            self._restore(state)
+        if notice is not None:
+            self._emit("store", detail=notice)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -452,7 +447,7 @@ class FleetController:
         if self._position % self.check_interval == 0:
             self._checkpoint_cycle()
         if self._store is not None and self._position % self.state_interval == 0:
-            self._save_periodic()
+            self.checkpoint()
         if untemplatable is not None:
             raise untemplatable
         return replica_id
@@ -1072,18 +1067,21 @@ class FleetController:
             "", self.save_state(), fault_point="rollout.journal"
         )
 
-    def _save_periodic(self) -> None:
+    @faults.scoped
+    def checkpoint(self) -> None:
         """Best-effort steady-state checkpoint (stream position bump).
 
-        I/O errors and injected write faults degrade (the previous
-        checkpoint still resumes correctly); losing the lease does not —
+        A failed write is a ``store`` event (the previous checkpoint
+        still resumes correctly); losing the lease is not —
         ``StaleLeaseError`` propagates so a superseded daemon dies
-        instead of silently serving without durability.
+        instead of silently serving without durability. A no-op
+        without a store.
         """
-        try:
-            self._store.write("", self.save_state(), fault_point="state.write")
-        except (OSError, FaultInjected) as exc:
-            self._emit("degraded", detail=f"state checkpoint failed: {exc}")
+        if self._store is None:
+            return
+        notice = write_checkpoint(self._store, self.save_state())
+        if notice is not None:
+            self._emit("store", detail=notice)
 
     # ------------------------------------------------------------------
     # Resume

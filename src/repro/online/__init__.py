@@ -21,7 +21,8 @@ a live statement stream:
   hysteresis, and log typed :class:`~repro.online.tuner.TuningEvent`\\ s.
   The drift check and any re-advise run inside ``observe()``, on the
   caller's thread. ``save_state`` / ``restore_state`` make the loop
-  durable across restarts.
+  durable across restarts; given a state store, the tuner resumes from
+  it and checkpoints into it itself.
 
 Entry points: ``Parinda.online(...)`` on the facade, and
 ``python -m repro tune --stream FILE [--state FILE]``

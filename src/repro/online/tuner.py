@@ -39,12 +39,19 @@ full build cost, so drop-then-rebuild cycles cannot oscillate for free.
 Durability: :meth:`OnlineTuner.save_state` /
 :meth:`OnlineTuner.restore_state` round-trip everything a restarted
 daemon needs — monitor templates/window/profile, the baseline, the
-standing design, and the event counters — as a versioned JSON-able
-dict (``python -m repro tune --state FILE`` wires this to disk).
+standing design, the event counters, and the stream cursor
+:attr:`~OnlineTuner.position` — as a versioned JSON-able dict. A tuner
+given a :class:`~repro.resilience.store.StateStore` owns its slot
+``""`` the way :class:`~repro.fleet.serve.FleetController` does: it
+resumes from it at construction, checkpoints it every
+``state_interval`` statements, and flushes it on :meth:`checkpoint`.
 
 Every step emits a typed :class:`TuningEvent` (``observed`` /
 ``quarantined`` / ``drifted`` / ``re-advised`` / ``recommended`` /
-``held`` / ``degraded``) consumable by tests, benchmarks, and the CLI.
+``held`` / ``degraded`` / ``store``) consumable by tests, benchmarks,
+and the CLI. A ``store`` event is a notice about the state store (a
+``.bak`` resume, a cold start, a failed checkpoint), never a failed
+tuning step.
 
 Resilience: one failed re-advise never stops the loop. A
 :class:`~repro.errors.ReproError` escaping the advisor (or an injected
@@ -63,13 +70,14 @@ from typing import Callable, Iterable
 from repro.advisor.ilp_advisor import AdvisorResult, IlpIndexAdvisor
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import Index, index_signature
-from repro.errors import ReproError
+from repro.errors import CanonicalizeError, ReproError, TokenizeError
 from repro.inum.batch import WorkloadEvaluator
 from repro.online.drift import DriftDetector, DriftReport
 from repro.online.monitor import QueryTemplate, WorkloadMonitor
 from repro.optimizer.config import PlannerConfig
 from repro.parallel.caches import CostCache
 from repro.resilience.apply import index_from_dict, index_to_dict
+from repro.resilience.store import StateStore, read_resume, write_checkpoint
 from repro.workloads.workload import Workload
 
 EVENT_KINDS = (
@@ -81,6 +89,7 @@ EVENT_KINDS = (
     "applied",
     "held",
     "degraded",
+    "store",
 )
 
 # Serialization format of OnlineTuner.save_state()/restore_state().
@@ -165,6 +174,10 @@ class OnlineTuner:
             ``compress=True`` — template folding, dominance pruning,
             and bound-pruned branch and bound — so that profile stays
             cheap to advise at 10k+ observed statements.
+        store: The :class:`~repro.resilience.store.StateStore` whose
+            slot ``""`` the tuner resumes from (read once, here) and
+            checkpoints into; ``None`` keeps the tuner in memory.
+        state_interval: Statements between best-effort checkpoints.
     """
 
     def __init__(
@@ -187,11 +200,15 @@ class OnlineTuner:
         degrade_on_error: bool = False,
         auto_apply: Callable[[list[Index]], object] | None = None,
         compress: bool = False,
+        store: StateStore | None = None,
+        state_interval: int = 32,
     ) -> None:
         if budget_pages <= 0:
             raise ReproError("budget_pages must be positive")
         if check_interval <= 0:
             raise ReproError("check_interval must be positive")
+        if state_interval <= 0:
+            raise ReproError("state_interval must be positive")
         if build_cost_per_page < 0:
             raise ReproError("build_cost_per_page must be non-negative")
         self._catalog = catalog
@@ -231,14 +248,35 @@ class OnlineTuner:
         self.readvise_count = 0
         self.degrade_on_error = bool(degrade_on_error)
         self._auto_apply = auto_apply
+        #: Statements fed to :meth:`observe`, untemplatable ones too:
+        #: the stream cursor a resumed file stream skips.
+        self.position = 0
+        self._store = store
+        self.state_interval = state_interval
+        state, notice = read_resume(store)
+        if state is not None:
+            self.restore_state(state)
+        if notice is not None:
+            self._emit("store", self.monitor.observed, notice)
 
     # ------------------------------------------------------------------
     # The loop
 
     def observe(self, sql: str) -> QueryTemplate:
         """Ingest one statement; at a boundary, run the drift check and
-        any re-advise before returning."""
-        template = self.monitor.observe(sql)
+        any re-advise before returning.
+
+        An untemplatable statement (:class:`TokenizeError` /
+        :class:`CanonicalizeError`) still advances :attr:`position` and
+        reaches the checkpoint interval before the error re-raises for
+        the caller to log, exactly as ``FleetController.observe`` does.
+        """
+        self.position += 1
+        try:
+            template = self.monitor.observe(sql)
+        except (TokenizeError, CanonicalizeError):
+            self._checkpoint_if_due()
+            raise
         sequence = self.monitor.observed
         self._emit("observed", sequence, template.template_id)
         if (
@@ -264,6 +302,7 @@ class OnlineTuner:
             checkpoint = self._capture("check", sequence)
         if checkpoint is not None:
             self._process_checkpoint(checkpoint)
+        self._checkpoint_if_due()
         return template
 
     def run(self, statements: Iterable[str]) -> AdvisorResult | None:
@@ -551,7 +590,8 @@ class OnlineTuner:
         Covers everything a restarted daemon needs to continue exactly
         where this one stopped: the monitor (templates, window, decayed
         profile), the baseline the standing design was computed for,
-        the standing design itself, and the loop counters.
+        the standing design itself, the loop counters, and the stream
+        cursor (key ``stream_position``).
         """
         return {
             "version": TUNER_STATE_VERSION,
@@ -564,6 +604,7 @@ class OnlineTuner:
             "design": [index_to_dict(ix) for ix in self.design],
             "readvise_count": self.readvise_count,
             "event_counts": dict(self.event_counts),
+            "stream_position": self.position,
         }
 
     def restore_state(self, state: dict) -> None:
@@ -594,10 +635,28 @@ class OnlineTuner:
         self._last_check = int(state.get("last_check", 0))
         self.design = [index_from_dict(d) for d in state.get("design", ())]
         self.readvise_count = int(state.get("readvise_count", 0))
+        self.position = int(state.get("stream_position", 0))
         for kind, count in state.get("event_counts", {}).items():
             if kind in self.event_counts:
                 self.event_counts[kind] = int(count)
         self._quarantine_announced = set(self.monitor.quarantined)
+
+    def checkpoint(self) -> None:
+        """Write :meth:`save_state` into the store's slot ``""``.
+
+        Best effort: a failed write is a ``store`` event, and the next
+        interval retries; a :class:`~repro.errors.StaleLeaseError`
+        propagates. A no-op without a store.
+        """
+        if self._store is None:
+            return
+        notice = write_checkpoint(self._store, self.save_state())
+        if notice is not None:
+            self._emit("store", self.monitor.observed, notice)
+
+    def _checkpoint_if_due(self) -> None:
+        if self._store is not None and self.position % self.state_interval == 0:
+            self.checkpoint()
 
     # ------------------------------------------------------------------
     # Event log

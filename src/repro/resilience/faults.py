@@ -68,8 +68,8 @@ FAULT_POINT_DOCS: dict[str, str] = {
     "optimizer.plan": "one what-if plan inside AutoPart's pricing loop",
     "inum.build": "one per-query INUM model construction",
     "solver.iterate": "one branch-and-bound node expansion",
-    "state.write": "one checksummed tuner state-file write",
-    "stream.read": "one statement read off the tune stream",
+    "state.write": "one best-effort daemon state checkpoint",
+    "stream.read": "one statement read off a daemon's stream",
     "index.build": "one B-Tree bulk build inside Database.create_index",
     "page.read": "one heap page/column read (executor scan, index build)",
     "journal.write": "one apply-journal write (ApplyExecutor)",

@@ -48,6 +48,12 @@ Failure semantics
       built on those points.
     * :class:`~repro.errors.StaleLeaseError` is never retried: a stale
       writer does not become current by trying again.
+
+Daemon persistence
+    Each durable daemon owns its primary slot: it reads it once at
+    construction through :func:`read_resume` and checkpoints it through
+    :func:`write_checkpoint`, so every daemon resumes by one rule and
+    words every store notice the same way.
 """
 
 from __future__ import annotations
@@ -568,6 +574,47 @@ def store_from_spec(
         f"unknown state-store scheme {scheme!r} in {spec!r}; "
         "use file:PATH or db:[PATH]"
     )
+
+
+def read_resume(store: StateStore | None) -> tuple[dict | None, str | None]:
+    """A daemon's resume read of slot ``""``: ``(state, notice)``.
+
+    The one resume rule of both durable daemons
+    (:class:`~repro.online.tuner.OnlineTuner`,
+    :class:`~repro.fleet.serve.FleetController`): the primary when it
+    verifies; else the rotated ``.bak``, with a notice naming it; else
+    no state (a cold start) with a notice, rather than a daemon dying on
+    its own state. No store, or nothing saved yet, starts cold silently.
+    """
+    if store is None or not store.exists(""):
+        return None, None
+    try:
+        state, source = store.read("")
+    except StateCorruptError as exc:
+        return None, f"state unrecoverable ({exc}); starting cold"
+    if source == "backup":
+        return state, (
+            "state primary was corrupt; resumed from last-good checkpoint "
+            f"{torn_slot_paths(store)[1]}"
+        )
+    return state, None
+
+
+def write_checkpoint(store: StateStore, state: dict) -> str | None:
+    """A daemon's best-effort write of slot ``""``; a notice if it failed.
+
+    A failed checkpoint must never kill the loop — the in-memory state
+    is still healthy and the next interval retries — so disk errors and
+    injected ``state.write`` faults come back as the notice. One
+    deliberate exception: :class:`~repro.errors.StaleLeaseError`
+    propagates, because a fenced-out daemon must die, not keep serving
+    while another daemon owns the journal.
+    """
+    try:
+        store.write("", state, fault_point="state.write")
+    except (OSError, FaultInjected) as exc:
+        return f"state checkpoint to {store.describe()} failed ({exc}); continuing"
+    return None
 
 
 def torn_slot_paths(store: StateStore, key: str = "") -> tuple[str, str]:

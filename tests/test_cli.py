@@ -1,5 +1,6 @@
 """CLI tests: the three scenario subcommands."""
 
+import io
 import json
 import os
 import re
@@ -540,11 +541,20 @@ class TestOnePersistencePath:
     @pytest.mark.parametrize(
         "spec", ["--state {}", "--store file:{}", "--store db:{}"]
     )
-    def test_tune_resume_from_backup_warns_for_every_spec(
-        self, capsys, monkeypatch, tmp_path, sdss_stream_file, spec
+    @pytest.mark.parametrize(
+        "command, resumed",
+        [
+            (TUNE, "skipping 120 stream statement(s)"),
+            (SERVE_ARGS + ["--state-interval", "5"], "position 120, phase"),
+        ],
+        ids=["tune", "serve"],
+    )
+    def test_resume_from_backup_warns_for_every_spec(
+        self, capsys, monkeypatch, tmp_path, sdss_stream_file, spec,
+        command, resumed,
     ):
         args = (
-            self.TUNE
+            command
             + ["--stream", sdss_stream_file]
             + spec.format(tmp_path / "S").split()
         )
@@ -555,9 +565,49 @@ class TestOnePersistencePath:
         code, out, err = run_main(capsys, monkeypatch, args)
         assert code == 0
         assert (
-            "state primary was corrupt; resumed from last-good checkpoint "
-            f"{tmp_path / 'S'}.bak"
+            "warning: state primary was corrupt; resumed from last-good "
+            f"checkpoint {tmp_path / 'S'}.bak"
         ) in err
         # The .bak is the periodic checkpoint at the last statement.
-        assert "skipping 120 stream statement(s)" in out
+        assert resumed in out
         assert out[out.index("Stream done"):] == design
+
+    @pytest.mark.parametrize("command", [TUNE_ARGS, SERVE_ARGS], ids=["tune", "serve"])
+    def test_resumed_daemon_on_stdin_observes_every_new_statement(
+        self, capsys, monkeypatch, tmp_path, sdss_stream_file, command
+    ):
+        # stdin is not replayable: a resumed daemon must not skip the
+        # saved cursor's worth of whatever is fed to it next.
+        text = open(sdss_stream_file).read()
+        args = command + ["--stream", "-", "--state", str(tmp_path / "F")]
+        done = []
+        for _run in range(2):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            code, out, _ = run_main(capsys, monkeypatch, args)
+            assert code == 0
+            done.append(int(re.search(r"Stream done: (\d+)", out).group(1)))
+        assert done == [120, 240]
+
+    @pytest.mark.parametrize("spec", ["--state {}", "--store db:{}"])
+    def test_tune_resume_reads_the_state_slot_once(
+        self, capsys, monkeypatch, tmp_path, sdss_stream_file, spec
+    ):
+        from repro.resilience.store import StateStore
+
+        args = (
+            self.TUNE
+            + ["--stream", sdss_stream_file]
+            + spec.format(tmp_path / "S").split()
+        )
+        assert run_main(capsys, monkeypatch, args)[0] == 0
+        reads = []
+        original = StateStore.read
+
+        def spy(store, key=""):
+            reads.append(key)
+            return original(store, key)
+
+        monkeypatch.setattr(StateStore, "read", spy)
+        code, out, _ = run_main(capsys, monkeypatch, args)
+        assert code == 0 and "skipping 120 stream statement(s)" in out
+        assert reads.count("") == 1

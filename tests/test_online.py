@@ -879,13 +879,15 @@ class TestDurability:
         cut = 17  # mid-stream, deliberately not on a check boundary
         for sql in stream[:cut]:
             first.observe(sql)
-        # Through actual JSON, exactly as the CLI's --state file does.
+        # Through actual JSON, exactly as a --state file does; the
+        # stream cursor rides along and comes back.
         state = json.loads(json.dumps(first.save_state()))
-        state["stream_position"] = cut  # CLI extras must be ignored
+        assert state["stream_position"] == cut
 
         resumed = self.make_tuner(sdss_db)
         resumed.restore_state(state)
         assert resumed.monitor.observed == cut
+        assert resumed.position == cut
         for sql in stream[cut:]:
             resumed.observe(sql)
 
@@ -955,6 +957,10 @@ class TestDurability:
         tuner = self.make_tuner(sdss_db)
         tuner.restore_state(json.loads(json.dumps(state)))
         expected = {k: v for k, v in state.items() if k != "coalesced"}
+        # Saved back with what this version adds: the stream cursor
+        # (absent: 0) and the ``store`` event counter.
+        expected["stream_position"] = 0
+        expected["event_counts"] = dict(expected["event_counts"], store=0)
         assert tuner.save_state() == expected
 
     def test_restore_rejects_bad_states(self, sdss_db):
@@ -1034,9 +1040,10 @@ class TestFacadeAndCli:
             index_signature(ix) for ix in tuner.design
         } != adopted
         # The intent journal rides in the state store's "apply" slot;
-        # the primary slot is the caller's to checkpoint.
+        # the primary slot is the tuner's own checkpoint.
         assert store.read("apply")[0]["phase"] == "committed"
-        assert not store.exists("")
+        tuner.checkpoint()
+        assert store.read("")[0]["stream_position"] == tuner.position
 
     def test_failing_auto_apply_degrades_and_keeps_tuning(
         self, sdss_db, sdss_wl

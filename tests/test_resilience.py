@@ -611,7 +611,7 @@ class TestTuneCommandResilience:
         )
         captured = capsys.readouterr()
         assert code == 0
-        assert "state file unrecoverable" in captured.err
+        assert "state unrecoverable" in captured.err
         assert "starting cold" in captured.err
         assert "Stream done: 15 statements" in captured.out
         # The bad file was overwritten with a fresh good checkpoint.
@@ -636,7 +636,7 @@ class TestTuneCommandResilience:
         )
         captured = capsys.readouterr()
         assert code == 0
-        assert "state file unrecoverable" in captured.err
+        assert "state unrecoverable" in captured.err
         assert "starting cold" in captured.err
         # Cold start: nothing was skipped, the whole stream was observed.
         assert "Stream done: 15 statements" in captured.out
