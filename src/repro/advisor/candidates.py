@@ -30,6 +30,9 @@ from repro.workloads.workload import Workload
 if TYPE_CHECKING:  # pragma: no cover
     from repro.parallel.caches import CostCache
 
+#: Most columns a covering (index-only) candidate may have.
+MAX_COVERING_WIDTH = 4
+
 
 @dataclass(frozen=True)
 class CandidateIndex:
@@ -101,9 +104,7 @@ def _roles_for_query(query: BoundQuery) -> dict[str, _TableRoles]:
     return roles
 
 
-def _candidates_for_roles(
-    roles: _TableRoles, max_width: int, max_covering_width: int
-) -> list[tuple[str, ...]]:
+def _candidates_for_roles(roles: _TableRoles) -> list[tuple[str, ...]]:
     """Column sequences worth considering for one query/table."""
     out: list[tuple[str, ...]] = []
 
@@ -119,24 +120,24 @@ def _candidates_for_roles(
     # optional trailing range column — the canonical B-Tree composite.
     for r in (1, 2):
         for eq_combo in itertools.permutations(roles.eq, r):
-            add(tuple(eq_combo)[:max_width])
+            add(tuple(eq_combo))
             for range_col in roles.range_:
-                add((tuple(eq_combo) + (range_col,))[:max_width])
+                add(tuple(eq_combo) + (range_col,))
     for eq_col in roles.eq:
         for join_col in roles.join:
-            add((eq_col, join_col)[:max_width])
+            add((eq_col, join_col))
     for join_col in roles.join:
         for range_col in roles.range_:
-            add((join_col, range_col)[:max_width])
+            add((join_col, range_col))
         for order_col in roles.order:
-            add((join_col, order_col)[:max_width])
+            add((join_col, order_col))
     for range_col in roles.range_:
         for order_col in roles.order:
-            add((range_col, order_col)[:max_width])
+            add((range_col, order_col))
 
     # Covering candidate: selective columns first, remaining referenced
     # columns appended — enables index-only scans.
-    if roles.referenced and len(roles.referenced) <= max_covering_width:
+    if roles.referenced and len(roles.referenced) <= MAX_COVERING_WIDTH:
         lead = [c for c in selective if c in roles.referenced]
         rest = [c for c in roles.referenced if c not in lead]
         covering = tuple(lead + rest)
@@ -148,18 +149,16 @@ def _candidates_for_roles(
 def generate_candidates(
     catalog: Catalog,
     workload: Workload,
-    max_width: int = 3,
-    max_covering_width: int = 4,
     max_per_table: int = 40,
     single_column_only: bool = False,
     bound: Mapping[str, BoundQuery] | None = None,
     cost_cache: "CostCache | None" = None,
 ) -> list[CandidateIndex]:
-    """All deduplicated candidates for ``workload``.
+    """All deduplicated candidates for ``workload``: key candidates of
+    up to three columns (two equality columns and a range column), and
+    covering ones of up to :data:`MAX_COVERING_WIDTH`.
 
     Args:
-        max_width: Maximum key columns for non-covering candidates.
-        max_covering_width: Maximum columns of covering candidates.
         max_per_table: Cap per table (kept in generation order, which
             puts single-column and equality-led candidates first).
         single_column_only: Restrict to one key column (the COLT-style
@@ -181,7 +180,7 @@ def generate_candidates(
             bound_query = query.bind(catalog)
         for table, roles in _roles_for_query(bound_query).items():
             per_table = sequences.setdefault(table, [])
-            for columns in _candidates_for_roles(roles, max_width, max_covering_width):
+            for columns in _candidates_for_roles(roles):
                 if single_column_only:
                     columns = columns[:1]
                 if columns not in per_table:

@@ -60,6 +60,10 @@ from repro.workloads.workload import Workload
 
 _MIN_BENEFIT = 1e-6
 
+# Branch-and-bound node limit of one advise; a cut-short search returns
+# its incumbent as "feasible".
+_MAX_NODES = 20000
+
 
 @dataclass
 class QueryBenefit:
@@ -164,7 +168,6 @@ class IndexAdvisor:
         config: PlannerConfig | None = None,
         *,
         max_candidates_per_table: int = 40,
-        max_index_width: int = 3,
         single_column_only: bool = False,
         cost_cache: CostCache | None = None,
     ) -> None:
@@ -177,7 +180,6 @@ class IndexAdvisor:
         self._catalog = catalog
         self._config = config or PlannerConfig()
         self._max_per_table = max_candidates_per_table
-        self._max_width = max_index_width
         self._single_column_only = single_column_only
         self._cost_cache = cost_cache
 
@@ -239,7 +241,6 @@ class IndexAdvisor:
             candidates = generate_candidates(
                 self._catalog,
                 workload,
-                max_width=self._max_width,
                 max_per_table=self._max_per_table,
                 single_column_only=self._single_column_only,
                 bound=bound,
@@ -383,7 +384,6 @@ class IlpIndexAdvisor(IndexAdvisor):
         self,
         catalog: Catalog,
         config: PlannerConfig | None = None,
-        max_nodes: int = 20000,
         solver_deadline: float | None = None,
         compress: bool = False,
         prune_dominated: bool | None = None,
@@ -417,7 +417,6 @@ class IlpIndexAdvisor(IndexAdvisor):
             otherwise.
         """
         super().__init__(catalog, config, **pipeline)
-        self._max_nodes = max_nodes
         self._solver_deadline = solver_deadline
         if bound_epsilon is not None and bound_epsilon < 0:
             raise AdvisorError("bound_epsilon must be non-negative")
@@ -700,7 +699,7 @@ class IlpIndexAdvisor(IndexAdvisor):
         )
 
         solver = BranchAndBoundSolver(
-            max_nodes=self._max_nodes,
+            max_nodes=_MAX_NODES,
             deadline_seconds=self._solver_deadline,
             bound_epsilon=bound_epsilon,
         )

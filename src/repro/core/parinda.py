@@ -366,7 +366,6 @@ class Parinda:
         validate: bool = False,
         store: StateStore | None = None,
         journal_key: str = "apply",
-        retry_steps: bool = True,
     ) -> ApplyReport:
         """Materialize an advised design through the journaled executor.
 
@@ -392,9 +391,7 @@ class Parinda:
             result.indexes if isinstance(result, AdvisorResult) else tuple(result)
         )
         executor = ApplyExecutor(self._db, store=store, journal_key=journal_key)
-        report = executor.apply(
-            indexes, dry_run=dry_run, retry_steps=retry_steps
-        )
+        report = executor.apply(indexes, dry_run=dry_run)
         if validate and not dry_run:
             if workload is None:
                 raise ValueError("validate=True needs a workload")

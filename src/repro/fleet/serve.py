@@ -88,12 +88,14 @@ from repro.fleet.router import Router
 from repro.fleet.tuner import DivergentTuner
 from repro.online.drift import DriftDetector
 from repro.online.monitor import WorkloadMonitor
+from repro.online.tuner import EVENT_RING_SIZE
 from repro.optimizer.config import PlannerConfig
 from repro.optimizer.planner import Planner
 from repro.parallel.caches import CostCache
 from repro.resilience.apply import (
     MANAGED_PREFIX,
     ApplyExecutor,
+    ApplyReport,
     index_from_dict,
     index_to_dict,
 )
@@ -108,10 +110,6 @@ FLEET_STATE_VERSION = 1
 
 # Cost-comparison slack for the health gate; plan costs are float sums.
 _EPS = 1e-9
-
-# Ring size of the retained event log (OnlineTuner's default): the
-# daemon runs indefinitely, event_counts keeps the exact totals.
-_MAX_EVENTS = 10_000
 
 #: Every event kind the controller can emit, in rough lifecycle order.
 FLEET_EVENT_KINDS = (
@@ -214,16 +212,12 @@ class FleetController:
         warmup: Statements before the first tune (default: window_size).
         state_interval: Statements between periodic (best-effort) state
             checkpoints; rollout-critical journal writes are unaffected.
-        drift: Drift detector for both fleet-level and per-replica
-            checks (default thresholds when ``None``).
         regression_windows: Consecutive regressing validation windows
             that confirm a regression and trigger rollback + freeze.
         regression_tolerance: Relative slack before a window counts as
             regressing (``new > old * (1 + tolerance)``).
         probation_windows: Validation windows a freshly applied design
             stays under the health gate before it is trusted.
-        retry_steps: Passed to every executor apply/rollback; kill
-            sweeps set False so injected faults abort deterministically.
         max_share / max_rounds / seed / cost_cache: forwarded to the
             re-tuning :class:`DivergentTuner`, which is built here, so
             an invalid value raises at construction.
@@ -233,6 +227,9 @@ class FleetController:
             (:func:`repro.resilience.faults.injecting`); ``None``
             leaves the caller's scope in force.
         listener: Callback receiving every :class:`FleetEvent`.
+
+    Monitors keep their default decay, drift checks the default
+    thresholds, and every index build is retried once.
     """
 
     def __init__(
@@ -246,12 +243,9 @@ class FleetController:
         check_interval: int = 32,
         warmup: int | None = None,
         state_interval: int = 64,
-        decay: float = 0.995,
-        drift: DriftDetector | None = None,
         regression_windows: int = 2,
         regression_tolerance: float = 0.1,
         probation_windows: int = 4,
-        retry_steps: bool = True,
         max_share: float = 1.0,
         max_rounds: int = 4,
         seed: int = 0,
@@ -276,11 +270,10 @@ class FleetController:
         self.check_interval = check_interval
         self.warmup = window_size if warmup is None else warmup
         self.state_interval = state_interval
-        self._drift = drift or DriftDetector()
+        self._drift = DriftDetector()
         self.regression_windows = regression_windows
         self.regression_tolerance = regression_tolerance
         self.probation_windows = probation_windows
-        self._retry_steps = retry_steps
         self._cost_cache = cost_cache if cost_cache is not None else CostCache()
         self._faults = fault_injector
         self._listener = listener
@@ -289,7 +282,7 @@ class FleetController:
             _ReplicaRuntime(
                 rid,
                 db,
-                WorkloadMonitor(window_size=window_size, decay=decay),
+                WorkloadMonitor(window_size=window_size),
             )
             for rid, db in enumerate(databases)
         ]
@@ -319,12 +312,11 @@ class FleetController:
         self._router = Router({}, self.n_replicas, max_share=max_share)
         self._baseline: dict[str, float] | None = None
         self._position = 0
-        self._phase = "serving"
         self._rollout: dict | None = None
         self._regressed: dict | None = None
         self._retunes = 0
         self._validation_catalogs: dict[frozenset, object] = {}
-        self._events: deque[FleetEvent] = deque(maxlen=_MAX_EVENTS)
+        self._events: deque[FleetEvent] = deque(maxlen=EVENT_RING_SIZE)
         self.event_counts: dict[str, int] = {k: 0 for k in FLEET_EVENT_KINDS}
         # Only the first-ever write can tear both candidates (no .bak
         # exists yet), and it happens before anything is materialized,
@@ -345,8 +337,8 @@ class FleetController:
 
     @property
     def events(self) -> list[FleetEvent]:
-        """The retained event log (most recent 10 000; exact per-kind
-        totals are in :attr:`event_counts`)."""
+        """The retained event log (most recent ``EVENT_RING_SIZE``;
+        exact per-kind totals are in :attr:`event_counts`)."""
         return list(self._events)
 
     @property
@@ -366,12 +358,15 @@ class FleetController:
 
     @property
     def phase(self) -> str:
-        """``serving`` | ``rollout`` | ``frozen``."""
-        return self._phase
+        """``frozen`` while a regression awaits :meth:`thaw`, else
+        ``rollout`` while a rollout is journaled, else ``serving``."""
+        if self.frozen:
+            return "frozen"
+        return "serving" if self._rollout is None else "rollout"
 
     @property
     def frozen(self) -> bool:
-        return self._phase == "frozen"
+        return self._regressed is not None
 
     @property
     def in_transition(self) -> int | None:
@@ -455,7 +450,7 @@ class FleetController:
     def _checkpoint_cycle(self) -> None:
         self._validate_probations()
         self._refresh_baselines()
-        if self._phase != "serving":
+        if self.phase != "serving":
             return
         if self._position < self.warmup:
             return
@@ -557,7 +552,7 @@ class FleetController:
             raise ReproError(
                 f"rollout needs {self.n_replicas} designs, got {len(designs)}"
             )
-        if self._phase == "frozen":
+        if self.frozen:
             raise ReproError(
                 "the fleet is frozen after a regression rollback; inspect "
                 "the regressed design and acknowledge it with thaw() "
@@ -579,7 +574,6 @@ class FleetController:
             "position": 0,
             "in_transition": None,
         }
-        self._phase = "rollout"
         self._emit(
             "rollout-started",
             detail=f"{self.n_replicas} replica(s), retune #{self._retunes}",
@@ -589,9 +583,7 @@ class FleetController:
         self._run_rollout()
 
     def _run_rollout(self) -> None:
-        while self._phase == "rollout" and (
-            self._rollout["position"] < self.n_replicas
-        ):
+        while self._rollout["position"] < self.n_replicas:
             rid = self._rollout["position"]
             runtime = self._replicas[rid]
             target = self._rollout_target(rid)
@@ -609,11 +601,9 @@ class FleetController:
                 self._advance_rollout()
                 continue
             self._transition(rid, target)
-        if self._phase == "rollout":
-            self._rollout = None
-            self._phase = "serving"
-            self._emit("rollout-finished")
-            self._journal_state()
+        self._rollout = None
+        self._emit("rollout-finished")
+        self._journal_state()
 
     def _rollout_target(self, rid: int) -> tuple[Index, ...]:
         return tuple(
@@ -637,55 +627,43 @@ class FleetController:
         self._journal_state()
         try:
             report = self._apply_replica(runtime, target)
-        except FaultInjected as exc:
-            if exc.point != "replica.apply":
+        except (FaultInjected, ApplyConflictError, ExecutorError) as exc:
+            if isinstance(exc, FaultInjected) and exc.point != "replica.apply":
                 # A deeper fault (journal.write, index.build after
                 # retry, rollout.journal) stands in for process death:
                 # propagate so the kill/resume harness takes over.
                 raise
             self._quarantine(rid, str(exc))
             self._rollout["in_transition"] = None
-            self._advance_rollout()
-            return
-        except (ApplyConflictError, ExecutorError) as exc:
-            self._quarantine(rid, str(exc))
-            self._rollout["in_transition"] = None
-            self._advance_rollout()
-            return
-        old_design = runtime.design
-        runtime.design = target
-        runtime.status = "serving"
-        runtime.detail = ""
-        runtime.probation = {
-            "old": [index_to_dict(ix) for ix in old_design],
-            "left": self.probation_windows,
-            "regressions": 0,
-        }
-        # The rollout re-prices routing, so the traffic this replica
-        # serves from here on is not the mix in its window. Restart the
-        # window (templates and profile survive) and re-baseline once
-        # it refills: the health gate and drift detector must judge the
-        # new design on traffic it actually serves.
-        runtime.monitor.clear_window()
-        runtime.baseline = None
-        self._emit("applied", rid, report.summary())
-        if excluded:
-            self._router.restore(rid)
-        self._rollout["in_transition"] = None
-        self._emit("transition-finished", rid)
-        if self._phase == "rollout":
-            self._advance_rollout()
         else:
-            self._journal_state()
+            runtime.probation = {
+                "old": [index_to_dict(ix) for ix in runtime.design],
+                "left": self.probation_windows,
+                "regressions": 0,
+            }
+            runtime.design = target
+            runtime.status = "serving"
+            runtime.detail = ""
+            # The rollout re-prices routing, so the traffic this replica
+            # serves from here on is not the mix in its window. Restart
+            # the window (templates and profile survive) and re-baseline
+            # once it refills: the health gate and drift detector must
+            # judge the new design on traffic it actually serves.
+            runtime.monitor.clear_window()
+            runtime.baseline = None
+            self._emit("applied", rid, report.summary())
+            if excluded:
+                self._router.restore(rid)
+            self._rollout["in_transition"] = None
+            self._emit("transition-finished", rid)
+        self._advance_rollout()
 
-    def _apply_replica(self, runtime: _ReplicaRuntime, target) -> object:
+    def _apply_replica(self, runtime: _ReplicaRuntime, target) -> ApplyReport:
         faults.check(
             "replica.apply",
             f"replica {runtime.replica_id} position {self._position}",
         )
-        return self._converge(runtime).apply(
-            target, retry_steps=self._retry_steps
-        )
+        return self._converge(runtime).apply(target)
 
     def _converge(self, runtime: _ReplicaRuntime) -> ApplyExecutor:
         """The replica's executor, with its apply journal settled.
@@ -702,10 +680,18 @@ class FleetController:
         executor = self._executor(runtime)
         journal_phase = self._journal_phase(runtime)
         if journal_phase == "rollback-in-progress":
-            executor.rollback(retry_steps=self._retry_steps)
+            executor.rollback()
         elif journal_phase == "in-progress":
-            executor.apply(retry_steps=self._retry_steps)
+            executor.apply()
         return executor
+
+    def _rematerialize(self, runtime: _ReplicaRuntime) -> ApplyReport | None:
+        """Settle the replica's journal, then build its standing design
+        unless it is already there; the apply report, or None."""
+        executor = self._converge(runtime)
+        if executor.plan(runtime.design).is_noop:
+            return None
+        return executor.apply(tuple(runtime.design))
 
     def _executor(self, runtime: _ReplicaRuntime) -> ApplyExecutor:
         return ApplyExecutor(
@@ -864,9 +850,8 @@ class FleetController:
         """Journaled rollback of one replica + fleet freeze."""
         rid = runtime.replica_id
         runtime.status = "rolling-back"
-        if self._phase != "frozen":
+        if not self.frozen:
             rollout_active = self._rollout is not None
-            self._phase = "frozen"
             self._rollout = None
             # Remembered for the acknowledging operator: thaw() reports
             # exactly which design regressed, where, before resuming.
@@ -893,11 +878,11 @@ class FleetController:
         )
         executor = self._executor(runtime)
         if self._journal_phase(runtime):
-            report = executor.rollback(retry_steps=self._retry_steps)
+            report = executor.rollback()
         else:
             # No journal (in-memory controller): restore by applying
             # the remembered pre-apply design directly.
-            report = executor.apply(old, retry_steps=self._retry_steps)
+            report = executor.apply(old)
         runtime.design = _normalize_design(old)
         runtime.status = "rolled-back"
         runtime.detail = "regression rollback"
@@ -926,11 +911,10 @@ class FleetController:
             ReproError: the fleet is not frozen.
         """
         self._ensure_resumed()
-        if self._phase != "frozen":
+        if not self.frozen:
             raise ReproError("the fleet is not frozen; nothing to thaw")
         info = self._regressed
         self._regressed = None
-        self._phase = "serving"
         detail = "regression acknowledged; re-tuning resumed"
         if info:
             names = ", ".join(
@@ -969,9 +953,7 @@ class FleetController:
             raise ReproError(
                 f"replica {replica_id} is {runtime.status}, not quarantined"
             )
-        executor = self._converge(runtime)
-        if not executor.plan(runtime.design).is_noop:
-            executor.apply(tuple(runtime.design), retry_steps=self._retry_steps)
+        self._rematerialize(runtime)
         runtime.status = "serving"
         runtime.detail = ""
         runtime.probation = None
@@ -995,7 +977,7 @@ class FleetController:
             "version": FLEET_STATE_VERSION,
             "n_replicas": self.n_replicas,
             "position": self._position,
-            "phase": self._phase,
+            "phase": self.phase,
             "retunes": self._retunes,
             "baseline": self._baseline,
             "router": self._router.save(),
@@ -1030,7 +1012,6 @@ class FleetController:
                 f"this fleet has {self.n_replicas}"
             )
         self._position = int(state["position"])
-        self._phase = state["phase"]
         self._retunes = int(state.get("retunes", 0))
         self._baseline = state.get("baseline")
         self._router = Router.load(state["router"])
@@ -1039,6 +1020,10 @@ class FleetController:
         self._rollout = dict(rollout) if rollout else None
         regressed = state.get("regressed")
         self._regressed = dict(regressed) if regressed else None
+        if self._regressed is None and state["phase"] == "frozen":
+            # Frozen with no record of what regressed: frozen until
+            # thawed, with nothing to report.
+            self._regressed = {}
         for runtime, saved in zip(self._replicas, state["replicas"]):
             runtime.status = saved["status"]
             runtime.detail = saved.get("detail", "")
@@ -1102,7 +1087,7 @@ class FleetController:
         self._pending_resume = False
         self._emit(
             "resumed",
-            detail=f"position {self._position}, phase {self._phase}",
+            detail=f"position {self._position}, phase {self.phase}",
         )
         in_transition = (
             self._rollout["in_transition"] if self._rollout else None
@@ -1116,18 +1101,14 @@ class FleetController:
                 continue
             if runtime.replica_id == in_transition or not runtime.design:
                 continue
-            executor = self._converge(runtime)
-            if not executor.plan(runtime.design).is_noop:
-                report = executor.apply(
-                    tuple(runtime.design), retry_steps=self._retry_steps
-                )
+            report = self._rematerialize(runtime)
+            if report is not None:
                 self._emit(
                     "applied",
                     runtime.replica_id,
                     f"re-materialized standing design ({report.summary()})",
                 )
         if self._rollout is not None:
-            self._phase = "rollout"
             self._rollout["in_transition"] = None
             self._run_rollout()
 

@@ -34,6 +34,9 @@ from repro.resilience import faults
 
 _INT_TOL = 1e-6
 
+# Absolute slack under which a node's bound cannot beat the incumbent.
+_GAP_TOLERANCE = 1e-6
+
 
 @dataclass(order=True)
 class _Node:
@@ -52,15 +55,14 @@ class BranchAndBoundSolver:
     def __init__(
         self,
         max_nodes: int = 50000,
-        gap_tolerance: float = 1e-6,
         deadline_seconds: float | None = None,
         bound_epsilon: float = 0.0,
     ) -> None:
         """``bound_epsilon`` is the CoPhy-style relative fathoming slack:
         a node whose LP-relaxation bound cannot beat the incumbent by
         more than ``bound_epsilon × |incumbent|`` is pruned without
-        branching. ``0.0`` (default) keeps the solve exact up to
-        ``gap_tolerance``; the scale-mode advisor passes a small
+        branching. ``0.0`` (default) keeps the solve exact up to an
+        absolute slack of ``1e-6``; the scale-mode advisor passes a small
         positive epsilon to trade a bounded sliver of objective for a
         much smaller search tree on large workloads.
         """
@@ -69,14 +71,13 @@ class BranchAndBoundSolver:
         if bound_epsilon < 0:
             raise SolverError("bound_epsilon must be non-negative")
         self._max_nodes = max_nodes
-        self._gap_tolerance = gap_tolerance
         self._deadline = deadline_seconds
         self._bound_epsilon = bound_epsilon
         self._simplex = SimplexSolver()
 
     def _fathom_threshold(self, best_objective: float) -> float:
         """Bound below which a node cannot usefully improve the incumbent."""
-        slack = self._gap_tolerance
+        slack = _GAP_TOLERANCE
         if self._bound_epsilon and math.isfinite(best_objective):
             slack = max(slack, self._bound_epsilon * abs(best_objective))
         return best_objective + slack
@@ -276,6 +277,6 @@ class BranchAndBoundSolver:
         return None
 
 
-def solve_milp(program: LinearProgram, max_nodes: int = 50000) -> MilpSolution:
+def solve_milp(program: LinearProgram) -> MilpSolution:
     """Convenience wrapper: solve ``program`` and return its solution."""
-    return BranchAndBoundSolver(max_nodes=max_nodes).solve(program)
+    return BranchAndBoundSolver().solve(program)

@@ -95,6 +95,13 @@ EVENT_KINDS = (
 # Serialization format of OnlineTuner.save_state()/restore_state().
 TUNER_STATE_VERSION = 1
 
+#: Ring size of the online tuner's and the fleet controller's event
+#: logs: a daemon runs indefinitely; ``event_counts`` keep exact totals.
+EVENT_RING_SIZE = 10_000
+
+# Bound of a tuner's private cost cache (see OnlineTuner's cost_cache).
+_CACHE_MAX_ENTRIES = 4096
+
 
 @dataclass(frozen=True)
 class TuningEvent:
@@ -131,8 +138,9 @@ class OnlineTuner:
         catalog: The catalog to advise against (never mutated).
         config: Planner configuration shared with the advisor.
         budget_pages: Storage budget handed to every re-advise.
-        monitor / detector: Injectable for tests; defaults are built
-            from ``window_size``/``decay`` and the drift thresholds.
+        window_size: The monitor's recency window; the monitor decay
+            and the drift thresholds are their modules' defaults, and
+            :attr:`detector` may be replaced after construction.
         check_interval: Statements between drift checks once warm.
         warmup: Statements before the first (unconditional) advise;
             defaults to ``window_size`` so the first snapshot is a full
@@ -143,13 +151,11 @@ class OnlineTuner:
         cost_cache: Share a :class:`CostCache` (e.g. the Parinda
             facade's); by default a bounded private cache is created —
             a long-lived tuner must not grow without limit.
-        cache_max_entries: Bound for the private cache when
-            ``cost_cache`` is not supplied.
         listener: Optional callback invoked with every
             :class:`TuningEvent` as it is emitted. Exceptions propagate
-            to the observe() caller.
-        max_events: Ring-buffer size of the retained event log
-            (counters in :attr:`event_counts` are never truncated).
+            to the observe() caller. The retained log (:attr:`events`)
+            keeps the last :data:`EVENT_RING_SIZE`; the counters in
+            :attr:`event_counts` are never truncated.
         degrade_on_error: Daemon posture. When True, a
             :class:`~repro.errors.ReproError` escaping one re-advise is
             absorbed as a ``degraded`` event (standing design kept,
@@ -186,17 +192,12 @@ class OnlineTuner:
         config: PlannerConfig | None = None,
         *,
         budget_pages: int,
-        monitor: WorkloadMonitor | None = None,
-        detector: DriftDetector | None = None,
         window_size: int = 128,
-        decay: float = 0.995,
         check_interval: int = 32,
         warmup: int | None = None,
         build_cost_per_page: float = 4.0,
         cost_cache: CostCache | None = None,
-        cache_max_entries: int = 4096,
         listener: Callable[[TuningEvent], None] | None = None,
-        max_events: int = 10000,
         degrade_on_error: bool = False,
         auto_apply: Callable[[list[Index]], object] | None = None,
         compress: bool = False,
@@ -214,17 +215,15 @@ class OnlineTuner:
         self._catalog = catalog
         self._config = config or PlannerConfig()
         self.budget_pages = budget_pages
-        self.monitor = monitor or WorkloadMonitor(
-            window_size=window_size, decay=decay
-        )
-        self.detector = detector or DriftDetector()
+        self.monitor = WorkloadMonitor(window_size=window_size)
+        self.detector = DriftDetector()
         self.check_interval = check_interval
         self.warmup = warmup if warmup is not None else self.monitor.window_size
         self.build_cost_per_page = build_cost_per_page
         self.cache = (
             cost_cache
             if cost_cache is not None
-            else CostCache(max_entries=cache_max_entries)
+            else CostCache(max_entries=_CACHE_MAX_ENTRIES)
         )
         self.compress = bool(compress)
         self._advisor = IlpIndexAdvisor(
@@ -234,7 +233,7 @@ class OnlineTuner:
             compress=self.compress,
         )
         self._listener = listener
-        self._events: deque[TuningEvent] = deque(maxlen=max_events)
+        self._events: deque[TuningEvent] = deque(maxlen=EVENT_RING_SIZE)
         self.event_counts: dict[str, int] = {k: 0 for k in EVENT_KINDS}
         # The distribution the standing recommendation was computed for
         # (None until the first advise) and the design in force.
@@ -678,7 +677,7 @@ class OnlineTuner:
 
     @property
     def events(self) -> list[TuningEvent]:
-        """The retained event log (most recent ``max_events``)."""
+        """The retained event log (most recent :data:`EVENT_RING_SIZE`)."""
         return list(self._events)
 
     def events_of(self, kind: str) -> list[TuningEvent]:

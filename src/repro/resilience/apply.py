@@ -87,9 +87,7 @@ def index_from_dict(data: dict) -> Index:
     )
 
 
-def materialized_name(
-    index: Index, taken: Iterable[str] = (), managed_prefix: str = MANAGED_PREFIX
-) -> str:
+def materialized_name(index: Index, taken: Iterable[str] = ()) -> str:
     """Deterministic on-disk name for ``index``: prefix + table + columns.
 
     Candidate names (``cand_3_people_age``) carry a per-run counter, so
@@ -98,7 +96,7 @@ def materialized_name(
     ``taken`` (an existing index on different columns whose name
     happens to match) appends ``_2``, ``_3``, ...
     """
-    base = f"{managed_prefix}{index.table_name}_{'_'.join(index.columns)}"
+    base = f"{MANAGED_PREFIX}{index.table_name}_{'_'.join(index.columns)}"
     taken = set(taken)
     if base not in taken:
         return base
@@ -106,6 +104,16 @@ def materialized_name(
     while f"{base}_{suffix}" in taken:
         suffix += 1
     return f"{base}_{suffix}"
+
+
+def _standing(database: "Database") -> tuple[Index, ...]:
+    """The managed indexes ``database`` has materialized, by name."""
+    managed = (
+        ix
+        for ix in database.catalog.indexes()
+        if ix.name.startswith(MANAGED_PREFIX) and database.has_btree(ix.name)
+    )
+    return tuple(sorted(managed, key=lambda ix: ix.name))
 
 
 @dataclass(frozen=True)
@@ -125,31 +133,16 @@ class DesignDelta:
     builds: tuple[Index, ...]
 
     @classmethod
-    def compute(
-        cls,
-        database: "Database",
-        proposed: Sequence[Index],
-        managed_prefix: str = MANAGED_PREFIX,
-    ) -> "DesignDelta":
+    def compute(cls, database: "Database", proposed: Sequence[Index]) -> "DesignDelta":
         """Diff ``proposed`` against the observed standing design.
 
-        Unmanaged indexes (no ``managed_prefix``) are never dropped; a
+        Unmanaged indexes (no :data:`MANAGED_PREFIX`) are never dropped; a
         proposed index whose signature is already materialized —
         managed or not — is never rebuilt. Proposed duplicates (same
         signature) are collapsed, first occurrence wins.
         """
         catalog = database.catalog
-        standing = tuple(
-            sorted(
-                (
-                    ix
-                    for ix in catalog.indexes()
-                    if ix.name.startswith(managed_prefix)
-                    and database.has_btree(ix.name)
-                ),
-                key=lambda ix: ix.name,
-            )
-        )
+        standing = _standing(database)
         deduped: list[Index] = []
         seen: set[tuple] = set()
         for ix in proposed:
@@ -170,7 +163,7 @@ class DesignDelta:
         orphans = {
             ix.name
             for ix in catalog.indexes()
-            if ix.name.startswith(managed_prefix)
+            if ix.name.startswith(MANAGED_PREFIX)
             and not ix.hypothetical
             and not database.has_btree(ix.name)
         }
@@ -179,7 +172,7 @@ class DesignDelta:
         for ix in deduped:
             if index_signature(ix) in materialized:
                 continue
-            name = materialized_name(ix, taken, managed_prefix)
+            name = materialized_name(ix, taken)
             taken.add(name)
             builds.append(
                 Index(
@@ -284,9 +277,12 @@ class ApplyExecutor:
     :func:`~repro.resilience.faults.injecting` scope, or the store's
     own injector around its writes.
 
+    Every index build that fails is retried once; a second failure
+    propagates and leaves the journal resumable.
+
     Args:
-        database: The database to materialize against.
-        managed_prefix: Name prefix marking indexes this executor owns.
+        database: The database to materialize against; the executor
+            owns its :data:`MANAGED_PREFIX` indexes.
         store: The :class:`~repro.resilience.store.StateStore` holding
             the intent journal; ``None`` disables journaling entirely
             (pure in-memory applies — no crash safety, no rollback).
@@ -298,12 +294,10 @@ class ApplyExecutor:
     def __init__(
         self,
         database: "Database",
-        managed_prefix: str = MANAGED_PREFIX,
         store: StateStore | None = None,
         journal_key: str = "",
     ) -> None:
         self._db = database
-        self._managed_prefix = managed_prefix
         self._store = store
         self._journal_key = journal_key
         self._journal_desc = (
@@ -315,9 +309,7 @@ class ApplyExecutor:
 
     def plan(self, proposed: Sequence[Index]) -> DesignDelta:
         """The delta that would carry ``proposed`` onto the database."""
-        return DesignDelta.compute(
-            self._db, proposed, managed_prefix=self._managed_prefix
-        )
+        return DesignDelta.compute(self._db, proposed)
 
     # ------------------------------------------------------------------
     # Journal plumbing
@@ -388,9 +380,7 @@ class ApplyExecutor:
                     )
                 )
 
-    def _execute_step(
-        self, op: str, index: Index, report: ApplyReport, retry_steps: bool
-    ) -> None:
+    def _execute_step(self, op: str, index: Index, report: ApplyReport) -> None:
         if op == "drop":
             self._db.drop_index(index.name)
             report.dropped.append(index.name)
@@ -399,8 +389,6 @@ class ApplyExecutor:
         try:
             self._db.create_index(index.as_real())
         except (FaultInjected, ExecutorError) as exc:
-            if not retry_steps:
-                raise
             # One retry: transient storage faults (a failed page read,
             # an injected build fault) usually clear; a second failure
             # propagates and leaves the journal resumable.
@@ -421,7 +409,6 @@ class ApplyExecutor:
         journal: dict,
         delta: DesignDelta,
         report: ApplyReport,
-        retry_steps: bool,
         final_phase: str,
     ) -> ApplyReport:
         satisfied = {
@@ -437,7 +424,7 @@ class ApplyExecutor:
                 continue
             entry["status"] = "started"
             self._write_journal(journal)
-            self._execute_step(op, index, report, retry_steps)
+            self._execute_step(op, index, report)
             entry["status"] = "done"
             self._write_journal(journal)
         journal["phase"] = final_phase
@@ -454,16 +441,14 @@ class ApplyExecutor:
         *,
         delta: DesignDelta | None = None,
         dry_run: bool = False,
-        retry_steps: bool = True,
     ) -> ApplyReport:
         """Materialize a design; resume the journaled run when one exists.
 
         Exactly one of ``proposed`` / ``delta`` describes the request,
         or both are ``None`` to resume whatever the journal records.
         ``dry_run`` computes and reports the delta without touching the
-        journal or the database. ``retry_steps=False`` disables the
-        single per-step retry — kill-simulation tests use it so an
-        injected fault reliably aborts the run.
+        journal or the database. A fault that must abort the run on a
+        build has to fail the build and its one retry.
 
         Raises:
             ApplyConflictError: an unfinished journal records a
@@ -554,12 +539,12 @@ class ApplyExecutor:
         if journal is None:
             journal = self._fresh_journal(delta, "in-progress")
             self._write_journal(journal)
-        return self._run_steps(journal, delta, report, retry_steps, "committed")
+        return self._run_steps(journal, delta, report, "committed")
 
     # ------------------------------------------------------------------
     # Rollback
 
-    def rollback(self, *, retry_steps: bool = True) -> ApplyReport:
+    def rollback(self) -> ApplyReport:
         """Restore the standing design recorded in the journal.
 
         The reverse delta is computed from the *current* observed state
@@ -598,28 +583,14 @@ class ApplyExecutor:
 
         standing = [index_from_dict(d) for d in journal.get("standing", [])]
         standing_sigs = {index_signature(ix) for ix in standing}
-        current = [
-            ix
-            for ix in self._db.catalog.indexes()
-            if ix.name.startswith(self._managed_prefix)
-            and self._db.has_btree(ix.name)
-        ]
+        current = _standing(self._db)
         drops = tuple(
-            sorted(
-                (
-                    ix
-                    for ix in current
-                    if index_signature(ix) not in standing_sigs
-                ),
-                key=lambda ix: ix.name,
-            )
+            ix for ix in current if index_signature(ix) not in standing_sigs
         )
         builds = tuple(
             ix for ix in standing if not self._build_satisfied(ix)
         )
-        reverse = DesignDelta(
-            standing=tuple(current), drops=drops, builds=builds
-        )
+        reverse = DesignDelta(standing=current, drops=drops, builds=builds)
         journal["phase"] = "rollback-in-progress"
         journal["delta"] = reverse.payload()
         journal["steps"] = [
@@ -627,4 +598,4 @@ class ApplyExecutor:
             for op, ix in reverse.steps
         ]
         self._write_journal(journal)
-        return self._run_steps(journal, reverse, report, retry_steps, "rolled-back")
+        return self._run_steps(journal, reverse, report, "rolled-back")

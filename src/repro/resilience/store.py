@@ -38,9 +38,9 @@ Fencing
 Failure semantics
     * ``store.read`` / ``store.write`` / ``lease.acquire`` fault points
       (and real ``OSError``) model *transient* store failures — a blip
-      on the database connection, NFS hiccup. They get bounded retry
-      with backoff (:attr:`StateStore.retries`); only after the budget
-      is exhausted does the error propagate.
+      on the database connection, NFS hiccup. They get :data:`RETRIES`
+      retries with a linear :data:`BACKOFF_S` backoff; only after the
+      budget is exhausted does the error propagate.
     * A caller-supplied ``fault_point`` on :meth:`StateStore.write`
       (``journal.write``, ``rollout.journal``, ``state.write``) models
       a *crash of the writer itself* mid-write and propagates
@@ -88,11 +88,20 @@ STORE_TABLE = "repro_state"
 #: Reserved slot key holding the lease record in the database backend.
 LEASE_KEY = "__lease__"
 
+#: The dsn a bare ``--store db:`` spec attaches to.
+DEFAULT_DB_DSN = "repro-dbstate.json"
+
 #: Envelope format for the database backend's durable row set.
 STORE_FORMAT = "repro-store-v1"
 
 #: Fault points treated as transient (retried) by the store layer.
 TRANSIENT_POINTS = ("store.read", "store.write", "lease.acquire")
+
+#: Retries of a transient failure before it propagates (three attempts).
+RETRIES = 2
+
+#: Backoff before retry ``n`` (1-based) is ``n * BACKOFF_S`` seconds.
+BACKOFF_S = 0.005
 
 
 class StateStore:
@@ -102,7 +111,8 @@ class StateStore:
     tuner state / fleet envelope), other keys hold apply journals
     (``"apply"``, ``"r0.apply"``, ...). Subclasses implement the raw
     slot and lease I/O; this base class owns retry, fault points, and
-    fencing so both backends behave identically under failure.
+    fencing (transient failures get :data:`RETRIES` retries) so both
+    backends behave identically under failure.
 
     ``fault_injector`` is the active injector around every
     :meth:`read`, :meth:`write` and :meth:`acquire`
@@ -110,15 +120,8 @@ class StateStore:
     caller's scope in force.
     """
 
-    def __init__(
-        self,
-        fault_injector: FaultInjector | None = None,
-        retries: int = 2,
-        backoff: float = 0.005,
-    ) -> None:
+    def __init__(self, fault_injector: FaultInjector | None = None) -> None:
         self._faults = fault_injector
-        self.retries = max(0, int(retries))
-        self.backoff = backoff
         self._epoch: int | None = None
 
     # -- backend surface ------------------------------------------------
@@ -157,20 +160,18 @@ class StateStore:
         crash point, :class:`StaleLeaseError`, corrupt state — is not
         the store's to absorb and propagates on the first occurrence.
         """
-        remaining = self.retries
-        while True:
+        for retry in range(1, RETRIES + 2):
             try:
                 return attempt()
             except StaleLeaseError:
                 raise
             except FaultInjected as exc:
-                if exc.point not in TRANSIENT_POINTS or remaining <= 0:
+                if exc.point not in TRANSIENT_POINTS or retry > RETRIES:
                     raise
             except OSError:
-                if remaining <= 0:
+                if retry > RETRIES:
                     raise
-            time.sleep(self.backoff * (self.retries - remaining + 1))
-            remaining -= 1
+            time.sleep(BACKOFF_S * retry)
 
     # -- lease ----------------------------------------------------------
 
@@ -284,12 +285,8 @@ class FileStateStore(StateStore):
         self,
         base_path: str,
         fault_injector: FaultInjector | None = None,
-        retries: int = 2,
-        backoff: float = 0.005,
     ) -> None:
-        super().__init__(
-            fault_injector=fault_injector, retries=retries, backoff=backoff
-        )
+        super().__init__(fault_injector=fault_injector)
         if not base_path:
             raise ReproError("FileStateStore needs a non-empty base path")
         self.base_path = base_path
@@ -357,12 +354,8 @@ class DatabaseStateStore(StateStore):
         database: "Database",
         dsn: str,
         fault_injector: FaultInjector | None = None,
-        retries: int = 2,
-        backoff: float = 0.005,
     ) -> None:
-        super().__init__(
-            fault_injector=fault_injector, retries=retries, backoff=backoff
-        )
+        super().__init__(fault_injector=fault_injector)
         if not dsn:
             raise ReproError("DatabaseStateStore needs a non-empty dsn path")
         self.database = database
@@ -546,12 +539,11 @@ def store_from_spec(
     spec: str,
     database: "Database | None" = None,
     fault_injector: FaultInjector | None = None,
-    default_db_dsn: str = "repro-dbstate.json",
 ) -> StateStore:
     """Build a store from a CLI ``--store`` spec.
 
     * ``file:PATH`` (or a bare path) -> :class:`FileStateStore`;
-    * ``db:`` -> :class:`DatabaseStateStore` on ``default_db_dsn``;
+    * ``db:`` -> :class:`DatabaseStateStore` on :data:`DEFAULT_DB_DSN`;
     * ``db:PATH`` -> :class:`DatabaseStateStore` on ``PATH``.
 
     Raises :class:`~repro.errors.ReproError` for an unknown scheme or
@@ -568,7 +560,7 @@ def store_from_spec(
         if database is None:
             raise ReproError("--store db: needs a loaded database to attach to")
         return DatabaseStateStore(
-            database, rest or default_db_dsn, fault_injector=fault_injector
+            database, rest or DEFAULT_DB_DSN, fault_injector=fault_injector
         )
     raise ReproError(
         f"unknown state-store scheme {scheme!r} in {spec!r}; "

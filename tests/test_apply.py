@@ -212,9 +212,10 @@ class TestApplyExecutor:
     def test_different_target_conflicts_with_unfinished_journal(self, tmp_path):
         db = fresh_db()
         journal = str(tmp_path / "apply.json")
-        injector = FaultInjector.from_spec("index.build:1")
+        # The first build and its retry both fail.
+        injector = FaultInjector.from_spec("index.build:1,2")
         with faults.injecting(injector), pytest.raises(FaultInjected):
-            journaled(db, journal).apply(PROPOSED, retry_steps=False)
+            journaled(db, journal).apply(PROPOSED)
         other = (Index("cand_1_pets_weight", "pets", ("weight",), hypothetical=True),)
         with pytest.raises(ApplyConflictError, match="different"):
             journaled(db, journal).apply(other)
@@ -267,7 +268,7 @@ class TestKillResume:
             journal = str(tmp_path / f"kill-w{k}.json")
             injector = FaultInjector.from_spec(f"journal.write:{k}")
             with faults.injecting(injector), pytest.raises(FaultInjected):
-                journaled(db, journal).apply(PROPOSED, retry_steps=False)
+                journaled(db, journal).apply(PROPOSED)
             report = journaled(db, journal).apply(PROPOSED)
             assert report.phase == "committed", f"write {k}"
             assert fingerprint(db) == clean, f"write {k}"
@@ -279,9 +280,10 @@ class TestKillResume:
         for k in range(1, builds + 1):
             db = fresh_db()
             journal = str(tmp_path / f"kill-b{k}.json")
-            injector = FaultInjector.from_spec(f"index.build:{k}")
+            # Build k and its retry both fail.
+            injector = FaultInjector.from_spec(f"index.build:{k},{k + 1}")
             with faults.injecting(injector), pytest.raises(FaultInjected):
-                journaled(db, journal).apply(PROPOSED, retry_steps=False)
+                journaled(db, journal).apply(PROPOSED)
             report = journaled(db, journal).apply(PROPOSED)
             assert report.phase == "committed", f"build {k}"
             assert report.resumed, f"build {k}"
@@ -305,9 +307,10 @@ class TestRollback:
         db = fresh_db()
         pre = fingerprint(db)
         journal = str(tmp_path / "apply.json")
-        injector = FaultInjector.from_spec("index.build:2")
+        # The second build and its retry both fail.
+        injector = FaultInjector.from_spec("index.build:2,3")
         with faults.injecting(injector), pytest.raises(FaultInjected):
-            journaled(db, journal).apply(PROPOSED, retry_steps=False)
+            journaled(db, journal).apply(PROPOSED)
         # Partial: the drop and one build happened.
         assert not db.catalog.has_index("idx_people_nickname")
         report = journaled(db, journal).rollback()
@@ -361,7 +364,7 @@ class TestRollback:
         journaled(db, journal).apply(PROPOSED)
         injector = FaultInjector.from_spec("journal.write:3")
         with faults.injecting(injector), pytest.raises(FaultInjected):
-            journaled(db, journal).rollback(retry_steps=False)
+            journaled(db, journal).rollback()
         with pytest.raises(ApplyConflictError, match="rollback is in progress"):
             journaled(db, journal).apply(PROPOSED)
         journaled(db, journal).rollback()

@@ -5,6 +5,7 @@ import pytest
 import numpy as np
 
 from repro.advisor.candidates import (
+    MAX_COVERING_WIDTH,
     CandidateIndex,
     generate_candidates,
     prune_dominated,
@@ -92,14 +93,23 @@ class TestKnobs:
         assert all(len(c.index.columns) == 1 for c in cands)
 
     def test_max_width_respected(self, db):
+        # Four referenced columns: the covering candidate is the widest.
         cands = candidates_for(
             db,
             "select person_id from people "
             "where city = 'oslo' and age = 5 and height > 150",
-            max_width=2,
-            max_covering_width=2,
         )
-        assert all(len(c.index.columns) <= 2 for c in cands)
+        widths = [len(c.index.columns) for c in cands]
+        assert max(widths) == MAX_COVERING_WIDTH == 4
+        assert sorted(widths)[-2] <= 3
+        # Five are too many to cover: key candidates stop at two
+        # equality columns and a range column.
+        cands = candidates_for(
+            db,
+            "select person_id from people "
+            "where city = 'oslo' and age = 5 and height > 150 and nickname = 'n'",
+        )
+        assert max(len(c.index.columns) for c in cands) == 3
 
     def test_per_table_cap(self, db):
         cands = candidates_for(

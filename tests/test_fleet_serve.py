@@ -667,26 +667,49 @@ class TestFaultPoints:
 
 
 class TestKillResumeSweep:
-    STREAM = drifting_stream(96)
+    GOOD = [(AGE_INDEX, HEIGHT_INDEX)] * 2
+    # (steps, controller knobs): a step is a statement, or a list of
+    # per-replica designs rolled out by hand.
+    SCHEDULES = {
+        # Drift-driven re-tunes roll out twice.
+        "drift": (drifting_stream(96), {"warmup": 16}),
+        # TestHealthGate's schedule: a good design, then one that
+        # regresses replica 0, which the health gate rolls back during
+        # the last stretch.
+        "rollback": (
+            stable_stream(32)
+            + [GOOD]
+            + stable_stream(96)
+            + [[(), GOOD[1]]]
+            + stable_stream(96),
+            {"warmup": 10_000, "regression_tolerance": 0.05},
+        ),
+    }
 
-    def _drive(self, databases, state_path, injector=None):
+    def _drive(
+        self, databases, state_path, injector=None, schedule="drift", steps=None
+    ):
+        all_steps, knobs = self.SCHEDULES[schedule]
         controller = make_controller(
-            databases,
-            state_path=state_path,
-            warmup=16,
-            retry_steps=False,
-            fault_injector=injector,
+            databases, state_path=state_path, fault_injector=injector, **knobs
         )
         resume_from = controller.position if controller.resumed else 0
-        for position, sql in enumerate(self.STREAM, start=1):
-            if position <= resume_from:
-                continue
-            controller.observe(sql)
+        position = 0
+        for step in all_steps if steps is None else steps:
+            if isinstance(step, str):
+                position += 1
+                if position > resume_from:
+                    controller.observe(step)
+            elif position > resume_from:
+                # A rollout at or before the resume point already ran:
+                # the sweep kills only after the last one.
+                controller.rollout(step)
         return controller
 
     def _terminal(self, controller):
         return (
             controller.phase,
+            [rt.status for rt in controller.replicas],
             [
                 sorted(index_signature(ix) for ix in rt.design)
                 for rt in controller.replicas
@@ -694,11 +717,22 @@ class TestKillResumeSweep:
             [db_fingerprint(rt.database) for rt in controller.replicas],
         )
 
-    def _clean_run(self, tmp_path, label="clean"):
+    def _clean_run(self, tmp_path, label="clean", schedule="drift"):
         idle = FaultInjector()
         state = str(tmp_path / f"{label}.state")
-        controller = self._drive(fleet_databases(2), state, idle)
+        controller = self._drive(fleet_databases(2), state, idle, schedule)
         return controller, idle
+
+    def _writes_through_last_rollout(self, tmp_path, schedule, point):
+        steps, _knobs = self.SCHEDULES[schedule]
+        cut = max(
+            (i + 1 for i, step in enumerate(steps) if not isinstance(step, str)),
+            default=0,
+        )
+        idle = FaultInjector()
+        state = str(tmp_path / f"prefix-{point}.state")
+        self._drive(fleet_databases(2), state, idle, schedule, steps[:cut])
+        return idle.checks(point)
 
     def test_clean_run_exercises_the_fault_surface(self, tmp_path):
         controller, idle = self._clean_run(tmp_path)
@@ -708,25 +742,45 @@ class TestKillResumeSweep:
         assert idle.checks("replica.apply") >= 2
         assert idle.checks("validate.window") >= 1
 
-    @pytest.mark.parametrize("point", ["rollout.journal", "journal.write"])
-    def test_kill_at_every_journal_write_converges(self, tmp_path, point):
-        clean, idle = self._clean_run(tmp_path)
+    @pytest.mark.parametrize(
+        "schedule, point",
+        [
+            pytest.param("drift", "rollout.journal", id="rollout.journal"),
+            pytest.param("drift", "journal.write", id="journal.write"),
+            pytest.param(
+                "rollback", "rollout.journal", id="rollback-rollout.journal"
+            ),
+            pytest.param(
+                "rollback", "journal.write", id="rollback-journal.write"
+            ),
+        ],
+    )
+    def test_kill_at_every_journal_write_converges(
+        self, tmp_path, schedule, point
+    ):
+        clean, idle = self._clean_run(tmp_path, schedule=schedule)
         expected = self._terminal(clean)
+        if schedule == "rollback":
+            assert clean.frozen and clean.event_counts["rolled-back"] == 1
+        first = self._writes_through_last_rollout(tmp_path, schedule, point) + 1
         writes = idle.checks(point)
-        assert writes > 0
-        for k in range(1, writes + 1):
+        assert writes >= first
+        for k in range(first, writes + 1):
             databases = fleet_databases(2)
             state = str(tmp_path / f"kill-{point}-{k}.state")
             try:
                 self._drive(
-                    databases, state, FaultInjector.from_spec(f"{point}:{k}")
+                    databases,
+                    state,
+                    FaultInjector.from_spec(f"{point}:{k}"),
+                    schedule,
                 )
                 # Later checks may not be reached if an earlier fire
                 # changed control flow; a fault-free completion is the
                 # clean run and must already match.
             except FaultInjected:
                 pass
-            resumed = self._drive(databases, state)
+            resumed = self._drive(databases, state, schedule=schedule)
             assert self._terminal(resumed) == expected, (
                 f"kill at {point} #{k} diverged after resume"
             )
@@ -739,10 +793,7 @@ class TestKillResumeSweep:
         state = str(tmp_path / "xproc.state")
         assert resilience_state.has_state(state)
         resumed = make_controller(
-            fleet_databases(2),
-            state_path=state,
-            warmup=16,
-            retry_steps=False,
+            fleet_databases(2), state_path=state, warmup=16
         )
         assert resumed.resumed
         resumed.resume()
@@ -869,6 +920,19 @@ class TestThawAndRelease:
         assert resumed.regressed == controller.regressed
         info = resumed.thaw()
         assert info is not None
+        assert resumed.phase == "serving"
+
+    def test_frozen_envelope_without_a_record_resumes_frozen(self, tmp_path):
+        controller, _ = self._frozen(tmp_path)
+        state = str(tmp_path / "fleet.state")
+        envelope = controller.save_state()
+        envelope["regressed"] = None
+        FileStateStore(state).write("", envelope)
+        resumed = make_controller(
+            fleet_databases(2), state_path=state, warmup=10_000
+        )
+        assert resumed.phase == "frozen" and resumed.regressed is None
+        assert resumed.thaw() is None
         assert resumed.phase == "serving"
 
     def test_release_returns_replica_to_rotation(self, tmp_path):

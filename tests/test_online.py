@@ -17,6 +17,7 @@ from repro.cli import main as cli_main
 from repro.core.parinda import Parinda
 from repro.errors import ReproError, TokenizeError
 from repro.inum.model import CacheEntry
+from repro.parallel.caches import CostCache
 from repro.resilience.apply import MANAGED_PREFIX
 from repro.resilience.state import load_state
 from repro.resilience.store import FileStateStore
@@ -603,7 +604,7 @@ class TestOnlineTuner:
         assert held and held[-1].detail == "design unchanged"
 
     def test_cache_bound_respected(self, sdss_db, sdss_wl):
-        tuner = self.make_tuner(sdss_db, cache_max_entries=8)
+        tuner = self.make_tuner(sdss_db, cost_cache=CostCache(max_entries=8))
         tuner.run(
             stream_of(sdss_wl, PRE, 4) + stream_of(sdss_wl, POST, 5, salt0=50)
         )
@@ -716,9 +717,9 @@ class TestHeldBaselineRegression:
             check_interval=8,
             warmup=8,
             build_cost_per_page=1.0,
-            detector=DriftDetector(
-                weight_threshold=0.4, new_template_share=0.05
-            ),
+        )
+        tuner.detector = DriftDetector(
+            weight_threshold=0.4, new_template_share=0.05
         )
         tuner._advisor = _StubAdvisor()
         tuner._index_pages = lambda ix: 10

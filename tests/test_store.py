@@ -291,9 +291,7 @@ class TestRetrySemantics:
     @pytest.mark.parametrize("point", ["store.read", "store.write"])
     def test_single_transient_fault_absorbed(self, tmp_path, point):
         injector = FaultInjector.from_spec(f"{point}:1")
-        store = FileStateStore(
-            str(tmp_path / "STATE"), fault_injector=injector, backoff=0.0
-        )
+        store = FileStateStore(str(tmp_path / "STATE"), fault_injector=injector)
         if point == "store.read":
             FileStateStore(str(tmp_path / "STATE")).write("", STATE_A)
             assert store.read("")[0] == STATE_A
@@ -304,23 +302,16 @@ class TestRetrySemantics:
 
     def test_persistent_fault_exhausts_the_retry_budget(self, tmp_path):
         injector = FaultInjector.from_spec("store.write:*")
-        store = FileStateStore(
-            str(tmp_path / "STATE"),
-            fault_injector=injector,
-            retries=2,
-            backoff=0.0,
-        )
+        store = FileStateStore(str(tmp_path / "STATE"), fault_injector=injector)
         with pytest.raises(FaultInjected):
             store.write("", STATE_A)
-        # retries=2 means three attempts total, then propagate.
+        # Two retries: three attempts total, then propagate.
         assert injector.fired("store.write") == 3
         assert not store.exists("")
 
     def test_lease_acquire_fault_retried(self, tmp_path):
         injector = FaultInjector.from_spec("lease.acquire:1")
-        store = FileStateStore(
-            str(tmp_path / "STATE"), fault_injector=injector, backoff=0.0
-        )
+        store = FileStateStore(str(tmp_path / "STATE"), fault_injector=injector)
         assert store.acquire(owner="a") == 1
         assert injector.fired("lease.acquire") == 1
 
@@ -334,7 +325,7 @@ class TestRetrySemantics:
                     raise OSError("connection blip")
                 super()._write_slot(key, state, fault_point)
 
-        store = Flaky(str(tmp_path / "STATE"), retries=2, backoff=0.0)
+        store = Flaky(str(tmp_path / "STATE"))
         store.write("", STATE_A)
         assert store.read("")[0] == STATE_A
 
@@ -343,9 +334,7 @@ class TestRetrySemantics:
         # fire once, tear the primary, and propagate — a retry would
         # defeat every kill/resume test built on it.
         injector = FaultInjector.from_spec("journal.write:1")
-        store = FileStateStore(
-            str(tmp_path / "STATE"), fault_injector=injector, backoff=0.0
-        )
+        store = FileStateStore(str(tmp_path / "STATE"), fault_injector=injector)
         store.write("", STATE_A)
         store.write("", STATE_A)  # second write rotates a .bak out
         with pytest.raises(FaultInjected):
@@ -362,7 +351,7 @@ class TestRetrySemantics:
                 calls["n"] += 1
                 super().check_lease()
 
-        old = Counting(str(tmp_path / "STATE"), retries=5, backoff=0.0)
+        old = Counting(str(tmp_path / "STATE"))
         old.acquire(owner="old")
         FileStateStore(str(tmp_path / "STATE")).acquire(owner="new")
         calls["n"] = 0
@@ -486,7 +475,6 @@ class TestHostLossConvergence:
             databases,
             store=store,
             warmup=16,
-            retry_steps=False,
             fault_injector=injector,
         )
         resume_from = controller.position if controller.resumed else 0
@@ -515,7 +503,6 @@ class TestHostLossConvergence:
             fleet_databases(2),
             state_path=str(tmp_path / "STATE"),
             warmup=16,
-            retry_steps=False,
         )
         for sql in self.STREAM:
             file_controller.observe(sql)
@@ -566,9 +553,7 @@ class TestHostLossConvergence:
         databases = fleet_databases(2)
         store = DatabaseStateStore(databases[0], dsn)
         store.acquire(owner="old-daemon")
-        controller = make_controller(
-            databases, store=store, warmup=16, retry_steps=False
-        )
+        controller = make_controller(databases, store=store, warmup=16)
         # Failover: a new daemon takes the lease mid-run.
         DatabaseStateStore(make_people_db(rows=60), dsn).acquire(owner="new")
         with pytest.raises(StaleLeaseError):
@@ -917,10 +902,10 @@ def _run_schedule(steps, shared: bool, directory: str) -> None:
     if shared:
         dsn = os.path.join(directory, "dbstate.json")
         databases = [Database(), Database()]
-        stores = [DatabaseStateStore(db, dsn, backoff=0.0) for db in databases]
+        stores = [DatabaseStateStore(db, dsn) for db in databases]
     else:
         base = os.path.join(directory, "STATE")
-        stores = [FileStateStore(base, backoff=0.0) for _ in range(2)]
+        stores = [FileStateStore(base) for _ in range(2)]
     model = _StoreModel(shared)
     for step in steps:
         kind = step[0]
