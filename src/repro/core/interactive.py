@@ -21,7 +21,9 @@ from repro.optimizer.planner import Planner
 from repro.optimizer.plans import Plan, plan_signature
 from repro.partitioning.fragments import fragment_with_pk
 from repro.partitioning.rewrite import PartitionRewriter
+from repro.sql.ast_nodes import SelectStmt
 from repro.sql.binder import BoundQuery, bind
+from repro.sql.parser import parse_select
 from repro.sql.printer import to_sql
 from repro.storage.database import Database
 from repro.whatif.session import WhatIfSession
@@ -83,12 +85,15 @@ class InteractiveDesigner:
         # Baselines (the query bound against the real catalog, and its
         # plan there) depend only on the real catalog, so they outlive
         # reset(); target-side bindings depend on the session catalog.
-        # Both are keyed by the owning catalog's version so they never
-        # serve stale state, and the session's own fingerprinted plan
-        # cache does the rest — evaluate() after add_whatif_index replans
-        # only the queries that touch the indexed table.
+        # Both are keyed by the owning catalog's version and the SQL (the
+        # next workload may reuse a name for another statement) so they
+        # never serve stale state, and the session's own plan cache does
+        # the rest — evaluate() after add_whatif_index replans only the
+        # queries the new index can serve. Parsed statements are frozen
+        # ASTs, so one parse per SQL serves every catalog version.
         self._baselines: dict[tuple, tuple[BoundQuery, Plan]] = {}
-        self._bound_targets: dict[tuple, tuple] = {}
+        self._bound_targets: dict[tuple, tuple[BoundQuery, str]] = {}
+        self._statements: dict[str, SelectStmt] = {}
 
     @property
     def session(self) -> WhatIfSession:
@@ -99,6 +104,12 @@ class InteractiveDesigner:
         self._session = WhatIfSession(self._db.catalog)
         self._schemes = {}
         self._bound_targets = {}
+
+    def _statement(self, sql: str) -> SelectStmt:
+        statement = self._statements.get(sql)
+        if statement is None:
+            statement = self._statements[sql] = parse_select(sql)
+        return statement
 
     # ------------------------------------------------------------------
     # Design features
@@ -148,23 +159,23 @@ class InteractiveDesigner:
         baseline = Planner(self._db.catalog)
         rewriter = PartitionRewriter(self._schemes) if self._schemes else None
 
+        # Partition-scheme changes add shell tables to the session
+        # catalog (version bump), so its key covers them.
+        base_version = self._db.catalog.cache_key
+        target_version = self._session.catalog.cache_key
         per_query: list[QueryBenefit] = []
         rewritten_sql: dict[str, str] = {}
         cost_before = 0.0
         cost_after = 0.0
         for query in workload:
-            # By SQL, not name: baselines outlive reset(), and the next
-            # workload may reuse a name for another statement.
-            base_key = (self._db.catalog.cache_key, query.sql)
+            base_key = (base_version, query.sql)
             base = self._baselines.get(base_key)
             if base is None:
                 bound = query.bind(self._db.catalog)
                 base = self._baselines[base_key] = (bound, baseline.plan(bound))
             bound, base_plan = base
             before = base_plan.total_cost * query.weight
-            # Partition-scheme changes add shell tables to the session
-            # catalog (version bump), so the catalog key covers them.
-            target_key = (self._session.catalog.cache_key, query.name)
+            target_key = (target_version, query.sql)
             entry = self._bound_targets.get(target_key)
             if entry is None:
                 if rewriter is not None:
@@ -173,18 +184,13 @@ class InteractiveDesigner:
                     target = bind(self._session.catalog, rewritten)
                 else:
                     sql = query.sql.strip()
-                    target = bind(self._session.catalog, query.parse())
+                    target = bind(self._session.catalog, self._statement(query.sql))
                 entry = (target, sql)
                 self._bound_targets[target_key] = entry
             target, rewritten_sql[query.name] = entry
             plan = self._session.plan(target)
             after = plan.total_cost * query.weight
-            used = sorted(
-                {
-                    name
-                    for name in _hypothetical_indexes_in(plan)
-                }
-            )
+            used = self._session.hypothetical_indexes_used(target)
             cost_before += before
             cost_after += after
             per_query.append(
@@ -214,49 +220,26 @@ class InteractiveDesigner:
         query = workload.query(query_name)
         scratch = _materialize(self._db, self._session, self._schemes)
 
+        statement = self._statement(query.sql)
+
         # What-if side.
-        bound_whatif = bind(self._session.catalog, query.parse())
+        bound_whatif = bind(self._session.catalog, statement)
         whatif_plan = self._session.planner().plan(bound_whatif)
 
         # Materialized side.
-        bound_real = bind(scratch.catalog, query.parse())
+        bound_real = bind(scratch.catalog, statement)
         real_plan = Planner(scratch.catalog).plan(bound_real)
 
         return PlanComparison(
             query_name=query_name,
             whatif_cost=whatif_plan.total_cost,
             materialized_cost=real_plan.total_cost,
-            plans_match=_signatures_match(whatif_plan, real_plan),
+            # plan_signature leaves index names out, and what-if names
+            # differ from the materialized ones.
+            plans_match=plan_signature(whatif_plan) == plan_signature(real_plan),
             whatif_plan=explain(whatif_plan),
             materialized_plan=explain(real_plan),
         )
-
-
-def _hypothetical_indexes_in(plan: Plan) -> list[str]:
-    from repro.optimizer.plans import IndexScan
-
-    return [
-        node.index_name
-        for node in plan.walk()
-        if isinstance(node, IndexScan) and node.hypothetical
-    ]
-
-
-def _signatures_match(whatif_plan: Plan, real_plan: Plan) -> bool:
-    """Plan shapes are equal up to index naming (what-if names differ)."""
-
-    def normalize(sig):
-        if isinstance(sig, tuple):
-            return tuple(normalize(part) for part in sig)
-        return sig
-
-    return normalize(_strip_names(plan_signature(whatif_plan))) == normalize(
-        _strip_names(plan_signature(real_plan))
-    )
-
-
-def _strip_names(signature):
-    return signature
 
 
 def _materialize(

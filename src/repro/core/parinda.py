@@ -84,6 +84,8 @@ class Parinda:
         self._cost_cache = CostCache(max_entries=cache_max_entries)
         self._cache_bounded = cache_max_entries is not None
         self._planner = Planner(self._db.catalog, self._config)
+        # Plan cost per (catalog version, SQL): by SQL, not name, as the
+        # next workload may reuse a name for another statement.
         self._plan_cost_cache: dict[tuple, float] = {}
 
     @property
@@ -399,7 +401,7 @@ class Parinda:
             if isinstance(result, AdvisorResult):
                 simulated = {qb.name: qb.cost_after for qb in result.per_query}
             for query in workload:
-                key = (self._db.catalog.cache_key, query.name)
+                key = (self._db.catalog.cache_key, query.sql)
                 cost = self._plan_cost_cache.get(key)
                 if cost is None:
                     bound = self._cost_cache.bound_query(
@@ -495,7 +497,7 @@ class Parinda:
         """
         total = 0.0
         for query in workload:
-            key = (self._db.catalog.cache_key, query.name)
+            key = (self._db.catalog.cache_key, query.sql)
             cost = self._plan_cost_cache.get(key)
             if cost is None:
                 bound = self._cost_cache.bound_query(self._db.catalog, query.sql)

@@ -163,6 +163,50 @@ def index_usable(rel: BaseRel, columns: tuple[str, ...]) -> bool:
     )
 
 
+def parameterized_usable(
+    rel: BaseRel, columns: tuple[str, ...], join_columns: frozenset[str]
+) -> bool:
+    """True when an index on key ``columns`` gives ``rel`` a
+    parameterized scan: the first key column without a local equality
+    restriction is one of ``join_columns``, the relation's equi-join
+    columns (see :func:`_parameterized_path_for_index`)."""
+    equal = {
+        c.index_clause.column
+        for c in rel.restrictions
+        if c.index_clause is not None and c.index_clause.is_equality
+    }
+    for column in columns:
+        if column not in equal:
+            return column in join_columns
+    return False
+
+
+def index_serves(
+    rel: BaseRel, columns: tuple[str, ...], join_columns: frozenset[str]
+) -> bool:
+    """True when an index on key ``columns`` gives ``rel`` any access
+    path, plain or parameterized. An index it rejects adds nothing to
+    :func:`index_paths` or :func:`parameterized_index_paths`, so the
+    join search, and the plan, are the same with or without it."""
+    return index_usable(rel, columns) or parameterized_usable(
+        rel, columns, join_columns
+    )
+
+
+def equi_join_columns(
+    alias: str, join_clauses: list[ClassifiedClause]
+) -> frozenset[str]:
+    """The columns of ``alias`` that an equi-join clause binds."""
+    columns = set()
+    for clause in join_clauses:
+        if clause.equi_join is None:
+            continue
+        for side_alias, column in clause.equi_join:
+            if side_alias == alias:
+                columns.add(column)
+    return frozenset(columns)
+
+
 def index_paths(config: PlannerConfig, rel: BaseRel) -> list[IndexScan]:
     """All useful plain (unparameterized) index scans for ``rel``: one
     per index :func:`index_usable` accepts."""
@@ -264,8 +308,11 @@ def parameterized_index_paths(
             (clause, outer_alias, outer_expr)
         )
 
+    join_columns = frozenset(join_by_column)
     paths: list[IndexScan] = []
     for index in rel.info.indexes:
+        if not parameterized_usable(rel, index.columns, join_columns):
+            continue
         path = _parameterized_path_for_index(
             config, rel, index, local_eq, join_by_column
         )

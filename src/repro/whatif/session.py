@@ -6,17 +6,22 @@ hypothetical index metadata — leaf pages from Equation 1 — to whatever
 the base hook reports. Planning through the session is therefore
 byte-for-byte the same code path as planning against real structures.
 
-Incremental invalidation: plans produced through :meth:`plan` are
-cached under a *design fingerprint* — the catalog version, the join-flag
-epoch, and a per-table epoch bumped whenever a hypothetical index on
-that table is added or dropped. Adding an index on ``specobj`` therefore
-replans only the queries that reference ``specobj``; every other
-cached plan keeps serving hits. Bound queries are likewise cached per
-catalog version, so interactive loops re-parse nothing. A query that
-does have to be replanned at an unchanged catalog version keeps its
-prepared planner state (clause classification, selectivities, row and
-width estimates — none of which an index or a join flag can move) and
-only has its relations' physical design re-read through the hook.
+Incremental invalidation: each plan produced through :meth:`plan` is
+cached with what it was planned under — the catalog version, the
+join-flag epoch, a design epoch per referenced table (bumped whenever a
+hypothetical index on it is added or dropped), and per alias the
+hypothetical indexes that can serve the query
+(:func:`~repro.optimizer.paths.index_serves`: a plain or parameterized
+access path). Equal epochs are a hit. When only table epochs moved, the
+plan is still reused if the serving indexes are unchanged: an index
+that gives the query no path adds nothing the planner can pick, so the
+plan would come out identical. Adding an index on ``specobj`` therefore
+replans only the queries that index can serve. Bound queries are cached
+per catalog version, so interactive loops re-parse nothing. A query
+that does have to be replanned at an unchanged catalog version keeps
+its prepared planner state (clause classification, selectivities, row
+and width estimates — none of which an index or a join flag can move)
+and only has its relations' physical design re-read through the hook.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ from repro.catalog.statistics import RelationStatistics
 from repro.errors import WhatIfError
 from repro.optimizer.config import IndexInfo, PlannerConfig, RelationInfo
 from repro.optimizer.planner import Planner, PreparedQuery
-from repro.optimizer.plans import Plan, indexes_used
+from repro.optimizer.paths import equi_join_columns, index_serves
+from repro.optimizer.plans import IndexScan, Plan
 from repro.sql.binder import BoundQuery, bind
 from repro.sql.parser import parse_select
 from repro.whatif.tables import derive_partition_stats, make_partition_shell
@@ -62,9 +68,7 @@ class WhatIfSession:
         self._table_epochs: dict[str, int] = {}
         self._flags_epoch = 0
         self._bound_cache: dict[tuple, BoundQuery] = {}
-        self._plan_cache: dict[
-            object, tuple[BoundQuery, tuple, Plan, PreparedQuery]
-        ] = {}
+        self._plan_cache: dict[object, _CachedPlan] = {}
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
 
@@ -220,19 +224,6 @@ class WhatIfSession:
             self._bound_cache[key] = cached
         return cached
 
-    def design_fingerprint(self, query: BoundQuery) -> tuple:
-        """What a cached plan for ``query`` depends on: the catalog
-        version, the join-flag epoch, and the design epochs of exactly
-        the tables the query references. A hypothetical index on any
-        other table leaves this fingerprint — and the cached plan —
-        untouched."""
-        tables = sorted({entry.table.name for entry in query.rels})
-        return (
-            self._catalog.cache_key,
-            self._flags_epoch,
-            tuple((t, self._table_epochs.get(t, 0)) for t in tables),
-        )
-
     def plan(self, query: BoundQuery | str) -> Plan:
         if isinstance(query, str):
             key: object = query
@@ -241,40 +232,87 @@ class WhatIfSession:
             # The cache entry pins the bound query, so its id cannot be
             # reused while the entry is alive; identity check below.
             key = id(query)
-        fingerprint = self.design_fingerprint(query)
-        cached_fp = cached_prepared = None
         entry = self._plan_cache.get(key)
-        if entry is not None and (isinstance(key, str) or entry[0] is query):
-            _, cached_fp, cached_plan, cached_prepared = entry
-            if cached_fp == fingerprint:
+        if entry is None or entry.query is not query:
+            entry = self._plan_cache[key] = _CachedPlan(query)
+        fingerprint = self._fingerprint(entry.tables)
+        cached = entry.fingerprint
+        if cached == fingerprint:
+            self.plan_cache_hits += 1
+            return entry.plan
+        # Same catalog version, so the same tables and statistics: only
+        # hypothetical indexes or flags moved since the query was prepared.
+        same_catalog = cached is not None and cached[0] == fingerprint[0]
+        if same_catalog:
+            relevant = self._relevant(entry)
+            if cached[1] == fingerprint[1] and relevant == entry.relevant:
+                # None of the moved indexes can serve the query.
+                entry.fingerprint = fingerprint
                 self.plan_cache_hits += 1
-                return cached_plan
-        self.plan_cache_misses += 1
+                return entry.plan
         planner = self.planner()
-        if cached_fp is not None and cached_fp[0] == fingerprint[0]:
-            # Same catalog version, so the same tables and statistics:
-            # only indexes or flags moved since this query was prepared.
-            prepared = cached_prepared.with_relation_info(
+        if same_catalog:
+            entry.prepared = entry.prepared.with_relation_info(
                 lambda rel: planner.relation_info(rel.table_name)
             )
         else:
-            prepared = planner.prepare(query)
-        plan = planner.plan(query, prepared)
-        self._plan_cache[key] = (query, fingerprint, plan, prepared)
+            entry.prepared = prepared = planner.prepare(query)
+            entry.join_columns = tuple(
+                equi_join_columns(alias, prepared.join_clauses)
+                for alias in prepared.base_rels
+            )
+            relevant = self._relevant(entry)
+        self.plan_cache_misses += 1
+        plan = entry.plan = planner.plan(query, entry.prepared)
+        entry.fingerprint = fingerprint
+        entry.relevant = relevant
+        entry.used = tuple(sorted({
+            node.index_name
+            for node in plan.walk()
+            if isinstance(node, IndexScan) and node.hypothetical
+        }))
         return plan
 
     def cost(self, query: BoundQuery | str) -> float:
         return self.plan(query).total_cost
 
     def hypothetical_indexes_used(self, query: BoundQuery | str) -> list[str]:
-        """Names of session indexes the optimizer picked for ``query``."""
-        plan = self.plan(query)
-        hypo_names = {ix.name for ix in self.hypothetical_indexes}
-        return sorted(
-            name for name in indexes_used(plan).values() if name in hypo_names
-        )
+        """Names of session indexes the optimizer picked for ``query``,
+        sorted; read off the cached plan when it is current."""
+        key = query if isinstance(query, str) else id(query)
+        entry = self._plan_cache.get(key)
+        if entry is None or entry.fingerprint != self._fingerprint(entry.tables):
+            self.plan(query)
+            entry = self._plan_cache[key]
+        return list(entry.used)
 
     # ------------------------------------------------------------------
+
+    def _fingerprint(self, tables: tuple[str, ...]) -> tuple:
+        """What a cached plan over ``tables`` was planned under: the
+        catalog version, the join-flag epoch and the design epoch of
+        each table."""
+        return (
+            self._catalog.cache_key,
+            self._flags_epoch,
+            tuple(map(self._table_epochs.get, tables)),
+        )
+
+    def _relevant(self, entry: "_CachedPlan") -> tuple:
+        """Per alias, in hook order, the session indexes that give the
+        query an access path (:func:`index_serves`). Any other index
+        adds no path, so it cannot change the plan."""
+        hypothetical = self._hypothetical
+        return tuple(
+            tuple(
+                index
+                for index in hypothetical.get(rel.table_name, ())
+                if index_serves(rel, index.columns, joined)
+            )
+            for rel, joined in zip(
+                entry.prepared.base_rels.values(), entry.join_columns
+            )
+        )
 
     def _touch(self, table_name: str) -> None:
         self._table_epochs[table_name] = self._table_epochs.get(table_name, 0) + 1
@@ -307,6 +345,28 @@ class WhatIfSession:
             )
 
         return hook
+
+
+class _CachedPlan:
+    """One query's plan and what it was planned under."""
+
+    __slots__ = (
+        "query", "tables", "fingerprint", "prepared", "join_columns",
+        "relevant", "plan", "used",
+    )
+
+    def __init__(self, query: BoundQuery) -> None:
+        self.query = query
+        self.tables = tuple(sorted({entry.table.name for entry in query.rels}))
+        self.fingerprint: tuple | None = None
+        self.prepared: PreparedQuery | None = None
+        # Per alias of ``prepared.base_rels``: its equi-join columns,
+        # and the session indexes that served it when last planned.
+        self.join_columns: tuple[frozenset[str], ...] = ()
+        self.relevant: tuple = ()
+        self.plan: Plan | None = None
+        # Hypothetical index names ``plan`` scans, sorted.
+        self.used: tuple[str, ...] = ()
 
 
 def _height_for(leaf_pages: int) -> int:

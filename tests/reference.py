@@ -33,9 +33,14 @@ built connected subsets only and priced each join before building its
 node, the oracle for ``test_joinsearch.py``; :func:`reference_plan`
 plans a query with it in the join search's place.
 
-Last, :func:`read_statements`: the statement reader as it was before
+Then :func:`read_statements`: the statement reader as it was before
 ``iter_statements`` streamed, reading its whole source before the first
 statement, the oracle for ``test_workloads.py``.
+
+Last, :func:`serving_indexes`: which what-if indexes fresh path
+generation builds a path on for each relation of a query, the oracle
+for how many queries a what-if session replans (``test_whatif.py``,
+``test_interactive.py``, ``test_parallel.py``).
 """
 
 from __future__ import annotations
@@ -73,14 +78,20 @@ from repro.optimizer.cost import (
     cost_sort,
 )
 from repro.optimizer.joinsearch import RelSet, order_satisfies
-from repro.optimizer.paths import BaseRel
+from repro.optimizer.paths import (
+    BaseRel,
+    index_paths,
+    parameterized_index_paths,
+)
+from repro.optimizer.planner import Planner
 from repro.optimizer.plans import HashJoin, IndexScan, MergeJoin, NestLoop, Plan, Sort
 from repro.optimizer.selectivity import (
     equijoin_selectivity,
     generic_join_selectivity,
 )
 from repro.sql.ast_nodes import ColumnRef, FuncCall, SortItem
-from repro.sql.binder import BoundQuery
+from repro.sql.binder import BoundQuery, bind
+from repro.sql.parser import parse_select
 from repro.sql.expressions import evaluate, is_true
 from repro.storage.database import Database
 from repro.storage.heap import HeapFile
@@ -998,3 +1009,31 @@ def read_statements(source) -> list[str]:
     else:
         text = "".join(source)
     return [s.strip() for s in text.split(";") if s.strip()]
+
+
+def serving_indexes(session, sql: str) -> tuple:
+    """Per alias of ``sql`` bound in ``session``'s catalog, the session
+    indexes (name, key, unique) that fresh ``index_paths`` and
+    ``parameterized_index_paths`` build a scan on, in the order the
+    relation lists them. A cached what-if plan stays exact exactly as
+    long as this value holds, the catalog version and the join flags
+    do not move."""
+    config = session.config
+    prepared = Planner(session.catalog, config).prepare(
+        bind(session.catalog, parse_select(sql))
+    )
+    served = []
+    for alias, rel in prepared.base_rels.items():
+        paths = index_paths(config, rel) + parameterized_index_paths(
+            config, rel, prepared.join_clauses
+        )
+        names = {path.index_name for path in paths if path.hypothetical}
+        served.append((
+            alias,
+            tuple(
+                (ix.name, ix.columns, ix.definition.unique)
+                for ix in rel.info.indexes
+                if ix.name in names
+            ),
+        ))
+    return tuple(served)

@@ -5,12 +5,15 @@ import pytest
 from repro.core.interactive import InteractiveDesigner
 from repro.errors import WhatIfError
 from repro.optimizer.planner import Planner
+from repro.optimizer.plans import IndexScan, plan_signature
 from repro.sql.binder import bind
 from repro.sql.parser import parse_select
+from repro.whatif.session import WhatIfSession
 from repro.workloads.sdss import build_sdss_database, sdss_workload
 from repro.workloads.workload import Query, Workload
 
 from tests.conftest import make_people_db
+from tests.reference import serving_indexes
 
 
 WL = Workload(
@@ -76,13 +79,35 @@ class TestEvaluate:
         assert designer.session.hypothetical_indexes == []
 
 
+class TestQueryNameReuse:
+    def test_reused_name_is_bound_to_its_own_sql(self):
+        """Target bindings are keyed by SQL: a second workload that
+        reuses a query name for another statement is not served the
+        first statement's plan."""
+        db = build_sdss_database(photo_rows=1000)
+        survey = sdss_workload()
+        first = Workload(name="a", queries=[Query("q", survey.queries[0].sql)])
+        second = Workload(name="b", queries=[Query("q", survey.queries[5].sql)])
+        expected = InteractiveDesigner(db).evaluate(second)
+        designer = InteractiveDesigner(db)
+        assert designer.evaluate(first).cost_after != expected.cost_after
+        evaluation = designer.evaluate(second)
+        assert evaluation.cost_after == expected.cost_after
+        assert evaluation.rewritten_sql == expected.rewritten_sql
+
+
 class TestScriptedSession:
     """A replan inside a session reuses the query's prepared planner
-    state and the designer keeps base-side bindings across reset();
-    neither may move a cost. After every step of an add / drop / flag /
-    partition / reset script over single- and multi-table queries, each
-    displayed cost equals a fresh ``Planner.plan`` of the freshly
-    parsed and bound statement under the session's design."""
+    state, a cached plan serves until an index that can serve its query
+    moves, and the designer keeps base-side bindings across reset();
+    none of it may move a plan. After every step of an add / drop /
+    flag / partition / reset script over single- and multi-table
+    queries, each displayed plan equals a fresh ``Planner.plan`` of the
+    freshly parsed and bound statement under the session's design: in
+    cost, in shape and in the what-if indexes it uses. The session
+    replans exactly the queries whose serving indexes
+    (``tests.reference.serving_indexes``) moved, or every query when
+    the catalog or the join flags did."""
 
     def test_every_step_equals_fresh_planning(self, monkeypatch):
         db = build_sdss_database(photo_rows=1500, seed=3)
@@ -111,23 +136,48 @@ class TestScriptedSession:
 
         counted(Planner, "prepare", "prepare")
         counted(Query, "bind", "bind")
-        designer = InteractiveDesigner(db)
+        shown_plans = []
+        session_plan = WhatIfSession.plan
 
-        def check():
+        def recorded(session, query):
+            plan = session_plan(session, query)
+            shown_plans.append(plan)
+            return plan
+
+        monkeypatch.setattr(WhatIfSession, "plan", recorded)
+        designer = InteractiveDesigner(db)
+        serving: dict[str, tuple] = {}
+
+        def check(replans_all):
             session = designer.session
             prepares, misses = calls["prepare"], session.plan_cache_misses
+            shown_plans.clear()
             evaluation = designer.evaluate(workload)
             prepared_here = calls["prepare"] - prepares
-            assert session.plan_cache_misses > misses  # every step replans
-            for query, shown in zip(workload, evaluation.per_query):
-                statement = parse_select(evaluation.rewritten_sql[query.name])
+            assert len(shown_plans) == len(workload)
+            moved = 0
+            for query, shown, plan in zip(
+                workload, evaluation.per_query, shown_plans
+            ):
+                sql = evaluation.rewritten_sql[query.name]
                 fresh = Planner(session.catalog, session.config).plan(
-                    bind(session.catalog, statement)
+                    bind(session.catalog, parse_select(sql))
                 )
                 assert shown.cost_after == fresh.total_cost * query.weight, query.name
-            return prepared_here
+                assert plan_signature(plan) == plan_signature(fresh), query.name
+                assert shown.indexes_used == sorted({
+                    node.index_name
+                    for node in fresh.walk()
+                    if isinstance(node, IndexScan) and node.hypothetical
+                }), query.name
+                now = serving_indexes(session, sql)
+                moved += serving.get(query.name) != now
+                serving[query.name] = now
+            expected = len(workload) if replans_all else moved
+            assert session.plan_cache_misses - misses == expected
+            return prepared_here, expected
 
-        assert check() == 2 * len(workload)  # baseline + target, once each
+        assert check(True) == (2 * len(workload), len(workload))  # baseline + target
         specobj = db.catalog.table("specobj")
         cut = len(specobj.column_names) // 2
         script = [
@@ -145,14 +195,23 @@ class TestScriptedSession:
             lambda: designer.add_whatif_index("photoobj", ("run",), name="w_run"),
         ]
         fresh_catalog = {5, 8}  # partition and reset: new tables, new bindings
+        flags = {2, 3, 7}
+        replans = []
         for position, step in enumerate(script):
             step()
-            prepared_here = check()
+            prepared_here, replanned = check(position in fresh_catalog | flags)
+            replans.append(replanned)
             if position in fresh_catalog:
                 assert prepared_here == len(workload)
             else:  # indexes and flags replan from the kept state
                 assert prepared_here == 0
         assert calls["bind"] == len(workload)  # base side: once, reset or not
+        # Some index steps replan part of the workload, and not all of it.
+        index_steps = [
+            replans[position] for position in range(len(script))
+            if position not in fresh_catalog | flags
+        ]
+        assert 0 < sum(index_steps) < len(index_steps) * len(workload)
 
 
 class TestCompareWithMaterialized:

@@ -23,6 +23,8 @@ from repro.whatif.session import WhatIfSession
 from repro.workloads.workload import Query, Workload
 from repro.workloads.sdss import build_sdss_database, sdss_workload
 
+from tests.reference import serving_indexes
+
 
 @pytest.fixture(scope="module")
 def sdss_db():
@@ -218,13 +220,19 @@ def test_whatif_plan_cache_targeted_invalidation(sdss_db, sdss_wl):
         session.cost(query.sql)
     assert session.plan_cache_misses == first_misses
 
+    # Replanned: exactly the queries the new index gives a path, which
+    # is fewer than the ones that merely reference specobj.
+    before = {q.name: serving_indexes(session, q.sql) for q in sdss_wl}
     session.add_index("specobj", ("z",))
     for query in sdss_wl:
         session.cost(query.sql)
     replans = session.plan_cache_misses - first_misses
+    served = sum(
+        1 for q in sdss_wl if serving_indexes(session, q.sql) != before[q.name]
+    )
     affected = sum(1 for q in sdss_wl if "specobj" in q.sql)
-    assert 0 < affected < len(list(sdss_wl))
-    assert replans == affected
+    assert 0 < served < affected < len(list(sdss_wl))
+    assert replans == served
 
 
 def test_whatif_drop_and_flags_invalidate(sdss_db, sdss_wl):
@@ -258,6 +266,23 @@ def test_parinda_workload_cost_cached(sdss_db, sdss_wl):
     finally:
         sdss_db.drop_index("tmp_wc")
     assert parinda.workload_cost(workload) == first
+
+
+def test_parinda_plan_costs_follow_the_sql_not_the_name():
+    """A name reused for another statement is priced afresh, by
+    ``workload_cost`` and by ``apply_design``'s validation alike."""
+    db = build_sdss_database(photo_rows=1000)
+    survey = sdss_workload()
+    first = Workload(name="a", queries=[Query("q", survey.queries[0].sql)])
+    second = Workload(name="b", queries=[Query("q", survey.queries[5].sql)])
+    expected = Parinda(db).workload_cost(second)
+    parinda = Parinda(db)
+    assert parinda.workload_cost(first) != expected
+    assert parinda.workload_cost(second) == expected
+    parinda = Parinda(db)
+    parinda.workload_cost(first)
+    report = parinda.apply_design([], workload=second, validate=True)
+    assert [entry.materialized for entry in report.validation] == [expected]
 
 
 # ----------------------------------------------------------------------

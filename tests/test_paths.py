@@ -1,6 +1,7 @@
 """Access-path generation unit tests."""
 
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +12,13 @@ from repro.optimizer.clauses import classify_all
 from repro.optimizer.config import IndexInfo, PlannerConfig, default_relation_info
 from repro.optimizer.paths import (
     build_base_rel,
+    equi_join_columns,
     index_paths,
+    index_serves,
     index_usable,
     match_index,
     parameterized_index_paths,
+    parameterized_usable,
     seqscan_path,
 )
 from repro.sql.binder import bind
@@ -167,6 +171,62 @@ class TestIndexUsable:
             or rel.required_columns <= set(key)
         )
         assert len(index_paths(CONFIG, rel)) == int(usable)
+
+
+JOINS = ("p.person_id = q.owner_id", "p.age = q.pet_id", "p.height = q.weight")
+
+
+class TestIndexServes:
+    """``index_serves`` is exactly "path generation builds a path on this
+    index": a plain scan (``index_usable``) or a nested-loop inner whose
+    key prefix is local equalities ending on an equi-join column. The
+    parameterized side is checked against the generator with its
+    ``parameterized_usable`` gate lifted, so the gate drops no path."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        restrictions=st.sets(st.sampled_from(PEOPLE_RESTRICTIONS), max_size=3),
+        joins=st.sets(st.sampled_from(JOINS), min_size=1, max_size=2),
+        targets=st.sets(st.sampled_from(PEOPLE_COLUMNS), max_size=2),
+        key=st.lists(
+            st.sampled_from(PEOPLE_COLUMNS), min_size=1, max_size=3, unique=True
+        ),
+    )
+    def test_serves_iff_a_path_is_built(self, db, restrictions, joins, targets, key):
+        select = ", ".join(f"p.{c}" for c in sorted(targets)) or "count(*)"
+        where = " and ".join(sorted(joins) + sorted(restrictions))
+        sql = f"select {select} from people p, pets q where {where}"
+        rel, join_clauses, info = prepare(db, sql, alias="p")
+        index = IndexInfo(
+            definition=Index("probe", "people", tuple(key), hypothetical=True),
+            leaf_pages=10,
+            height=1,
+            index_tuples=info.row_count,
+        )
+        rel = replace(rel, info=replace(info, indexes=(index,)))
+        join_columns = equi_join_columns("p", join_clauses)
+        with mock.patch(
+            "repro.optimizer.paths.parameterized_usable", return_value=True
+        ):
+            parameterized = parameterized_index_paths(CONFIG, rel, join_clauses)
+        assert parameterized_usable(rel, index.columns, join_columns) == bool(
+            parameterized
+        )
+        assert parameterized_index_paths(CONFIG, rel, join_clauses) == parameterized
+        assert index_serves(rel, index.columns, join_columns) == bool(
+            index_paths(CONFIG, rel) or parameterized
+        )
+
+    def test_equi_join_columns(self, db):
+        _rel, join_clauses, _info = prepare(
+            db,
+            "select p.age from people p, pets q "
+            "where p.person_id = q.owner_id and p.age = q.pet_id "
+            "and p.height < q.weight",
+            alias="p",
+        )
+        assert equi_join_columns("p", join_clauses) == {"person_id", "age"}
+        assert equi_join_columns("q", join_clauses) == {"owner_id", "pet_id"}
 
 
 class TestParameterizedPaths:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.catalog.schema import Index
 from repro.errors import WhatIfError
+from repro.optimizer.paths import index_usable
 from repro.optimizer.planner import Planner
 from repro.optimizer.plans import plan_signature
 from repro.sql.binder import bind
@@ -12,6 +13,7 @@ from repro.whatif.session import WhatIfSession
 from repro.whatif.tables import derive_partition_stats, make_partition_shell
 
 from tests.conftest import make_people_db
+from tests.reference import serving_indexes
 
 
 @pytest.fixture()
@@ -107,6 +109,84 @@ class TestCostEquivalence:
         assert session.hypothetical_indexes_used(
             "select count(*) from people"
         ) == []
+
+
+class TestRelevantInvalidation:
+    """A cached plan is replanned when, and only when, an index that
+    gives its query an access path moved; either way the plan equals
+    fresh planning under the session's design."""
+
+    JOIN = (
+        "select q.weight from people p, pets q "
+        "where p.person_id = q.owner_id and q.species = 'cat'"
+    )
+
+    def step(self, session, sql, mutate):
+        """Plan ``sql``, apply ``mutate``, plan again; the replan count
+        (0 or 1) and the second plan, checked against fresh planning."""
+        session.plan(sql)
+        before = serving_indexes(session, sql)
+        mutate()
+        misses = session.plan_cache_misses
+        plan = session.plan(sql)
+        fresh = Planner(session.catalog, session.config).plan(
+            bind(session.catalog, parse_select(sql))
+        )
+        assert plan.total_cost == fresh.total_cost
+        assert plan_signature(plan) == plan_signature(fresh)
+        replans = session.plan_cache_misses - misses
+        assert replans == int(serving_indexes(session, sql) != before)
+        return replans, plan
+
+    def test_unmatched_leading_column_does_not_replan(self, session):
+        sql = "select age from people where city = 'oslo'"
+        replans, _ = self.step(
+            session, sql, lambda: session.add_index("people", ("height", "city"))
+        )
+        assert replans == 0
+        assert session.hypothetical_indexes_used(sql) == []
+
+    def test_parameterized_only_index_replans(self, session):
+        replans, _ = self.step(
+            session, self.JOIN,
+            lambda: session.add_index("pets", ("owner_id",), name="w_owner"),
+        )
+        assert replans == 1
+        rel = session.planner().prepare(
+            bind(session.catalog, parse_select(self.JOIN))
+        ).base_rels["q"]
+        assert not index_usable(rel, ("owner_id",))
+
+    def test_covering_index_without_restriction_replans(self, session):
+        sql = "select age from people order by age"
+        replans, _ = self.step(
+            session, sql, lambda: session.add_index("people", ("age",), name="w_age")
+        )
+        assert replans == 1
+        assert session.hypothetical_indexes_used(sql) == ["w_age"]
+
+    def test_readding_under_a_new_name_replans(self, session):
+        sql = "select age from people where person_id = 5"
+        session.add_index("people", ("person_id",), name="w1")
+        assert session.hypothetical_indexes_used(sql) == ["w1"]
+
+        def rename():
+            session.drop_index("w1")
+            session.add_index("people", ("person_id",), name="w2")
+
+        replans, _ = self.step(session, sql, rename)
+        assert replans == 1
+        assert session.hypothetical_indexes_used(sql) == ["w2"]
+
+    def test_unrelated_drop_keeps_the_plan(self, session):
+        sql = "select age from people where person_id = 5"
+        session.add_index("people", ("person_id",), name="w1")
+        session.add_index("people", ("nickname",), name="w_nick")
+        replans, plan = self.step(
+            session, sql, lambda: session.drop_index("w_nick")
+        )
+        assert replans == 0
+        assert session.plan(sql) is plan
 
 
 class TestWhatIfTables:
