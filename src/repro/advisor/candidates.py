@@ -256,22 +256,25 @@ def prune_dominated(
     for position, candidate in enumerate(candidates):
         by_table.setdefault(candidate.index.table_name, []).append(position)
 
+    # Domination is transitive and never mutual, so a candidate is
+    # dropped exactly when some same-table candidate dominates it: a
+    # dominator that is itself dominated hands the relation on to one
+    # that is not. Per table, [i, j] says "i dominates j".
     dominated = np.zeros(n, dtype=bool)
     for positions in by_table.values():
-        for j in positions:
-            for i in positions:
-                if i == j or dominated[i]:
-                    continue
-                if sizes[i] > sizes[j] or maint[i] > maint[j]:
-                    continue
-                if np.any(savings[:, i] < savings[:, j]):
-                    continue
-                strict = (
-                    sizes[i] < sizes[j]
-                    or maint[i] < maint[j]
-                    or bool(np.any(savings[:, i] > savings[:, j]))
-                )
-                if strict or i < j:
-                    dominated[j] = True
-                    break
+        block = savings[:, positions]
+        size, upkeep = sizes[positions], maint[positions]
+        no_worse = (
+            (block[:, :, None] >= block[:, None, :]).all(axis=0)
+            & (size[:, None] <= size[None, :])
+            & (upkeep[:, None] <= upkeep[None, :])
+        )
+        better = (
+            (block[:, :, None] > block[:, None, :]).any(axis=0)
+            | (size[:, None] < size[None, :])
+            | (upkeep[:, None] < upkeep[None, :])
+        )
+        order = np.arange(len(positions))
+        earlier = order[:, None] < order[None, :]
+        dominated[positions] = (no_worse & (better | earlier)).any(axis=0)
     return [p for p in range(n) if not dominated[p]]

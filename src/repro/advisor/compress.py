@@ -11,14 +11,14 @@ per-table ``update_rates``.
 
 The proof obligation — advising the compressed workload must be
 **bit-identical** to advising the weight-equivalent expanded one — is
-discharged by construction: :meth:`IlpIndexAdvisor.recommend` with
-``compress=True`` routes *every* workload through :func:`fold_workload`
-first, and folding is idempotent (template ids, representative SQL, and
+discharged by construction: an ``IlpIndexAdvisor(compress=True)``
+routes *every* workload through :func:`fold_workload` first, and
+folding is idempotent (template ids, representative SQL, and
 weight-accumulation order are all pure functions of the statement
-sequence). ``recommend(expanded, compress=True)`` and
-``recommend(compress(stream).workload, compress=True)`` therefore feed
-the advisor byte-identical inputs; ``tests/test_compress.py`` pins the
-resulting floats with ``struct.pack``.
+sequence). Its ``recommend(expanded)`` and
+``recommend(compress(stream).workload)`` therefore feed the advisor
+byte-identical inputs; ``tests/test_compress.py`` pins the resulting
+floats with ``struct.pack``.
 
 Weight arithmetic matters for that contract: occurrence counts
 accumulate as repeated ``+ 1.0`` (and folding accumulates the input

@@ -121,7 +121,7 @@ class AdvisorResult:
     # where elapsed_seconds went instead of one opaque number.
     phase_seconds: dict[str, float] = field(default_factory=dict)
     # Candidates dropped by dominance pruning before the ILP was built
-    # (0 unless scale mode enabled pruning).
+    # (0 for advisors that build no ILP).
     candidates_pruned: int = 0
     # Queries folded away by workload compression: raw queries in minus
     # weighted templates advised (0 when compression was off or the
@@ -386,8 +386,6 @@ class IlpIndexAdvisor(IndexAdvisor):
         config: PlannerConfig | None = None,
         solver_deadline: float | None = None,
         compress: bool = False,
-        prune_dominated: bool | None = None,
-        bound_epsilon: float | None = None,
         **pipeline,
     ) -> None:
         """Args (``pipeline`` goes to :class:`IndexAdvisor`):
@@ -402,27 +400,13 @@ class IlpIndexAdvisor(IndexAdvisor):
             cost tracks query *shapes*, not raw statements. Because
             *all* inputs go through the same fold, advising a raw
             stream and advising its pre-compressed equivalent are
-            bit-identical. Also enables dominance pruning and bound
-            pruning unless those are overridden explicitly.
-        prune_dominated: Drop candidates pointwise-dominated by a
-            cheaper same-table candidate before building the ILP
-            (never changes the optimum; see
-            :func:`repro.advisor.candidates.prune_dominated`). ``None``
-            follows ``compress``.
-        bound_epsilon: Relative branch-and-bound fathoming slack; a
-            node is pruned when its LP bound cannot beat the incumbent
-            by more than ``bound_epsilon × |incumbent|``. ``None``
-            means ``1e-4`` in compress mode (give up at most 0.01% of
-            objective for a much smaller tree) and exact ``0.0``
-            otherwise.
+            bit-identical. The fold is the only difference: the
+            program, its pruning and its solve are those of every
+            advise.
         """
         super().__init__(catalog, config, **pipeline)
         self._solver_deadline = solver_deadline
-        if bound_epsilon is not None and bound_epsilon < 0:
-            raise AdvisorError("bound_epsilon must be non-negative")
         self._compress = compress
-        self._prune_dominated = prune_dominated
-        self._bound_epsilon = bound_epsilon
 
     def recommend(
         self,
@@ -432,7 +416,6 @@ class IlpIndexAdvisor(IndexAdvisor):
         max_update_cost: float | None = None,
         refine: bool = True,
         candidates: list[CandidateIndex] | None = None,
-        compress: bool | None = None,
     ) -> AdvisorResult:
         """Suggest the optimal index set within ``budget_pages``.
 
@@ -451,11 +434,6 @@ class IlpIndexAdvisor(IndexAdvisor):
                 subset of the pool the fleet evaluator was compiled
                 for). The selection still only picks what benefits
                 *this* workload within the budget.
-            compress: Per-call override of the constructor's scale-mode
-                knob (``None`` inherits it). When active, the workload
-                is folded onto canonical templates before anything else
-                — see the constructor docstring for the bit-identity
-                contract this provides.
             refine: Run a local-search polish over the ILP solution
                 using *full* INUM configuration estimates. The ILP's
                 benefit matrix is additive per index (INUM makes it so
@@ -463,16 +441,14 @@ class IlpIndexAdvisor(IndexAdvisor):
                 query can still leave slack; drop/add/swap moves priced
                 with full estimates close it. Never worsens the result.
         """
-        scale_mode = self._compress if compress is None else compress
         return self._advise(
             workload,
             budget_pages,
             candidates=candidates,
-            fold=scale_mode,
+            fold=self._compress,
             update_rates=update_rates,
             max_update_cost=max_update_cost,
             refine=refine,
-            scale_mode=scale_mode,
         )
 
     def select(
@@ -487,53 +463,36 @@ class IlpIndexAdvisor(IndexAdvisor):
         update_rates: dict[str, float] | None,
         max_update_cost: float | None,
         refine: bool,
-        scale_mode: bool,
     ) -> Selection:
         """Benefit matrix → dominance pruning → ILP → refinement."""
-        prune = (
-            self._prune_dominated
-            if self._prune_dominated is not None
-            else scale_mode
-        )
-        epsilon = (
-            self._bound_epsilon
-            if self._bound_epsilon is not None
-            else (1e-4 if scale_mode else 0.0)
-        )
         benefits = self._benefit_matrix(workload, evaluator)
         maintenance = self._maintenance_costs(candidates, update_rates)
         lap("benefit_matrix")
 
-        allowed: set[int] | None = None
-        candidates_pruned = 0
-        if prune and candidates:
-            # Sub-threshold savings clip to exactly 0, so pruning and
-            # the solve agree on what counts as benefit.
-            raw = benefits.array
-            kept = prune_dominated(
-                candidates,
-                np.where(raw > _MIN_BENEFIT, raw, 0.0),
-                [maintenance.get(p, 0.0) for p in range(len(candidates))],
-            )
+        # Sub-threshold savings clip to exactly 0, so pruning and the
+        # solve agree on what counts as benefit.
+        raw = benefits.array
+        kept = prune_dominated(
+            candidates,
+            np.where(raw > _MIN_BENEFIT, raw, 0.0),
+            [maintenance.get(p, 0.0) for p in range(len(candidates))],
+        )
+        candidates_pruned = len(candidates) - len(kept)
+        if candidates_pruned:
+            # Rebuild the benefit mapping without the pruned positions,
+            # preserving iteration order — that order fixes solver
+            # variable order downstream.
             allowed = set(kept)
-            candidates_pruned = len(candidates) - len(kept)
-            if candidates_pruned:
-                # Rebuild the benefit mapping without the pruned
-                # positions, preserving iteration order — that order
-                # fixes solver variable order downstream.
-                benefits = {
-                    key: value
-                    for key, value in benefits.items()
-                    if key[1] in allowed
-                }
-            lap("prune")
+            benefits = {
+                key: value for key, value in benefits.items()
+                if key[1] in allowed
+            }
+        lap("prune")
 
         try:
             selection = self._solve(
                 workload, candidates, benefits, budget_pages, maintenance,
                 max_update_cost,
-                aggregate_coupling=scale_mode,
-                bound_epsilon=epsilon,
             )
         except (SolverError, FaultInjected) as exc:
             # Degradation ladder: an exhausted or crashed solver is
@@ -554,7 +513,7 @@ class IlpIndexAdvisor(IndexAdvisor):
         if refine:
             selection.positions = self._refine(
                 candidates, evaluator, selection.positions, budget_pages,
-                maintenance, max_update_cost, allowed=allowed,
+                maintenance, max_update_cost,
             )
         lap("refine")
         selection.candidates_pruned = candidates_pruned
@@ -614,21 +573,14 @@ class IlpIndexAdvisor(IndexAdvisor):
         budget_pages: int,
         maintenance: dict[int, float],
         max_update_cost: float | None,
-        aggregate_coupling: bool = False,
-        bound_epsilon: float = 0.0,
     ) -> Selection:
         """Build and solve the ILP; returns the chosen positions with
         the solver's status and node count.
 
-        ``aggregate_coupling`` (scale mode) replaces the per-pair
-        ``y_{q,i} <= x_i`` rows with one per-candidate row
-        ``sum_q y_{q,i} <= n_i * x_i``. The integer feasible set is
-        unchanged (``x_i = 0`` still forces every ``y_{q,i}`` to 0;
-        ``x_i = 1`` makes the row vacuous) but the constraint count
-        drops from O(queries × candidates) to O(candidates), keeping
-        the model sparse as queries grow. The LP relaxation is weaker,
-        which ``bound_epsilon`` fathoming and the rounding-heuristic
-        incumbent compensate for.
+        One program for every advise, scale mode included: a per-pair
+        coupling row ``y_{q,i} <= x_i`` for every benefit entry. The
+        rows grow with queries × useful candidates, but their LP
+        relaxation is tight, so the search stays a handful of nodes.
         """
         if not benefits:
             return Selection([], "no-benefit")
@@ -640,25 +592,13 @@ class IlpIndexAdvisor(IndexAdvisor):
         }
         y_vars: dict[tuple[str, int], object] = {}
         objective: dict[object, float] = {}
-        uses_of: dict[int, list[object]] = {}
         for (query_name, position), saving in benefits.items():
             y = program.add_binary(f"y_{query_name}_{position}")
             y_vars[(query_name, position)] = y
             objective[y] = saving
-            if aggregate_coupling:
-                uses_of.setdefault(position, []).append(y)
-            else:
-                program.add_constraint(
-                    {y: 1.0, x_vars[position]: -1.0}, Sense.LE, 0.0
-                )
-        if aggregate_coupling:
-            for position in useful:
-                ys = uses_of.get(position, [])
-                coefficients: dict[object, float] = {y: 1.0 for y in ys}
-                coefficients[x_vars[position]] = -float(len(ys))
-                program.add_constraint(
-                    coefficients, Sense.LE, 0.0, name=f"uses_{position}"
-                )
+            program.add_constraint(
+                {y: 1.0, x_vars[position]: -1.0}, Sense.LE, 0.0
+            )
         for position, cost in maintenance.items():
             if position in x_vars:
                 objective[x_vars[position]] = -cost
@@ -684,11 +624,8 @@ class IlpIndexAdvisor(IndexAdvisor):
                     by_table.setdefault(table, []).append(
                         y_vars[(query.name, position)]
                     )
-            for table, ys in by_table.items():
+            for ys in by_table.values():
                 if len(ys) > 1:
-                    # Atomic configuration: at most one access path per
-                    # table per query (emits the same row as the old
-                    # inline constraint — bit-identity relies on that).
                     program.add_exclusive(ys)
 
         # Storage budget over Equation-1 sizes.
@@ -701,7 +638,6 @@ class IlpIndexAdvisor(IndexAdvisor):
         solver = BranchAndBoundSolver(
             max_nodes=_MAX_NODES,
             deadline_seconds=self._solver_deadline,
-            bound_epsilon=bound_epsilon,
         )
         solution = solver.solve(program)
         chosen = (
@@ -765,7 +701,6 @@ class IlpIndexAdvisor(IndexAdvisor):
         maintenance: dict[int, float],
         max_update_cost: float | None,
         max_rounds: int = 6,
-        allowed: set[int] | None = None,
     ) -> list[int]:
         """Hill-climb over full INUM estimates: drop, add, swap.
 
@@ -773,16 +708,13 @@ class IlpIndexAdvisor(IndexAdvisor):
         cost (plus maintenance) strictly improves, drops when it does not
         rise, and always with the storage/update budgets satisfied, so
         the result dominates the ILP seed and keeps no index whose
-        removal costs nothing.
-        ``allowed`` (scale mode) restricts add/swap moves to candidate
-        positions that survived dominance pruning; ``None`` considers
-        every candidate, which is the exact pre-scale behaviour.
+        removal costs nothing. Adds and swaps draw from every candidate,
+        the pruned ones too: pruning is exact for the ILP's
+        one-access-path-per-table model, but a query that reads one
+        table through two aliases can use a dominated index beside its
+        dominator.
         """
-        pool = (
-            list(range(len(candidates)))
-            if allowed is None
-            else sorted(allowed)
-        )
+        pool = range(len(candidates))
 
         # The climb re-prices configurations it has already seen (every
         # trial of the terminating round is a repeat); memoize on the

@@ -877,7 +877,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="COLT-style single-column candidates only")
     p.add_argument("--compress", action="store_true",
                    help="CoPhy scale mode: fold the workload onto "
-                        "canonical templates and prune the ILP")
+                        "canonical templates before advising")
     p.add_argument("--create", action="store_true",
                    help="materialize the suggestions")
     p.add_argument("-v", "--verbose", action="store_true")
@@ -911,8 +911,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="hysteresis: per-page cost charged to new indexes")
     p.add_argument("--compress", action="store_true",
                    help="CoPhy scale mode: re-advise the full decayed "
-                        "template profile with workload compression and "
-                        "pruned ILP (for 10k+ statement streams)")
+                        "template profile, folded onto canonical templates "
+                        "(for 10k+ statement streams)")
     p.add_argument("--apply", action="store_true",
                    help="materialize the final standing design through the "
                         "crash-safe apply journal")

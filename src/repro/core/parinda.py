@@ -305,8 +305,8 @@ class Parinda:
 
         ``compress=True`` enables CoPhy scale mode: the workload is
         folded onto canonical templates before advising (10k raw
-        statements collapse to their few dozen shapes) and the ILP runs
-        with dominance and bound pruning. Advising a raw stream and its
+        statements collapse to their few dozen shapes); the ILP and its
+        solve are those of every advise. Advising a raw stream and its
         pre-compressed equivalent then produce bit-identical results.
         """
         advisor = IlpIndexAdvisor(

@@ -56,31 +56,12 @@ class BranchAndBoundSolver:
         self,
         max_nodes: int = 50000,
         deadline_seconds: float | None = None,
-        bound_epsilon: float = 0.0,
     ) -> None:
-        """``bound_epsilon`` is the CoPhy-style relative fathoming slack:
-        a node whose LP-relaxation bound cannot beat the incumbent by
-        more than ``bound_epsilon × |incumbent|`` is pruned without
-        branching. ``0.0`` (default) keeps the solve exact up to an
-        absolute slack of ``1e-6``; the scale-mode advisor passes a small
-        positive epsilon to trade a bounded sliver of objective for a
-        much smaller search tree on large workloads.
-        """
         if deadline_seconds is not None and deadline_seconds <= 0:
             raise SolverError("deadline_seconds must be positive")
-        if bound_epsilon < 0:
-            raise SolverError("bound_epsilon must be non-negative")
         self._max_nodes = max_nodes
         self._deadline = deadline_seconds
-        self._bound_epsilon = bound_epsilon
         self._simplex = SimplexSolver()
-
-    def _fathom_threshold(self, best_objective: float) -> float:
-        """Bound below which a node cannot usefully improve the incumbent."""
-        slack = _GAP_TOLERANCE
-        if self._bound_epsilon and math.isfinite(best_objective):
-            slack = max(slack, self._bound_epsilon * abs(best_objective))
-        return best_objective + slack
 
     # ------------------------------------------------------------------
 
@@ -108,7 +89,7 @@ class BranchAndBoundSolver:
                 break
             node = heapq.heappop(heap)
             node_bound = -node.priority
-            if node_bound <= self._fathom_threshold(best_objective):
+            if node_bound <= best_objective + _GAP_TOLERANCE:
                 continue  # cannot improve
             nodes += 1
             faults.check("solver.iterate", f"node {nodes}")
@@ -163,7 +144,7 @@ class BranchAndBoundSolver:
             bound = offset + (result.objective or 0.0)
             if nodes == 1:
                 best_bound = bound
-            if bound <= self._fathom_threshold(best_objective):
+            if bound <= best_objective + _GAP_TOLERANCE:
                 continue
 
             x_full = self._expand(compiled, node.fixed, keep, result.x)

@@ -121,8 +121,7 @@ class LinearProgram:
 
         The advisor's per-(query, table) atomic-configuration rows — a
         query uses at most one access path per table — all have this
-        shape; emitting them through one helper keeps the row layout
-        identical across advisor modes.
+        shape.
         """
         return self.add_constraint(
             {var: 1.0 for var in variables}, Sense.LE, 1.0, name=name

@@ -177,9 +177,9 @@ class OnlineTuner:
             recency window, so a re-advise prices every template the
             stream has ever shown (decay-weighted) rather than the last
             ``window_size`` statements; and the advisor runs with
-            ``compress=True`` — template folding, dominance pruning,
-            and bound-pruned branch and bound — so that profile stays
-            cheap to advise at 10k+ observed statements.
+            ``compress=True``, folding the profile onto its templates,
+            so that profile stays cheap to advise at 10k+ observed
+            statements.
         store: The :class:`~repro.resilience.store.StateStore` whose
             slot ``""`` the tuner resumes from (read once, here) and
             checkpoints into; ``None`` keeps the tuner in memory.

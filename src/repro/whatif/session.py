@@ -17,7 +17,9 @@ plan is still reused if the serving indexes are unchanged: an index
 that gives the query no path adds nothing the planner can pick, so the
 plan would come out identical. Adding an index on ``specobj`` therefore
 replans only the queries that index can serve. Bound queries are cached
-per catalog version, so interactive loops re-parse nothing. A query
+per catalog version, so interactive loops re-parse nothing; when the
+version moves, bound queries and plans cached under the old one are
+dropped, so the caches hold one entry per query at most. A query
 that does have to be replanned at an unchanged catalog version keeps
 its prepared planner state (clause classification, selectivities, row
 and width estimates — none of which an index or a join flag can move)
@@ -67,7 +69,10 @@ class WhatIfSession:
         # design fingerprint each cached plan is keyed by.
         self._table_epochs: dict[str, int] = {}
         self._flags_epoch = 0
-        self._bound_cache: dict[tuple, BoundQuery] = {}
+        # Bound queries by SQL and plans by query, both for the catalog
+        # key ``_cached_under`` only (see :meth:`_evict_stale`).
+        self._cached_under = self._catalog.cache_key
+        self._bound_cache: dict[str, BoundQuery] = {}
         self._plan_cache: dict[object, _CachedPlan] = {}
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
@@ -217,14 +222,15 @@ class WhatIfSession:
 
     def bind_sql(self, sql: str) -> BoundQuery:
         """Parse+bind ``sql``, cached per catalog version."""
-        key = (self._catalog.cache_key, sql)
-        cached = self._bound_cache.get(key)
+        self._evict_stale()
+        cached = self._bound_cache.get(sql)
         if cached is None:
             cached = bind(self._catalog, parse_select(sql))
-            self._bound_cache[key] = cached
+            self._bound_cache[sql] = cached
         return cached
 
     def plan(self, query: BoundQuery | str) -> Plan:
+        self._evict_stale()
         if isinstance(query, str):
             key: object = query
             query = self.bind_sql(query)
@@ -287,6 +293,16 @@ class WhatIfSession:
         return list(entry.used)
 
     # ------------------------------------------------------------------
+
+    def _evict_stale(self) -> None:
+        """Once the session catalog's cache key moves, drop every bound
+        query and plan cached under the old one: the catalog version
+        only grows, so none of them could be hit again."""
+        key = self._catalog.cache_key
+        if key != self._cached_under:
+            self._cached_under = key
+            self._bound_cache.clear()
+            self._plan_cache.clear()
 
     def _fingerprint(self, tables: tuple[str, ...]) -> tuple:
         """What a cached plan over ``tables`` was planned under: the

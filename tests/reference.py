@@ -37,10 +37,14 @@ Then :func:`read_statements`: the statement reader as it was before
 ``iter_statements`` streamed, reading its whole source before the first
 statement, the oracle for ``test_workloads.py``.
 
-Last, :func:`serving_indexes`: which what-if indexes fresh path
+Then :func:`serving_indexes`: which what-if indexes fresh path
 generation builds a path on for each relation of a query, the oracle
 for how many queries a what-if session replans (``test_whatif.py``,
 ``test_interactive.py``, ``test_parallel.py``).
+
+Last, :func:`prune_dominated_pairwise`: dominance pruning as the
+pairwise loop it was before it compared each table's candidates as
+arrays, the oracle for ``test_candidates.py``.
 """
 
 from __future__ import annotations
@@ -1037,3 +1041,41 @@ def serving_indexes(session, sql: str) -> tuple:
             ),
         ))
     return tuple(served)
+
+
+# ----------------------------------------------------------------------
+# Dominance pruning, one candidate pair at a time
+
+
+def prune_dominated_pairwise(candidates, savings, maintenance) -> list[int]:
+    """``repro.advisor.candidates.prune_dominated`` as a loop over
+    same-table pairs: ``j`` goes when a not-yet-dropped ``i`` is no
+    worse on every query's saving, size and upkeep, and better on one
+    of them or earlier in the pool."""
+    import numpy as np
+
+    n = len(candidates)
+    maint = np.asarray(maintenance, dtype=float)
+    sizes = np.array([c.size_pages for c in candidates], dtype=float)
+    by_table: dict[str, list[int]] = {}
+    for position, candidate in enumerate(candidates):
+        by_table.setdefault(candidate.index.table_name, []).append(position)
+    dominated = np.zeros(n, dtype=bool)
+    for positions in by_table.values():
+        for j in positions:
+            for i in positions:
+                if i == j or dominated[i]:
+                    continue
+                if sizes[i] > sizes[j] or maint[i] > maint[j]:
+                    continue
+                if np.any(savings[:, i] < savings[:, j]):
+                    continue
+                strict = (
+                    sizes[i] < sizes[j]
+                    or maint[i] < maint[j]
+                    or bool(np.any(savings[:, i] > savings[:, j]))
+                )
+                if strict or i < j:
+                    dominated[j] = True
+                    break
+    return [p for p in range(n) if not dominated[p]]

@@ -405,7 +405,7 @@ def test_prime_swaps_matches_scalar_and_unprimed(compiled):
 @pytest.mark.parametrize(
     "advisor_class, select_phases",
     [
-        (IlpIndexAdvisor, {"benefit_matrix", "solve", "refine"}),
+        (IlpIndexAdvisor, {"benefit_matrix", "prune", "solve", "refine"}),
         (GreedyIndexAdvisor, {"solve"}),
     ],
 )

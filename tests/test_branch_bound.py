@@ -236,50 +236,3 @@ class TestDeadlineMidNode:
         # Both outcomes are reachable: early hits have no incumbent yet,
         # later hits salvage one.
         assert statuses == {"error", "feasible"}
-
-
-class TestBoundEpsilon:
-    def test_negative_rejected(self):
-        with pytest.raises(SolverError):
-            BranchAndBoundSolver(bound_epsilon=-1e-3)
-
-    def test_zero_epsilon_is_exact(self):
-        lp = knapsack([10, 13, 7, 11], [5, 6, 4, 5], 10)
-        exact = BranchAndBoundSolver().solve(lp)
-        eps0 = BranchAndBoundSolver(bound_epsilon=0.0).solve(
-            knapsack([10, 13, 7, 11], [5, 6, 4, 5], 10)
-        )
-        assert eps0.status == "optimal"
-        assert eps0.objective == exact.objective
-
-    @pytest.mark.parametrize("epsilon", [1e-4, 0.05, 0.5])
-    def test_epsilon_bound_guarantee(self, epsilon):
-        import random
-
-        rng = random.Random(11)
-        n = 14
-        values = [rng.randint(1, 30) for _ in range(n)]
-        sizes = [rng.randint(1, 15) for _ in range(n)]
-        capacity = 45
-        exact = solve_milp(knapsack(values, sizes, capacity))
-        pruned = BranchAndBoundSolver(bound_epsilon=epsilon).solve(
-            knapsack(values, sizes, capacity)
-        )
-        # A node is fathomed only when its bound <= best * (1 + eps), so
-        # the returned incumbent is within eps of optimal (relative).
-        assert pruned.has_solution
-        assert pruned.objective <= exact.objective + 1e-9
-        assert pruned.objective >= exact.objective / (1.0 + epsilon) - 1e-9
-
-    def test_epsilon_explores_no_more_nodes(self):
-        import random
-
-        rng = random.Random(5)
-        n = 16
-        values = [rng.randint(1, 30) for _ in range(n)]
-        sizes = [rng.randint(1, 15) for _ in range(n)]
-        exact = BranchAndBoundSolver().solve(knapsack(values, sizes, 50))
-        pruned = BranchAndBoundSolver(bound_epsilon=0.2).solve(
-            knapsack(values, sizes, 50)
-        )
-        assert pruned.nodes_explored <= exact.nodes_explored

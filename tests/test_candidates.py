@@ -3,6 +3,8 @@
 import pytest
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.advisor.candidates import (
     MAX_COVERING_WIDTH,
@@ -14,6 +16,7 @@ from repro.errors import AdvisorError
 from repro.workloads.workload import Query, Workload
 
 from tests.conftest import make_people_db
+from tests.reference import prune_dominated_pairwise
 
 
 @pytest.fixture(scope="module")
@@ -206,38 +209,30 @@ class TestDominancePruning:
         with pytest.raises(AdvisorError):
             prune_dominated(cands, np.zeros((1, 1)), [0.0, 0.0])
 
-    def test_pruning_preserves_ilp_optimum_on_real_workload(
-        self, db, monkeypatch
-    ):
-        # End-to-end soundness: with pruning forced on (folding and
-        # epsilon off), the ILP's optimal objective is unchanged — the
-        # pruned program may pick a different *tie-equivalent* set, but
-        # never a worse one.
-        from repro.advisor.ilp_advisor import IlpIndexAdvisor
-        from repro.ilp.branch_bound import BranchAndBoundSolver
-
-        objectives = []
-        solve = BranchAndBoundSolver.solve
-
-        def recording_solve(self, program):
-            solution = solve(self, program)
-            objectives.append(solution.objective)
-            return solution
-
-        monkeypatch.setattr(BranchAndBoundSolver, "solve", recording_solve)
-
-        wl = Workload.from_sql(
-            [
-                "select age from people where person_id = 44",
-                "select person_id from people where age between 20 and 22",
-                "select city, count(*) from people where height > 180 "
-                "group by city",
-            ]
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_pairwise_loop(self, data):
+        # Few distinct values, so ties in savings, size and upkeep are
+        # common: the tie-break and the transitive chains both run.
+        n = data.draw(st.integers(1, 9))
+        queries = data.draw(st.integers(0, 4))
+        cands = [
+            _cand(
+                f"c{i}", data.draw(st.sampled_from(("people", "pets"))),
+                ("age",), data.draw(st.integers(1, 3)),
+            )
+            for i in range(n)
+        ]
+        savings = np.array(
+            data.draw(st.lists(
+                st.lists(st.sampled_from((0.0, 1.0, 2.0)), min_size=n, max_size=n),
+                min_size=queries, max_size=queries,
+            )),
+            dtype=float,
+        ).reshape(queries, n)
+        upkeep = data.draw(st.lists(
+            st.sampled_from((0.0, 0.5)), min_size=n, max_size=n
+        ))
+        assert prune_dominated(cands, savings, upkeep) == (
+            prune_dominated_pairwise(cands, savings, upkeep)
         )
-        IlpIndexAdvisor(db.catalog).recommend(wl, 200, refine=False)
-        pruned = IlpIndexAdvisor(
-            db.catalog, prune_dominated=True, bound_epsilon=0.0
-        ).recommend(wl, 200, refine=False)
-        assert pruned.candidates_pruned > 0
-        plain_objective, pruned_objective = objectives
-        assert pruned_objective == pytest.approx(plain_objective)

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.advisor import ilp_advisor
 from repro.advisor.candidates import generate_candidates
@@ -10,15 +12,19 @@ from repro.advisor.compress import compress_statements
 from repro.advisor.ilp_advisor import IlpIndexAdvisor
 from repro.errors import AdvisorError
 from repro.ilp.branch_bound import BranchAndBoundSolver
+from repro.ilp.model import Sense
 from repro.inum.batch import WorkloadEvaluator
 from repro.inum.model import InumModel
+from repro.optimizer.config import PlannerConfig
 from repro.parallel.caches import CostCache
 from repro.workloads.sdss import build_sdss_database, sdss_workload
+from repro.workloads.star import star_workload
 from repro.workloads.workload import Query, Workload
 
 from tests import test_compress
 from tests.conftest import make_people_db
 from tests.reference import HighsSolver, highs_solve
+from tests.test_joinsearch import JOIN_KEYS, RESTRICTIONS
 
 
 @pytest.fixture(scope="module")
@@ -205,23 +211,18 @@ class TestRefinement:
 
 class TestBuiltinMatchesHighs:
     """Every program ``IlpIndexAdvisor._solve`` builds, solved again by
-    HiGHS: the same status, and the same objective to the solver's gap
-    tolerance, or to ``bound_epsilon`` of it where scale mode fathoms
-    by that slack."""
+    HiGHS: the same status, and the same objective to the solver's
+    absolute gap tolerance."""
 
     @pytest.fixture()
     def solved(self, monkeypatch):
-        """(program, bound_epsilon, built-in solution) per solve."""
+        """(program, built-in solution) per solve."""
         captured = []
 
         class Recording(BranchAndBoundSolver):
-            def __init__(self, **options):
-                super().__init__(**options)
-                self.epsilon = options.get("bound_epsilon", 0.0)
-
             def solve(self, program):
                 solution = super().solve(program)
-                captured.append((program, self.epsilon, solution))
+                captured.append((program, solution))
                 return solution
 
         monkeypatch.setattr(ilp_advisor, "BranchAndBoundSolver", Recording)
@@ -230,11 +231,10 @@ class TestBuiltinMatchesHighs:
     @staticmethod
     def assert_agree(solved, count):
         assert len(solved) == count
-        for program, epsilon, ours in solved:
+        for program, ours in solved:
             theirs = highs_solve(program)
             assert ours.status == theirs.status == "optimal"
-            slack = max(1e-6, epsilon * abs(theirs.objective))
-            assert abs(ours.objective - theirs.objective) <= slack
+            assert abs(ours.objective - theirs.objective) <= 1e-6
 
     def test_sdss_queries_per_pair_coupling(self, sdss_db, solved):
         IlpIndexAdvisor(sdss_db.catalog).recommend(sdss_workload(), 500)
@@ -248,7 +248,20 @@ class TestBuiltinMatchesHighs:
             folded.workload, 120, update_rates=folded.workload.update_rates
         )
         assert result.solver_nodes > 1
-        assert solved[0][1] == 1e-4
+        # Scale mode builds the per-pair program: one y <= x row for
+        # every (query, candidate) pair, each on the pair's own x.
+        program = solved[0][0]
+        names = {var.index: var.name for var in program.variables}
+        coupling = []
+        for row in program.constraints:
+            terms = sorted(row.coefficients.items(), key=lambda t: -t[1])
+            if row.sense is Sense.LE and row.rhs == 0.0 and [
+                coefficient for _var, coefficient in terms
+            ] == [1.0, -1.0]:
+                coupling.append((names[terms[0][0]], names[terms[1][0]]))
+        pairs = sorted(name for name in names.values() if name.startswith("y_"))
+        assert pairs and sorted(y for y, _x in coupling) == pairs
+        assert all(x == "x_" + y.rsplit("_", 1)[1] for y, x in coupling)
         self.assert_agree(solved, 1)
 
     def test_update_rate_sweep_with_a_cap(self, sdss_db, solved):
@@ -259,3 +272,212 @@ class TestBuiltinMatchesHighs:
                 update_rates={"photoobj": rate}, max_update_cost=40.0,
             )
         self.assert_agree(solved, 6)
+
+
+# ----------------------------------------------------------------------
+# The optimality oracle: brute force over every feasible subset
+
+
+STAR_JOIN_KEYS = {"product": "product_id", "store": "store_id"}
+STAR_RESTRICTIONS = {
+    "sales": ("{a}.sold_on between 100 and 130", "{a}.amount > 200",
+              "{a}.channel = 2", "{a}.promo_id = 7", "{a}.quantity < 3"),
+    "product": ("{a}.category = 'gizmo'", "{a}.price < 10"),
+    "store": ("{a}.region = 'north'", "{a}.size_class = 3"),
+}
+
+
+@st.composite
+def sdss_join(draw):
+    """Two or three SDSS relations in an equi-join chain."""
+    tables = draw(st.lists(
+        st.sampled_from(sorted(JOIN_KEYS)), min_size=2, max_size=3
+    ))
+    quals = [
+        f"t{i}.{draw(st.sampled_from(JOIN_KEYS[tables[i]]))} = "
+        f"t{i + 1}.{draw(st.sampled_from(JOIN_KEYS[tables[i + 1]]))}"
+        for i in range(len(tables) - 1)
+    ]
+    for i, table in enumerate(tables):
+        for pattern in draw(
+            st.sets(st.sampled_from(RESTRICTIONS[table]), max_size=2)
+        ):
+            quals.append(pattern.format(a=f"t{i}"))
+    key = f"t0.{JOIN_KEYS[tables[0]][0]}"
+    return (
+        f"select {key}, count(*) from "
+        + ", ".join(f"{t} t{i}" for i, t in enumerate(tables))
+        + " where " + " and ".join(sorted(quals)) + f" group by {key}"
+    )
+
+
+@st.composite
+def star_join(draw):
+    """The sales fact table joined to one or both dimensions."""
+    dimensions = draw(st.lists(
+        st.sampled_from(sorted(STAR_JOIN_KEYS)),
+        min_size=1, max_size=2, unique=True,
+    ))
+    tables = ["sales", *dimensions]
+    quals = [
+        f"t0.{STAR_JOIN_KEYS[d]} = t{i}.{STAR_JOIN_KEYS[d]}"
+        for i, d in enumerate(dimensions, start=1)
+    ]
+    for i, table in enumerate(tables):
+        for pattern in draw(
+            st.sets(st.sampled_from(STAR_RESTRICTIONS[table]), max_size=2)
+        ):
+            quals.append(pattern.format(a=f"t{i}"))
+    return (
+        "select sum(t0.amount) from "
+        + ", ".join(f"{t} t{i}" for i, t in enumerate(tables))
+        + " where " + " and ".join(sorted(quals))
+    )
+
+
+@st.composite
+def oracle_workloads(draw):
+    """("sdss" or "star", a workload of 3-10 weighted queries)."""
+    schema = draw(st.sampled_from(("sdss", "star")))
+    if schema == "sdss":
+        shapes = st.one_of(
+            st.sampled_from([q.sql for q in sdss_workload()]), sdss_join()
+        )
+    else:
+        shapes = st.one_of(
+            st.sampled_from([q.sql for q in star_workload()]), star_join()
+        )
+    sqls = draw(st.lists(shapes, min_size=3, max_size=10))
+    weights = draw(st.lists(
+        st.sampled_from((1.0, 2.0, 5.0)), min_size=len(sqls), max_size=len(sqls)
+    ))
+    return schema, Workload(
+        queries=[
+            Query(f"q{i}", sql, weight=weight)
+            for i, (sql, weight) in enumerate(zip(sqls, weights))
+        ],
+        name="oracle",
+    )
+
+
+@pytest.fixture(scope="module")
+def oracle_dbs(sdss_db, star_db):
+    """Each schema's catalog with one cost cache shared by the examples."""
+    return {
+        "sdss": (sdss_db.catalog, CostCache()),
+        "star": (star_db.catalog, CostCache()),
+    }
+
+
+def brute_force_minimum(advisor, workload, pool, budget, upkeep, cap):
+    """The least ``workload_cost`` plus maintenance over every subset of
+    ``pool`` within the storage budget and the update-cost cap."""
+    models = advisor.build_models(workload)
+    evaluator = WorkloadEvaluator(
+        [models[q.name] for q in workload],
+        [q.weight for q in workload],
+        [c.index for c in pool],
+    )
+    sizes = [c.size_pages for c in pool]
+    feasible = [
+        subset
+        for r in range(len(pool) + 1)
+        for subset in itertools.combinations(range(len(pool)), r)
+        if sum(sizes[p] for p in subset) <= budget
+        and (cap is None or sum(upkeep[p] for p in subset) <= cap)
+    ]
+    evaluator.prime(feasible)
+    return min(
+        evaluator.workload_cost(subset) + sum(upkeep[p] for p in subset)
+        for subset in feasible
+    )
+
+
+def reads_a_table_twice(catalog, workload) -> bool:
+    """Whether some query reads one table through two aliases."""
+    for query in workload:
+        tables = [entry.table.name for entry in query.bind(catalog).rels]
+        if len(set(tables)) < len(tables):
+            return True
+    return False
+
+
+class TestBruteForceOracle:
+    """On small instances the advise is exactly optimal: its
+    ``cost_after`` (full INUM pricing plus maintenance) equals the
+    minimum over every subset of the unpruned pool that fits the
+    storage budget and the update-cost cap, with refine on and off.
+
+    The one known exception is the ILP alone on a self-join: the
+    program has one access-path row per (query, table), so two aliases
+    of one table cannot each count an index. Refine prices full INUM
+    estimates and closes that gap; ``test_ilp_alone_on_a_self_join``
+    pins the smallest instance found."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(instance=oracle_workloads(), data=st.data())
+    def test_recommend_matches_brute_force(self, oracle_dbs, instance, data):
+        schema, workload = instance
+        catalog, cache = oracle_dbs[schema]
+        advisor = IlpIndexAdvisor(catalog, cost_cache=cache)
+        generated = generate_candidates(catalog, workload, cost_cache=cache)
+        pool = [
+            generated[p]
+            for p in data.draw(st.lists(
+                st.sampled_from(range(len(generated))),
+                min_size=1, max_size=12, unique=True,
+            ))
+        ]
+        budget = data.draw(st.integers(1, sum(c.size_pages for c in pool)))
+        tables = sorted({c.index.table_name for c in pool})
+        rates = data.draw(st.none() | st.dictionaries(
+            st.sampled_from(tables), st.sampled_from((0.5, 2.0, 10.0, 40.0)),
+            min_size=1,
+        ))
+        config = PlannerConfig()
+        per_update = config.random_page_cost + 50 * config.cpu_operator_cost
+        upkeep = [
+            (rates or {}).get(c.index.table_name, 0.0) * per_update for c in pool
+        ]
+        cap = None
+        if rates:
+            cap = data.draw(st.none() | st.floats(0.0, sum(upkeep)))
+
+        best = brute_force_minimum(advisor, workload, pool, budget, upkeep, cap)
+        self_join = reads_a_table_twice(catalog, workload)
+        for refine in (True, False):
+            result = advisor.recommend(
+                workload, budget, update_rates=rates, max_update_cost=cap,
+                refine=refine, candidates=pool,
+            )
+            assert not result.degraded
+            assert result.size_pages <= budget
+            if refine or not self_join:
+                assert result.cost_after == pytest.approx(best, rel=1e-9), (
+                    f"refine={refine}"
+                )
+            else:
+                assert result.cost_after >= best * (1 - 1e-9)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="one access-path row per (query, table): the ILP cannot "
+        "give a self-join's two photoobj aliases an index each",
+    )
+    def test_ilp_alone_on_a_self_join(self, oracle_dbs):
+        catalog, cache = oracle_dbs["sdss"]
+        box = sdss_workload().query("q01_box_search").sql
+        workload = Workload(
+            queries=[Query(f"q{i}", box) for i in range(3)] + [Query(
+                "q3",
+                "select t0.field_id, count(*) from field t0, photoobj t1, "
+                "photoobj t2 where t0.field_id = t1.objid and "
+                "t1.objid = t2.objid and t2.ra < 120 group by t0.field_id",
+            )],
+            name="oracle",
+        )
+        advisor = IlpIndexAdvisor(catalog, cost_cache=cache)
+        pool = generate_candidates(catalog, workload, cost_cache=cache)[:5]
+        best = brute_force_minimum(advisor, workload, pool, 23, [0.0] * 5, None)
+        result = advisor.recommend(workload, 23, refine=False, candidates=pool)
+        assert result.cost_after == pytest.approx(best, rel=1e-9)

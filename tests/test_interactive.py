@@ -107,7 +107,8 @@ class TestScriptedSession:
     cost, in shape and in the what-if indexes it uses. The session
     replans exactly the queries whose serving indexes
     (``tests.reference.serving_indexes``) moved, or every query when
-    the catalog or the join flags did."""
+    the catalog or the join flags did, serves the rest from its cache,
+    and never caches more than one plan per query."""
 
     def test_every_step_equals_fresh_planning(self, monkeypatch):
         db = build_sdss_database(photo_rows=1500, seed=3)
@@ -151,6 +152,7 @@ class TestScriptedSession:
         def check(replans_all):
             session = designer.session
             prepares, misses = calls["prepare"], session.plan_cache_misses
+            hits = session.plan_cache_hits
             shown_plans.clear()
             evaluation = designer.evaluate(workload)
             prepared_here = calls["prepare"] - prepares
@@ -175,6 +177,9 @@ class TestScriptedSession:
                 serving[query.name] = now
             expected = len(workload) if replans_all else moved
             assert session.plan_cache_misses - misses == expected
+            assert session.plan_cache_hits - hits == len(workload) - expected
+            # Plans cached under an older catalog version are gone.
+            assert len(session._plan_cache) <= len(workload)
             return prepared_here, expected
 
         assert check(True) == (2 * len(workload), len(workload))  # baseline + target
