@@ -85,14 +85,18 @@ class InteractiveDesigner:
         # Baselines (the query bound against the real catalog, and its
         # plan there) depend only on the real catalog, so they outlive
         # reset(); target-side bindings depend on the session catalog.
-        # Both are keyed by the owning catalog's version and the SQL (the
-        # next workload may reuse a name for another statement) so they
-        # never serve stale state, and the session's own plan cache does
-        # the rest — evaluate() after add_whatif_index replans only the
-        # queries the new index can serve. Parsed statements are frozen
-        # ASTs, so one parse per SQL serves every catalog version.
+        # Both are keyed by the SQL (the next workload may reuse a name
+        # for another statement); baselines also by the real catalog's
+        # version, and target bindings are dropped once the session
+        # catalog's key (a new one after reset()) moves past
+        # ``_targets_under``, as the session's own caches are. The
+        # session's plan cache does the rest — evaluate() after
+        # add_whatif_index replans only the queries the new index can
+        # serve. Parsed statements are frozen ASTs, so one parse per SQL
+        # serves every catalog version.
         self._baselines: dict[tuple, tuple[BoundQuery, Plan]] = {}
-        self._bound_targets: dict[tuple, tuple[BoundQuery, str]] = {}
+        self._bound_targets: dict[str, tuple[BoundQuery, str]] = {}
+        self._targets_under = self._session.catalog.cache_key
         self._statements: dict[str, SelectStmt] = {}
 
     @property
@@ -103,7 +107,6 @@ class InteractiveDesigner:
         """Drop every what-if feature created so far."""
         self._session = WhatIfSession(self._db.catalog)
         self._schemes = {}
-        self._bound_targets = {}
 
     def _statement(self, sql: str) -> SelectStmt:
         statement = self._statements.get(sql)
@@ -163,6 +166,9 @@ class InteractiveDesigner:
         # catalog (version bump), so its key covers them.
         base_version = self._db.catalog.cache_key
         target_version = self._session.catalog.cache_key
+        if target_version != self._targets_under:
+            self._targets_under = target_version
+            self._bound_targets.clear()
         per_query: list[QueryBenefit] = []
         rewritten_sql: dict[str, str] = {}
         cost_before = 0.0
@@ -175,8 +181,7 @@ class InteractiveDesigner:
                 base = self._baselines[base_key] = (bound, baseline.plan(bound))
             bound, base_plan = base
             before = base_plan.total_cost * query.weight
-            target_key = (target_version, query.sql)
-            entry = self._bound_targets.get(target_key)
+            entry = self._bound_targets.get(query.sql)
             if entry is None:
                 if rewriter is not None:
                     rewritten = rewriter.rewrite(bound)
@@ -186,7 +191,7 @@ class InteractiveDesigner:
                     sql = query.sql.strip()
                     target = bind(self._session.catalog, self._statement(query.sql))
                 entry = (target, sql)
-                self._bound_targets[target_key] = entry
+                self._bound_targets[query.sql] = entry
             target, rewritten_sql[query.name] = entry
             plan = self._session.plan(target)
             after = plan.total_cost * query.weight

@@ -43,10 +43,11 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
-from repro.errors import CanonicalizeError, ParseError, ReproError, SQLError
+from repro.errors import CanonicalizeError, ParseError, ReproError, SQLError, TokenizeError
 from repro.sql.parser import parse_select
-from repro.sql.tokenizer import Token, TokenType, strip_literals, tokenize
+from repro.sql.tokenizer import Token, TokenType, literal_shape, strip_literals, tokenize
 from repro.workloads.workload import Query, Workload
 
 # Renormalize the decayed profile before per-observation weights can
@@ -99,8 +100,28 @@ def canonicalize(sql: str) -> str:
     becomes ``?``; parenthesized all-literal lists collapse to
     ``( ?+ )`` regardless of arity. Whitespace and literal values never
     influence the result; identifiers and structure always do.
+
+    A statement is scanned once per shape: its
+    :func:`~repro.sql.tokenizer.literal_shape` (the text with literal
+    values erased) is itself SQL with the same fingerprint, so the
+    fingerprint is memoized by shape and a statement of a known shape
+    costs two substitutions and a lookup. Errors are never memoized: a
+    shape that fails is rescanned as the original text, which raises
+    the original message and position. Text without a safe shape
+    (quoted identifiers, comments, ``?``, non-ASCII) is always scanned.
     """
+    shape = literal_shape(sql)
+    if shape is not None:
+        try:
+            return _shape_fingerprint(shape)
+        except (TokenizeError, CanonicalizeError):
+            pass
     return _fingerprint(strip_literals(sql))
+
+
+@lru_cache(maxsize=1024)
+def _shape_fingerprint(shape: str) -> str:
+    return _fingerprint(strip_literals(shape))
 
 
 def canonicalize_tokens(tokens: list[Token]) -> str:

@@ -4,9 +4,11 @@ One compiled pattern (:data:`_LEXEME`) scans a statement lexeme by
 lexeme and has two consumers: :func:`tokenize` builds the flat list of
 :class:`Token` objects the parser reads, and :func:`strip_literals`
 emits only the literal-stripped token values the workload canonicalizer
-fingerprints, without building tokens. Keywords are case-insensitive;
-identifiers are lower-cased unless double-quoted, matching PostgreSQL's
-folding rules.
+fingerprints, without building tokens; :func:`literal_shape` erases
+literal values with the lexer's own string pattern, so that the
+canonicalizer scans once per statement shape. Keywords are
+case-insensitive; identifiers are lower-cased unless double-quoted,
+matching PostgreSQL's folding rules.
 """
 
 from __future__ import annotations
@@ -189,3 +191,38 @@ def strip_literals(text: str) -> list[str]:
         # numeric: both are tokenize's errors to raise.
         tokenize(text)
     return parts
+
+
+_SHAPE_STRING = re.compile(_STRING)
+# A digit run that starts a lexeme: \b before a digit means "not
+# preceded by a word character" (ASCII text only, see literal_shape).
+_SHAPE_DIGITS = re.compile(r"\b[0-9]+", re.ASCII)
+
+
+def literal_shape(text: str) -> str | None:
+    """``text`` with its literal values erased, or None where that is
+    not safe: every string literal becomes ``''`` and every digit run
+    that no word character precedes becomes ``0``.
+
+    Statements that differ only in literal values share one shape. A
+    shape lexes to the lexemes of ``text`` with only literal values
+    changed, and fails to lex exactly when ``text`` does (at another
+    offset, as the text is shorter). Without quoted identifiers and
+    comments every ``'`` starts or lies inside a string literal, so
+    :data:`_STRING` finds the lexer's own strings; an unterminated one
+    matches nowhere it starts and stays unterminated. Every erased digit
+    run starts a number lexeme or continues one after ``.``, ``+`` or
+    ``-``; a run after a word character (``t1``, the ``5`` of ``1e5``)
+    is kept, and an erased run keeps one digit, so a dangling exponent
+    stays malformed. ``?`` never lexes, and non-ASCII text is left to the
+    lexer's own checks: both return None.
+    """
+    if (
+        not text.isascii()
+        or '"' in text
+        or "?" in text
+        or "--" in text
+        or "/*" in text
+    ):
+        return None
+    return _SHAPE_DIGITS.sub("0", _SHAPE_STRING.sub("''", text))

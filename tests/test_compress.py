@@ -6,6 +6,7 @@ recommendations. These tests pin that with ``struct.pack`` on every
 reported float — not ``pytest.approx``.
 """
 
+import itertools
 import struct
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from repro.advisor import ilp_advisor
 from repro.advisor.compress import compress_statements, fold_workload
 from repro.advisor.ilp_advisor import IlpIndexAdvisor
+from repro.online import monitor
 from repro.online.monitor import render_statement
 from repro.sql.tokenizer import Token, TokenType, tokenize
 from repro.workloads.sdss import build_sdss_database, sdss_workload
@@ -137,6 +139,36 @@ class TestCompressStatements:
         )
         assert res.templates == 1
         assert res.skipped == 1
+
+    def test_memo_scans_each_shape_once_whatever_the_literals(self, monkeypatch):
+        # 2 000 statements over five shapes, and no literal value repeats:
+        # the fingerprint memo is keyed by shape, not by text.
+        values = itertools.count(1000)
+        stream = []
+        for _ in range(400):
+            n = [next(values) for _ in range(6)]
+            stream += [
+                f"select age from people where person_id = {n[0]}",
+                f"select person_id from people where age between {n[1]}.{n[2]} "
+                f"and {n[3]}e2",
+                f"select city from people where name = 'x{n[4]}''s'",
+                "select p.age from people p, pets q "
+                f"where p.person_id = q.owner_id and q.weight > .{n[5]}",
+                f"update people set age = {n[0]} where person_id = {n[1]};",
+            ]
+        monitor._shape_fingerprint.cache_clear()
+        folded = compress_statements(stream)
+        assert folded.statements_in == 2000
+        assert folded.templates == 4 and folded.dml_statements == 400
+        info = monitor._shape_fingerprint.cache_info()
+        assert (info.misses, info.hits) == (5, 1995)
+        # The same fold with every statement scanned in full.
+        monkeypatch.setattr(
+            monitor, "_shape_fingerprint", monitor._shape_fingerprint.__wrapped__
+        )
+        unmemoized = compress_statements(stream)
+        assert folded.workload == unmemoized.workload
+        assert folded.workload.update_rates == {"people": 400.0}
 
 
 class TestFoldWorkload:

@@ -108,7 +108,7 @@ class TestScriptedSession:
     replans exactly the queries whose serving indexes
     (``tests.reference.serving_indexes``) moved, or every query when
     the catalog or the join flags did, serves the rest from its cache,
-    and never caches more than one plan per query."""
+    and never caches more than one plan or target binding per query."""
 
     def test_every_step_equals_fresh_planning(self, monkeypatch):
         db = build_sdss_database(photo_rows=1500, seed=3)
@@ -178,8 +178,10 @@ class TestScriptedSession:
             expected = len(workload) if replans_all else moved
             assert session.plan_cache_misses - misses == expected
             assert session.plan_cache_hits - hits == len(workload) - expected
-            # Plans cached under an older catalog version are gone.
+            # Plans and bindings cached under an older catalog version
+            # are gone.
             assert len(session._plan_cache) <= len(workload)
+            assert len(designer._bound_targets) <= len(workload)
             return prepared_here, expected
 
         assert check(True) == (2 * len(workload), len(workload))  # baseline + target

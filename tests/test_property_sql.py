@@ -7,9 +7,11 @@ library's own error type (never crash with something foreign).
 
 The regex tokenizer is also held to the character walker it replaced
 (``tests/reference_tokenizer.py``) token for token and error for error,
-and the canonicalizer's token-free scan to its token-based twin.
+and the canonicalizer's token-free scan to its token-based twin, also
+when its shape memo serves a statement from a literal-varied sibling.
 """
 
+import itertools
 import re
 import string
 
@@ -18,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CanonicalizeError, ReproError, TokenizeError
+from repro.online import monitor
 from repro.online.monitor import (
     canonicalize,
     canonicalize_tokens,
@@ -38,8 +41,9 @@ from repro.sql.ast_nodes import (
     TableRef,
 )
 from repro.sql.parser import parse_select
+from repro.sql import tokenizer
 from repro.sql.printer import to_sql
-from repro.sql.tokenizer import Token, TokenType, tokenize
+from repro.sql.tokenizer import Token, TokenType, literal_shape, tokenize
 from repro.workloads.sdss import sdss_workload
 from repro.workloads.star import star_workload
 
@@ -285,6 +289,76 @@ def test_canonicalize_equals_its_twin_beyond_ascii(text: str):
     assert _fingerprint_outcome(canonicalize, text) == _fingerprint_outcome(
         lambda sql: canonicalize_tokens(tokenize(sql)), text
     )
+
+
+# The literals literal_shape erases: the lexer's own string pattern,
+# and digit runs that no word character precedes.
+_ERASED = re.compile(rf"{tokenizer._STRING}|\b[0-9]+", re.ASCII)
+_literal_dense = st.one_of(
+    st.text(alphabet="0123456789'.eE+- t1x_(,)=;", max_size=16),
+    _sql_text([
+        "t1", "x9", "_2", "e", "E5", "t1.x", "1", "42", "0.5", ".5", "1.", "7e3",
+        "1e", "1e+", ".5e", "'", "''", "'7'", "'a''", "'it''s'", ".", "-", "+",
+        "=", "(", ")", ",", " ",
+    ]),
+)
+_SIBLING_STRINGS = ["'b'", "''", "'it''s'", "'1 a'", "''''", "'9e'"]
+
+
+def _sibling(text: str, salt: int) -> str:
+    """``text`` with every literal :func:`literal_shape` erases given
+    another value, drawn from ``salt``."""
+    count = itertools.count(salt)
+
+    def other(match):
+        k = next(count)
+        if match[0][0] == "'":
+            return _SIBLING_STRINGS[k % len(_SIBLING_STRINGS)]
+        return str(k * 7919)[: 1 + k % 4]
+
+    return _ERASED.sub(other, text)
+
+
+def _assert_memo_matches_twin(text, sibling):
+    """``canonicalize(text)`` after ``sibling`` (``text`` with other
+    literal values) primed the shape memo: the token-based twin's
+    fingerprint, or its error type, message and position. A text that
+    fingerprints shares the sibling's shape and is served from the memo."""
+    twin = lambda sql: canonicalize_tokens(tokenize(sql))  # noqa: E731
+    memo = monitor._shape_fingerprint
+    memo.cache_clear()
+    assert _fingerprint_outcome(canonicalize, sibling) == _fingerprint_outcome(
+        twin, sibling
+    )
+    want = _fingerprint_outcome(twin, text)
+    shared = want[0] == "fingerprint" and literal_shape(text) is not None
+    if shared:
+        assert literal_shape(sibling) == literal_shape(text)
+    hits = memo.cache_info().hits
+    assert _fingerprint_outcome(canonicalize, text) == want
+    assert memo.cache_info().hits == hits + shared
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    text=st.one_of(_any_text, _unquoted_sql, _literal_dense),
+    salt=st.integers(0, 10**6),
+)
+def test_shape_memo_equals_the_token_based_twin(text: str, salt: int):
+    _assert_memo_matches_twin(text, _sibling(text, salt))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a.5", "1e", ".5e", "1.5.x", "'it''s'", "'a''", "t1.x", "x-5",
+        '"Q" = 1', "a ? 1", "-- it's\nselect 'x'", "select 1e5, 2.5E-3, 7.",
+        "x = 'a' 'b", "select 12abc, x_1, 1_2 from t1", '"t 1" = 1',
+        "/* 'x */ 1 /* ' */ y", "x -- 'a\n = 'b' -- '",
+    ],
+)
+def test_shape_memo_edge_cases(text: str):
+    _assert_memo_matches_twin(text, _sibling(text, 2))
 
 
 # A fingerprint drops the quotes of a quoted identifier, so reading one
