@@ -65,6 +65,17 @@ _MIN_BENEFIT = 1e-6
 _MAX_NODES = 20000
 
 
+def maintenance_cost(config: PlannerConfig, rate: float) -> float:
+    """Upkeep of one index under ``rate`` row updates of its table.
+
+    One row update descends each of the table's B-Trees and dirties a
+    leaf page: ``rate × (random_page_cost + 50 × cpu_operator_cost)``,
+    in optimizer cost units. The advisor's objective and the online
+    tuner's hysteresis both charge it.
+    """
+    return rate * (config.random_page_cost + 50 * config.cpu_operator_cost)
+
+
 @dataclass
 class QueryBenefit:
     """Per-query before/after costs in the final recommendation."""
@@ -548,21 +559,14 @@ class IlpIndexAdvisor(IndexAdvisor):
         candidates: list[CandidateIndex],
         update_rates: dict[str, float] | None,
     ) -> dict[int, float]:
-        """Per-candidate maintenance cost under the update model.
-
-        One row update against a table descends each of its B-Trees and
-        dirties a leaf page: charge ``rate × (random_page_cost +
-        50 × cpu_operator_cost)`` per index, in optimizer cost units.
-        """
+        """Per-candidate :func:`maintenance_cost` under the update rates."""
         if not update_rates:
             return {}
-        config = self._config
-        per_update = config.random_page_cost + 50 * config.cpu_operator_cost
         costs: dict[int, float] = {}
         for position, candidate in enumerate(candidates):
             rate = update_rates.get(candidate.index.table_name, 0.0)
             if rate > 0:
-                costs[position] = rate * per_update
+                costs[position] = maintenance_cost(self._config, rate)
         return costs
 
     def _solve(

@@ -401,14 +401,7 @@ class Parinda:
             if isinstance(result, AdvisorResult):
                 simulated = {qb.name: qb.cost_after for qb in result.per_query}
             for query in workload:
-                key = (self._db.catalog.cache_key, query.sql)
-                cost = self._plan_cost_cache.get(key)
-                if cost is None:
-                    bound = self._cost_cache.bound_query(
-                        self._db.catalog, query.sql
-                    )
-                    cost = self._planner.plan(bound).total_cost
-                    self._plan_cost_cache[key] = cost
+                cost = self._plan_cost(query.sql)
                 # Weighted like AdvisorResult.per_query, so the two
                 # columns are comparable when the workload's weights
                 # have not moved since the advise.
@@ -497,11 +490,16 @@ class Parinda:
         """
         total = 0.0
         for query in workload:
-            key = (self._db.catalog.cache_key, query.sql)
-            cost = self._plan_cost_cache.get(key)
-            if cost is None:
-                bound = self._cost_cache.bound_query(self._db.catalog, query.sql)
-                cost = self._planner.plan(bound).total_cost
-                self._plan_cost_cache[key] = cost
-            total += cost * query.weight
+            total += self._plan_cost(query.sql) * query.weight
         return total
+
+    def _plan_cost(self, sql: str) -> float:
+        """Planner cost of ``sql`` under the current design, memoized
+        per (catalog version, SQL)."""
+        key = (self._db.catalog.cache_key, sql)
+        cost = self._plan_cost_cache.get(key)
+        if cost is None:
+            bound = self._cost_cache.bound_query(self._db.catalog, sql)
+            cost = self._planner.plan(bound).total_cost
+            self._plan_cost_cache[key] = cost
+        return cost

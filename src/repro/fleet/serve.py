@@ -27,14 +27,16 @@ answer and guards it. The :class:`FleetController` closes the loop:
   re-pricing its load onto the survivors, and restores it afterwards.
 * **Guard** — after each replica's apply, a health gate re-prices that
   replica's live window under the new design and under the design it
-  replaced. A regressing window starts a probation counter; a
-  configurable number of *consecutive* regressing windows confirms the
-  regression, triggers an automatic journaled rollback of that replica
-  only, and **freezes** the fleet (no further drift-driven rollouts;
-  serving continues). A crashed or faulted apply (the ``replica.apply``
-  fault point, or a real executor error) **quarantines** the replica —
-  it leaves serving rotation, the survivors absorb its load, and the
-  rollout moves on instead of aborting the fleet.
+  replaced, each through a :class:`~repro.whatif.session.WhatIfSession`
+  over the pristine advising catalog. A regressing window starts a
+  probation counter; a configurable number of *consecutive* regressing
+  windows confirms the regression, triggers an automatic journaled
+  rollback of that replica only, and **freezes** the fleet (no further
+  drift-driven rollouts; serving continues). A crashed or faulted apply
+  (the ``replica.apply`` fault point, or a real executor error)
+  **quarantines** the replica — it leaves serving rotation, the
+  survivors absorb its load, and the rollout moves on instead of
+  aborting the fleet.
 
 **Durability.** All rollout state flows through the ``store`` argument,
 a :class:`~repro.resilience.store.StateStore` whose primary slot the
@@ -90,7 +92,6 @@ from repro.online.drift import DriftDetector
 from repro.online.monitor import WorkloadMonitor
 from repro.online.tuner import EVENT_RING_SIZE
 from repro.optimizer.config import PlannerConfig
-from repro.optimizer.planner import Planner
 from repro.parallel.caches import CostCache
 from repro.resilience.apply import (
     MANAGED_PREFIX,
@@ -103,6 +104,7 @@ from repro.resilience import faults
 from repro.resilience.faults import FaultInjector
 from repro.resilience.store import StateStore, read_resume, write_checkpoint
 from repro.storage.database import Database
+from repro.whatif.session import WhatIfSession
 from repro.workloads.workload import Workload
 
 # Serialization format of FleetController.save_state()/restore.
@@ -315,7 +317,7 @@ class FleetController:
         self._rollout: dict | None = None
         self._regressed: dict | None = None
         self._retunes = 0
-        self._validation_catalogs: dict[frozenset, object] = {}
+        self._validation_sessions: dict[frozenset, WhatIfSession] = {}
         self._events: deque[FleetEvent] = deque(maxlen=EVENT_RING_SIZE)
         self.event_counts: dict[str, int] = {k: 0 for k in FLEET_EVENT_KINDS}
         # Only the first-ever write can tear both candidates (no .bak
@@ -578,7 +580,7 @@ class FleetController:
             "rollout-started",
             detail=f"{self.n_replicas} replica(s), retune #{self._retunes}",
         )
-        self._validation_catalogs.clear()
+        self._validation_sessions.clear()
         self._journal_state()
         self._run_rollout()
 
@@ -799,43 +801,33 @@ class FleetController:
     ) -> float:
         """Planner cost of ``window`` under ``design`` (deterministic).
 
-        Priced against a clone of the pristine advising catalog with
-        the design layered on hypothetically — never against the live
-        catalog — so an interrupted-and-resumed controller, whose live
-        catalogs may be mid-delta, reproduces the exact costs of the
-        uninterrupted run.
+        Priced through a :class:`~repro.whatif.session.WhatIfSession`
+        over the pristine advising catalog, with each design index
+        whose signature that catalog lacks added hypothetically — never
+        against the live catalog — so an interrupted-and-resumed
+        controller, whose live catalogs may be mid-delta, reproduces
+        the exact costs of the uninterrupted run. One session per
+        design signature set serves a rollout's validation windows.
         """
         key = _signatures(design)
-        catalog = self._validation_catalogs.get(key)
-        if catalog is None:
-            catalog = self._advise_catalog.clone()
-            present = {index_signature(ix) for ix in catalog.indexes()}
-            taken = set(catalog.index_names)
+        session = self._validation_sessions.get(key)
+        if session is None:
+            session = WhatIfSession(self._advise_catalog, self._config)
+            present = {
+                index_signature(ix) for ix in self._advise_catalog.indexes()
+            }
             for ix in design:
-                if index_signature(ix) in present:
-                    continue
-                name = ix.name
-                suffix = 2
-                while name in taken:
-                    name = f"{ix.name}__v{suffix}"
-                    suffix += 1
-                taken.add(name)
-                catalog.add_index(
-                    Index(
-                        name=name,
-                        table_name=ix.table_name,
-                        columns=ix.columns,
-                        unique=ix.unique,
-                        hypothetical=True,
+                signature = index_signature(ix)
+                if signature not in present:
+                    present.add(signature)
+                    session.add_index(
+                        ix.table_name, ix.columns, name=ix.name, unique=ix.unique
                     )
-                )
-            self._validation_catalogs[key] = catalog
-        planner = Planner(catalog, self._config)
+            self._validation_sessions[key] = session
         total = 0.0
         for query in window:
             try:
-                bound = self._cost_cache.bound_query(catalog, query.sql)
-                total += planner.plan(bound).total_cost * query.weight
+                total += session.cost(query.sql) * query.weight
             except FaultInjected:
                 raise
             except ReproError:

@@ -372,17 +372,11 @@ class WorkloadMonitor:
 
     def window_distribution(self) -> dict[str, float]:
         """Normalized template shares over the active window."""
-        total = len(self._window)
-        if not total:
-            return {}
-        return {fp: c / total for fp, c in self._window_counts.items()}
+        return self._distribution(self._window_counts)
 
     def profile_distribution(self) -> dict[str, float]:
         """Normalized template shares of the decayed long-term profile."""
-        total = sum(self._profile.values())
-        if not total:
-            return {}
-        return {fp: v / total for fp, v in self._profile.items()}
+        return self._distribution(self._profile)
 
     def update_rates(self) -> dict[str, float]:
         """Weighted DML statements per written table, over the window.
@@ -391,14 +385,7 @@ class WorkloadMonitor:
         the same units as snapshot query weights — exactly what
         ``IlpIndexAdvisor.recommend(update_rates=...)`` expects.
         """
-        rates: dict[str, float] = {}
-        for fingerprint, count in self._window_counts.items():
-            template = self._templates[fingerprint]
-            if template.kind in DML_KINDS and template.target_table:
-                rates[template.target_table] = (
-                    rates.get(template.target_table, 0.0) + float(count)
-                )
-        return rates
+        return self._update_rates(self._window_counts)
 
     def utilization_profile(self) -> dict[str, float]:
         """Normalized advisable-template weights over the active window.
@@ -431,16 +418,7 @@ class WorkloadMonitor:
         DML mass from the exponentially decayed profile, in the same
         units as :meth:`profile_snapshot` query weights.
         """
-        rates: dict[str, float] = {}
-        for fingerprint, weight in self._profile.items():
-            if weight <= 0.0:
-                continue
-            template = self._templates[fingerprint]
-            if template.kind in DML_KINDS and template.target_table:
-                rates[template.target_table] = (
-                    rates.get(template.target_table, 0.0) + weight
-                )
-        return rates
+        return self._update_rates(self._profile)
 
     # ------------------------------------------------------------------
     # Bridge back to the batch stack
@@ -464,29 +442,7 @@ class WorkloadMonitor:
         cannot change the recommendation: a query with zero weight
         contributes zero benefit everywhere.
         """
-        templates = sorted(
-            (
-                self._templates[fp]
-                for fp, weight in self._profile.items()
-                if weight > 0.0
-                and self._templates[fp].kind == "select"
-                and fp not in self._quarantined
-            ),
-            key=lambda t: t.sequence,
-        )
-        queries = [
-            Query(
-                name=t.template_id,
-                sql=t.example_sql,
-                weight=float(self._profile[t.fingerprint]),
-            )
-            for t in templates
-        ]
-        return Workload(
-            queries=queries,
-            name=name or f"profile@{self._observed}",
-            update_rates=self.profile_update_rates(),
-        )
+        return self._snapshot(self._profile, name or f"profile@{self._observed}")
 
     def snapshot(self, name: str | None = None) -> Workload:
         """The active window as a plain, advisor-ready ``Workload``.
@@ -498,11 +454,40 @@ class WorkloadMonitor:
         observed statement as the concrete SQL. The window's DML
         traffic rides along as ``Workload.update_rates``.
         """
+        return self._snapshot(
+            self._window_counts, name or f"online@{self._observed}"
+        )
+
+    # The window (``_window_counts``, every count >= 1) and the decayed
+    # profile (``_profile``) are two mass maps over fingerprints; each
+    # view of either is built here, iterating the map in its own order.
+
+    @staticmethod
+    def _distribution(masses: dict[str, float]) -> dict[str, float]:
+        total = sum(masses.values())
+        if not total:
+            return {}
+        return {fp: mass / total for fp, mass in masses.items()}
+
+    def _update_rates(self, masses: dict[str, float]) -> dict[str, float]:
+        rates: dict[str, float] = {}
+        for fingerprint, mass in masses.items():
+            if mass <= 0.0:
+                continue
+            template = self._templates[fingerprint]
+            if template.kind in DML_KINDS and template.target_table:
+                rates[template.target_table] = (
+                    rates.get(template.target_table, 0.0) + float(mass)
+                )
+        return rates
+
+    def _snapshot(self, masses: dict[str, float], name: str) -> Workload:
         templates = sorted(
             (
                 self._templates[fp]
-                for fp in self._window_counts
-                if self._templates[fp].kind == "select"
+                for fp, mass in masses.items()
+                if mass > 0.0
+                and self._templates[fp].kind == "select"
                 and fp not in self._quarantined
             ),
             key=lambda t: t.sequence,
@@ -511,14 +496,12 @@ class WorkloadMonitor:
             Query(
                 name=t.template_id,
                 sql=t.example_sql,
-                weight=float(self._window_counts[t.fingerprint]),
+                weight=float(masses[t.fingerprint]),
             )
             for t in templates
         ]
         return Workload(
-            queries=queries,
-            name=name or f"online@{self._observed}",
-            update_rates=self.update_rates(),
+            queries=queries, name=name, update_rates=self._update_rates(masses)
         )
 
     def clear_window(self) -> None:

@@ -11,11 +11,11 @@ performs no raw optimizer calls for templates it has already modeled. Observed
 INSERT/UPDATE/DELETE statements become per-table ``update_rates`` on
 every snapshot, so a write-heavy shift changes the recommendation too.
 
-The loop is factored around **checkpoints**: at each boundary (warmup,
-or ``check_interval`` statements past the last check) ``observe()``
-captures the window snapshot and distribution and runs the drift check
-and any re-advise on them before it returns, so every decision is a
-pure function of the checkpoint plus the in-order tuner state.
+Decisions are made inline: at each boundary (warmup, or
+``check_interval`` statements past the last check) ``observe()`` runs
+the decision before it returns. A drift check compares the window
+distribution first; only a drifted, warmup or forced decision takes
+the advisor's snapshot, so a steady stream builds none.
 
 Hysteresis: a new design is only *adopted* ("recommended") when its
 projected per-window benefit over the standing design (scan costs plus
@@ -55,7 +55,7 @@ tuning step.
 
 Resilience: one failed re-advise never stops the loop. A
 :class:`~repro.errors.ReproError` escaping the advisor (or an injected
-fault) is converted into a ``degraded`` event and the checkpoint is
+fault) is converted into a ``degraded`` event and the decision is
 dropped — the standing design stays in force and, because the baseline
 does not move, the same shift re-registers as drift at the next
 boundary, which is the retry.
@@ -67,7 +67,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from repro.advisor.ilp_advisor import AdvisorResult, IlpIndexAdvisor
+from repro.advisor.ilp_advisor import (
+    AdvisorResult,
+    IlpIndexAdvisor,
+    maintenance_cost,
+)
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import Index, index_signature
 from repro.errors import CanonicalizeError, ReproError, TokenizeError
@@ -115,22 +119,6 @@ class TuningEvent:
     )
 
 
-@dataclass(frozen=True)
-class _Checkpoint:
-    """A decision point captured on the observe path.
-
-    Everything the decision core needs is frozen here at the boundary
-    statement: the window snapshot and distribution at that exact
-    sequence.
-    """
-
-    kind: str  # "warmup" | "check" | "forced"
-    sequence: int
-    snapshot: Workload
-    distribution: dict[str, float]
-    reason: str = ""
-
-
 class OnlineTuner:
     """Continuous index tuning over a statement stream.
 
@@ -171,7 +159,7 @@ class OnlineTuner:
             ``degrade_on_error`` (the design stays adopted, only
             materialization was lost), propagated otherwise. A
             successful call emits an ``applied`` event.
-        compress: CoPhy scale mode for long streams. Checkpoints carry
+        compress: CoPhy scale mode for long streams. Re-advises take
             the monitor's *full decayed profile*
             (:meth:`WorkloadMonitor.profile_snapshot`) instead of the
             recency window, so a re-advise prices every template the
@@ -290,17 +278,14 @@ class OnlineTuner:
                 "parse as a SELECT; excluded from advising",
             )
 
-        checkpoint: _Checkpoint | None = None
         if not self._warmed:
             if sequence >= self.warmup:
                 self._warmed = True
                 self._last_check = sequence
-                checkpoint = self._capture("warmup", sequence, reason="warmup")
+                self._decide(sequence, "warmup")
         elif sequence - self._last_check >= self.check_interval:
             self._last_check = sequence
-            checkpoint = self._capture("check", sequence)
-        if checkpoint is not None:
-            self._process_checkpoint(checkpoint)
+            self._decide(sequence)
         self._checkpoint_if_due()
         return template
 
@@ -325,15 +310,28 @@ class OnlineTuner:
         sequence = self.monitor.observed
         self._warmed = True
         self._last_check = sequence
-        checkpoint = self._capture("forced", sequence, reason=reason)
-        return self._process_checkpoint(checkpoint)
+        return self._decide(sequence, reason or "forced")
 
     # ------------------------------------------------------------------
-    # Checkpoints: captured and processed on the observe path
+    # The decision, made inline on the observe path
 
-    def _capture(
-        self, kind: str, sequence: int, reason: str = ""
-    ) -> _Checkpoint:
+    def _decide(
+        self, sequence: int, reason: str | None = None
+    ) -> AdvisorResult | None:
+        """One boundary's decision: a drift check when ``reason`` is
+        None, else an unconditional (warmup or forced) re-advise.
+
+        The window distribution is compared first; the snapshot is
+        taken only once a re-advise is certain.
+        """
+        distribution = self.monitor.window_distribution()
+        if reason is None:
+            report = self.detector.compare(self._baseline or {}, distribution)
+            self.last_drift = report
+            if not report.drifted:
+                return None
+            self._emit("drifted", sequence, report.reason)
+            reason = report.reason
         # Scale mode advises the whole decayed profile (every template
         # the stream has shown, decay-weighted, underflowed ones
         # filtered); default mode advises the recency window. Drift
@@ -343,32 +341,10 @@ class OnlineTuner:
             if self.compress
             else self.monitor.snapshot()
         )
-        return _Checkpoint(
-            kind=kind,
-            sequence=sequence,
-            snapshot=snapshot,
-            distribution=self.monitor.window_distribution(),
-            reason=reason,
-        )
-
-    def _process_checkpoint(
-        self, checkpoint: _Checkpoint
-    ) -> AdvisorResult | None:
-        if checkpoint.kind == "check":
-            report = self.detector.compare(
-                self._baseline or {}, checkpoint.distribution
-            )
-            self.last_drift = report
-            if not report.drifted:
-                return None
-            self._emit("drifted", checkpoint.sequence, report.reason)
-            reason = report.reason
-        else:
-            reason = checkpoint.reason or checkpoint.kind
         if not self.degrade_on_error:
-            return self._advise(checkpoint, reason)
+            return self._advise(sequence, snapshot, distribution, reason)
         try:
-            return self._advise(checkpoint, reason)
+            return self._advise(sequence, snapshot, distribution, reason)
         except ReproError as exc:
             # Degradation ladder: one failed re-advise is logged and
             # dropped. The baseline stays where it was, so the same
@@ -376,7 +352,7 @@ class OnlineTuner:
             # that re-detection is the retry.
             self._emit(
                 "degraded",
-                checkpoint.sequence,
+                sequence,
                 f"re-advise failed ({exc}); standing design kept, "
                 "baseline unchanged",
             )
@@ -386,18 +362,22 @@ class OnlineTuner:
     # The advise step
 
     def _advise(
-        self, checkpoint: _Checkpoint, reason: str
+        self,
+        sequence: int,
+        snapshot: Workload,
+        distribution: dict[str, float],
+        reason: str,
     ) -> AdvisorResult | None:
-        workload = self._advisable(checkpoint)
+        workload = self._advisable(sequence, snapshot)
         if not workload.queries:
             self._emit(
                 "held",
-                checkpoint.sequence,
+                sequence,
                 "no advisable SELECT templates in the window",
             )
             # Nothing to compute a design for; acknowledge the mix so a
             # DML-only window does not re-trigger drift every interval.
-            self._baseline = dict(checkpoint.distribution)
+            self._baseline = dict(distribution)
             return None
         result = self._advisor.recommend(
             workload,
@@ -408,30 +388,29 @@ class OnlineTuner:
         self.last_result = result
         self._emit(
             "re-advised",
-            checkpoint.sequence,
+            sequence,
             f"{reason}; {len(workload)} templates, "
             f"{len(result.indexes)} indexes proposed",
             result,
         )
-        outcome = self._apply_hysteresis(checkpoint.sequence, workload, result)
+        outcome = self._apply_hysteresis(sequence, workload, result)
         # Baseline policy: the baseline is the mix the *standing* design
         # was computed for. It moves on adoption, on re-confirmation of
         # the standing design, and on the very first advise — but NOT on
         # a build-cost hold, so a gradually worsening shift keeps
         # registering as drift until adopted.
         if outcome != "held" or self._baseline is None:
-            self._baseline = dict(checkpoint.distribution)
+            self._baseline = dict(distribution)
         return result
 
-    def _advisable(self, checkpoint: _Checkpoint) -> Workload:
-        """The checkpoint's snapshot minus anything that fails binding.
+    def _advisable(self, sequence: int, snapshot: Workload) -> Workload:
+        """The snapshot minus anything that fails binding.
 
         The monitor already quarantines templates that fail the parser;
         binding failures (e.g. a statement naming an unknown column)
         can only be seen here, with the catalog in hand. Offenders are
         quarantined at the monitor so they never reach another advise.
         """
-        snapshot = checkpoint.snapshot
         good = []
         for query in snapshot.queries:
             try:
@@ -440,7 +419,7 @@ class OnlineTuner:
                 self.monitor.quarantine(query.name)
                 self._emit(
                     "quarantined",
-                    checkpoint.sequence,
+                    sequence,
                     f"{query.name}: does not bind against the catalog "
                     f"({exc}); excluded from advising",
                 )
@@ -558,18 +537,10 @@ class OnlineTuner:
     def _maintenance(
         self, design: tuple[Index, ...], update_rates: dict[str, float]
     ) -> float:
-        """Per-window upkeep of a design under the window's DML rates.
-
-        Same per-update model as the advisor's objective: each write to
-        a table descends every one of its indexes and dirties a leaf.
-        """
-        if not update_rates:
-            return 0.0
-        per_update = (
-            self._config.random_page_cost + 50 * self._config.cpu_operator_cost
-        )
+        """Per-window upkeep of a design under the window's DML rates."""
         return sum(
-            update_rates.get(ix.table_name, 0.0) * per_update for ix in design
+            maintenance_cost(self._config, update_rates.get(ix.table_name, 0.0))
+            for ix in design
         )
 
     def _index_pages(self, index: Index) -> int:

@@ -80,7 +80,7 @@ def default_relation_info(
             IndexInfo(
                 definition=index,
                 leaf_pages=leaf_pages,
-                height=_btree_height(leaf_pages),
+                height=btree_height(leaf_pages),
                 index_tuples=row_count,
             )
         )
@@ -93,7 +93,7 @@ def default_relation_info(
     )
 
 
-def _btree_height(leaf_pages: int) -> int:
+def btree_height(leaf_pages: int) -> int:
     """Approximate internal height given leaf pages (fanout ~ 256)."""
     height = 0
     pages = leaf_pages

@@ -8,7 +8,7 @@ byte-for-byte the same code path as planning against real structures.
 
 Incremental invalidation: each plan produced through :meth:`plan` is
 cached with what it was planned under — the catalog version, the
-join-flag epoch, a design epoch per referenced table (bumped whenever a
+join-flag values, a design epoch per referenced table (bumped whenever a
 hypothetical index on it is added or dropped), and per alias the
 hypothetical indexes that can serve the query
 (:func:`~repro.optimizer.paths.index_serves`: a plain or parameterized
@@ -36,7 +36,12 @@ from repro.catalog.schema import Index, Table, index_signature
 from repro.catalog.sizing import estimate_index_pages
 from repro.catalog.statistics import RelationStatistics
 from repro.errors import WhatIfError
-from repro.optimizer.config import IndexInfo, PlannerConfig, RelationInfo
+from repro.optimizer.config import (
+    IndexInfo,
+    PlannerConfig,
+    RelationInfo,
+    btree_height,
+)
 from repro.optimizer.planner import Planner, PreparedQuery
 from repro.optimizer.paths import equi_join_columns, index_serves
 from repro.optimizer.plans import IndexScan, Plan
@@ -45,6 +50,16 @@ from repro.sql.parser import parse_select
 from repro.whatif.tables import derive_partition_stats, make_partition_shell
 
 _name_counter = itertools.count(1)
+
+#: The planner flags :meth:`WhatIfSession.set_join_flags` may toggle.
+_JOIN_FLAGS = (
+    "enable_nestloop",
+    "enable_hashjoin",
+    "enable_mergejoin",
+    "enable_seqscan",
+    "enable_indexscan",
+    "enable_indexonlyscan",
+)
 
 
 class WhatIfSession:
@@ -64,11 +79,11 @@ class WhatIfSession:
         base_hook = base_config.relation_info_hook
         self._config = base_config.with_hook(self._make_hook(base_hook))
         self._simulation_seconds = 0.0
-        # Incremental-invalidation state: per-table design epochs plus a
-        # flags epoch; together with the catalog version they form the
-        # design fingerprint each cached plan is keyed by.
+        # Incremental-invalidation state: per-table design epochs plus
+        # the join-flag values; together with the catalog version they
+        # form the design fingerprint each cached plan is keyed by.
         self._table_epochs: dict[str, int] = {}
-        self._flags_epoch = 0
+        self._flags = self._flag_values()
         # Bound queries by SQL and plans by query, both for the catalog
         # key ``_cached_under`` only (see :meth:`_evict_stale`).
         self._cached_under = self._catalog.cache_key
@@ -186,20 +201,16 @@ class WhatIfSession:
 
     def set_join_flags(self, **flags: bool) -> None:
         """Toggle enable_* planner flags (e.g. ``enable_nestloop=False``)."""
-        valid = {
-            "enable_nestloop",
-            "enable_hashjoin",
-            "enable_mergejoin",
-            "enable_seqscan",
-            "enable_indexscan",
-            "enable_indexonlyscan",
-        }
-        unknown = set(flags) - valid
+        unknown = set(flags) - set(_JOIN_FLAGS)
         if unknown:
             raise WhatIfError(f"unknown planner flags: {sorted(unknown)}")
         self._config = self._config.with_flags(**flags)
-        # Flags affect every plan: global epoch rather than per-table.
-        self._flags_epoch += 1
+        # Flags affect every plan, so plans are keyed by their values:
+        # switching a flag back re-serves the plans made under it.
+        self._flags = self._flag_values()
+
+    def _flag_values(self) -> tuple:
+        return tuple(getattr(self._config, flag) for flag in _JOIN_FLAGS)
 
     # ------------------------------------------------------------------
     # Planning
@@ -306,11 +317,11 @@ class WhatIfSession:
 
     def _fingerprint(self, tables: tuple[str, ...]) -> tuple:
         """What a cached plan over ``tables`` was planned under: the
-        catalog version, the join-flag epoch and the design epoch of
+        catalog version, the join-flag values and the design epoch of
         each table."""
         return (
             self._catalog.cache_key,
-            self._flags_epoch,
+            self._flags,
             tuple(map(self._table_epochs.get, tables)),
         )
 
@@ -348,7 +359,7 @@ class WhatIfSession:
                     IndexInfo(
                         definition=index,
                         leaf_pages=leaf_pages,
-                        height=_height_for(leaf_pages),
+                        height=btree_height(leaf_pages),
                         index_tuples=info.row_count,
                     )
                 )
@@ -383,12 +394,3 @@ class _CachedPlan:
         self.plan: Plan | None = None
         # Hypothetical index names ``plan`` scans, sorted.
         self.used: tuple[str, ...] = ()
-
-
-def _height_for(leaf_pages: int) -> int:
-    height = 0
-    pages = leaf_pages
-    while pages > 1:
-        pages = (pages + 255) // 256
-        height += 1
-    return height

@@ -42,9 +42,15 @@ generation builds a path on for each relation of a query, the oracle
 for how many queries a what-if session replans (``test_whatif.py``,
 ``test_interactive.py``, ``test_parallel.py``).
 
-Last, :func:`prune_dominated_pairwise`: dominance pruning as the
+Then :func:`prune_dominated_pairwise`: dominance pruning as the
 pairwise loop it was before it compared each table's candidates as
 arrays, the oracle for ``test_candidates.py``.
+
+Last, the ``WorkloadMonitor`` views as they were before the window and
+the decayed profile shared one builder per view: two copies each of
+the snapshot, the update rates and the distribution
+(:func:`monitor_snapshot` … :func:`monitor_profile_distribution`), the
+oracle for ``test_online.py``.
 """
 
 from __future__ import annotations
@@ -99,6 +105,8 @@ from repro.sql.parser import parse_select
 from repro.sql.expressions import evaluate, is_true
 from repro.storage.database import Database
 from repro.storage.heap import HeapFile
+from repro.online.monitor import DML_KINDS
+from repro.workloads.workload import Query, Workload
 
 
 def run_reference(db: Database, query: BoundQuery) -> list[tuple]:
@@ -1079,3 +1087,96 @@ def prune_dominated_pairwise(candidates, savings, maintenance) -> list[int]:
                     dominated[j] = True
                     break
     return [p for p in range(n) if not dominated[p]]
+
+
+# ----------------------------------------------------------------------
+# The monitor's window and profile views, one copy per map
+
+
+def monitor_window_distribution(monitor) -> dict[str, float]:
+    total = len(monitor._window)
+    if not total:
+        return {}
+    return {fp: c / total for fp, c in monitor._window_counts.items()}
+
+
+def monitor_profile_distribution(monitor) -> dict[str, float]:
+    total = sum(monitor._profile.values())
+    if not total:
+        return {}
+    return {fp: v / total for fp, v in monitor._profile.items()}
+
+
+def monitor_update_rates(monitor) -> dict[str, float]:
+    rates: dict[str, float] = {}
+    for fingerprint, count in monitor._window_counts.items():
+        template = monitor._templates[fingerprint]
+        if template.kind in DML_KINDS and template.target_table:
+            rates[template.target_table] = (
+                rates.get(template.target_table, 0.0) + float(count)
+            )
+    return rates
+
+
+def monitor_profile_update_rates(monitor) -> dict[str, float]:
+    rates: dict[str, float] = {}
+    for fingerprint, weight in monitor._profile.items():
+        if weight <= 0.0:
+            continue
+        template = monitor._templates[fingerprint]
+        if template.kind in DML_KINDS and template.target_table:
+            rates[template.target_table] = (
+                rates.get(template.target_table, 0.0) + weight
+            )
+    return rates
+
+
+def monitor_profile_snapshot(monitor, name: str | None = None) -> Workload:
+    templates = sorted(
+        (
+            monitor._templates[fp]
+            for fp, weight in monitor._profile.items()
+            if weight > 0.0
+            and monitor._templates[fp].kind == "select"
+            and fp not in monitor._quarantined
+        ),
+        key=lambda t: t.sequence,
+    )
+    queries = [
+        Query(
+            name=t.template_id,
+            sql=t.example_sql,
+            weight=float(monitor._profile[t.fingerprint]),
+        )
+        for t in templates
+    ]
+    return Workload(
+        queries=queries,
+        name=name or f"profile@{monitor._observed}",
+        update_rates=monitor_profile_update_rates(monitor),
+    )
+
+
+def monitor_snapshot(monitor, name: str | None = None) -> Workload:
+    templates = sorted(
+        (
+            monitor._templates[fp]
+            for fp in monitor._window_counts
+            if monitor._templates[fp].kind == "select"
+            and fp not in monitor._quarantined
+        ),
+        key=lambda t: t.sequence,
+    )
+    queries = [
+        Query(
+            name=t.template_id,
+            sql=t.example_sql,
+            weight=float(monitor._window_counts[t.fingerprint]),
+        )
+        for t in templates
+    ]
+    return Workload(
+        queries=queries,
+        name=name or f"online@{monitor._observed}",
+        update_rates=monitor_update_rates(monitor),
+    )

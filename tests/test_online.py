@@ -10,6 +10,8 @@ import threading
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.advisor.ilp_advisor import IlpIndexAdvisor
 from repro.catalog.schema import Index, index_signature
@@ -28,8 +30,11 @@ from repro.online import (
     canonicalize,
     render_statement,
 )
+from repro.online.monitor import _RENORM_THRESHOLD
 from repro.sql.tokenizer import Token, TokenType, tokenize
 from repro.workloads.sdss import build_sdss_database, sdss_workload
+
+from tests import reference
 
 PRE = ("q01_box_search", "q05_star_colors", "q15_spec_redshift_join")
 POST = ("q11_qso_color_cut", "q17_qso_spectra", "q26_field_objects")
@@ -611,6 +616,33 @@ class TestOnlineTuner:
         stats = tuner.cache.stats()
         assert all(entry["peak_size"] <= 8 for entry in stats.values())
         assert sum(entry["evictions"] for entry in stats.values()) > 0
+
+    def test_only_readvising_decisions_take_a_snapshot(
+        self, monkeypatch, sdss_db, sdss_wl
+    ):
+        calls = {"snapshot": 0, "compare": 0}
+
+        def counted(owner, attr):
+            original = getattr(owner, attr)
+
+            def wrapper(*args, **kwargs):
+                calls[attr] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, wrapper)
+
+        counted(WorkloadMonitor, "snapshot")
+        counted(DriftDetector, "compare")
+        tuner = self.make_tuner(sdss_db)
+        tuner.run(
+            stream_of(sdss_wl, PRE, 12) + stream_of(sdss_wl, POST, 12, salt0=50)
+        )
+        tuner.readvise()
+        drifted = tuner.event_counts["drifted"]
+        assert 0 < drifted < calls["compare"]  # drifted and steady checks
+        # One snapshot each for the warmup, every drifted check and the
+        # forced re-advise; a steady check takes none.
+        assert calls["snapshot"] == 1 + drifted + 1
 
     def test_event_log_and_listener_agree(self, sdss_db, sdss_wl):
         seen = []
@@ -1309,6 +1341,91 @@ class TestProfileSnapshot:
         assert [q.sql for q in profile.queries] == [
             "select dec from photoobj where dec > 2.0"
         ]
+
+
+class TestViewsMatchTheReference:
+    """Each window and profile view equals its own one-map copy
+    (``tests.reference.monitor_*``) exactly: names, SQL, weights, rates
+    and shares, in order, over streams that mix SELECT and DML, hold a
+    quarantined SELECT, clear the window, merge shards, round-trip
+    through save/load, and renormalize the decayed profile."""
+
+    POOL = (
+        "SELECT ra FROM photoobj WHERE ra < {}",
+        "SELECT dec FROM photoobj WHERE dec > {} AND ra < 2.5",
+        "SELECT z FROM specobj WHERE z < {}",
+        "INSERT INTO photoobj VALUES ({}, 2.5)",
+        "UPDATE photoobj SET ra = 1.5 WHERE objid = {}",
+        "DELETE FROM specobj WHERE z < {}",
+        "SELECT ra FROM",  # tokenizes, never parses: quarantined
+    )
+    OPS = st.lists(
+        st.one_of(
+            st.tuples(
+                st.sampled_from(("observe", "shard")),
+                st.integers(0, len(POOL) - 1),
+                st.integers(0, 9),
+            ),
+            st.sampled_from((("clear",), ("merge",), ("save",))),
+        ),
+        max_size=40,
+    )
+
+    @staticmethod
+    def assert_views_match(monitor):
+        for mine, ref in (
+            (monitor.snapshot(), reference.monitor_snapshot(monitor)),
+            (monitor.profile_snapshot(),
+             reference.monitor_profile_snapshot(monitor)),
+        ):
+            assert mine.name == ref.name
+            assert [(q.name, q.sql, q.weight) for q in mine] == [
+                (q.name, q.sql, q.weight) for q in ref
+            ]
+            assert list(mine.update_rates.items()) == list(
+                ref.update_rates.items()
+            )
+        for mine, ref in (
+            (monitor.update_rates, reference.monitor_update_rates),
+            (monitor.profile_update_rates,
+             reference.monitor_profile_update_rates),
+            (monitor.window_distribution,
+             reference.monitor_window_distribution),
+            (monitor.profile_distribution,
+             reference.monitor_profile_distribution),
+        ):
+            assert list(mine().items()) == list(ref(monitor).items())
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        window=st.integers(1, 6),
+        decay=st.sampled_from((1.0, 0.9, 0.5, 0.05)),
+        ops=OPS,
+    )
+    def test_views_equal_the_one_map_copies(self, window, decay, ops):
+        monitor = WorkloadMonitor(window_size=window, decay=decay)
+        shard = WorkloadMonitor(window_size=window, decay=decay)
+        for op in ops:
+            if op[0] in ("observe", "shard"):
+                target = monitor if op[0] == "observe" else shard
+                target.observe(self.POOL[op[1]].format(op[2] + 0.5))
+            elif op[0] == "clear":
+                monitor.clear_window()
+            elif op[0] == "merge":
+                monitor = monitor.merge(shard)
+            else:
+                monitor = WorkloadMonitor.load(
+                    json.loads(json.dumps(monitor.save()))
+                )
+            self.assert_views_match(monitor)
+
+    def test_renormalized_profile_matches(self):
+        monitor = WorkloadMonitor(window_size=3, decay=0.05)
+        for i in range(14):
+            monitor.observe(self.POOL[i % 6].format(i + 0.5))
+        # Unrenormalized, the next weight would be 0.05 ** -14 (~6e17).
+        assert monitor._profile_weight < _RENORM_THRESHOLD
+        self.assert_views_match(monitor)
 
 
 class TestCompressedTuning:

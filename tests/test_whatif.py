@@ -188,6 +188,17 @@ class TestRelevantInvalidation:
         assert replans == 0
         assert session.plan(sql) is plan
 
+    def test_switching_a_flag_back_keeps_the_plans(self, session):
+        queries = [self.JOIN, "select age from people where person_id = 5"]
+        session.add_index("people", ("person_id",), name="w1")
+        plans = [session.plan(sql) for sql in queries]
+        session.set_join_flags(enable_hashjoin=False)
+        session.set_join_flags(enable_hashjoin=True)
+        misses = session.plan_cache_misses
+        for sql, plan in zip(queries, plans):
+            assert session.plan(sql) is plan
+        assert session.plan_cache_misses == misses
+
 
 class TestWhatIfTables:
     def test_partition_shell_registered(self, session):
