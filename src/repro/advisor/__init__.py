@@ -7,13 +7,11 @@ a storage budget over Equation-1 index sizes — and solve it exactly with
 the branch-and-bound solver from :mod:`repro.ilp`.
 """
 
-from repro.advisor.benefits import BenefitMatrix
 from repro.advisor.candidates import CandidateIndex, generate_candidates
 from repro.advisor.ilp_advisor import AdvisorResult, IlpIndexAdvisor, QueryBenefit
 
 __all__ = [
     "AdvisorResult",
-    "BenefitMatrix",
     "CandidateIndex",
     "IlpIndexAdvisor",
     "QueryBenefit",

@@ -25,20 +25,25 @@ exceeds their benefit — the behaviour DBAs expect on write-hot tables.
 
 ``benefit(q, i)`` is the INUM-estimated saving of running ``q`` with
 index ``i`` alone (atomic configuration) — the decomposition INUM makes
-additive per table. The final recommendation is re-priced with full
-INUM estimates over the chosen configuration, so the reported speedup
-never relies on the additivity assumption.
+additive per table. The savings live in one dense ``(queries ×
+candidates)`` array, and the program has one ``y`` per nonzero entry.
+The final recommendation is re-priced with full INUM estimates over the
+chosen configuration, so the reported speedup never relies on the
+additivity assumption.
+
+:func:`greedy_select` is the one greedy search: the greedy baseline
+runs it over every candidate, and the advisor falls back to it over the
+pruned pool when the solver fails.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.advisor.benefits import BenefitMatrix
 from repro.advisor.candidates import (
     CandidateIndex,
     generate_candidates,
@@ -74,6 +79,67 @@ def maintenance_cost(config: PlannerConfig, rate: float) -> float:
     tuner's hysteresis both charge it.
     """
     return rate * (config.random_page_cost + 50 * config.cpu_operator_cost)
+
+
+def greedy_select(
+    candidates: list[CandidateIndex],
+    evaluator: WorkloadEvaluator,
+    pool: Sequence[int],
+    budget_pages: int,
+    maintenance: Sequence[float],
+    max_update_cost: float | None = None,
+    per_page: bool = False,
+) -> list[int]:
+    """Greedy marginal-benefit search over full INUM estimates.
+
+    Start from the empty configuration and repeatedly add the ``pool``
+    position whose extension saves the most workload cost net of its
+    upkeep (per storage page with ``per_page``), while the storage
+    budget and the update cap hold; stop when nothing saves more than
+    the benefit floor. Each round prices every ``current + [p]``
+    extension in one :meth:`WorkloadEvaluator.extension_costs`
+    evaluation and scans them in pool order, so ties fall to the
+    earliest position. Returns the positions in the order taken.
+    """
+    chosen: list[int] = []
+    remaining = list(pool)
+    used_pages = 0
+    upkeep = 0.0
+    current_cost = evaluator.workload_cost(chosen)
+
+    while True:
+        trials = evaluator.workload_totals(
+            evaluator.extension_costs(chosen, remaining)
+        )
+        best_slot = None
+        best_score = 0.0
+        best_cost = current_cost
+        for slot, position in enumerate(remaining):
+            size = candidates[position].size_pages
+            if used_pages + size > budget_pages:
+                continue
+            charge = maintenance[position]
+            if (
+                max_update_cost is not None
+                and upkeep + charge > max_update_cost + 1e-9
+            ):
+                continue
+            trial_cost = float(trials[slot])
+            saving = current_cost - trial_cost - charge
+            if saving <= _MIN_BENEFIT:
+                continue
+            score = saving / size if per_page else saving
+            if score > best_score:
+                best_score = score
+                best_slot = slot
+                best_cost = trial_cost
+        if best_slot is None:
+            return chosen
+        position = remaining.pop(best_slot)
+        chosen.append(position)
+        used_pages += candidates[position].size_pages
+        upkeep += maintenance[position]
+        current_cost = best_cost
 
 
 @dataclass
@@ -403,8 +469,9 @@ class IlpIndexAdvisor(IndexAdvisor):
 
         solver_deadline: Wall-clock cap (seconds) on one ILP solve.
             When the branch-and-bound search cannot produce an integer
-            incumbent inside the cap, the advisor falls back to greedy
-            selection over the same benefit matrix instead of raising.
+            incumbent inside the cap, the advisor falls back to
+            :func:`greedy_select` over the pruned pool instead of
+            raising.
         compress: Scale mode (CoPhy). Every ``recommend`` call first
             folds the workload onto canonical templates
             (:func:`repro.advisor.compress.fold_workload`) so advisor
@@ -475,29 +542,19 @@ class IlpIndexAdvisor(IndexAdvisor):
         max_update_cost: float | None,
         refine: bool,
     ) -> Selection:
-        """Benefit matrix → dominance pruning → ILP → refinement."""
+        """Benefit matrix → dominance pruning → ILP → refinement.
+
+        The one savings array feeds pruning, which zeroes the pruned
+        columns, and then the program. When the solver fails, the
+        greedy search over the pruned pool takes the program's place.
+        """
         benefits = self._benefit_matrix(workload, evaluator)
         maintenance = self._maintenance_costs(candidates, update_rates)
         lap("benefit_matrix")
 
-        # Sub-threshold savings clip to exactly 0, so pruning and the
-        # solve agree on what counts as benefit.
-        raw = benefits.array
-        kept = prune_dominated(
-            candidates,
-            np.where(raw > _MIN_BENEFIT, raw, 0.0),
-            [maintenance.get(p, 0.0) for p in range(len(candidates))],
-        )
+        kept = prune_dominated(candidates, benefits, maintenance)
         candidates_pruned = len(candidates) - len(kept)
-        if candidates_pruned:
-            # Rebuild the benefit mapping without the pruned positions,
-            # preserving iteration order — that order fixes solver
-            # variable order downstream.
-            allowed = set(kept)
-            benefits = {
-                key: value for key, value in benefits.items()
-                if key[1] in allowed
-            }
+        benefits[:, np.setdiff1d(np.arange(len(candidates)), kept)] = 0.0
         lap("prune")
 
         try:
@@ -507,16 +564,18 @@ class IlpIndexAdvisor(IndexAdvisor):
             )
         except (SolverError, FaultInjected) as exc:
             # Degradation ladder: an exhausted or crashed solver is
-            # replaced by greedy selection over the same benefit
-            # matrix. The refine pass below then polishes with full
-            # INUM estimates, so quality degrades gracefully.
+            # replaced by the greedy search over the pruned pool, priced
+            # with full INUM estimates; the refine pass below then
+            # climbs from its design.
             degraded.append(
                 DegradedResult("solver.iterate", "ilp", "fallback", str(exc))
             )
             selection = Selection(
-                self._greedy_fallback(
-                    candidates, benefits, budget_pages, maintenance,
-                    max_update_cost,
+                sorted(
+                    greedy_select(
+                        candidates, evaluator, kept, budget_pages,
+                        maintenance, max_update_cost,
+                    )
                 ),
                 "greedy-fallback",
             )
@@ -529,105 +588,99 @@ class IlpIndexAdvisor(IndexAdvisor):
         lap("refine")
         selection.candidates_pruned = candidates_pruned
         selection.maintenance_cost = sum(
-            maintenance.get(p, 0.0) for p in selection.positions
+            maintenance[p] for p in selection.positions
         )
         return selection
 
     @staticmethod
     def _benefit_matrix(
         workload: Workload, evaluator: WorkloadEvaluator
-    ) -> BenefitMatrix:
-        """Weighted single-index benefits benefit[(query, cand_idx)].
+    ) -> np.ndarray:
+        """Weighted single-index savings ``benefit[q, position]``.
 
         All (query × candidate) savings come out of one
-        singleton-configuration array evaluation. The mapping iterates
-        query-by-query in workload order, candidate positions
-        ascending — that order fixes solver variable order and
-        fallback accumulation, so it is part of the bit-identity
-        contract.
+        singleton-configuration array evaluation. Entries at or below
+        the benefit floor — and NaN rows, models with no usable plan
+        cache — are clipped to exactly 0, so pruning and the solve
+        agree on what counts as benefit.
         """
         base = evaluator.base_costs()
         singles = evaluator.singleton_costs()
         weights = [query.weight for query in workload]
         savings = (base[:, None] - singles) * np.asarray(weights)[:, None]
-        return BenefitMatrix(
-            [query.name for query in workload], savings, _MIN_BENEFIT
-        )
+        return np.where(savings > _MIN_BENEFIT, savings, 0.0)
 
     def _maintenance_costs(
         self,
         candidates: list[CandidateIndex],
         update_rates: dict[str, float] | None,
-    ) -> dict[int, float]:
-        """Per-candidate :func:`maintenance_cost` under the update rates."""
-        if not update_rates:
-            return {}
-        costs: dict[int, float] = {}
-        for position, candidate in enumerate(candidates):
-            rate = update_rates.get(candidate.index.table_name, 0.0)
-            if rate > 0:
-                costs[position] = maintenance_cost(self._config, rate)
+    ) -> list[float]:
+        """Per-candidate :func:`maintenance_cost` under the update rates
+        (0 for a candidate whose table takes no updates)."""
+        rates = update_rates or {}
+        costs = []
+        for candidate in candidates:
+            rate = rates.get(candidate.index.table_name, 0.0)
+            costs.append(
+                maintenance_cost(self._config, rate) if rate > 0 else 0.0
+            )
         return costs
 
     def _solve(
         self,
         workload: Workload,
         candidates: list[CandidateIndex],
-        benefits: Mapping[tuple[str, int], float],
+        benefits: np.ndarray,
         budget_pages: int,
-        maintenance: dict[int, float],
+        maintenance: list[float],
         max_update_cost: float | None,
     ) -> Selection:
         """Build and solve the ILP; returns the chosen positions with
         the solver's status and node count.
 
-        One program for every advise, scale mode included: a per-pair
-        coupling row ``y_{q,i} <= x_i`` for every benefit entry. The
-        rows grow with queries × useful candidates, but their LP
-        relaxation is tight, so the search stays a handful of nodes.
+        One program for every advise, scale mode included: one ``y``
+        and one per-pair coupling row ``y_{q,i} <= x_i`` for every
+        nonzero ``benefits`` entry, query by query in workload order,
+        positions ascending. The rows grow with queries × useful
+        candidates, but their LP relaxation is tight, so the search
+        stays a handful of nodes.
         """
-        if not benefits:
+        if not benefits.any():
             return Selection([], "no-benefit")
 
-        useful = sorted({position for (_q, position) in benefits})
+        useful = np.flatnonzero(benefits.any(axis=0)).tolist()
         program = LinearProgram(name="index-selection")
         x_vars = {
             position: program.add_binary(f"x_{position}") for position in useful
         }
-        y_vars: dict[tuple[str, int], object] = {}
         objective: dict[object, float] = {}
-        for (query_name, position), saving in benefits.items():
-            y = program.add_binary(f"y_{query_name}_{position}")
-            y_vars[(query_name, position)] = y
-            objective[y] = saving
-            program.add_constraint(
-                {y: 1.0, x_vars[position]: -1.0}, Sense.LE, 0.0
-            )
-        for position, cost in maintenance.items():
-            if position in x_vars:
-                objective[x_vars[position]] = -cost
+        # Per query, its y variables grouped by table: one access path
+        # per table per query.
+        exclusive: list[dict[str, list[object]]] = []
+        for query, row in zip(workload, benefits):
+            by_table: dict[str, list[object]] = {}
+            for position in np.flatnonzero(row).tolist():
+                y = program.add_binary(f"y_{query.name}_{position}")
+                objective[y] = float(row[position])
+                program.add_constraint(
+                    {y: 1.0, x_vars[position]: -1.0}, Sense.LE, 0.0
+                )
+                table = candidates[position].index.table_name
+                by_table.setdefault(table, []).append(y)
+            exclusive.append(by_table)
+        for position in useful:
+            if maintenance[position]:
+                objective[x_vars[position]] = -maintenance[position]
         program.set_objective(objective)
 
-        if max_update_cost is not None and maintenance:
+        if max_update_cost is not None and any(maintenance):
             program.add_constraint(
-                {
-                    x_vars[p]: maintenance[p]
-                    for p in useful
-                    if p in maintenance
-                },
+                {x_vars[p]: maintenance[p] for p in useful},
                 Sense.LE,
                 max_update_cost,
             )
 
-        # One access path per table per query.
-        for query in workload:
-            by_table: dict[str, list[object]] = {}
-            for position in useful:
-                if (query.name, position) in y_vars:
-                    table = candidates[position].index.table_name
-                    by_table.setdefault(table, []).append(
-                        y_vars[(query.name, position)]
-                    )
+        for by_table in exclusive:
             for ys in by_table.values():
                 if len(ys) > 1:
                     program.add_exclusive(ys)
@@ -652,57 +705,12 @@ class IlpIndexAdvisor(IndexAdvisor):
         return Selection(chosen, solution.status, solution.nodes_explored)
 
     @staticmethod
-    def _greedy_fallback(
-        candidates: list[CandidateIndex],
-        benefits: Mapping[tuple[str, int], float],
-        budget_pages: int,
-        maintenance: dict[int, float],
-        max_update_cost: float | None,
-    ) -> list[int]:
-        """Greedy selection over the ILP's own benefit matrix.
-
-        Used when the exact solver cannot deliver: rank candidates by
-        total weighted benefit net of maintenance and take them in
-        order while the storage and update budgets hold. Deterministic
-        (ties broken by candidate position); typically within a few
-        percent of the ILP on the paper's workloads, and the refine
-        pass recovers most of the rest.
-        """
-        total: dict[int, float] = {}
-        for (_query, position), saving in benefits.items():
-            total[position] = total.get(position, 0.0) + saving
-        order = sorted(
-            total,
-            key=lambda p: (-(total[p] - maintenance.get(p, 0.0)), p),
-        )
-        chosen: list[int] = []
-        used_pages = 0
-        upkeep = 0.0
-        for position in order:
-            gain = total[position] - maintenance.get(position, 0.0)
-            if gain <= _MIN_BENEFIT:
-                continue
-            size = candidates[position].size_pages
-            if used_pages + size > budget_pages:
-                continue
-            cost = maintenance.get(position, 0.0)
-            if (
-                max_update_cost is not None
-                and upkeep + cost > max_update_cost + 1e-9
-            ):
-                continue
-            chosen.append(position)
-            used_pages += size
-            upkeep += cost
-        return sorted(chosen)
-
-    @staticmethod
     def _refine(
         candidates: list[CandidateIndex],
         evaluator: WorkloadEvaluator,
         chosen: list[int],
         budget_pages: int,
-        maintenance: dict[int, float],
+        maintenance: list[float],
         max_update_cost: float | None,
         max_rounds: int = 6,
     ) -> list[int]:
@@ -711,8 +719,8 @@ class IlpIndexAdvisor(IndexAdvisor):
         Adds and swaps are accepted only when the full-estimate workload
         cost (plus maintenance) strictly improves, drops when it does not
         rise, and always with the storage/update budgets satisfied, so
-        the result dominates the ILP seed and keeps no index whose
-        removal costs nothing. Adds and swaps draw from every candidate,
+        the result dominates its seed (the ILP's design, or the greedy
+        fallback's) and keeps no index whose removal costs nothing. Adds and swaps draw from every candidate,
         the pruned ones too: pruning is exact for the ILP's
         one-access-path-per-table model, but a query that reads one
         table through two aliases can use a dominated index beside its
@@ -732,7 +740,7 @@ class IlpIndexAdvisor(IndexAdvisor):
             if cached is not None:
                 return cached
             cost = evaluator.workload_cost(positions) + sum(
-                maintenance.get(p, 0.0) for p in positions
+                maintenance[p] for p in positions
             )
             cost_memo[key] = cost
             return cost
@@ -741,7 +749,7 @@ class IlpIndexAdvisor(IndexAdvisor):
             if sum(candidates[p].size_pages for p in positions) > budget_pages:
                 return False
             if max_update_cost is not None:
-                upkeep = sum(maintenance.get(p, 0.0) for p in positions)
+                upkeep = sum(maintenance[p] for p in positions)
                 if upkeep > max_update_cost + 1e-9:
                     return False
             return True

@@ -7,7 +7,9 @@ budget; stop when nothing improves. It is the ILP advisor's pipeline
 with a different ``select()`` — the *same* candidate set and INUM
 pricing — so experiment E6 isolates the search strategy, which is
 exactly the paper's argument: "these tools are, however, based on
-greedy heuristic pruning, which reduces their usefulness".
+greedy heuristic pruning, which reduces their usefulness". The search
+itself is :func:`repro.advisor.ilp_advisor.greedy_select`, the one the
+ILP advisor falls back to when its solver fails.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from typing import Callable
 
 from repro.advisor.candidates import CandidateIndex
 from repro.advisor.ilp_advisor import (
-    _MIN_BENEFIT,
     AdvisorResult,
     IndexAdvisor,
     Selection,
+    greedy_select,
 )
 from repro.catalog.catalog import Catalog
 from repro.inum.batch import WorkloadEvaluator
@@ -53,43 +55,15 @@ class GreedyIndexAdvisor(IndexAdvisor):
         lap: Callable[[str], None],
         degraded: list[DegradedResult],
     ) -> Selection:
-        """Greedy search with each round's trials as one array op.
-
-        Every round prices all ``current + [candidate]`` extensions in
-        a single :meth:`WorkloadEvaluator.extension_costs` evaluation
-        and scans them in candidate order, so ties fall to the earliest
-        candidate.
-        """
-        chosen: list[int] = []
-        remaining = list(range(len(candidates)))
-        used_pages = 0
-        current_cost = evaluator.workload_cost(chosen)
-
-        while True:
-            trials = evaluator.workload_totals(
-                evaluator.extension_costs(chosen, remaining)
-            )
-            best_slot = None
-            best_score = 0.0
-            best_cost = current_cost
-            for slot, position in enumerate(remaining):
-                size = candidates[position].size_pages
-                if used_pages + size > budget_pages:
-                    continue
-                trial_cost = float(trials[slot])
-                saving = current_cost - trial_cost
-                if saving <= _MIN_BENEFIT:
-                    continue
-                score = saving / size if self._per_page else saving
-                if score > best_score:
-                    best_score = score
-                    best_slot = slot
-                    best_cost = trial_cost
-            if best_slot is None:
-                break
-            position = remaining.pop(best_slot)
-            chosen.append(position)
-            used_pages += candidates[position].size_pages
-            current_cost = best_cost
+        """The shared :func:`greedy_select` over every candidate, with
+        no upkeep: the same search the ILP advisor falls back to."""
+        chosen = greedy_select(
+            candidates,
+            evaluator,
+            range(len(candidates)),
+            budget_pages,
+            [0.0] * len(candidates),
+            per_page=self._per_page,
+        )
         lap("solve")
         return Selection(chosen, "greedy")

@@ -315,9 +315,9 @@ class WorkloadEvaluator:
     def workload_cost(self, positions: Sequence[int]) -> float:
         """Weighted workload cost of one configuration (memoized).
 
-        The memo is keyed by the configuration's position *set* — the
-        fix for the greedy-fallback re-pricing path, which used to
-        re-evaluate identical configurations on every climb round.
+        The memo is keyed by the configuration's position *set*, so a
+        configuration the refine climb reaches again, in any order, is
+        priced once.
         """
         key = frozenset(int(p) for p in positions)
         cached = self._memo.get(key)

@@ -46,11 +46,18 @@ Then :func:`prune_dominated_pairwise`: dominance pruning as the
 pairwise loop it was before it compared each table's candidates as
 arrays, the oracle for ``test_candidates.py``.
 
-Last, the ``WorkloadMonitor`` views as they were before the window and
+Then the ``WorkloadMonitor`` views as they were before the window and
 the decayed profile shared one builder per view: two copies each of
 the snapshot, the update rates and the distribution
 (:func:`monitor_snapshot` … :func:`monitor_profile_distribution`), the
 oracle for ``test_online.py``.
+
+Last, the ILP advisor's selection inputs as they were before the
+savings array was the only benefit representation: the benefit
+mapping (:func:`ilp_benefit_mapping`), the program built from it
+(:func:`ilp_program`) and the additive greedy fallback that ranked its
+singleton benefits (:func:`additive_greedy_fallback`), the oracles for
+``test_ilp_advisor.py``.
 """
 
 from __future__ import annotations
@@ -66,6 +73,8 @@ from dataclasses import dataclass
 from typing import Any, Iterator
 from unittest import mock
 
+from repro.advisor.candidates import prune_dominated
+from repro.advisor.ilp_advisor import maintenance_cost
 from repro.catalog.schema import Index, Table
 from repro.catalog.sizing import (
     BLOCK_SIZE,
@@ -76,7 +85,7 @@ from repro.catalog.sizing import (
 )
 from repro.executor.aggregates import AggregateAccumulator
 from repro.errors import PlannerError
-from repro.ilp.model import LinearProgram
+from repro.ilp.model import LinearProgram, Sense
 from repro.ilp.solution import MilpSolution
 from repro.optimizer.clauses import ClassifiedClause
 from repro.optimizer.config import PlannerConfig
@@ -1180,3 +1189,134 @@ def monitor_snapshot(monitor, name: str | None = None) -> Workload:
         name=name or f"online@{monitor._observed}",
         update_rates=monitor_update_rates(monitor),
     )
+
+
+# ----------------------------------------------------------------------
+# The ILP advisor's benefit mapping, its program and the additive
+# greedy fallback
+
+_MIN_BENEFIT = 1e-6
+
+
+def ilp_maintenance(config, candidates, update_rates) -> dict[int, float]:
+    """Per-candidate upkeep, keyed by position, for taxed tables only."""
+    if not update_rates:
+        return {}
+    costs: dict[int, float] = {}
+    for position, candidate in enumerate(candidates):
+        rate = update_rates.get(candidate.index.table_name, 0.0)
+        if rate > 0:
+            costs[position] = maintenance_cost(config, rate)
+    return costs
+
+
+def ilp_benefit_mapping(workload, candidates, evaluator, maintenance):
+    """``{(query name, position): saving}`` after dominance pruning.
+
+    Keys run query by query in workload order, positions ascending, and
+    only where the weighted singleton saving clears the benefit floor
+    (NaN rows drop out); the pruned positions are filtered out of the
+    mapping, keeping that order.
+    """
+    import numpy as np
+
+    base = evaluator.base_costs()
+    singles = evaluator.singleton_costs()
+    weights = [query.weight for query in workload]
+    savings = (base[:, None] - singles) * np.asarray(weights)[:, None]
+    benefits: dict[tuple[str, int], float] = {}
+    for q, query in enumerate(workload):
+        row = savings[q]
+        for p in np.nonzero(row > _MIN_BENEFIT)[0].tolist():
+            benefits[(query.name, p)] = float(row[p])
+    kept = prune_dominated(
+        candidates,
+        np.where(savings > _MIN_BENEFIT, savings, 0.0),
+        [maintenance.get(p, 0.0) for p in range(len(candidates))],
+    )
+    if len(kept) < len(candidates):
+        allowed = set(kept)
+        benefits = {
+            key: value for key, value in benefits.items() if key[1] in allowed
+        }
+    return benefits
+
+
+def ilp_program(
+    workload, candidates, benefits, budget_pages, maintenance, max_update_cost
+) -> LinearProgram | None:
+    """The index-selection program over a benefit mapping (``None``
+    when nothing has benefit): a ``y`` and a ``y <= x`` row per mapping
+    entry in its order, then the update-cost row, one exclusivity row
+    per (query, table) and the storage budget."""
+    if not benefits:
+        return None
+    useful = sorted({position for (_q, position) in benefits})
+    program = LinearProgram(name="index-selection")
+    x_vars = {
+        position: program.add_binary(f"x_{position}") for position in useful
+    }
+    y_vars: dict[tuple[str, int], object] = {}
+    objective: dict[object, float] = {}
+    for (query_name, position), saving in benefits.items():
+        y = program.add_binary(f"y_{query_name}_{position}")
+        y_vars[(query_name, position)] = y
+        objective[y] = saving
+        program.add_constraint({y: 1.0, x_vars[position]: -1.0}, Sense.LE, 0.0)
+    for position, cost in maintenance.items():
+        if position in x_vars:
+            objective[x_vars[position]] = -cost
+    program.set_objective(objective)
+    if max_update_cost is not None and maintenance:
+        program.add_constraint(
+            {x_vars[p]: maintenance[p] for p in useful if p in maintenance},
+            Sense.LE,
+            max_update_cost,
+        )
+    for query in workload:
+        by_table: dict[str, list[object]] = {}
+        for position in useful:
+            if (query.name, position) in y_vars:
+                table = candidates[position].index.table_name
+                by_table.setdefault(table, []).append(
+                    y_vars[(query.name, position)]
+                )
+        for ys in by_table.values():
+            if len(ys) > 1:
+                program.add_exclusive(ys)
+    program.add_constraint(
+        {x_vars[p]: float(candidates[p].size_pages) for p in useful},
+        Sense.LE,
+        float(budget_pages),
+    )
+    return program
+
+
+def additive_greedy_fallback(
+    candidates, benefits, budget_pages, maintenance, max_update_cost
+) -> list[int]:
+    """Rank positions by total mapped saving net of upkeep and take them
+    in that order while the storage budget and the update cap hold."""
+    total: dict[int, float] = {}
+    for (_query, position), saving in benefits.items():
+        total[position] = total.get(position, 0.0) + saving
+    order = sorted(
+        total, key=lambda p: (-(total[p] - maintenance.get(p, 0.0)), p)
+    )
+    chosen: list[int] = []
+    used_pages = 0
+    upkeep = 0.0
+    for position in order:
+        gain = total[position] - maintenance.get(position, 0.0)
+        if gain <= _MIN_BENEFIT:
+            continue
+        size = candidates[position].size_pages
+        if used_pages + size > budget_pages:
+            continue
+        cost = maintenance.get(position, 0.0)
+        if max_update_cost is not None and upkeep + cost > max_update_cost + 1e-9:
+            continue
+        chosen.append(position)
+        used_pages += size
+        upkeep += cost
+    return sorted(chosen)

@@ -19,7 +19,6 @@ import struct
 import numpy as np
 import pytest
 
-from repro.advisor.benefits import BenefitMatrix
 from repro.advisor.candidates import generate_candidates
 from repro.advisor.ilp_advisor import IlpIndexAdvisor
 from repro.baselines.greedy import GreedyIndexAdvisor
@@ -313,16 +312,18 @@ def test_pool_signature_orders_and_distinguishes(compiled):
 
 
 # ----------------------------------------------------------------------
-# BenefitMatrix: the dict view over the savings array
+# The advisor's savings array against the scalar loop
 
 
 def test_benefit_matrix_matches_scalar_dict(compiled):
     workload, models, candidates, evaluator = compiled
-    base = evaluator.base_costs()
-    singles = evaluator.singleton_costs()
-    weights = np.asarray([q.weight for q in workload])
-    savings = (base[:, None] - singles) * weights[:, None]
-    matrix = BenefitMatrix([q.name for q in workload], savings, 1e-6)
+    savings = IlpIndexAdvisor._benefit_matrix(workload, evaluator)
+    names = [query.name for query in workload]
+    rows, columns = np.nonzero(savings)
+    matrix = {
+        (names[q], p): float(savings[q, p])
+        for q, p in zip(rows.tolist(), columns.tolist())
+    }
 
     scalar: dict[tuple[str, int], float] = {}
     for query in workload:
@@ -334,12 +335,9 @@ def test_benefit_matrix_matches_scalar_dict(compiled):
             if saving > 1e-6:
                 scalar[(query.name, p)] = saving
 
-    assert dict(matrix) == scalar
-    # Iteration order is part of the contract: it fixes the ILP model's
-    # variable creation order and the fallback's accumulation order.
+    assert matrix == scalar
+    # Row-major order is the order the program creates its y variables.
     assert list(matrix) == list(scalar)
-    assert len(matrix) == len(scalar)
-    assert matrix.array is savings
 
 
 # ----------------------------------------------------------------------

@@ -3,10 +3,16 @@
 import pytest
 
 from repro.advisor.candidates import generate_candidates
-from repro.advisor.ilp_advisor import IlpIndexAdvisor
+from repro.advisor.ilp_advisor import (
+    IlpIndexAdvisor,
+    greedy_select,
+    maintenance_cost,
+)
 from repro.baselines.greedy import GreedyIndexAdvisor
 from repro.errors import AdvisorError
+from repro.inum.batch import WorkloadEvaluator
 from repro.inum.model import InumModel
+from repro.optimizer.config import PlannerConfig
 from repro.workloads.sdss import build_sdss_database, sdss_workload
 from repro.workloads.workload import Query, Workload
 
@@ -66,33 +72,42 @@ class TestGreedy:
         assert all(len(ix.columns) == 1 for ix in result.indexes)
 
 
-def oracle_greedy(workload, models, candidates, budget_pages, per_page):
+def oracle_greedy(
+    workload, models, candidates, budget_pages, per_page, upkeep=None, cap=None
+):
     """The per-candidate greedy loop over the scalar reference
-    estimator: what the advisor's array-priced scan must reproduce."""
+    estimator: what the array-priced search must reproduce. ``upkeep``
+    is charged per position against its saving, and ``cap`` bounds the
+    total upkeep taken."""
+    upkeep = upkeep or [0.0] * len(candidates)
 
     def workload_cost(chosen):
-        config = tuple(c.index for c in chosen)
+        config = tuple(candidates[p].index for p in chosen)
         return sum(inum_estimate(models[q.name], config) * q.weight for q in workload)
 
-    chosen, remaining, used_pages = [], list(candidates), 0
+    chosen, remaining, used_pages, used_upkeep = [], list(range(len(candidates))), 0, 0.0
     current_cost = workload_cost(chosen)
     while True:
         best, best_score, best_cost = None, 0.0, current_cost
-        for candidate in remaining:
-            if used_pages + candidate.size_pages > budget_pages:
+        for position in remaining:
+            size = candidates[position].size_pages
+            if used_pages + size > budget_pages:
                 continue
-            trial_cost = workload_cost(chosen + [candidate])
-            saving = current_cost - trial_cost
+            if cap is not None and used_upkeep + upkeep[position] > cap + 1e-9:
+                continue
+            trial_cost = workload_cost(chosen + [position])
+            saving = current_cost - trial_cost - upkeep[position]
             if saving <= 1e-6:
                 continue
-            score = saving / candidate.size_pages if per_page else saving
+            score = saving / size if per_page else saving
             if score > best_score:
-                best, best_score, best_cost = candidate, score, trial_cost
+                best, best_score, best_cost = position, score, trial_cost
         if best is None:
             return chosen, current_cost
         chosen.append(best)
         remaining.remove(best)
-        used_pages += best.size_pages
+        used_pages += candidates[best].size_pages
+        used_upkeep += upkeep[best]
         current_cost = best_cost
 
 
@@ -114,9 +129,47 @@ def test_matches_scalar_oracle(sdss, per_page):
     )
     assert chosen  # the comparison below is not about two empty designs
     assert [(ix.table_name, ix.columns) for ix in result.indexes] == [
-        (c.index.table_name, c.index.columns) for c in chosen
+        (candidates[p].index.table_name, candidates[p].index.columns)
+        for p in chosen
     ]
     assert result.cost_after == cost  # exact: same floats, same order
+
+
+# photoobj takes updates; the cap admits two of its indexes. Without
+# upkeep the search is test_matches_scalar_oracle's.
+UPKEEP = {"upkeep": (20.0, None), "capped": (20.0, 2.5)}
+
+
+@pytest.mark.parametrize("updates", sorted(UPKEEP))
+@pytest.mark.parametrize("per_page", [False, True])
+def test_shared_search_matches_scalar_oracle(sdss, per_page, updates):
+    """``greedy_select`` charges upkeep and honours the cap exactly as
+    the scalar loop does: same positions in the same order, same cost."""
+    _catalog, workload, candidates, models = sdss
+    rate, cap_indexes = UPKEEP[updates]
+    per_index = maintenance_cost(PlannerConfig(), rate)
+    upkeep = [
+        per_index if c.index.table_name == "photoobj" else 0.0
+        for c in candidates
+    ]
+    cap = None if cap_indexes is None else cap_indexes * per_index
+    chosen, cost = oracle_greedy(
+        workload, models, candidates, 500, per_page, upkeep, cap
+    )
+    evaluator = WorkloadEvaluator(
+        [models[q.name] for q in workload],
+        [q.weight for q in workload],
+        [c.index for c in candidates],
+    )
+    positions = greedy_select(
+        candidates, evaluator, range(len(candidates)), 500, upkeep, cap,
+        per_page,
+    )
+    assert chosen
+    assert positions == chosen
+    assert evaluator.workload_cost(positions) == cost  # exact
+    if cap is not None:
+        assert sum(upkeep[p] for p in positions) <= cap + 1e-9
 
 
 class TestIlpDominance:
