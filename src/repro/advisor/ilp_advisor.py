@@ -69,6 +69,10 @@ _MIN_BENEFIT = 1e-6
 # its incumbent as "feasible".
 _MAX_NODES = 20000
 
+# Rounds of the refine climb: each is a drop pass, then one add/swap
+# scan of the pool; a round with no strict gain ends the climb.
+_MAX_REFINE_ROUNDS = 6
+
 
 def maintenance_cost(config: PlannerConfig, rate: float) -> float:
     """Upkeep of one index under ``rate`` row updates of its table.
@@ -712,7 +716,6 @@ class IlpIndexAdvisor(IndexAdvisor):
         budget_pages: int,
         maintenance: list[float],
         max_update_cost: float | None,
-        max_rounds: int = 6,
     ) -> list[int]:
         """Hill-climb over full INUM estimates: drop, add, swap.
 
@@ -720,77 +723,111 @@ class IlpIndexAdvisor(IndexAdvisor):
         cost (plus maintenance) strictly improves, drops when it does not
         rise, and always with the storage/update budgets satisfied, so
         the result dominates its seed (the ILP's design, or the greedy
-        fallback's) and keeps no index whose removal costs nothing. Adds and swaps draw from every candidate,
-        the pruned ones too: pruning is exact for the ILP's
-        one-access-path-per-table model, but a query that reads one
-        table through two aliases can use a dominated index beside its
-        dominator.
-        """
-        pool = range(len(candidates))
+        fallback's) and keeps no index whose removal costs nothing. Adds
+        and swaps draw from every candidate, the pruned ones too:
+        pruning is exact for the ILP's one-access-path-per-table model,
+        but a query that reads one table through two aliases can use a
+        dominated index beside its dominator.
 
-        # The climb re-prices configurations it has already seen (every
-        # trial of the terminating round is a repeat); memoize on the
-        # position set. The pricing itself is one array evaluation per
-        # distinct configuration.
-        cost_memo: dict[frozenset[int], float] = {}
+        Each round is a drop pass over the current indexes, then one
+        scan of the pool in position order: at each open position an
+        improving add is taken, else a swap with the first same-table
+        index (in the design's list order) whose swap improves. The
+        scan is priced in array batches from a cursor: every open
+        position at or past it is priced at once
+        (:meth:`WorkloadEvaluator.prime_extensions` and
+        :meth:`~WorkloadEvaluator.prime_swaps`), the first improving
+        move is taken, and pricing resumes past its position. That is
+        the move a one-trial-at-a-time scan would take, with the same
+        floats: upkeep sums run in the design's list order, then the
+        incoming position.
+        """
+        n = len(candidates)
+        sizes = np.array([c.size_pages for c in candidates], dtype=np.int64)
+        upkeep = np.asarray(maintenance, dtype=np.float64)
+        _, tables = np.unique(
+            [c.index.table_name for c in candidates], return_inverse=True
+        )
+        limit = None if max_update_cost is None else max_update_cost + 1e-9
 
         def total_cost(positions: list[int]) -> float:
-            key = frozenset(positions)
-            cached = cost_memo.get(key)
-            if cached is not None:
-                return cached
-            cost = evaluator.workload_cost(positions) + sum(
+            return evaluator.workload_cost(positions) + sum(
                 maintenance[p] for p in positions
             )
-            cost_memo[key] = cost
-            return cost
 
-        def fits(positions: list[int]) -> bool:
-            if sum(candidates[p].size_pages for p in positions) > budget_pages:
-                return False
-            if max_update_cost is not None:
-                upkeep = sum(maintenance[p] for p in positions)
-                if upkeep > max_update_cost + 1e-9:
-                    return False
-            return True
+        def affordable(
+            used: int, spent: float, incoming: np.ndarray
+        ) -> np.ndarray:
+            """Budget mask for each of ``incoming`` joining a design
+            that holds ``used`` pages and ``spent`` upkeep."""
+            mask = used + sizes[incoming] <= budget_pages
+            if limit is not None:
+                mask &= ~(spent + upkeep[incoming] > limit)
+            return mask
 
-        def prefetch(current: list[int]) -> None:
-            """Batch-price this round's trial configurations.
+        def next_move(
+            current: list[int], current_cost: float, cursor: int
+        ) -> tuple[list[int], float, int] | None:
+            """The first improving add or swap at an open position at or
+            past ``cursor``: the new design, its cost and the next
+            cursor, or ``None``."""
+            open_ = np.arange(n) >= cursor
+            open_[current] = False
+            bar = current_cost - 1e-9
+            used = int(sizes[current].sum())
+            spent = sum(maintenance[p] for p in current)
 
-            Speculative: every trial is evaluated against the
-            round-start configuration in a handful of array ops and
-            memoized. The sequential scan below then mostly hits the
-            memo; after an accept changes ``current``, later trials
-            miss and are priced individually — the accept/ordering
-            semantics (and every float) stay exactly those of pricing
-            one trial at a time.
-            """
-            evaluator.prime(
-                [[p for p in current if p != position] for position in current]
+            extras = np.flatnonzero(open_)
+            extras = extras[affordable(used, spent, extras)]
+            costs = evaluator.prime_extensions(current, extras) + (
+                spent + upkeep[extras]
             )
-            extras = [
-                p for p in pool if p not in current and fits(current + [p])
-            ]
-            evaluator.prime_extensions(current, extras)
-            pairs = []
-            in_current = set(current)
-            for position in pool:
-                if position in in_current:
-                    continue
-                table = candidates[position].index.table_name
-                for existing in current:
-                    if candidates[existing].index.table_name != table:
-                        continue
+            adds = np.flatnonzero(costs < bar)
+            first_add = int(extras[adds[0]]) if adds.size else n
+
+            # Swaps matter only before the first improving add: there
+            # the add is taken.
+            outs, ins, charges = [], [], []
+            for existing in current:
+                incoming = np.flatnonzero(
+                    open_[:first_add]
+                    & (tables[:first_add] == tables[existing])
+                )
+                left = [p for p in current if p != existing]
+                spent_left = sum(maintenance[p] for p in left)
+                incoming = incoming[
+                    affordable(
+                        used - int(sizes[existing]), spent_left, incoming
+                    )
+                ]
+                outs.append(np.full(incoming.size, existing))
+                ins.append(incoming)
+                charges.append(spent_left + upkeep[incoming])
+            if current:
+                outs, ins = np.concatenate(outs), np.concatenate(ins)
+                swap_costs = evaluator.prime_swaps(
+                    current, np.column_stack([outs, ins])
+                ) + np.concatenate(charges)
+                swaps = np.flatnonzero(swap_costs < bar)
+                if swaps.size:
+                    # The lowest position; among its pairs, the first
+                    # existing index in list order.
+                    best = swaps[ins[swaps].argmin()]
+                    position, existing = int(ins[best]), int(outs[best])
                     swap = [p for p in current if p != existing] + [position]
-                    if fits(swap):
-                        pairs.append((existing, position))
-            evaluator.prime_swaps(current, pairs)
+                    return swap, float(swap_costs[best]), position + 1
+            if adds.size:
+                cost = float(costs[adds[0]])
+                return current + [first_add], cost, first_add + 1
+            return None
 
         current = list(chosen)
         current_cost = total_cost(current)
-        for _ in range(max_rounds):
+        for _ in range(_MAX_REFINE_ROUNDS):
             improved = False
-            prefetch(current)
+            evaluator.prime(
+                [[p for p in current if p != position] for position in current]
+            )
             # Drops: an index whose interactions made it redundant. A
             # drop that leaves the cost where it was is taken too (no
             # dead indexes, whichever optimal vertex the ILP landed
@@ -801,29 +838,12 @@ class IlpIndexAdvisor(IndexAdvisor):
                 if cost <= current_cost:
                     improved = improved or cost < current_cost - 1e-9
                     current, current_cost = trial, cost
-            # Adds and same-table swaps.
-            for position in pool:
-                if position in current:
-                    continue
-                addition = current + [position]
-                if fits(addition):
-                    cost = total_cost(addition)
-                    if cost < current_cost - 1e-9:
-                        current, current_cost = addition, cost
-                        improved = True
-                        continue
-                table = candidates[position].index.table_name
-                for existing in list(current):
-                    if candidates[existing].index.table_name != table:
-                        continue
-                    swap = [p for p in current if p != existing] + [position]
-                    if not fits(swap):
-                        continue
-                    cost = total_cost(swap)
-                    if cost < current_cost - 1e-9:
-                        current, current_cost = swap, cost
-                        improved = True
-                        break
+            # Adds and same-table swaps, one improving move at a time.
+            move = next_move(current, current_cost, 0)
+            while move is not None:
+                current, current_cost, cursor = move
+                improved = True
+                move = next_move(current, current_cost, cursor)
             if not improved:
                 break
         return sorted(current)

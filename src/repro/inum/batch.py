@@ -4,10 +4,12 @@ This is the one place a cost is computed from an
 :class:`~repro.inum.model.InumModel`'s cached plans and a
 configuration's access costs. The advisors price tens of thousands of
 configurations per ``recommend`` (the benefit matrix prices every
-(query, candidate) pair; the refinement hill-climb re-prices hundreds
-of trial configurations against every model), so the *whole workload's*
-models are compiled into flat numpy arrays once per candidate pool and
-configurations are evaluated as array reductions:
+(query, candidate) pair; the refinement hill-climb prices hundreds of
+trial configurations against every model, each step of an add/swap
+scan as one :meth:`~WorkloadEvaluator.prime_extensions` and one
+:meth:`~WorkloadEvaluator.prime_swaps` batch), so the *whole
+workload's* models are compiled into flat numpy arrays once per
+candidate pool and configurations are evaluated as array reductions:
 
 ``slots``
     Every (model, alias) pair is one slot. A slot owns a sequential-
@@ -292,8 +294,9 @@ class WorkloadEvaluator:
     ) -> np.ndarray:
         """Cost matrix ``(M, C)`` of ``positions + [extra]`` per extra.
 
-        The greedy advisors' inner loop: every remaining candidate
-        appended to the current configuration, evaluated in one shot.
+        The greedy search's inner loop and the refine climb's adds:
+        every remaining candidate appended to the current
+        configuration, evaluated in one shot.
         """
         if not len(extras):
             return np.zeros((self._n_models, 0))
@@ -330,25 +333,14 @@ class WorkloadEvaluator:
         self._memo[key] = total
         return total
 
-    def _memoize_columns(
-        self, keys: Sequence[frozenset[int]], costs: np.ndarray
-    ) -> None:
-        """Store per-config workload totals, column by column.
-
-        The accumulation is the same Python-float, query-by-query sum
-        as :meth:`workload_cost`, and each column of ``costs`` is
-        arithmetically independent of its neighbours, so priming a
-        configuration in a batch yields the exact float a later
-        individual evaluation would.
-        """
-        for c, key in enumerate(keys):
-            total = 0.0
-            for cost, weight in zip(costs[:, c].tolist(), self._weights):
-                total += cost * weight
-            self._memo[key] = total
-
     def prime(self, position_sets: Sequence[Sequence[int]]) -> None:
-        """Batch-evaluate arbitrary configurations into the memo."""
+        """Batch-evaluate arbitrary configurations into the memo.
+
+        Each column of one batch is arithmetically independent of its
+        neighbours and :meth:`workload_totals` accumulates like
+        :meth:`workload_cost`, so a primed entry is the exact float a
+        later individual evaluation would store.
+        """
         todo: dict[frozenset[int], Sequence[int]] = {}
         for positions in position_sets:
             key = frozenset(int(p) for p in positions)
@@ -359,56 +351,43 @@ class WorkloadEvaluator:
         vectors = np.stack(
             [self._access_vector(ps) for ps in todo.values()], axis=1
         )
-        self._memoize_columns(list(todo), self._matrix_costs(vectors))
+        totals = self.workload_totals(self._matrix_costs(vectors))
+        self._memo.update(zip(todo, totals.tolist()))
 
     def prime_extensions(
         self, positions: Sequence[int], extras: Sequence[int]
-    ) -> None:
-        """Batch-evaluate every ``positions + [extra]`` into the memo.
+    ) -> np.ndarray:
+        """Workload totals of every ``positions + [extra]``, in order.
 
         ``min(V(positions), PC[:, e])`` equals ``V(positions + [e])``
-        elementwise, so the speculative batch prices exactly what the
-        hill-climb's add loop would price one call at a time.
+        elementwise, so one batch prices exactly what
+        :meth:`workload_cost` would price one configuration at a time,
+        to the last bit. The refine climb's adds.
         """
-        base_key = frozenset(int(p) for p in positions)
-        todo: dict[frozenset[int], int] = {}
-        for extra in extras:
-            key = base_key | {int(extra)}
-            if key not in self._memo and key not in todo:
-                todo[key] = int(extra)
-        if not todo:
-            return
-        current = self._access_vector(positions)
-        vectors = np.minimum(
-            current[:, None], self._pc[:, list(todo.values())]
-        )
-        self._memoize_columns(list(todo), self._matrix_costs(vectors))
+        return self.workload_totals(self.extension_costs(positions, extras))
 
     def prime_swaps(
         self,
         positions: Sequence[int],
         pairs: Sequence[tuple[int, int]],
-    ) -> None:
-        """Batch-evaluate ``positions - {out} + {incoming}`` configs."""
-        base_key = frozenset(int(p) for p in positions)
-        vec_cache: dict[int, np.ndarray] = {}
-        todo: dict[frozenset[int], np.ndarray] = {}
-        for out, incoming in pairs:
-            out, incoming = int(out), int(incoming)
-            key = (base_key - {out}) | {incoming}
-            if key in self._memo or key in todo:
-                continue
-            vector = vec_cache.get(out)
-            if vector is None:
-                vector = self._access_vector(
-                    [p for p in positions if int(p) != out]
-                )
-                vec_cache[out] = vector
-            todo[key] = np.minimum(vector, self._pc[:, incoming])
-        if not todo:
-            return
-        vectors = np.stack(list(todo.values()), axis=1)
-        self._memoize_columns(list(todo), self._matrix_costs(vectors))
+    ) -> np.ndarray:
+        """Workload totals of every ``positions - {out} + {incoming}``.
+
+        One total per ``(out, incoming)`` pair, in order, each equal to
+        :meth:`workload_cost` of that configuration to the last bit.
+        The refine climb's same-table swaps.
+        """
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        if not pairs.size:
+            return np.zeros(0)
+        outs, base_of = np.unique(pairs[:, 0], return_inverse=True)
+        bases = np.stack(
+            [self._access_vector([p for p in positions if p != out])
+             for out in outs.tolist()],
+            axis=1,
+        )
+        vectors = np.minimum(bases[:, base_of], self._pc[:, pairs[:, 1]])
+        return self.workload_totals(self._matrix_costs(vectors))
 
     @property
     def pool(self) -> list[Index]:

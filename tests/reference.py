@@ -52,11 +52,16 @@ the snapshot, the update rates and the distribution
 (:func:`monitor_snapshot` … :func:`monitor_profile_distribution`), the
 oracle for ``test_online.py``.
 
-Last, the ILP advisor's selection inputs as they were before the
+Then the ILP advisor's selection inputs as they were before the
 savings array was the only benefit representation: the benefit
 mapping (:func:`ilp_benefit_mapping`), the program built from it
 (:func:`ilp_program`) and the additive greedy fallback that ranked its
 singleton benefits (:func:`additive_greedy_fallback`), the oracles for
+``test_ilp_advisor.py``.
+
+Last, :func:`refine_climb`: the advisor's drop/add/swap climb as it was
+before it priced each scan in array batches from a cursor, one trial
+configuration at a time behind a memo, the oracle for
 ``test_ilp_advisor.py``.
 """
 
@@ -1320,3 +1325,116 @@ def additive_greedy_fallback(
         used_pages += size
         upkeep += cost
     return sorted(chosen)
+
+
+# The refine climb as it was before it priced its scan in array
+# batches from a cursor
+
+
+def refine_climb(
+    candidates,
+    evaluator,
+    chosen,
+    budget_pages,
+    maintenance,
+    max_update_cost,
+    max_rounds: int = 6,
+    moves: dict[str, int] | None = None,
+) -> list[int]:
+    """Drop, add and swap one trial at a time over full INUM estimates.
+
+    Each round speculatively primes the evaluator's memo with every
+    trial against the round-start design, then scans sequentially: a
+    drop is taken when the cost does not rise, an add or a same-table
+    swap when it falls by more than 1e-9, and the scan goes on against
+    the changed design. Total costs are memoized by position set.
+    ``moves``, when given, counts the accepted ``"drop"``, ``"add"``
+    and ``"swap"`` moves.
+    """
+    moves = {} if moves is None else moves
+
+    def took(kind: str) -> None:
+        moves[kind] = moves.get(kind, 0) + 1
+
+    pool = range(len(candidates))
+    cost_memo: dict[frozenset[int], float] = {}
+
+    def total_cost(positions: list[int]) -> float:
+        key = frozenset(positions)
+        cached = cost_memo.get(key)
+        if cached is not None:
+            return cached
+        cost = evaluator.workload_cost(positions) + sum(
+            maintenance[p] for p in positions
+        )
+        cost_memo[key] = cost
+        return cost
+
+    def fits(positions: list[int]) -> bool:
+        if sum(candidates[p].size_pages for p in positions) > budget_pages:
+            return False
+        if max_update_cost is not None:
+            upkeep = sum(maintenance[p] for p in positions)
+            if upkeep > max_update_cost + 1e-9:
+                return False
+        return True
+
+    def prefetch(current: list[int]) -> None:
+        trials = [[p for p in current if p != position] for position in current]
+        trials += [
+            current + [p]
+            for p in pool
+            if p not in current and fits(current + [p])
+        ]
+        in_current = set(current)
+        for position in pool:
+            if position in in_current:
+                continue
+            table = candidates[position].index.table_name
+            for existing in current:
+                if candidates[existing].index.table_name != table:
+                    continue
+                swap = [p for p in current if p != existing] + [position]
+                if fits(swap):
+                    trials.append(swap)
+        evaluator.prime(trials)
+
+    current = list(chosen)
+    current_cost = total_cost(current)
+    for _ in range(max_rounds):
+        improved = False
+        prefetch(current)
+        for position in list(current):
+            trial = [p for p in current if p != position]
+            cost = total_cost(trial)
+            if cost <= current_cost:
+                improved = improved or cost < current_cost - 1e-9
+                current, current_cost = trial, cost
+                took("drop")
+        for position in pool:
+            if position in current:
+                continue
+            addition = current + [position]
+            if fits(addition):
+                cost = total_cost(addition)
+                if cost < current_cost - 1e-9:
+                    current, current_cost = addition, cost
+                    improved = True
+                    took("add")
+                    continue
+            table = candidates[position].index.table_name
+            for existing in list(current):
+                if candidates[existing].index.table_name != table:
+                    continue
+                swap = [p for p in current if p != existing] + [position]
+                if not fits(swap):
+                    continue
+                cost = total_cost(swap)
+                if cost < current_cost - 1e-9:
+                    current, current_cost = swap, cost
+                    improved = True
+                    took("swap")
+                    break
+        if not improved:
+            break
+    return sorted(current)

@@ -341,8 +341,9 @@ def test_benefit_matrix_matches_scalar_dict(compiled):
 
 
 # ----------------------------------------------------------------------
-# Priming: batch-filled memo entries are the floats an unprimed
-# evaluator (and the scalar sum) would produce
+# Batch pricing: primed memo entries and the refine climb's returned
+# totals are the floats an unprimed evaluator (and the scalar sum)
+# would produce
 
 
 def _assert_primed_exact(compiled, prime, configs):
@@ -369,19 +370,37 @@ def test_prime_matches_scalar_and_unprimed(compiled):
     _assert_primed_exact(compiled, lambda ev: ev.prime(configs), configs)
 
 
+def _assert_totals_exact(compiled, totals, configs):
+    """Each returned total is, in order, its configuration's scalar sum
+    and an unprimed evaluator's ``workload_cost``, bit for bit."""
+    workload, models, candidates, _ = compiled
+    unprimed = WorkloadEvaluator(
+        [models[q.name] for q in workload],
+        [q.weight for q in workload],
+        [c.index for c in candidates],
+    )
+    assert totals.shape == (len(configs),)
+    for total, positions in zip(totals.tolist(), configs):
+        assert_same_bits(
+            total, _scalar_workload_cost(workload, models, candidates, positions)
+        )
+        assert_same_bits(total, unprimed.workload_cost(positions))
+
+
 def test_prime_extensions_matches_scalar_and_unprimed(compiled):
-    *_, candidates, _ = compiled
+    *_, candidates, evaluator = compiled
     current = [0, 3]
     extras = [p for p in range(len(candidates)) if p not in current]
-    _assert_primed_exact(
-        compiled,
-        lambda ev: ev.prime_extensions(current, extras),
-        [current + [extra] for extra in extras],
-    )
+    random.Random(5).shuffle(extras)
+    memo = evaluator.memo_size
+    totals = evaluator.prime_extensions(current, extras)
+    assert evaluator.memo_size == memo
+    _assert_totals_exact(compiled, totals, [current + [e] for e in extras])
+    assert evaluator.prime_extensions(current, []).shape == (0,)
 
 
 def test_prime_swaps_matches_scalar_and_unprimed(compiled):
-    *_, candidates, _ = compiled
+    *_, candidates, evaluator = compiled
     current = [0, 3, 6]
     pairs = [
         (out, incoming)
@@ -389,11 +408,16 @@ def test_prime_swaps_matches_scalar_and_unprimed(compiled):
         for incoming in range(len(candidates))
         if incoming not in current
     ]
-    _assert_primed_exact(
+    random.Random(6).shuffle(pairs)
+    memo = evaluator.memo_size
+    totals = evaluator.prime_swaps(current, pairs)
+    assert evaluator.memo_size == memo
+    _assert_totals_exact(
         compiled,
-        lambda ev: ev.prime_swaps(current, pairs),
+        totals,
         [[p for p in current if p != out] + [incoming] for out, incoming in pairs],
     )
+    assert evaluator.prime_swaps(current, []).shape == (0,)
 
 
 # ----------------------------------------------------------------------

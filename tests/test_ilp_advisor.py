@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.advisor import ilp_advisor
 from repro.advisor.candidates import generate_candidates
 from repro.advisor.compress import compress_statements
-from repro.advisor.ilp_advisor import IlpIndexAdvisor, Selection
+from repro.advisor.ilp_advisor import IlpIndexAdvisor, Selection, greedy_select
 from repro.errors import AdvisorError
 from repro.ilp.branch_bound import BranchAndBoundSolver
 from repro.ilp.model import Sense
@@ -282,6 +282,8 @@ class TestBuiltinMatchesHighs:
 # The optimality oracle: brute force over every feasible subset
 
 
+SDSS_TABLES = ("field", "photoobj", "specobj", "neighbors")
+STAR_TABLES = ("sales", "product", "store")
 STAR_JOIN_KEYS = {"product": "product_id", "store": "store_id"}
 STAR_RESTRICTIONS = {
     "sales": ("{a}.sold_on between 100 and 130", "{a}.amount > 200",
@@ -488,6 +490,155 @@ class TestBruteForceOracle:
 
 
 # ----------------------------------------------------------------------
+# The refine climb against the sequential climb (tests/reference.py)
+
+
+@st.composite
+def sdss_self_join(draw):
+    """photoobj read through two aliases, optionally joined to field:
+    the shape whose gap in the ILP alone the climb's adds close."""
+    key = draw(st.sampled_from(("objid", "field_id", "run")))
+    tables = ["photoobj t1", "photoobj t2"]
+    quals = [f"t1.{key} = t2.{key}"]
+    lead = f"t1.{key}"
+    if draw(st.booleans()):
+        tables.insert(0, "field t0")
+        quals.append("t0.field_id = t1.field_id")
+        lead = "t0.field_id"
+    for alias in ("t1", "t2"):
+        for pattern in draw(
+            st.sets(st.sampled_from(RESTRICTIONS["photoobj"]), max_size=2)
+        ):
+            quals.append(pattern.format(a=alias))
+    return (
+        f"select {lead}, count(*) from " + ", ".join(tables)
+        + " where " + " and ".join(sorted(quals)) + f" group by {lead}"
+    )
+
+
+@st.composite
+def climb_workloads(draw):
+    """("sdss" or "star", a workload of 2-8 queries), SDSS self-joins
+    among the SDSS shapes."""
+    schema = draw(st.sampled_from(("sdss", "star")))
+    if schema == "sdss":
+        shapes = st.one_of(
+            st.sampled_from([q.sql for q in sdss_workload()]),
+            sdss_join(),
+            sdss_self_join(),
+        )
+    else:
+        shapes = st.one_of(
+            st.sampled_from([q.sql for q in star_workload()]), star_join()
+        )
+    sqls = draw(st.lists(shapes, min_size=2, max_size=8))
+    return schema, Workload(
+        queries=[Query(f"q{i}", sql) for i, sql in enumerate(sqls)],
+        name="climb",
+    )
+
+
+@contextmanager
+def refine_inputs():
+    """Record the arguments of every ``_refine`` call of an advise."""
+    calls = []
+    real = IlpIndexAdvisor._refine
+
+    def record(*args):
+        calls.append(args)
+        return real(*args)
+
+    with mock.patch.object(IlpIndexAdvisor, "_refine", staticmethod(record)):
+        yield calls
+
+
+class TestRefineMatchesTheSequentialClimb:
+    """The climb prices each scan in array batches from a cursor, and
+    must take exactly the moves of the one-trial-at-a-time climb
+    (``reference.refine_climb``): the same position list from the ILP's
+    seed, the greedy search's, the empty design and random designs.
+    The ILP's seed rarely moves, so the other seeds are what make
+    drops, adds and swaps fire; the test fails if any kind never did."""
+
+    def test_same_positions_as_the_sequential_climb(self, oracle_dbs):
+        moves: dict[str, int] = {}
+
+        @settings(max_examples=30, deadline=None)
+        @given(instance=climb_workloads(), data=st.data())
+        def check(instance, data):
+            schema, workload = instance
+            catalog, cache = oracle_dbs[schema]
+            # Candidates are 1-27 pages: half the budgets bind.
+            budget = data.draw(
+                st.integers(10, 60) | st.integers(10, 3000)
+            )
+            taxed = SDSS_TABLES if schema == "sdss" else STAR_TABLES
+            rates = data.draw(st.none() | st.dictionaries(
+                st.sampled_from(taxed),
+                st.sampled_from((0.5, 2.0, 10.0, 40.0)),
+                min_size=1,
+            ))
+            cap = None
+            if rates:
+                cap = data.draw(st.none() | st.floats(0.0, 500.0))
+            advisor = IlpIndexAdvisor(catalog, cost_cache=cache)
+            with refine_inputs() as calls:
+                advisor.recommend(
+                    workload, budget, update_rates=rates, max_update_cost=cap
+                )
+            [(candidates, evaluator, solved, _, maintenance, _)] = calls
+            positions = range(len(candidates))
+            greedy = greedy_select(
+                candidates, evaluator, positions, budget, maintenance, cap
+            )
+            runs = [(solved, budget), ([], budget), (greedy, budget)]
+            if candidates:
+                runs += [
+                    (data.draw(st.lists(
+                        st.sampled_from(positions), max_size=6, unique=True
+                    )), budget)
+                    for _ in range(2)
+                ]
+                # Several indexes on one table compete for each swap, in
+                # a budget that barely holds them.
+                table = data.draw(st.sampled_from(sorted(
+                    {c.index.table_name for c in candidates}
+                )))
+                seed = data.draw(st.lists(
+                    st.sampled_from([
+                        p for p in positions
+                        if candidates[p].index.table_name == table
+                    ]),
+                    max_size=4, unique=True,
+                ))
+                tight = sum(candidates[p].size_pages for p in seed)
+                runs.append(
+                    (seed, max(10, tight + data.draw(st.integers(0, 10))))
+                )
+            # One round shows each scan's own moves; the full climb
+            # shows where the rounds lead.
+            for rounds in (1, ilp_advisor._MAX_REFINE_ROUNDS):
+                for seed, pages in runs:
+                    expected = reference.refine_climb(
+                        candidates, evaluator, seed, pages, maintenance,
+                        cap, max_rounds=rounds, moves=moves,
+                    )
+                    with mock.patch.object(
+                        ilp_advisor, "_MAX_REFINE_ROUNDS", rounds
+                    ):
+                        climbed = IlpIndexAdvisor._refine(
+                            candidates, evaluator, seed, pages,
+                            maintenance, cap,
+                        )
+                    assert climbed == expected, (
+                        f"seed {seed}, {pages} pages, {rounds} rounds"
+                    )
+
+        check()
+        assert set(moves) == {"drop", "add", "swap"}, moves
+
+
+# ----------------------------------------------------------------------
 # One benefit array: the program and the fallback against their
 # mapping-based references (tests/reference.py)
 
@@ -532,7 +683,6 @@ def spying():
         yield seen
 
 
-SDSS_TABLES = ("field", "photoobj", "specobj", "neighbors")
 
 
 class TestProgramMatchesTheMapping:
