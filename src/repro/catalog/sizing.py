@@ -210,31 +210,6 @@ def estimate_heap_pages(
     return max(1, math.ceil(row_count / rows_per_page))
 
 
-def data_width(
-    table: Table,
-    column_stats: Mapping[str, ColumnStats] | None = None,
-    columns: tuple[str, ...] | None = None,
-) -> int:
-    """Payload width (no tuple overhead) — the optimizer's output width."""
-    names = columns if columns is not None else table.column_names
-    total = 0
-    for name in names:
-        column = table.column(name)
-        stats = column_stats.get(name) if column_stats else None
-        total += column_width(column.dtype, stats)
-    return total
-
-
-def index_size_bytes(
-    table: Table,
-    index: Index,
-    row_count: float,
-    column_stats: Mapping[str, ColumnStats] | None = None,
-) -> int:
-    """Index size in bytes (leaf pages times the block size)."""
-    return estimate_index_pages(table, index, row_count, column_stats) * BLOCK_SIZE
-
-
 def validate_fillfactor(fillfactor: float) -> None:
     """Reject nonsense fill factors early, before they skew every estimate."""
     if not 0.1 <= fillfactor <= 1.0:

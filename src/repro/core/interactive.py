@@ -14,8 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.advisor.ilp_advisor import QueryBenefit
+from repro.catalog.catalog import Catalog
 from repro.catalog.schema import Index, PartitionScheme
 from repro.errors import WhatIfError
+from repro.optimizer.config import PlannerConfig
 from repro.optimizer.explain import explain
 from repro.optimizer.planner import Planner
 from repro.optimizer.plans import Plan, plan_signature
@@ -26,8 +28,12 @@ from repro.sql.binder import BoundQuery, bind
 from repro.sql.parser import parse_select
 from repro.sql.printer import to_sql
 from repro.storage.database import Database
-from repro.whatif.session import WhatIfSession
+from repro.whatif.session import JOIN_FLAGS, WhatIfSession
 from repro.workloads.workload import Workload
+
+#: The join flags of a new session, which :meth:`InteractiveDesigner.reset`
+#: restores.
+_DEFAULT_FLAGS = {flag: getattr(PlannerConfig(), flag) for flag in JOIN_FLAGS}
 
 
 @dataclass
@@ -82,20 +88,24 @@ class InteractiveDesigner:
         self._db = database
         self._session = WhatIfSession(database.catalog)
         self._schemes: dict[str, PartitionScheme] = {}
-        # Baselines (the query bound against the real catalog, and its
-        # plan there) depend only on the real catalog, so they outlive
-        # reset(); target-side bindings depend on the session catalog.
-        # Both are keyed by the SQL (the next workload may reuse a name
-        # for another statement); baselines also by the real catalog's
-        # version, and target bindings are dropped once the session
-        # catalog's key (a new one after reset()) moves past
-        # ``_targets_under``, as the session's own caches are. The
-        # session's plan cache does the rest — evaluate() after
-        # add_whatif_index replans only the queries the new index can
-        # serve. Parsed statements are frozen ASTs, so one parse per SQL
-        # serves every catalog version.
-        self._baselines: dict[tuple, tuple[BoundQuery, Plan]] = {}
-        self._bound_targets: dict[str, tuple[BoundQuery, str]] = {}
+        # Both caches are keyed by the SQL (the next workload may reuse
+        # a name for another statement). Baselines (the query bound
+        # against the real catalog, and its plan there) depend only on
+        # the real catalog, so they are also keyed by its version and
+        # outlive reset(). A target binding (the query bound against
+        # the session catalog, rewritten onto the fragments when it
+        # reads a partitioned table) is kept with its rewritten text
+        # (None when nothing was rewritten) and the tables the query
+        # reads, until a table it reads gets a scheme or the session
+        # catalog no longer holds a table it points at (reset() drops
+        # the fragments). The session's plan cache does the
+        # rest — evaluate() after add_whatif_index replans only the
+        # queries the new index can serve. Parsed statements are frozen
+        # ASTs, so one parse per SQL serves every catalog version.
+        self._baselines: dict[tuple, _Baseline] = {}
+        self._bound_targets: dict[
+            str, tuple[BoundQuery, str | None, frozenset[str]]
+        ] = {}
         self._targets_under = self._session.catalog.cache_key
         self._statements: dict[str, SelectStmt] = {}
 
@@ -104,9 +114,32 @@ class InteractiveDesigner:
         return self._session
 
     def reset(self) -> None:
-        """Drop every what-if feature created so far."""
-        self._session = WhatIfSession(self._db.catalog)
+        """Drop every what-if feature created so far.
+
+        The session is reset in place: its fragment tables are dropped,
+        its hypothetical indexes cleared and its join flags restored, so
+        the plans of the queries none of that touched stay cached, and
+        its counters (``plan_cache_hits``, ``simulation_seconds``) keep
+        counting. A new session replaces it only when its catalog then
+        differs from the database's, because the database changed or
+        the session catalog was changed other than through this
+        designer.
+        """
+        session = self._session
+        catalog = session.catalog
+        for scheme in self._schemes.values():
+            for position in range(len(scheme.fragments)):
+                name = scheme.fragment_name(position)
+                if catalog.has_table(name):
+                    session.drop_table(name)
         self._schemes = {}
+        # Target bindings onto the dropped fragments go at the next
+        # evaluate() (see ``_targets_under``); the others stay.
+        if _same_objects(catalog, self._db.catalog):
+            session.clear_indexes()
+            session.set_join_flags(**_DEFAULT_FLAGS)
+        else:
+            self._session = WhatIfSession(self._db.catalog)
 
     def _statement(self, sql: str) -> SelectStmt:
         statement = self._statements.get(sql)
@@ -152,6 +185,12 @@ class InteractiveDesigner:
                 table, physical[position], scheme.fragment_name(position)
             )
         self._schemes[table] = scheme
+        # Queries that read ``table`` are rewritten onto its fragments.
+        self._bound_targets = {
+            sql: entry
+            for sql, entry in self._bound_targets.items()
+            if table not in entry[2]
+        }
         return scheme
 
     # ------------------------------------------------------------------
@@ -160,15 +199,18 @@ class InteractiveDesigner:
     def evaluate(self, workload: Workload) -> DesignEvaluation:
         """Benefit of the current what-if design over the original."""
         baseline = Planner(self._db.catalog)
-        rewriter = PartitionRewriter(self._schemes) if self._schemes else None
-
-        # Partition-scheme changes add shell tables to the session
-        # catalog (version bump), so its key covers them.
+        session = self._session
+        schemes = self._schemes
+        rewriter = PartitionRewriter(schemes) if schemes else None
         base_version = self._db.catalog.cache_key
-        target_version = self._session.catalog.cache_key
+        target_version = session.catalog.cache_key
         if target_version != self._targets_under:
             self._targets_under = target_version
-            self._bound_targets.clear()
+            self._bound_targets = {
+                sql: entry
+                for sql, entry in self._bound_targets.items()
+                if _still_bound(session.catalog, entry[0])
+            }
         per_query: list[QueryBenefit] = []
         rewritten_sql: dict[str, str] = {}
         cost_before = 0.0
@@ -178,24 +220,30 @@ class InteractiveDesigner:
             base = self._baselines.get(base_key)
             if base is None:
                 bound = query.bind(self._db.catalog)
-                base = self._baselines[base_key] = (bound, baseline.plan(bound))
-            bound, base_plan = base
-            before = base_plan.total_cost * query.weight
+                base = self._baselines[base_key] = _Baseline(bound, baseline.plan(bound))
+            before = base.plan.total_cost * query.weight
             entry = self._bound_targets.get(query.sql)
             if entry is None:
-                if rewriter is not None:
-                    rewritten = rewriter.rewrite(bound)
-                    sql = to_sql(rewritten)
-                    target = bind(self._session.catalog, rewritten)
+                if rewriter is not None and not schemes.keys().isdisjoint(base.tables):
+                    statement = rewriter.rewrite(base.bound)
+                    target = bind(session.catalog, statement)
+                    text = to_sql(statement)
+                elif _still_bound(session.catalog, base.bound):
+                    # The session catalog shares the real catalog's
+                    # table objects, so the baseline binding serves.
+                    target, text = base.bound, None
                 else:
-                    sql = query.sql.strip()
-                    target = bind(self._session.catalog, self._statement(query.sql))
-                entry = (target, sql)
-                self._bound_targets[query.sql] = entry
-            target, rewritten_sql[query.name] = entry
-            plan = self._session.plan(target)
+                    target = bind(session.catalog, self._statement(query.sql))
+                    text = None
+                entry = self._bound_targets[query.sql] = (target, text, base.tables)
+            target, text, _tables = entry
+            if text is None:
+                # Nothing to rewrite: show the statement as the rewriter
+                # prints it once there are schemes.
+                text = base.printed() if schemes else query.sql.strip()
+            rewritten_sql[query.name] = text
+            plan, used = session.plan_with_indexes(target)
             after = plan.total_cost * query.weight
-            used = self._session.hypothetical_indexes_used(target)
             cost_before += before
             cost_after += after
             per_query.append(
@@ -245,6 +293,54 @@ class InteractiveDesigner:
             whatif_plan=explain(whatif_plan),
             materialized_plan=explain(real_plan),
         )
+
+
+class _Baseline:
+    """A query bound against the real catalog, its plan there, and the
+    tables it reads."""
+
+    __slots__ = ("bound", "plan", "tables", "_printed")
+
+    def __init__(self, bound: BoundQuery, plan: Plan) -> None:
+        self.bound = bound
+        self.plan = plan
+        self.tables = frozenset(entry.table.name for entry in bound.rels)
+        self._printed: str | None = None
+
+    def printed(self) -> str:
+        """The statement as the partition rewriter prints a query that
+        reads no partitioned table: a function of the binding alone."""
+        if self._printed is None:
+            self._printed = to_sql(PartitionRewriter({}).rewrite(self.bound))
+        return self._printed
+
+
+def _still_bound(catalog: Catalog, query: BoundQuery) -> bool:
+    """Whether ``catalog`` still holds every table ``query`` was bound to."""
+    return all(
+        catalog.has_table(entry.table.name)
+        and catalog.table(entry.table.name) is entry.table
+        for entry in query.rels
+    )
+
+
+def _same_objects(catalog: Catalog, base: Catalog) -> bool:
+    """Whether ``catalog`` holds exactly ``base``'s table, index and
+    statistics objects, as a fresh clone of ``base`` does."""
+    if catalog.table_names != base.table_names:
+        return False
+    if catalog.index_names != base.index_names:
+        return False
+    for name in base.table_names:
+        if catalog.table(name) is not base.table(name):
+            return False
+        if catalog.has_statistics(name) != base.has_statistics(name):
+            return False
+        if base.has_statistics(name) and (
+            catalog.statistics(name) is not base.statistics(name)
+        ):
+            return False
+    return all(catalog.index(name) is base.index(name) for name in base.index_names)
 
 
 def _materialize(

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.catalog.catalog import Catalog
-from repro.catalog.datatypes import DataType
 from repro.catalog.schema import Table
 from repro.errors import BindError
 from repro.sql.ast_nodes import (
@@ -64,16 +63,6 @@ class BoundQuery:
     @property
     def aliases(self) -> tuple[str, ...]:
         return tuple(entry.alias for entry in self.rels)
-
-    @property
-    def has_aggregates(self) -> bool:
-        for item in self.statement.targets:
-            if any(
-                isinstance(node, FuncCall) and node.is_aggregate
-                for node in item.expr.walk()
-            ):
-                return True
-        return False
 
 
 class Binder:
@@ -254,10 +243,3 @@ def bind(catalog: Catalog, stmt: SelectStmt) -> BoundQuery:
     """Convenience wrapper around :class:`Binder`."""
     return Binder(catalog).bind(stmt)
 
-
-def column_dtype(query: BoundQuery, ref: ColumnRef) -> DataType:
-    """Data type of a bound column reference."""
-    if ref.table is None:
-        raise BindError(f"column reference {ref} was never bound")
-    entry = query.rel(ref.table)
-    return entry.table.column(ref.column).dtype

@@ -6,24 +6,31 @@ hypothetical index metadata — leaf pages from Equation 1 — to whatever
 the base hook reports. Planning through the session is therefore
 byte-for-byte the same code path as planning against real structures.
 
-Incremental invalidation: each plan produced through :meth:`plan` is
-cached with what it was planned under — the catalog version, the
-join-flag values, a design epoch per referenced table (bumped whenever a
-hypothetical index on it is added or dropped), and per alias the
-hypothetical indexes that can serve the query
+Incremental invalidation works per table. Bound queries are cached by
+SQL and plans by query, and each cached query is dropped when a table
+it reads changes schema through the session: :meth:`add_table`,
+:meth:`drop_table`, and :meth:`add_partition_table`, which changes both
+the new shell and the parent (a partitioned parent's queries are
+rewritten onto its shells, so their plain plans are superseded). Every
+other query keeps its binding and its plans, so the caches hold at most
+one entry per query. A catalog changed behind the session's back —
+directly through :attr:`catalog` — moves its cache key without going
+through those methods, and then every cached query is dropped.
+
+A cached query keeps its prepared planner state (clause
+classification, selectivities, row and width estimates — none of which
+an index or a join flag can move) and one plan per join-flag vector it
+was planned under, so switching a flag back re-serves the plans made
+with it. Each plan records the design epoch of every table the query
+reads (bumped whenever a hypothetical index on it is added or dropped)
+and, per alias, the hypothetical indexes that can serve the query
 (:func:`~repro.optimizer.paths.index_serves`: a plain or parameterized
-access path). Equal epochs are a hit. When only table epochs moved, the
-plan is still reused if the serving indexes are unchanged: an index
-that gives the query no path adds nothing the planner can pick, so the
-plan would come out identical. Adding an index on ``specobj`` therefore
-replans only the queries that index can serve. Bound queries are cached
-per catalog version, so interactive loops re-parse nothing; when the
-version moves, bound queries and plans cached under the old one are
-dropped, so the caches hold one entry per query at most. A query
-that does have to be replanned at an unchanged catalog version keeps
-its prepared planner state (clause classification, selectivities, row
-and width estimates — none of which an index or a join flag can move)
-and only has its relations' physical design re-read through the hook.
+access path). Equal epochs are a hit. When only epochs moved, the plan
+is still reused if the serving indexes are unchanged: an index that
+gives the query no path adds nothing the planner can pick, so the plan
+would come out identical. Adding an index on ``specobj`` therefore
+replans only the queries that index can serve, and a replan re-reads
+only its relations' physical design through the hook.
 """
 
 from __future__ import annotations
@@ -51,11 +58,12 @@ from repro.whatif.tables import derive_partition_stats, make_partition_shell
 
 _name_counter = itertools.count(1)
 
+#: The join-method flags: only ``optimizer/cost.py``'s join costs read
+#: them, and a query over one relation builds no join.
+JOIN_METHOD_FLAGS = ("enable_nestloop", "enable_hashjoin", "enable_mergejoin")
+
 #: The planner flags :meth:`WhatIfSession.set_join_flags` may toggle.
-_JOIN_FLAGS = (
-    "enable_nestloop",
-    "enable_hashjoin",
-    "enable_mergejoin",
+JOIN_FLAGS = JOIN_METHOD_FLAGS + (
     "enable_seqscan",
     "enable_indexscan",
     "enable_indexonlyscan",
@@ -79,16 +87,19 @@ class WhatIfSession:
         base_hook = base_config.relation_info_hook
         self._config = base_config.with_hook(self._make_hook(base_hook))
         self._simulation_seconds = 0.0
-        # Incremental-invalidation state: per-table design epochs plus
-        # the join-flag values; together with the catalog version they
-        # form the design fingerprint each cached plan is keyed by.
+        # Incremental-invalidation state: per-table design epochs and
+        # the join-flag values a cached plan is looked up by.
         self._table_epochs: dict[str, int] = {}
-        self._flags = self._flag_values()
-        # Bound queries by SQL and plans by query, both for the catalog
-        # key ``_cached_under`` only (see :meth:`_evict_stale`).
+        self._set_flags()
+        # Bound queries by SQL and plans by query. ``_cached_under`` is
+        # the catalog's cache key after the session's own last change
+        # (see :meth:`_evict_stale`).
         self._cached_under = self._catalog.cache_key
         self._bound_cache: dict[str, BoundQuery] = {}
         self._plan_cache: dict[object, _CachedPlan] = {}
+        # The plan :meth:`plan` served last, read by the methods that
+        # also report its indexes.
+        self._served: _FlagPlan | None = None
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
 
@@ -183,34 +194,42 @@ class WhatIfSession:
         parent_stats = self._catalog.statistics(parent_name)
         shell = make_partition_shell(parent, tuple(columns), name)
         stats = derive_partition_stats(parent, parent_stats, shell)
+        self._evict_stale()
         self._catalog.add_table(shell)
         self._catalog.set_statistics(shell.name, stats)
+        self._schema_changed(parent_name, shell.name)
         self._simulation_seconds += time.perf_counter() - started
         return shell
 
     def add_table(self, table: Table, stats: RelationStatistics) -> None:
         """Register an arbitrary what-if table with explicit statistics."""
+        self._evict_stale()
         self._catalog.add_table(table)
         self._catalog.set_statistics(table.name, stats)
+        self._schema_changed(table.name)
 
     def drop_table(self, name: str) -> None:
+        self._evict_stale()
         self._catalog.drop_table(name)
+        self._schema_changed(name)
 
     # ------------------------------------------------------------------
     # What-if joins
 
     def set_join_flags(self, **flags: bool) -> None:
         """Toggle enable_* planner flags (e.g. ``enable_nestloop=False``)."""
-        unknown = set(flags) - set(_JOIN_FLAGS)
+        unknown = set(flags) - set(JOIN_FLAGS)
         if unknown:
             raise WhatIfError(f"unknown planner flags: {sorted(unknown)}")
         self._config = self._config.with_flags(**flags)
-        # Flags affect every plan, so plans are keyed by their values:
-        # switching a flag back re-serves the plans made under it.
-        self._flags = self._flag_values()
+        self._set_flags()
 
-    def _flag_values(self) -> tuple:
-        return tuple(getattr(self._config, flag) for flag in _JOIN_FLAGS)
+    def _set_flags(self) -> None:
+        """Flags affect plans, so each query keeps one plan per flag
+        vector: switching a flag back re-serves the plans made with it.
+        A one-relation query's vector leaves out the join-method flags."""
+        self._flags = tuple(getattr(self._config, flag) for flag in JOIN_FLAGS)
+        self._scan_flags = self._flags[len(JOIN_METHOD_FLAGS):]
 
     # ------------------------------------------------------------------
     # Planning
@@ -232,7 +251,7 @@ class WhatIfSession:
         return Planner(self._catalog, self._config)
 
     def bind_sql(self, sql: str) -> BoundQuery:
-        """Parse+bind ``sql``, cached per catalog version."""
+        """Parse+bind ``sql``, cached until a table it reads changes."""
         self._evict_stale()
         cached = self._bound_cache.get(sql)
         if cached is None:
@@ -241,6 +260,30 @@ class WhatIfSession:
         return cached
 
     def plan(self, query: BoundQuery | str) -> Plan:
+        """The session's plan of ``query`` (SQL text or a query bound
+        against :attr:`catalog`), cached as the module docstring says."""
+        self._served = served = self._serve(query)
+        return served.plan
+
+    def plan_with_indexes(self, query: BoundQuery | str) -> tuple[Plan, list[str]]:
+        """:meth:`plan` and :meth:`hypothetical_indexes_used` from one
+        cache lookup."""
+        plan = self.plan(query)
+        return plan, list(self._served.used)
+
+    def cost(self, query: BoundQuery | str) -> float:
+        return self.plan(query).total_cost
+
+    def hypothetical_indexes_used(self, query: BoundQuery | str) -> list[str]:
+        """Names of session indexes the optimizer picked for ``query``,
+        sorted; read off the cached plan when it is current."""
+        return self.plan_with_indexes(query)[1]
+
+    # ------------------------------------------------------------------
+
+    def _serve(self, query: BoundQuery | str) -> "_FlagPlan":
+        """The current plan of ``query``, from the cache when it is
+        exact (see the module docstring), else replanned."""
         self._evict_stale()
         if isinstance(query, str):
             key: object = query
@@ -252,78 +295,65 @@ class WhatIfSession:
         entry = self._plan_cache.get(key)
         if entry is None or entry.query is not query:
             entry = self._plan_cache[key] = _CachedPlan(query)
-        fingerprint = self._fingerprint(entry.tables)
-        cached = entry.fingerprint
-        if cached == fingerprint:
-            self.plan_cache_hits += 1
-            return entry.plan
-        # Same catalog version, so the same tables and statistics: only
-        # hypothetical indexes or flags moved since the query was prepared.
-        same_catalog = cached is not None and cached[0] == fingerprint[0]
-        if same_catalog:
-            relevant = self._relevant(entry)
-            if cached[1] == fingerprint[1] and relevant == entry.relevant:
-                # None of the moved indexes can serve the query.
-                entry.fingerprint = fingerprint
+        design = tuple(map(self._table_epochs.get, entry.tables))
+        flags = self._flags if entry.joins else self._scan_flags
+        served = entry.plans.get(flags)
+        relevant = None
+        if served is not None:
+            if served.design == design:
                 self.plan_cache_hits += 1
-                return entry.plan
+                return served
+            relevant = self._relevant(entry)
+            if relevant == served.relevant:
+                # None of the moved indexes can serve the query.
+                served.design = design
+                self.plan_cache_hits += 1
+                return served
         planner = self.planner()
-        if same_catalog:
-            entry.prepared = entry.prepared.with_relation_info(
-                lambda rel: planner.relation_info(rel.table_name)
-            )
-        else:
+        if entry.prepared is None:
             entry.prepared = prepared = planner.prepare(query)
             entry.join_columns = tuple(
                 equi_join_columns(alias, prepared.join_clauses)
                 for alias in prepared.base_rels
             )
+        elif entry.design != design:
+            entry.prepared = entry.prepared.with_relation_info(
+                lambda rel: planner.relation_info(rel.table_name)
+            )
+        entry.design = design
+        if relevant is None:
             relevant = self._relevant(entry)
         self.plan_cache_misses += 1
-        plan = entry.plan = planner.plan(query, entry.prepared)
-        entry.fingerprint = fingerprint
-        entry.relevant = relevant
-        entry.used = tuple(sorted({
-            node.index_name
-            for node in plan.walk()
-            if isinstance(node, IndexScan) and node.hypothetical
-        }))
-        return plan
-
-    def cost(self, query: BoundQuery | str) -> float:
-        return self.plan(query).total_cost
-
-    def hypothetical_indexes_used(self, query: BoundQuery | str) -> list[str]:
-        """Names of session indexes the optimizer picked for ``query``,
-        sorted; read off the cached plan when it is current."""
-        key = query if isinstance(query, str) else id(query)
-        entry = self._plan_cache.get(key)
-        if entry is None or entry.fingerprint != self._fingerprint(entry.tables):
-            self.plan(query)
-            entry = self._plan_cache[key]
-        return list(entry.used)
-
-    # ------------------------------------------------------------------
+        plan = planner.plan(query, entry.prepared)
+        served = entry.plans[flags] = _FlagPlan(plan, design, relevant)
+        return served
 
     def _evict_stale(self) -> None:
-        """Once the session catalog's cache key moves, drop every bound
-        query and plan cached under the old one: the catalog version
-        only grows, so none of them could be hit again."""
+        """The session changes its catalog only through methods that
+        drop what each change invalidates (:meth:`_schema_changed`). A
+        cache key that moved otherwise means the catalog was changed
+        behind the session's back, so every bound query and plan goes."""
         key = self._catalog.cache_key
         if key != self._cached_under:
             self._cached_under = key
             self._bound_cache.clear()
             self._plan_cache.clear()
 
-    def _fingerprint(self, tables: tuple[str, ...]) -> tuple:
-        """What a cached plan over ``tables`` was planned under: the
-        catalog version, the join-flag values and the design epoch of
-        each table."""
-        return (
-            self._catalog.cache_key,
-            self._flags,
-            tuple(map(self._table_epochs.get, tables)),
-        )
+    def _schema_changed(self, *tables: str) -> None:
+        """Drop the bound queries and plans of every query that reads
+        one of ``tables``; the rest stay exact."""
+        moved = set(tables)
+        self._bound_cache = {
+            sql: bound
+            for sql, bound in self._bound_cache.items()
+            if moved.isdisjoint(rel.table.name for rel in bound.rels)
+        }
+        self._plan_cache = {
+            key: entry
+            for key, entry in self._plan_cache.items()
+            if moved.isdisjoint(entry.tables)
+        }
+        self._cached_under = self._catalog.cache_key
 
     def _relevant(self, entry: "_CachedPlan") -> tuple:
         """Per alias, in hook order, the session indexes that give the
@@ -375,22 +405,39 @@ class WhatIfSession:
 
 
 class _CachedPlan:
-    """One query's plan and what it was planned under."""
+    """One query's prepared state and its plan per join-flag vector."""
 
     __slots__ = (
-        "query", "tables", "fingerprint", "prepared", "join_columns",
-        "relevant", "plan", "used",
+        "query", "tables", "joins", "prepared", "design", "join_columns", "plans",
     )
 
     def __init__(self, query: BoundQuery) -> None:
         self.query = query
         self.tables = tuple(sorted({entry.table.name for entry in query.rels}))
-        self.fingerprint: tuple | None = None
+        self.joins = len(query.rels) > 1
         self.prepared: PreparedQuery | None = None
-        # Per alias of ``prepared.base_rels``: its equi-join columns,
-        # and the session indexes that served it when last planned.
+        # The table design epochs ``prepared``'s relation info was read
+        # under, and per alias of ``prepared.base_rels`` its equi-join
+        # columns.
+        self.design: tuple = ()
         self.join_columns: tuple[frozenset[str], ...] = ()
-        self.relevant: tuple = ()
-        self.plan: Plan | None = None
+        self.plans: dict[tuple, _FlagPlan] = {}
+
+
+class _FlagPlan:
+    """A plan made under one join-flag vector, with the table design
+    epochs it holds for and the session indexes that served the query
+    when it was made."""
+
+    __slots__ = ("plan", "design", "relevant", "used")
+
+    def __init__(self, plan: Plan, design: tuple, relevant: tuple) -> None:
+        self.plan = plan
+        self.design = design
+        self.relevant = relevant
         # Hypothetical index names ``plan`` scans, sorted.
-        self.used: tuple[str, ...] = ()
+        self.used = tuple(sorted({
+            node.index_name
+            for node in plan.walk()
+            if isinstance(node, IndexScan) and node.hypothetical
+        }))

@@ -7,7 +7,7 @@ from repro.catalog.datatypes import DOUBLE, INTEGER, TEXT
 from repro.catalog.schema import make_table
 from repro.errors import BindError
 from repro.sql.ast_nodes import ColumnRef, FuncCall
-from repro.sql.binder import bind, column_dtype
+from repro.sql.binder import bind
 from repro.sql.parser import parse_select
 
 
@@ -117,16 +117,8 @@ class TestRequiredColumns:
         q = bq(catalog, "select a from t where a > 1 and b = 'x' and id < 5")
         assert len(q.quals) == 3
 
-    def test_has_aggregates(self, catalog):
-        assert bq(catalog, "select count(*) from t").has_aggregates
-        assert not bq(catalog, "select a from t").has_aggregates
-
 
 class TestColumnDtype:
-    def test_lookup(self, catalog):
-        q = bq(catalog, "select a from t")
-        assert column_dtype(q, q.statement.targets[0].expr) is DOUBLE
-
     def test_rel_lookup_error(self, catalog):
         q = bq(catalog, "select a from t")
         with pytest.raises(BindError):

@@ -13,11 +13,9 @@ from repro.catalog.sizing import (
     INDEX_ROW_OVERHEAD,
     PAGE_HEADER_SIZE,
     aligned_row_width,
-    data_width,
     estimate_heap_pages,
     estimate_index_pages,
     index_row_width,
-    index_size_bytes,
     tuple_width,
     validate_fillfactor,
 )
@@ -100,12 +98,6 @@ class TestEquation1:
         per_page = (BLOCK_SIZE - PAGE_HEADER_SIZE) // 32
         assert pages == math.ceil(50_000 / per_page)
 
-    def test_size_bytes(self):
-        t = table()
-        index = Index("i", "t", ("id",))
-        pages = estimate_index_pages(t, index, 10_000)
-        assert index_size_bytes(t, index, 10_000) == pages * BLOCK_SIZE
-
 
 class TestHeapSizing:
     def test_tuple_width_whole_table(self):
@@ -125,10 +117,6 @@ class TestHeapSizing:
         full = estimate_heap_pages(t, 100_000, stats)
         frag = estimate_heap_pages(t, 100_000, stats, columns=("id", "s"))
         assert frag < full
-
-    def test_data_width_excludes_overhead(self):
-        t = table()
-        assert data_width(t, columns=("id",)) == 4
 
     def test_zero_rows(self):
         assert estimate_heap_pages(table(), 0) == 1
